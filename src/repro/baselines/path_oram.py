@@ -14,6 +14,18 @@ map, so the map can be externalized — which is exactly what
 :class:`~repro.baselines.recursive_oram.RecursivePathORAM` does by
 plugging a recursive resolver into ``position_resolver``.
 
+Eviction rule.  Write-back fills the accessed path from the leaf up;
+each node takes the first ``Z`` stash blocks, in stash (insertion)
+order, whose own tagged path passes through it.  A block tagged ``t``
+shares the path to ``leaf`` down to level ``L - (t ^ leaf).bit_length()``
+(the length of the two labels' common prefix), so one pass over the
+stash ranks every block by that depth and each level then chooses among
+its own rank plus whatever the levels below could not hold.  That is
+choice-for-choice the greedy scan — rescan the stash per node, walk
+leaf-to-root per block — at ``O(Z·(L+1) + |stash|)`` instead of
+``O(L²·|stash|)`` per access; the scan survives as the oracle in
+``tests/property/test_prop_schemes.py``.
+
 (Encryption is orthogonal to the bandwidth accounting these experiments
 need and is omitted for speed; a real deployment would wrap slots with
 :mod:`repro.crypto.encryption`.)
@@ -21,6 +33,7 @@ need and is omitted for speed; a real deployment would wrap slots with
 
 from __future__ import annotations
 
+import struct
 from typing import Callable, Sequence
 
 from repro.api.protocols import PrivateRAM
@@ -30,8 +43,7 @@ from repro.storage.errors import RetrievalError
 from repro.storage.server import StorageServer
 
 _DUMMY = (1 << 64) - 1
-_INDEX_BYTES = 8
-_LEAF_BYTES = 4
+_HEADER = struct.Struct(">QI")  # index (8B) || leaf tag (4B)
 
 PositionResolver = Callable[[int, int], int]
 """``resolve(index, new_leaf) -> old_leaf``: look up and remap in one shot."""
@@ -96,6 +108,9 @@ class PathORAM(PrivateRAM):
         self._stash: dict[int, tuple[int, bytes]] = {}
         self._stash_peak = 0
         self._queries = 0
+        # Every empty slot holds these same bytes: compared on the way in
+        # (no decode) and reused on the way out (no encode).
+        self._dummy_slot = _HEADER.pack(_DUMMY, 0) + bytes(self._block_size)
         self._offline_load(blocks, initial_positions)
 
     # -- geometry -------------------------------------------------------------
@@ -182,7 +197,9 @@ class PathORAM(PrivateRAM):
 
         A *single* ORAM access (one path read + write-back) — what the
         recursive position-map construction needs for its packed label
-        blocks.  Returns the old value.
+        blocks.  Returns the old value.  If ``transform`` raises or
+        returns a value of the wrong size, the access still completes —
+        as a plain read — and the error is raised afterwards.
         """
         if not callable(transform):
             raise TypeError("transform must be callable")
@@ -200,6 +217,10 @@ class PathORAM(PrivateRAM):
     ) -> bytes:
         if not 0 <= index < self._n:
             raise RetrievalError(f"index {index} out of range for n={self._n}")
+        # A rejected write must leave no trace: refuse it before the query
+        # counter, the rng draw and the remap.
+        if new_value is not None:
+            self._check_value_size(new_value)
         self._server.begin_query(self._queries)
         self._queries += 1
 
@@ -208,100 +229,84 @@ class PathORAM(PrivateRAM):
 
         # Read the whole path into the stash (blocks carry their own tag)
         # as one batched round — 2·Z·(L+1) per-slot calls become two.
+        z = self._z
+        height = self._height
         path = self._path_nodes(leaf)
-        path_slots = [
-            slot for node in path for slot in self._slot_range(node)
-        ]
-        for raw in self._server.read_many(path_slots):
-            stored_index, tag, payload = self._decode(raw)
-            if stored_index != _DUMMY:
-                self._stash[stored_index] = (tag, payload)
-        if len(self._stash) > self._stash_peak:
-            self._stash_peak = len(self._stash)
+        stash = self._stash
+        dummy = self._dummy_slot
+        for raw in self._server.read_many(
+            [slot for node in path for slot in range(node * z, node * z + z)]
+        ):
+            if raw != dummy:
+                stored_index, tag = _HEADER.unpack_from(raw)
+                if stored_index != _DUMMY:
+                    stash[stored_index] = (tag, raw[_HEADER.size :])
+        if len(stash) > self._stash_peak:
+            self._stash_peak = len(stash)
 
-        if index not in self._stash:
+        if index not in stash:
             raise RetrievalError(
                 f"block {index} missing from path and stash (corrupt state)"
             )
-        result = self._stash[index][1]
+        result = stash[index][1]
+        # The path now lives only in the stash, so the write-back below
+        # must run; a transform that raises or returns a wrong-sized
+        # value finishes the access as a plain read and is reported after.
+        failure: Exception | None = None
         if transform is not None:
-            new_value = bytes(transform(result))
-        if new_value is not None:
-            if len(new_value) != self._block_size:
-                raise ValueError(
-                    f"value must be {self._block_size} bytes, got {len(new_value)}"
-                )
-            self._stash[index] = (new_leaf, new_value)
-        else:
-            self._stash[index] = (new_leaf, result)
+            try:
+                new_value = bytes(transform(result))
+                self._check_value_size(new_value)
+            except Exception as error:
+                failure = error
+                new_value = None
+        stash[index] = (new_leaf, result if new_value is None else new_value)
 
-        # Write the path back, evicting greedily from the leaf upward.
-        # Eviction decisions are client-side (they consume stash state,
-        # never server answers), so the whole write-back is planned
-        # node-by-node and uploaded as one batched round.
+        # Write the path back as one batched round.  Eviction is
+        # client-side (it consumes stash state, never server answers):
+        # rank every stash entry once by the deepest level its tagged path
+        # shares with this one, then fill the path leaf-up, each level
+        # taking the first Z of its own entries plus those the levels
+        # below could not hold — in stash order, kept by sorting ranks.
+        entries = list(stash.items())
+        by_depth: list[list[int]] = [[] for _ in range(height + 1)]
+        for rank, (_, (tag, _)) in enumerate(entries):
+            by_depth[height - (tag ^ leaf).bit_length()].append(rank)
         uploads: list[tuple[int, bytes]] = []
-        for node in reversed(path):  # path is root-first; evict leaf-first
-            placed = self._evict_into(node)
-            for offset, slot in enumerate(self._slot_range(node)):
-                if offset < len(placed):
-                    stored_index = placed[offset]
-                    tag, payload = self._stash.pop(stored_index)
-                    uploads.append(
-                        (slot, self._encode(stored_index, tag, payload))
-                    )
-                else:
-                    uploads.append((slot, self._encode(_DUMMY, 0, b"")))
+        carry: list[int] = []
+        for level in range(height, -1, -1):
+            eligible = by_depth[level]
+            if carry:
+                eligible = sorted(carry + eligible)
+            carry = eligible[z:]
+            placed = eligible[:z]
+            first = path[level] * z
+            for slot, rank in enumerate(placed, first):
+                stored_index, (tag, payload) = entries[rank]
+                del stash[stored_index]
+                uploads.append(
+                    (slot, _HEADER.pack(stored_index, tag) + payload)
+                )
+            for slot in range(first + len(placed), first + z):
+                uploads.append((slot, dummy))
         self._server.write_many(uploads)
+        if failure is not None:
+            raise failure
         return result
 
-    def _evict_into(self, node: int) -> list[int]:
-        """Stash blocks whose tagged path passes through ``node``."""
-        placed: list[int] = []
-        for stored_index, (tag, _) in self._stash.items():
-            if len(placed) >= self._z:
-                break
-            if self._node_on_path(node, tag):
-                placed.append(stored_index)
-        return placed
+    def _check_value_size(self, value: bytes) -> None:
+        if len(value) != self._block_size:
+            raise ValueError(
+                f"value must be {self._block_size} bytes, got {len(value)}"
+            )
 
     def _path_nodes(self, leaf: int) -> list[int]:
         """Heap node ids (0-based) from the root down to ``leaf``."""
-        node = self._leaves - 1 + leaf  # 0-based heap position of the leaf
-        path = []
-        while True:
-            path.append(node)
-            if node == 0:
-                break
-            node = (node - 1) // 2
-        path.reverse()
-        return path
-
-    def _node_on_path(self, node: int, leaf: int) -> bool:
-        current = self._leaves - 1 + leaf
-        while True:
-            if current == node:
-                return True
-            if current == 0:
-                return False
-            current = (current - 1) // 2
-
-    def _slot_range(self, node: int) -> range:
-        return range(node * self._z, (node + 1) * self._z)
-
-    def _encode(self, index: int, tag: int, payload: bytes) -> bytes:
-        padded = payload + b"\x00" * (self._block_size - len(payload))
-        return (
-            index.to_bytes(_INDEX_BYTES, "big")
-            + tag.to_bytes(_LEAF_BYTES, "big")
-            + padded
-        )
-
-    def _decode(self, slot: bytes) -> tuple[int, int, bytes]:
-        index = int.from_bytes(slot[:_INDEX_BYTES], "big")
-        tag = int.from_bytes(
-            slot[_INDEX_BYTES : _INDEX_BYTES + _LEAF_BYTES], "big"
-        )
-        return index, tag, slot[_INDEX_BYTES + _LEAF_BYTES :]
+        height = self._height
+        return [
+            (1 << level) - 1 + (leaf >> (height - level))
+            for level in range(height + 1)
+        ]
 
     def _offline_load(
         self, blocks: Sequence[bytes], positions: list[int]
@@ -309,29 +314,22 @@ class PathORAM(PrivateRAM):
         """Place the initial database directly (setup is public; these
         writes do not count toward query costs)."""
         self._initial_positions = list(positions)
-        contents: dict[int, list[tuple[int, int, bytes]]] = {}
+        z = self._z
+        slots = [self._dummy_slot] * (self._nodes * z)
+        fill = [0] * self._nodes  # occupied slots per node
         spilled: dict[int, tuple[int, bytes]] = {}
         for index, block in enumerate(blocks):
-            placed = False
             leaf = positions[index]
             node = self._leaves - 1 + leaf
-            while True:
-                bucket = contents.setdefault(node, [])
-                if len(bucket) < self._z:
-                    bucket.append((index, leaf, bytes(block)))
-                    placed = True
-                    break
-                if node == 0:
-                    break
+            while fill[node] == z and node:
                 node = (node - 1) // 2
-            if not placed:
+            if fill[node] == z:  # the whole path is full
                 spilled[index] = (leaf, bytes(block))
-        slots = [self._encode(_DUMMY, 0, b"")] * (self._nodes * self._z)
-        for node, bucket in contents.items():
-            for offset, (index, leaf, payload) in enumerate(bucket):
-                slots[node * self._z + offset] = self._encode(
-                    index, leaf, payload
+            else:
+                slots[node * z + fill[node]] = (
+                    _HEADER.pack(index, leaf) + bytes(block)
                 )
+                fill[node] += 1
         self._server.load(slots)
         self._stash.update(spilled)
         self._stash_peak = len(self._stash)

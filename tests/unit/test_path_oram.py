@@ -67,6 +67,50 @@ class TestCorrectness:
         with pytest.raises(RetrievalError):
             oram.read(8)
 
+    @pytest.mark.parametrize(
+        "rejected, twin_sees",
+        [
+            (lambda oram, i: oram.write(i, b"short"), None),
+            (
+                lambda oram, i: oram.read_modify_write(i, lambda old: b"short"),
+                lambda twin, i: twin.read(i),
+            ),
+            (
+                lambda oram, i: oram.read_modify_write(i, lambda old: 1 // 0),
+                lambda twin, i: twin.read(i),
+            ),
+        ],
+        ids=["write", "rmw-wrong-size", "rmw-raises"],
+    )
+    def test_rejected_write_leaves_no_trace(self, rng, rejected, twin_sees):
+        # The twin never sees a bad call.  A rejected ``write`` is refused
+        # before anything moves; ``read_modify_write`` learns its value
+        # only after the path read, so it completes as the plain read the
+        # twin performs in its place.
+        n = 32
+        oram, twin = _oram(rng, n=n), _oram(rng, n=n)
+        reference = {i: encode_int(i) for i in range(n)}
+        source = rng.spawn("ops")
+        for step in range(400):
+            index = source.randbelow(n)
+            roll = source.random()
+            if roll < 0.1:
+                with pytest.raises((ValueError, ZeroDivisionError)):
+                    rejected(oram, index)
+                if twin_sees is not None:
+                    twin_sees(twin, index)
+            elif roll < 0.55:
+                reference[index] = encode_int(100_000 + step)
+                oram.write(index, reference[index])
+                twin.write(index, reference[index])
+            else:
+                assert oram.read(index) == reference[index]
+                assert twin.read(index) == reference[index]
+            assert oram.query_count == twin.query_count
+            assert oram.server.reads == twin.server.reads
+            assert oram.server.writes == twin.server.writes
+            assert list(oram._stash.items()) == list(twin._stash.items())
+
 
 class TestBandwidth:
     def test_blocks_per_access_formula(self, rng):
@@ -111,6 +155,20 @@ class TestObliviousnessShape:
             oram.read(source.randbelow(256))
         # Classic Path ORAM result: stash is O(1)-ish w.h.p. for Z=4.
         assert oram.stash_peak < 40
+
+        # An eviction that strands blocks shows as a growing stash.  The
+        # ceiling is the one the e2e ``oram_mixed`` workload declares as
+        # ``client_blocks``: the Z·(L+1) path blocks in flight plus the
+        # Path ORAM paper's stash bound.
+        oram = _oram(rng, n=4096, z=4)
+        for step in range(5000):
+            index = source.randbelow(4096)
+            if source.random() < 0.5:
+                oram.write(index, encode_int(step))
+            else:
+                oram.read(index)
+        assert oram.stash_peak < 84
+        assert oram.stash_size < 40
 
     def test_query_counter(self, rng):
         oram = _oram(rng, n=16)
