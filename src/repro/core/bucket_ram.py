@@ -273,9 +273,7 @@ class BucketDPRAM(PrivateRAM):
         """
         if pending._finished:
             raise RetrievalError("finish_query called twice on the same handle")
-        pending._finished = True
         bucket = pending.bucket
-        self._pending.discard(bucket)
         nodes = self._buckets[bucket]
         contents = dict(pending.contents)
         if new_contents is not None:
@@ -285,6 +283,10 @@ class BucketDPRAM(PrivateRAM):
                         f"node {node} is not part of bucket {bucket}"
                     )
                 contents[node] = bytes(block)
+        # Only a validated call consumes the handle: a rejected one leaves
+        # it open, so the caller can still run the overwrite phase.
+        pending._finished = True
+        self._pending.discard(bucket)
 
         # Both overwrite branches move a whole bucket: one batched
         # download round, then one batched upload round (the per-query

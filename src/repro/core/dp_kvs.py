@@ -252,7 +252,14 @@ class DPKVS(PrivateKVS):
         value = self._values.encode(user_value)
         buckets, real_count = self._query_buckets(key)
         pending = [self._ram.begin_query(bucket) for bucket in buckets]
-        updates = self._plan_put(key, value, pending[:real_count])
+        try:
+            updates = self._plan_put(key, value, pending[:real_count])
+        except CapacityError:  # MappingOverflowError is a subclass
+            # Both download phases already ran: finish them as fake
+            # updates so no bucket stays pending and the server sees the
+            # same two-phase shape as for any other operation.
+            self._finish_with_updates(pending, {})
+            raise
         self._finish_with_updates(pending, updates)
         self._operations += 1
 

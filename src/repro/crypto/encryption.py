@@ -7,6 +7,10 @@ nonce is drawn per encryption and the keystream is
 ``PRG(HMAC(key, nonce))``.  Re-encrypting the same plaintext therefore
 yields an unrelated ciphertext, which is exactly the property the paper's
 simulator argument relies on (Section 6, "Discussion about encryption").
+``PRG`` is the HMAC-counter stream of :mod:`repro.crypto.prg`; past its
+first 32-byte chunk a keystream is a single ``hashlib.pbkdf2_hmac`` call
+(one-iteration PBKDF2 with a 4-zero-byte salt yields the same blocks, but
+numbers them from 1, so chunk 0 is computed apart).
 
 This is a simulation-grade cipher built from the standard library; it is not
 meant to resist real adversaries (no authentication tag), and the repository
@@ -20,6 +24,7 @@ import hmac
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.crypto.prg import counter_stream, hmac_pads
 from repro.crypto.rng import RandomSource
 
 NONCE_SIZE = 16
@@ -61,30 +66,11 @@ def generate_key(rng: RandomSource) -> SecretKey:
 # H(opad_k || H(ipad_k || m)) with the padded-key XOR masks precomputed.
 # Two one-shot ``hashlib.sha256`` calls replace the ``hmac`` module's
 # object construction, copy, update and finalize round trips, which is
-# where the per-block Python overhead lives.  The bytes produced are the
+# where the per-block Python overhead lives.  The seed -> keystream step
+# (:func:`repro.crypto.prg.counter_stream`) does the same below 64 bytes
+# and hands longer streams to PBKDF2.  The bytes produced are the
 # textbook HMAC, so they match the frozen reference implementation
 # bit for bit (``tests/property/test_prop_crypto.py`` pins this).
-
-_SHA256_BLOCK = 64
-_IPAD = int.from_bytes(bytes(0x36 for _ in range(_SHA256_BLOCK)), "little")
-_OPAD = int.from_bytes(bytes(0x5C for _ in range(_SHA256_BLOCK)), "little")
-_COUNTERS = [index.to_bytes(8, "big") for index in range(32)]
-
-
-def _counters(count: int) -> list[bytes]:
-    """The first ``count`` big-endian 8-byte PRG counters, precomputed."""
-    while len(_COUNTERS) < count:
-        _COUNTERS.append(len(_COUNTERS).to_bytes(8, "big"))
-    return _COUNTERS[:count]
-
-
-def _hmac_pads(material: bytes) -> tuple[bytes, bytes]:
-    """The ipad/opad-masked key block of HMAC-SHA256 for ``material``."""
-    padded = int.from_bytes(material, "little")  # implicit zero-pad
-    return (
-        (padded ^ _IPAD).to_bytes(_SHA256_BLOCK, "little"),
-        (padded ^ _OPAD).to_bytes(_SHA256_BLOCK, "little"),
-    )
 
 
 def _key_states(key: SecretKey) -> tuple["hashlib._Hash", ...]:
@@ -99,7 +85,7 @@ def _key_states(key: SecretKey) -> tuple["hashlib._Hash", ...]:
     """
     states = getattr(key, "_states", None)
     if states is None:
-        ipad, opad = _hmac_pads(key.material)
+        ipad, opad = hmac_pads(key.material)
         states = (
             hashlib.sha256(ipad + b"stream:"),
             hashlib.sha256(ipad + b"mac:"),
@@ -109,59 +95,14 @@ def _key_states(key: SecretKey) -> tuple["hashlib._Hash", ...]:
     return states
 
 
-_COUNTER_0 = (0).to_bytes(8, "big")
-_COUNTER_1 = (1).to_bytes(8, "big")
-
-
-def _expand(seed: bytes, length: int) -> bytes:
-    """``CounterPRG.expand(seed, length)`` as manual-HMAC one-shots.
-
-    One- and two-chunk streams (records up to 64 bytes — the common
-    DP-RAM block sizes) are unrolled; longer streams (bucket node blobs)
-    absorb the per-seed pads into two hash states once and ``copy()``
-    them per 32-byte chunk, which beats re-hashing the 64-byte pad block
-    every time.
-    """
-    if length == 0:
-        return b""
-    digest = hashlib.sha256
-    padded = int.from_bytes(seed, "little")
-    inner = (padded ^ _IPAD).to_bytes(_SHA256_BLOCK, "little")
-    outer = (padded ^ _OPAD).to_bytes(_SHA256_BLOCK, "little")
-    if length <= 32:
-        return digest(
-            outer + digest(inner + _COUNTER_0).digest()
-        ).digest()[:length]
-    if length <= 64:
-        stream = (
-            digest(outer + digest(inner + _COUNTER_0).digest()).digest()
-            + digest(outer + digest(inner + _COUNTER_1).digest()).digest()
-        )
-        return stream[:length]
-    inner_state = digest(inner)
-    outer_state = digest(outer)
-    chunks = []
-    for counter in _counters((length + 31) >> 5):
-        inner_hash = inner_state.copy()
-        inner_hash.update(counter)
-        outer_hash = outer_state.copy()
-        outer_hash.update(inner_hash.digest())
-        chunks.append(outer_hash.digest())
-    return b"".join(chunks)[:length]
-
-
-def _seed_of(key: SecretKey, nonce: bytes) -> bytes:
-    """``HMAC(key, b"stream:" + nonce)`` from the cached key states."""
+def _keystream(key: SecretKey, nonce: bytes, length: int) -> bytes:
+    """``PRG(HMAC(key, b"stream:" + nonce))`` from the cached key states."""
     stream_inner, _, outer = _key_states(key)
     inner = stream_inner.copy()
     inner.update(nonce)
     seed = outer.copy()
     seed.update(inner.digest())
-    return seed.digest()
-
-
-def _keystream(key: SecretKey, nonce: bytes, length: int) -> bytes:
-    return _expand(_seed_of(key, nonce), length)
+    return counter_stream(seed.digest(), length)
 
 
 def _xor(data: bytes, stream: bytes) -> bytes:
@@ -208,37 +149,38 @@ def decrypt(key: SecretKey, ciphertext: bytes) -> bytes:
 # ``tests/property/test_prop_crypto.py`` holds that equivalence.
 
 
+def _keystreams(
+    key: SecretKey, nonces: bytes, bodies: Sequence[bytes]
+) -> bytes:
+    """The keystreams of ``bodies``, joined; ``nonces`` is joined likewise."""
+    stream_inner, _, outer = _key_states(key)
+    streams: list[bytes] = []
+    position = 0
+    for body in bodies:
+        inner = stream_inner.copy()
+        inner.update(nonces[position:position + NONCE_SIZE])
+        position += NONCE_SIZE
+        seed = outer.copy()
+        seed.update(inner.digest())
+        streams.append(counter_stream(seed.digest(), len(body)))
+    return b"".join(streams)
+
+
 def encrypt_many(
     key: SecretKey, plaintexts: Sequence[bytes], rng: RandomSource
 ) -> list[bytes]:
     """Encrypt a batch; bit-identical to a sequential :func:`encrypt` loop."""
     if not plaintexts:
         return []
-    count = len(plaintexts)
-    nonces = rng.bytes(count * NONCE_SIZE)
-    stream_inner, _, outer = _key_states(key)
-    expand = _expand
-    streams: list[bytes] = []
-    position = 0
-    for plaintext in plaintexts:
-        inner = stream_inner.copy()
-        inner.update(nonces[position:position + NONCE_SIZE])
-        position += NONCE_SIZE
-        seed = outer.copy()
-        seed.update(inner.digest())
-        streams.append(expand(seed.digest(), len(plaintext)))
+    nonces = rng.bytes(len(plaintexts) * NONCE_SIZE)
     # One whole-batch XOR: cheaper than a word-wise XOR per block.
-    data = b"".join(plaintexts)
-    mask = b"".join(streams)
-    body = (
-        int.from_bytes(data, "little") ^ int.from_bytes(mask, "little")
-    ).to_bytes(len(data), "little")
+    mixed = _xor(b"".join(plaintexts), _keystreams(key, nonces, plaintexts))
     out: list[bytes] = []
     position = 0
     offset = 0
     for plaintext in plaintexts:
         end = offset + len(plaintext)
-        out.append(nonces[position:position + NONCE_SIZE] + body[offset:end])
+        out.append(nonces[position:position + NONCE_SIZE] + mixed[offset:end])
         position += NONCE_SIZE
         offset = end
     return out
@@ -250,34 +192,20 @@ def decrypt_many(key: SecretKey, ciphertexts: Sequence[bytes]) -> list[bytes]:
     Raises:
         ValueError: if any ciphertext is shorter than the nonce.
     """
-    stream_inner, _, outer = _key_states(key)
-    expand = _expand
-    bodies: list[bytes] = []
-    streams: list[bytes] = []
     for ciphertext in ciphertexts:
         if len(ciphertext) < NONCE_SIZE:
             raise ValueError(
                 f"ciphertext too short: {len(ciphertext)} < nonce size "
                 f"{NONCE_SIZE}"
             )
-        body = ciphertext[NONCE_SIZE:]
-        inner = stream_inner.copy()
-        inner.update(ciphertext[:NONCE_SIZE])
-        seed = outer.copy()
-        seed.update(inner.digest())
-        bodies.append(body)
-        streams.append(expand(seed.digest(), len(body)))
-    # One whole-batch XOR: cheaper than a word-wise XOR per block.
-    data = b"".join(bodies)
-    mask = b"".join(streams)
-    plain = (
-        int.from_bytes(data, "little") ^ int.from_bytes(mask, "little")
-    ).to_bytes(len(data), "little")
+    nonces = b"".join([ciphertext[:NONCE_SIZE] for ciphertext in ciphertexts])
+    bodies = [ciphertext[NONCE_SIZE:] for ciphertext in ciphertexts]
+    mixed = _xor(b"".join(bodies), _keystreams(key, nonces, bodies))
     out: list[bytes] = []
     offset = 0
     for body in bodies:
         end = offset + len(body)
-        out.append(plain[offset:end])
+        out.append(mixed[offset:end])
         offset = end
     return out
 

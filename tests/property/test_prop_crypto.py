@@ -8,9 +8,11 @@ import pytest
 from repro.crypto.encryption import (
     IntegrityError,
     SecretKey,
+    _ReferenceCounterPRG,
     decrypt,
     decrypt_authenticated_many,
     decrypt_many,
+    decrypt_reference,
     encrypt,
     encrypt_authenticated_many,
     encrypt_authenticated_reference,
@@ -18,7 +20,7 @@ from repro.crypto.encryption import (
     encrypt_reference,
 )
 from repro.crypto.prf import PRF
-from repro.crypto.prg import CounterPRG
+from repro.crypto.prg import CounterPRG, counter_stream
 from repro.crypto.rng import SeededRandomSource
 
 
@@ -26,6 +28,14 @@ keys = st.binary(min_size=32, max_size=32).map(SecretKey)
 payloads = st.binary(min_size=0, max_size=512)
 batches = st.lists(st.binary(min_size=0, max_size=128), max_size=12)
 seeds = st.integers(min_value=0, max_value=2**63)
+# Block sizes on both sides of every keystream branch: empty, one and two
+# hand-rolled chunks (<= 32, <= 64), the first PBKDF2 lengths (65, 96, 97),
+# a DP-KVS node block (330) and a long blob.
+edge_sizes = st.sampled_from([0, 1, 31, 32, 33, 63, 64, 65, 96, 97, 330, 4096])
+mixed_batches = st.lists(
+    edge_sizes.flatmap(lambda size: st.binary(min_size=size, max_size=size)),
+    max_size=8,
+)
 
 
 class TestEncryptionProperties:
@@ -100,6 +110,31 @@ class TestBulkEncryptionProperties:
             plaintexts
         )
 
+    @given(key=keys, plaintexts=mixed_batches, seed=seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_mixed_size_batches_match_reference(self, key, plaintexts, seed):
+        # Long blocks take the PBKDF2 path, short ones the hand-rolled
+        # chunks; one batch mixes both.  Ciphertexts, tags and the rng
+        # state after the call must all equal the per-block reference.
+        bulk_rng = SeededRandomSource(seed)
+        ref_rng = SeededRandomSource(seed)
+        ciphertexts = encrypt_many(key, plaintexts, bulk_rng)
+        assert ciphertexts == [
+            encrypt_reference(key, p, ref_rng) for p in plaintexts
+        ]
+        assert bulk_rng.bytes(16) == ref_rng.bytes(16)
+        assert decrypt_many(key, ciphertexts) == list(plaintexts)
+        assert [decrypt_reference(key, c) for c in ciphertexts] == list(
+            plaintexts
+        )
+        sealed = encrypt_authenticated_many(key, plaintexts, bulk_rng)
+        assert sealed == [
+            encrypt_authenticated_reference(key, p, ref_rng)
+            for p in plaintexts
+        ]
+        assert bulk_rng.bytes(16) == ref_rng.bytes(16)
+        assert decrypt_authenticated_many(key, sealed) == list(plaintexts)
+
     @given(key=keys,
            plaintexts=st.lists(st.binary(min_size=0, max_size=64),
                                min_size=1, max_size=8),
@@ -157,3 +192,25 @@ class TestPrgProperties:
         stream = CounterPRG(seed)
         combined = stream.read(first) + stream.read(second)
         assert combined == CounterPRG.expand(seed, first + second)
+
+    def test_kernel_equals_reference_at_every_length(self):
+        # One PBKDF2 call stands in for chunks 1.. of the HMAC-counter
+        # stream; the frozen per-chunk generator is the oracle.
+        seed = bytes(range(32))
+        for length in [*range(1101), 4096, 65_537]:
+            expected = _ReferenceCounterPRG.expand(seed, length)
+            assert counter_stream(seed, length) == expected, length
+            assert CounterPRG.expand(seed, length) == expected, length
+
+    def test_kernel_equals_reference_at_every_seed_length(self):
+        # HMAC and PBKDF2 both hash keys longer than a SHA-256 block
+        # first, so the identity holds past 64 bytes too — also for a long
+        # seed ending in zeros, which a zero-padding shortcut would take
+        # for a short one.
+        seeds = [bytes(range(size)) for size in range(1, 101)]
+        seeds.append(b"a" + bytes(70))
+        for seed in seeds:
+            for length in (0, 1, 32, 33, 64, 65, 96, 97, 330, 1100):
+                assert CounterPRG.expand(seed, length) == (
+                    _ReferenceCounterPRG.expand(seed, length)
+                ), (seed, length)

@@ -330,6 +330,27 @@ class TestDPKVSModel:
                 assert existed == (key.ljust(4, b"\x00") in model)
                 model.pop(key.ljust(4, b"\x00"), None)
 
+    def test_server_image_pinned_across_cipher_rewrites(self):
+        # SHA-256 of every server slot after a seeded history, computed at
+        # the commit before the PBKDF2 keystream: 330-byte node blocks go
+        # through the bulk cipher's long-stream path on every query, so
+        # one differing keystream byte or nonce draw changes the digest.
+        store = DPKVS(1024, value_size=64, rng=SeededRandomSource(17))
+        plan = random.Random(19)
+        for step in range(500):
+            key = b"key-%04d" % plan.randrange(700)
+            roll = plan.random()
+            if roll < 0.5:
+                store.put(key, b"value-%06d" % step)
+            elif roll < 0.9:
+                store.get(key)
+            else:
+                store.delete(key)
+        assert store.block_size == 330
+        assert hashlib.sha256(b"".join(_server_image(store))).hexdigest() == (
+            "8b341f74f3c2d52945404d12e50e75b9c529c30e59f9094c66b29f8feb9a02a2"
+        )
+
     @given(seed=st.integers(0, 2**32))
     @settings(max_examples=20, deadline=None)
     def test_operation_cost_constant_for_fixed_n(self, seed):

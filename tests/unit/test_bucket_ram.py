@@ -88,6 +88,11 @@ class TestQueryLifecycle:
         pending = ram.begin_query(0)
         with pytest.raises(StorageError):
             ram.finish_query(pending, {5: b"not-in-bucket"})
+        # The rejected call consumed nothing: the same handle still runs
+        # the overwrite phase and releases the bucket.
+        ram.finish_query(pending, {0: b"in-bucket"})
+        assert ram.query(0)[0] == b"in-bucket"
+        assert len(ram.transcript_pairs) == 2
 
     def test_bucket_out_of_range(self, rng):
         ram = _disjoint_ram(rng)

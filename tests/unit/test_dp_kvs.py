@@ -3,7 +3,12 @@
 import pytest
 
 from repro.core.dp_kvs import DPKVS
-from repro.storage.errors import BlockSizeError, CapacityError
+from repro.crypto.rng import SeededRandomSource
+from repro.storage.errors import (
+    BlockSizeError,
+    CapacityError,
+    MappingOverflowError,
+)
 
 
 @pytest.fixture
@@ -73,6 +78,43 @@ class TestBasicOperations:
             store.put(f"k{i}".encode(), b"v")
         with pytest.raises(CapacityError):
             store.put(b"extra", b"v")
+
+    def test_refused_put_finishes_both_queries(self):
+        # The refusal comes after both download phases; it must still run
+        # both overwrite phases, or the two buckets stay pending forever.
+        store = DPKVS(8, key_size=8, value_size=8,
+                      rng=SeededRandomSource(1))
+        stored = {f"k{i}".encode(): f"v{i}".encode() for i in range(8)}
+        for key, value in stored.items():
+            store.put(key, value)
+        pairs = len(store.transcript_pairs)
+        operations = store.operation_count
+        with pytest.raises(CapacityError):
+            store.put(b"extra", b"v")
+        assert store._ram._pending == set()
+        assert len(store.transcript_pairs) == pairs + 2
+        assert store.size == 8
+        assert store.operation_count == operations
+        assert store.get(b"extra") is None
+        for key, value in stored.items():
+            assert store.get(key) == value
+
+    def test_refused_spill_finishes_both_queries(self, rng):
+        store = DPKVS(64, key_size=8, value_size=8, node_capacity=1,
+                      leaves_per_tree=2, phi=1,
+                      enforce_super_root_capacity=True, rng=rng.spawn("sre"))
+        stored = []
+        with pytest.raises(MappingOverflowError):
+            for i in range(64):
+                store.put(f"key{i}".encode(), b"v")
+                stored.append(f"key{i}".encode())
+        pairs = len(store.transcript_pairs)
+        assert store._ram._pending == set()
+        assert pairs == 2 * (len(stored) + 1)
+        assert store.size == len(stored)
+        assert store.super_root_size == 1
+        for key in stored:
+            assert store.get(key) == b"v"
 
     def test_update_allowed_at_capacity(self, rng):
         store = DPKVS(2, key_size=8, value_size=8, rng=rng.spawn("cap2"))
