@@ -48,23 +48,13 @@ GOLDEN_CONFIG = {
 
 def golden_trace() -> dict:
     """Run the frozen config and return its canonical trace."""
-    from repro.cluster import cluster
+    from repro.cluster import ClusterConfig, cluster
     from repro.obs import Tracer
     from repro.obs.tracer import canonical_trace
 
     tracer = Tracer("cluster")
-    cluster(
-        GOLDEN_CONFIG["scheme"],
-        shards=GOLDEN_CONFIG["shards"],
-        replicas=GOLDEN_CONFIG["replicas"],
-        n=GOLDEN_CONFIG["n"],
-        requests=GOLDEN_CONFIG["requests"],
-        batch=GOLDEN_CONFIG["batch"],
-        seed=GOLDEN_CONFIG["seed"],
-        executor=GOLDEN_CONFIG["executor"],
-        workload=GOLDEN_CONFIG["workload"],
-        tracer=tracer,
-    )
+    settings = dict(GOLDEN_CONFIG)
+    cluster(settings.pop("scheme"), ClusterConfig(tracer=tracer, **settings))
     return canonical_trace(tracer.export())
 
 

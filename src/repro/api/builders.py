@@ -139,7 +139,6 @@ def build_dp_ir(
     rng: RandomSource | None = None,
     backend: BackendFactory | str | None = None,
     network: NetworkModel | str | None = None,
-    batched: bool = True,
 ) -> DPIR:
     """Build a :class:`~repro.core.dp_ir.DPIR` (ε defaults to ``ln n``)."""
     data = _resolve_blocks(n, block_size, blocks)
@@ -152,7 +151,6 @@ def build_dp_ir(
         alpha=alpha,
         rng=_resolve_rng(rng, seed),
         backend_factory=resolve_backend(backend, network),
-        batched=batched,
     )
 
 

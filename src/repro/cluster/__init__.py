@@ -33,6 +33,9 @@ single-server budget over ``n`` — but the *routing* of a query to its
 owner shard is only hidden from non-colluding shard operators.  The
 :class:`~repro.cluster.ledger.ClusterLedger` reports both that model's
 binding budget (worst single shard) and the colluding upper bound.
+An ``epsilon_cap`` is an *admission* check — an operation a touched
+shard cannot afford is refused before anything runs — while every
+draw that was served (failover retries included) is always recorded.
 
 Entry points: :func:`~repro.cluster.service.cluster` (re-exported as
 ``repro.cluster``), the ``python -m repro cluster`` CLI subcommand, and
@@ -88,8 +91,8 @@ class _CallableClusterModule(ModuleType):
     real subpackage (``repro.cluster.ClusterIR``, ``import
     repro.cluster.router`` and friends all keep working)."""
 
-    def __call__(self, *args: Any, **kwargs: Any) -> ClusterReport:
-        return cluster(*args, **kwargs)
+    def __call__(self, *args: Any) -> ClusterReport:
+        return cluster(*args)
 
 
 sys.modules[__name__].__class__ = _CallableClusterModule

@@ -12,9 +12,9 @@ fault coins, trace/metrics sinks, budget timeline, monitors) lives on
     config = ClusterConfig(shards=4, replicas=2, seed=7)
     report = repro.cluster("dp_ir", config)
 
-The old keyword signature still works — ``cluster()`` folds legacy
-kwargs into a config and emits a single :class:`DeprecationWarning` —
-and the CLI builds configs via :meth:`ClusterConfig.from_cli_args`.
+``cluster()`` takes the config and nothing else (base-scheme builder
+keywords ride in ``base_kwargs``); the CLI builds configs via
+:meth:`ClusterConfig.from_cli_args`.
 """
 
 from __future__ import annotations
@@ -151,11 +151,3 @@ class ClusterConfig:
             fault_coin_mode=getattr(args, "fault_coins", "per_slot"),
             monitor=getattr(args, "monitor", False),
         )
-
-
-#: ClusterConfig field names accepted by the deprecated keyword path of
-#: :func:`repro.cluster` (everything except ``base_kwargs``, the
-#: catch-all for base-scheme builder keywords).
-CLUSTER_CONFIG_FIELDS: frozenset[str] = frozenset(
-    f.name for f in dataclasses.fields(ClusterConfig)
-) - {"base_kwargs"}

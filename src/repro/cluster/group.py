@@ -35,15 +35,15 @@ executor must never change what the ledger sees.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Any, Callable, Generic, Sequence, TypeVar
 
-from repro.api.protocols import PrivateIR, PrivateKVS
+from repro.api.protocols import PrivateIR, PrivateKVS, Scheme
 from repro.crypto.encryption import (
     IntegrityError,
     SecretKey,
     decrypt_authenticated,
 )
-from repro.parallel.executor import Executor, SerialExecutor
+from repro.parallel.executor import Executor, SerialExecutor, TaskResult
 from repro.storage.faults import ServerFault
 from repro.storage.server import StorageServer
 
@@ -58,26 +58,149 @@ class GroupExhaustedError(ServerFault):
     """Every replica of a shard group failed to serve an operation."""
 
 
-class _GroupCounters:
-    """Shared failover bookkeeping for both group flavours."""
+_R = TypeVar("_R", bound=Scheme)
 
-    def __init__(self) -> None:
-        self.failovers = 0
-        self.detected_corruptions = 0
-        self.faulted_reads = 0
+
+class _ReplicaGroup(Generic[_R]):
+    """``R`` replicas of one shard: the replica list, rotation pointer,
+    draw count, failover counters and operation counters both group
+    flavours share; they add only their failover policies on top."""
+
+    def __init__(
+        self,
+        shard_id: int,
+        replicas: Sequence[_R],
+        executor: Executor | None,
+    ) -> None:
+        if not replicas:
+            raise ValueError("a shard group needs at least one replica")
+        self.shard_id = shard_id
+        self._replicas = list(replicas)
+        self._executor = executor if executor is not None else SerialExecutor()
+        self._next_primary = 0
+        self._failovers = 0
+        self._detected_corruptions = 0
+        self._faulted_reads = 0
+        self._draws = 0
+        self._wall_ops = 0.0
+
+    # -- introspection -----------------------------------------------------
+
+    @property
+    def replica_count(self) -> int:
+        """Number of replicas ``R`` (dead ones included)."""
+        return len(self._replicas)
+
+    @property
+    def replicas(self) -> list[_R]:
+        """The replica instances (exposed for tests and reports)."""
+        return list(self._replicas)
+
+    @property
+    def draws(self) -> int:
+        """Replica operations attempted — retries, failovers and write
+        fan-out included.
+
+        Every attempt, even one a flaky node aborts partway, is an
+        independent mechanism invocation (for IR, an at least partial
+        pad set) visible to that replica's operator, so the privacy
+        ledger charges each draw.
+        """
+        return self._draws
+
+    @property
+    def epsilon(self) -> float:
+        """The replicas' exact per-operation budget (0.0 for ε-free bases)."""
+        return getattr(self._replicas[0], "epsilon", 0.0)
+
+    @property
+    def failovers(self) -> int:
+        """Reads that had to move to another replica (or retry)."""
+        return self._failovers
 
     def fault_counters(self) -> dict[str, int]:
-        counters: dict[str, int] = {}
-        if self.failovers:
-            counters["failovers"] = self.failovers
-        if self.detected_corruptions:
-            counters["detected_corruptions"] = self.detected_corruptions
-        if self.faulted_reads:
-            counters["faulted_reads"] = self.faulted_reads
-        return counters
+        """Failover totals in the uniform fault-counter vocabulary."""
+        counters = {
+            "failovers": self._failovers,
+            "detected_corruptions": self._detected_corruptions,
+            "faulted_reads": self._faulted_reads,
+        }
+        return {key: value for key, value in counters.items() if value}
+
+    def servers(self) -> tuple[StorageServer, ...]:
+        """Every server behind every replica (dead ones included)."""
+        servers: list[StorageServer] = []
+        for replica in self._replicas:
+            servers.extend(replica.servers())
+        return tuple(servers)
+
+    def operations(self) -> int:
+        """Total server operations across the group."""
+        return sum(replica.server_operations() for replica in self._replicas)
+
+    def wall_operations(self) -> float:
+        """Overlap-accounted op-units served through the group's entry
+        points; equals :meth:`operations` under the serial executor."""
+        return self._wall_ops
+
+    # -- internals ---------------------------------------------------------
+
+    def _rotate(self) -> int:
+        start = self._next_primary
+        self._next_primary = (start + 1) % len(self._replicas)
+        return start
+
+    def _serial_leg(self, serve: Callable[[Any], Any], item: Any) -> Any:
+        """One failover read; its attempts are causally dependent (each
+        retry exists only because the previous one failed), so they cost
+        serial wall-clock under every executor."""
+        before = self.operations()
+        try:
+            return serve(item)
+        finally:
+            self._wall_ops += self.operations() - before
+
+    def _racing_legs(
+        self, serve: Callable[[Any], Any], items: Sequence[Any]
+    ) -> list[TaskResult]:
+        """One failover read per item, as one overlap-accounted stage.
+
+        Distinct items race under a concurrent executor but *execute*
+        in order (``ordered=True`` — rotation pointer, draw count and
+        liveness marks are shared); the stage costs its slowest leg.
+        """
+        leg_ops = [0.0] * len(items)
+        results = self._executor.fan_out(
+            [
+                self._timed_leg(serve, item, leg_ops, slot)
+                for slot, item in enumerate(items)
+            ],
+            ordered=True,
+        )
+        self._wall_ops += self._executor.stage_cost(leg_ops)
+        return results
+
+    def _timed_leg(
+        self,
+        serve: Callable[[Any], Any],
+        item: Any,
+        leg_ops: list[float],
+        slot: int,
+    ) -> Callable[[], Any]:
+        """One racing leg, recording its op cost into ``leg_ops[slot]``
+        (safe: the legs run in order — see ``ordered=True``)."""
+
+        def run() -> Any:
+            before = self.operations()
+            try:
+                return serve(item)
+            finally:
+                leg_ops[slot] = float(self.operations() - before)
+
+        return run
 
 
-class ShardGroup:
+class ShardGroup(_ReplicaGroup[PrivateIR]):
     """One shard's records behind ``R`` IR replicas with read failover.
 
     Args:
@@ -100,43 +223,13 @@ class ShardGroup:
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         executor: Executor | None = None,
     ) -> None:
-        if not replicas:
-            raise ValueError("a shard group needs at least one replica")
+        super().__init__(shard_id, replicas, executor)
         if max_attempts < 1:
             raise ValueError(
                 f"max_attempts must be at least 1, got {max_attempts}"
             )
-        self.shard_id = shard_id
-        self._replicas = list(replicas)
         self._key = key
         self._max_attempts = max_attempts
-        self._executor = executor if executor is not None else SerialExecutor()
-        self._next_primary = 0
-        self._counters = _GroupCounters()
-        self._draws = 0
-        self._wall_ops = 0.0
-
-    # -- introspection -----------------------------------------------------
-
-    @property
-    def replica_count(self) -> int:
-        """Number of replicas ``R``."""
-        return len(self._replicas)
-
-    @property
-    def replicas(self) -> list[PrivateIR]:
-        """The replica instances (exposed for tests and reports)."""
-        return list(self._replicas)
-
-    @property
-    def draws(self) -> int:
-        """Per-query pad-set draws served by replicas, retries included.
-
-        Every attempt — even one a flaky node aborts partway — exposes
-        an (at least partial) independently drawn pad set to that
-        replica's operator, so the privacy ledger charges each draw.
-        """
-        return self._draws
 
     @property
     def local_n(self) -> int:
@@ -144,54 +237,15 @@ class ShardGroup:
         return self._replicas[0].n
 
     @property
-    def epsilon(self) -> float:
-        """The replicas' exact per-query budget (0.0 for ε-free bases)."""
-        return getattr(self._replicas[0], "epsilon", 0.0)
-
-    @property
-    def failovers(self) -> int:
-        """Reads that had to move to another replica (or retry)."""
-        return self._counters.failovers
-
-    @property
     def detected_corruptions(self) -> int:
         """Answers rejected by authenticated decryption."""
-        return self._counters.detected_corruptions
-
-    def fault_counters(self) -> dict[str, int]:
-        """Failover totals in the uniform fault-counter vocabulary."""
-        return self._counters.fault_counters()
-
-    def servers(self) -> tuple[StorageServer, ...]:
-        """Every server behind every replica."""
-        servers: list[StorageServer] = []
-        for replica in self._replicas:
-            servers.extend(replica.servers())
-        return tuple(servers)
-
-    def operations(self) -> int:
-        """Total server operations across the group."""
-        return sum(replica.server_operations() for replica in self._replicas)
-
-    def wall_operations(self) -> float:
-        """Overlap-accounted op-units served through the group's entry
-        points; equals :meth:`operations` under the serial executor."""
-        return self._wall_ops
+        return self._detected_corruptions
 
     # -- reads -------------------------------------------------------------
 
     def query(self, local_index: int) -> bytes | None:
-        """Serve one read with failover; ``None`` only on the α event.
-
-        Failover attempts are causally dependent (each retry exists only
-        because the previous attempt failed), so they cost serial
-        wall-clock under every executor.
-        """
-        before = self.operations()
-        try:
-            return self._query_with_failover(local_index)
-        finally:
-            self._wall_ops += self.operations() - before
+        """Serve one read with failover; ``None`` only on the α event."""
+        return self._serial_leg(self._query_with_failover, local_index)
 
     def _query_with_failover(self, local_index: int) -> bytes | None:
         start = self._rotate()
@@ -201,8 +255,8 @@ class ShardGroup:
             try:
                 answer = replica.query(local_index)
             except ServerFault:
-                self._counters.faulted_reads += 1
-                self._counters.failovers += 1
+                self._faulted_reads += 1
+                self._failovers += 1
                 continue
             if answer is None:
                 # The α-error event is a *scheme* coin, not a fault —
@@ -211,8 +265,8 @@ class ShardGroup:
             try:
                 return self._decode(answer)
             except IntegrityError:
-                self._counters.detected_corruptions += 1
-                self._counters.failovers += 1
+                self._detected_corruptions += 1
+                self._failovers += 1
         raise GroupExhaustedError(
             f"shard {self.shard_id}: all {self._max_attempts} attempts "
             f"across {len(self._replicas)} replicas failed"
@@ -224,10 +278,7 @@ class ShardGroup:
         A :class:`ServerFault` mid-batch retries the whole batch on the
         next replica (IR batches are stateless, so redrawing pad sets is
         safe); per-answer integrity failures fall back to single-read
-        failover for just the affected indices.  The fallback re-reads
-        target distinct indices and race under a concurrent executor —
-        they run in deterministic order (group state is shared) but the
-        stage's wall-clock is the slowest leg, not the sum.
+        failover for just the affected indices, as one racing stage.
         """
         if not local_indices:
             return []
@@ -240,8 +291,8 @@ class ShardGroup:
             try:
                 answers = replica.query_many(list(local_indices))
             except ServerFault:
-                self._counters.faulted_reads += 1
-                self._counters.failovers += 1
+                self._faulted_reads += 1
+                self._failovers += 1
                 continue
             break
         self._wall_ops += self.operations() - batch_before
@@ -259,45 +310,18 @@ class ShardGroup:
             try:
                 decoded.append(self._decode(answer))
             except IntegrityError:
-                self._counters.detected_corruptions += 1
-                self._counters.failovers += 1
+                self._detected_corruptions += 1
+                self._failovers += 1
                 fallbacks.append((len(decoded), local_index))
                 decoded.append(None)
         if fallbacks:
-            leg_ops = [0.0] * len(fallbacks)
-            results = self._executor.fan_out(
-                [
-                    self._fallback_task(local_index, leg_ops, slot)
-                    for slot, (_, local_index) in enumerate(fallbacks)
-                ],
-                ordered=True,
+            results = self._racing_legs(
+                self._query_with_failover,
+                [local_index for _, local_index in fallbacks],
             )
-            self._wall_ops += self._executor.stage_cost(leg_ops)
             for (position, _), result in zip(fallbacks, results):
                 decoded[position] = result.unwrap()
         return decoded
-
-    def _fallback_task(
-        self, local_index: int, leg_ops: list[float], slot: int
-    ) -> Callable[[], bytes | None]:
-        """One integrity-fallback leg, recording its op cost into
-        ``leg_ops[slot]`` (the legs run in order — see ``ordered=True``)."""
-
-        def run() -> bytes | None:
-            before = self.operations()
-            try:
-                return self._query_with_failover(local_index)
-            finally:
-                leg_ops[slot] = float(self.operations() - before)
-
-        return run
-
-    # -- internals ---------------------------------------------------------
-
-    def _rotate(self) -> int:
-        start = self._next_primary
-        self._next_primary = (start + 1) % len(self._replicas)
-        return start
 
     def _decode(self, block: bytes) -> bytes:
         if self._key is None:
@@ -305,7 +329,7 @@ class ShardGroup:
         return decrypt_authenticated(self._key, block)
 
 
-class KVShardGroup:
+class KVShardGroup(_ReplicaGroup[PrivateKVS]):
     """One shard's key range behind ``R`` KVS replicas (fail-stop).
 
     Writes go to every live replica so reads can be served by any of
@@ -320,23 +344,8 @@ class KVShardGroup:
         replicas: Sequence[PrivateKVS],
         executor: Executor | None = None,
     ) -> None:
-        if not replicas:
-            raise ValueError("a shard group needs at least one replica")
-        self.shard_id = shard_id
-        self._replicas = list(replicas)
+        super().__init__(shard_id, replicas, executor)
         self._alive = [True] * len(replicas)
-        self._executor = executor if executor is not None else SerialExecutor()
-        self._next_primary = 0
-        self._counters = _GroupCounters()
-        self._draws = 0
-        self._wall_ops = 0.0
-
-    # -- introspection -----------------------------------------------------
-
-    @property
-    def replica_count(self) -> int:
-        """Number of replicas ``R`` (dead ones included)."""
-        return len(self._replicas)
 
     @property
     def live_replicas(self) -> int:
@@ -344,65 +353,23 @@ class KVShardGroup:
         return sum(self._alive)
 
     @property
-    def replicas(self) -> list[PrivateKVS]:
-        """The replica instances (exposed for tests and reports)."""
-        return list(self._replicas)
-
-    @property
-    def draws(self) -> int:
-        """Replica operations attempted, failovers and write fan-out
-        included — each is an independent mechanism invocation visible
-        to that replica's operator, so the ledger charges each one."""
-        return self._draws
-
-    @property
     def value_size(self) -> int:
         """The replicas' value budget."""
         return self._replicas[0].value_size
 
-    @property
-    def epsilon(self) -> float:
-        """The replicas' exact per-operation budget, when they report one."""
-        return getattr(self._replicas[0], "epsilon", 0.0)
-
-    @property
-    def failovers(self) -> int:
-        """Reads that had to move to another replica."""
-        return self._counters.failovers
-
     def fault_counters(self) -> dict[str, int]:
-        """Failover totals in the uniform fault-counter vocabulary."""
-        counters = self._counters.fault_counters()
+        """Failover totals plus the fail-stop ``dead_replicas`` count."""
+        counters = super().fault_counters()
         dead = len(self._replicas) - self.live_replicas
         if dead:
             counters["dead_replicas"] = dead
         return counters
 
-    def servers(self) -> tuple[StorageServer, ...]:
-        """Every server behind every replica (dead ones included)."""
-        servers: list[StorageServer] = []
-        for replica in self._replicas:
-            servers.extend(replica.servers())
-        return tuple(servers)
-
-    def operations(self) -> int:
-        """Total server operations across the group."""
-        return sum(replica.server_operations() for replica in self._replicas)
-
-    def wall_operations(self) -> float:
-        """Overlap-accounted op-units served through the group's entry
-        points; equals :meth:`operations` under the serial executor."""
-        return self._wall_ops
-
     # -- operations --------------------------------------------------------
 
     def get(self, key: bytes) -> bytes | None:
         """Read ``key`` from the first live replica that serves it."""
-        before = self.operations()
-        try:
-            return self._get_with_failover(key)
-        finally:
-            self._wall_ops += self.operations() - before
+        return self._serial_leg(self._get_with_failover, key)
 
     def _get_with_failover(self, key: bytes) -> bytes | None:
         start = self._rotate()
@@ -421,37 +388,12 @@ class KVShardGroup:
         )
 
     def get_many(self, keys: Sequence[bytes]) -> list[bytes | None]:
-        """Per-key reads with failover (KVS bases do not batch).
-
-        Distinct keys are independent requests and race under a
-        concurrent executor; they execute in deterministic order
-        (rotation pointer and liveness marks are shared) while the
-        stage's wall-clock is the slowest key, not the sum.
-        """
+        """Per-key reads with failover (KVS bases do not batch), as one
+        racing stage: distinct keys are independent requests."""
         if not keys:
             return []
-        leg_ops = [0.0] * len(keys)
-        results = self._executor.fan_out(
-            [
-                self._get_task(key, leg_ops, slot)
-                for slot, key in enumerate(keys)
-            ],
-            ordered=True,
-        )
-        self._wall_ops += self._executor.stage_cost(leg_ops)
+        results = self._racing_legs(self._get_with_failover, keys)
         return [result.unwrap() for result in results]
-
-    def _get_task(
-        self, key: bytes, leg_ops: list[float], slot: int
-    ) -> Callable[[], bytes | None]:
-        def run() -> bytes | None:
-            before = self.operations()
-            try:
-                return self._get_with_failover(key)
-            finally:
-                leg_ops[slot] = float(self.operations() - before)
-
-        return run
 
     def put(self, key: bytes, value: bytes) -> None:
         """Write to every live replica; dead ones are skipped."""
@@ -477,11 +419,6 @@ class KVShardGroup:
             for position, replica in enumerate(self._replicas)
             if self._alive[position]
         ]
-        if not live:
-            raise GroupExhaustedError(
-                f"shard {self.shard_id}: no live replicas left for "
-                f"{operation}"
-            )
         self._draws += len(live)
         ops_before = [replica.server_operations() for _, replica in live]
         results = self._executor.fan_out(
@@ -496,7 +433,6 @@ class KVShardGroup:
         ]
         self._wall_ops += self._executor.stage_cost(leg_ops)
         result = None
-        first = True
         any_succeeded = False
         failure: BaseException | None = None
         # Every leg ran (capture-all contract), so process every
@@ -510,13 +446,12 @@ class KVShardGroup:
                 elif failure is None:
                     failure = outcome.error
                 continue
-            any_succeeded = True
-            if first:
+            if not any_succeeded:
                 result = outcome.value
-                first = False
+            any_succeeded = True
         if failure is not None:
             raise failure
-        if not any_succeeded:
+        if not any_succeeded:    # every leg faulted, or none was live
             raise GroupExhaustedError(
                 f"shard {self.shard_id}: no live replicas left for "
                 f"{operation}"
@@ -524,11 +459,6 @@ class KVShardGroup:
         return result
 
     def _mark_dead(self, position: int) -> None:
-        self._counters.faulted_reads += 1
-        self._counters.failovers += 1
+        self._faulted_reads += 1
+        self._failovers += 1
         self._alive[position] = False
-
-    def _rotate(self) -> int:
-        start = self._next_primary
-        self._next_primary = (start + 1) % len(self._replicas)
-        return start

@@ -89,11 +89,14 @@ class ClusterLedger:
 
     Args:
         shard_count: number of shard groups.
-        epsilon_cap: optional per-operator hard budget — a charge that
-            would push any single operator's *lifetime* spend past it
-            raises :class:`~repro.analysis.ledger.BudgetExceededError`
+        epsilon_cap: optional per-operator hard budget — a
+            :meth:`charge` that would push any single operator's
+            *lifetime* spend past it raises
+            :class:`~repro.analysis.ledger.BudgetExceededError`
             (caps are per-operator in the non-colluding model, and an
-            operator's view survives resharding).
+            operator's view survives resharding).  The cluster schemes
+            ask :meth:`can_afford` before an operation starts and
+            :meth:`record` what was served.
         delta_slack: the δ' used for advanced-composition reporting.
         carried_from: the previous epoch's ledger, when resharding.
             Its lifetime per-operator spends (its own carried epochs
@@ -201,6 +204,21 @@ class ClusterLedger:
             )
         return totals
 
+    def can_afford(
+        self, shard: int, epsilon: float | Fraction, count: int = 1
+    ) -> bool:
+        """Whether ``count`` more ``epsilon``-draws on ``shard`` fit under
+        the per-operator cap (lifetime spend, carried epochs included)."""
+        if self._cap is None:
+            return True
+        lifetime = self._spent(shard) + count * Fraction(epsilon)
+        return lifetime <= self._cap + CAP_SLACK
+
+    def _spent(self, shard: int) -> Fraction:
+        """Operator ``shard``'s exact lifetime ε, carried epochs included."""
+        carried_epsilon, _ = self._carried_for(shard)
+        return carried_epsilon + self._shards[shard].epsilon_spent_exact
+
     def charge(
         self,
         shard: int,
@@ -213,22 +231,30 @@ class ClusterLedger:
             BudgetExceededError: when the per-operator cap would be
                 exceeded by the operator's lifetime spend.
         """
-        exact_epsilon = Fraction(epsilon)
-        if self._cap is not None:
-            carried_epsilon, _ = self._carried_for(shard)
-            lifetime = (
-                carried_epsilon
-                + self._shards[shard].epsilon_spent_exact
-                + exact_epsilon
+        if self._cap is not None and not self.can_afford(shard, epsilon):
+            raise BudgetExceededError(
+                f"charging eps={float(epsilon):.4f} on shard "
+                f"{shard} would exceed the per-operator cap "
+                f"{float(self._cap):.4f} (lifetime spend "
+                f"{float(self._spent(shard)):.4f} over "
+                f"{self._epochs} epoch(s))"
             )
-            if lifetime > self._cap + CAP_SLACK:
-                raise BudgetExceededError(
-                    f"charging eps={float(exact_epsilon):.4f} on shard "
-                    f"{shard} would exceed the per-operator cap "
-                    f"{float(self._cap):.4f} (lifetime spend "
-                    f"{float(lifetime - exact_epsilon):.4f} over "
-                    f"{self._epochs} epoch(s))"
-                )
+        self.record(shard, epsilon, delta)
+
+    def record(
+        self,
+        shard: int,
+        epsilon: float | Fraction,
+        delta: float | Fraction = 0,
+    ) -> None:
+        """Account one draw ``shard``'s operator has already seen.
+
+        Never refuses: a cap can stop an operation from starting
+        (:meth:`can_afford`, :meth:`charge`), it cannot un-serve
+        traffic — a failover retry that overshoots the cap is spend all
+        the same, and the ledger must not read below it.
+        """
+        exact_epsilon = Fraction(epsilon)
         self._shards[shard].charge(epsilon, delta)
         self._per_query_epsilon = max(self._per_query_epsilon, exact_epsilon)
         if self._timeline is not None:

@@ -18,6 +18,11 @@ visible to whoever can observe all groups — the cluster accounting
 therefore assumes non-colluding shard operators (each sees only its own
 traffic) and reports the colluding basic-composition bound separately
 via the :class:`~repro.cluster.ledger.ClusterLedger`.
+
+Both classes stand on :class:`_ClusterBase`, which writes the route →
+charge → account skeleton once: admit the operation against the
+per-operator cap, dispatch it, charge one ε per server-visible draw
+(failover retries and write fan-out included), account the round.
 """
 
 from __future__ import annotations
@@ -25,9 +30,11 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from functools import partial
+from typing import Any, Callable, Generic, Iterable, Sequence, TypeVar
 
-from repro.api.protocols import PrivateIR, PrivateKVS
+from repro.analysis.ledger import BudgetExceededError
+from repro.api.protocols import PrivateIR, PrivateKVS, Scheme
 from repro.api.registry import scheme_spec
 from repro.cluster.group import (
     DEFAULT_MAX_ATTEMPTS,
@@ -87,8 +94,6 @@ def _resolve_model(network: NetworkModel | str | None) -> NetworkModel:
     """The link model pricing a cluster's ms figures (LAN by default)."""
     if network is None:
         return LAN
-    if isinstance(network, NetworkModel):
-        return network
     from repro.api.builders import resolve_network
 
     return resolve_network(network)
@@ -165,7 +170,467 @@ def _inject_faults(
     wrap_scheme_servers(replica, wrap)
 
 
-class ClusterIR(PrivateIR):
+_G = TypeVar("_G", ShardGroup, KVShardGroup)
+_C = TypeVar("_C", bound="_ClusterBase[Any]")
+
+
+class _ClusterBase(Scheme, Generic[_G]):
+    """The route → charge → account skeleton of both cluster schemes.
+
+    Owns the shared deployment state, the replica-building loop, every
+    accessor and the three ways an operation reaches the shard groups:
+    one shard (:meth:`_single_shard`), one fan-out round
+    (:meth:`_fan_out_round`), one migration (:meth:`_migrate`).
+    Subclasses keep routing, placement and their protocol's entry points.
+    """
+
+    def __init__(
+        self,
+        n: int,
+        base: str,
+        replica_count: int,
+        failure_rate: float | Sequence[float],
+        corruption_rate: float | Sequence[float],
+        epsilon_cap: float | None,
+        rng: RandomSource | None,
+        backend_factory: BackendFactory | str | None,
+        executor: Executor | str | None,
+        network: NetworkModel | str | None,
+        tracer: Tracer | None,
+        fault_coin_mode: str,
+        base_kwargs: dict[str, Any],
+    ) -> None:
+        if replica_count <= 0:
+            raise ValueError(
+                f"replica count must be positive, got {replica_count}"
+            )
+        spec = scheme_spec(base)
+        if spec.kind != self.kind:
+            raise ValueError(
+                f"{type(self).__name__} needs {self.kind.upper()} base "
+                f"schemes, got {base!r} ({spec.kind})"
+            )
+        self._n = n
+        self._base = spec.name
+        self._replica_count = replica_count
+        self._epsilon_cap = epsilon_cap
+        self._backend_factory = backend_factory
+        self._base_kwargs = base_kwargs
+        self._rng = rng if rng is not None else SystemRandomSource()
+        self._owns_executor = not isinstance(executor, Executor)
+        self._executor = resolve_executor(executor)
+        self.attach_tracer(tracer)
+        self._network_model = _resolve_model(network)
+        self._fault_coin_mode = fault_coin_mode
+        self._failure_rates = _rate_per_replica(
+            failure_rate, replica_count, "failure rate"
+        )
+        self._corruption_rates = _rate_per_replica(
+            corruption_rate, replica_count, "corruption rate"
+        )
+        self._generation = 0
+        self._groups: list[_G] = []
+        self._operations = 0
+        self._reshard_count = 0
+        # Cumulative op-unit accounting across generations (reshard
+        # rebuilds the groups and their server counters, these survive).
+        self._serial_ops = 0
+        self._wall_ops = 0.0
+
+    # -- layout ------------------------------------------------------------
+
+    def _install_groups(
+        self,
+        shard_count: int,
+        replica_kwargs: Callable[[int, str], dict[str, Any]],
+        make_group: Callable[[int, list[Any]], _G],
+    ) -> None:
+        """(Re)build ``shard_count`` groups of ``R`` replicas each.
+
+        ``replica_kwargs(shard, label)`` is what the base builder needs
+        beyond ``rng``/``backend``.  The live layout is swapped only
+        once everything is built: a failed build changes nothing.
+        """
+        generation = self._generation
+        self._generation += 1
+        groups: list[_G] = []
+        for shard in range(shard_count):
+            replicas = []
+            for replica in range(self._replica_count):
+                label = f"g{generation}/s{shard}/r{replica}"
+                instance = _build_base(
+                    self._base,
+                    **replica_kwargs(shard, label),
+                    rng=self._rng.spawn(f"scheme/{label}"),
+                    backend=self._backend_factory,
+                    **self._base_kwargs,
+                )
+                _inject_faults(
+                    instance,
+                    self._failure_rates[replica],
+                    self._corruption_rates[replica],
+                    self._rng.spawn(f"faults/{label}"),
+                    coin_mode=self._fault_coin_mode,
+                )
+                replicas.append(instance)
+            groups.append(make_group(shard, replicas))
+        # Resharding must not launder spent budget: the drained epoch's
+        # ledger seeds the new one so lifetime accounting stays honest.
+        ledger = ClusterLedger(
+            shard_count,
+            epsilon_cap=self._epsilon_cap,
+            carried_from=getattr(self, "_ledger", None),
+        )
+        self._groups = groups
+        self._ledger = ledger
+        self._shard_queries = [0] * shard_count
+
+    # -- scheme info -------------------------------------------------------
+
+    @property
+    def n(self) -> int:
+        """Logical database size (IR) or cluster-wide key capacity (KVS)."""
+        return self._n
+
+    @property
+    def base(self) -> str:
+        """Registry name of the per-shard base scheme."""
+        return self._base
+
+    @property
+    def shard_count(self) -> int:
+        """Number of shard groups ``D``."""
+        return len(self._groups)
+
+    @property
+    def replica_count(self) -> int:
+        """Replicas per shard group ``R``."""
+        return self._replica_count
+
+    @property
+    def groups(self) -> list[_G]:
+        """The shard groups (exposed for tests and reports)."""
+        return list(self._groups)
+
+    @property
+    def ledger(self) -> ClusterLedger:
+        """The cluster-wide privacy account."""
+        return self._ledger
+
+    @property
+    def reshard_count(self) -> int:
+        """Completed reshard/rebalance migrations."""
+        return self._reshard_count
+
+    def servers(self) -> tuple[StorageServer, ...]:
+        """Every server behind every replica of every group."""
+        servers: list[StorageServer] = []
+        for group in self._groups:
+            servers.extend(group.servers())
+        return tuple(servers)
+
+    def fault_counters(self) -> dict[str, int]:
+        """Cluster-level failover totals, merged across shard groups."""
+        totals: dict[str, int] = {}
+        for group in self._groups:
+            for key, value in group.fault_counters().items():
+                totals[key] = totals.get(key, 0) + value
+        return totals
+
+    # -- load and storage figures ------------------------------------------
+
+    def shard_loads(self) -> list[int]:
+        """Per-shard server operations (the measurable hot-spot signal)."""
+        return [group.operations() for group in self._groups]
+
+    def shard_query_counts(self) -> list[int]:
+        """Logical operations routed to each shard."""
+        return list(self._shard_queries)
+
+    def load_balance_index(self) -> float:
+        """Jain index over per-shard server operations."""
+        return jain_index(self.shard_loads())
+
+    def per_server_storage_blocks(self) -> int:
+        """Largest single server, in stored blocks — the ≈ n/D figure."""
+        return max(server.capacity for server in self.servers())
+
+    def total_storage_blocks(self) -> int:
+        """Total stored blocks across the cluster — ``R·n`` for IR."""
+        return sum(server.capacity for server in self.servers())
+
+    # -- overlap accounting ------------------------------------------------
+
+    @property
+    def executor(self) -> Executor:
+        """The cross-shard fan-out policy."""
+        return self._executor
+
+    @property
+    def tracer(self) -> Tracer:
+        """The attached tracer (the shared no-op one by default)."""
+        return self._tracer
+
+    def attach_tracer(self, tracer: Tracer | None) -> None:
+        """Emit spans to ``tracer`` (``None`` restores the no-op default).
+
+        Tracing never touches answers, draw sequences or ledger
+        charges; leg spans are pre-allocated in submission order, so
+        serial/parallel/simulated executors emit identical span trees.
+        """
+        self._tracer = tracer if tracer is not None else NULL_TRACER
+        self._texec = TracingExecutor(self._executor, self._tracer)
+
+    @property
+    def network_model(self) -> NetworkModel:
+        """The link model pricing this cluster's millisecond figures."""
+        return self._network_model
+
+    def serial_operations(self) -> int:
+        """Op-units through the cluster entry points, priced serially.
+
+        Unlike :meth:`~repro.api.protocols.Scheme.server_operations`
+        (the live generation's server counters), this survives reshard
+        migrations — it is the cumulative serial cost of everything the
+        cluster did, drain scans included.
+        """
+        return self._serial_ops
+
+    def wall_operations(self) -> float:
+        """Overlap-accounted op-units: each cross-shard stage costs what
+        its executor says (max over concurrent legs under a parallel
+        executor, the plain sum under the serial one)."""
+        return self._wall_ops
+
+    def _per_op_ms(self) -> float:
+        return self._network_model.rtt_ms + self._network_model.transfer_ms(
+            self.block_size
+        )
+
+    def serial_ms(self) -> float:
+        """Cumulative simulated time with every leg run back-to-back."""
+        return self.serial_operations() * self._per_op_ms()
+
+    def wall_clock_ms(self) -> float:
+        """Cumulative simulated time under the configured executor."""
+        return self.wall_operations() * self._per_op_ms()
+
+    def _open_stage(
+        self, groups: Sequence[_G]
+    ) -> Callable[[], tuple[int, float]]:
+        """Snapshot ``groups``' operation counters before a stage runs.
+
+        Calling the result closes the stage: each group's delta is one
+        leg, priced as their sum (serial) and as the executor's overlap
+        of them; returns those ``(serial, overlapped)`` op-units.
+        """
+        ops_before = [group.operations() for group in groups]
+        wall_before = [group.wall_operations() for group in groups]
+
+        def close_stage() -> tuple[int, float]:
+            serial = sum(
+                group.operations() - before
+                for group, before in zip(groups, ops_before)
+            )
+            wall = self._executor.stage_cost([
+                group.wall_operations() - before
+                for group, before in zip(groups, wall_before)
+            ])
+            self._serial_ops += serial
+            self._wall_ops += wall
+            return serial, wall
+
+        return close_stage
+
+    def close(self) -> None:
+        """Release executor worker threads.
+
+        Only shuts down an executor the cluster resolved itself from a
+        name; a caller-supplied :class:`Executor` instance stays alive
+        for its owner to reuse.  Safe to call more than once, and a
+        no-op for poolless executors.
+        """
+        if self._owns_executor:
+            self._executor.close()
+
+    def __enter__(self: _C) -> _C:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    # -- route → charge → account ------------------------------------------
+
+    def _admit(self, touched: Iterable[tuple[int, int]]) -> None:
+        """Refuse an operation the per-operator cap cannot cover.
+
+        ``touched`` pairs each shard with the draws the operation is
+        certain to expose there.  Runs before any rng draw, server
+        operation or counter change: a refusal leaves no trace.
+        """
+        if self._epsilon_cap is None:
+            return
+        for shard, draws in touched:
+            epsilon = self._groups[shard].epsilon
+            if not self._ledger.can_afford(shard, epsilon, draws):
+                raise BudgetExceededError(
+                    f"{draws} draw(s) at eps={epsilon:.4f} on shard {shard} "
+                    f"would exceed the per-operator cap {self._epsilon_cap:.4f}"
+                )
+
+    def _charge(self, shard: int, count: int, draws: int) -> None:
+        """Count ``count`` logical operations and spend one ε per draw
+        the group reported (retries, failovers and write fan-out each
+        expose an independent mechanism invocation to an operator)."""
+        self._operations += count
+        self._shard_queries[shard] += count
+        ledger = self._ledger
+        epsilon = self._groups[shard].epsilon
+        # Draws admission vouched for go through the checked ``charge``;
+        # ones a failover retry pushed past the cap were still served,
+        # so they are recorded rather than raised.
+        affordable = ledger.can_afford(shard, epsilon, draws)
+        spend = ledger.charge if affordable else ledger.record
+        for _ in range(draws):
+            spend(shard, epsilon)
+
+    def _single_shard(
+        self,
+        name: str,
+        shard: int,
+        leg: Callable[..., Any],
+        *args: Any,
+        certain_draws: int = 1,
+    ) -> Any:
+        """Run one operation on its owner group under a ``name`` span;
+        its draws are charged and the round accounted even if it raises."""
+        self._admit([(shard, certain_draws)])
+        group = self._groups[shard]
+        draws_before = group.draws
+        close_stage = self._open_stage([group])
+        with self._tracer.span(name, shard=shard):
+            try:
+                return leg(*args)
+            finally:
+                self._charge(shard, 1, group.draws - draws_before)
+                close_stage()
+
+    def _fan_out_round(
+        self,
+        name: str,
+        batch: Sequence[Any],
+        route: Callable[[Any], tuple[int, Any]],
+        leg: Callable[[_G, list[Any]], list[Any]],
+    ) -> list[Any]:
+        """Serve ``batch`` in one round of independent per-shard legs.
+
+        ``route(entry)`` names the owner shard and the item to hand it;
+        each shard's items go through ``leg(group, items)``.  The legs
+        touch disjoint groups: under a concurrent executor they run in
+        parallel and the round costs the slowest leg plus dispatch
+        overhead, not the sum.  Answers, draw sequences and charges are
+        executor-invariant, and an exhausted leg does not poison its
+        siblings — every shard is charged before the fault propagates.
+        """
+        if not batch:
+            return []
+        per_shard: dict[int, list[tuple[int, Any]]] = {}
+        for position, entry in enumerate(batch):
+            shard, item = route(entry)
+            per_shard.setdefault(shard, []).append((position, item))
+        shards = sorted(per_shard)
+        self._admit((shard, len(per_shard[shard])) for shard in shards)
+        groups = [self._groups[shard] for shard in shards]
+        draws_before = [group.draws for group in groups]
+        close_stage = self._open_stage(groups)
+        tasks = [
+            partial(leg, group, [item for _, item in per_shard[shard]])
+            for shard, group in zip(shards, groups)
+        ]
+        with self._tracer.span(name, batch=len(batch), shards=len(shards)):
+            results = self._texec.fan_out(
+                tasks,
+                name="cluster.shard_leg",
+                leg_labels=[{"shard": shard} for shard in shards],
+            )
+            answers: list[Any] = [None] * len(batch)
+            failure: BaseException | None = None
+            for shard, group, before, result in zip(
+                shards, groups, draws_before, results
+            ):
+                entries = per_shard[shard]
+                self._charge(shard, len(entries), group.draws - before)
+                if result.error is None:
+                    self._deliver(answers, entries, result.value)
+                elif failure is None:
+                    failure = result.error
+            close_stage()
+        if failure is not None:
+            raise failure
+        return answers
+
+    def _deliver(
+        self,
+        answers: list[Any],
+        entries: list[tuple[int, Any]],
+        values: list[Any],
+    ) -> None:
+        """Place one healthy leg's values at their batch positions."""
+        for (position, _), value in zip(entries, values):
+            answers[position] = value
+
+    def _migrate(
+        self,
+        shards_after: int,
+        drain_legs: dict[int, Callable[[], list[Any]]],
+        reinstall: Callable[[list[Any]], int],
+    ) -> MigrationReport:
+        """Drain the live layout, rebuild it, report what that cost.
+
+        ``drain_legs[shard]`` reads one group out through the failover
+        path (migration works over faulty replicas); the legs overlap
+        under a concurrent executor, so migration pays the slowest
+        shard.  ``reinstall(drained)`` rebuilds the groups and returns
+        how many records changed shard.  Drain reads are a
+        data-independent maintenance scan, not client queries: they are
+        not charged, and the ledger's epoch carry keeps earlier spend.
+        """
+        if shards_after <= 0:
+            raise ValueError(
+                f"shard count must be positive, got {shards_after}"
+            )
+        shards_before = self.shard_count
+        shards = sorted(drain_legs)
+        close_stage = self._open_stage(
+            [self._groups[shard] for shard in shards]
+        )
+        with self._tracer.span(
+            "cluster.reshard",
+            shards_before=shards_before,
+            shards_after=shards_after,
+        ):
+            results = self._texec.fan_out(
+                [drain_legs[shard] for shard in shards],
+                name="cluster.drain_leg",
+                leg_labels=[{"shard": shard} for shard in shards],
+            )
+        migration_ops, wall_units = close_stage()
+        moved = reinstall(
+            [item for result in results for item in result.unwrap()]
+        )
+        self._reshard_count += 1
+        per_op = self._per_op_ms()
+        return MigrationReport(
+            shards_before=shards_before,
+            shards_after=shards_after,
+            moved_records=moved,
+            migration_operations=migration_ops,
+            serial_ms=migration_ops * per_op,
+            wall_clock_ms=wall_units * per_op,
+        )
+
+
+class ClusterIR(_ClusterBase[ShardGroup], PrivateIR):
     """Sharded + replicated deployment of any registered IR base scheme.
 
     Args:
@@ -190,7 +655,13 @@ class ClusterIR(PrivateIR):
             per-replica sequence (``(1.0, 0.0)`` kills replica 0).
         corruption_rate: bit-flip rate, scalar or per-replica.
         max_attempts: transient-fault retry cap per logical read.
-        epsilon_cap: optional per-shard ledger cap.
+        epsilon_cap: optional per-operator lifetime budget, an
+            *admission* check: an operation whose certain draws would
+            push a touched shard past it raises
+            :class:`~repro.analysis.ledger.BudgetExceededError` before
+            any draw, server operation or counter change.  Draws that
+            failover retries add are always recorded (the ledger never
+            reads below what operators saw) and close the shard.
         rng: randomness source.
         backend_factory: slot-storage backend for every replica server.
         executor: cross-shard fan-out policy (``"serial"``,
@@ -236,39 +707,17 @@ class ClusterIR(PrivateIR):
     ) -> None:
         if not blocks:
             raise ValueError("the database must contain at least one block")
-        if replica_count <= 0:
-            raise ValueError(
-                f"replica count must be positive, got {replica_count}"
-            )
-        spec = scheme_spec(base)
-        if spec.kind != "ir":
-            raise ValueError(
-                f"ClusterIR needs an IR base scheme, got {base!r} "
-                f"({spec.kind})"
-            )
         data = [bytes(block) for block in blocks]
         n = len(data)
-        self._n = n
+        super().__init__(
+            n, base, replica_count, failure_rate, corruption_rate,
+            epsilon_cap, rng, backend_factory, executor, network, tracer,
+            fault_coin_mode, base_kwargs,
+        )
         self._block_size = len(data[0])
-        self._base = spec.name
-        self._replica_count = replica_count
         self._alpha = alpha
         self._max_attempts = max_attempts
-        self._epsilon_cap = epsilon_cap
-        self._backend_factory = backend_factory
-        self._base_kwargs = dict(base_kwargs)
-        self._rng = rng if rng is not None else SystemRandomSource()
-        self._owns_executor = not isinstance(executor, Executor)
-        self._executor = resolve_executor(executor)
-        self.attach_tracer(tracer)
-        self._network_model = _resolve_model(network)
-        self._fault_coin_mode = fault_coin_mode
-        self._failure_rates = _rate_per_replica(
-            failure_rate, replica_count, "failure rate"
-        )
-        self._corruption_rates = _rate_per_replica(
-            corruption_rate, replica_count, "corruption rate"
-        )
+        self._errors = 0
         self._key = (
             generate_key(self._rng.spawn("cluster-key"))
             if authenticated
@@ -286,74 +735,39 @@ class ClusterIR(PrivateIR):
                 n, epsilon if epsilon is not None else math.log(max(n, 2)),
                 alpha,
             )
-
-        router = make_router(placement, n, shard_count)
-        self._generation = 0
-        self._install(router, data)
-
-        self._queries = 0
-        self._errors = 0
-        self._reshard_count = 0
-        # Cumulative op-unit accounting across generations (reshard
-        # rebuilds the groups and their server counters, these survive).
-        self._serial_ops = 0
-        self._wall_ops = 0.0
+        self._install(make_router(placement, n, shard_count), data)
 
     # -- layout ------------------------------------------------------------
 
     def _install(self, router: ShardRouter, blocks: list[bytes]) -> None:
         """(Re)build every shard group for ``router``'s assignment."""
         assignment = router.assignment()
-        groups: list[ShardGroup] = []
-        locate: dict[int, tuple[int, int]] = {}
-        generation = self._generation
-        self._generation += 1
-        for shard, owned in enumerate(assignment):
-            for local, global_index in enumerate(owned):
-                locate[global_index] = (shard, local)
-            shard_pad = min(
-                len(owned),
-                max(1, math.ceil(
-                    self._global_params.pad_size / router.shard_count
-                )),
-            )
-            replicas = []
-            for replica in range(self._replica_count):
-                label = f"g{generation}/s{shard}/r{replica}"
-                stored = self._stored_blocks(blocks, owned, label)
-                instance = _build_base(
-                    self._base,
-                    blocks=stored,
-                    pad_size=shard_pad,
-                    alpha=self._alpha,
-                    rng=self._rng.spawn(f"scheme/{label}"),
-                    backend=self._backend_factory,
-                    **self._base_kwargs,
-                )
-                _inject_faults(
-                    instance,
-                    self._failure_rates[replica],
-                    self._corruption_rates[replica],
-                    self._rng.spawn(f"faults/{label}"),
-                    coin_mode=self._fault_coin_mode,
-                )
-                replicas.append(instance)
-            groups.append(ShardGroup(
-                shard, replicas, key=self._key,
-                max_attempts=self._max_attempts,
-                executor=self._executor,
-            ))
-        self._router = router
-        self._groups = groups
-        self._locate = locate
-        self._shard_queries = [0] * router.shard_count
-        # Resharding must not launder spent budget: the drained epoch's
-        # ledger seeds the new one so lifetime accounting stays honest.
-        self._ledger = ClusterLedger(
-            router.shard_count,
-            epsilon_cap=self._epsilon_cap,
-            carried_from=getattr(self, "_ledger", None),
+        shard_pad = max(
+            1, math.ceil(self._global_params.pad_size / router.shard_count)
         )
+
+        def replica_kwargs(shard: int, label: str) -> dict[str, Any]:
+            owned = assignment[shard]
+            return {
+                "blocks": self._stored_blocks(blocks, owned, label),
+                "pad_size": min(len(owned), shard_pad),
+                "alpha": self._alpha,
+            }
+
+        self._install_groups(
+            router.shard_count,
+            replica_kwargs,
+            partial(
+                ShardGroup, key=self._key, max_attempts=self._max_attempts,
+                executor=self._executor,
+            ),
+        )
+        self._router = router
+        self._locate = {
+            global_index: (shard, local)
+            for shard, owned in enumerate(assignment)
+            for local, global_index in enumerate(owned)
+        }
 
     def _stored_blocks(
         self, blocks: list[bytes], owned: Sequence[int], label: str
@@ -368,39 +782,14 @@ class ClusterIR(PrivateIR):
     # -- scheme info -------------------------------------------------------
 
     @property
-    def n(self) -> int:
-        """Logical database size."""
-        return self._n
-
-    @property
     def block_size(self) -> int:
         """Bytes per *logical* record (before any storage encryption)."""
         return self._block_size
 
     @property
-    def base(self) -> str:
-        """Registry name of the per-shard base scheme."""
-        return self._base
-
-    @property
-    def shard_count(self) -> int:
-        """Number of shard groups ``D``."""
-        return len(self._groups)
-
-    @property
-    def replica_count(self) -> int:
-        """Replicas per shard group ``R``."""
-        return self._replica_count
-
-    @property
     def router(self) -> ShardRouter:
         """The active placement policy."""
         return self._router
-
-    @property
-    def groups(self) -> list[ShardGroup]:
-        """The shard groups (exposed for tests and reports)."""
-        return list(self._groups)
 
     @property
     def authenticated(self) -> bool:
@@ -413,164 +802,23 @@ class ClusterIR(PrivateIR):
         return max(group.epsilon for group in self._groups)
 
     @property
-    def ledger(self) -> ClusterLedger:
-        """The cluster-wide privacy account."""
-        return self._ledger
-
-    @property
-    def executor(self) -> Executor:
-        """The cross-shard fan-out policy."""
-        return self._executor
-
-    @property
-    def tracer(self) -> Tracer:
-        """The attached tracer (the shared no-op one by default)."""
-        return self._tracer
-
-    def attach_tracer(self, tracer: Tracer | None) -> None:
-        """Emit spans to ``tracer`` (``None`` restores the no-op default).
-
-        Tracing never touches answers, draw sequences or ledger
-        charges; leg spans are pre-allocated in submission order, so
-        serial/parallel/simulated executors emit identical span trees.
-        """
-        self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._texec = TracingExecutor(self._executor, self._tracer)
-
-    @property
-    def network_model(self) -> NetworkModel:
-        """The link model pricing this cluster's millisecond figures."""
-        return self._network_model
-
-    @property
     def query_count(self) -> int:
         """Logical queries issued so far."""
-        return self._queries
+        return self._operations
 
     @property
     def error_count(self) -> int:
         """Queries that hit the α-error event."""
         return self._errors
 
-    @property
-    def reshard_count(self) -> int:
-        """Completed reshard/rebalance migrations."""
-        return self._reshard_count
-
-    def servers(self) -> tuple[StorageServer, ...]:
-        """Every server behind every replica of every group."""
-        servers: list[StorageServer] = []
-        for group in self._groups:
-            servers.extend(group.servers())
-        return tuple(servers)
-
-    def fault_counters(self) -> dict[str, int]:
-        """Cluster-level failover totals, merged across shard groups."""
-        totals: dict[str, int] = {}
-        for group in self._groups:
-            for key, value in group.fault_counters().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
-
-    # -- storage figures ---------------------------------------------------
-
-    def per_server_storage_blocks(self) -> int:
-        """Largest single server, in stored blocks — the ≈ n/D figure."""
-        return max(server.capacity for server in self.servers())
-
-    def total_storage_blocks(self) -> int:
-        """Total stored blocks across the cluster — ``R·n``."""
-        return sum(server.capacity for server in self.servers())
-
-    # -- overlap accounting ------------------------------------------------
-
-    def serial_operations(self) -> int:
-        """Op-units through the cluster entry points, priced serially.
-
-        Unlike :meth:`~repro.api.protocols.Scheme.server_operations`
-        (the live generation's server counters), this survives reshard
-        migrations — it is the cumulative serial cost of everything the
-        cluster did, drain scans included.
-        """
-        return self._serial_ops
-
-    def wall_operations(self) -> float:
-        """Overlap-accounted op-units: each cross-shard stage costs what
-        its executor says (max over concurrent legs under a parallel
-        executor, the plain sum under the serial one)."""
-        return self._wall_ops
-
-    def _per_op_ms(self) -> float:
-        return self._network_model.rtt_ms + self._network_model.transfer_ms(
-            self.block_size
-        )
-
-    def serial_ms(self) -> float:
-        """Cumulative simulated time with every leg run back-to-back."""
-        return self.serial_operations() * self._per_op_ms()
-
-    def wall_clock_ms(self) -> float:
-        """Cumulative simulated time under the configured executor."""
-        return self.wall_operations() * self._per_op_ms()
-
-    def _account_stage(
-        self, leg_serial: Sequence[int], leg_wall: Sequence[float]
-    ) -> None:
-        self._serial_ops += sum(leg_serial)
-        self._wall_ops += self._executor.stage_cost(leg_wall)
-
-    def close(self) -> None:
-        """Release executor worker threads.
-
-        Only shuts down an executor the cluster resolved itself from a
-        name; a caller-supplied :class:`Executor` instance stays alive
-        for its owner to reuse.  Safe to call more than once, and a
-        no-op for poolless executors.
-        """
-        if self._owns_executor:
-            self._executor.close()
-
-    def __enter__(self) -> "ClusterIR":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # -- load metrics ------------------------------------------------------
-
-    def shard_loads(self) -> list[int]:
-        """Per-shard server operations (the measurable hot-spot signal)."""
-        return [group.operations() for group in self._groups]
-
-    def shard_query_counts(self) -> list[int]:
-        """Logical queries routed to each shard."""
-        return list(self._shard_queries)
-
-    def load_balance_index(self) -> float:
-        """Jain index over per-shard server operations."""
-        return jain_index(self.shard_loads())
-
     # -- querying ----------------------------------------------------------
 
     def query(self, index: int) -> bytes | None:
         """Retrieve block ``index``; ``None`` on the α-error event."""
         shard, local = self._locate_index(index)
-        group = self._groups[shard]
-        before = group.draws
-        ops_before = group.operations()
-        wall_before = group.wall_operations()
-        with self._tracer.span("cluster.query", shard=shard):
-            try:
-                answer = group.query(local)
-            finally:
-                # Failover retries expose extra pad-set draws to the
-                # shard operator; every draw is charged, even on a
-                # failed query.
-                self._charge(shard, queries=1, draws=group.draws - before)
-                self._account_stage(
-                    [group.operations() - ops_before],
-                    [group.wall_operations() - wall_before],
-                )
+        answer = self._single_shard(
+            "cluster.query", shard, self._groups[shard].query, local
+        )
         if answer is None:
             self._errors += 1
         return answer
@@ -578,68 +826,24 @@ class ClusterIR(PrivateIR):
     def query_many(self, indices: Sequence[int]) -> list[bytes | None]:
         """Serve ``indices`` in one round, batching per shard group.
 
-        Indices owned by the same group go through the group's
-        ``query_many`` (so a ``batch_dp_ir`` base downloads one pad-set
-        union per shard per round — batching and sharding compound).
-        The per-shard sub-batches are independent legs confined to
-        disjoint groups: under a concurrent executor they genuinely run
-        in parallel and the round's wall-clock is the slowest shard's
-        leg plus dispatch overhead, not the sum.  Answers, per-group
-        draw sequences and ledger charges are executor-invariant, and a
-        leg that exhausts its replicas does not poison its siblings —
-        the healthy shards' draws are charged before the fault
-        propagates.
+        Indices owned by the same group go through its ``query_many``
+        (a ``batch_dp_ir`` base downloads one pad-set union per shard
+        per round — batching and sharding compound); the sub-batches
+        are the legs of one :meth:`_ClusterBase._fan_out_round`.
         """
-        if not indices:
-            return []
-        per_shard: dict[int, list[tuple[int, int]]] = {}
-        for position, index in enumerate(indices):
-            shard, local = self._locate_index(index)
-            per_shard.setdefault(shard, []).append((position, local))
-        shards = sorted(per_shard)
-        draws_before = {s: self._groups[s].draws for s in shards}
-        ops_before = {s: self._groups[s].operations() for s in shards}
-        wall_before = {s: self._groups[s].wall_operations() for s in shards}
-        tasks = []
-        for shard in shards:
-            locals_ = [local for _, local in per_shard[shard]]
-            tasks.append(
-                lambda group=self._groups[shard], batch=locals_:
-                    group.query_many(batch)
-            )
-        with self._tracer.span(
-            "cluster.query_many", batch=len(indices), shards=len(shards),
-        ):
-            results = self._texec.fan_out(
-                tasks,
-                name="cluster.shard_leg",
-                leg_labels=[{"shard": shard} for shard in shards],
-            )
-            answers: list[bytes | None] = [None] * len(indices)
-            failure: BaseException | None = None
-            leg_serial: list[int] = []
-            leg_wall: list[float] = []
-            for shard, result in zip(shards, results):
-                group = self._groups[shard]
-                entries = per_shard[shard]
-                self._charge(shard, queries=len(entries),
-                             draws=group.draws - draws_before[shard])
-                leg_serial.append(group.operations() - ops_before[shard])
-                leg_wall.append(
-                    group.wall_operations() - wall_before[shard]
-                )
-                if result.error is not None:
-                    if failure is None:
-                        failure = result.error
-                    continue
-                for (position, _), answer in zip(entries, result.value):
-                    answers[position] = answer
-                    if answer is None:
-                        self._errors += 1
-            self._account_stage(leg_serial, leg_wall)
-        if failure is not None:
-            raise failure
-        return answers
+        return self._fan_out_round(
+            "cluster.query_many", indices, self._locate_index,
+            ShardGroup.query_many,
+        )
+
+    def _deliver(
+        self,
+        answers: list[Any],
+        entries: list[tuple[int, Any]],
+        values: list[Any],
+    ) -> None:
+        super()._deliver(answers, entries, values)
+        self._errors += values.count(None)
 
     def locate(self, index: int) -> tuple[int, int]:
         """Public ``(shard, local_slot)`` image of a global index.
@@ -662,14 +866,6 @@ class ClusterIR(PrivateIR):
                 f"index {index} out of range for n={self.n}"
             ) from None
 
-    def _charge(self, shard: int, queries: int, draws: int) -> None:
-        """Count logical queries and charge the ledger per visible draw."""
-        self._queries += queries
-        self._shard_queries[shard] += queries
-        epsilon = self._groups[shard].epsilon
-        for _ in range(draws):
-            self._ledger.charge(shard, epsilon)
-
     # -- online migration --------------------------------------------------
 
     def reshard(
@@ -686,8 +882,7 @@ class ClusterIR(PrivateIR):
         ledger carries the drained epoch's per-operator spend into the
         new shard set (budgets compose over the cluster's lifetime —
         they never reset); migration reads touch *every* record in
-        index order — a data-independent maintenance scan, not client
-        queries — so they are not charged.
+        index order, so they are not charged.
 
         Resharding to the *same* shard count reuses the active router
         (custom boundaries included) and just rebuilds the groups; a
@@ -706,7 +901,7 @@ class ClusterIR(PrivateIR):
                 f"cannot re-derive a {type(self._router).__name__} for "
                 f"{new_count} shards; pass placement= explicitly"
             )
-        return self._migrate(router)
+        return self._migrate_to(router)
 
     def rebalance(self) -> MigrationReport:
         """Recut range boundaries so observed per-shard load evens out.
@@ -720,72 +915,39 @@ class ClusterIR(PrivateIR):
                 f"active policy is {self._router.policy!r}"
             )
         loads = [float(load) for load in self.shard_loads()]
-        return self._migrate(self._router.rebalanced(loads))
+        return self._migrate_to(self._router.rebalanced(loads))
 
-    def _migrate(self, router: ShardRouter) -> MigrationReport:
-        shards_before = self.shard_count
-        # Drain the current layout: a full scan through the failover
-        # path, retrying the α-error coin until each record is read.
-        # Each shard's drain leg touches only its own group, so the
-        # legs overlap under a concurrent executor — migration pays the
-        # slowest shard, not the sum.
+    def _migrate_to(self, router: ShardRouter) -> MigrationReport:
         per_shard_indices: dict[int, list[int]] = {}
         for index in range(self.n):
-            shard, _ = self._locate_index(index)
+            shard = self._locate[index][0]
             per_shard_indices.setdefault(shard, []).append(index)
-        shards = sorted(per_shard_indices)
-        ops_before = {s: self._groups[s].operations() for s in shards}
-        wall_before = {s: self._groups[s].wall_operations() for s in shards}
-        with self._tracer.span(
-            "cluster.reshard",
-            shards_before=shards_before,
-            shards_after=router.shard_count,
-        ):
-            results = self._texec.fan_out(
-                [
-                    (lambda shard=shard: self._drain_shard(
-                        shard, per_shard_indices[shard]
-                    ))
-                    for shard in shards
-                ],
-                name="cluster.drain_leg",
-                leg_labels=[{"shard": shard} for shard in shards],
-            )
-        leg_serial = [
-            self._groups[s].operations() - ops_before[s] for s in shards
-        ]
-        leg_wall = [
-            self._groups[s].wall_operations() - wall_before[s] for s in shards
-        ]
-        migration_ops = sum(leg_serial)
-        wall_units = self._executor.stage_cost(leg_wall)
-        self._serial_ops += migration_ops
-        self._wall_ops += wall_units
-        recovered: list[bytes | None] = [None] * self.n
-        for result in results:
-            for index, block in result.unwrap():
-                recovered[index] = block
+
         moved = sum(
-            1
-            for index in range(self.n)
-            if self._locate[index][0] != router.shard_of(index)
+            shard != router.shard_of(index)
+            for index, (shard, _) in self._locate.items()
         )
-        self._install(router, [bytes(block) for block in recovered])
-        self._reshard_count += 1
-        per_op = self._per_op_ms()
-        return MigrationReport(
-            shards_before=shards_before,
-            shards_after=router.shard_count,
-            moved_records=moved,
-            migration_operations=migration_ops,
-            serial_ms=migration_ops * per_op,
-            wall_clock_ms=wall_units * per_op,
+
+        def reinstall(drained: list[tuple[int, bytes]]) -> int:
+            # Every index was drained exactly once: sorting restores
+            # database order.
+            self._install(router, [block for _, block in sorted(drained)])
+            return moved
+
+        return self._migrate(
+            router.shard_count,
+            {
+                shard: partial(self._drain_shard, shard, indices)
+                for shard, indices in per_shard_indices.items()
+            },
+            reinstall,
         )
 
     def _drain_shard(
         self, shard: int, indices: Sequence[int]
     ) -> list[tuple[int, bytes]]:
-        """Read one shard's records out through the failover path."""
+        """Read one shard's records out through the failover path,
+        retrying the α-error coin until each record is read."""
         group = self._groups[shard]
         drained: list[tuple[int, bytes]] = []
         for index in indices:
@@ -804,7 +966,7 @@ class ClusterIR(PrivateIR):
         return drained
 
 
-class ClusterKVS(PrivateKVS):
+class ClusterKVS(_ClusterBase[KVShardGroup], PrivateKVS):
     """Sharded + replicated deployment of any registered KVS base scheme.
 
     Keys hash to shard groups; each group hosts ``R`` replicas of the
@@ -827,19 +989,11 @@ class ClusterKVS(PrivateKVS):
             corruption is *silent* — the base schemes authenticate
             nothing at the cluster boundary; the IR cluster's
             ``authenticated`` mode is the contrast).
-        epsilon_cap: optional per-shard ledger cap.
-        rng: randomness source.
-        backend_factory: slot-storage backend for every replica server.
-        executor: cross-shard fan-out policy (``"serial"``,
-            ``"parallel"``, ``"simulated"`` or an
-            :class:`~repro.parallel.executor.Executor`); wall-clock
-            accounting and real concurrency only, never the draw
-            sequence the ledger charges.
-        network: link model pricing the ``*_ms`` figures (LAN default).
-        tracer: optional :class:`~repro.obs.tracer.Tracer` (see
-            :class:`ClusterIR`); no-op by default.
-        fault_coin_mode: ``"per_slot"`` or ``"per_round"`` fault-coin
-            granularity for the injected fault wrappers.
+        epsilon_cap: optional per-operator lifetime budget, an admission
+            check exactly as for :class:`ClusterIR` (a write is certain
+            to expose one draw per live replica).
+        rng, backend_factory, executor, network, tracer, fault_coin_mode:
+            as for :class:`ClusterIR`.
         **base_kwargs: forwarded verbatim to the base scheme's builder.
     """
 
@@ -869,93 +1023,30 @@ class ClusterKVS(PrivateKVS):
             raise ValueError(
                 f"shard count must be positive, got {shard_count}"
             )
-        if replica_count <= 0:
-            raise ValueError(
-                f"replica count must be positive, got {replica_count}"
-            )
         if capacity_slack < 1.0:
             raise ValueError(
                 f"capacity slack must be at least 1.0, got {capacity_slack}"
             )
-        spec = scheme_spec(base)
-        if spec.kind != "kvs":
-            raise ValueError(
-                f"ClusterKVS needs a KVS base scheme, got {base!r} "
-                f"({spec.kind})"
-            )
-        self._n = n
-        self._base = spec.name
-        self._replica_count = replica_count
+        super().__init__(
+            n, base, replica_count, failure_rate, corruption_rate,
+            epsilon_cap, rng, backend_factory, executor, network, tracer,
+            fault_coin_mode, base_kwargs,
+        )
         self._value_size = value_size
         self._capacity_slack = capacity_slack
-        self._epsilon_cap = epsilon_cap
-        self._base_kwargs = dict(base_kwargs)
-        self._backend_factory = backend_factory
-        self._rng = rng if rng is not None else SystemRandomSource()
-        self._owns_executor = not isinstance(executor, Executor)
-        self._executor = resolve_executor(executor)
-        self.attach_tracer(tracer)
-        self._network_model = _resolve_model(network)
-        self._fault_coin_mode = fault_coin_mode
-        self._failure_rates = _rate_per_replica(
-            failure_rate, replica_count, "failure rate"
-        )
-        self._corruption_rates = _rate_per_replica(
-            corruption_rate, replica_count, "corruption rate"
-        )
-        self._generation = 0
         self._keys: set[bytes] = set()
         self._install(shard_count)
-        self._operations = 0
-        self._reshard_count = 0
-        self._serial_ops = 0
-        self._wall_ops = 0.0
 
     def _install(self, shard_count: int) -> None:
-        local_n = max(4, math.ceil(
-            self._capacity_slack * self._n / shard_count
-        ))
-        generation = self._generation
-        self._generation += 1
-        groups: list[KVShardGroup] = []
-        for shard in range(shard_count):
-            replicas = []
-            for replica in range(self._replica_count):
-                label = f"g{generation}/s{shard}/r{replica}"
-                instance = _build_base(
-                    self._base,
-                    n=local_n,
-                    value_size=self._value_size,
-                    rng=self._rng.spawn(f"scheme/{label}"),
-                    backend=self._backend_factory,
-                    **self._base_kwargs,
-                )
-                _inject_faults(
-                    instance,
-                    self._failure_rates[replica],
-                    self._corruption_rates[replica],
-                    self._rng.spawn(f"faults/{label}"),
-                    coin_mode=self._fault_coin_mode,
-                )
-                replicas.append(instance)
-            groups.append(KVShardGroup(
-                shard, replicas, executor=self._executor,
-            ))
-        self._groups = groups
-        self._shard_queries = [0] * shard_count
-        # Same epoch carry as ClusterIR: reshard composes, never resets.
-        self._ledger = ClusterLedger(
+        local_n = math.ceil(self._capacity_slack * self._n / shard_count)
+        replica_kwargs = {"n": max(4, local_n), "value_size": self._value_size}
+        self._install_groups(
             shard_count,
-            epsilon_cap=self._epsilon_cap,
-            carried_from=getattr(self, "_ledger", None),
+            lambda shard, label: replica_kwargs,
+            partial(KVShardGroup, executor=self._executor),
         )
 
     # -- scheme info -------------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        """Cluster-wide key capacity."""
-        return self._n
 
     @property
     def value_size(self) -> int:
@@ -968,275 +1059,58 @@ class ClusterKVS(PrivateKVS):
         return self._groups[0].replicas[0].block_size
 
     @property
-    def base(self) -> str:
-        """Registry name of the per-shard base scheme."""
-        return self._base
-
-    @property
-    def shard_count(self) -> int:
-        """Number of shard groups ``D``."""
-        return len(self._groups)
-
-    @property
-    def replica_count(self) -> int:
-        """Replicas per shard group ``R``."""
-        return self._replica_count
-
-    @property
-    def groups(self) -> list[KVShardGroup]:
-        """The shard groups (exposed for tests and reports)."""
-        return list(self._groups)
-
-    @property
     def size(self) -> int:
         """Keys currently stored (from the client-side directory)."""
         return len(self._keys)
-
-    @property
-    def ledger(self) -> ClusterLedger:
-        """The cluster-wide privacy account."""
-        return self._ledger
 
     @property
     def operation_count(self) -> int:
         """Logical KVS operations issued so far."""
         return self._operations
 
-    @property
-    def reshard_count(self) -> int:
-        """Completed reshard migrations."""
-        return self._reshard_count
-
-    def servers(self) -> tuple[StorageServer, ...]:
-        """Every server behind every replica of every group."""
-        servers: list[StorageServer] = []
-        for group in self._groups:
-            servers.extend(group.servers())
-        return tuple(servers)
-
-    def fault_counters(self) -> dict[str, int]:
-        """Cluster-level failover totals, merged across shard groups."""
-        totals: dict[str, int] = {}
-        for group in self._groups:
-            for key, value in group.fault_counters().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
-
-    def shard_loads(self) -> list[int]:
-        """Per-shard server operations."""
-        return [group.operations() for group in self._groups]
-
-    def shard_query_counts(self) -> list[int]:
-        """Logical operations routed to each shard."""
-        return list(self._shard_queries)
-
-    def load_balance_index(self) -> float:
-        """Jain index over per-shard server operations."""
-        return jain_index(self.shard_loads())
-
-    def per_server_storage_blocks(self) -> int:
-        """Largest single server, in stored blocks."""
-        return max(server.capacity for server in self.servers())
-
-    def total_storage_blocks(self) -> int:
-        """Total stored blocks across the cluster."""
-        return sum(server.capacity for server in self.servers())
-
-    # -- overlap accounting ------------------------------------------------
-
-    @property
-    def executor(self) -> Executor:
-        """The cross-shard fan-out policy."""
-        return self._executor
-
-    @property
-    def tracer(self) -> Tracer:
-        """The attached tracer (the shared no-op one by default)."""
-        return self._tracer
-
-    def attach_tracer(self, tracer: Tracer | None) -> None:
-        """Emit spans to ``tracer`` (see :meth:`ClusterIR.attach_tracer`)."""
-        self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._texec = TracingExecutor(self._executor, self._tracer)
-
-    @property
-    def network_model(self) -> NetworkModel:
-        """The link model pricing this cluster's millisecond figures."""
-        return self._network_model
-
-    def serial_operations(self) -> int:
-        """Cumulative op-units through the entry points, priced serially
-        (survives reshard migrations, unlike the server counters)."""
-        return self._serial_ops
-
-    def wall_operations(self) -> float:
-        """Overlap-accounted op-units under the configured executor."""
-        return self._wall_ops
-
-    def _per_op_ms(self) -> float:
-        return self._network_model.rtt_ms + self._network_model.transfer_ms(
-            self.block_size
-        )
-
-    def serial_ms(self) -> float:
-        """Cumulative simulated time with every leg run back-to-back."""
-        return self.serial_operations() * self._per_op_ms()
-
-    def wall_clock_ms(self) -> float:
-        """Cumulative simulated time under the configured executor."""
-        return self.wall_operations() * self._per_op_ms()
-
-    def _account_stage(
-        self, leg_serial: Sequence[int], leg_wall: Sequence[float]
-    ) -> None:
-        self._serial_ops += sum(leg_serial)
-        self._wall_ops += self._executor.stage_cost(leg_wall)
-
-    def close(self) -> None:
-        """Release executor worker threads (see :meth:`ClusterIR.close`)."""
-        if self._owns_executor:
-            self._executor.close()
-
-    def __enter__(self) -> "ClusterKVS":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
     # -- operations --------------------------------------------------------
 
     def get(self, key: bytes) -> bytes | None:
         """Retrieve the exact value for ``key``; ``None`` if absent."""
         shard = self._shard_of(key)
-        group = self._groups[shard]
-        before = group.draws
-        ops_before = group.operations()
-        wall_before = group.wall_operations()
-        with self._tracer.span("cluster.get", shard=shard):
-            try:
-                value = group.get(key)
-            finally:
-                self._charge(shard, group.draws - before)
-                self._account_stage(
-                    [group.operations() - ops_before],
-                    [group.wall_operations() - wall_before],
-                )
-        return value
+        return self._single_shard(
+            "cluster.get", shard, self._groups[shard].get, key
+        )
 
     def get_many(self, keys: Sequence[bytes]) -> list[bytes | None]:
-        """Retrieve ``keys`` in order, batching per shard group.
-
-        Keys owned by different groups are independent legs confined to
-        disjoint object graphs: a concurrent executor runs them in
-        parallel and the round costs the slowest shard's leg, not the
-        sum.  Values, draw sequences and ledger charges are
-        executor-invariant; a leg whose group is exhausted does not
-        poison its siblings (their draws are charged before the fault
-        propagates).
-        """
-        if not keys:
-            return []
-        per_shard: dict[int, list[tuple[int, bytes]]] = {}
-        for position, key in enumerate(keys):
-            shard = self._shard_of(key)
-            per_shard.setdefault(shard, []).append((position, bytes(key)))
-        shards = sorted(per_shard)
-        draws_before = {s: self._groups[s].draws for s in shards}
-        ops_before = {s: self._groups[s].operations() for s in shards}
-        wall_before = {s: self._groups[s].wall_operations() for s in shards}
-        tasks = []
-        for shard in shards:
-            shard_keys = [key for _, key in per_shard[shard]]
-            tasks.append(
-                lambda group=self._groups[shard], batch=shard_keys:
-                    group.get_many(batch)
-            )
-        with self._tracer.span(
-            "cluster.get_many", batch=len(keys), shards=len(shards),
-        ):
-            results = self._texec.fan_out(
-                tasks,
-                name="cluster.shard_leg",
-                leg_labels=[{"shard": shard} for shard in shards],
-            )
-            values: list[bytes | None] = [None] * len(keys)
-            failure: BaseException | None = None
-            leg_serial: list[int] = []
-            leg_wall: list[float] = []
-            for shard, result in zip(shards, results):
-                group = self._groups[shard]
-                entries = per_shard[shard]
-                self._charge_many(
-                    shard, count=len(entries),
-                    draws=group.draws - draws_before[shard],
-                )
-                leg_serial.append(group.operations() - ops_before[shard])
-                leg_wall.append(
-                    group.wall_operations() - wall_before[shard]
-                )
-                if result.error is not None:
-                    if failure is None:
-                        failure = result.error
-                    continue
-                for (position, _), value in zip(entries, result.value):
-                    values[position] = value
-            self._account_stage(leg_serial, leg_wall)
-        if failure is not None:
-            raise failure
-        return values
+        """Retrieve ``keys`` in order, batching per shard group — one
+        fan-out round (see :meth:`_ClusterBase._fan_out_round`) whose
+        legs are the per-shard ``get_many`` calls."""
+        return self._fan_out_round(
+            "cluster.get_many",
+            keys,
+            lambda key: (self._shard_of(key), bytes(key)),
+            KVShardGroup.get_many,
+        )
 
     def put(self, key: bytes, value: bytes) -> None:
         """Insert or update ``key`` on every live replica of its shard."""
         shard = self._shard_of(key)
         group = self._groups[shard]
-        before = group.draws
-        ops_before = group.operations()
-        wall_before = group.wall_operations()
-        with self._tracer.span("cluster.put", shard=shard):
-            try:
-                group.put(key, value)
-            finally:
-                self._charge(shard, group.draws - before)
-                self._account_stage(
-                    [group.operations() - ops_before],
-                    [group.wall_operations() - wall_before],
-                )
+        self._single_shard(
+            "cluster.put", shard, group.put, key, value,
+            certain_draws=group.live_replicas,
+        )
         self._keys.add(bytes(key))
 
     def delete(self, key: bytes) -> bool:
         """Remove ``key``; returns whether it existed."""
         shard = self._shard_of(key)
         group = self._groups[shard]
-        before = group.draws
-        ops_before = group.operations()
-        wall_before = group.wall_operations()
-        with self._tracer.span("cluster.delete", shard=shard):
-            try:
-                existed = group.delete(key)
-            finally:
-                self._charge(shard, group.draws - before)
-                self._account_stage(
-                    [group.operations() - ops_before],
-                    [group.wall_operations() - wall_before],
-                )
+        existed = self._single_shard(
+            "cluster.delete", shard, group.delete, key,
+            certain_draws=group.live_replicas,
+        )
         self._keys.discard(bytes(key))
         return existed
 
     def _shard_of(self, key: bytes) -> int:
         return hash_shard_of_key(key, self.shard_count)
-
-    def _charge(self, shard: int, draws: int) -> None:
-        """Count one logical operation; charge the ledger per replica
-        operation attempted (write fan-out and failovers each expose an
-        independent mechanism invocation to a replica's operator)."""
-        self._charge_many(shard, count=1, draws=draws)
-
-    def _charge_many(self, shard: int, count: int, draws: int) -> None:
-        self._operations += count
-        self._shard_queries[shard] += count
-        epsilon = self._groups[shard].epsilon
-        for _ in range(draws):
-            self._ledger.charge(shard, epsilon)
 
     # -- online migration --------------------------------------------------
 
@@ -1244,72 +1118,43 @@ class ClusterKVS(PrivateKVS):
         """Migrate every stored key to a new shard count, online.
 
         Values are read out through the failover path using the
-        client-side key directory — one independent drain leg per shard
-        group, overlapped under a concurrent executor — the groups are
-        rebuilt, and every pair is re-inserted under the new hash
-        placement.  The privacy ledger carries the drained epoch's
-        per-operator spend forward; re-insertion writes are maintenance
-        traffic and are not charged.
+        client-side key directory (one drain leg per shard group), the
+        groups are rebuilt, and every pair is re-inserted under the new
+        hash placement.  The ledger carries the drained epoch's spend
+        forward; re-insertion writes are maintenance traffic and are
+        not charged.  A non-positive ``shard_count`` is a
+        :class:`ValueError` before anything is drained.
         """
         new_count = shard_count if shard_count is not None else self.shard_count
         shards_before = self.shard_count
         per_shard_keys: dict[int, list[bytes]] = {}
         for key in sorted(self._keys):
             per_shard_keys.setdefault(self._shard_of(key), []).append(key)
-        shards = sorted(per_shard_keys)
-        ops_before = {s: self._groups[s].operations() for s in shards}
-        wall_before = {s: self._groups[s].wall_operations() for s in shards}
-        with self._tracer.span(
-            "cluster.reshard",
-            shards_before=shards_before,
-            shards_after=new_count,
-        ):
-            results = self._texec.fan_out(
-                [
-                    (
-                        lambda group=self._groups[shard],
-                        keys=per_shard_keys[shard]:
-                            list(zip(keys, group.get_many(keys)))
-                    )
-                    for shard in shards
-                ],
-                name="cluster.drain_leg",
-                leg_labels=[{"shard": shard} for shard in shards],
+
+        def drain(group: KVShardGroup, keys: list[bytes]) -> list[Any]:
+            return list(zip(keys, group.get_many(keys)))
+
+        def reinstall(drained: list[tuple[bytes, bytes | None]]) -> int:
+            snapshot = sorted(
+                (key, value) for key, value in drained if value is not None
             )
-        leg_serial = [
-            self._groups[s].operations() - ops_before[s] for s in shards
-        ]
-        leg_wall = [
-            self._groups[s].wall_operations() - wall_before[s] for s in shards
-        ]
-        migration_ops = sum(leg_serial)
-        wall_units = self._executor.stage_cost(leg_wall)
-        self._serial_ops += migration_ops
-        self._wall_ops += wall_units
-        snapshot: list[tuple[bytes, bytes]] = []
-        for result in results:
-            for key, value in result.unwrap():
-                if value is not None:
-                    snapshot.append((key, value))
-        snapshot.sort()
-        self._install(new_count)
-        moved = sum(
-            1
-            for key, _ in snapshot
-            if hash_shard_of_key(key, shards_before)
-            != hash_shard_of_key(key, new_count)
-        )
-        self._keys = set()
-        for key, value in snapshot:
-            self._groups[self._shard_of(key)].put(key, value)
-            self._keys.add(key)
-        self._reshard_count += 1
-        per_op = self._per_op_ms()
-        return MigrationReport(
-            shards_before=shards_before,
-            shards_after=new_count,
-            moved_records=moved,
-            migration_operations=migration_ops,
-            serial_ms=migration_ops * per_op,
-            wall_clock_ms=wall_units * per_op,
+            self._install(new_count)
+            self._keys = set()
+            for key, value in snapshot:
+                self._groups[self._shard_of(key)].put(key, value)
+                self._keys.add(key)
+            return sum(
+                1
+                for key, _ in snapshot
+                if hash_shard_of_key(key, shards_before)
+                != hash_shard_of_key(key, new_count)
+            )
+
+        return self._migrate(
+            new_count,
+            {
+                shard: partial(drain, self._groups[shard], keys)
+                for shard, keys in per_shard_keys.items()
+            },
+            reinstall,
         )

@@ -41,9 +41,7 @@ from repro.api.protocols import PrivateRAM
 from repro.crypto.encryption import (
     SecretKey,
     decrypt_many,
-    decrypt_reference,
     encrypt_many,
-    encrypt_reference,
     generate_key,
 )
 from repro.crypto.rng import RandomSource, SystemRandomSource
@@ -78,10 +76,6 @@ class BucketDPRAM(PrivateRAM):
         rng: randomness source (defaults to system entropy).
         key: symmetric key; freshly sampled when omitted.
         backend_factory: optional slot-storage backend for the server.
-        bulk: route node re-encryption rounds through the bulk cipher
-            path (default).  ``False`` keeps the seed per-block reference
-            implementation — slower, bit-identical, and the baseline the
-            benchmark invariance witnesses compare against.
     """
 
     def __init__(
@@ -92,7 +86,6 @@ class BucketDPRAM(PrivateRAM):
         rng: RandomSource | None = None,
         key: SecretKey | None = None,
         backend_factory: BackendFactory | None = None,
-        bulk: bool = True,
     ) -> None:
         if not node_blocks:
             raise ValueError("need at least one node block")
@@ -116,14 +109,13 @@ class BucketDPRAM(PrivateRAM):
         self._p = stash_probability
         self._rng = rng if rng is not None else SystemRandomSource()
         self._key = key if key is not None else generate_key(self._rng)
-        self._bulk = bulk
 
         self._block_size = len(node_blocks[0])
         self._server = StorageServer(
             node_count,
             backend=backend_factory(node_count) if backend_factory else None,
         )
-        self._server.load(self._encrypt_blocks(node_blocks))
+        self._server.load(encrypt_many(self._key, node_blocks, self._rng))
 
         self._stashed: set[int] = set()
         self._overlay: dict[int, bytes] = {}
@@ -240,12 +232,13 @@ class BucketDPRAM(PrivateRAM):
             contents = {}
             ciphertexts = self._server.read_many(nodes)
             plaintexts = iter(
-                self._decrypt_blocks(
+                decrypt_many(
+                    self._key,
                     [
                         ciphertext
                         for node, ciphertext in zip(nodes, ciphertexts)
                         if node not in self._overlay
-                    ]
+                    ],
                 )
             )
             for node in nodes:
@@ -305,12 +298,13 @@ class BucketDPRAM(PrivateRAM):
             # ahead of the whole-bucket bulk re-encrypt preserves the
             # rng draw order of the per-node formulation exactly.
             plaintexts = iter(
-                self._decrypt_blocks(
+                decrypt_many(
+                    self._key,
                     [
                         ciphertext
                         for node, ciphertext in zip(overwrite_nodes, ciphertexts)
                         if node not in self._overlay
-                    ]
+                    ],
                 )
             )
             authoritative = [
@@ -323,7 +317,7 @@ class BucketDPRAM(PrivateRAM):
                 list(
                     zip(
                         overwrite_nodes,
-                        self._encrypt_blocks(authoritative),
+                        encrypt_many(self._key, authoritative, self._rng),
                     )
                 )
             )
@@ -336,7 +330,11 @@ class BucketDPRAM(PrivateRAM):
                 list(
                     zip(
                         nodes,
-                        self._encrypt_blocks([contents[node] for node in nodes]),
+                        encrypt_many(
+                            self._key,
+                            [contents[node] for node in nodes],
+                            self._rng,
+                        ),
                     )
                 )
             )
@@ -402,18 +400,6 @@ class BucketDPRAM(PrivateRAM):
         snapshot = dict(pending.contents)
         self.finish_query(pending, new_contents)
         return snapshot
-
-    # -- cipher routing ----------------------------------------------------------
-
-    def _encrypt_blocks(self, blocks: Sequence[bytes]) -> list[bytes]:
-        if self._bulk:
-            return encrypt_many(self._key, blocks, self._rng)
-        return [encrypt_reference(self._key, b, self._rng) for b in blocks]
-
-    def _decrypt_blocks(self, ciphertexts: Sequence[bytes]) -> list[bytes]:
-        if self._bulk:
-            return decrypt_many(self._key, ciphertexts)
-        return [decrypt_reference(self._key, c) for c in ciphertexts]
 
     # -- overlay / pin bookkeeping ----------------------------------------------
 

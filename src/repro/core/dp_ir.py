@@ -42,13 +42,6 @@ class DPIR(PrivateIR):
         alpha: error probability in ``(0, 1)``.
         rng: randomness source (defaults to system entropy).
         backend_factory: optional slot-storage backend for the server.
-        batched: retrieve the pad set through the server's one-round
-            :meth:`~repro.storage.server.StorageServer.read_many` wire
-            protocol (the default) instead of ``K`` per-slot ``read``
-            calls.  Both paths consume the same randomness, touch the
-            same slots in the same sorted order and leave identical
-            counters and transcripts — the per-slot path stays only so
-            ``benchmarks/bench_hotpath.py`` can measure the difference.
 
     The *exact* budget achieved by the resolved ``K`` is available as
     :attr:`epsilon`.
@@ -62,7 +55,6 @@ class DPIR(PrivateIR):
         alpha: float = 0.05,
         rng: RandomSource | None = None,
         backend_factory: BackendFactory | None = None,
-        batched: bool = True,
     ) -> None:
         if not blocks:
             raise ValueError("the database must contain at least one block")
@@ -79,7 +71,6 @@ class DPIR(PrivateIR):
             n, backend=backend_factory(n) if backend_factory else None
         )
         self._server.load(blocks)
-        self._batched = batched
         self._queries = 0
         self._errors = 0
 
@@ -139,10 +130,10 @@ class DPIR(PrivateIR):
     def query(self, index: int) -> bytes | None:
         """Retrieve block ``index``; returns ``None`` on the α-error event.
 
-        The pad set is downloaded in sorted slot order (one batched
-        round by default) and only the real block — when the error coin
-        spares it — is retained; the cover blocks are discarded as they
-        arrive instead of being accumulated in a per-query dict.
+        The pad set is downloaded in sorted slot order as one batched
+        :meth:`~repro.storage.server.StorageServer.read_many` round and
+        only the real block — when the error coin spares it — is
+        retained.
 
         Raises:
             RetrievalError: if ``index`` is out of range.
@@ -151,20 +142,11 @@ class DPIR(PrivateIR):
         self._server.begin_query(self._queries)
         self._queries += 1
         order = sorted(download_set)
-        result: bytes | None = None
-        if self._batched:
-            blocks = self._server.read_many(order)
-            if include_real:
-                result = blocks[bisect_left(order, index)]
-        else:
-            for slot in order:
-                block = self._server.read(slot)
-                if include_real and slot == index:
-                    result = block
+        blocks = self._server.read_many(order)
         if not include_real:
             self._errors += 1
             return None
-        return result
+        return blocks[bisect_left(order, index)]
 
     def sample_query_set(self, index: int) -> frozenset[int]:
         """Sample the download set for ``index`` without touching the server.

@@ -60,9 +60,6 @@ class DPKVS(PrivateKVS):
         rng: randomness source (defaults to system entropy).
         prf: PRF for the two leaf choices; freshly keyed when omitted.
         key: symmetric key for the bucket DP-RAM; fresh when omitted.
-        bulk: route the bucket DP-RAM's node re-encryption through the
-            bulk cipher path (default); ``False`` keeps the per-block
-            reference implementation for baseline comparisons.
     """
 
     _CHOICE_CACHE_LIMIT = 4096
@@ -80,7 +77,6 @@ class DPKVS(PrivateKVS):
         prf: PRF | None = None,
         key: SecretKey | None = None,
         backend_factory: BackendFactory | None = None,
-        bulk: bool = True,
     ) -> None:
         self._params = DPKVSParams.for_capacity(
             capacity,
@@ -109,7 +105,6 @@ class DPKVS(PrivateKVS):
             rng=self._rng.spawn("bucket-ram") if hasattr(self._rng, "spawn") else self._rng,
             key=key,
             backend_factory=backend_factory,
-            bulk=bulk,
         )
         super_root_capacity = (
             self._params.phi if enforce_super_root_capacity else None

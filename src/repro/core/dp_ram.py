@@ -27,17 +27,15 @@ after Theorem 6.1 for public, read-only data.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.api.protocols import PrivateRAM
 from repro.core.params import DPRAMParams
 from repro.crypto.encryption import (
     SecretKey,
     decrypt,
-    decrypt_reference,
     encrypt,
     encrypt_many,
-    encrypt_reference,
     generate_key,
 )
 from repro.crypto.rng import RandomSource, SystemRandomSource
@@ -59,10 +57,6 @@ class DPRAM(PrivateRAM):
         rng: randomness source (defaults to system entropy).
         key: symmetric key; a fresh one is sampled when omitted.
         backend_factory: optional slot-storage backend for the server.
-        bulk: route encryption through the bulk/word-wise cipher path
-            (default).  ``False`` keeps the seed per-block reference
-            implementation — slower, bit-identical, and the baseline the
-            benchmark invariance witnesses compare against.
     """
 
     def __init__(
@@ -73,7 +67,6 @@ class DPRAM(PrivateRAM):
         rng: RandomSource | None = None,
         key: SecretKey | None = None,
         backend_factory: BackendFactory | None = None,
-        bulk: bool = True,
     ) -> None:
         if not blocks:
             raise ValueError("the database must contain at least one block")
@@ -86,8 +79,7 @@ class DPRAM(PrivateRAM):
             self._params = DPRAMParams.from_phi(n, phi)
         self._rng = rng if rng is not None else SystemRandomSource()
         self._key = key if key is not None else generate_key(self._rng)
-        self._encrypt = encrypt if bulk else encrypt_reference
-        self._decrypt = decrypt if bulk else decrypt_reference
+        self._encrypt, self._decrypt, encrypt_all = self._cipher()
 
         # Setup (Algorithm 2): encrypted array on the server, independent
         # p-Bernoulli stash on the client.  The stash copy and the server
@@ -96,12 +88,7 @@ class DPRAM(PrivateRAM):
         self._server = StorageServer(
             n, backend=backend_factory(n) if backend_factory else None
         )
-        if bulk:
-            self._server.load(encrypt_many(self._key, blocks, self._rng))
-        else:
-            self._server.load(
-                [encrypt_reference(self._key, b, self._rng) for b in blocks]
-            )
+        self._server.load(encrypt_all(self._key, blocks, self._rng))
         self._stash = ClientStash()
         p = self._params.stash_probability
         for index, block in enumerate(blocks):
@@ -110,6 +97,14 @@ class DPRAM(PrivateRAM):
 
         self._queries = 0
         self._pairs: list[tuple[int, int]] = []
+
+    def _cipher(self) -> tuple[Callable, Callable, Callable]:
+        """``(encrypt, decrypt, encrypt_many)`` as of construction.
+
+        The one seam the reference-cipher oracle beside the hot-path
+        benchmark (:mod:`repro.storage.bench`) overrides.
+        """
+        return encrypt, decrypt, encrypt_many
 
     # -- parameters & accounting ---------------------------------------------
 

@@ -7,7 +7,6 @@ Importing this package registers every rule with
 
 from repro.lint.rules import (  # noqa: F401  (imported for registration)
     backend_bypass,
-    deprecated_serving_kwargs,
     fan_out_mutation,
     float_budget,
     nondeterministic_iteration,

@@ -11,10 +11,9 @@ documented way to parameterize :func:`repro.serve`::
                            tenant_credits=4, seed=7)
     report = repro.serve("batch_dp_ir", config)
 
-The old keyword signature still works — ``serve()`` folds legacy kwargs
-into a config and emits a single :class:`DeprecationWarning` naming
-them — and the CLI builds configs via :meth:`ServingConfig.from_cli_args`
-so ``--json`` output is unchanged.
+``serve()`` takes the config and nothing else (scheme-builder keywords
+ride in ``build_kwargs``); the CLI builds configs via
+:meth:`ServingConfig.from_cli_args`.
 """
 
 from __future__ import annotations
@@ -153,11 +152,3 @@ class ServingConfig:
             metrics_registry=metrics_registry,
             monitor=args.monitor,
         )
-
-
-#: ServingConfig field names accepted by the deprecated keyword path of
-#: :func:`repro.serve` (everything except ``build_kwargs``, which stays
-#: a catch-all for scheme-builder keywords).
-SERVING_CONFIG_FIELDS: frozenset[str] = frozenset(
-    f.name for f in dataclasses.fields(ServingConfig)
-) - {"build_kwargs"}

@@ -12,15 +12,11 @@ generator and scheduler, and run the discrete-event simulation::
     print(report.to_text())
     print(report.latency.p99_ms, report.ops_per_request)
 
-The pre-config keyword signature (``repro.serve("dp_ir", clients=8,
-seed=7)``) still works: the keywords fold into a
-:class:`~repro.serving.config.ServingConfig` behind a single
-:class:`DeprecationWarning`.
+The config is the only calling convention: ``serve`` takes no keywords
+(scheme-builder keywords go in ``ServingConfig.build_kwargs``).
 """
 
 from __future__ import annotations
-
-import warnings
 
 from repro.api.protocols import PrivateIR, PrivateKVS, Scheme
 from repro.api.registry import resolve_scheme_name, scheme_spec
@@ -32,7 +28,7 @@ from repro.crypto.rng import (
 from repro.obs.instrument import instrument_scheme
 from repro.obs.metrics import collect_scheme_metrics
 from repro.obs.monitor import default_monitors, watch_scheme
-from repro.serving.config import SERVING_CONFIG_FIELDS, ServingConfig
+from repro.serving.config import ServingConfig
 from repro.serving.load import ClosedLoopLoad, LoadGenerator, OpenLoopLoad
 from repro.serving.report import ServingReport
 from repro.serving.schedulers import build_scheduler
@@ -81,70 +77,28 @@ def _tenant_trace(
     )
 
 
-def _config_from_kwargs(kwargs: dict) -> ServingConfig:
-    """Fold the deprecated keyword surface into a ServingConfig.
-
-    Splits recognised config fields from scheme-builder keywords and
-    emits ONE DeprecationWarning naming what should move to the config.
-    """
-    config_kwargs = {
-        key: kwargs.pop(key) for key in list(kwargs)
-        if key in SERVING_CONFIG_FIELDS
-    }
-    # The old spelling: scheduler="batch" meant the windowed batcher.
-    if config_kwargs.get("scheduler") == "batch":
-        config_kwargs["scheduler"] = "window"
-    named = ", ".join(sorted(config_kwargs)) or "(defaults only)"
-    warnings.warn(
-        f"serve(scheme, {named}, ...) keywords are deprecated; pass "
-        "repro.serve(scheme, ServingConfig(...)) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return ServingConfig(build_kwargs=dict(kwargs), **config_kwargs)
-
-
 def serve(
     scheme: str | Scheme = "dp_ir",
     config: ServingConfig | None = None,
     /,
-    **kwargs,
 ) -> ServingReport:
     """Serve concurrent tenant sessions against a scheme.
 
     Args:
         scheme: a registry name (hyphenated aliases like ``batch-dpir``
             accepted) or an already-built scheme instance.
-        config: the run's :class:`~repro.serving.config.ServingConfig`.
-            This is the documented calling convention; see the config
-            class for every knob (clients, scheduler, admission caps,
-            load shape, network, executor, observability sinks, …).
-        **kwargs: the deprecated pre-config surface.  Recognised config
-            fields (``clients=``, ``scheduler=``, ``seed=``, …) fold
-            into a :class:`ServingConfig` behind a single
-            :class:`DeprecationWarning`; anything else is forwarded to
-            the scheme's builder (``epsilon``, ``server_count``, …)
-            exactly as before.  Mixing ``config`` with keywords is an
-            error.
+        config: the run's :class:`~repro.serving.config.ServingConfig`
+            (the defaults when omitted); see the config class for every
+            knob (clients, scheduler, admission caps, load shape,
+            network, executor, observability sinks, …).  Keywords for
+            the scheme's builder (``epsilon``, ``server_count``, …) go
+            in its ``build_kwargs``.
 
     Returns:
         The run's :class:`~repro.serving.report.ServingReport`.
     """
-    if config is not None:
-        if kwargs:
-            unknown = ", ".join(sorted(kwargs))
-            raise ValueError(
-                f"pass either a ServingConfig or keywords, not both "
-                f"(got config= plus {unknown}); scheme-builder keywords "
-                "go in ServingConfig.build_kwargs"
-            )
-    else:
-        config = _config_from_kwargs(kwargs)
-    return _serve(scheme, config)
-
-
-def _serve(scheme: str | Scheme, config: ServingConfig) -> ServingReport:
-    """Run one serving simulation from a resolved config."""
+    if config is None:
+        config = ServingConfig()
     # Deferred like the registry defers it: the builders module imports
     # the full scheme catalogue.
     from repro.api.builders import resolve_network

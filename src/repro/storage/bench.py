@@ -35,6 +35,8 @@ from __future__ import annotations
 import time
 
 from repro.core.dp_ir import DPIR
+from repro.core.dp_ram import DPRAM
+from repro.crypto.encryption import decrypt_reference, encrypt_reference
 from repro.crypto.rng import SeededRandomSource
 from repro.storage.blocks import integer_database
 from repro.storage.transcript import Transcript
@@ -44,15 +46,51 @@ DEFAULT_PAD = 64
 DEFAULT_ALPHA = 0.05
 
 
+class _PerSlotDPIR(DPIR):
+    """Oracle: Algorithm 1 with the pad set fetched by ``K`` per-slot
+    ``read()`` calls instead of one ``read_many`` round.
+
+    Consumes the same randomness, touches the same slots in the same
+    sorted order and leaves identical counters and transcripts as
+    :class:`~repro.core.dp_ir.DPIR` — the baseline the read-path
+    timings and the invariance witnesses compare against.
+    """
+
+    def query(self, index: int) -> bytes | None:
+        download_set, include_real = self._draw_set(index)
+        self._server.begin_query(self._queries)
+        self._queries += 1
+        result: bytes | None = None
+        for slot in sorted(download_set):
+            block = self._server.read(slot)
+            if include_real and slot == index:
+                result = block
+        if not include_real:
+            self._errors += 1
+        return result
+
+
+class _ReferenceCipherDPRAM(DPRAM):
+    """Oracle: DP-RAM on the frozen per-block reference cipher
+    (:func:`~repro.crypto.encryption.encrypt_reference`), setup
+    included — slower, bit-identical, the baseline the bulk-crypto
+    invariance witnesses compare against."""
+
+    def _cipher(self):
+        def encrypt_all(key, blocks, rng):
+            return [encrypt_reference(key, block, rng) for block in blocks]
+
+        return encrypt_reference, decrypt_reference, encrypt_all
+
+
 def _build(
     blocks, pad_size: int, alpha: float, seed: int, batched: bool
 ) -> DPIR:
-    return DPIR(
+    return (DPIR if batched else _PerSlotDPIR)(
         blocks,
         pad_size=pad_size,
         alpha=alpha,
         rng=SeededRandomSource(seed),
-        batched=batched,
     )
 
 
@@ -382,14 +420,14 @@ def crypto_invariance(
 ) -> dict:
     """Witness that bulk crypto + slab storage change nothing observable.
 
-    One DP-RAM runs the optimized stack (``bulk=True`` encryption over a
+    One DP-RAM runs the optimized stack (bulk encryption over a
     :class:`~repro.storage.backends.SlabBackend`), the other the
-    per-block baseline (frozen reference cipher over the list backend).
+    per-block baseline (:class:`_ReferenceCipherDPRAM` over the list
+    backend).
     Under a shared seed, answers, the ``(d_j, o_j)`` transcript pairs,
     the read/write counters, the analytic ε bound and every stored
     ciphertext byte must be identical.
     """
-    from repro.core.dp_ram import DPRAM
     from repro.storage.backends import SlabBackend
 
     blocks = integer_database(n)
@@ -399,14 +437,13 @@ def crypto_invariance(
         for _ in range(queries)
     ]
     witnesses = {}
-    for label, bulk, backend_factory in (
-        ("per_block", False, None),
-        ("bulk_slab", True, SlabBackend),
+    for label, scheme_type, backend_factory in (
+        ("per_block", _ReferenceCipherDPRAM, None),
+        ("bulk_slab", DPRAM, SlabBackend),
     ):
-        scheme = DPRAM(
+        scheme = scheme_type(
             blocks,
             rng=SeededRandomSource(seed),
-            bulk=bulk,
             backend_factory=backend_factory,
         )
         answers = []

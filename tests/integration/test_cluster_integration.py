@@ -12,6 +12,7 @@ import pytest
 import repro
 from repro.__main__ import main
 from repro.cluster import ClusterIR, ClusterKVS
+from repro.serving import ServingConfig
 from repro.storage.blocks import integer_database
 
 N = 64
@@ -152,12 +153,14 @@ class TestServingIntegration:
         # Sharding cuts the pad to K/D; batching through query_many
         # additionally coalesces per-shard pad unions.  The cluster of
         # BatchDPIR bases must beat its own FIFO dispatch.
-        fifo = repro.serve("cluster_batch_dp_ir", clients=6,
-                           requests_per_client=8, scheduler="fifo",
-                           n=256, seed=11, rate_rps=200.0)
-        batch = repro.serve("cluster_batch_dp_ir", clients=6,
-                            requests_per_client=8, scheduler="batch",
-                            n=256, seed=11, rate_rps=200.0)
+        fifo = repro.serve("cluster_batch_dp_ir", ServingConfig(
+            clients=6, requests_per_client=8, scheduler="fifo", n=256, seed=11,
+            rate_rps=200.0,
+        ))
+        batch = repro.serve("cluster_batch_dp_ir", ServingConfig(
+            clients=6, requests_per_client=8, scheduler="batch", n=256,
+            seed=11, rate_rps=200.0,
+        ))
         assert fifo.completed == fifo.requests
         assert batch.completed == batch.requests
         assert batch.ops_per_request < fifo.ops_per_request

@@ -39,7 +39,6 @@ class TestRepoIsClean:
         assert set(result.rules) == {
             "rng-discipline",
             "backend-bypass",
-            "deprecated-serving-kwargs",
             "nondeterministic-iteration",
             "secret-dependent-branch",
             "float-budget",

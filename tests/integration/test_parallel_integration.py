@@ -9,11 +9,11 @@ sibling legs, with ``fault_counters()`` totals matching the serial path
 
 import pytest
 
-from repro.cluster import cluster as cluster_pkg
+from repro.cluster import ClusterConfig, cluster as cluster_pkg
 from repro.cluster.group import GroupExhaustedError
 from repro.cluster.scheme import ClusterIR
 from repro.crypto.rng import SeededRandomSource
-from repro.serving import serve
+from repro.serving import ServingConfig, serve
 from repro.storage.blocks import integer_database
 from repro.storage.faults import FlakyServer, wrap_scheme_servers
 
@@ -95,10 +95,10 @@ class TestFaultInjectionUnderParallelExecutor:
 class TestWallClockAccountingEndToEnd:
     def test_cluster_run_overlaps_at_four_shards(self):
         reports = {
-            executor: cluster(
-                "dp_ir", shards=4, replicas=1, n=256, pad_size=32,
-                requests=32, seed=11, executor=executor, batch=8,
-            )
+            executor: cluster("dp_ir", ClusterConfig(
+                shards=4, replicas=1, n=256, pad_size=32, requests=32, seed=11,
+                executor=executor, batch=8,
+            ))
             for executor in ("serial", "parallel")
         }
         serial, parallel = reports["serial"], reports["parallel"]
@@ -115,10 +115,10 @@ class TestWallClockAccountingEndToEnd:
         assert parallel.latency.p95_ms < serial.latency.p95_ms
 
     def test_cluster_report_surfaces_executor_fields(self):
-        report = cluster(
-            "dp_ir", shards=2, replicas=1, n=64, pad_size=8,
-            requests=8, seed=3, executor="simulated", batch=4,
-        )
+        report = cluster("dp_ir", ClusterConfig(
+            shards=2, replicas=1, n=64, pad_size=8, requests=8, seed=3,
+            executor="simulated", batch=4,
+        ))
         assert report.executor == "simulated"
         assert report.batch == 4
         payload = report.to_dict()
@@ -128,18 +128,11 @@ class TestWallClockAccountingEndToEnd:
 
     def test_serving_report_shows_overlap_for_cluster_schemes(self):
         reports = {
-            executor: serve(
-                "cluster_dp_ir",
-                clients=4,
-                requests_per_client=8,
-                n=256,
-                seed=13,
-                scheduler="batch",
-                shard_count=4,
-                replica_count=1,
-                pad_size=32,
-                executor=executor,
-            )
+            executor: serve("cluster_dp_ir", ServingConfig(
+                clients=4, requests_per_client=8, n=256, seed=13,
+                scheduler="batch", executor=executor,
+                build_kwargs=dict(shard_count=4, replica_count=1, pad_size=32),
+            ))
             for executor in ("serial", "parallel")
         }
         serial, parallel = reports["serial"], reports["parallel"]
@@ -155,8 +148,10 @@ class TestWallClockAccountingEndToEnd:
 
     def test_serve_rejects_executor_for_fanout_free_schemes(self):
         with pytest.raises(ValueError, match="no fan-out"):
-            serve("dp_ir", clients=2, requests_per_client=2, n=64,
-                  seed=1, executor="parallel")
+            serve("dp_ir", ServingConfig(
+                clients=2, requests_per_client=2, n=64, seed=1,
+                executor="parallel",
+            ))
 
     def test_migration_reports_overlapped_drain(self):
         instance = ClusterIR(

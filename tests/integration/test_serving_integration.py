@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.__main__ import main
-from repro.serving import serve
+from repro.serving import ServingConfig, serve
 
 
 class TestBatchingBeatsFIFO:
@@ -21,7 +21,9 @@ class TestBatchingBeatsFIFO:
         common = dict(clients=8, requests_per_client=12, n=256, seed=7,
                       rate_rps=150.0, workload="uniform", network="lan")
         return {
-            scheduler: serve("batch_dp_ir", scheduler=scheduler, **common)
+            scheduler: serve("batch_dp_ir", ServingConfig(
+                scheduler=scheduler, **common,
+            ))
             for scheduler in ("fifo", "batch")
         }
 

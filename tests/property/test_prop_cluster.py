@@ -5,13 +5,20 @@ reshard target, every logical index retrieves its own block — before
 the migration, after it, and with a dead replica in every group.
 """
 
+import hashlib
+import json
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.router import HashRouter, RangeRouter
-from repro.cluster.scheme import ClusterIR
+from repro.cluster.scheme import ClusterIR, ClusterKVS
 from repro.crypto.rng import SeededRandomSource
+from repro.obs.tracer import Tracer, canonical_trace
 from repro.storage.blocks import integer_database
+from repro.storage.transcript import Transcript
 
 
 def _read(ir, index):
@@ -79,3 +86,167 @@ class TestClusterRetrievalProperties:
         owned = router.assignment()
         flattened = [index for shard in owned for index in shard]
         assert sorted(flattened) == list(range(n))
+
+
+# -- seeded-history pins ---------------------------------------------------
+#
+# The fingerprints below were computed at the commit *before* ClusterIR /
+# ClusterKVS were rebuilt on one shared base: everything an operator, the
+# ledger or a report can see of a seeded faulty history must not move.
+
+
+class _History:
+    """Collects what one seeded cluster history exposed."""
+
+    def __init__(self, cluster):
+        self.cluster = cluster
+        self.seen = []
+        self._transcripts = []
+        self._attach()
+
+    def _attach(self):
+        self._transcripts = []
+        for server in self.cluster.servers():
+            transcript = Transcript()
+            server.attach_transcript(transcript)
+            self._transcripts.append(transcript)
+
+    def note(self, value):
+        self.seen.append(repr(value))
+
+    def migrate(self, operation, *args):
+        """Run a migration; the old servers' views are final after it."""
+        old = self._transcripts
+        report = operation(*args)
+        self.note([transcript.signature() for transcript in old])
+        self.note(report)
+        self._attach()
+
+    def fingerprint(self):
+        cluster = self.cluster
+        self.note([t.signature() for t in self._transcripts])
+        self.note(cluster.ledger.report())
+        self.note(sorted(cluster.fault_counters().items()))
+        self.note(cluster.serial_operations())
+        self.note(cluster.wall_operations())
+        self.note(cluster.shard_query_counts())
+        self.note(json.dumps(
+            canonical_trace(cluster.tracer.export()), sort_keys=True
+        ))
+        digest = hashlib.sha256()
+        for item in self.seen:
+            digest.update(item.encode())
+            digest.update(b"\x00")
+        return digest.hexdigest()
+
+
+def _ir_history_fingerprint(base, executor):
+    n = 64
+    coins = random.Random(2019)
+    with ClusterIR(
+        integer_database(n, 16),
+        base=base,
+        shard_count=2,
+        replica_count=2,
+        pad_size=8,
+        failure_rate=(0.3, 0.0),
+        corruption_rate=0.05,
+        authenticated=True,
+        rng=SeededRandomSource(14),
+        executor=executor,
+        tracer=Tracer("pin"),
+    ) as cluster:
+        history = _History(cluster)
+
+        def traffic(ops):
+            for _ in range(ops):
+                if coins.random() < 0.5:
+                    history.note(cluster.query(coins.randrange(n)))
+                else:
+                    batch = [
+                        coins.randrange(n)
+                        for _ in range(coins.randrange(1, 9))
+                    ]
+                    history.note(cluster.query_many(batch))
+
+        traffic(40)
+        history.migrate(cluster.reshard, 3)
+        traffic(30)
+        history.migrate(cluster.rebalance)
+        traffic(30)
+        history.note((cluster.query_count, cluster.error_count))
+        return history.fingerprint()
+
+
+def _kvs_history_fingerprint(executor):
+    coins = random.Random(7)
+    keys = [f"key-{i:02d}".encode() for i in range(24)]
+    with ClusterKVS(
+        64,
+        shard_count=2,
+        replica_count=2,
+        value_size=16,
+        failure_rate=(1.0, 0.0),
+        rng=SeededRandomSource(14),
+        executor=executor,
+        tracer=Tracer("pin"),
+    ) as cluster:
+        history = _History(cluster)
+
+        def traffic(ops):
+            for _ in range(ops):
+                coin = coins.random()
+                key = coins.choice(keys)
+                if coin < 0.4:
+                    history.note(cluster.put(key, coins.randbytes(12)))
+                elif coin < 0.65:
+                    history.note(cluster.get(key))
+                elif coin < 0.85:
+                    batch = coins.sample(keys, coins.randrange(1, 7))
+                    history.note(cluster.get_many(batch))
+                else:
+                    history.note(cluster.delete(key))
+
+        traffic(60)
+        history.migrate(cluster.reshard, 3)
+        traffic(40)
+        history.note((cluster.operation_count, cluster.size))
+        return history.fingerprint()
+
+
+_IR_PINS = {
+    ("dp_ir", "serial"):
+        "bd59de20b476edef35ebb6928bc85b6f62000f2b327c62e82f431e88231388c5",
+    ("dp_ir", "parallel"):
+        "b91c9438784000e7046e206f8840f59b374e4ee0573b320fc8dc66198ce44e0d",
+    ("dp_ir", "simulated"):
+        "b91c9438784000e7046e206f8840f59b374e4ee0573b320fc8dc66198ce44e0d",
+    ("batch_dp_ir", "serial"):
+        "fef5a6e8525b5266369fb5848ab34c5c5c4aee6d085eabaf6a11ef278f0518d0",
+    ("batch_dp_ir", "parallel"):
+        "cb43048c83f9fb0dc772bf550acf1d12c004359b76cfae0bb518a70d31e38a7e",
+    ("batch_dp_ir", "simulated"):
+        "cb43048c83f9fb0dc772bf550acf1d12c004359b76cfae0bb518a70d31e38a7e",
+}
+
+_KVS_PINS = {
+    "serial":
+        "c4e361eccc4d9aab11d1e9d23d05b228c0050363394f28872cf4fff056f4173e",
+    "parallel":
+        "d4513701cc9c44a16c76571d9372feee551f59fdc06bff94928711f48fdb2a15",
+    "simulated":
+        "d4513701cc9c44a16c76571d9372feee551f59fdc06bff94928711f48fdb2a15",
+}
+
+
+class TestSeededHistoryPins:
+    @pytest.mark.parametrize("base,executor", sorted(_IR_PINS))
+    def test_cluster_ir_history_is_pinned(self, base, executor):
+        assert (
+            _ir_history_fingerprint(base, executor)
+            == _IR_PINS[base, executor]
+        )
+
+    @pytest.mark.parametrize("executor", sorted(_KVS_PINS))
+    def test_cluster_kvs_history_is_pinned(self, executor):
+        assert _kvs_history_fingerprint(executor) == _KVS_PINS[executor]

@@ -9,9 +9,9 @@ Three families:
 * ``sample_distinct`` draws uniform distinct subsets: exact size, exact
   range, distinctness, a chi-square smoke over all subsets, and the
   hole-shifted pad-set construction preserves the real index.
-* ``DPIR`` under ``batched=True`` and ``batched=False`` is the same
-  scheme at the same seed — answers, counters and per-query transcript
-  multisets all agree.
+* ``DPIR`` and its per-slot oracle (``repro.storage.bench._PerSlotDPIR``)
+  are the same scheme at the same seed — answers, counters and
+  per-query transcript multisets all agree.
 """
 
 import math
@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.core.dp_ir import DPIR
 from repro.core.sampling import draw_pad_set
 from repro.crypto.rng import SeededRandomSource
+from repro.storage.bench import _PerSlotDPIR
 from repro.storage.blocks import integer_database
 from repro.storage.errors import StorageError
 from repro.storage.faults import FlakyServer, ServerFault
@@ -239,13 +240,12 @@ class TestDPIRModeEquivalence:
         workload = SeededRandomSource(seed ^ 0xBEEF)
         indices = [workload.randbelow(n) for _ in range(30)]
         witnesses = []
-        for batched in (False, True):
-            scheme = DPIR(
+        for scheme_type in (_PerSlotDPIR, DPIR):
+            scheme = scheme_type(
                 blocks,
                 epsilon=math.log(n),
                 alpha=0.2,
                 rng=SeededRandomSource(seed),
-                batched=batched,
             )
             log = Transcript()
             scheme.attach_transcript(log)

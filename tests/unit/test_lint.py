@@ -42,12 +42,11 @@ def rules_hit(source, path=CORE, rules=None):
 
 
 class TestRegistry:
-    def test_all_eight_rules_registered(self):
+    def test_all_seven_rules_registered(self):
         names = {rule.name for rule in all_rules()}
         assert names == {
             "rng-discipline",
             "backend-bypass",
-            "deprecated-serving-kwargs",
             "nondeterministic-iteration",
             "secret-dependent-branch",
             "float-budget",

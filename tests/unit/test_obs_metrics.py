@@ -150,7 +150,7 @@ class TestCollectSchemeMetrics:
     def test_absorbs_scheme_counters(self):
         scheme = DPIR(
             integer_database(64), pad_size=8, alpha=0.1,
-            rng=SeededRandomSource(7), batched=True,
+            rng=SeededRandomSource(7),
         )
         for index in range(10):
             scheme.query(index % 64)
