@@ -21,6 +21,9 @@ def test_e14_table():
     assert by_scheme["recursive ORAM"][4] > by_scheme["Path ORAM"][4]
     # DP-RAM's WAN time is within 2.5 RTTs of plaintext-ish floor.
     assert by_scheme["DP-RAM"][4] < 3 * WAN.rtt_ms
+    # So is DP-KVS — which holds only while an operation is two roundtrips.
+    assert by_scheme["DP-KVS"][1] == 2
+    assert by_scheme["DP-KVS"][4] < 3 * WAN.rtt_ms
 
 
 def test_e14_model_evaluation_throughput(benchmark):

@@ -40,7 +40,7 @@ rate, and where the floors sit.  Summary of outcomes:
 | E11 | headline: O(1)/O(log log n) vs ORAM's Ω(log n) | reproduced — factor grows from ~24× (n=2⁸) upward |
 | E12 | Thm C.1: multi-server floor ((1−α)t−δ)n/e^ε | reproduced — corrupted view scales with t; total work t-independent, optimal for constant t |
 | E13 | Related Work [50]: recursion costs Θ(log n) roundtrips | reproduced — recursion depth grows with n while DP-RAM stays at 2 |
-| E14 | intro: response-time impact per link | reproduced — DP-RAM within ~2 RTTs of plaintext on WAN; PIR orders of magnitude slower |
+| E14 | intro: response-time impact per link | reproduced — DP-RAM and DP-KVS within ~2 RTTs of plaintext on WAN; PIR orders of magnitude slower |
 
 All schemes are checked for correctness against reference models on the
 same traces that produce the numbers (mismatch columns must read 0).

@@ -107,12 +107,14 @@ def datasheet_for(scheme: object) -> PrivacyDatasheet:
         )
     if isinstance(scheme, (DPRAM, ReadOnlyDPRAM)):
         params = scheme.params
-        blocks = 3.0 if isinstance(scheme, DPRAM) else 2.0
+        # DP-RAM downloads d_j and o_j in one round and uploads o_j in a
+        # second; the read-only variant has no upload.
+        blocks, roundtrips = (3.0, 2) if isinstance(scheme, DPRAM) else (2.0, 1)
         return PrivacyDatasheet(
             scheme=name, n=params.n,
             epsilon=params.epsilon_bound, epsilon_kind="upper bound",
             delta=0.0, error_probability=0.0,
-            blocks_per_query=blocks, roundtrips=2,
+            blocks_per_query=blocks, roundtrips=roundtrips,
             client_blocks=params.expected_stash, server_blocks=params.n,
         )
     if isinstance(scheme, DPKVS):
@@ -127,7 +129,7 @@ def datasheet_for(scheme: object) -> PrivacyDatasheet:
             epsilon=params.choices * bucket_bound, epsilon_kind="upper bound",
             delta=0.0, error_probability=0.0,
             blocks_per_query=float(scheme.blocks_per_operation()),
-            roundtrips=2,
+            roundtrips=2,  # one fused download round, one upload round
             client_blocks=float(
                 params.phi * params.shape.path_length + params.phi
             ),

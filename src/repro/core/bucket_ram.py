@@ -25,21 +25,51 @@ Overlay entries are only dropped right after a fresh ciphertext of the
 node is uploaded and no stashed bucket pins it; this guarantees a stale
 server copy can never be served.
 
-The two phases are exposed separately (:meth:`begin_query` /
-:meth:`finish_query`) so DP-KVS can download both hash-choice buckets,
-run the storing algorithm on their joint contents, and only then perform
-the overwrite phases — fusing the paper's "k retrievals + k updates" into
-k queries with an unchanged per-query transcript distribution.
+**Plan, then two rounds.**  A *batch* of bucket queries — DP-KVS sends
+the two hash-choice buckets of one operation, :meth:`BucketDPRAM.query`
+a batch of one — costs two roundtrips however many buckets it holds.
+:meth:`BucketDPRAM.begin_query` draws every coin of both phases up front
+(per bucket the download coin; then per bucket the restash coin, the
+overwrite bucket and that upload's nonces), which is possible because no
+draw depends on a downloaded byte, and issues ONE ``read_many`` over
+``d_1 ‖ … ‖ d_k ‖ o_1 ‖ … ‖ o_k``.  The caller inspects the contents, and
+:meth:`BucketDPRAM.finish_query` replays the per-bucket overwrite logic
+on the client and issues ONE ``write_many`` of ``o_1 ‖ … ‖ o_k``.  The
+draw order, the per-query pair ``(d_j, o_j)`` and the multiset of
+server events of a query are those of running the queries one after the
+other; only the data-independent interleaving inside the batch changes.
+
+The overwrite phase of bucket ``j`` needs the current plaintext of every
+node of ``o_j``, and all it has from the server was read *before* any
+upload of the batch.  It looks a node up in this order:
+
+1. ``_overlay`` — authoritative by the invariant above;
+2. the plaintext an earlier bucket of this batch uploaded to that node
+   (a tree node shared by ``o_1`` and ``o_2``, or ``o_1 = o_2``): the
+   server copy will hold exactly that once the round lands;
+3. the pre-fetched ciphertext, which is current because nothing else
+   wrote the node since the download round.
+
+Step 3 is why only one batch may be open at a time: the pre-fetched
+ciphertexts of two open batches could go stale against each other.
+
+Both rounds are transactional towards the client's state.  A download
+round that raises leaves it untouched (the coins stay spent); an upload
+round that raises leaves the failed plaintexts in ``_overlay``, so the
+client copy stays authoritative until a later upload of the node lands.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from repro.api.protocols import PrivateRAM
 from repro.crypto.encryption import (
+    NONCE_SIZE,
     SecretKey,
+    _seal_many,
+    decrypt,
     decrypt_many,
     encrypt_many,
     generate_key,
@@ -50,20 +80,29 @@ from repro.storage.errors import RetrievalError, StorageError
 from repro.storage.server import StorageServer
 
 
+class _BucketPlan(NamedTuple):
+    """The coins of one bucket query, all drawn before the download round."""
+
+    download_bucket: int
+    restash: bool
+    overwrite_bucket: int
+    nonces: bytes
+
+
 @dataclass
 class PendingQuery:
-    """State between the download and overwrite phases of one bucket query.
+    """State between the download and upload rounds of one batch.
 
     Attributes:
-        bucket: the queried bucket id.
-        download_bucket: the bucket whose nodes were downloaded (``d_j``).
-        contents: authoritative plaintext per node of ``bucket``.
+        buckets: the queried bucket ids, in batch order.
+        contents: per queried bucket, the authoritative plaintext of
+            each of its nodes.
     """
 
-    bucket: int
-    download_bucket: int
-    contents: dict[int, bytes]
-    _finished: bool = False
+    buckets: tuple[int, ...]
+    contents: list[dict[int, bytes]]
+    _plans: list[_BucketPlan]
+    _prefetched: dict[int, bytes]
 
 
 class BucketDPRAM(PrivateRAM):
@@ -120,7 +159,7 @@ class BucketDPRAM(PrivateRAM):
         self._stashed: set[int] = set()
         self._overlay: dict[int, bytes] = {}
         self._pins: dict[int, int] = {}
-        self._pending: set[int] = set()
+        self._pending: PendingQuery | None = None
         self._client_peak = 0
 
         # Setup: stash each bucket independently with probability p,
@@ -196,158 +235,207 @@ class BucketDPRAM(PrivateRAM):
         """Node ids of ``bucket``."""
         return self._buckets[bucket]
 
-    # -- the two phases --------------------------------------------------------
+    # -- the two rounds --------------------------------------------------------
 
-    def begin_query(self, bucket: int) -> PendingQuery:
-        """Run the download phase for ``bucket``.
+    def begin_query(self, buckets: Sequence[int]) -> PendingQuery:
+        """Plan the batch ``buckets`` and run its download round.
 
         Returns a :class:`PendingQuery` carrying the authoritative contents
-        of every node of the bucket; pass it to :meth:`finish_query` to run
-        the overwrite phase.
+        of every node of every queried bucket; pass it to
+        :meth:`finish_query` to run the upload round.  If the round
+        raises, no batch is open and the client's state is unchanged.
+
+        Raises:
+            RetrievalError: if a bucket is out of range or listed twice,
+                the batch is empty, or another batch is still open.
         """
-        if not 0 <= bucket < len(self._buckets):
+        buckets = tuple(buckets)
+        repertoire = self._buckets
+        if self._pending is not None:
             raise RetrievalError(
-                f"bucket {bucket} out of range for {len(self._buckets)}"
+                f"buckets {self._pending.buckets} have an unfinished batch; "
+                "only one batch may be open at a time"
             )
-        if bucket in self._pending:
+        if not buckets:
+            raise RetrievalError("a batch needs at least one bucket")
+        for bucket in buckets:
+            if not 0 <= bucket < len(repertoire):
+                raise RetrievalError(
+                    f"bucket {bucket} out of range for {len(repertoire)}"
+                )
+        if len(set(buckets)) != len(buckets):
             raise RetrievalError(
-                f"bucket {bucket} already has an unfinished query; "
-                "interleaved queries must target distinct buckets"
+                f"batch {buckets} repeats a bucket; the queries of one "
+                "batch must target distinct buckets"
             )
-        self._pending.add(bucket)
-        self._server.begin_query(self._queries)
-        nodes = self._buckets[bucket]
-        if bucket in self._stashed:
-            download_bucket = self._rng.randbelow(len(self._buckets))
-            # Cover traffic, discarded — one batched round for the bucket.
-            self._server.read_many(self._buckets[download_bucket])
-            contents = {node: self._overlay[node] for node in nodes}
-            self._stashed.remove(bucket)
-            for node in nodes:
-                self._unpin(node)
-            # Overlay entries persist: the server copies are still stale
-            # until the overwrite phase uploads fresh ciphertexts.
-        else:
-            download_bucket = bucket
-            contents = {}
-            ciphertexts = self._server.read_many(nodes)
-            plaintexts = iter(
-                decrypt_many(
-                    self._key,
-                    [
-                        ciphertext
-                        for node, ciphertext in zip(nodes, ciphertexts)
-                        if node not in self._overlay
-                    ],
+
+        rng = self._rng
+        stashed = self._stashed
+        download_buckets = [
+            rng.randbelow(len(repertoire)) if bucket in stashed else bucket
+            for bucket in buckets
+        ]
+        plans = []
+        for bucket, download_bucket in zip(buckets, download_buckets):
+            restash = rng.random() < self._p
+            overwrite_bucket = (
+                rng.randbelow(len(repertoire)) if restash else bucket
+            )
+            plans.append(
+                _BucketPlan(
+                    download_bucket,
+                    restash,
+                    overwrite_bucket,
+                    rng.bytes(len(repertoire[overwrite_bucket]) * NONCE_SIZE),
                 )
             )
-            for node in nodes:
-                if node in self._overlay:
-                    contents[node] = self._overlay[node]
-                else:
-                    contents[node] = next(plaintexts)
-        return PendingQuery(
-            bucket=bucket, download_bucket=download_bucket, contents=contents
+
+        overwrite_buckets = [plan.overwrite_bucket for plan in plans]
+        round_nodes = [
+            node
+            for bucket in (*download_buckets, *overwrite_buckets)
+            for node in repertoire[bucket]
+        ]
+        self._server.begin_query(self._queries)
+        ciphertexts = self._server.read_many(round_nodes)
+
+        # The round landed.  The client's state moves only at the end,
+        # once the contents are in hand and the batch is really open.
+        overlay = self._overlay
+        fetched = dict(zip(round_nodes, ciphertexts))
+        # A stashed bucket is answered from the overlay (its download
+        # was cover traffic); the others decrypt what the overlay lacks,
+        # a node shared by two of them once.
+        stale = list(
+            dict.fromkeys(
+                node
+                for bucket in buckets
+                if bucket not in stashed
+                for node in repertoire[bucket]
+                if node not in overlay
+            )
         )
+        plaintexts = dict(
+            zip(stale, decrypt_many(self._key, [fetched[n] for n in stale]))
+        )
+        contents = [
+            {
+                node: overlay[node] if node in overlay else plaintexts[node]
+                for node in repertoire[bucket]
+            }
+            for bucket in buckets
+        ]
+        for bucket in buckets:
+            if bucket in stashed:
+                stashed.remove(bucket)
+                for node in repertoire[bucket]:
+                    self._unpin(node)
+                # Overlay entries persist: the server copies are still
+                # stale until the upload round lands fresh ciphertexts.
+        self._pending = PendingQuery(buckets, contents, plans, fetched)
+        return self._pending
 
     def finish_query(
         self,
         pending: PendingQuery,
         new_contents: Mapping[int, bytes] | None = None,
     ) -> None:
-        """Run the overwrite phase.
+        """Run the upload round of the open batch.
+
+        If the round raises, the batch is closed all the same and its
+        queries count as made (the server saw their download round); the
+        plaintexts it failed to upload stay on the client.
 
         Args:
             pending: the handle returned by :meth:`begin_query`.
             new_contents: replacement plaintext for any subset of the
-                bucket's nodes; omitted nodes keep their downloaded
-                contents.  ``None`` performs a fake update (contents
-                unchanged), which is what read operations use.
+                batch's nodes, applied to every queried bucket holding
+                the node (so a shared node never diverges); omitted
+                nodes keep their downloaded contents.  ``None`` performs
+                a fake update (contents unchanged), which is what read
+                operations use.
+
+        Raises:
+            RetrievalError: if ``pending`` is not the open batch (it was
+                finished already, or its download round never landed).
+            StorageError: if ``new_contents`` names a node outside the
+                batch; the batch stays open.
         """
-        if pending._finished:
-            raise RetrievalError("finish_query called twice on the same handle")
-        bucket = pending.bucket
-        nodes = self._buckets[bucket]
-        contents = dict(pending.contents)
+        if pending is not self._pending:
+            raise RetrievalError(
+                "finish_query needs the handle of the open batch; this one "
+                "is finished already or was never opened"
+            )
+        updates: dict[int, bytes] = {}
         if new_contents is not None:
             for node, block in new_contents.items():
-                if node not in contents:
+                if not any(node in seen for seen in pending.contents):
                     raise StorageError(
-                        f"node {node} is not part of bucket {bucket}"
+                        f"node {node} is not part of buckets {pending.buckets}"
                     )
-                contents[node] = bytes(block)
+                updates[node] = bytes(block)
         # Only a validated call consumes the handle: a rejected one leaves
-        # it open, so the caller can still run the overwrite phase.
-        pending._finished = True
-        self._pending.discard(bucket)
+        # the batch open, so the caller can still run the upload round.
+        self._pending = None
 
-        # Both overwrite branches move a whole bucket: one batched
-        # download round, then one batched upload round (the per-query
-        # event multiset is unchanged; only the within-query interleaving
-        # goes from read/write per node to reads-then-writes).
-        if self._rng.random() < self._p:
-            # Re-stash the queried bucket; cover-rewrite a random bucket.
-            self._stashed.add(bucket)
-            for node in nodes:
-                self._overlay[node] = contents[node]
-                self._pin(node)
-            overwrite_bucket = self._rng.randbelow(len(self._buckets))
-            overwrite_nodes = self._buckets[overwrite_bucket]
-            ciphertexts = self._server.read_many(overwrite_nodes)
-            # Decrypts consume no client randomness, so hoisting them
-            # ahead of the whole-bucket bulk re-encrypt preserves the
-            # rng draw order of the per-node formulation exactly.
-            plaintexts = iter(
-                decrypt_many(
-                    self._key,
-                    [
-                        ciphertext
-                        for node, ciphertext in zip(overwrite_nodes, ciphertexts)
-                        if node not in self._overlay
-                    ],
-                )
-            )
-            authoritative = [
-                self._overlay[node]
-                if node in self._overlay
-                else next(plaintexts)
-                for node in overwrite_nodes
-            ]
+        repertoire = self._buckets
+        overlay = self._overlay
+        uploaded: dict[int, bytes] = {}
+        upload_nodes: list[int] = []
+        upload_blocks: list[bytes] = []
+
+        def current(node: int) -> bytes:
+            # The lookup order of the module docstring.
+            if node in overlay:
+                return overlay[node]
+            if node in uploaded:
+                return uploaded[node]
+            return decrypt(self._key, pending._prefetched[node])
+
+        for bucket, plan, seen in zip(
+            pending.buckets, pending._plans, pending.contents
+        ):
+            nodes = repertoire[bucket]
+            overwrite_nodes = repertoire[plan.overwrite_bucket]
+            if plan.restash:
+                # Re-stash the queried bucket; cover-rewrite a random one.
+                self._stashed.add(bucket)
+                for node in nodes:
+                    overlay[node] = updates.get(node, seen[node])
+                    self._pin(node)
+                blocks = [current(node) for node in overwrite_nodes]
+            else:
+                blocks = [updates.get(node, seen[node]) for node in nodes]
+                for node, block in zip(nodes, blocks):
+                    if node in overlay:
+                        # A stashed sibling pins this node; keep the
+                        # overlay in sync with the value being uploaded.
+                        overlay[node] = block
+            for node, block in zip(overwrite_nodes, blocks):
+                uploaded[node] = block
+                self._evict_if_unpinned(node)
+            upload_nodes.extend(overwrite_nodes)
+            upload_blocks.extend(blocks)
+            self._note_peak()
+            self._pairs.append((plan.download_bucket, plan.overwrite_bucket))
+            self._queries += 1
+
+        nonces = b"".join(plan.nonces for plan in pending._plans)
+        try:
             self._server.write_many(
                 list(
                     zip(
-                        overwrite_nodes,
-                        encrypt_many(self._key, authoritative, self._rng),
+                        upload_nodes,
+                        _seal_many(self._key, nonces, upload_blocks),
                     )
                 )
             )
-            for node in overwrite_nodes:
-                self._evict_if_unpinned(node)
-        else:
-            overwrite_bucket = bucket
-            self._server.read_many(nodes)  # downloaded and discarded
-            self._server.write_many(
-                list(
-                    zip(
-                        nodes,
-                        encrypt_many(
-                            self._key,
-                            [contents[node] for node in nodes],
-                            self._rng,
-                        ),
-                    )
-                )
-            )
-            for node in nodes:
-                if node in self._overlay:
-                    # A stashed sibling pins this node; keep the overlay in
-                    # sync with the value just uploaded.
-                    self._overlay[node] = contents[node]
-                self._evict_if_unpinned(node)
-
-        self._note_peak()
-        self._pairs.append((pending.download_bucket, overwrite_bucket))
-        self._queries += 1
+        except BaseException:
+            # Some server copies may be stale now: the client's stay
+            # authoritative until a later upload of the node lands.
+            overlay.update(uploaded)
+            self._note_peak()
+            raise
 
     # -- the RAM interface over single-node buckets ---------------------------
 
@@ -356,7 +444,7 @@ class BucketDPRAM(PrivateRAM):
 
         Only meaningful for single-node buckets (the degenerate repertoire
         equivalent to the Section 6 scheme); multi-node repertoires go
-        through :meth:`begin_query`/:meth:`finish_query`.
+        through :meth:`query` or :meth:`begin_query`/:meth:`finish_query`.
 
         Raises:
             StorageError: if bucket ``index`` holds more than one node.
@@ -391,15 +479,20 @@ class BucketDPRAM(PrivateRAM):
         bucket: int,
         new_contents: Mapping[int, bytes] | None = None,
     ) -> dict[int, bytes]:
-        """Convenience: both phases back to back.
+        """Convenience: the one-bucket batch, both rounds back to back.
 
-        Returns the bucket contents as seen by the download phase (before
+        Returns the bucket contents as seen by the download round (before
         ``new_contents`` is applied).
         """
-        pending = self.begin_query(bucket)
-        snapshot = dict(pending.contents)
-        self.finish_query(pending, new_contents)
-        return snapshot
+        pending = self.begin_query((bucket,))
+        try:
+            self.finish_query(pending, new_contents)
+        except StorageError:
+            if self._pending is pending:
+                # Rejected ``new_contents``: close the batch as a read.
+                self.finish_query(pending)
+            raise
+        return pending.contents[0]
 
     # -- overlay / pin bookkeeping ----------------------------------------------
 

@@ -19,6 +19,13 @@ Theorem 7.5 (the paper's "at most 2·k(n) DP-RAM queries" bound is met with
 room to spare because the phase-split bucket DP-RAM retrieves and updates
 in a single query; the composition argument is unchanged).
 
+An operation is **two roundtrips**: both bucket queries go to the bucket
+DP-RAM as one batch, which downloads ``d_1 ‖ d_2 ‖ o_1 ‖ o_2`` in one
+round, lets the storing algorithm run on the joint contents, and uploads
+``o_1 ‖ o_2`` in a second.  The per-query view ``(d_j, o_j)`` and the
+blocks moved are those of six sequential rounds; see
+:mod:`repro.core.bucket_ram` for why the interleaving is free.
+
 Missing keys return ``None`` (the paper's ``⊥``).  Keys and values are
 fixed-size byte strings (shorter inputs are zero-padded by the codec).
 """
@@ -28,7 +35,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.api.protocols import PrivateKVS
-from repro.core.bucket_ram import BucketDPRAM, PendingQuery
+from repro.core.bucket_ram import BucketDPRAM
 from repro.core.params import DPKVSParams
 from repro.crypto.encryption import SecretKey
 from repro.crypto.prf import PRF
@@ -203,23 +210,22 @@ class DPKVS(PrivateKVS):
         """Retrieve the exact value for ``user_key``; ``None`` if absent (⊥)."""
         key = self._codec.normalize_key(user_key)
         buckets, real_count = self._query_buckets(key)
-        pending = [self._ram.begin_query(bucket) for bucket in buckets]
-        value = self._find_in_pending(key, pending[:real_count])
+        pending = self._ram.begin_query(buckets)
+        value = self._find(key, pending.contents[:real_count])
         if value is None:
             value = self._super_root.get(key)
-        for handle in pending:
-            self._ram.finish_query(handle, None)
+        self._ram.finish_query(pending)
         self._operations += 1
         return None if value is None else self._values.decode(value)
 
     def get_many(self, keys: Sequence[bytes]) -> list[bytes | None]:
-        """Retrieve ``keys`` in order as one round.
+        """Retrieve ``keys`` in order.
 
-        The PRF bucket choices of every key in the batch are derived in a
-        single :meth:`~repro.crypto.prf.PRF.choices_many` pass against the
-        shared keyed state before the per-key queries run; the queries
-        themselves (and every coin they flip) are identical to sequential
-        :meth:`get` calls.
+        Only the PRF pass is batched: the bucket choices of every key are
+        derived in a single :meth:`~repro.crypto.prf.PRF.choices_many`
+        call against the shared keyed state before the per-key queries
+        run.  The queries themselves (every coin they flip, and the two
+        roundtrips each costs) are those of sequential :meth:`get` calls.
         """
         normalized = [self._codec.normalize_key(key) for key in keys]
         fresh = list(
@@ -246,16 +252,18 @@ class DPKVS(PrivateKVS):
         key = self._codec.normalize_key(user_key)
         value = self._values.encode(user_value)
         buckets, real_count = self._query_buckets(key)
-        pending = [self._ram.begin_query(bucket) for bucket in buckets]
+        pending = self._ram.begin_query(buckets)
         try:
-            updates = self._plan_put(key, value, pending[:real_count])
+            updates = self._plan_put(
+                key, value, pending.contents[:real_count]
+            )
         except CapacityError:  # MappingOverflowError is a subclass
-            # Both download phases already ran: finish them as fake
-            # updates so no bucket stays pending and the server sees the
-            # same two-phase shape as for any other operation.
-            self._finish_with_updates(pending, {})
+            # The download round already ran: finish the batch as a fake
+            # update so it does not stay open and the server sees the
+            # same two-round shape as for any other operation.
+            self._ram.finish_query(pending)
             raise
-        self._finish_with_updates(pending, updates)
+        self._ram.finish_query(pending, updates)
         self._operations += 1
 
     def delete(self, user_key: bytes) -> bool:
@@ -267,10 +275,10 @@ class DPKVS(PrivateKVS):
         """
         key = self._codec.normalize_key(user_key)
         buckets, real_count = self._query_buckets(key)
-        pending = [self._ram.begin_query(bucket) for bucket in buckets]
+        pending = self._ram.begin_query(buckets)
         updates: dict[int, bytes] = {}
         existed = False
-        home = self._locate(key, pending[:real_count])
+        home = self._locate(key, pending.contents[:real_count])
         if home is not None:
             node, entries = home
             remaining = [entry for entry in entries if entry.key != key]
@@ -279,7 +287,7 @@ class DPKVS(PrivateKVS):
         elif key in self._super_root:
             self._super_root.discard(key)
             existed = True
-        self._finish_with_updates(pending, updates)
+        self._ram.finish_query(pending, updates)
         if existed:
             self._size -= 1
         self._operations += 1
@@ -318,10 +326,10 @@ class DPKVS(PrivateKVS):
             cache.pop(next(iter(cache)))
         cache[key] = draws
 
-    def _find_in_pending(
-        self, key: bytes, pending: list[PendingQuery]
+    def _find(
+        self, key: bytes, contents: list[dict[int, bytes]]
     ) -> bytes | None:
-        located = self._locate(key, pending)
+        located = self._locate(key, contents)
         if located is None:
             return None
         _, entries = located
@@ -331,17 +339,17 @@ class DPKVS(PrivateKVS):
         return None
 
     def _locate(
-        self, key: bytes, pending: list[PendingQuery]
+        self, key: bytes, contents: list[dict[int, bytes]]
     ) -> tuple[int, list[NodeEntry]] | None:
         """Find the node holding ``key`` among the downloaded buckets.
 
         Returns ``(node id, decoded entries)`` or ``None``.  Shared nodes
-        appear in both pending queries with identical authoritative
-        contents, so scanning in order is safe.
+        appear in both buckets' contents with identical authoritative
+        plaintext, so scanning in order is safe.
         """
         seen: set[int] = set()
-        for handle in pending:
-            for node, block in handle.contents.items():
+        for bucket_contents in contents:
+            for node, block in bucket_contents.items():
                 if node in seen:
                     continue
                 seen.add(node)
@@ -352,10 +360,10 @@ class DPKVS(PrivateKVS):
         return None
 
     def _plan_put(
-        self, key: bytes, value: bytes, pending: list[PendingQuery]
+        self, key: bytes, value: bytes, contents: list[dict[int, bytes]]
     ) -> dict[int, bytes]:
         """Decide where ``key`` lands and return the node rewrite map."""
-        home = self._locate(key, pending)
+        home = self._locate(key, contents)
         if home is not None:
             node, entries = home
             rewritten = [
@@ -371,7 +379,7 @@ class DPKVS(PrivateKVS):
             raise CapacityError(
                 f"store is at capacity {self._params.n}; cannot insert new key"
             )
-        target = self._storing_algorithm(pending)
+        target = self._storing_algorithm(contents)
         if target is None:
             try:
                 self._super_root.put(key, value)
@@ -379,47 +387,36 @@ class DPKVS(PrivateKVS):
                 raise MappingOverflowError(str(exc)) from exc
             self._size += 1
             return {}
-        entries = self._codec.unpack(self._contents_of(target, pending))
+        block = next(
+            bucket_contents[target]
+            for bucket_contents in contents
+            if target in bucket_contents
+        )
+        entries = self._codec.unpack(block)
         entries.append(NodeEntry(key, value))
         self._size += 1
         return {target: self._codec.pack(entries)}
 
-    def _storing_algorithm(self, pending: list[PendingQuery]) -> int | None:
+    def _storing_algorithm(
+        self, contents: list[dict[int, bytes]]
+    ) -> int | None:
         """Algorithm S: lowest node with free space on either path.
 
-        Pending contents are leaf-first paths, so scanning by height finds
-        the node closest to the leaves; ties at equal height go to the
-        less-loaded node.
+        Bucket contents are keyed in path order, leaf first, so scanning
+        by height finds the node closest to the leaves; ties at equal
+        height go to the less-loaded node.
         """
-        paths = [self._ram.bucket_nodes(handle.bucket) for handle in pending]
+        paths = [list(bucket_contents) for bucket_contents in contents]
         path_length = self._params.shape.path_length
         for height in range(path_length):
             candidates: dict[int, int] = {}
-            for path, handle in zip(paths, pending):
+            for path, bucket_contents in zip(paths, contents):
                 node = path[height]
                 if node in candidates:
                     continue
-                load = len(self._codec.unpack(handle.contents[node]))
+                load = len(self._codec.unpack(bucket_contents[node]))
                 if load < self._codec.capacity:
                     candidates[node] = load
             if candidates:
                 return min(candidates, key=lambda node: (candidates[node], node))
         return None
-
-    def _contents_of(self, node: int, pending: list[PendingQuery]) -> bytes:
-        for handle in pending:
-            if node in handle.contents:
-                return handle.contents[node]
-        raise KeyError(f"node {node} not present in pending queries")
-
-    def _finish_with_updates(
-        self, pending: list[PendingQuery], updates: dict[int, bytes]
-    ) -> None:
-        """Finish both bucket queries, routing each rewrite to every bucket
-        containing the node so shared nodes never diverge."""
-        for handle in pending:
-            nodes = set(self._ram.bucket_nodes(handle.bucket))
-            relevant = {
-                node: block for node, block in updates.items() if node in nodes
-            }
-            self._ram.finish_query(handle, relevant if relevant else None)

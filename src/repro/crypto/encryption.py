@@ -166,13 +166,16 @@ def _keystreams(
     return b"".join(streams)
 
 
-def encrypt_many(
-    key: SecretKey, plaintexts: Sequence[bytes], rng: RandomSource
+def _seal_many(
+    key: SecretKey, nonces: bytes, plaintexts: Sequence[bytes]
 ) -> list[bytes]:
-    """Encrypt a batch; bit-identical to a sequential :func:`encrypt` loop."""
-    if not plaintexts:
-        return []
-    nonces = rng.bytes(len(plaintexts) * NONCE_SIZE)
+    """Seal ``plaintexts`` under already-drawn ``nonces`` (joined, in order).
+
+    The one sealing loop: :func:`encrypt_many` draws the nonces and
+    seals at once, the bucket DP-RAM draws them with the rest of a
+    query's coins before its download round and seals after it.  The
+    caller owes a fresh ``NONCE_SIZE`` bytes per plaintext.
+    """
     # One whole-batch XOR: cheaper than a word-wise XOR per block.
     mixed = _xor(b"".join(plaintexts), _keystreams(key, nonces, plaintexts))
     out: list[bytes] = []
@@ -184,6 +187,17 @@ def encrypt_many(
         position += NONCE_SIZE
         offset = end
     return out
+
+
+def encrypt_many(
+    key: SecretKey, plaintexts: Sequence[bytes], rng: RandomSource
+) -> list[bytes]:
+    """Encrypt a batch; bit-identical to a sequential :func:`encrypt` loop."""
+    if not plaintexts:
+        return []
+    return _seal_many(
+        key, rng.bytes(len(plaintexts) * NONCE_SIZE), plaintexts
+    )
 
 
 def decrypt_many(key: SecretKey, ciphertexts: Sequence[bytes]) -> list[bytes]:

@@ -69,6 +69,7 @@ _STORAGE_CALLS = frozenset(
         "put_many",
         "delete",
         "begin_query",
+        "finish_query",
         "fan_out",
     }
 )

@@ -573,7 +573,10 @@ def experiment_e14_response_times(
     ORAM/PIR for heavily-trafficked systems.
     """
     from repro.baselines.recursive_oram import RecursivePathORAM
+    from repro.storage.backends import NetworkBackendFactory
     from repro.storage.network import LAN, MOBILE, WAN
+    from repro.workloads.kv_traces import KVOperation, KVTrace
+    from repro.workloads.trace import OpKind
 
     table = ExperimentTable(
         experiment="E14",
@@ -602,11 +605,33 @@ def experiment_e14_response_times(
     recursive_metrics = run_ram_trace(recursive, trace, initial=database)
     pir = LinearScanPIR(database)
     pir_metrics = run_ir_trace(pir, read_trace, expected=database)
+    # The third primitive runs the same trace with record i as a key, over
+    # a simulated link that counts the roundtrips it was asked for.
+    link = NetworkBackendFactory(LAN)
+    dpkvs = DPKVS(
+        n,
+        value_size=len(database[0]),
+        rng=rng.spawn("e14-k"),
+        backend_factory=link,
+    )
+    kv_trace = KVTrace(
+        [
+            KVOperation.put(b"record-%d" % op.index, op.value)
+            if op.kind is OpKind.WRITE
+            else KVOperation.get(b"record-%d" % op.index)
+            for op in trace
+        ],
+        name=trace.name,
+    )
+    dpkvs_metrics = run_kv_trace(dpkvs, kv_trace)
+    assert dpkvs_metrics.mismatches == 0
 
     entries = [
         ("plaintext", 1, plain_metrics.blocks_per_operation),
         ("DP-IR (alpha=0.05)", 1, dpir_metrics.blocks_per_operation),
         ("DP-RAM", 2, dpram_metrics.blocks_per_operation),
+        ("DP-KVS", link.roundtrips // dpkvs_metrics.operations,
+         dpkvs_metrics.blocks_per_operation),
         ("Path ORAM", 2, oram_metrics.blocks_per_operation),
         ("recursive ORAM", recursive.roundtrips_per_access,
          recursive_metrics.blocks_per_operation),
@@ -622,6 +647,10 @@ def experiment_e14_response_times(
     table.add_note(
         f"link models: LAN 0.5ms/10Gbps, WAN 40ms/100Mbps, mobile "
         f"80ms/20Mbps; {block_bytes}-byte blocks at n={n}"
+    )
+    table.add_note(
+        "DP-KVS roundtrips and blocks are measured on the link: one fused "
+        "download round and one upload round of tree-node blocks"
     )
     return table
 

@@ -95,11 +95,25 @@ class TestClusterRetrievalProperties:
 # ledger or a report can see of a seeded faulty history must not move.
 
 
+def _sorted_per_query(transcript):
+    """A view reduced to its per-(query, server) sorted events.
+
+    What is left when the order of events *within* one client query is
+    forgotten — the event multiset a DP analysis over ``(d_j, o_j)``
+    depends on — while the order of queries is kept.
+    """
+    return tuple(sorted(
+        transcript.signature(),
+        key=lambda event: (event[3], event[1], event[0], event[2]),
+    ))
+
+
 class _History:
     """Collects what one seeded cluster history exposed."""
 
-    def __init__(self, cluster):
+    def __init__(self, cluster, view=Transcript.signature):
         self.cluster = cluster
+        self._view = view
         self.seen = []
         self._transcripts = []
         self._attach()
@@ -118,13 +132,13 @@ class _History:
         """Run a migration; the old servers' views are final after it."""
         old = self._transcripts
         report = operation(*args)
-        self.note([transcript.signature() for transcript in old])
+        self.note([self._view(transcript) for transcript in old])
         self.note(report)
         self._attach()
 
     def fingerprint(self):
         cluster = self.cluster
-        self.note([t.signature() for t in self._transcripts])
+        self.note([self._view(t) for t in self._transcripts])
         self.note(cluster.ledger.report())
         self.note(sorted(cluster.fault_counters().items()))
         self.note(cluster.serial_operations())
@@ -178,7 +192,7 @@ def _ir_history_fingerprint(base, executor):
         return history.fingerprint()
 
 
-def _kvs_history_fingerprint(executor):
+def _kvs_history_fingerprint(executor, view=Transcript.signature):
     coins = random.Random(7)
     keys = [f"key-{i:02d}".encode() for i in range(24)]
     with ClusterKVS(
@@ -191,7 +205,7 @@ def _kvs_history_fingerprint(executor):
         executor=executor,
         tracer=Tracer("pin"),
     ) as cluster:
-        history = _History(cluster)
+        history = _History(cluster, view)
 
         def traffic(ops):
             for _ in range(ops):
@@ -229,13 +243,31 @@ _IR_PINS = {
         "cb43048c83f9fb0dc772bf550acf1d12c004359b76cfae0bb518a70d31e38a7e",
 }
 
+# Re-pinned when DP-KVS went from six storage rounds per operation to
+# two: ``Transcript.signature()`` is ordered, and an operation's events now
+# read R(d1 d2 o1 o2) W(o1 o2) instead of R d1, R d2, R o1, W o1, R o2,
+# W o2.  Nothing else these pins hash moved — ``_KVS_UNORDERED_PINS``
+# below, taken over the same history before that change, still holds.
 _KVS_PINS = {
     "serial":
-        "c4e361eccc4d9aab11d1e9d23d05b228c0050363394f28872cf4fff056f4173e",
+        "2eac67a76aa4192711c127bd2360ad816805f3bf3becd037ecf3be61d8a72205",
     "parallel":
-        "d4513701cc9c44a16c76571d9372feee551f59fdc06bff94928711f48fdb2a15",
+        "d0210b4f3c25fe609a120330d0c09cd5ce2e9fc4c71cfd24f81e5575c0bebd32",
     "simulated":
-        "d4513701cc9c44a16c76571d9372feee551f59fdc06bff94928711f48fdb2a15",
+        "d0210b4f3c25fe609a120330d0c09cd5ce2e9fc4c71cfd24f81e5575c0bebd32",
+}
+
+# The same KVS history with every transcript reduced to its
+# per-(query, server) sorted events.  Computed at the commit before
+# DP-KVS fused its six storage rounds into two, and equal after it: the
+# fusion reorders events inside one client query and changes nothing else.
+_KVS_UNORDERED_PINS = {
+    "serial":
+        "a185b7ba2078555ff8916dbf47d89bab51e528368a88bb9ba79e4b00f27064db",
+    "parallel":
+        "b5a594aed9ed110c55fd402199de634611ab4d5a991a2edd64aec045a2196b65",
+    "simulated":
+        "b5a594aed9ed110c55fd402199de634611ab4d5a991a2edd64aec045a2196b65",
 }
 
 
@@ -250,3 +282,12 @@ class TestSeededHistoryPins:
     @pytest.mark.parametrize("executor", sorted(_KVS_PINS))
     def test_cluster_kvs_history_is_pinned(self, executor):
         assert _kvs_history_fingerprint(executor) == _KVS_PINS[executor]
+
+    @pytest.mark.parametrize("executor", sorted(_KVS_UNORDERED_PINS))
+    def test_cluster_kvs_history_is_pinned_up_to_order_in_a_query(
+        self, executor
+    ):
+        assert (
+            _kvs_history_fingerprint(executor, _sorted_per_query)
+            == _KVS_UNORDERED_PINS[executor]
+        )

@@ -5,9 +5,14 @@ change answers.  Hypothesis drives random operation sequences against
 DP-RAM, Path ORAM, BucketDPRAM and DP-KVS, comparing against plain dicts.
 """
 
+import dataclasses
 import hashlib
 import random
+import types
+from typing import Mapping
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,9 +22,13 @@ from repro.baselines.recursive_oram import RecursivePathORAM
 from repro.core.bucket_ram import BucketDPRAM
 from repro.core.dp_kvs import DPKVS
 from repro.core.dp_ram import DPRAM
+from repro.crypto.encryption import decrypt_many, encrypt_many
 from repro.crypto.rng import SeededRandomSource
+from repro.storage.backends import NetworkBackendFactory
 from repro.storage.blocks import encode_int, integer_database
-from repro.storage.errors import RetrievalError
+from repro.storage.errors import RetrievalError, StorageError
+from repro.storage.network import LAN
+from repro.storage.transcript import Transcript
 
 
 N = 12
@@ -269,6 +278,303 @@ class TestPathORAMPlacementIdentity:
         assert hashlib.sha256(b"".join(_server_image(store))).hexdigest() == (
             "30165f7bb0aa2de6dad8a12638e9570d96db5ddc3b77bf00975912b9714cd708"
         )
+
+
+@dataclasses.dataclass
+class _SequentialHandle:
+    """The ``PendingQuery`` of the sequential bucket DP-RAM, verbatim."""
+
+    bucket: int
+    download_bucket: int
+    contents: dict
+    _finished: bool = False
+
+
+class SequentialBucketDPRAM(BucketDPRAM):
+    """The two phases ``BucketDPRAM`` shipped before the round fusion.
+
+    Kept verbatim as the oracle: one bucket per ``begin_query``, each
+    query a download round, an overwrite-download round and an upload
+    round, every coin drawn where it is used.  ``BucketDPRAM`` must
+    reproduce its every answer, coin and stored byte in two rounds.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._pending = set()
+
+    def begin_query(self, bucket: int) -> "_SequentialHandle":
+        """Run the download phase for ``bucket``.
+
+        Returns a :class:`PendingQuery` carrying the authoritative contents
+        of every node of the bucket; pass it to :meth:`finish_query` to run
+        the overwrite phase.
+        """
+        if not 0 <= bucket < len(self._buckets):
+            raise RetrievalError(
+                f"bucket {bucket} out of range for {len(self._buckets)}"
+            )
+        if bucket in self._pending:
+            raise RetrievalError(
+                f"bucket {bucket} already has an unfinished query; "
+                "interleaved queries must target distinct buckets"
+            )
+        self._pending.add(bucket)
+        self._server.begin_query(self._queries)
+        nodes = self._buckets[bucket]
+        if bucket in self._stashed:
+            download_bucket = self._rng.randbelow(len(self._buckets))
+            # Cover traffic, discarded — one batched round for the bucket.
+            self._server.read_many(self._buckets[download_bucket])
+            contents = {node: self._overlay[node] for node in nodes}
+            self._stashed.remove(bucket)
+            for node in nodes:
+                self._unpin(node)
+            # Overlay entries persist: the server copies are still stale
+            # until the overwrite phase uploads fresh ciphertexts.
+        else:
+            download_bucket = bucket
+            contents = {}
+            ciphertexts = self._server.read_many(nodes)
+            plaintexts = iter(
+                decrypt_many(
+                    self._key,
+                    [
+                        ciphertext
+                        for node, ciphertext in zip(nodes, ciphertexts)
+                        if node not in self._overlay
+                    ],
+                )
+            )
+            for node in nodes:
+                if node in self._overlay:
+                    contents[node] = self._overlay[node]
+                else:
+                    contents[node] = next(plaintexts)
+        return _SequentialHandle(
+            bucket=bucket, download_bucket=download_bucket, contents=contents
+        )
+
+    def finish_query(
+        self,
+        pending: "_SequentialHandle",
+        new_contents: Mapping[int, bytes] | None = None,
+    ) -> None:
+        """Run the overwrite phase.
+
+        Args:
+            pending: the handle returned by :meth:`begin_query`.
+            new_contents: replacement plaintext for any subset of the
+                bucket's nodes; omitted nodes keep their downloaded
+                contents.  ``None`` performs a fake update (contents
+                unchanged), which is what read operations use.
+        """
+        if pending._finished:
+            raise RetrievalError("finish_query called twice on the same handle")
+        bucket = pending.bucket
+        nodes = self._buckets[bucket]
+        contents = dict(pending.contents)
+        if new_contents is not None:
+            for node, block in new_contents.items():
+                if node not in contents:
+                    raise StorageError(
+                        f"node {node} is not part of bucket {bucket}"
+                    )
+                contents[node] = bytes(block)
+        # Only a validated call consumes the handle: a rejected one leaves
+        # it open, so the caller can still run the overwrite phase.
+        pending._finished = True
+        self._pending.discard(bucket)
+
+        # Both overwrite branches move a whole bucket: one batched
+        # download round, then one batched upload round (the per-query
+        # event multiset is unchanged; only the within-query interleaving
+        # goes from read/write per node to reads-then-writes).
+        if self._rng.random() < self._p:
+            # Re-stash the queried bucket; cover-rewrite a random bucket.
+            self._stashed.add(bucket)
+            for node in nodes:
+                self._overlay[node] = contents[node]
+                self._pin(node)
+            overwrite_bucket = self._rng.randbelow(len(self._buckets))
+            overwrite_nodes = self._buckets[overwrite_bucket]
+            ciphertexts = self._server.read_many(overwrite_nodes)
+            # Decrypts consume no client randomness, so hoisting them
+            # ahead of the whole-bucket bulk re-encrypt preserves the
+            # rng draw order of the per-node formulation exactly.
+            plaintexts = iter(
+                decrypt_many(
+                    self._key,
+                    [
+                        ciphertext
+                        for node, ciphertext in zip(overwrite_nodes, ciphertexts)
+                        if node not in self._overlay
+                    ],
+                )
+            )
+            authoritative = [
+                self._overlay[node]
+                if node in self._overlay
+                else next(plaintexts)
+                for node in overwrite_nodes
+            ]
+            self._server.write_many(
+                list(
+                    zip(
+                        overwrite_nodes,
+                        encrypt_many(self._key, authoritative, self._rng),
+                    )
+                )
+            )
+            for node in overwrite_nodes:
+                self._evict_if_unpinned(node)
+        else:
+            overwrite_bucket = bucket
+            self._server.read_many(nodes)  # downloaded and discarded
+            self._server.write_many(
+                list(
+                    zip(
+                        nodes,
+                        encrypt_many(
+                            self._key,
+                            [contents[node] for node in nodes],
+                            self._rng,
+                        ),
+                    )
+                )
+            )
+            for node in nodes:
+                if node in self._overlay:
+                    # A stashed sibling pins this node; keep the overlay in
+                    # sync with the value just uploaded.
+                    self._overlay[node] = contents[node]
+                self._evict_if_unpinned(node)
+
+        self._note_peak()
+        self._pairs.append((pending.download_bucket, overwrite_bucket))
+        self._queries += 1
+
+
+class _SequentialBatches:
+    """The batch interface over the oracle, driven as the sequential
+    DP-KVS drove it: every download phase, then every overwrite phase,
+    each rewrite routed to every bucket holding the node."""
+
+    def __init__(self, *args, **kwargs):
+        self._ram = SequentialBucketDPRAM(*args, **kwargs)
+
+    def begin_query(self, buckets):
+        handles = [self._ram.begin_query(bucket) for bucket in buckets]
+        return types.SimpleNamespace(
+            handles=handles, contents=[handle.contents for handle in handles]
+        )
+
+    def finish_query(self, pending, new_contents=None):
+        for handle in pending.handles:
+            relevant = {
+                node: block
+                for node, block in (new_contents or {}).items()
+                if node in handle.contents
+            }
+            self._ram.finish_query(handle, relevant if relevant else None)
+
+    def __getattr__(self, name):
+        return getattr(self._ram, name)
+
+
+def _ram_state(ram, transcript):
+    """Everything the fusion must leave where the oracle puts it, but
+    for the order of one query's events."""
+    by_query = {}
+    for event in transcript.signature():
+        by_query.setdefault(event[3], []).append(event)
+    return (
+        ram.transcript_pairs,
+        _server_image(ram),
+        ram._overlay,
+        ram._stashed,
+        ram._pins,
+        ram.client_peak_blocks,
+        (ram.server.reads, ram.server.writes),
+        {query: sorted(events) for query, events in by_query.items()},
+    )
+
+
+# Differing bucket lengths move the nonce draws; buckets 0 and 1 of the
+# second repertoire are one node set under two ids.
+_REPERTOIRES = {
+    "shared-ancestor": (7, [(0, 4, 6), (1, 4, 6), (2, 5, 6), (3, 5, 6)]),
+    "identical-buckets": (6, [(0, 1, 2), (0, 1, 2), (3, 1, 2), (4,), (5, 2)]),
+}
+
+
+class TestBucketRAMRoundFusionIdentity:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("p", [0.05, 0.5, 1.0])
+    @pytest.mark.parametrize("repertoire", sorted(_REPERTOIRES))
+    def test_batches_match_the_sequential_oracle(self, repertoire, p, seed):
+        node_count, buckets = _REPERTOIRES[repertoire]
+        blocks = [bytes([node]) * 6 for node in range(node_count)]
+        fused, oracle = rams = [
+            build(blocks, buckets, p, rng=SeededRandomSource(seed))
+            for build in (BucketDPRAM, _SequentialBatches)
+        ]
+        plan = random.Random(seed)
+        for step in range(300):
+            batch = plan.sample(range(len(buckets)), plan.randint(1, 3))
+            nodes = sorted({node for b in batch for node in buckets[b]})
+            updates = {
+                node: bytes([step % 256, node]) * 3
+                for node in plan.sample(nodes, plan.randint(0, len(nodes)))
+            }
+            answers, states = [], []
+            for ram in rams:
+                transcript = Transcript()
+                ram.server.attach_transcript(transcript)
+                pending = ram.begin_query(batch)
+                answers.append(pending.contents)
+                ram.finish_query(pending, updates)
+                states.append(_ram_state(ram, transcript))
+            assert answers[0] == answers[1]
+            assert states[0] == states[1]
+        assert fused._rng.random() == oracle._rng.random()
+
+    @pytest.mark.parametrize("capacity", [64, 256, 4096])
+    def test_dp_kvs_matches_the_sequential_oracle(self, capacity):
+        fused = DPKVS(capacity, rng=SeededRandomSource(capacity))
+        with mock.patch("repro.core.dp_kvs.BucketDPRAM", _SequentialBatches):
+            oracle = DPKVS(capacity, rng=SeededRandomSource(capacity))
+        assert isinstance(oracle._ram, _SequentialBatches)
+        transcripts = [Transcript(), Transcript()]
+        for store, transcript in zip((fused, oracle), transcripts):
+            store.server.attach_transcript(transcript)
+        plan = random.Random(capacity)
+        for step in range(600):
+            key = b"key-%05d" % plan.randrange(capacity)
+            roll = plan.random()
+            if roll < 0.5:
+                value = b"value-%06d" % step
+                assert fused.put(key, value) == oracle.put(key, value)
+            elif roll < 0.85:
+                assert fused.get(key) == oracle.get(key)
+            else:
+                assert fused.delete(key) == oracle.delete(key)
+        assert _ram_state(fused._ram, transcripts[0]) == _ram_state(
+            oracle._ram, transcripts[1]
+        )
+        assert fused.client_peak_blocks == oracle.client_peak_blocks
+        assert fused.size == oracle.size
+        assert fused._ram._rng.random() == oracle._ram._rng.random()
+        assert fused._rng.random() == oracle._rng.random()
+
+    def test_two_roundtrips_per_operation(self):
+        factory = NetworkBackendFactory(LAN)
+        store = DPKVS(256, rng=SeededRandomSource(3), backend_factory=factory)
+        for step in range(50):
+            store.put(b"key-%03d" % (step % 20), b"value-%03d" % step)
+            store.get(b"key-%03d" % (step % 31))
+            store.delete(b"key-%03d" % (step % 7))
+        assert factory.roundtrips == 2 * store.operation_count == 300
 
 
 class TestBucketDPRAMModel:

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.core.bucket_ram import BucketDPRAM
+from repro.storage.backends import NetworkBackendFactory
 from repro.storage.errors import RetrievalError, StorageError
+from repro.storage.faults import ServerFault
+from repro.storage.network import LAN
 
 
 def _blocks(count, size=8):
@@ -78,34 +81,50 @@ class TestQueryLifecycle:
 
     def test_finish_twice_rejected(self, rng):
         ram = _disjoint_ram(rng)
-        pending = ram.begin_query(0)
+        pending = ram.begin_query([0])
         ram.finish_query(pending)
         with pytest.raises(RetrievalError):
             ram.finish_query(pending)
 
     def test_update_to_foreign_node_rejected(self, rng):
         ram = _disjoint_ram(rng)
-        pending = ram.begin_query(0)
+        pending = ram.begin_query([0])
         with pytest.raises(StorageError):
             ram.finish_query(pending, {5: b"not-in-bucket"})
         # The rejected call consumed nothing: the same handle still runs
-        # the overwrite phase and releases the bucket.
+        # the upload round and closes the batch.
         ram.finish_query(pending, {0: b"in-bucket"})
         assert ram.query(0)[0] == b"in-bucket"
         assert len(ram.transcript_pairs) == 2
 
+    def test_query_with_foreign_node_still_closes_the_batch(self, rng):
+        ram = _disjoint_ram(rng)
+        with pytest.raises(StorageError):
+            ram.query(0, {5: b"not-in-bucket"})
+        # The download round had run: it was finished as a read.
+        assert len(ram.transcript_pairs) == 1
+        assert ram.query(0) == {0: _blocks(8)[0], 1: _blocks(8)[1]}
+
     def test_bucket_out_of_range(self, rng):
         ram = _disjoint_ram(rng)
         with pytest.raises(RetrievalError):
-            ram.begin_query(9)
-
-    def test_double_begin_same_bucket_rejected(self, rng):
-        ram = _disjoint_ram(rng)
-        pending = ram.begin_query(0)
+            ram.begin_query([9])
         with pytest.raises(RetrievalError):
-            ram.begin_query(0)
+            ram.begin_query([])
+
+    def test_repeated_bucket_in_a_batch_rejected(self, rng):
+        ram = _disjoint_ram(rng)
+        with pytest.raises(RetrievalError):
+            ram.begin_query([0, 0])
+        ram.query(0)  # the rejected batch was never opened
+
+    def test_second_open_batch_rejected(self, rng):
+        ram = _disjoint_ram(rng)
+        pending = ram.begin_query([0])
+        with pytest.raises(RetrievalError):
+            ram.begin_query([1])  # even over other buckets
         ram.finish_query(pending)
-        ram.begin_query(0)  # allowed again once finished
+        ram.finish_query(ram.begin_query([1]))  # allowed once finished
 
 
 class TestOverlapConsistency:
@@ -137,26 +156,82 @@ class TestOverlapConsistency:
         assert ram.query(0)[0] == b"bucket0!"
 
 
-class TestInterleavedPhases:
-    def test_two_pending_queries(self, rng):
+class TestTwoBucketBatch:
+    def test_two_buckets_one_batch(self, rng):
         ram = _disjoint_ram(rng)
-        first = ram.begin_query(0)
-        second = ram.begin_query(1)
-        assert first.contents[0] == _blocks(8)[0]
-        assert second.contents[2] == _blocks(8)[2]
-        ram.finish_query(first, {0: b"newA0000"})
-        ram.finish_query(second, {2: b"newB0000"})
+        pending = ram.begin_query([0, 1])
+        first, second = pending.contents
+        assert first[0] == _blocks(8)[0]
+        assert second[2] == _blocks(8)[2]
+        ram.finish_query(pending, {0: b"newA0000", 2: b"newB0000"})
         assert ram.query(0)[0] == b"newA0000"
         assert ram.query(1)[2] == b"newB0000"
+        assert len(ram.transcript_pairs) == 4
 
-    def test_interleaved_with_shared_node(self, rng):
+    def test_batch_with_shared_node(self, rng):
         ram = _overlapping_ram(rng)
-        first = ram.begin_query(0)
-        second = ram.begin_query(1)
-        # The KVS writes the same authoritative value through both handles.
-        ram.finish_query(first, {6: b"JOINT-v2"})
-        ram.finish_query(second, {6: b"JOINT-v2"})
+        pending = ram.begin_query([0, 1])
+        # One rewrite reaches the node through both buckets of the batch.
+        ram.finish_query(pending, {6: b"JOINT-v2"})
         assert ram.query(2)[6] == b"JOINT-v2"
+
+    def test_batch_is_two_rounds(self, rng):
+        factory = NetworkBackendFactory(LAN)
+        ram = BucketDPRAM(_blocks(7), [(0, 1, 6), (2, 3, 6), (4, 5, 6)],
+                          stash_probability=0.5, rng=rng.spawn("rounds"),
+                          backend_factory=factory)
+        pending = ram.begin_query([0, 1])
+        assert factory.roundtrips == 1
+        ram.finish_query(pending, {6: b"JOINT-v2"})
+        assert factory.roundtrips == 2
+        ram.query(2)
+        assert factory.roundtrips == 4
+
+
+def _client_state(ram):
+    return (
+        set(ram._stashed), dict(ram._overlay), dict(ram._pins), ram._pending,
+        ram.transcript_pairs, ram.query_count, ram.client_peak_blocks,
+    )
+
+
+class TestFaultedRounds:
+    @pytest.mark.parametrize("p", [1e-12, 1.0])
+    def test_faulted_download_round_leaves_the_client_untouched(
+        self, rng, fail_rounds, p
+    ):
+        # p = 1: both buckets are stashed, so an opened batch would
+        # unstash and unpin them.
+        ram = _overlapping_ram(rng, p)
+        before = _client_state(ram)
+        fail_rounds(ram, True)
+        with pytest.raises(ServerFault):
+            ram.begin_query([0, 1])
+        assert _client_state(ram) == before
+        assert ram.query(0) == {n: _blocks(7)[n] for n in (0, 1, 6)}
+
+    def test_faulted_upload_round_keeps_the_client_copy(
+        self, rng, fail_rounds
+    ):
+        ram = _overlapping_ram(rng, p=1e-12)
+        fail_rounds(ram, False, True)
+        pending = ram.begin_query([0, 1])
+        with pytest.raises(ServerFault):
+            ram.finish_query(pending, {6: b"SHAREDv2", 0: b"bucket0!"})
+        # The handle is consumed and every plaintext of the failed
+        # upload is still on the client.
+        with pytest.raises(RetrievalError):
+            ram.finish_query(pending)
+        assert ram._pending is None
+        assert set(ram._overlay) == {0, 1, 2, 3, 6}
+        assert ram.query(2)[6] == b"SHAREDv2"
+        assert ram.query(0)[0] == b"bucket0!"
+        # Each later upload that lands evicts its nodes as usual.
+        ram.query(1)
+        assert ram.client_blocks == 0
+        assert ram.query(1) == {
+            2: _blocks(7)[2], 3: _blocks(7)[3], 6: b"SHAREDv2"
+        }
 
 
 class TestTranscriptShape:

@@ -4,7 +4,9 @@ import math
 
 import pytest
 
+import repro
 from repro.analysis.datasheet import PrivacyDatasheet, datasheet_for
+from repro.api.protocols import PrivateIR, PrivateKVS
 from repro.baselines.linear_pir import LinearScanPIR
 from repro.baselines.path_oram import PathORAM
 from repro.core.batch_ir import BatchDPIR
@@ -116,6 +118,42 @@ class TestRendering:
         assert dpram.blocks_per_query < oram.blocks_per_query < \
             pir.blocks_per_query
         assert pir.epsilon <= oram.epsilon <= dpram.epsilon
+
+
+def _schemes_with_a_datasheet():
+    names = []
+    for name in repro.available_schemes():
+        try:
+            datasheet_for(repro.build(name, n=N, seed=0))
+        except TypeError:
+            continue
+        names.append(name)
+    return names
+
+
+class TestDeclaredRoundtripsAreMeasured:
+    @pytest.mark.parametrize("name", _schemes_with_a_datasheet())
+    def test_sheet_roundtrips_match_the_network_backend(self, name):
+        scheme = repro.build(
+            name, n=N, seed=7, backend="network", network="lan"
+        )
+        operations = 40
+        for step in range(operations):
+            if isinstance(scheme, PrivateKVS):
+                if step % 2:
+                    scheme.put(b"key-%d" % (step % 7), b"value-%d" % step)
+                else:
+                    scheme.get(b"key-%d" % (step % 5))
+            elif isinstance(scheme, PrivateIR):
+                scheme.query(step % N)
+            else:
+                scheme.read(step % N)
+        # Independent servers are contacted concurrently, so an operation
+        # waits for its busiest server, not for the sum.
+        busiest = max(
+            server.backend.roundtrips for server in scheme.servers()
+        )
+        assert datasheet_for(scheme).roundtrips * operations == busiest
 
 
 class TestDatasheetDataclass:

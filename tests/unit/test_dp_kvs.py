@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro
 from repro.core.dp_kvs import DPKVS
 from repro.crypto.rng import SeededRandomSource
 from repro.storage.errors import (
@@ -9,6 +10,7 @@ from repro.storage.errors import (
     CapacityError,
     MappingOverflowError,
 )
+from repro.storage.faults import ServerFault
 
 
 @pytest.fixture
@@ -80,8 +82,8 @@ class TestBasicOperations:
             store.put(b"extra", b"v")
 
     def test_refused_put_finishes_both_queries(self):
-        # The refusal comes after both download phases; it must still run
-        # both overwrite phases, or the two buckets stay pending forever.
+        # The refusal comes after the download round; it must still run
+        # the upload round, or the batch stays open forever.
         store = DPKVS(8, key_size=8, value_size=8,
                       rng=SeededRandomSource(1))
         stored = {f"k{i}".encode(): f"v{i}".encode() for i in range(8)}
@@ -91,7 +93,7 @@ class TestBasicOperations:
         operations = store.operation_count
         with pytest.raises(CapacityError):
             store.put(b"extra", b"v")
-        assert store._ram._pending == set()
+        assert store._ram._pending is None
         assert len(store.transcript_pairs) == pairs + 2
         assert store.size == 8
         assert store.operation_count == operations
@@ -109,7 +111,7 @@ class TestBasicOperations:
                 store.put(f"key{i}".encode(), b"v")
                 stored.append(f"key{i}".encode())
         pairs = len(store.transcript_pairs)
-        assert store._ram._pending == set()
+        assert store._ram._pending is None
         assert pairs == 2 * (len(stored) + 1)
         assert store.size == len(stored)
         assert store.super_root_size == 1
@@ -122,6 +124,30 @@ class TestBasicOperations:
         store.put(b"b", b"2")
         store.put(b"a", b"3")  # update, not insert
         assert store.get(b"a").rstrip(b"\x00") == b"3"
+
+
+class TestTransientFaults:
+    def test_faulted_get_does_not_brick_the_buckets(self, fail_rounds):
+        store = repro.build("dp_kvs", n=256, seed=5)
+        store.put(b"key", b"value")
+        fail_rounds(store, True)
+        with pytest.raises(ServerFault):
+            store.get(b"key")
+        assert store.get(b"key") == b"value"
+        store.put(b"key", b"other")
+        assert store.get(b"key") == b"other"
+
+    def test_get_after_faulted_put_is_never_garbage(self, fail_rounds):
+        store = repro.build("dp_kvs", n=256, seed=5)
+        store.put(b"key", b"old")
+        fail_rounds(store, False, True, False, False, False, True)
+        with pytest.raises(ServerFault):
+            store.put(b"key", b"new")
+        assert store.get(b"key") in (b"old", b"new")
+        with pytest.raises(ServerFault):
+            store.put(b"fresh", b"new")
+        assert store.get(b"fresh") in (None, b"new")
+        assert store.get(b"key") in (b"old", b"new")
 
 
 class TestKeyValueNormalization:
