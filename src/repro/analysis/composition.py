@@ -6,17 +6,15 @@ to account for the ``k(n)`` bucket queries each KVS operation performs:
 included for users who run long query sequences and want the
 ``√k`` accounting instead.
 
-Where a composed total feeds an *accounting guarantee* (the ledgers, the
-cluster's lifetime budget across reshard epochs), use the exact
-:func:`compose_totals_exact`: it sums :class:`fractions.Fraction`
-charges without float drift, per the ``float-budget`` lint rule.
+These are float-native reporting figures.  Where a composed total feeds
+an *accounting guarantee* (a cap, a cluster's lifetime budget across
+reshard epochs) it comes from the ledgers' exact draw tables
+(:mod:`repro.analysis.ledger`), per the ``float-budget`` lint rule.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Iterable
 
 
 def basic_composition(
@@ -25,31 +23,6 @@ def basic_composition(
     """Sequential composition: ``k`` mechanisms are ``(k·ε, k·δ)``-DP."""
     _check(epsilon, delta, queries)
     return queries * epsilon, queries * delta
-
-
-def compose_totals_exact(
-    charges: Iterable[tuple[float | Fraction, float | Fraction]],
-) -> tuple[Fraction, Fraction]:
-    """Sequential composition of heterogeneous mechanisms, exactly.
-
-    Each charge is an ``(ε, δ)`` pair; the composed mechanism is
-    ``(Σε, Σδ)``-DP.  Sums are accumulated as exact rationals — this is
-    the primitive the ledgers use to compose per-shard spends and to
-    carry a cluster's budget across reshard epochs without drift.
-
-    Raises:
-        ValueError: on a negative ε or a δ outside ``[0, 1]``.
-    """
-    epsilon_total = Fraction(0)
-    delta_total = Fraction(0)
-    for epsilon, delta in charges:
-        if epsilon < 0:
-            raise ValueError(f"epsilon must be non-negative, got {epsilon}")
-        if not 0 <= delta <= 1:
-            raise ValueError(f"delta must be in [0, 1], got {delta}")
-        epsilon_total += Fraction(epsilon)
-        delta_total += Fraction(delta)
-    return epsilon_total, delta_total
 
 
 def advanced_composition_epsilon(

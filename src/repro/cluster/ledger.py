@@ -16,16 +16,19 @@ Reshard epochs compose.  A migration rebuilds the shard groups, but the
 traffic the *old* layout served was still seen by its operators — a
 cluster's privacy spend is monotone over its lifetime.  The ledger
 therefore carries every drained epoch's exact per-operator totals
-forward (composed via
-:func:`repro.analysis.composition.compose_totals_exact`) and reports
-lifetime budgets; per-shard figures for the current epoch remain
-available in :attr:`ClusterBudgetReport.per_shard`.  Operators are
-matched across epochs by shard id: the operator who ran shard ``i``
-before a reshard runs shard ``i`` after it (extra operators from a
-shrunk layout keep their historical spend).
+forward and reports lifetime budgets; per-shard figures for the current
+epoch remain available in :attr:`ClusterBudgetReport.per_shard`.
+Operators are matched across epochs by shard id: the operator who ran
+shard ``i`` before a reshard runs shard ``i`` after it (extra operators
+from a shrunk layout keep their historical spend).
 
-All totals accumulate as :class:`fractions.Fraction` and convert to
-float only in the report, per the ``float-budget`` lint rule.
+Exactness: the ledger stands on the integer spend core of
+:mod:`repro.analysis.ledger` — per shard one ``{(ε, δ): draws}`` table
+for the current epoch (the one :meth:`ClusterLedger.shard_ledger` reads)
+plus the operator's carried :class:`fractions.Fraction` totals.  A charge
+is one dict update; ``Fraction``s are made only in the report, under a
+cap, when an epoch is carried and for timeline events, and floats only
+in the report, per the ``float-budget`` lint rule.
 
 The cross-shard *routing* channel (which shard a query went to) is not
 a DP-protected quantity; see the :mod:`repro.cluster` package docstring
@@ -36,18 +39,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
-from repro.analysis.composition import compose_totals_exact
 from repro.analysis.ledger import (
-    CAP_SLACK,
-    BudgetExceededError,
     BudgetReport,
+    Number,
     PrivacyLedger,
+    _Account,
+    _SpendCore,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a hard dep
-    from repro.obs.timeline import BudgetTimeline
 
 
 @dataclass(frozen=True)
@@ -84,7 +83,7 @@ class ClusterBudgetReport:
     epochs: int = 1
 
 
-class ClusterLedger:
+class ClusterLedger(_SpendCore):
     """Running (ε, δ) account for a sharded deployment.
 
     Args:
@@ -107,35 +106,40 @@ class ClusterLedger:
     def __init__(
         self,
         shard_count: int,
-        epsilon_cap: float | Fraction | None = None,
+        epsilon_cap: Number | None = None,
         delta_slack: float = 1e-9,
         carried_from: "ClusterLedger | None" = None,
     ) -> None:
         if shard_count <= 0:
-            raise ValueError(
-                f"shard count must be positive, got {shard_count}"
-            )
-        # Per-shard caps are enforced here against lifetime spend, so
-        # the epoch-scoped PrivacyLedgers stay uncapped.
-        self._cap = Fraction(epsilon_cap) if epsilon_cap is not None else None
-        self._shards = [
-            PrivacyLedger(delta_slack=delta_slack)
-            for _ in range(shard_count)
-        ]
+            raise ValueError(f"shard count must be positive, got {shard_count}")
         if carried_from is None:
-            self._carried_epsilon: list[Fraction] = []
-            self._carried_delta: list[Fraction] = []
+            lifetime: list[tuple[Fraction, Fraction]] = []
             self._carried_queries = 0
-            self._per_query_epsilon = Fraction(0)
+            self._carried_per_query = Fraction(0)
             self._epochs = 1
-            self._timeline: "BudgetTimeline | None" = None
         else:
             lifetime = carried_from._lifetime_per_operator()
-            self._carried_epsilon = [eps for eps, _ in lifetime]
-            self._carried_delta = [delta for _, delta in lifetime]
             self._carried_queries = carried_from.queries
-            self._per_query_epsilon = carried_from._per_query_epsilon
+            self._carried_per_query = carried_from._per_query_exact()
             self._epochs = carried_from._epochs + 1
+        lifetime += [(Fraction(0), Fraction(0))] * (shard_count - len(lifetime))
+        # Operators a shrunk layout dropped keep their historical spend.
+        self._departed = lifetime[shard_count:]
+        # The epoch-scoped, uncapped views ``shard_ledger`` hands out
+        # read the same draw tables the (lifetime, capped) accounts fill.
+        self._shards = [
+            PrivacyLedger(delta_slack=delta_slack) for _ in range(shard_count)
+        ]
+        accounts = [
+            _Account(
+                {"shard": i, "operator": f"shard-{i}", "epoch": self._epochs},
+                view._accounts[0].draws,
+                lifetime[i],
+            )
+            for i, view in enumerate(self._shards)
+        ]
+        super().__init__(accounts, epsilon_cap)
+        if carried_from is not None:
             # Spend events keep flowing to the same timeline across
             # reshard epochs — an operator's view never resets.
             self._timeline = carried_from._timeline
@@ -153,100 +157,45 @@ class ClusterLedger:
     @property
     def queries(self) -> int:
         """Total queries charged across all shards and epochs."""
-        current = sum(ledger.queries for ledger in self._shards)
+        current = sum(account.queries() for account in self._accounts)
         return self._carried_queries + current
 
     @property
     def per_query_epsilon(self) -> float:
         """Worst per-query ε charged so far (0.0 before any charge)."""
-        return float(self._per_query_epsilon)
+        return float(self._per_query_exact())
+
+    def _per_query_exact(self) -> Fraction:
+        """Largest ε among the tables' keys and the carried epochs'."""
+        charged = [e for account in self._accounts for e, _ in account.draws]
+        return max([self._carried_per_query, *map(Fraction, charged)])
 
     def shard_ledger(self, shard: int) -> PrivacyLedger:
         """The current epoch's ledger of one shard group."""
+        self._account(shard)  # refuses a shard outside the current epoch
         return self._shards[shard]
-
-    def attach_timeline(self, timeline: "BudgetTimeline | None") -> None:
-        """Emit every charge as an exact spend event onto ``timeline``.
-
-        Events carry the shard id as the operator (``shard-<i>``) and
-        the current reshard epoch, so ``repro audit --timeline`` can
-        plot cumulative per-operator spend against caps.  Pass ``None``
-        to detach.
-        """
-        self._timeline = timeline
-
-    def _carried_for(self, shard: int) -> tuple[Fraction, Fraction]:
-        """Earlier epochs' exact (ε, δ) spend of operator ``shard``."""
-        if shard < len(self._carried_epsilon):
-            return self._carried_epsilon[shard], self._carried_delta[shard]
-        return Fraction(0), Fraction(0)
 
     def _lifetime_per_operator(self) -> list[tuple[Fraction, Fraction]]:
         """Exact lifetime (ε, δ) totals per operator, carried + current."""
-        operators = max(len(self._shards), len(self._carried_epsilon))
-        totals: list[tuple[Fraction, Fraction]] = []
-        for operator in range(operators):
-            carried_epsilon, carried_delta = self._carried_for(operator)
-            if operator < len(self._shards):
-                ledger = self._shards[operator]
-                epoch_epsilon = ledger.epsilon_spent_exact
-                epoch_delta = ledger.delta_spent_exact
-            else:
-                epoch_epsilon = Fraction(0)
-                epoch_delta = Fraction(0)
-            totals.append(
-                compose_totals_exact(
-                    [
-                        (carried_epsilon, carried_delta),
-                        (epoch_epsilon, epoch_delta),
-                    ]
-                )
-            )
-        return totals
+        return [account.spent() for account in self._accounts] + self._departed
 
-    def can_afford(
-        self, shard: int, epsilon: float | Fraction, count: int = 1
-    ) -> bool:
+    def can_afford(self, shard: int, epsilon: Number, count: int = 1) -> bool:
         """Whether ``count`` more ``epsilon``-draws on ``shard`` fit under
         the per-operator cap (lifetime spend, carried epochs included)."""
-        if self._cap is None:
-            return True
-        lifetime = self._spent(shard) + count * Fraction(epsilon)
-        return lifetime <= self._cap + CAP_SLACK
+        return self._can_afford(shard, epsilon, count)
 
-    def _spent(self, shard: int) -> Fraction:
-        """Operator ``shard``'s exact lifetime ε, carried epochs included."""
-        carried_epsilon, _ = self._carried_for(shard)
-        return carried_epsilon + self._shards[shard].epsilon_spent_exact
-
-    def charge(
-        self,
-        shard: int,
-        epsilon: float | Fraction,
-        delta: float | Fraction = 0,
-    ) -> None:
+    def charge(self, shard: int, epsilon: Number, delta: Number = 0) -> None:
         """Charge one query against ``shard``'s budget.
 
         Raises:
             BudgetExceededError: when the per-operator cap would be
                 exceeded by the operator's lifetime spend.
+            ValueError: on a shard outside ``range(shard_count)`` or a
+                negative or non-finite parameter.
         """
-        if self._cap is not None and not self.can_afford(shard, epsilon):
-            raise BudgetExceededError(
-                f"charging eps={float(epsilon):.4f} on shard "
-                f"{shard} would exceed the per-operator cap "
-                f"{float(self._cap):.4f} (lifetime spend "
-                f"{float(self._spent(shard)):.4f} over "
-                f"{self._epochs} epoch(s))"
-            )
-        self.record(shard, epsilon, delta)
+        self._spend(shard, epsilon, delta, enforce=True)
 
-    def record(
-        self,
-        shard: int,
-        epsilon: float | Fraction,
-        delta: float | Fraction = 0,
-    ) -> None:
+    def record(self, shard: int, epsilon: Number, delta: Number = 0) -> None:
         """Account one draw ``shard``'s operator has already seen.
 
         Never refuses: a cap can stop an operation from starting
@@ -254,34 +203,19 @@ class ClusterLedger:
         traffic — a failover retry that overshoots the cap is spend all
         the same, and the ledger must not read below it.
         """
-        exact_epsilon = Fraction(epsilon)
-        self._shards[shard].charge(epsilon, delta)
-        self._per_query_epsilon = max(self._per_query_epsilon, exact_epsilon)
-        if self._timeline is not None:
-            self._timeline.record(
-                epsilon=exact_epsilon,
-                delta=Fraction(delta),
-                shard=shard,
-                operator=f"shard-{shard}",
-                epoch=self._epochs,
-            )
+        self._spend(shard, epsilon, delta, enforce=False)
 
     def report(self) -> ClusterBudgetReport:
         """Compose the per-shard spends into the cluster-wide budgets."""
-        per_shard = tuple(ledger.report() for ledger in self._shards)
-        lifetime = self._lifetime_per_operator()
-        worst = max(
-            (epsilon for epsilon, _ in lifetime), default=Fraction(0)
-        )
+        lifetime = [epsilon for epsilon, _ in self._lifetime_per_operator()]
         # Colluding upper bound: every charge in every epoch composes
         # sequentially; per-operator lifetime totals are already basic
         # compositions, so the pooled view is their exact sum.
-        colluding, _ = compose_totals_exact(lifetime)
         return ClusterBudgetReport(
             queries=self.queries,
-            per_query_epsilon=float(self._per_query_epsilon),
-            worst_shard_epsilon=float(worst),
-            colluding_epsilon=float(colluding),
-            per_shard=per_shard,
+            per_query_epsilon=self.per_query_epsilon,
+            worst_shard_epsilon=float(max(lifetime)),
+            colluding_epsilon=float(sum(lifetime)),
+            per_shard=tuple(ledger.report() for ledger in self._shards),
             epochs=self._epochs,
         )

@@ -35,8 +35,6 @@ def draw_pad_set(
     if include_real:
         # Uniform (K-1)-subset of [n] \ {index}: sample from a universe of
         # n-1 and shift values at or above the hole up by one.
-        pad = [index]
-        for value in rng.sample_distinct(n - 1, pad_size - 1):
-            pad.append(value + 1 if value >= index else value)
-        return pad, True
+        drawn = rng.sample_distinct(n - 1, pad_size - 1)
+        return [index, *[v + 1 if v >= index else v for v in drawn]], True
     return rng.sample_distinct(n, pad_size), False

@@ -104,14 +104,6 @@ class RandomSource(abc.ABC):
             out.append(candidate)
         return out
 
-    def sample_indices(self, universe: int, count: int) -> list[int]:
-        """Return ``count`` distinct indices from ``range(universe)``.
-
-        Kept as the historical spelling; delegates to the vectorized
-        :meth:`sample_distinct`.
-        """
-        return self.sample_distinct(universe, count)
-
     def shuffled(self, items: Sequence[_T]) -> list[_T]:
         """Return a new uniformly shuffled list with the same elements."""
         pool = list(items)
@@ -134,14 +126,16 @@ def _float_floyd(rand, universe: int, count: int) -> list[int]:
     """
     if count < 0 or count > universe:
         raise ValueError(f"cannot sample {count} indices from {universe}")
-    chosen: set[int] = set()
-    out: list[int] = []
-    for j in range(universe - count + 1, universe + 1):
-        candidate = int(rand() * j)
-        if candidate in chosen:
-            candidate = j - 1
-        chosen.add(candidate)
-        out.append(candidate)
+    bounds = range(universe - count + 1, universe + 1)
+    out = [int(rand() * bound) for bound in bounds]
+    if len(set(out)) != count:
+        # Rare at count << universe: replay Floyd's fix-up over the raw
+        # draws — a repeated candidate becomes its step's top index.
+        chosen: set[int] = set()
+        for position, bound in enumerate(bounds):
+            if out[position] in chosen:
+                out[position] = bound - 1
+            chosen.add(out[position])
     return out
 
 

@@ -5,10 +5,11 @@ Budget accounting is the one place this repository does arithmetic whose
 k·ε".  Accumulating IEEE-754 floats drifts — ``0.1`` charged ten times
 is not ``1.0`` — and a drifted ledger either over-reports (harmless) or
 under-reports (a privacy violation) the spend.  The ledgers therefore
-keep their running totals as :class:`fractions.Fraction`: floats may
-*enter* only through an explicit ``Fraction(...)`` conversion (exact for
-every float) and *leave* only through an explicit ``float(...)`` at the
-reporting boundary.
+count draws as integers and make their totals as
+:class:`fractions.Fraction`: floats may *enter* a total only through an
+explicit ``Fraction(...)`` conversion (exact for every float) and
+*leave* only through an explicit ``float(...)`` at the reporting
+boundary.
 
 The rule flags float literals in executable statements of the budget
 modules (``repro.analysis.ledger``, ``repro.analysis.composition``,

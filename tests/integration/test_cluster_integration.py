@@ -165,6 +165,57 @@ class TestServingIntegration:
         assert batch.completed == batch.requests
         assert batch.ops_per_request < fifo.ops_per_request
 
+    def test_seeded_serve_spends_the_pinned_exact_budget(self):
+        # Values computed by the per-charge Fraction ledgers this
+        # repository had before the integer spend core: a change that
+        # moves an exact total, an event or their order fails here.
+        import hashlib
+        from fractions import Fraction
+
+        from repro.obs import BudgetTimeline
+
+        scheme = repro.build(
+            "cluster_batch_dp_ir", n=1024, shard_count=4, replica_count=2,
+            authenticated=True, executor="serial", seed=11,
+        )
+        timeline = BudgetTimeline()
+        scheme.ledger.attach_timeline(timeline)
+        report = repro.serve(scheme, ServingConfig(
+            clients=8, requests_per_client=16, scheduler="continuous",
+            max_in_flight=4, rate_rps=200, seed=5,
+        ))
+        assert report.completed == report.requests == 128
+
+        draws = [group.draws for group in scheme.groups]
+        assert draws == [31, 32, 36, 29]
+        budget = scheme.ledger.report()
+        epsilon = Fraction(6.881205943748601)
+        # ROADMAP invariant (iii): ledger spend == Σ server-visible draws.
+        assert [shard.queries for shard in budget.per_shard] == draws
+        assert [shard.basic_epsilon_exact for shard in budget.per_shard] == [
+            count * epsilon for count in draws
+        ]
+        assert budget.queries == scheme.ledger.queries == sum(draws)
+        assert budget.per_query_epsilon == 6.881205943748601
+        assert budget.worst_shard_epsilon == 247.7234139749496
+        assert budget.colluding_epsilon == 880.7943607998209
+        assert budget.per_shard[2].advanced_epsilon == 241251.14012998433
+        assert budget.epochs == 1
+
+        document = timeline.to_dict()
+        assert len(document["events"]) == 128
+        assert document["total"]["fraction"] == (
+            "1936887282757865/2199023255552"
+        )
+        assert document["per_operator"]["shard-0"]["fraction"] == (
+            "60043505765493815/281474976710656"
+        )
+        assert hashlib.sha256(
+            json.dumps(document, sort_keys=True).encode()
+        ).hexdigest() == (
+            "ed98aa7a182f91b43c99475f8f1f85dffc46d7fedd4c991663b0091e17c77058"
+        )
+
     def test_serving_report_surfaces_cluster_faults(self, rng):
         from repro.serving import (
             BatchScheduler,

@@ -213,6 +213,19 @@ class TestObservabilityCli:
         assert code == 0
         assert "epsilon spend timeline" in capsys.readouterr().out
 
+    def test_audit_timeline_matches_the_committed_ci_expectation(self, capsys):
+        # The CI Trace-smoke step diffs these same arguments against it.
+        from pathlib import Path
+
+        expected = Path(__file__).parents[2].joinpath(
+            "benchmarks", "baselines", "audit_timeline_expected.txt"
+        )
+        assert main([
+            "audit", "--shards", "4", "--requests", "64", "--seed", "7",
+            "--timeline",
+        ]) == 0
+        assert capsys.readouterr().out == expected.read_text()
+
     def test_audit_cap_crossing_exits_one(self, capsys):
         code = main([
             "audit", "--shards", "2", "--requests", "16", "--seed", "3",

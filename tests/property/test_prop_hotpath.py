@@ -8,7 +8,9 @@ Three families:
   mid-batch leaves exactly the per-slot prefix behind).
 * ``sample_distinct`` draws uniform distinct subsets: exact size, exact
   range, distinctness, a chi-square smoke over all subsets, and the
-  hole-shifted pad-set construction preserves the real index.
+  hole-shifted pad-set construction preserves the real index.  The
+  draw-at-a-time loops they replaced stay here as the oracle: same
+  values, same order, same stream consumption.
 * ``DPIR`` and its per-slot oracle (``repro.storage.bench._PerSlotDPIR``)
   are the same scheme at the same seed — answers, counters and
   per-query transcript multisets all agree.
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.core.dp_ir import DPIR
 from repro.core.sampling import draw_pad_set
-from repro.crypto.rng import SeededRandomSource
+from repro.crypto.rng import SeededRandomSource, _float_floyd
 from repro.storage.bench import _PerSlotDPIR
 from repro.storage.blocks import integer_database
 from repro.storage.errors import StorageError
@@ -153,6 +155,72 @@ class TestFaultInjectionEquivalence:
             flaky.read_many([0, 1, 2])
         assert flaky.failures == 1
         assert server.reads == 0
+
+
+def loop_float_floyd(rand, universe, count):
+    """Floyd's sampling one draw at a time, as ``_float_floyd`` ran it."""
+    chosen = set()
+    out = []
+    for j in range(universe - count + 1, universe + 1):
+        candidate = int(rand() * j)
+        if candidate in chosen:
+            candidate = j - 1
+        chosen.add(candidate)
+        out.append(candidate)
+    return out
+
+
+def loop_draw_pad_set(rng, n, pad_size, alpha, index):
+    """``draw_pad_set`` appending one shifted value at a time."""
+    if rng.random() >= alpha:
+        pad = [index]
+        for value in loop_float_floyd(rng.random, n - 1, pad_size - 1):
+            pad.append(value + 1 if value >= index else value)
+        return pad, True
+    return loop_float_floyd(rng.random, n, pad_size), False
+
+
+class TestSamplerMatchesTheLoopOracle:
+    @given(
+        seed=seeds,
+        universe=st.integers(min_value=1, max_value=80),
+        data=st.data(),
+    )
+    @settings(max_examples=150)
+    def test_same_values_order_and_stream(self, seed, universe, data):
+        # Small universes force collisions; count == universe forces
+        # the fix-up on nearly every step.
+        count = data.draw(st.integers(min_value=0, max_value=universe))
+        source, oracle = SeededRandomSource(seed), SeededRandomSource(seed)
+        assert source.sample_distinct(universe, count) == loop_float_floyd(
+            oracle.random, universe, count
+        )
+        assert source.random() == oracle.random()
+
+    @given(draws=st.lists(st.floats(0, 1, exclude_max=True), max_size=12))
+    def test_scripted_collisions_replay_floyds_fix_up(self, draws):
+        # Arbitrary raw draws, repeated ones included: chains where a
+        # replaced candidate collides with a later draw must agree too.
+        universe = len(draws) + 3
+        assert _float_floyd(
+            iter(draws).__next__, universe, len(draws)
+        ) == loop_float_floyd(iter(draws).__next__, universe, len(draws))
+
+    @given(
+        seed=seeds,
+        pad_size=st.integers(min_value=1, max_value=64),
+        alpha=st.sampled_from([0.0, 0.3, 1.0]),
+        index=st.integers(min_value=0, max_value=63),
+    )
+    @settings(max_examples=150)
+    def test_pad_set_same_values_order_and_stream(
+        self, seed, pad_size, alpha, index
+    ):
+        source, oracle = SeededRandomSource(seed), SeededRandomSource(seed)
+        assert draw_pad_set(source, 64, pad_size, alpha, index) == (
+            loop_draw_pad_set(oracle, 64, pad_size, alpha, index)
+        )
+        assert source.random() == oracle.random()
 
 
 class TestSampleDistinct:

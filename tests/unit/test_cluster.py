@@ -1,6 +1,7 @@
 """Unit tests for the cluster deployment layer: router, ledger, groups."""
 
 import importlib
+import math
 import random
 from fractions import Fraction
 
@@ -169,6 +170,62 @@ class TestClusterLedger:
         report = ledger.report()
         assert report.colluding_epsilon == float(10 * Fraction(0.1))
         assert report.per_shard[0].basic_epsilon_exact == 10 * Fraction(0.1)
+
+
+class TestClusterLedgerRefusesBeforeItChanges:
+    @staticmethod
+    def _pair(**kwargs):
+        from repro.obs.timeline import BudgetTimeline
+
+        def build():
+            ledger = ClusterLedger(4, **kwargs)
+            timeline = BudgetTimeline()
+            ledger.attach_timeline(timeline)
+            ledger.charge(3, 2.0)
+            return ledger, timeline
+
+        return build(), build()
+
+    @staticmethod
+    def _same(pair, twin_pair):
+        (ledger, timeline), (twin, twin_timeline) = pair, twin_pair
+        assert ledger.report() == twin.report()
+        assert ledger.queries == twin.queries
+        assert ledger.per_query_epsilon == twin.per_query_epsilon
+        assert timeline.events == twin_timeline.events
+
+    @pytest.mark.parametrize("shard", [-1, -4, 4, 99])
+    @pytest.mark.parametrize("cap", [None, 50])
+    def test_out_of_range_shard_bills_no_operator(self, shard, cap):
+        # Regression: a negative shard indexed from the end, so
+        # charge(-1, ...) silently billed shard 3 as "shard--1".
+        pair, twin_pair = self._pair(epsilon_cap=cap)
+        ledger = pair[0]
+        for call in (ledger.charge, ledger.record, ledger.can_afford):
+            with pytest.raises(ValueError, match="shard"):
+                call(shard, 5.0)
+        with pytest.raises(ValueError, match="shard"):
+            ledger.shard_ledger(shard)
+        self._same(pair, twin_pair)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("cap", [None, 50])
+    def test_non_finite_epsilon_fails_at_the_charge(self, epsilon, cap):
+        # Regression: inf escaped as OverflowError out of Fraction().
+        pair, twin_pair = self._pair(epsilon_cap=cap)
+        ledger = pair[0]
+        for call in (ledger.charge, ledger.record, ledger.can_afford):
+            with pytest.raises(ValueError):
+                call(0, epsilon)
+        with pytest.raises(ValueError):
+            ledger.record(0, 1.0, math.nan)
+        self._same(pair, twin_pair)
+
+    def test_refused_charge_under_a_cap_leaves_no_trace(self):
+        pair, twin_pair = self._pair(epsilon_cap=3.0)
+        with pytest.raises(BudgetExceededError):
+            pair[0].charge(3, 7.0)      # a new, larger ε: not the worst yet
+        self._same(pair, twin_pair)
 
 
 class TestClusterLedgerEpochs:

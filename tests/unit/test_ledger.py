@@ -1,6 +1,7 @@
 """Tests for repro.analysis.ledger."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -51,6 +52,47 @@ class TestCharging:
             PrivacyLedger(epsilon_cap=-1)
         with pytest.raises(ValueError):
             PrivacyLedger(delta_slack=0)
+
+
+class TestInvalidChargesLeaveNoTrace:
+    """Totals are made lazily, so a bad ε/δ must be refused *at the
+    charge* — stored, it would only blow up later in ``report()``."""
+
+    @pytest.mark.parametrize("capped", [False, True])
+    @pytest.mark.parametrize(
+        "epsilon, delta",
+        [(math.nan, 0), (math.inf, 0), (-math.inf, 0), (-1, 0),
+         (1.0, math.nan), (1.0, math.inf), (1.0, -0.5), (1.0, 1.5)],
+    )
+    def test_refused_with_value_error_like_a_twin_never_asked(
+        self, capped, epsilon, delta
+    ):
+        from repro.obs.timeline import BudgetTimeline
+
+        def build():
+            ledger = PrivacyLedger(epsilon_cap=10 if capped else None)
+            timeline = BudgetTimeline()
+            ledger.attach_timeline(timeline)
+            ledger.charge(1.5, 0.25)
+            return ledger, timeline
+
+        (ledger, timeline), (twin, twin_timeline) = build(), build()
+        with pytest.raises(ValueError):
+            ledger.charge(epsilon, delta)
+        if delta == 0:
+            with pytest.raises(ValueError):
+                ledger.can_afford(epsilon)
+        assert ledger.queries == twin.queries == 1
+        assert ledger.report() == twin.report()
+        assert ledger.epsilon_spent_exact == Fraction(3, 2)
+        assert ledger.delta_spent_exact == Fraction(1, 4)
+        assert ledger.remaining() == twin.remaining()
+        assert timeline.events == twin_timeline.events
+
+    def test_non_finite_cap_is_refused(self):
+        for cap in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                PrivacyLedger(epsilon_cap=cap)
 
 
 class TestReports:

@@ -105,16 +105,16 @@ class TestSeededRandomSource:
         with pytest.raises(ValueError):
             SeededRandomSource(16).sample(range(3), 4)
 
-    def test_sample_indices_matches_constraints(self):
+    def test_sample_distinct_indices_match_constraints(self):
         source = SeededRandomSource(17)
-        picked = source.sample_indices(1000, 10)
+        picked = source.sample_distinct(1000, 10)
         assert len(picked) == 10
         assert len(set(picked)) == 10
         assert all(0 <= value < 1000 for value in picked)
 
-    def test_sample_indices_dense(self):
+    def test_sample_distinct_indices_dense(self):
         source = SeededRandomSource(18)
-        picked = source.sample_indices(10, 9)
+        picked = source.sample_distinct(10, 9)
         assert len(set(picked)) == 9
 
     def test_shuffled_preserves_elements(self):
@@ -184,7 +184,9 @@ class TestSampleDistinct:
         assert len(set(picked)) == 8
         assert all(0 <= value < 30 for value in picked)
 
-    def test_sample_indices_delegates(self):
-        a = SeededRandomSource(26).sample_indices(40, 6)
-        b = SeededRandomSource(26).sample_distinct(40, 6)
-        assert a == b
+    def test_base_class_randbelow_floyd_keeps_the_contract(self):
+        # The concrete sources override sample_distinct; a source that
+        # does not gets Floyd's algorithm over its randbelow.
+        picked = RandomSource.sample_distinct(SeededRandomSource(26), 40, 6)
+        assert len(set(picked)) == 6
+        assert all(0 <= value < 40 for value in picked)
