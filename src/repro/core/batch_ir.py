@@ -155,11 +155,14 @@ class BatchDPIR(PrivateIR):
         if not indices:
             raise ValueError("batch must contain at least one index")
         n = self._params.n
-        plans: list[tuple[list[int], bool]] = []
-        union: set[int] = set()
+        # Every index is checked before the first coin: a rejected batch
+        # must leave the rng stream where a batch never sent would.
         for index in indices:
             if not 0 <= index < n:
                 raise RetrievalError(f"index {index} out of range for n={n}")
+        plans: list[tuple[list[int], bool]] = []
+        union: set[int] = set()
+        for index in indices:
             plan = self._draw_single(index)
             plans.append(plan)
             union.update(plan[0])

@@ -1,17 +1,23 @@
-"""Vectorized pad-set sampling shared by every Algorithm-1 variant.
+"""Pad-set sampling shared by every Algorithm-1 variant.
 
 ``DPIR``, ``BatchDPIR``, ``MultiServerDPIR`` and ``ShardedDPIR`` all draw
 the same object per query: a uniformly random ``K``-subset of ``[n]``,
-with the real index forced in unless the α-error coin fires.  Each scheme
-used to carry its own copy of a candidate-at-a-time rejection loop; this
-module is the single vectorized implementation on top of
-:meth:`~repro.crypto.rng.RandomSource.sample_distinct` (Floyd's
-algorithm — exactly ``K`` draws, no rejection).
+with the real index forced in unless the α-error coin fires.  This module
+is the single implementation, on top of
+:meth:`~repro.crypto.rng.RandomSource.sample_distinct` (one entropy draw
+carved into ``K`` exactly-uniform distinct indices).
 
-The distribution is unchanged: conditioned on the error coin, the old
-rejection loop produced a uniform ``(K−1)``-subset of ``[n] \\ {index}``
-(plus the index) or a uniform ``K``-subset of ``[n]`` — precisely what
-the two branches below draw directly.
+Both branches draw a uniform ``K``-subset ``S`` of ``[n]``.  The error
+branch returns it.  The other needs ``{index}`` plus a uniform
+``(K−1)``-subset of ``[n] \\ {index}``, and gets it from ``S`` without a
+pass over its elements: if ``index ∈ S`` the rest of ``S`` is such a
+subset by symmetry; if not, ``S`` is a uniform ``K``-subset of
+``[n] \\ {index}`` with one element too many, and dropping an element
+picked *independently of the values* leaves every ``(K−1)``-subset
+equally likely.  ``sample_distinct`` guarantees its first element is
+such a pick.  A pick that looks at values — the largest, or whatever a
+``set`` happens to iterate to last — would bias the pad towards the
+values it keeps.
 """
 
 from __future__ import annotations
@@ -32,9 +38,9 @@ def draw_pad_set(
     their own :class:`~repro.storage.errors.RetrievalError`).
     """
     include_real = rng.random() >= alpha
+    pad = rng.sample_distinct(n, pad_size)
     if include_real:
-        # Uniform (K-1)-subset of [n] \ {index}: sample from a universe of
-        # n-1 and shift values at or above the hole up by one.
-        drawn = rng.sample_distinct(n - 1, pad_size - 1)
-        return [index, *[v + 1 if v >= index else v for v in drawn]], True
-    return rng.sample_distinct(n, pad_size), False
+        if index in pad:
+            pad[pad.index(index)] = pad[0]
+        pad[0] = index
+    return pad, include_real

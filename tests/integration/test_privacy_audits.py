@@ -97,10 +97,14 @@ class TestStrawmanAudit:
             lambda r: strawman.sample_query_set(1),
             epsilon=reference_eps, trials=4000, rng=rng.spawn("c"),
         )
+        # DP-IR's true delta at its own epsilon is 0 and the plug-in
+        # estimate is all sampling noise: about 0.11 +- 0.03 across seeds
+        # at 4 000 trials (a seed lottery against the 0.15 below), about
+        # 0.06 +- 0.02 at 16 000.
         dpir_delta = estimate_delta(
             lambda r: dpir.sample_query_set(0),
             lambda r: dpir.sample_query_set(1),
-            epsilon=reference_eps, trials=4000, rng=rng.spawn("d"),
+            epsilon=reference_eps, trials=16000, rng=rng.spawn("d"),
         )
         assert straw_delta > 0.7
         assert dpir_delta < 0.15

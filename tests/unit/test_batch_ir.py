@@ -1,13 +1,13 @@
 """Tests for repro.core.batch_ir."""
 
-import math
-
 import pytest
 
 from repro.core.batch_ir import BatchDPIR
 from repro.core.dp_ir import DPIR
+from repro.crypto.rng import SeededRandomSource
 from repro.storage.blocks import integer_database
 from repro.storage.errors import RetrievalError
+from repro.storage.transcript import Transcript
 
 
 def _scheme(rng, n=128, pad=8, alpha=0.1):
@@ -99,6 +99,30 @@ class TestBatchQueries:
         scheme = _scheme(rng, n=16)
         with pytest.raises(RetrievalError):
             scheme.query_batch([0, 16])
+
+    @pytest.mark.parametrize("bad", [[1, 2, 999], [999], [1, -1, 2]])
+    def test_rejected_batch_leaves_no_trace(self, bad):
+        # Every index is validated before the first coin: a twin that
+        # never saw the bad batch has the same rng stream, counters and
+        # transcript afterwards.
+        sides = []
+        for sees_bad_batch in (True, False):
+            source = SeededRandomSource(3)
+            scheme = BatchDPIR(
+                integer_database(256), pad_size=8, alpha=0.1, rng=source
+            )
+            log = Transcript()
+            scheme.attach_transcript(log)
+            if sees_bad_batch:
+                with pytest.raises(RetrievalError):
+                    scheme.query_many(bad)
+            answers = scheme.query_many([5, 6])
+            sides.append((
+                answers, log.signature(), scheme.query_count,
+                scheme.batch_count, scheme.error_count,
+                scheme.server_counters(), source.random(),
+            ))
+        assert sides[0] == sides[1]
 
     def test_expected_union_validation(self, rng):
         with pytest.raises(ValueError):

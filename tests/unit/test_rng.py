@@ -184,9 +184,26 @@ class TestSampleDistinct:
         assert len(set(picked)) == 8
         assert all(0 <= value < 30 for value in picked)
 
-    def test_base_class_randbelow_floyd_keeps_the_contract(self):
-        # The concrete sources override sample_distinct; a source that
-        # does not gets Floyd's algorithm over its randbelow.
-        picked = RandomSource.sample_distinct(SeededRandomSource(26), 40, 6)
+    def test_base_class_carves_from_bytes_alone(self):
+        # A source that implements the four abstract methods and nothing
+        # else (the shape of the benchmark's tracing proxy) samples
+        # through the base class, which draws from bytes() only.
+        inner = SeededRandomSource(26)
+
+        class BytesOnly(RandomSource):
+            def random(self):
+                raise AssertionError("sampling draws no float")
+
+            def randbelow(self, bound):
+                raise AssertionError("sampling draws no bounded integer")
+
+            def bytes(self, length):
+                return inner.bytes(length)
+
+            def spawn(self, label):
+                raise AssertionError("sampling spawns nothing")
+
+        picked = BytesOnly().sample_distinct(40, 6)
+        assert picked == SeededRandomSource(26).sample_distinct(40, 6)
         assert len(set(picked)) == 6
         assert all(0 <= value < 40 for value in picked)
