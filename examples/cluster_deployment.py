@@ -11,8 +11,8 @@ proves retrieval is preserved.  Run with::
 """
 
 import repro
+from repro.analysis.dp_ir_exact import dpir_epsilon
 from repro.cluster import ClusterIR
-from repro.cluster.bench import single_server_epsilon
 from repro.storage.blocks import integer_database
 
 N = 512
@@ -40,7 +40,7 @@ def main() -> None:
           f"(= n/D = {N // SHARDS})")
     print(f"per-query epsilon:  {ir.epsilon:.4f} "
           f"(single-server exact budget: "
-          f"{single_server_epsilon(N, PAD, 0.02):.4f})\n")
+          f"{dpir_epsilon(N, PAD, 0.02):.4f})\n")
 
     answered = 0
     for i in range(N):

@@ -38,8 +38,11 @@ shard cannot afford is refused before anything runs — while every
 draw that was served (failover retries included) is always recorded.
 
 Entry points: :func:`~repro.cluster.service.cluster` (re-exported as
-``repro.cluster``), the ``python -m repro cluster`` CLI subcommand, and
-``benchmarks/bench_cluster.py``.
+``repro.cluster``) and the ``python -m repro cluster`` CLI subcommand.
+The scaling table (``K/D`` ops, ``n/D`` storage, the single-server ε)
+and the failover curve are seeded tier-1 assertions
+(``tests/integration/test_cluster_integration.py``); ``serve_cluster``
+in ``BENCHMARK.json`` measures the cost.
 """
 
 import sys

@@ -190,7 +190,7 @@ class ClusterReport:
         return summary + "\n\n" + shards
 
     def to_dict(self) -> dict:
-        """A JSON-serializable view (for ``--json`` and bench artifacts).
+        """A JSON-serializable view (for ``--json``).
 
         The single source of truth: :meth:`to_rows` / :meth:`to_text`
         render from this mapping, so the text table can never show a

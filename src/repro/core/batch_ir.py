@@ -12,7 +12,7 @@ mechanism), and revealing only the union is post-processing, which cannot
 increase the privacy loss.  Bandwidth, however, improves: overlapping pads
 are fetched once, so the expected cost is strictly below ``m·K`` and the
 saving grows with ``m·K/n`` (birthday collisions).  ``expected_union_size``
-gives the closed form, and the benches measure it.
+gives the closed form, and ``tests/unit/test_batch_ir.py`` measures it.
 """
 
 from __future__ import annotations

@@ -101,8 +101,9 @@ class DPRAM(PrivateRAM):
     def _cipher(self) -> tuple[Callable, Callable, Callable]:
         """``(encrypt, decrypt, encrypt_many)`` as of construction.
 
-        The one seam the reference-cipher oracle beside the hot-path
-        benchmark (:mod:`repro.storage.bench`) overrides.
+        The one seam the reference-cipher oracle overrides
+        (``_ReferenceCipherDPRAM`` in ``tests/property/test_prop_crypto.py``,
+        which holds this class to it byte for stored byte).
         """
         return encrypt, decrypt, encrypt_many
 

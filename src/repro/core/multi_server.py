@@ -197,6 +197,12 @@ class MultiServerDPIR(PrivateIR):
         """
         if not indices:
             return []
+        # Every index is checked before the first coin: a rejected batch
+        # must leave the rng stream where a batch never sent would.
+        n = self._params.n
+        for index in indices:
+            if not 0 <= index < n:
+                raise RetrievalError(f"index {index} out of range for n={n}")
         plans = [self._draw_plan(index) for index in indices]
         per_server: list[set[int]] = [set() for _ in range(len(self._pool))]
         for plan, _ in plans:

@@ -323,11 +323,9 @@ def decrypt_authenticated_many(
 # The original (pre-bulk) code path, kept verbatim: a fresh HMAC keying
 # per block, a stateful counter generator with an HMAC keying per
 # 32-byte keystream segment, and the byte-by-byte generator XOR.  It is
-# the timing baseline the ≥3x bulk-encrypt gate in
-# ``BENCH_hotpath.json`` measures against, the ground truth the
-# property tests compare optimized outputs to, and the ``bulk=False``
-# mode of DP-RAM / BucketDPRAM (the per-block baseline of the
-# invariance witnesses).  Do not optimize these.
+# the ground truth ``tests/property/test_prop_crypto.py`` compares the
+# optimized outputs to, directly and through a DP-RAM built on it
+# (``_ReferenceCipherDPRAM`` there).  Do not optimize these.
 
 
 class _ReferenceCounterPRG:

@@ -7,8 +7,8 @@ wire-protocol accounting — is implemented in
 calls ``StorageBackend.read_slots`` / ``write_slots`` directly performs
 accesses the transcript never records, which undercounts the adversary's
 view: exactly the implementation-level leak CAOS and Path ORAM warn
-about.  Only the storage layer itself (server, fault wrappers, backends,
-their benchmarks) may speak to backends.
+about.  Only the storage layer itself (server, fault wrappers, backends)
+may speak to backends.
 """
 
 from __future__ import annotations

@@ -9,7 +9,10 @@ tracer to schemes that accept one (``attach_tracer``) and attaches a
 The observer is deliberately tiny: servers hold ``_obs = None`` by
 default and ``attach_observer`` *refuses disabled observers*, so the
 batched hot path pays exactly one ``is not None`` attribute check when
-observability is off (the ratio is gated in ``BENCH_hotpath.json``).
+observability is off.  That contract is structural — the refusal is
+tested in ``tests/unit/test_server.py``, not timed — and the cost of
+switching observability *on* is ``obs.enabled_overhead_x`` in
+``BENCHMARK.json``.
 """
 
 from __future__ import annotations

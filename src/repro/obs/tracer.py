@@ -296,7 +296,9 @@ class NullTracer(Tracer):
 
     Instrumented call sites pay one ``enabled`` check; storage servers
     refuse to attach disabled observers, so the batched read path pays
-    a single ``is not None`` test (gated ≤2% in ``BENCH_hotpath.json``).
+    a single ``is not None`` test — a structural contract, held by
+    ``tests/unit/test_server.py``; ``obs.enabled_overhead_x`` in
+    ``BENCHMARK.json`` prices the enabled side.
     """
 
     def __init__(self) -> None:

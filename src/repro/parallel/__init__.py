@@ -27,14 +27,15 @@ is causally dependent (a failover retry only exists because the
 previous attempt failed) or that mutates shared client state executes
 in deterministic order even under the threaded executor, so the
 privacy ledger charges exactly the same draws whichever executor runs
-the stage.  That is what lets the benchmarks assert *parallel
-wall-clock < serial* while ops/request, storage and ε stay exactly
-invariant.
+the stage.  That is what lets the tests assert *parallel wall-clock <
+serial* while ops/request, storage and ε stay exactly invariant
+(``tests/integration/test_parallel_integration.py``,
+``tests/property/test_prop_parallel.py``).
 
 Entry points: ``executor=`` on :class:`~repro.cluster.scheme.ClusterIR`
 / :class:`~repro.cluster.scheme.ClusterKVS` and on
-:func:`repro.cluster` / :func:`repro.serve`, the ``--executor`` CLI
-flag, and ``benchmarks/bench_parallel.py``.
+:func:`repro.cluster` / :func:`repro.serve`, and the ``--executor`` CLI
+flag; ``serve_cluster`` in ``BENCHMARK.json`` measures the path.
 """
 
 from repro.parallel.executor import (

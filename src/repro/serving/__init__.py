@@ -26,9 +26,11 @@ Everything is seeded through :class:`~repro.crypto.rng.RandomSource`:
 the same seed replays the same arrivals, batches and report.
 
 Entry points: :func:`serve` (also re-exported as ``repro.serve``),
-configured through a frozen :class:`ServingConfig`; the
-``python -m repro serve`` CLI subcommand; and
-``benchmarks/bench_serving.py``.  Schedulers are a registry
+configured through a frozen :class:`ServingConfig`, and the
+``python -m repro serve`` CLI subcommand.  The scheduler claims (window
+beats FIFO, continuous outruns window, caps shed) are seeded tier-1
+assertions on simulated figures; ``serve_cluster`` in
+``BENCHMARK.json`` measures the cost.  Schedulers are a registry
 (:func:`register_scheduler`, listed by :func:`scheduler_listings` /
 ``repro.schedulers()``) mirroring the scheme registry: ``fifo``,
 ``window`` (legacy alias ``batch``) and ``continuous`` — the pipelined

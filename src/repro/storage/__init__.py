@@ -12,7 +12,8 @@ This package implements that model directly:
 * :class:`~repro.storage.server.StorageServer` — the passive block array
   with operation counters and an access log, including the batched
   ``read_many``/``write_many`` wire protocol (validate once, count once,
-  one backend dispatch per pad set — see :mod:`repro.storage.bench`).
+  one backend dispatch per pad set; held to the per-slot loop by
+  ``tests/property/test_prop_hotpath.py``).
 * :class:`~repro.storage.backends.StorageBackend` — pluggable slot
   persistence behind every server (in-memory by default, simulated
   network links via :class:`~repro.storage.backends.NetworkBackend`).

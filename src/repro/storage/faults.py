@@ -19,7 +19,7 @@ exactly as the threat model predicts), while the authenticated mode of
 Both wrappers expose a uniform :meth:`~CorruptingServer.fault_counters`
 mapping, which :func:`scheme_fault_counters` aggregates across a whole
 scheme (nested wrappers included) — that is what the serving report and
-harness metrics surface, and what the cluster failover benchmarks use to
+harness metrics surface, and what the cluster failover tests use to
 report detected-versus-silent faults.  :func:`wrap_scheme_servers`
 installs wrappers into an already-built scheme, replacing every server
 reference it holds (directly, in a :class:`ServerPool`, in a list, or

@@ -118,8 +118,10 @@ class StorageServer:
 
         Disabled observers are refused outright so the batched hot
         path keeps paying exactly one ``is not None`` check when
-        observability is off — the overhead contract gated in
-        ``BENCH_hotpath.json``.
+        observability is off.  The contract is structural
+        (``tests/unit/test_server.py`` holds the refusal); what an
+        *enabled* observer costs is ``obs.enabled_overhead_x`` in
+        ``BENCHMARK.json``.
         """
         if observer is not None and getattr(observer, "enabled", True):
             self._obs = observer

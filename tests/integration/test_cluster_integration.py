@@ -1,6 +1,7 @@
 """Integration: the cluster layer end to end.
 
 Retrieval correctness across reshard/rebalance and replica failure, the
+scaling table and the failover curve through ``repro.cluster()``, the
 serving simulator driving a cluster through the batch scheduler, fault
 counts surfacing in reports, and the cluster CLI.
 """
@@ -11,7 +12,8 @@ import pytest
 
 import repro
 from repro.__main__ import main
-from repro.cluster import ClusterIR, ClusterKVS
+from repro.analysis.dp_ir_exact import dpir_epsilon
+from repro.cluster import ClusterConfig, ClusterIR, ClusterKVS
 from repro.serving import ServingConfig
 from repro.storage.blocks import integer_database
 
@@ -146,6 +148,59 @@ class TestRebalance:
                        rng=rng.spawn("c"))
         with pytest.raises(ValueError, match="range placement"):
             ir.rebalance()
+
+
+class TestScalingAndFailoverThroughTheRunEntry:
+    """Seeded ``repro.cluster()`` runs; counters and simulated figures
+    only, so every row reproduces exactly."""
+
+    N, PAD, ALPHA = 1024, 64, 0.05
+
+    @pytest.fixture(scope="class")
+    def scaling(self):
+        # D divides both n and K at every point, so the per-shard exact
+        # budget *equals* the single-server one instead of bounding it.
+        return {
+            shards: repro.cluster("dp_ir", ClusterConfig(
+                shards=shards, replicas=1, n=self.N, pad_size=self.PAD,
+                alpha=self.ALPHA, requests=64, seed=0x5EED,
+            ))
+            for shards in (1, 2, 4, 8)
+        }
+
+    @pytest.mark.parametrize("shards", [1, 2, 4, 8])
+    def test_pad_and_storage_split_at_the_single_server_budget(
+        self, scaling, shards
+    ):
+        report = scaling[shards]
+        assert report.ops_per_request == self.PAD / shards
+        assert report.per_server_storage_blocks == self.N // shards
+        assert report.budget.per_query_epsilon == pytest.approx(
+            dpir_epsilon(self.N, self.PAD, self.ALPHA), abs=1e-9
+        )
+        assert report.completed == report.requests == 64
+        assert report.mismatches == 0
+        if shards > 1:
+            # Half the pad per request is never slower on the wire.
+            assert report.latency.p95_ms <= scaling[shards // 2].latency.p95_ms
+
+    def test_flaky_replicas_cost_retries_never_answers(self):
+        ops = []
+        for rate in (0.0, 0.05, 0.10):
+            report = repro.cluster("dp_ir", ClusterConfig(
+                shards=4, replicas=2, n=256, pad_size=32, alpha=0.01,
+                requests=64, seed=0xFA11, failure_rate=rate,
+            ))
+            assert report.completed == report.requests == 64
+            assert report.mismatches == 0
+            assert (report.faults.get("failovers", 0) > 0) == (rate > 0)
+            assert (
+                report.faults.get("failed_operations", 0) > 0
+            ) == (rate > 0)
+            ops.append(report.ops_per_request)
+        # The retries are the whole cost: K/D at rate 0, more with
+        # every step of the flake rate.
+        assert ops[0] == 32 / 4 < ops[1] < ops[2]
 
 
 class TestServingIntegration:

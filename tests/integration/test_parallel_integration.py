@@ -94,25 +94,34 @@ class TestFaultInjectionUnderParallelExecutor:
 
 class TestWallClockAccountingEndToEnd:
     def test_cluster_run_overlaps_at_four_shards(self):
-        reports = {
-            executor: cluster("dp_ir", ClusterConfig(
-                shards=4, replicas=1, n=256, pad_size=32, requests=32, seed=11,
-                executor=executor, batch=8,
-            ))
-            for executor in ("serial", "parallel")
-        }
-        serial, parallel = reports["serial"], reports["parallel"]
-        assert parallel.wall_clock_ms < serial.wall_clock_ms
-        assert parallel.serial_ms == pytest.approx(serial.serial_ms)
-        assert parallel.overlap_speedup > 1.0
-        assert serial.overlap_speedup == pytest.approx(1.0)
-        # Executor-invariant witnesses.
-        assert parallel.ops_per_request == serial.ops_per_request
-        assert (
-            parallel.budget.worst_shard_epsilon
-            == serial.budget.worst_shard_epsilon
-        )
-        assert parallel.latency.p95_ms < serial.latency.p95_ms
+        speedups = []
+        for shards in (4, 8):
+            reports = {
+                executor: cluster("dp_ir", ClusterConfig(
+                    shards=shards, replicas=1, n=256, pad_size=32,
+                    requests=32, seed=11, executor=executor, batch=8,
+                ))
+                for executor in ("serial", "parallel")
+            }
+            serial, parallel = reports["serial"], reports["parallel"]
+            assert parallel.wall_clock_ms < serial.wall_clock_ms
+            assert parallel.serial_ms == pytest.approx(serial.serial_ms)
+            assert parallel.overlap_speedup > 1.0
+            assert serial.overlap_speedup == pytest.approx(1.0)
+            # Executor-invariant witnesses.
+            assert parallel.ops_per_request == serial.ops_per_request
+            assert (
+                parallel.per_server_storage_blocks
+                == serial.per_server_storage_blocks
+            )
+            assert parallel.budget == serial.budget
+            assert (parallel.errors, parallel.mismatches) == (
+                serial.errors, 0
+            )
+            assert parallel.latency.p95_ms < serial.latency.p95_ms
+            speedups.append(parallel.overlap_speedup)
+        # More legs per round, more to overlap.
+        assert speedups[0] < speedups[1]
 
     def test_cluster_report_surfaces_executor_fields(self):
         report = cluster("dp_ir", ClusterConfig(

@@ -4,7 +4,9 @@ Covers the acceptance criteria for the serving subsystem: the
 ``python -m repro serve`` subcommand runs a concurrent workload end to
 end and prints tail percentiles, and the batching scheduler issues
 measurably fewer server operations per request than per-request FIFO
-dispatch on ``BatchDPIR``.
+dispatch on ``BatchDPIR`` and ``MultiServerDPIR`` — with plain ``DPIR``,
+whose ``query_many`` is a per-query loop, as the control.  Every figure
+read here is simulated, so the comparisons are exact per seed.
 """
 
 import json
@@ -21,27 +23,46 @@ class TestBatchingBeatsFIFO:
         common = dict(clients=8, requests_per_client=12, n=256, seed=7,
                       rate_rps=150.0, workload="uniform", network="lan")
         return {
-            scheduler: serve("batch_dp_ir", ServingConfig(
+            (scheme, scheduler): serve(scheme, ServingConfig(
                 scheduler=scheduler, **common,
             ))
+            for scheme in ("batch_dp_ir", "multi_server_dp_ir", "dp_ir")
             for scheduler in ("fifo", "batch")
         }
 
     def test_measurably_fewer_ops_per_request(self, reports):
-        fifo, batch = reports["fifo"], reports["batch"]
+        fifo = reports["batch_dp_ir", "fifo"]
+        batch = reports["batch_dp_ir", "batch"]
         assert fifo.completed == batch.completed == 96
         # FIFO pays the full pad set per request; the batcher downloads
         # pad-set unions, so collisions shave off a measurable share.
         assert batch.ops_per_request < 0.9 * fifo.ops_per_request
 
+    def test_multi_server_reads_coalesce_per_replica(self, reports):
+        fifo = reports["multi_server_dp_ir", "fifo"]
+        batch = reports["multi_server_dp_ir", "batch"]
+        assert fifo.completed == batch.completed == 96
+        assert batch.ops_per_request < 0.9 * fifo.ops_per_request
+
+    def test_plain_dpir_is_the_control(self, reports):
+        # The same groups form, and buy nothing: the full pad set per
+        # request under either scheduler.
+        fifo, batch = reports["dp_ir", "fifo"], reports["dp_ir", "batch"]
+        assert fifo.completed == batch.completed == 96
+        assert batch.mean_batch_size > 2.0
+        assert batch.ops_per_request == fifo.ops_per_request
+
     def test_batching_improves_tails_under_load(self, reports):
-        fifo, batch = reports["fifo"], reports["batch"]
+        fifo = reports["batch_dp_ir", "fifo"]
+        batch = reports["batch_dp_ir", "batch"]
         assert batch.latency.p95_ms < fifo.latency.p95_ms
         assert batch.throughput_rps > fifo.throughput_rps
 
     def test_groups_actually_formed(self, reports):
-        assert reports["batch"].mean_batch_size > 2.0
-        assert reports["fifo"].mean_batch_size == pytest.approx(1.0)
+        fifo = reports["batch_dp_ir", "fifo"]
+        batch = reports["batch_dp_ir", "batch"]
+        assert batch.mean_batch_size > 2.0
+        assert fifo.mean_batch_size == pytest.approx(1.0)
 
 
 class TestServeCLI:

@@ -19,9 +19,12 @@ from repro.crypto.encryption import (
     encrypt_many,
     encrypt_reference,
 )
+from repro.core.dp_ram import DPRAM
 from repro.crypto.prf import PRF
 from repro.crypto.prg import CounterPRG, counter_stream
 from repro.crypto.rng import SeededRandomSource
+from repro.storage.backends import SlabBackend
+from repro.storage.blocks import integer_database
 
 
 keys = st.binary(min_size=32, max_size=32).map(SecretKey)
@@ -161,6 +164,59 @@ class TestBulkEncryptionProperties:
         tampered[victim] = bytes(block)
         with pytest.raises(IntegrityError):
             decrypt_authenticated_many(key, tampered)
+
+
+class _ReferenceCipherDPRAM(DPRAM):
+    """Oracle: DP-RAM on the frozen per-block reference cipher
+    (:func:`~repro.crypto.encryption.encrypt_reference`), setup
+    included — slower, bit-identical, the baseline the bulk-crypto
+    invariance witnesses compare against."""
+
+    def _cipher(self):
+        def encrypt_all(key, blocks, rng):
+            return [encrypt_reference(key, block, rng) for block in blocks]
+
+        return encrypt_reference, decrypt_reference, encrypt_all
+
+
+class TestDPRAMOnBulkCryptoAndSlab:
+    def test_identical_to_the_per_block_reference_to_the_stored_byte(self):
+        # Bulk encryption over the slab backend against the reference
+        # cipher over the list backend, one seeded 200-op history with
+        # 25 % writes: nothing a client or the server can observe moves.
+        n, seed = 256, 0x2B5
+        blocks = integer_database(n)
+        workload = SeededRandomSource(seed + 1)
+        plan = [
+            (workload.randbelow(n), workload.random() < 0.25)
+            for _ in range(200)
+        ]
+        witnesses = []
+        for scheme_type, backend_factory in (
+            (_ReferenceCipherDPRAM, None),
+            (DPRAM, SlabBackend),
+        ):
+            scheme = scheme_type(
+                blocks,
+                rng=SeededRandomSource(seed),
+                backend_factory=backend_factory,
+            )
+            answers = [
+                scheme.write(index, bytes(scheme.block_size))
+                if write else scheme.read(index)
+                for index, write in plan
+            ]
+            witnesses.append({
+                "answers": answers,
+                "pairs": scheme.transcript_pairs,
+                "reads": scheme.server.reads,
+                "writes": scheme.server.writes,
+                "epsilon": scheme.params.epsilon_bound,
+                "storage": [scheme.server.peek(slot) for slot in range(n)],
+            })
+        per_block, bulk_slab = witnesses
+        for name, value in per_block.items():
+            assert bulk_slab[name] == value, name
 
 
 class TestPrfProperties:

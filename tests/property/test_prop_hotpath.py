@@ -16,9 +16,9 @@ Four families:
   subset (and each lead element, and each pad) the same number of
   preimages.  Seeded frequency audits then check ``draw_pad_set``
   two-sidedly against ``repro.analysis.dp_ir_exact``.
-* ``DPIR`` and its per-slot oracle (``repro.storage.bench._PerSlotDPIR``)
-  are the same scheme at the same seed — answers, counters and
-  per-query transcript multisets all agree.
+* ``DPIR`` and its per-slot oracle (``_PerSlotDPIR``, kept here) are the
+  same scheme at the same seed — answers, counters, α errors and
+  per-query transcripts all agree.
 """
 
 import itertools
@@ -41,7 +41,6 @@ from repro.crypto.rng import (
     SeededRandomSource,
     SystemRandomSource,
 )
-from repro.storage.bench import _PerSlotDPIR
 from repro.storage.blocks import integer_database
 from repro.storage.errors import StorageError
 from repro.storage.faults import FlakyServer, ServerFault
@@ -650,27 +649,67 @@ class TestDrawPadSet:
         assert 0.21 < errors / trials < 0.29
 
 
+class _PerSlotDPIR(DPIR):
+    """Oracle: Algorithm 1 with the pad set fetched by ``K`` per-slot
+    ``read()`` calls instead of one ``read_many`` round.
+
+    Consumes the same randomness, touches the same slots in the same
+    sorted order and leaves identical counters and transcripts as
+    :class:`~repro.core.dp_ir.DPIR` — the baseline the invariance
+    witnesses below compare against.
+    """
+
+    def query(self, index: int) -> bytes | None:
+        download_set, include_real = self._draw_set(index)
+        self._server.begin_query(self._queries)
+        self._queries += 1
+        result: bytes | None = None
+        for slot in sorted(download_set):
+            block = self._server.read(slot)
+            if include_real and slot == index:
+                result = block
+        if not include_real:
+            self._errors += 1
+        return result
+
+
 class TestDPIRModeEquivalence:
-    @given(seed=seeds)
-    @settings(max_examples=25)
-    def test_batched_and_per_slot_are_the_same_scheme(self, seed):
-        n = 64
+    @staticmethod
+    def _witnesses(seed, n, queries, **params):
         blocks = integer_database(n)
         workload = SeededRandomSource(seed ^ 0xBEEF)
-        indices = [workload.randbelow(n) for _ in range(30)]
+        indices = [workload.randbelow(n) for _ in range(queries)]
         witnesses = []
         for scheme_type in (_PerSlotDPIR, DPIR):
             scheme = scheme_type(
-                blocks,
-                epsilon=math.log(n),
-                alpha=0.2,
-                rng=SeededRandomSource(seed),
+                blocks, rng=SeededRandomSource(seed), **params
             )
             log = Transcript()
             scheme.attach_transcript(log)
             answers = [scheme.query(index) for index in indices]
+            server = scheme.server
             witnesses.append(
-                (answers, scheme.server.reads, scheme.error_count,
-                 log.signature())
+                (answers, server.reads, server.writes, server.capacity,
+                 scheme.epsilon, scheme.error_count, log.signature())
             )
-        assert witnesses[0] == witnesses[1]
+        return witnesses
+
+    @given(seed=seeds)
+    @settings(max_examples=25)
+    def test_batched_and_per_slot_are_the_same_scheme(self, seed):
+        per_slot, batched = self._witnesses(
+            seed, 64, 30, epsilon=math.log(64), alpha=0.2
+        )
+        assert per_slot == batched
+
+    def test_seeded_witness_covers_the_alpha_error_branch(self):
+        # One fixed history on which the α coin is known to have fired,
+        # so the identity above is known to cover error events too; and
+        # a query costs exactly K reads of an n-slot server either way.
+        per_slot, batched = self._witnesses(
+            0x1A7, 512, 200, pad_size=16, alpha=0.1
+        )
+        assert per_slot == batched
+        _, reads, writes, capacity, _, errors, _ = batched
+        assert (reads, writes, capacity) == (200 * 16, 0, 512)
+        assert errors > 0

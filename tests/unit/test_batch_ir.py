@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.batch_ir import BatchDPIR
 from repro.core.dp_ir import DPIR
+from repro.core.multi_server import MultiServerDPIR
 from repro.crypto.rng import SeededRandomSource
 from repro.storage.blocks import integer_database
 from repro.storage.errors import RetrievalError
@@ -100,15 +101,16 @@ class TestBatchQueries:
         with pytest.raises(RetrievalError):
             scheme.query_batch([0, 16])
 
+    @pytest.mark.parametrize("scheme_type", [BatchDPIR, MultiServerDPIR])
     @pytest.mark.parametrize("bad", [[1, 2, 999], [999], [1, -1, 2]])
-    def test_rejected_batch_leaves_no_trace(self, bad):
+    def test_rejected_batch_leaves_no_trace(self, bad, scheme_type):
         # Every index is validated before the first coin: a twin that
         # never saw the bad batch has the same rng stream, counters and
         # transcript afterwards.
         sides = []
         for sees_bad_batch in (True, False):
             source = SeededRandomSource(3)
-            scheme = BatchDPIR(
+            scheme = scheme_type(
                 integer_database(256), pad_size=8, alpha=0.1, rng=source
             )
             log = Transcript()
@@ -119,7 +121,7 @@ class TestBatchQueries:
             answers = scheme.query_many([5, 6])
             sides.append((
                 answers, log.signature(), scheme.query_count,
-                scheme.batch_count, scheme.error_count,
+                getattr(scheme, "batch_count", None), scheme.error_count,
                 scheme.server_counters(), source.random(),
             ))
         assert sides[0] == sides[1]

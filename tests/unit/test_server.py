@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.obs.instrument import StorageObserver
+from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.storage.errors import BlockSizeError, StorageError
 from repro.storage.server import ServerPool, StorageServer
 from repro.storage.transcript import AccessKind, Transcript
@@ -93,6 +95,20 @@ class TestStorageServer:
         assert returned is transcript
         server.read(0)
         assert len(transcript) == 0
+
+    def test_attach_observer_refuses_disabled_observers(self, tiny_db):
+        # "Observability off costs one ``is not None``" is structural: a
+        # disabled observer never reaches the slot the batched rounds
+        # test, and offering one unhooks whatever was attached before.
+        server = StorageServer(len(tiny_db))
+        live = StorageObserver(Tracer("live"), None)
+        for refused in (StorageObserver(NULL_TRACER, None), None):
+            server.attach_observer(live)
+            server.attach_observer(refused)
+            assert server.detach_observer() is None
+        server.attach_observer(live)
+        assert server.detach_observer() is live
+        assert server.detach_observer() is None
 
     def test_peek_does_not_count(self, tiny_db):
         server = StorageServer(len(tiny_db))
