@@ -68,7 +68,6 @@ from repro.api.protocols import PrivateRAM
 from repro.crypto.encryption import (
     NONCE_SIZE,
     SecretKey,
-    _seal_many,
     decrypt,
     decrypt_many,
     encrypt_many,
@@ -76,7 +75,8 @@ from repro.crypto.encryption import (
 )
 from repro.crypto.rng import RandomSource, SystemRandomSource
 from repro.storage.backends import BackendFactory
-from repro.storage.errors import RetrievalError, StorageError
+from repro.storage.blocks import check_block
+from repro.storage.errors import BlockSizeError, RetrievalError, StorageError
 from repro.storage.server import StorageServer
 
 
@@ -360,6 +360,10 @@ class BucketDPRAM(PrivateRAM):
                 finished already, or its download round never landed).
             StorageError: if ``new_contents`` names a node outside the
                 batch; the batch stays open.
+            BlockSizeError: if a replacement is not :attr:`block_size`
+                bytes (ciphertext length is all the cipher leaks, so it
+                would show the server which upload was a real write); the
+                batch stays open.
         """
         if pending is not self._pending:
             raise RetrievalError(
@@ -373,7 +377,9 @@ class BucketDPRAM(PrivateRAM):
                     raise StorageError(
                         f"node {node} is not part of buckets {pending.buckets}"
                     )
-                updates[node] = bytes(block)
+                block = bytes(block)
+                check_block(block, self._block_size)
+                updates[node] = block
         # Only a validated call consumes the handle: a rejected one leaves
         # the batch open, so the caller can still run the upload round.
         self._pending = None
@@ -426,7 +432,7 @@ class BucketDPRAM(PrivateRAM):
                 list(
                     zip(
                         upload_nodes,
-                        _seal_many(self._key, nonces, upload_blocks),
+                        encrypt_many(self._key, upload_blocks, nonces=nonces),
                     )
                 )
             )
@@ -457,9 +463,13 @@ class BucketDPRAM(PrivateRAM):
 
         Raises:
             StorageError: if bucket ``index`` holds more than one node.
+            BlockSizeError: if ``value`` is not :attr:`block_size` bytes;
+                nothing is drawn or sent.
         """
         node = self._single_node(index)
-        self.query(index, {node: bytes(value)})
+        value = bytes(value)
+        check_block(value, self._block_size)
+        self.query(index, {node: value})
 
     def _single_node(self, index: int) -> int:
         if not 0 <= index < len(self._buckets):
@@ -487,7 +497,7 @@ class BucketDPRAM(PrivateRAM):
         pending = self.begin_query((bucket,))
         try:
             self.finish_query(pending, new_contents)
-        except StorageError:
+        except (StorageError, BlockSizeError):
             if self._pending is pending:
                 # Rejected ``new_contents``: close the batch as a read.
                 self.finish_query(pending)

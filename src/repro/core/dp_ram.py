@@ -40,6 +40,7 @@ from repro.crypto.encryption import (
 )
 from repro.crypto.rng import RandomSource, SystemRandomSource
 from repro.storage.backends import BackendFactory
+from repro.storage.blocks import check_block
 from repro.storage.client import ClientStash
 from repro.storage.errors import RetrievalError, StorageError
 from repro.storage.server import StorageServer
@@ -170,7 +171,14 @@ class DPRAM(PrivateRAM):
         return self._query(index, new_value=None)
 
     def write(self, index: int, value: bytes) -> None:
-        """Overwrite record ``index`` with ``value``."""
+        """Overwrite record ``index`` with ``value``.
+
+        Raises:
+            BlockSizeError: if ``value`` is not :attr:`block_size` bytes —
+                the cipher hides everything but length, so an odd-sized
+                upload would tell the server this was a write, and of what.
+                Nothing is drawn or sent.
+        """
         self._query(index, new_value=bytes(value))
 
     # -- Algorithm 3 ------------------------------------------------------------
@@ -179,6 +187,8 @@ class DPRAM(PrivateRAM):
         n = self._params.n
         if not 0 <= index < n:
             raise RetrievalError(f"index {index} out of range for n={n}")
+        if new_value is not None:
+            check_block(new_value, self._block_size)
         self._server.begin_query(self._queries)
 
         # Plan both phases' coins first (the slots depend only on the

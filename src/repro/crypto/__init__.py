@@ -7,13 +7,14 @@ The paper's constructions require three primitives:
   (``prf``), and
 * an IND-CPA symmetric encryption scheme ``(Enc, Dec)`` used by DP-RAM and
   DP-KVS to make ciphertexts independent of record contents
-  (``encryption``, built on the counter-mode generator in ``prg``).
+  (``encryption``, a keyed SHAKE-256 stream cipher).
 
-Everything here is implemented on top of the standard library
-(``hashlib``/``hmac``) so the repository has no third-party runtime
-dependencies.  The privacy analysis in the paper treats ciphertexts as
-opaque, so a PRF-based stream cipher with fresh random nonces is the right
-level of fidelity for reproducing the transcript distributions.
+``prg`` adds a counter-mode generator for experiments that want long
+deterministic pseudorandom strings.  Everything here is implemented on top
+of the standard library (``hashlib``/``hmac``) so the repository has no
+third-party runtime dependencies.  The privacy analysis in the paper treats
+ciphertexts as opaque, so a PRF-based stream cipher with fresh random nonces
+is the right level of fidelity for reproducing the transcript distributions.
 """
 
 from repro.crypto.encryption import (

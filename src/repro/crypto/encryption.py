@@ -2,29 +2,39 @@
 
 DP-RAM (Section 6) assumes an IND-CPA symmetric scheme ``(Enc, Dec)`` so
 that the transcript reveals only *which* server slots were touched, never
-what they contain.  We implement a nonce-based stream cipher: a fresh random
-nonce is drawn per encryption and the keystream is
-``PRG(HMAC(key, nonce))``.  Re-encrypting the same plaintext therefore
-yields an unrelated ciphertext, which is exactly the property the paper's
-simulator argument relies on (Section 6, "Discussion about encryption").
-``PRG`` is the HMAC-counter stream of :mod:`repro.crypto.prg`; past its
-first 32-byte chunk a keystream is a single ``hashlib.pbkdf2_hmac`` call
-(one-iteration PBKDF2 with a 4-zero-byte salt yields the same blocks, but
-numbers them from 1, so chunk 0 is computed apart).
+what they contain.  We implement a nonce-based stream cipher on a keyed
+extendable-output function (SHAKE-256, FIPS 202), one C call per block:
 
-This is a simulation-grade cipher built from the standard library; it is not
-meant to resist real adversaries (no authentication tag), and the repository
+* keystream ``= SHAKE256(key ‖ "stream:" ‖ nonce)``, read to the
+  plaintext's length and XORed onto it;
+* tag ``= SHAKE256(key ‖ "mac:" ‖ nonce ‖ body)``, 16 bytes, checked before
+  a byte is decrypted — the authenticated variant, for a server that may
+  *tamper* (the paper's is honest-but-curious; IND-CPA suffices for it);
+* ciphertext ``= nonce ‖ body [‖ tag]`` with a fresh 16-byte nonce drawn
+  from the caller's ``rng`` per block.
+
+Re-encrypting the same plaintext therefore yields an unrelated
+ciphertext, which is exactly the property the paper's simulator argument
+relies on (Section 6, "Discussion about encryption").  A bare key prefix
+is enough because a sponge, unlike a Merkle–Damgård hash, has no length
+extension: ``SHAKE256(key ‖ message)`` with a *fixed-length* key is a PRF
+and a MAC — the rationale of KMAC (NIST SP 800-185), which differs only in
+how it frames the key.  The key is always 32 bytes and the two labels
+differ in their first byte, so no stream input is ever a tag input.
+
+This is a simulation-grade cipher built from the standard library; it is
+not meant to resist real adversaries (its nonces come from whatever
+``rng`` the caller hands in, seeded ones included), and the repository
 never claims otherwise.
 """
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 from dataclasses import dataclass
+from hashlib import sha256, shake_256
 from typing import Sequence
 
-from repro.crypto.prg import counter_stream, hmac_pads
 from repro.crypto.rng import RandomSource
 
 NONCE_SIZE = 16
@@ -33,7 +43,15 @@ NONCE_SIZE = 16
 CIPHERTEXT_OVERHEAD = NONCE_SIZE
 """Ciphertext expansion in bytes (the nonce)."""
 
+TAG_SIZE = 16
+"""Bytes of tag appended by :func:`encrypt_authenticated`."""
+
+AUTHENTICATED_OVERHEAD = NONCE_SIZE + TAG_SIZE
+"""Total expansion of an authenticated ciphertext."""
+
 _KEY_SIZE = 32
+_STREAM = b"stream:"
+_MAC = b"mac:"
 
 
 @dataclass(frozen=True)
@@ -53,8 +71,12 @@ class SecretKey:
             )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        fingerprint = hashlib.sha256(self.material).hexdigest()[:8]
+        fingerprint = sha256(self.material).hexdigest()[:8]
         return f"SecretKey(fingerprint={fingerprint})"
+
+
+class IntegrityError(Exception):
+    """An authenticated ciphertext failed tag verification."""
 
 
 def generate_key(rng: RandomSource) -> SecretKey:
@@ -62,61 +84,33 @@ def generate_key(rng: RandomSource) -> SecretKey:
     return SecretKey(rng.bytes(_KEY_SIZE))
 
 
-# The optimized path computes HMAC-SHA256 "by hand": HMAC(k, m) =
-# H(opad_k || H(ipad_k || m)) with the padded-key XOR masks precomputed.
-# Two one-shot ``hashlib.sha256`` calls replace the ``hmac`` module's
-# object construction, copy, update and finalize round trips, which is
-# where the per-block Python overhead lives.  The seed -> keystream step
-# (:func:`repro.crypto.prg.counter_stream`) does the same below 64 bytes
-# and hands longer streams to PBKDF2.  The bytes produced are the
-# textbook HMAC, so they match the frozen reference implementation
-# bit for bit (``tests/property/test_prop_crypto.py`` pins this).
-
-
-def _key_states(key: SecretKey) -> tuple["hashlib._Hash", ...]:
-    """Per-key SHA-256 states ``(stream inner, mac inner, outer)``.
-
-    Keying an HMAC re-derives the inner/outer pads from the key on every
-    call; we pay that once per key — absorbing the padded key block and
-    the ``b"stream:"`` / ``b"mac:"`` domain separators into reusable
-    hash states — and cache the result on the (frozen) key object so
-    every call site, single-block and bulk, shares one keying.  Each use
-    is a ``copy()`` of the cached state, never a mutation.
-    """
-    states = getattr(key, "_states", None)
-    if states is None:
-        ipad, opad = hmac_pads(key.material)
-        states = (
-            hashlib.sha256(ipad + b"stream:"),
-            hashlib.sha256(ipad + b"mac:"),
-            hashlib.sha256(opad),
-        )
-        object.__setattr__(key, "_states", states)
-    return states
-
-
-def _keystream(key: SecretKey, nonce: bytes, length: int) -> bytes:
-    """``PRG(HMAC(key, b"stream:" + nonce))`` from the cached key states."""
-    stream_inner, _, outer = _key_states(key)
-    inner = stream_inner.copy()
-    inner.update(nonce)
-    seed = outer.copy()
-    seed.update(inner.digest())
-    return counter_stream(seed.digest(), length)
-
-
 def _xor(data: bytes, stream: bytes) -> bytes:
     """Word-wise XOR of two equal-length byte strings."""
-    length = len(data)
     return (
         int.from_bytes(data, "little") ^ int.from_bytes(stream, "little")
-    ).to_bytes(length, "little")
+    ).to_bytes(len(data), "little")
+
+
+def _tag(key: SecretKey, nonce_and_body: bytes) -> bytes:
+    return shake_256(key.material + _MAC + nonce_and_body).digest(TAG_SIZE)
+
+
+def _verified(key: SecretKey, ciphertext: bytes) -> bytes:
+    """``nonce ‖ body`` of an authenticated ciphertext whose tag holds."""
+    if len(ciphertext) < AUTHENTICATED_OVERHEAD:
+        raise IntegrityError(
+            f"authenticated ciphertext too short: {len(ciphertext)} bytes"
+        )
+    nonce_and_body, tag = ciphertext[:-TAG_SIZE], ciphertext[-TAG_SIZE:]
+    if not hmac.compare_digest(tag, _tag(key, nonce_and_body)):
+        raise IntegrityError("ciphertext failed integrity verification")
+    return nonce_and_body
 
 
 def encrypt(key: SecretKey, plaintext: bytes, rng: RandomSource) -> bytes:
     """Encrypt ``plaintext`` under ``key`` with a fresh nonce from ``rng``."""
     nonce = rng.bytes(NONCE_SIZE)
-    stream = _keystream(key, nonce, len(plaintext))
+    stream = shake_256(key.material + _STREAM + nonce).digest(len(plaintext))
     return nonce + _xor(plaintext, stream)
 
 
@@ -131,73 +125,90 @@ def decrypt(key: SecretKey, ciphertext: bytes) -> bytes:
             f"ciphertext too short: {len(ciphertext)} < nonce size {NONCE_SIZE}"
         )
     nonce, body = ciphertext[:NONCE_SIZE], ciphertext[NONCE_SIZE:]
-    stream = _keystream(key, nonce, len(body))
+    stream = shake_256(key.material + _STREAM + nonce).digest(len(body))
     return _xor(body, stream)
 
 
+def encrypt_authenticated(
+    key: SecretKey, plaintext: bytes, rng: RandomSource
+) -> bytes:
+    """Encrypt-then-MAC: :func:`encrypt` plus a tag over ``nonce ‖ body``."""
+    ciphertext = encrypt(key, plaintext, rng)
+    return ciphertext + _tag(key, ciphertext)
+
+
+def decrypt_authenticated(key: SecretKey, ciphertext: bytes) -> bytes:
+    """Verify the tag, then decrypt.
+
+    Raises:
+        IntegrityError: if the ciphertext was modified or is too short.
+    """
+    return decrypt(key, _verified(key, ciphertext))
+
+
 # -- bulk variants ------------------------------------------------------------
-#
-# Every DP-RAM / bucket-RAM round encrypts or decrypts a whole batch of
-# blocks back to back under the same key.  The bulk entry points below
-# amortize what the per-block loop pays K times: the nonces for a round
-# are drawn in ONE ``rng.bytes(K * NONCE_SIZE)`` call and split per
-# block, and the keyed HMAC states come from the per-key cache.  For the
-# seeded Mersenne source (and trivially for system entropy) one bulk
-# draw yields exactly the bytes of K sequential ``bytes(NONCE_SIZE)``
-# draws and leaves the generator in the same state, so ciphertexts and
-# every downstream coin are bit-identical to the sequential loop —
-# ``tests/property/test_prop_crypto.py`` holds that equivalence.
+# A DP-RAM / bucket-RAM round seals or opens a whole batch under one key:
+# its nonces are ONE ``rng.bytes(K * NONCE_SIZE)`` draw and the batch is
+# XORed as one big integer, cheaper than word-wise block by block.  For the
+# seeded Mersenne source (trivially for system entropy) that draw yields the
+# bytes of K sequential ``bytes(NONCE_SIZE)`` draws and leaves the generator
+# in the same state, so ciphertexts and every later coin equal the per-block
+# loop's (``tests/property/test_prop_crypto.py`` holds the equivalence).
 
 
-def _keystreams(
+def _xor_keystreams(
     key: SecretKey, nonces: bytes, bodies: Sequence[bytes]
 ) -> bytes:
-    """The keystreams of ``bodies``, joined; ``nonces`` is joined likewise."""
-    stream_inner, _, outer = _key_states(key)
-    streams: list[bytes] = []
-    position = 0
-    for body in bodies:
-        inner = stream_inner.copy()
-        inner.update(nonces[position:position + NONCE_SIZE])
-        position += NONCE_SIZE
-        seed = outer.copy()
-        seed.update(inner.digest())
-        streams.append(counter_stream(seed.digest(), len(body)))
-    return b"".join(streams)
+    """``bodies``, joined, XORed with their keystreams (``nonces``: joined).
 
-
-def _seal_many(
-    key: SecretKey, nonces: bytes, plaintexts: Sequence[bytes]
-) -> list[bytes]:
-    """Seal ``plaintexts`` under already-drawn ``nonces`` (joined, in order).
-
-    The one sealing loop: :func:`encrypt_many` draws the nonces and
-    seals at once, the bucket DP-RAM draws them with the rest of a
-    query's coins before its download round and seals after it.  The
-    caller owes a fresh ``NONCE_SIZE`` bytes per plaintext.
+    A preload seals a whole database in one call, so no per-block list is
+    held across the XOR: callers cut the result straight into their output.
     """
-    # One whole-batch XOR: cheaper than a word-wise XOR per block.
-    mixed = _xor(b"".join(plaintexts), _keystreams(key, nonces, plaintexts))
-    out: list[bytes] = []
-    position = 0
-    offset = 0
-    for plaintext in plaintexts:
-        end = offset + len(plaintext)
-        out.append(nonces[position:position + NONCE_SIZE] + mixed[offset:end])
-        position += NONCE_SIZE
-        offset = end
-    return out
+    prefix = key.material + _STREAM
+    stream = b"".join([
+        shake_256(prefix + nonces[start:start + NONCE_SIZE]).digest(len(body))
+        for start, body in zip(range(0, len(nonces), NONCE_SIZE), bodies)
+    ])
+    return _xor(b"".join(bodies), stream)
 
 
 def encrypt_many(
-    key: SecretKey, plaintexts: Sequence[bytes], rng: RandomSource
+    key: SecretKey,
+    plaintexts: Sequence[bytes],
+    rng: RandomSource | None = None,
+    *,
+    nonces: bytes | None = None,
 ) -> list[bytes]:
-    """Encrypt a batch; bit-identical to a sequential :func:`encrypt` loop."""
-    if not plaintexts:
-        return []
-    return _seal_many(
-        key, rng.bytes(len(plaintexts) * NONCE_SIZE), plaintexts
-    )
+    """Encrypt a batch; bit-identical to a sequential :func:`encrypt` loop.
+
+    The nonces come from ``rng``, or already drawn (``nonces``, joined in
+    block order, a fresh ``NONCE_SIZE`` bytes per plaintext) from a caller
+    that spends its coins early, as the bucket DP-RAM does before a round.
+
+    Raises:
+        TypeError: unless exactly one of ``rng`` and ``nonces`` is given.
+        ValueError: if ``nonces`` is not ``NONCE_SIZE`` bytes per plaintext.
+    """
+    if (rng is None) == (nonces is None):
+        raise TypeError("encrypt_many takes exactly one of rng and nonces")
+    if nonces is None:
+        if not plaintexts:
+            return []
+        nonces = rng.bytes(len(plaintexts) * NONCE_SIZE)
+    elif len(nonces) != len(plaintexts) * NONCE_SIZE:
+        raise ValueError(
+            f"{len(plaintexts)} plaintexts need {len(plaintexts) * NONCE_SIZE}"
+            f" nonce bytes, got {len(nonces)}"
+        )
+    mixed = _xor_keystreams(key, nonces, plaintexts)
+    out: list[bytes] = []
+    start = offset = 0
+    for plaintext in plaintexts:
+        end = offset + len(plaintext)
+        out.append(nonces[start:start + NONCE_SIZE] + mixed[offset:end])
+        start += NONCE_SIZE
+        offset = end
+    return out
 
 
 def decrypt_many(key: SecretKey, ciphertexts: Sequence[bytes]) -> list[bytes]:
@@ -209,12 +220,11 @@ def decrypt_many(key: SecretKey, ciphertexts: Sequence[bytes]) -> list[bytes]:
     for ciphertext in ciphertexts:
         if len(ciphertext) < NONCE_SIZE:
             raise ValueError(
-                f"ciphertext too short: {len(ciphertext)} < nonce size "
-                f"{NONCE_SIZE}"
+                f"ciphertext too short: {len(ciphertext)} < nonce size {NONCE_SIZE}"
             )
     nonces = b"".join([ciphertext[:NONCE_SIZE] for ciphertext in ciphertexts])
     bodies = [ciphertext[NONCE_SIZE:] for ciphertext in ciphertexts]
-    mixed = _xor(b"".join(bodies), _keystreams(key, nonces, bodies))
+    mixed = _xor_keystreams(key, nonces, bodies)
     out: list[bytes] = []
     offset = 0
     for body in bodies:
@@ -224,73 +234,14 @@ def decrypt_many(key: SecretKey, ciphertexts: Sequence[bytes]) -> list[bytes]:
     return out
 
 
-# -- authenticated variant ---------------------------------------------------
-#
-# The paper's model is an honest-but-curious server, so plain IND-CPA
-# encryption suffices for the privacy proofs.  Deployments facing a server
-# that might *tamper* with ciphertexts need integrity too; the
-# encrypt-then-MAC pair below adds a 16-byte HMAC tag and detects any
-# modification (see repro.storage.faults for the failure-injection tests).
-
-TAG_SIZE = 16
-"""Bytes of HMAC tag appended by :func:`encrypt_authenticated`."""
-
-AUTHENTICATED_OVERHEAD = NONCE_SIZE + TAG_SIZE
-"""Total expansion of an authenticated ciphertext."""
-
-
-class IntegrityError(Exception):
-    """An authenticated ciphertext failed tag verification."""
-
-
-def _tag(key: SecretKey, ciphertext: bytes) -> bytes:
-    _, mac_inner, outer = _key_states(key)
-    inner = mac_inner.copy()
-    inner.update(ciphertext)
-    tag = outer.copy()
-    tag.update(inner.digest())
-    return tag.digest()[:TAG_SIZE]
-
-
-def encrypt_authenticated(
-    key: SecretKey, plaintext: bytes, rng: RandomSource
-) -> bytes:
-    """Encrypt-then-MAC: :func:`encrypt` plus an HMAC-SHA256 tag."""
-    ciphertext = encrypt(key, plaintext, rng)
-    return ciphertext + _tag(key, ciphertext)
-
-
-def decrypt_authenticated(key: SecretKey, ciphertext: bytes) -> bytes:
-    """Verify the tag, then decrypt.
-
-    Raises:
-        IntegrityError: if the ciphertext was modified (or is too short to
-            carry a tag).
-    """
-    if len(ciphertext) < NONCE_SIZE + TAG_SIZE:
-        raise IntegrityError(
-            f"authenticated ciphertext too short: {len(ciphertext)} bytes"
-        )
-    body, tag = ciphertext[:-TAG_SIZE], ciphertext[-TAG_SIZE:]
-    if not hmac.compare_digest(tag, _tag(key, body)):
-        raise IntegrityError("ciphertext failed integrity verification")
-    return decrypt(key, body)
-
-
 def encrypt_authenticated_many(
     key: SecretKey, plaintexts: Sequence[bytes], rng: RandomSource
 ) -> list[bytes]:
     """Bulk encrypt-then-MAC; bit-identical to the sequential loop."""
-    ciphertexts = encrypt_many(key, plaintexts, rng)
-    _, mac_inner, outer = _key_states(key)
-    out: list[bytes] = []
-    for ciphertext in ciphertexts:
-        inner = mac_inner.copy()
-        inner.update(ciphertext)
-        tag = outer.copy()
-        tag.update(inner.digest())
-        out.append(ciphertext + tag.digest()[:TAG_SIZE])
-    return out
+    return [
+        ciphertext + _tag(key, ciphertext)
+        for ciphertext in encrypt_many(key, plaintexts, rng)
+    ]
 
 
 def decrypt_authenticated_many(
@@ -298,99 +249,12 @@ def decrypt_authenticated_many(
 ) -> list[bytes]:
     """Verify every tag, then bulk-decrypt.
 
-    Verification is per block: the first tampered block raises, naming
-    nothing about the others (callers needing per-block recovery fall
-    back to :func:`decrypt_authenticated` one block at a time).
+    The first tampered block raises, naming nothing about the others
+    (for per-block recovery, :func:`decrypt_authenticated` one at a time).
 
     Raises:
         IntegrityError: if any ciphertext was modified or is too short.
     """
-    bodies: list[bytes] = []
-    for ciphertext in ciphertexts:
-        if len(ciphertext) < NONCE_SIZE + TAG_SIZE:
-            raise IntegrityError(
-                f"authenticated ciphertext too short: {len(ciphertext)} bytes"
-            )
-        body, tag = ciphertext[:-TAG_SIZE], ciphertext[-TAG_SIZE:]
-        if not hmac.compare_digest(tag, _tag(key, body)):
-            raise IntegrityError("ciphertext failed integrity verification")
-        bodies.append(body)
-    return decrypt_many(key, bodies)
-
-
-# -- frozen reference implementation ------------------------------------------
-#
-# The original (pre-bulk) code path, kept verbatim: a fresh HMAC keying
-# per block, a stateful counter generator with an HMAC keying per
-# 32-byte keystream segment, and the byte-by-byte generator XOR.  It is
-# the ground truth ``tests/property/test_prop_crypto.py`` compares the
-# optimized outputs to, directly and through a DP-RAM built on it
-# (``_ReferenceCipherDPRAM`` there).  Do not optimize these.
-
-
-class _ReferenceCounterPRG:
-    """The seed repository's ``CounterPRG``, preserved verbatim."""
-
-    def __init__(self, seed: bytes) -> None:
-        if not isinstance(seed, (bytes, bytearray)):
-            raise TypeError(
-                f"PRG seed must be bytes, got {type(seed).__name__}"
-            )
-        if len(seed) == 0:
-            raise ValueError("PRG seed must be non-empty")
-        self._seed = bytes(seed)
-        self._counter = 0
-        self._buffer = b""
-
-    def read(self, length: int) -> bytes:
-        if length < 0:
-            raise ValueError(f"length must be non-negative, got {length}")
-        while len(self._buffer) < length:
-            block = hmac.new(
-                self._seed, self._counter.to_bytes(8, "big"), hashlib.sha256
-            ).digest()
-            self._counter += 1
-            self._buffer += block
-        out, self._buffer = self._buffer[:length], self._buffer[length:]
-        return out
-
-    @classmethod
-    def expand(cls, seed: bytes, length: int) -> bytes:
-        return cls(seed).read(length)
-
-
-def _reference_keystream(key: SecretKey, nonce: bytes, length: int) -> bytes:
-    seed = hmac.new(key.material, b"stream:" + nonce, hashlib.sha256).digest()
-    return _ReferenceCounterPRG.expand(seed, length)
-
-
-def encrypt_reference(
-    key: SecretKey, plaintext: bytes, rng: RandomSource
-) -> bytes:
-    """The seed implementation of :func:`encrypt` (per-byte XOR)."""
-    nonce = rng.bytes(NONCE_SIZE)
-    stream = _reference_keystream(key, nonce, len(plaintext))
-    body = bytes(p ^ s for p, s in zip(plaintext, stream))
-    return nonce + body
-
-
-def decrypt_reference(key: SecretKey, ciphertext: bytes) -> bytes:
-    """The seed implementation of :func:`decrypt` (per-byte XOR)."""
-    if len(ciphertext) < NONCE_SIZE:
-        raise ValueError(
-            f"ciphertext too short: {len(ciphertext)} < nonce size {NONCE_SIZE}"
-        )
-    nonce, body = ciphertext[:NONCE_SIZE], ciphertext[NONCE_SIZE:]
-    stream = _reference_keystream(key, nonce, len(body))
-    return bytes(c ^ s for c, s in zip(body, stream))
-
-
-def encrypt_authenticated_reference(
-    key: SecretKey, plaintext: bytes, rng: RandomSource
-) -> bytes:
-    """The seed implementation of :func:`encrypt_authenticated`."""
-    ciphertext = encrypt_reference(key, plaintext, rng)
-    tag = hmac.new(
-        key.material, b"mac:" + ciphertext, hashlib.sha256
-    ).digest()[:TAG_SIZE]
-    return ciphertext + tag
+    return decrypt_many(
+        key, [_verified(key, ciphertext) for ciphertext in ciphertexts]
+    )

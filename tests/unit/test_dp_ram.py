@@ -5,8 +5,9 @@ import math
 import pytest
 
 from repro.core.dp_ram import DPRAM, ReadOnlyDPRAM
+from repro.crypto.rng import SeededRandomSource
 from repro.storage.blocks import encode_int, integer_database
-from repro.storage.errors import RetrievalError
+from repro.storage.errors import BlockSizeError, RetrievalError
 from repro.storage.transcript import Transcript
 
 
@@ -83,6 +84,45 @@ class TestCorrectness:
             ram.read(8)
         with pytest.raises(RetrievalError):
             ram.write(-1, b"x")
+
+
+class TestWrongSizeWrites:
+    def test_rejected_like_a_twin_that_never_saw_the_call(self):
+        # A stream cipher hides everything but length: a 5-byte value
+        # would sit on the server as a 21-byte ciphertext among 32-byte
+        # ones.  The write is refused before a coin is drawn or the server
+        # touched, so the history equals one that never made the call.
+        def history(reject):
+            rng = SeededRandomSource(3)
+            ram = DPRAM(integer_database(64, 16), stash_probability=0.2,
+                        rng=rng)
+            answers = []
+            for step in range(40):
+                index = (7 * step) % 64
+                if reject and step % 4 == 1:
+                    for bad in (b"", b"short", bytes(15), bytes(17)):
+                        with pytest.raises(BlockSizeError):
+                            ram.write(index, bad)
+                if step % 3:
+                    answers.append(ram.read(index))
+                else:
+                    ram.write(index, bytes([step]) * 16)
+            server = ram.server
+            return {
+                "answers": answers,
+                "pairs": ram.transcript_pairs,
+                "queries": ram.query_count,
+                "reads": server.reads,
+                "writes": server.writes,
+                "stash": ram.stash_size,
+                "storage": [server.peek(slot) for slot in range(64)],
+                "next coin": rng.random(),
+            }
+
+        rejecting, twin = history(True), history(False)
+        for name, value in twin.items():
+            assert rejecting[name] == value, name
+        assert {len(block) for block in rejecting["storage"]} == {32}
 
 
 class TestBandwidth:
