@@ -180,3 +180,16 @@ class PrivateKVS(Scheme):
     def get_many(self, keys: Sequence[bytes]) -> list[bytes | None]:
         """Retrieve ``keys`` in order; default is one query per key."""
         return [self.get(key) for key in keys]
+
+    def canonical_key(self, key: bytes) -> bytes:
+        """The form of ``key`` this store compares keys in.
+
+        Two user keys name one entry exactly when their canonical forms
+        are equal, and the canonical form is itself a spelling of the key.
+        The default is the key as given; a scheme that zero-pads keys into
+        a fixed-size field returns the key less its trailing NULs, and
+        raises what :meth:`put` would for a key it cannot hold.  A front
+        end that routes or counts keys (the cluster) does so on this form,
+        so it agrees with the store behind it.
+        """
+        return bytes(key)

@@ -163,6 +163,15 @@ class ORAMKeyValueStore(PrivateKVS):
 
     # -- the KVS interface ------------------------------------------------------
 
+    def canonical_key(self, key: bytes) -> bytes:
+        """``key`` less its trailing NULs: every operation zero-pads keys
+        to the key size, so ``b"k"`` and ``b"k\x00"`` are one key.
+
+        Raises:
+            BlockSizeError: if ``key`` is longer than the key size.
+        """
+        return self._codec.canonical_key(key)
+
     def get(self, user_key: bytes) -> bytes | None:
         """Retrieve the exact value for ``user_key``; ``None`` if absent (⊥)."""
         key = self._codec.normalize_key(user_key)

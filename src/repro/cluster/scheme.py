@@ -974,7 +974,10 @@ class ClusterKVS(_ClusterBase[KVShardGroup], PrivateKVS):
     hash skew).  Writes fan out to every live replica, reads fail over
     (fail-stop — see :mod:`repro.cluster.group`).  The cluster keeps a
     client-side key *directory* (keys only, no values) so
-    :meth:`reshard` can enumerate what to migrate.
+    :meth:`reshard` can enumerate what to migrate.  Routing, the
+    directory and :attr:`size` all work on the base scheme's
+    :meth:`~repro.api.protocols.PrivateKVS.canonical_key`, so the cluster
+    identifies exactly the keys a single base store would.
 
     Args:
         n: cluster-wide key capacity.
@@ -1070,9 +1073,25 @@ class ClusterKVS(_ClusterBase[KVShardGroup], PrivateKVS):
 
     # -- operations --------------------------------------------------------
 
+    def canonical_key(self, key: bytes) -> bytes:
+        """The base scheme's canonical form of ``key``.
+
+        Every operation routes, counts and forwards this form — never the
+        raw key — so two spellings the shards store as one key (``b"k"``
+        and ``b"k\x00"`` under ``dp_kvs``) reach one shard and count once,
+        and a key no shard could hold is refused before anything is
+        charged.
+        """
+        return self._groups[0].replicas[0].canonical_key(key)
+
+    def _route(self, key: bytes) -> tuple[int, bytes]:
+        """Owner shard and canonical form of a user key."""
+        key = self.canonical_key(key)
+        return self._shard_of(key), key
+
     def get(self, key: bytes) -> bytes | None:
         """Retrieve the exact value for ``key``; ``None`` if absent."""
-        shard = self._shard_of(key)
+        shard, key = self._route(key)
         return self._single_shard(
             "cluster.get", shard, self._groups[shard].get, key
         )
@@ -1082,31 +1101,28 @@ class ClusterKVS(_ClusterBase[KVShardGroup], PrivateKVS):
         fan-out round (see :meth:`_ClusterBase._fan_out_round`) whose
         legs are the per-shard ``get_many`` calls."""
         return self._fan_out_round(
-            "cluster.get_many",
-            keys,
-            lambda key: (self._shard_of(key), bytes(key)),
-            KVShardGroup.get_many,
+            "cluster.get_many", keys, self._route, KVShardGroup.get_many
         )
 
     def put(self, key: bytes, value: bytes) -> None:
         """Insert or update ``key`` on every live replica of its shard."""
-        shard = self._shard_of(key)
+        shard, key = self._route(key)
         group = self._groups[shard]
         self._single_shard(
             "cluster.put", shard, group.put, key, value,
             certain_draws=group.live_replicas,
         )
-        self._keys.add(bytes(key))
+        self._keys.add(key)
 
     def delete(self, key: bytes) -> bool:
         """Remove ``key``; returns whether it existed."""
-        shard = self._shard_of(key)
+        shard, key = self._route(key)
         group = self._groups[shard]
         existed = self._single_shard(
             "cluster.delete", shard, group.delete, key,
             certain_draws=group.live_replicas,
         )
-        self._keys.discard(bytes(key))
+        self._keys.discard(key)
         return existed
 
     def _shard_of(self, key: bytes) -> int:

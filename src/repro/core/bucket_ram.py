@@ -75,7 +75,7 @@ from repro.crypto.encryption import (
 )
 from repro.crypto.rng import RandomSource, SystemRandomSource
 from repro.storage.backends import BackendFactory
-from repro.storage.blocks import check_block
+from repro.storage.blocks import check_block, uniform_block_size
 from repro.storage.errors import BlockSizeError, RetrievalError, StorageError
 from repro.storage.server import StorageServer
 
@@ -115,6 +115,12 @@ class BucketDPRAM(PrivateRAM):
         rng: randomness source (defaults to system entropy).
         key: symmetric key; freshly sampled when omitted.
         backend_factory: optional slot-storage backend for the server.
+
+    Raises:
+        BlockSizeError: if the node blocks are not all of one size (an
+            odd-sized ciphertext would sit on the server until the first
+            upload to that node changed its length); checked before the
+            key or any coin is drawn.
     """
 
     def __init__(
@@ -144,12 +150,12 @@ class BucketDPRAM(PrivateRAM):
                         f"bucket {bucket_id} references node {node} "
                         f"outside [0, {node_count})"
                     )
+        self._block_size = uniform_block_size(node_blocks)
         self._buckets = [tuple(nodes) for nodes in buckets]
         self._p = stash_probability
         self._rng = rng if rng is not None else SystemRandomSource()
         self._key = key if key is not None else generate_key(self._rng)
 
-        self._block_size = len(node_blocks[0])
         self._server = StorageServer(
             node_count,
             backend=backend_factory(node_count) if backend_factory else None,

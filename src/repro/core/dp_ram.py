@@ -40,7 +40,7 @@ from repro.crypto.encryption import (
 )
 from repro.crypto.rng import RandomSource, SystemRandomSource
 from repro.storage.backends import BackendFactory
-from repro.storage.blocks import check_block
+from repro.storage.blocks import check_block, uniform_block_size
 from repro.storage.client import ClientStash
 from repro.storage.errors import RetrievalError, StorageError
 from repro.storage.server import StorageServer
@@ -58,6 +58,12 @@ class DPRAM(PrivateRAM):
         rng: randomness source (defaults to system entropy).
         key: symmetric key; a fresh one is sampled when omitted.
         backend_factory: optional slot-storage backend for the server.
+
+    Raises:
+        BlockSizeError: if the blocks are not all of one size — the server
+            would hold an odd-sized ciphertext, and the first write to
+            that slot would change its length in plain view.  Checked
+            before the key or any coin is drawn.
     """
 
     def __init__(
@@ -78,6 +84,7 @@ class DPRAM(PrivateRAM):
             self._params = DPRAMParams.from_probability(n, stash_probability)
         else:
             self._params = DPRAMParams.from_phi(n, phi)
+        self._block_size = uniform_block_size(blocks)
         self._rng = rng if rng is not None else SystemRandomSource()
         self._key = key if key is not None else generate_key(self._rng)
         self._encrypt, self._decrypt, encrypt_all = self._cipher()
@@ -85,7 +92,6 @@ class DPRAM(PrivateRAM):
         # Setup (Algorithm 2): encrypted array on the server, independent
         # p-Bernoulli stash on the client.  The stash copy and the server
         # ciphertext start out equal, so both are fresh.
-        self._block_size = len(blocks[0])
         self._server = StorageServer(
             n, backend=backend_factory(n) if backend_factory else None
         )
@@ -245,6 +251,10 @@ class ReadOnlyDPRAM(PrivateRAM):
     uploads and stores plaintext on the server.  The adversary view is a
     strict projection of the proven scheme's view, so privacy can only
     improve.
+
+    Raises:
+        BlockSizeError: if the blocks are not all of one size (the declared
+            :attr:`block_size` would be wrong); no coin is drawn.
     """
 
     writable = False
@@ -266,8 +276,8 @@ class ReadOnlyDPRAM(PrivateRAM):
             self._params = DPRAMParams.from_probability(n, stash_probability)
         else:
             self._params = DPRAMParams.from_phi(n, phi)
+        self._block_size = uniform_block_size(blocks)
         self._rng = rng if rng is not None else SystemRandomSource()
-        self._block_size = len(blocks[0])
         self._server = StorageServer(
             n, backend=backend_factory(n) if backend_factory else None
         )

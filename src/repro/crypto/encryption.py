@@ -22,6 +22,11 @@ and a MAC — the rationale of KMAC (NIST SP 800-185), which differs only in
 how it frames the key.  The key is always 32 bytes and the two labels
 differ in their first byte, so no stream input is ever a tag input.
 
+The ``*_many`` entry points do the same per block over ONE nonce draw and
+XOR the batch a tile of ``_TILE_BYTES`` at a time, so sealing a whole
+database at setup needs a tile of scratch memory, not copies of the
+database (see "bulk variants" below).
+
 This is a simulation-grade cipher built from the standard library; it is
 not meant to resist real adversaries (its nonces come from whatever
 ``rng`` the caller hands in, seeded ones included), and the repository
@@ -149,27 +154,86 @@ def decrypt_authenticated(key: SecretKey, ciphertext: bytes) -> bytes:
 # -- bulk variants ------------------------------------------------------------
 # A DP-RAM / bucket-RAM round seals or opens a whole batch under one key:
 # its nonces are ONE ``rng.bytes(K * NONCE_SIZE)`` draw and the batch is
-# XORed as one big integer, cheaper than word-wise block by block.  For the
+# XORed as big integers, cheaper than word-wise block by block.  For the
 # seeded Mersenne source (trivially for system entropy) that draw yields the
 # bytes of K sequential ``bytes(NONCE_SIZE)`` draws and leaves the generator
 # in the same state, so ciphertexts and every later coin equal the per-block
 # loop's (``tests/property/test_prop_crypto.py`` holds the equivalence).
+#
+# Why tiles.  Setup hands a whole database to ONE call, and the XOR's
+# operands — joined bodies, joined keystream, two integers, their XOR, its
+# bytes — are five more copies of whatever they span.  Spanning the batch,
+# they made setup, not steady state, the process's peak memory: sealing the
+# DP-KVS node array peaked at 3.56x the ciphertexts it returned.  Spanning a
+# tile they are ``_TILE_BYTES`` of scratch however large the batch, and a
+# round's batch is a single tile: the XOF calls and the one XOR it always
+# made, behind one size pass.  For the same reason nothing made per block —
+# nonce slices, stripped bodies, keystream pieces — may outlive its tile: a
+# per-block list across the database is one more copy of it, and twice
+# took PR 19 over the benchmark's peak-RSS bound.
+# ``tests/integration/test_scale.py`` holds the peak with ``tracemalloc``.
+
+_TILE_BYTES = 64 * 1024
+"""Block bytes XORed as one integer, at most.  Bytes, not blocks: scratch
+memory is what a tile bounds, and blocks run from 64-byte records to 4 KiB
+pages.  Measured on the DP-KVS build, time is flat from ~10 KiB to ~2 MiB
+and the peak from 1 KiB to ~100 KiB; a DP-KVS round (3.3 KB), a DP-RAM op
+and a cluster batch are a single tile.  Not a knob: the kernel below is
+its only reader (the tests look it up to build batches around it)."""
 
 
 def _xor_keystreams(
-    key: SecretKey, nonces: bytes, bodies: Sequence[bytes]
-) -> bytes:
-    """``bodies``, joined, XORed with their keystreams (``nonces``: joined).
+    key: SecretKey, blocks: Sequence[bytes], nonces: bytes | None
+) -> list[bytes]:
+    """The bulk kernel: seal ``blocks`` under ``nonces``, or open them.
 
-    A preload seals a whole database in one call, so no per-block list is
-    held across the XOR: callers cut the result straight into their output.
+    With ``nonces`` (joined, ``NONCE_SIZE`` bytes per block) every block is
+    a plaintext and comes back as ``nonce ‖ body``; with ``None`` every
+    block is a ``nonce ‖ body`` and comes back as its plaintext.  Either
+    way the batch is walked in tiles: the keystreams of a tile are made,
+    the tile XORed as one integer and cut straight into the output.
+
+    A tile is a run of ``_TILE_BYTES // longest block`` blocks (at least
+    one), so it joins ``_TILE_BYTES`` at most unless one block alone is
+    longer.  Finding that takes one pass in C and no per-block list, and
+    for the equal-sized blocks every scheme seals it is the greedy tiling
+    by bytes.
     """
+    out: list[bytes] = []
+    if not blocks:
+        return out
     prefix = key.material + _STREAM
-    stream = b"".join([
-        shake_256(prefix + nonces[start:start + NONCE_SIZE]).digest(len(body))
-        for start, body in zip(range(0, len(nonces), NONCE_SIZE), bodies)
-    ])
-    return _xor(b"".join(bodies), stream)
+    per_tile = _TILE_BYTES // (max(map(len, blocks)) or 1) or 1
+    for first in range(0, len(blocks), per_tile):
+        bodies = blocks[first:first + per_tile]
+        if nonces is None:
+            stream = b"".join([
+                shake_256(prefix + block[:NONCE_SIZE]).digest(
+                    len(block) - NONCE_SIZE
+                )
+                for block in bodies
+            ])
+            bodies = [block[NONCE_SIZE:] for block in bodies]
+        else:
+            start = first * NONCE_SIZE
+            stream = b"".join([
+                shake_256(prefix + nonces[at:at + NONCE_SIZE]).digest(len(body))
+                for at, body in zip(range(start, len(nonces), NONCE_SIZE), bodies)
+            ])
+        mixed = _xor(b"".join(bodies), stream)
+        offset = 0
+        if nonces is None:
+            for body in bodies:
+                end = offset + len(body)
+                out.append(mixed[offset:end])
+                offset = end
+        else:
+            for body in bodies:
+                end = offset + len(body)
+                out.append(nonces[start:start + NONCE_SIZE] + mixed[offset:end])
+                start += NONCE_SIZE
+                offset = end
+    return out
 
 
 def encrypt_many(
@@ -200,15 +264,7 @@ def encrypt_many(
             f"{len(plaintexts)} plaintexts need {len(plaintexts) * NONCE_SIZE}"
             f" nonce bytes, got {len(nonces)}"
         )
-    mixed = _xor_keystreams(key, nonces, plaintexts)
-    out: list[bytes] = []
-    start = offset = 0
-    for plaintext in plaintexts:
-        end = offset + len(plaintext)
-        out.append(nonces[start:start + NONCE_SIZE] + mixed[offset:end])
-        start += NONCE_SIZE
-        offset = end
-    return out
+    return _xor_keystreams(key, plaintexts, nonces)
 
 
 def decrypt_many(key: SecretKey, ciphertexts: Sequence[bytes]) -> list[bytes]:
@@ -222,26 +278,21 @@ def decrypt_many(key: SecretKey, ciphertexts: Sequence[bytes]) -> list[bytes]:
             raise ValueError(
                 f"ciphertext too short: {len(ciphertext)} < nonce size {NONCE_SIZE}"
             )
-    nonces = b"".join([ciphertext[:NONCE_SIZE] for ciphertext in ciphertexts])
-    bodies = [ciphertext[NONCE_SIZE:] for ciphertext in ciphertexts]
-    mixed = _xor_keystreams(key, nonces, bodies)
-    out: list[bytes] = []
-    offset = 0
-    for body in bodies:
-        end = offset + len(body)
-        out.append(mixed[offset:end])
-        offset = end
-    return out
+    return _xor_keystreams(key, ciphertexts, None)
 
 
 def encrypt_authenticated_many(
     key: SecretKey, plaintexts: Sequence[bytes], rng: RandomSource
 ) -> list[bytes]:
-    """Bulk encrypt-then-MAC; bit-identical to the sequential loop."""
-    return [
-        ciphertext + _tag(key, ciphertext)
-        for ciphertext in encrypt_many(key, plaintexts, rng)
-    ]
+    """Bulk encrypt-then-MAC; bit-identical to the sequential loop.
+
+    The tags go onto :func:`encrypt_many`'s list in place — a second list
+    would be a second copy of a database sealed at setup.
+    """
+    sealed = encrypt_many(key, plaintexts, rng)
+    for index, ciphertext in enumerate(sealed):
+        sealed[index] = ciphertext + _tag(key, ciphertext)
+    return sealed
 
 
 def decrypt_authenticated_many(

@@ -190,15 +190,27 @@ class NodeCodec:
     def normalize_key(self, key: bytes) -> bytes:
         """Pad or reject a user key to exactly ``key_size`` bytes.
 
-        Keys shorter than ``key_size`` are zero-padded on the right; longer
-        keys are rejected so distinct user keys can never collide after
-        normalization.
+        Keys shorter than ``key_size`` are zero-padded on the right, so
+        user keys that differ only in trailing NUL bytes are ONE key
+        (``b"k"`` and ``b"k\x00"`` collide by design; a caller that needs
+        them apart must use fixed-length keys).  Longer keys are rejected,
+        never truncated: two keys collide only through that padding.
         """
         if len(key) > self.key_size:
             raise BlockSizeError(
                 f"key of {len(key)} bytes exceeds key_size {self.key_size}"
             )
         return key + b"\x00" * (self.key_size - len(key))
+
+    def canonical_key(self, key: bytes) -> bytes:
+        """The shortest spelling of ``key``: its :meth:`normalize_key` form
+        less the padding.
+
+        Equal for exactly the user keys that normalize to one stored key,
+        and itself one of them — the form a front end routes and counts
+        keys in (a key without trailing NULs is its own canonical form).
+        """
+        return self.normalize_key(key).rstrip(b"\x00")
 
     def normalize_value(self, value: bytes) -> bytes:
         """Pad or reject a user value to exactly ``value_size`` bytes."""

@@ -153,7 +153,15 @@ class InMemoryBackend(StorageBackend):
             raise StorageError(
                 f"expected {len(self._slots)} blocks, got {len(blocks)}"
             )
-        self._slots = [bytes(block) for block in blocks]
+        # The constructor's placeholder array goes before the copy is
+        # made (a slice assignment would hold a third array of old items
+        # while it runs), and ``bytes`` blocks are stored as handed in.
+        self._slots.clear()
+        self._slots = slots = list(blocks)
+        if set(map(type, slots)) != {bytes}:
+            for index, block in enumerate(slots):
+                if type(block) is not bytes:
+                    slots[index] = bytes(block)
         self._missing = 0
 
 

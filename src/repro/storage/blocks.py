@@ -8,6 +8,8 @@ payloads for tests and examples.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.storage.errors import BlockSizeError
 
 DEFAULT_BLOCK_SIZE = 64
@@ -42,6 +44,26 @@ def check_block(block: bytes, size: int) -> None:
     """
     if len(block) != size:
         raise BlockSizeError(f"expected a {size}-byte block, got {len(block)} bytes")
+
+
+def uniform_block_size(blocks: Sequence[bytes]) -> int:
+    """The one size every block of a non-empty database has.
+
+    The ciphers hide a block's content, not its length: a scheme that
+    stores ciphertexts calls this before it draws a key or a coin, so a
+    ragged database never reaches the server as odd-sized slots.
+
+    Raises:
+        BlockSizeError: naming the first block whose size is not block 0's.
+    """
+    size = len(blocks[0])
+    if set(map(len, blocks)) != {size}:
+        index = next(i for i, block in enumerate(blocks) if len(block) != size)
+        raise BlockSizeError(
+            f"block {index} has {len(blocks[index])} bytes, block 0 has {size}: "
+            "all blocks of a database must have equal size"
+        )
+    return size
 
 
 def encode_int(value: int, size: int = DEFAULT_BLOCK_SIZE) -> bytes:

@@ -3,15 +3,19 @@
 These are not micro-benchmarks (pytest-benchmark owns timing); they run
 the schemes at sizes large enough that an accidental O(n)-per-query bug
 (or an O(n²) setup) would blow past the generous wall-clock ceilings.
+The memory guards count allocations with ``tracemalloc``, which repeats
+exactly: neither a wall clock nor the process's RSS is read.
 """
 
 import time
+import tracemalloc
 
 import pytest
 
 from repro.core.dp_ir import DPIR
 from repro.core.dp_kvs import DPKVS
 from repro.core.dp_ram import DPRAM
+from repro.crypto.encryption import encrypt_many, generate_key
 from repro.storage.blocks import encode_int, integer_database
 
 
@@ -90,6 +94,44 @@ class TestDPKVSScale:
         before = store.server.operations
         store.get(b"k7")
         assert store.server.operations - before == cost
+
+
+def _peak_over_held(build):
+    """Traced peak while ``build()`` ran, over what its result holds."""
+    tracemalloc.start()
+    try:
+        result = build()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result is not None  # alive while the two figures were read
+    return peak / held
+
+
+class TestSetupMemory:
+    # Setup seals the whole database in ONE bulk call.  When that call
+    # XORed the batch as a single integer, five database-sized temporaries
+    # were alive at once and setup, not steady state, set the process's
+    # peak memory (3.56x / 2.96x / 2.93x the result on the three builds
+    # below).  The kernel now works a tile at a time; what is left above
+    # 1.0 is the one nonce draw and the growth slack of the output list.
+
+    def test_bulk_seal_peaks_at_its_own_result(self, rng):
+        key = generate_key(rng)
+        blocks = [bytes(330)] * 31_744  # the node array of DPKVS(16384)
+        ratio = _peak_over_held(lambda: encrypt_many(key, blocks, rng))
+        assert ratio <= 1.25
+
+    def test_dp_kvs_build_peaks_at_the_built_store(self, rng):
+        ratio = _peak_over_held(
+            lambda: DPKVS(N, value_size=64, rng=rng.spawn("kvs"))
+        )
+        assert ratio <= 1.25
+
+    def test_dp_ram_build_peaks_at_the_built_store(self, rng):
+        blocks = integer_database(N)
+        ratio = _peak_over_held(lambda: DPRAM(blocks, rng=rng.spawn("ram")))
+        assert ratio <= 1.5
 
 
 @pytest.mark.parametrize("exponent", [10, 12, 14])

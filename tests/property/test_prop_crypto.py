@@ -2,8 +2,9 @@
 
 import hashlib
 import hmac
+import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pytest
@@ -43,6 +44,55 @@ mixed_batches = st.lists(
     edge_sizes.flatmap(lambda size: st.binary(min_size=size, max_size=size)),
     max_size=8,
 )
+
+
+# -- tile boundaries ----------------------------------------------------------
+#
+# The bulk kernel XORs a batch tile by tile (``encryption._TILE_BYTES`` of
+# joined blocks at most).  Random batches of a few hundred bytes never
+# leave the first tile, so the reference-equivalence tests below also run
+# these: joined sizes of 0, 1, tile - 1, tile, tile + 1 and 3 tile + 7
+# bytes, equal and mixed block sizes, and blocks as long as a tile and
+# longer.  Every property that holds inside one tile must hold across
+# them, to the byte and to the rng position.
+
+_TILE = encryption._TILE_BYTES
+
+
+def _carved(total, sizes):
+    """A batch of ``total`` joined bytes, block sizes cycling ``sizes``."""
+    source = random.Random(total)
+    blocks, turn = [], 0
+    while total:
+        size = min(sizes[turn % len(sizes)], total)
+        blocks.append(source.randbytes(size))
+        total -= size
+        turn += 1
+    return blocks
+
+
+_TILE_BATCHES = [
+    [],
+    [b"\x5a"],
+    _carved(_TILE - 1, [64]),
+    _carved(_TILE, [64]),
+    _carved(_TILE + 1, [64]),
+    _carved(_TILE + 1, [330]),
+    _carved(3 * _TILE + 7, [330, 64, 0, 1, 137, 4096]),
+    [b"head", *_carved(_TILE, [_TILE]), b"", *_carved(_TILE + 5, [_TILE + 5]),
+     b"tail" * 80],
+]
+
+
+def across_tiles(test):
+    """Run a ``(key, plaintexts, seed)`` property on every tile batch too."""
+    for number, batch in enumerate(_TILE_BATCHES):
+        test = example(
+            key=SecretKey(bytes(range(number, number + 32))),
+            plaintexts=batch,
+            seed=number,
+        )(test)
+    return test
 
 
 # -- the oracle ---------------------------------------------------------------
@@ -128,6 +178,7 @@ class TestEncryptionProperties:
         rng = SeededRandomSource(seed)
         assert encrypt(key, plaintext, rng) != encrypt(key, plaintext, rng)
 
+    @across_tiles
     @given(key=keys, plaintexts=batches, seed=seeds)
     @settings(max_examples=60)
     def test_one_fresh_nonce_per_block_in_the_same_draws(
@@ -153,6 +204,7 @@ class TestEncryptionProperties:
 
 
 class TestBulkEncryptionProperties:
+    @across_tiles
     @given(key=keys, plaintexts=batches, seed=seeds)
     @settings(max_examples=60)
     def test_encrypt_many_equals_sequential_loop(
@@ -167,6 +219,7 @@ class TestBulkEncryptionProperties:
         assert bulk == loop
         assert bulk_rng.bytes(16) == loop_rng.bytes(16)
 
+    @across_tiles
     @given(key=keys, plaintexts=batches, seed=seeds)
     @settings(max_examples=60)
     def test_optimized_matches_reference_implementation(
@@ -189,6 +242,7 @@ class TestBulkEncryptionProperties:
         ciphertexts = encrypt_many(key, plaintexts, rng)
         assert decrypt_many(key, ciphertexts) == list(plaintexts)
 
+    @across_tiles
     @given(key=keys, plaintexts=batches, seed=seeds)
     @settings(max_examples=60)
     def test_authenticated_bulk_roundtrip_matches_reference(
@@ -213,6 +267,7 @@ class TestBulkEncryptionProperties:
             plaintexts
         )
 
+    @across_tiles
     @given(key=keys, plaintexts=mixed_batches, seed=seeds)
     @settings(max_examples=40, deadline=None)
     def test_mixed_size_batches_match_reference(self, key, plaintexts, seed):
@@ -245,6 +300,7 @@ class TestBulkEncryptionProperties:
         assert bulk_rng.bytes(16) == loop_rng.bytes(16) == ref_rng.bytes(16)
         assert decrypt_authenticated_many(key, sealed) == list(plaintexts)
 
+    @across_tiles
     @given(key=keys, plaintexts=mixed_batches, seed=seeds)
     @settings(max_examples=40, deadline=None)
     def test_predrawn_nonces_seal_like_a_draw_of_the_same_bytes(
@@ -375,7 +431,11 @@ class TestTamperMatrix:
         key = SecretKey(bytes(range(1, 33)))
         rng = SeededRandomSource(length)
         sealed = encrypt_authenticated(key, bytes(length), rng)
-        others = encrypt_authenticated_many(key, [bytes(length)] * 2, rng)
+        # A full tile of honest blocks: the forged one, put last, falls
+        # in a tile of its own behind it.
+        others = encrypt_authenticated_many(
+            key, [bytes(length)] * (_TILE // (length + 16)), rng
+        )
 
         # Every XOF call of the module, by domain label.
         labels = []
@@ -389,14 +449,19 @@ class TestTamperMatrix:
             with pytest.raises(IntegrityError):
                 decrypt_authenticated(key, forged)
             # The forged block sits last: the bulk path verifies the whole
-            # batch before it decrypts the first block.
+            # batch before it decrypts the first block of the first tile.
             with pytest.raises(IntegrityError):
                 decrypt_authenticated_many(key, [*others, forged])
             assert b"stre" not in labels, what
         assert labels.count(b"mac:") > 0
-        # The spy does see a keystream once a ciphertext verifies.
+        # The spy does see a keystream once a ciphertext verifies, and one
+        # per block once the whole batch does.
         assert decrypt_authenticated(key, sealed) == bytes(length)
-        assert b"stre" in labels
+        assert labels.count(b"stre") == 1
+        assert decrypt_authenticated_many(key, [*others, sealed]) == (
+            [bytes(length)] * (len(others) + 1)
+        )
+        assert labels.count(b"stre") == len(others) + 2
 
 
 class TestDomainSeparation:

@@ -30,6 +30,34 @@ class TestInMemoryBackend:
         with pytest.raises(StorageError):
             InMemoryBackend(3).load([b"a"])
 
+    def test_load_stores_the_handed_bytes_and_copies_the_rest(self):
+        # ``bytes`` blocks are stored as the objects handed in; anything
+        # else becomes ``bytes``.  The caller's list is not the slot list.
+        first, mutable = b"first block", bytearray(b"mutable")
+        blocks = [first, mutable, memoryview(b"view")]
+        backend = InMemoryBackend(3)
+        backend.write_slot(1, b"old")
+        assert backend.missing_slots == 2
+        backend.load(blocks)
+        assert backend.missing_slots == 0
+        assert backend.read_slot(0) is first
+        stored = backend.read_slots([0, 1, 2])
+        assert stored == [b"first block", b"mutable", b"view"]
+        assert {type(block) for block in stored} == {bytes}
+        mutable[:] = b"CHANGED"
+        blocks[0] = b"replaced"
+        assert backend.read_slots([0, 1]) == [b"first block", b"mutable"]
+
+    def test_rejected_load_overwrites_nothing(self):
+        backend = InMemoryBackend(2)
+        backend.write_slot(0, b"kept")
+        for wrong in ([], [b"a"], [b"a", b"b", b"c"]):
+            with pytest.raises(StorageError, match="expected 2 blocks"):
+                backend.load(wrong)
+        assert backend.read_slots([0, 1]) == [b"kept", None]
+        assert backend.missing_slots == 1
+        assert backend.capacity == 2
+
     def test_negative_capacity_rejected(self):
         with pytest.raises(StorageError):
             InMemoryBackend(-1)

@@ -9,6 +9,7 @@ from repro.storage.blocks import (
     encode_int,
     integer_database,
     make_block,
+    uniform_block_size,
     zero_block,
 )
 from repro.storage.errors import BlockSizeError
@@ -48,6 +49,16 @@ class TestCheckBlock:
     def test_rejects_mismatch(self):
         with pytest.raises(BlockSizeError):
             check_block(b"abc", 2)
+
+
+class TestUniformBlockSize:
+    def test_returns_the_common_size(self):
+        assert uniform_block_size([b"ab", b"cd", b"ef"]) == 2
+        assert uniform_block_size([b""]) == 0
+
+    def test_names_the_first_offender(self):
+        with pytest.raises(BlockSizeError, match="block 2 has 3 bytes"):
+            uniform_block_size([b"ab", b"cd", b"efg", b"h"])
 
 
 class TestIntCodec:

@@ -288,6 +288,18 @@ class TestWrongSizeWrites:
         assert _observable(ram, rng) == _observable(twin, twin_rng)
         assert ram.query(1)[6] == twin.query(1)[6] == b"SHAREDv2"
 
+    def test_ragged_node_blocks_rejected_before_the_key_or_a_coin(self):
+        # The constructor twin: node 0 sets the size, and the 5-byte node
+        # would be a 21-byte ciphertext among 32-byte ones until its first
+        # upload.  The rejected constructor drew nothing.
+        rng = SeededRandomSource(11)
+        with pytest.raises(BlockSizeError, match="block 1 has 5"):
+            BucketDPRAM([b"a" * 16, b"b" * 5], [(0,), (1,)], 0.5, rng=rng)
+        with pytest.raises(BlockSizeError, match="block 2 has 17"):
+            BucketDPRAM([bytes(16), bytes(16), bytes(17), bytes(5)],
+                        [(0, 1), (2, 3)], 0.5, rng=rng)
+        assert rng.random() == SeededRandomSource(11).random()
+
     def test_query_closes_the_batch_as_a_read(self):
         (ram, twin), (rng, twin_rng) = self._pair([(0, 1, 6), (2, 3, 6)])
         with pytest.raises(BlockSizeError):

@@ -21,6 +21,7 @@ from repro.core.dp_ir import DPIR
 from repro.core.dp_kvs import DPKVS
 from repro.crypto.rng import SeededRandomSource
 from repro.storage.blocks import integer_database
+from repro.storage.errors import BlockSizeError
 from repro.storage.transcript import Transcript
 
 
@@ -665,6 +666,74 @@ class TestClusterKVSReshardValidatesFirst:
         assert kvs.reshard_count == 0
         assert kvs.server_operations() == operations     # nothing drained
         assert {key: kvs.get(key) for key in stored} == stored
+
+
+class TestClusterKVSKeySpellings:
+    # ``dp_kvs`` zero-pads keys, so ``b"k2"`` and ``b"k2\x00"`` are one
+    # key.  The cluster used to route and count the raw spelling: the
+    # second landed on another shard (or counted twice on the same one).
+
+    def test_trailing_nuls_are_one_key_as_in_the_base_scheme(self):
+        kvs = ClusterKVS(256, shard_count=2, replica_count=2,
+                         rng=SeededRandomSource(1))
+        kvs.put(b"k2", b"one")
+        assert kvs.get(b"k2\x00") == b"one"
+        kvs.put(b"k2\x00", b"two")
+        assert kvs.get(b"k2") == b"two"
+        assert kvs.get_many([b"k2", b"k2\x00\x00"]) == [b"two", b"two"]
+        assert kvs.size == 1
+        assert kvs.delete(b"k2\x00\x00") is True
+        assert (kvs.size, kvs.get(b"k2")) == (0, None)
+
+    def test_differential_history_against_a_single_dp_kvs(self):
+        coins = random.Random(20)
+        stems = [f"k{i}".encode() for i in range(12)] + [b"", b"sixteen-byte-key"]
+        single = DPKVS(256, value_size=8, rng=SeededRandomSource(2))
+        cluster = ClusterKVS(256, shard_count=3, replica_count=2,
+                             value_size=8, rng=SeededRandomSource(3))
+
+        def spelled():
+            stem = coins.choice(stems)
+            return stem + b"\x00" * coins.randrange(min(4, 17 - len(stem)))
+
+        for step in range(240):
+            coin = coins.random()
+            if coin < 0.4:
+                key, value = spelled(), coins.randbytes(coins.randrange(9))
+                assert cluster.put(key, value) == single.put(key, value)
+            elif coin < 0.6:
+                key = spelled()
+                assert cluster.get(key) == single.get(key), (step, key)
+            elif coin < 0.8:
+                batch = [spelled() for _ in range(coins.randrange(1, 6))]
+                assert cluster.get_many(batch) == single.get_many(batch)
+            else:
+                key = spelled()
+                assert cluster.delete(key) == single.delete(key), (step, key)
+            assert cluster.size == single.size, step
+            if step == 120:
+                # The directory holds one spelling per stored key: the
+                # migration re-inserts each pair once, where it is found.
+                assert cluster.reshard(2).shards_after == 2
+                assert cluster.size == single.size
+        assert cluster.size == single.size > 0
+
+    def test_unstorable_key_is_refused_before_anything_is_charged(self):
+        kvs = ClusterKVS(32, shard_count=2, replica_count=2,
+                         value_size=8, rng=SeededRandomSource(4))
+        kvs.put(b"kept", b"v")
+        before = _visible_state(kvs)
+        too_long = b"x" * 16 + b"\x00"     # dp_kvs rejects it, NUL or not
+        for call in (
+            lambda: kvs.put(too_long, b"v"),
+            lambda: kvs.get(too_long),
+            lambda: kvs.get_many([b"kept", too_long]),
+            lambda: kvs.delete(too_long),
+        ):
+            with pytest.raises(BlockSizeError, match="key of 17 bytes"):
+                call()
+        assert _visible_state(kvs) == before
+        assert (kvs.size, kvs.get(b"kept")) == (1, b"v")
 
 
 def test_benchmark_patch_points_are_defined_on_the_named_class():

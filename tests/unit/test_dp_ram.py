@@ -124,6 +124,22 @@ class TestWrongSizeWrites:
             assert rejecting[name] == value, name
         assert {len(block) for block in rejecting["storage"]} == {32}
 
+    @pytest.mark.parametrize("scheme_type", [DPRAM, ReadOnlyDPRAM])
+    @pytest.mark.parametrize("ragged", [1, 3])
+    def test_ragged_database_rejected_before_the_key_or_a_coin(
+        self, scheme_type, ragged
+    ):
+        # The constructor twin: block 0 sets the size, and a shorter block
+        # further down would sit on the server as a 21-byte ciphertext
+        # among 32-byte ones until its first write changed that length.
+        blocks = [b"a" * 16, b"b" * 16, b"c" * 16, b"d" * 16]
+        blocks[ragged] = b"short"
+        rng = SeededRandomSource(3)
+        with pytest.raises(BlockSizeError, match=f"block {ragged} has 5"):
+            scheme_type(blocks, stash_probability=0.2, rng=rng)
+        # Nothing was drawn: the handed rng is where a fresh one starts.
+        assert rng.random() == SeededRandomSource(3).random()
+
 
 class TestBandwidth:
     def test_exactly_three_transfers_per_query(self, rng):

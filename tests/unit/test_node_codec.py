@@ -71,6 +71,19 @@ class TestNormalization:
         with pytest.raises(BlockSizeError):
             codec.normalize_key(b"abcde")
 
+    def test_canonical_key_is_the_shortest_spelling(self, codec):
+        # Equal exactly when the normalized keys are, and itself a
+        # spelling of the key; a key no node can hold has none.
+        spellings = [b"ab", b"ab\x00", b"ab\x00\x00"]
+        assert {codec.canonical_key(key) for key in spellings} == {b"ab"}
+        assert codec.normalize_key(codec.canonical_key(b"ab\x00")) == (
+            codec.normalize_key(b"ab")
+        )
+        assert codec.canonical_key(b"a\x00b") == b"a\x00b"
+        assert codec.canonical_key(b"\x00\x00") == b""
+        with pytest.raises(BlockSizeError):
+            codec.canonical_key(b"abcd\x00")
+
     def test_value_padding(self, codec):
         assert codec.normalize_value(b"xy") == b"xy" + b"\x00" * 4
 
