@@ -79,16 +79,13 @@ def datasheet_for(scheme: object) -> PrivacyDatasheet:
     """
     from repro.baselines.linear_pir import LinearScanPIR
     from repro.baselines.path_oram import PathORAM
-    from repro.core.batch_ir import BatchDPIR
-    from repro.core.dp_ir import DPIR
+    from repro.core.dp_ir import _Algorithm1Client
     from repro.core.dp_kvs import DPKVS
     from repro.core.dp_ram import DPRAM, ReadOnlyDPRAM
-    from repro.core.multi_server import MultiServerDPIR
-    from repro.core.sharded_ir import ShardedDPIR
     from repro.core.strawman import StrawmanIR
 
     name = type(scheme).__name__
-    if isinstance(scheme, (DPIR, BatchDPIR, MultiServerDPIR, ShardedDPIR)):
+    if isinstance(scheme, _Algorithm1Client):
         return PrivacyDatasheet(
             scheme=name, n=scheme.n,
             epsilon=scheme.epsilon, epsilon_kind="exact", delta=0.0,

@@ -13,6 +13,7 @@ from typing import Sequence
 
 from repro.api.protocols import PrivateIR
 from repro.storage.backends import BackendFactory
+from repro.storage.blocks import uniform_block_size
 from repro.storage.errors import RetrievalError
 from repro.storage.server import StorageServer
 
@@ -28,7 +29,7 @@ class LinearScanPIR(PrivateIR):
         if not blocks:
             raise ValueError("the database must contain at least one block")
         self._n = len(blocks)
-        self._block_size = len(blocks[0])
+        self._block_size = uniform_block_size(blocks)
         self._server = StorageServer(
             self._n, backend=backend_factory(self._n) if backend_factory else None
         )

@@ -61,6 +61,7 @@ from repro.storage.faults import (
     wrap_scheme_servers,
 )
 from repro.storage.backends import BackendFactory
+from repro.storage.blocks import uniform_block_size
 from repro.storage.network import LAN, NetworkModel
 from repro.storage.server import StorageServer
 
@@ -709,12 +710,14 @@ class ClusterIR(_ClusterBase[ShardGroup], PrivateIR):
             raise ValueError("the database must contain at least one block")
         data = [bytes(block) for block in blocks]
         n = len(data)
+        # Before the key is spawned or a replica sealed: the cipher hides a
+        # block's content, not its length.
+        self._block_size = uniform_block_size(data)
         super().__init__(
             n, base, replica_count, failure_rate, corruption_rate,
             epsilon_cap, rng, backend_factory, executor, network, tracer,
             fault_coin_mode, base_kwargs,
         )
-        self._block_size = len(data[0])
         self._alpha = alpha
         self._max_attempts = max_attempts
         self._errors = 0

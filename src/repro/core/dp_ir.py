@@ -15,6 +15,11 @@ bandwidth once ``ε = Θ(log n)``.
 IR is stateless on both sides (Section 2.1): the server holds the plaintext
 database (the initialization is public) and the client keeps nothing
 between queries.
+
+That client is written once, as ``_Algorithm1Client``; :class:`DPIR` puts
+the database on one server, and ``batch_ir``, ``multi_server`` and
+``sharded_ir`` each add one thing to it (a union, a replica pool, a range
+layout).
 """
 
 from __future__ import annotations
@@ -27,54 +32,51 @@ from repro.core.params import DPIRParams
 from repro.core.sampling import draw_pad_set
 from repro.crypto.rng import RandomSource, SystemRandomSource
 from repro.storage.backends import BackendFactory
+from repro.storage.blocks import uniform_block_size
 from repro.storage.errors import RetrievalError
 from repro.storage.server import StorageServer
 
 
-class DPIR(PrivateIR):
-    """Single-server ε-DP-IR (Algorithm 1).
+class _Algorithm1Client(PrivateIR):
+    """The client of Algorithm 1, before it is told where the blocks live.
 
-    Args:
-        blocks: the database ``B_1..B_n`` (each an opaque ``bytes`` record).
-        epsilon: target privacy budget; resolved to the pad size
-            ``K = ⌈(1−α)n/(e^ε−1)⌉``.  Mutually exclusive with ``pad_size``.
-        pad_size: explicit pad size ``K`` (overrides ``epsilon``).
-        alpha: error probability in ``(0, 1)``.
-        rng: randomness source (defaults to system entropy).
-        backend_factory: optional slot-storage backend for the server.
+    Everything Appendix B's proof talks about is here: the parameters,
+    the rule that an index is checked before the first coin is spent on
+    it, and the one draw of one pad set.  A subclass places the database
+    on servers (after ``super().__init__``, so a refused database builds
+    none) and turns a drawn set into reads.
 
-    The *exact* budget achieved by the resolved ``K`` is available as
-    :attr:`epsilon`.
+    The arguments are :class:`DPIR`'s, less the backend.
+
+    Raises:
+        ValueError: on an empty database, or both or neither of
+            ``epsilon`` / ``pad_size``.
+        BlockSizeError: naming the first block whose size is not block 0's.
     """
 
     def __init__(
         self,
         blocks: Sequence[bytes],
-        epsilon: float | None = None,
-        pad_size: int | None = None,
-        alpha: float = 0.05,
-        rng: RandomSource | None = None,
-        backend_factory: BackendFactory | None = None,
+        epsilon: float | None,
+        pad_size: int | None,
+        alpha: float,
+        rng: RandomSource | None,
     ) -> None:
         if not blocks:
             raise ValueError("the database must contain at least one block")
         if (epsilon is None) == (pad_size is None):
             raise ValueError("provide exactly one of epsilon or pad_size")
+        self._block_size = uniform_block_size(blocks)
         n = len(blocks)
         if pad_size is not None:
             self._params = DPIRParams.from_pad_size(n, pad_size, alpha)
         else:
             self._params = DPIRParams.from_epsilon(n, epsilon, alpha)
         self._rng = rng if rng is not None else SystemRandomSource()
-        self._block_size = len(blocks[0])
-        self._server = StorageServer(
-            n, backend=backend_factory(n) if backend_factory else None
-        )
-        self._server.load(blocks)
         self._queries = 0
         self._errors = 0
 
-    # -- parameters --------------------------------------------------------
+    # -- parameters & accounting ---------------------------------------------
 
     @property
     def n(self) -> int:
@@ -83,7 +85,7 @@ class DPIR(PrivateIR):
 
     @property
     def pad_size(self) -> int:
-        """Blocks downloaded per query (``K``)."""
+        """Blocks downloaded per query (``K``), across all servers."""
         return self._params.pad_size
 
     @property
@@ -107,15 +109,6 @@ class DPIR(PrivateIR):
         return self._block_size
 
     @property
-    def server(self) -> StorageServer:
-        """The passive server (exposes operation counters)."""
-        return self._server
-
-    def servers(self) -> tuple[StorageServer, ...]:
-        """The single passive server."""
-        return (self._server,)
-
-    @property
     def query_count(self) -> int:
         """Number of queries issued so far."""
         return self._queries
@@ -126,6 +119,78 @@ class DPIR(PrivateIR):
         return self._errors
 
     # -- querying ------------------------------------------------------------
+
+    def query_many(self, indices: Sequence[int]) -> list[bytes | None]:
+        """Answer ``indices`` in order, one Algorithm-1 query per index.
+
+        Raises:
+            RetrievalError: if any index is out of range — before the
+                first query runs, so no answer is fetched and discarded.
+        """
+        self._check_indices(indices)
+        return [self.query(index) for index in indices]
+
+    def _check_indices(self, indices: Sequence[int]) -> None:
+        """Reject a bad index before the first coin.
+
+        A refused call must leave the rng stream, the counters and the
+        servers where a call never made would: a pad set shown to a
+        server is ε spent, whether or not its answer is kept.
+        """
+        n = self._params.n
+        for index in indices:
+            if not 0 <= index < n:
+                raise RetrievalError(f"index {index} out of range for n={n}")
+
+    def _draw_set(self, index: int) -> tuple[list[int], bool]:
+        """One checked draw: ``(pad set, whether the real block counts)``."""
+        self._check_indices((index,))
+        params = self._params
+        return draw_pad_set(
+            self._rng, params.n, params.pad_size, params.alpha, index
+        )
+
+
+class DPIR(_Algorithm1Client):
+    """Single-server ε-DP-IR (Algorithm 1).
+
+    Args:
+        blocks: the database ``B_1..B_n`` (each an opaque ``bytes`` record).
+        epsilon: target privacy budget; resolved to the pad size
+            ``K = ⌈(1−α)n/(e^ε−1)⌉``.  Mutually exclusive with ``pad_size``.
+        pad_size: explicit pad size ``K``.
+        alpha: error probability in ``(0, 1)``.
+        rng: randomness source (defaults to system entropy).
+        backend_factory: optional slot-storage backend for the server.
+
+    The *exact* budget achieved by the resolved ``K`` is available as
+    :attr:`epsilon`.
+    """
+
+    def __init__(
+        self,
+        blocks: Sequence[bytes],
+        epsilon: float | None = None,
+        pad_size: int | None = None,
+        alpha: float = 0.05,
+        rng: RandomSource | None = None,
+        backend_factory: BackendFactory | None = None,
+    ) -> None:
+        super().__init__(blocks, epsilon, pad_size, alpha, rng)
+        n = len(blocks)
+        self._server = StorageServer(
+            n, backend=backend_factory(n) if backend_factory else None
+        )
+        self._server.load(blocks)
+
+    @property
+    def server(self) -> StorageServer:
+        """The passive server (exposes operation counters)."""
+        return self._server
+
+    def servers(self) -> tuple[StorageServer, ...]:
+        """The single passive server."""
+        return (self._server,)
 
     def query(self, index: int) -> bytes | None:
         """Retrieve block ``index``; returns ``None`` on the α-error event.
@@ -156,13 +221,3 @@ class DPIR(PrivateIR):
         """
         download_set, _ = self._draw_set(index)
         return frozenset(download_set)
-
-    # -- internals ----------------------------------------------------------
-
-    def _draw_set(self, index: int) -> tuple[list[int], bool]:
-        n = self._params.n
-        if not 0 <= index < n:
-            raise RetrievalError(f"index {index} out of range for n={n}")
-        return draw_pad_set(
-            self._rng, n, self._params.pad_size, self._params.alpha, index
-        )

@@ -8,8 +8,10 @@ Theorem C.1 lower-bounds the total expected work by
 The construction here is the natural multi-server analogue of Algorithm 1
 (the shape of the scheme of Toledo, Danezis and Goldberg [49], which the
 paper proves optimal for constant ``t``): draw a pad set exactly as in
-Algorithm 1 and route every element — including the real one — to an
-independently uniform server.  The real fetch is visible to the adversary
+Algorithm 1 — the draw is the shared client core of
+:mod:`repro.core.dp_ir`; this module adds the replica pool, the routing
+coins and the executor — and route every element, including the real one,
+to an independently uniform server.  The real fetch is visible to the adversary
 only when its server is corrupted (probability ``t``), so the adversary's
 view is a further randomized projection of the single-server view and the
 single-server exact budget ``ln((1−α)n/(αK)+1)`` is an upper bound on the
@@ -22,27 +24,21 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Sequence
 
-from repro.api.protocols import PrivateIR
-from repro.core.params import DPIRParams
-from repro.core.sampling import draw_pad_set
-from repro.crypto.rng import RandomSource, SystemRandomSource
+from repro.core.dp_ir import _Algorithm1Client
+from repro.crypto.rng import RandomSource
 from repro.parallel.executor import Executor, resolve_executor
 from repro.storage.backends import BackendFactory
-from repro.storage.errors import RetrievalError
 from repro.storage.server import ServerPool, StorageServer
 
 
-class MultiServerDPIR(PrivateIR):
+class MultiServerDPIR(_Algorithm1Client):
     """Replicated ε-DP-IR across ``server_count`` non-colluding servers.
 
     Args:
         blocks: the database ``B_1..B_n``.
         server_count: number of replicas ``D``.
-        epsilon: target budget, resolved to the pad size exactly as in the
-            single-server scheme.  Mutually exclusive with ``pad_size``.
-        pad_size: explicit total pad size ``K``.
-        alpha: error probability in ``(0, 1)``.
-        rng: randomness source.
+        epsilon, pad_size, alpha, rng, backend_factory: as in
+            :class:`~repro.core.dp_ir.DPIR`; ``K`` is the total over servers.
         executor: fan-out policy for the one-batched-leg-per-server reads
             (``"serial"``/``"parallel"``/``"simulated"`` or an
             :class:`~repro.parallel.executor.Executor`).  Executors change
@@ -50,6 +46,9 @@ class MultiServerDPIR(PrivateIR):
             one :meth:`~repro.storage.server.StorageServer.read_many`
             round per query, in deterministic order, so draws, answers
             and transcripts are executor-invariant.
+
+    :attr:`epsilon` is the single-server exact budget — an upper bound on
+    the loss against any corrupted subset (its view is a projection).
     """
 
     def __init__(
@@ -63,59 +62,21 @@ class MultiServerDPIR(PrivateIR):
         backend_factory: BackendFactory | None = None,
         executor: Executor | str | None = None,
     ) -> None:
-        if not blocks:
-            raise ValueError("the database must contain at least one block")
+        super().__init__(blocks, epsilon, pad_size, alpha, rng)
         if server_count <= 0:
             raise ValueError(f"server count must be positive, got {server_count}")
-        if (epsilon is None) == (pad_size is None):
-            raise ValueError("provide exactly one of epsilon or pad_size")
-        n = len(blocks)
-        if pad_size is not None:
-            self._params = DPIRParams.from_pad_size(n, pad_size, alpha)
-        else:
-            self._params = DPIRParams.from_epsilon(n, epsilon, alpha)
-        self._rng = rng if rng is not None else SystemRandomSource()
-        self._block_size = len(blocks[0])
-        self._pool = ServerPool(server_count, n, backend_factory=backend_factory)
+        self._pool = ServerPool(server_count, self.n, backend_factory=backend_factory)
         self._pool.load_replicas(blocks)
         self._owns_executor = not isinstance(executor, Executor)
         self._executor = resolve_executor(executor)
         self._wall_ops = 0.0
-        self._queries = 0
-        self._errors = 0
 
-    # -- parameters & accounting ---------------------------------------------
-
-    @property
-    def n(self) -> int:
-        """Database size."""
-        return self._params.n
+    # -- the pool --------------------------------------------------------------
 
     @property
     def server_count(self) -> int:
         """Number of replicas ``D``."""
         return len(self._pool)
-
-    @property
-    def pad_size(self) -> int:
-        """Total blocks downloaded per query across all servers."""
-        return self._params.pad_size
-
-    @property
-    def alpha(self) -> float:
-        """Error probability."""
-        return self._params.alpha
-
-    @property
-    def epsilon(self) -> float:
-        """Single-server exact budget — an upper bound on the loss against
-        any corrupted subset (the corrupted view is a projection)."""
-        return self._params.epsilon
-
-    @property
-    def block_size(self) -> int:
-        """Bytes per database record."""
-        return self._block_size
 
     @property
     def pool(self) -> ServerPool:
@@ -125,16 +86,6 @@ class MultiServerDPIR(PrivateIR):
     def servers(self) -> tuple[StorageServer, ...]:
         """Every replica server in the pool."""
         return tuple(self._pool)
-
-    @property
-    def query_count(self) -> int:
-        """Number of queries issued so far."""
-        return self._queries
-
-    @property
-    def error_count(self) -> int:
-        """Number of queries that erred."""
-        return self._errors
 
     def wall_operations(self) -> float:
         """Overlap-accounted op-units: each query's per-server legs cost
@@ -162,22 +113,11 @@ class MultiServerDPIR(PrivateIR):
     def query(self, index: int) -> bytes | None:
         """Retrieve block ``index``; ``None`` on the α-error event.
 
-        Every contacted server serves its share of the pad set as one
-        batched :meth:`~repro.storage.server.StorageServer.read_many`
+        A batch of one: every server serves its share of the pad set as
+        one batched :meth:`~repro.storage.server.StorageServer.read_many`
         round — one leg per server instead of ``K`` per-slot calls.
         """
-        plan, real_server = self._draw_plan(index)
-        self._pool.begin_query(self._queries)
-        self._queries += 1
-        result: bytes | None = None
-        legs = self._read_per_server(plan)
-        if real_server is not None:
-            order, blocks = legs[real_server]
-            result = blocks[bisect_left(order, index)]
-        if real_server is None:
-            self._errors += 1
-            return None
-        return result
+        return self.query_many([index])[0]
 
     def query_many(self, indices: Sequence[int]) -> list[bytes | None]:
         """Serve ``indices`` in one round, coalescing per-replica reads.
@@ -197,12 +137,9 @@ class MultiServerDPIR(PrivateIR):
         """
         if not indices:
             return []
-        # Every index is checked before the first coin: a rejected batch
-        # must leave the rng stream where a batch never sent would.
-        n = self._params.n
-        for index in indices:
-            if not 0 <= index < n:
-                raise RetrievalError(f"index {index} out of range for n={n}")
+        self._check_indices(indices)
+        # Draw, then route, per query: drawing every pad set first would
+        # reorder the coins and move every seeded transcript.
         plans = [self._draw_plan(index) for index in indices]
         per_server: list[set[int]] = [set() for _ in range(len(self._pool))]
         for plan, _ in plans:
@@ -277,12 +214,7 @@ class MultiServerDPIR(PrivateIR):
         sent to server ``s`` and ``real_server`` is the replica serving the
         real fetch (``None`` on the error event).
         """
-        n = self._params.n
-        if not 0 <= index < n:
-            raise RetrievalError(f"index {index} out of range for n={n}")
-        chosen, include_real = draw_pad_set(
-            self._rng, n, self._params.pad_size, self._params.alpha, index
-        )
+        chosen, include_real = self._draw_set(index)
         plan: list[set[int]] = [set() for _ in range(len(self._pool))]
         real_server: int | None = None
         for slot in chosen:

@@ -6,8 +6,10 @@ instead: server ``s`` stores the contiguous range of ``≈ n/D`` records
 assigned to it, and a query downloads its pad set from whichever shards
 the chosen indices live on.
 
-Privacy against a subset of corrupted shards follows from the same
-Algorithm-1 argument, applied per shard: the view of any shard is a
+The draw is the shared Algorithm-1 client core of :mod:`repro.core.dp_ir`;
+this module adds only the range layout and the per-shard reads.  Privacy
+against a subset of corrupted shards follows from the same Algorithm-1
+argument, applied per shard: the view of any shard is a
 uniformly random subset of *its own* records, with the real record forced
 in (probability ``1−α``) only when it lives on that shard.  The worst-case
 pair of adjacent queries lands both records on one corrupted shard, where
@@ -22,28 +24,22 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.api.protocols import PrivateIR
-from repro.core.params import DPIRParams
-from repro.core.sampling import draw_pad_set
-from repro.crypto.rng import RandomSource, SystemRandomSource
+from repro.core.dp_ir import _Algorithm1Client
+from repro.crypto.rng import RandomSource
 from repro.storage.backends import BackendFactory
-from repro.storage.errors import RetrievalError, StorageError
+from repro.storage.errors import StorageError
 from repro.storage.server import StorageServer
 
 
-class ShardedDPIR(PrivateIR):
+class ShardedDPIR(_Algorithm1Client):
     """ε-DP-IR over ``D`` contiguous shards (no replication).
 
     Args:
         blocks: the database ``B_1..B_n``.
         shard_count: number of shards ``D`` (each holds ``⌈n/D⌉`` or
             ``⌊n/D⌋`` consecutive records).
-        epsilon: target budget; resolved to the pad size exactly as in
-            the single-server scheme.  Mutually exclusive with
-            ``pad_size``.
-        pad_size: explicit total pad size ``K``.
-        alpha: error probability in ``(0, 1)``.
-        rng: randomness source.
+        epsilon, pad_size, alpha, rng, backend_factory: as in
+            :class:`~repro.core.dp_ir.DPIR`; ``K`` is the total over shards.
     """
 
     def __init__(
@@ -56,23 +52,12 @@ class ShardedDPIR(PrivateIR):
         rng: RandomSource | None = None,
         backend_factory: BackendFactory | None = None,
     ) -> None:
-        if not blocks:
-            raise ValueError("the database must contain at least one block")
+        super().__init__(blocks, epsilon, pad_size, alpha, rng)
         if shard_count <= 0:
             raise ValueError(f"shard count must be positive, got {shard_count}")
-        if shard_count > len(blocks):
-            raise ValueError(
-                f"cannot split {len(blocks)} blocks into {shard_count} shards"
-            )
-        if (epsilon is None) == (pad_size is None):
-            raise ValueError("provide exactly one of epsilon or pad_size")
         n = len(blocks)
-        if pad_size is not None:
-            self._params = DPIRParams.from_pad_size(n, pad_size, alpha)
-        else:
-            self._params = DPIRParams.from_epsilon(n, epsilon, alpha)
-        self._rng = rng if rng is not None else SystemRandomSource()
-        self._block_size = len(blocks[0])
+        if shard_count > n:
+            raise ValueError(f"cannot split {n} blocks into {shard_count} shards")
 
         # Contiguous range partition: shard s holds [starts[s], starts[s+1]).
         base, extra = divmod(n, shard_count)
@@ -90,40 +75,13 @@ class ShardedDPIR(PrivateIR):
             )
             server.load(blocks[lo:hi])
             self._shards.append(server)
-        self._queries = 0
-        self._errors = 0
 
     # -- layout ----------------------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        """Database size."""
-        return self._params.n
 
     @property
     def shard_count(self) -> int:
         """Number of shards ``D``."""
         return len(self._shards)
-
-    @property
-    def pad_size(self) -> int:
-        """Total blocks downloaded per query across shards."""
-        return self._params.pad_size
-
-    @property
-    def alpha(self) -> float:
-        """Error probability."""
-        return self._params.alpha
-
-    @property
-    def epsilon(self) -> float:
-        """Exact single-server budget (see module docstring)."""
-        return self._params.epsilon
-
-    @property
-    def block_size(self) -> int:
-        """Bytes per database record."""
-        return self._block_size
 
     @property
     def shards(self) -> list[StorageServer]:
@@ -133,16 +91,6 @@ class ShardedDPIR(PrivateIR):
     def servers(self) -> tuple[StorageServer, ...]:
         """Every shard server."""
         return tuple(self._shards)
-
-    @property
-    def query_count(self) -> int:
-        """Queries issued so far."""
-        return self._queries
-
-    @property
-    def error_count(self) -> int:
-        """Queries that erred."""
-        return self._errors
 
     def shard_of(self, index: int) -> int:
         """Which shard stores global record ``index``."""
@@ -182,17 +130,15 @@ class ShardedDPIR(PrivateIR):
             per_shard.setdefault(shard, []).append(
                 global_index - self._starts[shard]
             )
+        home = self.shard_of(index)
         result: bytes | None = None
         for shard in sorted(per_shard):
             locals_ = per_shard[shard]
             blocks = self._shards[shard].read_many(locals_)
-            if include_real and self.shard_of(index) == shard:
-                local = index - self._starts[shard]
-                if local in locals_:
-                    result = blocks[locals_.index(local)]
+            if include_real and shard == home:
+                result = blocks[locals_.index(index - self._starts[home])]
         if not include_real:
             self._errors += 1
-            return None
         return result
 
     def sample_shard_view(
@@ -205,14 +151,4 @@ class ShardedDPIR(PrivateIR):
         chosen, _ = self._draw_set(index)
         return frozenset(
             g for g in chosen if self.shard_of(g) in corrupted
-        )
-
-    # -- internals ----------------------------------------------------------
-
-    def _draw_set(self, index: int) -> tuple[list[int], bool]:
-        n = self._params.n
-        if not 0 <= index < n:
-            raise RetrievalError(f"index {index} out of range for n={n}")
-        return draw_pad_set(
-            self._rng, n, self._params.pad_size, self._params.alpha, index
         )

@@ -20,6 +20,7 @@ from typing import Sequence
 from repro.api.protocols import PrivateIR
 from repro.crypto.rng import RandomSource, SystemRandomSource
 from repro.storage.backends import BackendFactory
+from repro.storage.blocks import uniform_block_size
 from repro.storage.errors import RetrievalError
 from repro.storage.server import StorageServer
 
@@ -37,7 +38,7 @@ class StrawmanIR(PrivateIR):
             raise ValueError("the database must contain at least one block")
         self._n = len(blocks)
         self._rng = rng if rng is not None else SystemRandomSource()
-        self._block_size = len(blocks[0])
+        self._block_size = uniform_block_size(blocks)
         self._server = StorageServer(
             self._n, backend=backend_factory(self._n) if backend_factory else None
         )

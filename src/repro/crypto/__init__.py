@@ -9,12 +9,11 @@ The paper's constructions require three primitives:
   DP-KVS to make ciphertexts independent of record contents
   (``encryption``, a keyed SHAKE-256 stream cipher).
 
-``prg`` adds a counter-mode generator for experiments that want long
-deterministic pseudorandom strings.  Everything here is implemented on top
-of the standard library (``hashlib``/``hmac``) so the repository has no
-third-party runtime dependencies.  The privacy analysis in the paper treats
-ciphertexts as opaque, so a PRF-based stream cipher with fresh random nonces
-is the right level of fidelity for reproducing the transcript distributions.
+Everything here is implemented on top of the standard library
+(``hashlib``/``hmac``) so the repository has no third-party runtime
+dependencies.  The privacy analysis in the paper treats ciphertexts as
+opaque, so a PRF-based stream cipher with fresh random nonces is the right
+level of fidelity for reproducing the transcript distributions.
 """
 
 from repro.crypto.encryption import (
@@ -26,12 +25,10 @@ from repro.crypto.encryption import (
     generate_key,
 )
 from repro.crypto.prf import PRF
-from repro.crypto.prg import CounterPRG
 from repro.crypto.rng import RandomSource, SeededRandomSource, SystemRandomSource
 
 __all__ = [
     "CIPHERTEXT_OVERHEAD",
-    "CounterPRG",
     "NONCE_SIZE",
     "PRF",
     "RandomSource",

@@ -18,6 +18,8 @@ from repro.api import (
     build,
     scheme_spec,
 )
+from repro.crypto.rng import SeededRandomSource
+from repro.storage.errors import BlockSizeError
 from repro.storage.server import StorageServer
 from repro.storage.transcript import Transcript
 
@@ -136,6 +138,28 @@ class TestConformance:
         assert scheme.delete(b"k") is True
         assert scheme.get(b"k") is None
         assert scheme.delete(b"k") is False
+
+
+@pytest.mark.parametrize("name", available_schemes("ir"))
+def test_ragged_ir_database_is_refused_before_anything_is_built(
+    name, monkeypatch
+):
+    # A server stores what it is handed: a short block among long ones is
+    # a length the (cluster's) cipher does not hide.  The refusal comes
+    # before a coin is drawn, a key spawned or a server given a slot.
+    built = []
+    init = StorageServer.__init__
+
+    def recording_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(StorageServer, "__init__", recording_init)
+    source = SeededRandomSource(9)
+    with pytest.raises(BlockSizeError, match="block 7 has 3 bytes"):
+        build(name, blocks=[b"a" * 64] * 7 + [b"b" * 3], rng=source)
+    assert built == []
+    assert source.random() == SeededRandomSource(9).random()
 
 
 def _exercise(scheme: Scheme) -> None:

@@ -1,7 +1,6 @@
 """Property-based tests for the crypto substrate."""
 
 import hashlib
-import hmac
 import random
 
 from hypothesis import example, given, settings
@@ -24,7 +23,6 @@ from repro.crypto.encryption import (
 )
 from repro.core.dp_ram import DPRAM
 from repro.crypto.prf import PRF
-from repro.crypto.prg import CounterPRG, counter_stream
 from repro.crypto.rng import SeededRandomSource
 from repro.storage.backends import SlabBackend
 from repro.storage.blocks import integer_database
@@ -570,68 +568,3 @@ class TestPrfProperties:
         choices = PRF(key).choices(message, modulus, count)
         assert len(choices) == count
         assert all(0 <= c < modulus for c in choices)
-
-
-class _ReferenceCounterPRG:
-    """The seed repository's ``CounterPRG``, preserved verbatim: a fresh
-    HMAC keying per 32-byte chunk.  The oracle for ``counter_stream``."""
-
-    def __init__(self, seed: bytes) -> None:
-        if not isinstance(seed, (bytes, bytearray)):
-            raise TypeError(
-                f"PRG seed must be bytes, got {type(seed).__name__}"
-            )
-        if len(seed) == 0:
-            raise ValueError("PRG seed must be non-empty")
-        self._seed = bytes(seed)
-        self._counter = 0
-        self._buffer = b""
-
-    def read(self, length: int) -> bytes:
-        if length < 0:
-            raise ValueError(f"length must be non-negative, got {length}")
-        while len(self._buffer) < length:
-            block = hmac.new(
-                self._seed, self._counter.to_bytes(8, "big"), hashlib.sha256
-            ).digest()
-            self._counter += 1
-            self._buffer += block
-        out, self._buffer = self._buffer[:length], self._buffer[length:]
-        return out
-
-    @classmethod
-    def expand(cls, seed: bytes, length: int) -> bytes:
-        return cls(seed).read(length)
-
-
-class TestPrgProperties:
-    @given(seed=st.binary(min_size=1, max_size=64),
-           first=st.integers(min_value=0, max_value=100),
-           second=st.integers(min_value=0, max_value=100))
-    @settings(max_examples=60)
-    def test_stream_consistency(self, seed, first, second):
-        stream = CounterPRG(seed)
-        combined = stream.read(first) + stream.read(second)
-        assert combined == CounterPRG.expand(seed, first + second)
-
-    def test_kernel_equals_reference_at_every_length(self):
-        # One PBKDF2 call stands in for chunks 1.. of the HMAC-counter
-        # stream; the frozen per-chunk generator is the oracle.
-        seed = bytes(range(32))
-        for length in [*range(1101), 4096, 65_537]:
-            expected = _ReferenceCounterPRG.expand(seed, length)
-            assert counter_stream(seed, length) == expected, length
-            assert CounterPRG.expand(seed, length) == expected, length
-
-    def test_kernel_equals_reference_at_every_seed_length(self):
-        # HMAC and PBKDF2 both hash keys longer than a SHA-256 block
-        # first, so the identity holds past 64 bytes too — also for a long
-        # seed ending in zeros, which a zero-padding shortcut would take
-        # for a short one.
-        seeds = [bytes(range(size)) for size in range(1, 101)]
-        seeds.append(b"a" + bytes(70))
-        for seed in seeds:
-            for length in (0, 1, 32, 33, 64, 65, 96, 97, 330, 1100):
-                assert CounterPRG.expand(seed, length) == (
-                    _ReferenceCounterPRG.expand(seed, length)
-                ), (seed, length)

@@ -5,6 +5,7 @@ import pytest
 from repro.core.batch_ir import BatchDPIR
 from repro.core.dp_ir import DPIR
 from repro.core.multi_server import MultiServerDPIR
+from repro.core.sharded_ir import ShardedDPIR
 from repro.crypto.rng import SeededRandomSource
 from repro.storage.blocks import integer_database
 from repro.storage.errors import RetrievalError
@@ -14,21 +15,6 @@ from repro.storage.transcript import Transcript
 def _scheme(rng, n=128, pad=8, alpha=0.1):
     return BatchDPIR(integer_database(n), pad_size=pad, alpha=alpha,
                      rng=rng.spawn("batch"))
-
-
-class TestConstruction:
-    def test_parameter_validation(self, rng, small_db):
-        with pytest.raises(ValueError):
-            BatchDPIR(small_db, rng=rng)
-        with pytest.raises(ValueError):
-            BatchDPIR(small_db, epsilon=1.0, pad_size=2, rng=rng)
-        with pytest.raises(ValueError):
-            BatchDPIR([], pad_size=1, rng=rng)
-
-    def test_epsilon_matches_single_query_scheme(self, rng, small_db):
-        batch = BatchDPIR(small_db, pad_size=4, alpha=0.1, rng=rng.spawn("a"))
-        single = DPIR(small_db, pad_size=4, alpha=0.1, rng=rng.spawn("b"))
-        assert batch.epsilon == single.epsilon
 
 
 class TestBatchQueries:
@@ -101,7 +87,9 @@ class TestBatchQueries:
         with pytest.raises(RetrievalError):
             scheme.query_batch([0, 16])
 
-    @pytest.mark.parametrize("scheme_type", [BatchDPIR, MultiServerDPIR])
+    @pytest.mark.parametrize(
+        "scheme_type", [DPIR, BatchDPIR, MultiServerDPIR, ShardedDPIR]
+    )
     @pytest.mark.parametrize("bad", [[1, 2, 999], [999], [1, -1, 2]])
     def test_rejected_batch_leaves_no_trace(self, bad, scheme_type):
         # Every index is validated before the first coin: a twin that

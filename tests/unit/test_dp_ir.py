@@ -1,16 +1,18 @@
-"""Tests for repro.core.dp_ir (Algorithm 1)."""
+"""Tests for repro.core.dp_ir (Algorithm 1) and the client core its four
+placements share."""
 
 import hashlib
 import math
 
 import pytest
 
+from repro.core.batch_ir import BatchDPIR
 from repro.core.dp_ir import DPIR
 from repro.core.multi_server import MultiServerDPIR
 from repro.core.sharded_ir import ShardedDPIR
 from repro.crypto.rng import SeededRandomSource
 from repro.storage.blocks import integer_database
-from repro.storage.errors import RetrievalError
+from repro.storage.errors import BlockSizeError, RetrievalError
 from repro.storage.transcript import Transcript
 
 
@@ -22,17 +24,67 @@ def _scheme(rng, n=64, epsilon=None, alpha=0.1, pad_size=None):
                 rng=rng.spawn("dpir")), db
 
 
+_FAMILY = [DPIR, BatchDPIR, MultiServerDPIR, ShardedDPIR]
+
+
+@pytest.mark.parametrize("scheme_type", _FAMILY)
+class TestFamilyConstructorContract:
+    """One constructor under the four classes: what it refuses, it refuses
+    everywhere; what it resolves, it resolves as ``DPIR`` does."""
+
+    def test_rejects_empty_database(self, scheme_type, rng):
+        with pytest.raises(ValueError):
+            scheme_type([], pad_size=1, rng=rng)
+
+    def test_requires_exactly_one_of_epsilon_and_pad_size(
+        self, scheme_type, rng, small_db
+    ):
+        with pytest.raises(ValueError):
+            scheme_type(small_db, epsilon=1.0, pad_size=2, rng=rng)
+        with pytest.raises(ValueError):
+            scheme_type(small_db, rng=rng)
+
+    def test_rejects_ragged_database(self, scheme_type, small_db):
+        source = SeededRandomSource(8)
+        ragged = small_db[:5] + [b"short"] + small_db[6:]
+        with pytest.raises(BlockSizeError, match="block 5 has 5 bytes"):
+            scheme_type(ragged, pad_size=2, rng=source)
+        assert source.random() == SeededRandomSource(8).random()
+
+    @pytest.mark.parametrize("budget", [{"pad_size": 4}, {"epsilon": 2.5}])
+    def test_parameters_agree_with_dpir(
+        self, scheme_type, budget, rng, small_db
+    ):
+        scheme = scheme_type(small_db, alpha=0.1, rng=rng.spawn("a"), **budget)
+        single = DPIR(small_db, alpha=0.1, rng=rng.spawn("b"), **budget)
+        assert scheme.params == single.params
+        assert (scheme.epsilon, scheme.pad_size, scheme.alpha) == (
+            single.epsilon, single.pad_size, single.alpha
+        )
+        assert (scheme.n, scheme.block_size) == (32, len(small_db[0]))
+
+
+@pytest.mark.parametrize("scheme_type,helper,corrupted", [
+    (DPIR, "sample_query_set", ()),
+    (BatchDPIR, "sample_query_set", ()),
+    (MultiServerDPIR, "sample_corrupted_view", ({0},)),
+    (ShardedDPIR, "sample_shard_view", ({0},)),
+])
+@pytest.mark.parametrize("bad", [-1, 64])
+def test_sampling_helper_rejects_bad_index_before_the_first_coin(
+    scheme_type, helper, corrupted, bad
+):
+    # The auditors call these: a refused sample must not shift the stream
+    # the next sample is drawn from.
+    source = SeededRandomSource(4)
+    scheme = scheme_type(integer_database(64), pad_size=4, alpha=0.1, rng=source)
+    with pytest.raises(RetrievalError):
+        getattr(scheme, helper)(bad, *corrupted)
+    assert source.random() == SeededRandomSource(4).random()
+    assert scheme.server_counters() == (0, 0)
+
+
 class TestConstruction:
-    def test_requires_exactly_one_parameter(self, small_db):
-        with pytest.raises(ValueError):
-            DPIR(small_db, epsilon=1.0, pad_size=2)
-        with pytest.raises(ValueError):
-            DPIR(small_db)
-
-    def test_rejects_empty_database(self):
-        with pytest.raises(ValueError):
-            DPIR([], epsilon=1.0)
-
     def test_pad_size_resolution(self, rng):
         scheme, _ = _scheme(rng, n=1000, epsilon=math.log(1000), alpha=0.05)
         expected = math.ceil(0.95 * 1000 / (0.05 * (1000 - 1)))

@@ -1,7 +1,5 @@
 """Tests for repro.core.multi_server (Appendix C)."""
 
-import math
-
 import pytest
 
 from repro.core.multi_server import MultiServerDPIR
@@ -17,27 +15,9 @@ def _scheme(rng, n=64, servers=4, pad_size=8, alpha=0.1):
 
 
 class TestConstruction:
-    def test_rejects_empty_database(self, rng):
-        with pytest.raises(ValueError):
-            MultiServerDPIR([], server_count=2, pad_size=1, rng=rng)
-
     def test_rejects_zero_servers(self, rng, small_db):
         with pytest.raises(ValueError):
             MultiServerDPIR(small_db, server_count=0, pad_size=1, rng=rng)
-
-    def test_requires_one_of_epsilon_pad(self, rng, small_db):
-        with pytest.raises(ValueError):
-            MultiServerDPIR(small_db, server_count=2, rng=rng)
-        with pytest.raises(ValueError):
-            MultiServerDPIR(small_db, server_count=2, epsilon=1.0,
-                            pad_size=2, rng=rng)
-
-    def test_epsilon_resolution_matches_single_server(self, rng, small_db):
-        scheme = MultiServerDPIR(small_db, server_count=2,
-                                 epsilon=math.log(len(small_db)),
-                                 alpha=0.05, rng=rng)
-        assert scheme.pad_size >= 1
-        assert scheme.epsilon > 0
 
 
 class TestQuery:

@@ -1,9 +1,8 @@
-"""Tests for repro.crypto.prf and repro.crypto.prg."""
+"""Tests for repro.crypto.prf."""
 
 import pytest
 
 from repro.crypto.prf import PRF
-from repro.crypto.prg import CounterPRG
 
 
 class TestPRF:
@@ -74,41 +73,6 @@ class TestPRF:
 
     def test_subkey_deterministic(self):
         assert PRF(b"k").subkey("x").key == PRF(b"k").subkey("x").key
-
-
-class TestCounterPRG:
-    def test_deterministic(self):
-        assert CounterPRG(b"seed").read(64) == CounterPRG(b"seed").read(64)
-
-    def test_streaming_matches_one_shot(self):
-        stream = CounterPRG(b"seed")
-        chunks = stream.read(10) + stream.read(20) + stream.read(34)
-        assert chunks == CounterPRG.expand(b"seed", 64)
-
-    def test_distinct_seeds_diverge(self):
-        assert CounterPRG.expand(b"a", 32) != CounterPRG.expand(b"b", 32)
-
-    def test_requested_length(self):
-        for length in (0, 1, 31, 32, 33, 100):
-            assert len(CounterPRG.expand(b"s", length)) == length
-
-    def test_rejects_empty_seed(self):
-        with pytest.raises(ValueError):
-            CounterPRG(b"")
-
-    def test_rejects_negative_length(self):
-        with pytest.raises(ValueError):
-            CounterPRG(b"s").read(-1)
-
-    def test_rejects_non_bytes_seed(self):
-        with pytest.raises(TypeError):
-            CounterPRG(12345)
-
-    def test_output_looks_balanced(self):
-        data = CounterPRG.expand(b"balance", 4096)
-        ones = sum(bin(byte).count("1") for byte in data)
-        # 4096 bytes = 32768 bits; expect ~16384 ones.
-        assert 15500 < ones < 17300
 
 
 class TestBatchedChoices:

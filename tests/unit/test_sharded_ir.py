@@ -1,7 +1,5 @@
 """Tests for repro.core.sharded_ir."""
 
-import math
-
 import pytest
 
 from repro.core.sharded_ir import ShardedDPIR
@@ -42,14 +40,6 @@ class TestLayout:
             ShardedDPIR(integer_database(4), shard_count=8, pad_size=1,
                         rng=rng)
 
-    def test_parameter_validation(self, rng, small_db):
-        with pytest.raises(ValueError):
-            ShardedDPIR(small_db, rng=rng)
-        with pytest.raises(ValueError):
-            ShardedDPIR(small_db, epsilon=1.0, pad_size=2, rng=rng)
-        with pytest.raises(ValueError):
-            ShardedDPIR([], pad_size=1, rng=rng)
-
 
 class TestQuerying:
     def test_correct_answers(self, rng):
@@ -73,20 +63,6 @@ class TestQuerying:
         before = sum(s.operations for s in scheme.shards)
         scheme.query(0)
         assert sum(s.operations for s in scheme.shards) - before == 8
-
-    def test_epsilon_matches_single_server(self, rng, small_db):
-        sharded = ShardedDPIR(small_db, shard_count=4, pad_size=4,
-                              alpha=0.1, rng=rng.spawn("a"))
-        from repro.core.dp_ir import DPIR
-
-        single = DPIR(small_db, pad_size=4, alpha=0.1, rng=rng.spawn("b"))
-        assert sharded.epsilon == single.epsilon
-
-    def test_epsilon_resolution(self, rng, small_db):
-        scheme = ShardedDPIR(small_db, shard_count=2,
-                             epsilon=math.log(len(small_db)), alpha=0.05,
-                             rng=rng)
-        assert scheme.epsilon <= math.log(len(small_db))
 
     def test_out_of_range(self, rng):
         scheme = _scheme(rng, n=16, shards=2, pad=2)
