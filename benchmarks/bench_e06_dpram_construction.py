@@ -17,15 +17,19 @@ def test_e06_table():
     write_report(table)
     print("\n" + table.to_text())
     for row in table.rows:
-        _, phi, blocks, stash_peak, cap, eps_bound, ratio, mismatches = row
-        assert blocks == 3.0
+        _, phi, blocks, expected, stash_peak, cap, eps_bound, ratio, mismatches = row
+        # At most 3, flat in n, expected 2 + O(p): 600 queries stay
+        # within 0.1 of the closed form at every size.
+        assert 2.0 <= blocks <= 3.0
+        assert abs(blocks - expected) < 0.1
         assert stash_peak <= cap + 5
         assert mismatches == 0
         assert ratio < 16  # eps bound = O(log n)
 
 
 def test_e06_stash_probability_ablation(rng):
-    # Larger p buys nothing in bandwidth (always 3) but costs client memory.
+    # Larger p buys nothing in bandwidth (3 at most, 2 + O(p) expected) but
+    # costs client memory.
     n = 2048
     peaks = []
     for p in (0.005, 0.02, 0.08):

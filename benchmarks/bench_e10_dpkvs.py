@@ -12,8 +12,11 @@ def test_e10_table():
     write_report(table)
     print("\n" + table.to_text())
     for row in table.rows:
-        n, path_len, measured, predicted, nodes_per_n, padded_per_n, mism = row
-        assert measured == predicted          # 6 * path_length exactly
+        (n, path_len, measured, expected, at_most,
+         nodes_per_n, padded_per_n, mism) = row
+        assert at_most == 6 * path_len        # the declared worst case
+        assert 4 * path_len < measured <= at_most
+        assert measured <= expected + 0.5     # 250 ops around the estimate
         assert nodes_per_n < 3                # tree sharing keeps O(n)
         assert padded_per_n > nodes_per_n     # the padded-bins blow-up
         assert mism == 0

@@ -18,9 +18,11 @@ def test_e11_ram_table():
     # The factor grows with n (Theta(log n) vs O(1)) and is large already.
     assert factors == sorted(factors)
     assert factors[0] > 10
+    dpram = [row[2] for row in table.rows]
+    assert max(dpram) - min(dpram) < 0.5   # flat in n
     for row in table.rows:
         assert row[1] == 1.0   # plaintext baseline
-        assert row[2] == 3.0   # DP-RAM constant
+        assert 2.0 <= row[2] <= 3.0   # DP-RAM: at most 3, 2 + O(p) expected
 
 
 def test_e11b_kvs_table():

@@ -17,7 +17,7 @@ def test_e13_table():
     assert roundtrips[-1] > 2
     for row in table.rows:
         assert row[4] == 2          # DP-RAM roundtrips
-        assert row[6] == 3.0        # DP-RAM blocks/op
+        assert 2.0 <= row[6] <= 3.0  # DP-RAM blocks/op: <= 3, 2 + O(p) expected
         assert row[-1] == 0         # no mismatches anywhere
 
 

@@ -11,7 +11,7 @@ Quickstart::
 
     import repro
 
-    ram = repro.build("dp_ram", n=1024)   # eps = O(log n), 3 blocks/query
+    ram = repro.build("dp_ram", n=1024)   # eps = O(log n), <= 3 blocks/query
     value = ram.read(7)
     ram.write(7, b"new".ljust(64, b"\\x00"))
 

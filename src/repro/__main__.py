@@ -521,7 +521,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
     kv = DPKVS(n, rng=rng.spawn("kv"))
     kv.put(b"k", b"v")
-    print(f"DP-KVS  : blocks/op={kv.blocks_per_operation()}, "
+    print(f"DP-KVS  : blocks/op<={kv.blocks_per_operation()}, "
           f"server nodes={kv.server_node_count} (~"
           f"{kv.server_node_count / n:.2f} n), get(k)="
           f"{kv.get(b'k').rstrip(bytes(1))!r}")

@@ -28,7 +28,12 @@ class PrivacyDatasheet:
         epsilon_kind: "exact", "upper bound" or "perfect".
         delta: the δ of the guarantee (0 unless stated).
         error_probability: α, the data-independent failure rate.
-        blocks_per_query: block transfers per logical operation.
+        blocks_per_query: block transfers per logical operation — the
+            declared worst case; no operation moves more.
+        expected_blocks_per_query: what an operation moves on average,
+            where that is less (a round lists a slot once, so blocks
+            that coincide travel once); ``None`` when every operation
+            moves exactly ``blocks_per_query``.
         roundtrips: sequential client-server exchanges per operation.
         client_blocks: expected client storage in blocks (``None`` for
             stateless clients).
@@ -45,6 +50,7 @@ class PrivacyDatasheet:
     roundtrips: int
     client_blocks: float | None
     server_blocks: int
+    expected_blocks_per_query: float | None = None
 
     def to_text(self) -> str:
         """Render as an aligned two-column table."""
@@ -57,7 +63,10 @@ class PrivacyDatasheet:
             ["epsilon", epsilon_cell],
             ["delta", self.delta],
             ["error probability", self.error_probability],
-            ["blocks per query", self.blocks_per_query],
+            ["blocks per query (at most)", self.blocks_per_query],
+            ["blocks per query (expected)",
+             self.blocks_per_query if self.expected_blocks_per_query is None
+             else f"{self.expected_blocks_per_query:.3f}"],
             ["roundtrips per query", self.roundtrips],
             ["client blocks (expected)",
              "stateless" if self.client_blocks is None else self.client_blocks],
@@ -104,8 +113,9 @@ def datasheet_for(scheme: object) -> PrivacyDatasheet:
         )
     if isinstance(scheme, (DPRAM, ReadOnlyDPRAM)):
         params = scheme.params
-        # DP-RAM downloads d_j and o_j in one round and uploads o_j in a
-        # second; the read-only variant has no upload.
+        # DP-RAM downloads d_j and o_j in one round — one slot when they
+        # coincide — and uploads o_j in a second; the read-only variant
+        # has no upload.
         blocks, roundtrips = (3.0, 2) if isinstance(scheme, DPRAM) else (2.0, 1)
         return PrivacyDatasheet(
             scheme=name, n=params.n,
@@ -113,6 +123,9 @@ def datasheet_for(scheme: object) -> PrivacyDatasheet:
             delta=0.0, error_probability=0.0,
             blocks_per_query=blocks, roundtrips=roundtrips,
             client_blocks=params.expected_stash, server_blocks=params.n,
+            expected_blocks_per_query=(
+                params.expected_blocks_per_query - (3.0 - blocks)  # no upload
+            ),
         )
     if isinstance(scheme, DPKVS):
         params = scheme.params
@@ -131,6 +144,8 @@ def datasheet_for(scheme: object) -> PrivacyDatasheet:
                 params.phi * params.shape.path_length + params.phi
             ),
             server_blocks=scheme.server_node_count,
+            # An upper estimate: nodes shared by two paths come off too.
+            expected_blocks_per_query=params.expected_blocks_per_operation(),
         )
     if isinstance(scheme, LinearScanPIR):
         return PrivacyDatasheet(

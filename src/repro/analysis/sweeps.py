@@ -141,7 +141,7 @@ class KvsPlanPoint:
     Attributes:
         capacity: key capacity ``n``.
         path_length: nodes per bucket path (``Θ(log log n)``).
-        blocks_per_operation: node blocks moved per KVS op.
+        blocks_per_operation: node blocks moved per KVS op, at most.
         server_nodes: server storage in node blocks.
         server_nodes_per_key: the ``O(n)`` figure, normalized.
         phi: super-root capacity.

@@ -288,7 +288,7 @@ def build_linear_pir(
 
 
 @register_scheme("dp_ram", kind="ram",
-                 summary="Algorithms 2-3: errorless DP-RAM, 3 blocks/query")
+                 summary="Algorithms 2-3: errorless DP-RAM, <= 3 blocks/query")
 def build_dp_ram(
     *,
     n: int | None = None,

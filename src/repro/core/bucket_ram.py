@@ -32,12 +32,26 @@ a batch of one — costs two roundtrips however many buckets it holds.
 (per bucket the download coin; then per bucket the restash coin, the
 overwrite bucket and that upload's nonces), which is possible because no
 draw depends on a downloaded byte, and issues ONE ``read_many`` over
-``d_1 ‖ … ‖ d_k ‖ o_1 ‖ … ‖ o_k``.  The caller inspects the contents, and
-:meth:`BucketDPRAM.finish_query` replays the per-bucket overwrite logic
-on the client and issues ONE ``write_many`` of ``o_1 ‖ … ‖ o_k``.  The
-draw order, the per-query pair ``(d_j, o_j)`` and the multiset of
-server events of a query are those of running the queries one after the
-other; only the data-independent interleaving inside the batch changes.
+the distinct nodes of ``d_1 ‖ … ‖ d_k ‖ o_1 ‖ … ‖ o_k``.  The caller
+inspects the contents, and :meth:`BucketDPRAM.finish_query` replays the
+per-bucket overwrite logic on the client and issues ONE ``write_many``
+over the distinct nodes of ``o_1 ‖ … ‖ o_k``.  The draw order and the
+per-query pair ``(d_j, o_j)`` are those of running the queries one after
+the other; only the data-independent interleaving inside the batch
+changes, and no node moves twice in a round.
+
+**A round lists a node once.**  ``d_j = o_j`` with probability
+``(1−p)²`` (no stash hit, no restash), and tree paths share their upper
+nodes, so the paper-shaped round would fetch byte-identical second
+copies of ciphertexts the client already holds: a query's
+``3 · |bucket|`` blocks are its worst case, ``(3 − (1−p)²) · |bucket|``
+or less its expectation.  Downloads keep a node's first occurrence.
+Uploads keep its last — where two overwrite buckets share a node only
+that copy would survive on the server — sealed under the nonce drawn for
+that position, every coin still drawn as before; the stored bytes are
+those of the paper-shaped rounds.  What the server sees is a
+deterministic function of the paper-shaped view (drop the repeats inside
+a query), so the privacy of Theorem 7.1 carries over by post-processing.
 
 The overwrite phase of bucket ``j`` needs the current plaintext of every
 node of ``o_j``, and all it has from the server was read *before* any
@@ -297,11 +311,17 @@ class BucketDPRAM(PrivateRAM):
             )
 
         overwrite_buckets = [plan.overwrite_bucket for plan in plans]
-        round_nodes = [
-            node
-            for bucket in (*download_buckets, *overwrite_buckets)
-            for node in repertoire[bucket]
-        ]
+        # Each node once, in first-occurrence order: d_j = o_j with
+        # probability (1-p)^2, and tree paths share their upper nodes.
+        round_nodes = list(
+            dict.fromkeys(
+                [
+                    node
+                    for bucket in (*download_buckets, *overwrite_buckets)
+                    for node in repertoire[bucket]
+                ]
+            )
+        )
         self._server.begin_query(self._queries)
         ciphertexts = self._server.read_many(round_nodes)
 
@@ -433,6 +453,17 @@ class BucketDPRAM(PrivateRAM):
             self._queries += 1
 
         nonces = b"".join(plan.nonces for plan in pending._plans)
+        if len(uploaded) < len(upload_nodes):
+            # Each node once: where two overwrite buckets share one, only
+            # its last occurrence would survive on the server, so only that
+            # one is sealed and sent — under the nonce drawn for its position.
+            last = {node: position for position, node in enumerate(upload_nodes)}
+            kept = sorted(last.values())
+            upload_nodes = [upload_nodes[i] for i in kept]
+            upload_blocks = [upload_blocks[i] for i in kept]
+            nonces = b"".join(
+                nonces[i * NONCE_SIZE : (i + 1) * NONCE_SIZE] for i in kept
+            )
         try:
             self._server.write_many(
                 list(

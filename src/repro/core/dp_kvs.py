@@ -14,17 +14,22 @@ Composition of:
 Every ``get``/``put``/``delete`` issues exactly two bucket queries — one per
 hash choice, padded to two distinct buckets when the PRF choices collide —
 so reads and writes are indistinguishable by shape.  Each bucket query
-moves ``3·(depth+1)`` node blocks, giving the ``O(log log n)`` overhead of
-Theorem 7.5 (the paper's "at most 2·k(n) DP-RAM queries" bound is met with
-room to spare because the phase-split bucket DP-RAM retrieves and updates
-in a single query; the composition argument is unchanged).
+moves at most ``3·(depth+1)`` node blocks, giving the ``O(log log n)``
+overhead of Theorem 7.5 (the paper's "at most 2·k(n) DP-RAM queries" bound
+is met with room to spare because the phase-split bucket DP-RAM retrieves
+and updates in a single query; the composition argument is unchanged).
 
 An operation is **two roundtrips**: both bucket queries go to the bucket
-DP-RAM as one batch, which downloads ``d_1 ‖ d_2 ‖ o_1 ‖ o_2`` in one
-round, lets the storing algorithm run on the joint contents, and uploads
-``o_1 ‖ o_2`` in a second.  The per-query view ``(d_j, o_j)`` and the
-blocks moved are those of six sequential rounds; see
-:mod:`repro.core.bucket_ram` for why the interleaving is free.
+DP-RAM as one batch, which downloads the distinct nodes of
+``d_1 ‖ d_2 ‖ o_1 ‖ o_2`` in one round, lets the storing algorithm run on
+the joint contents, and uploads those of ``o_1 ‖ o_2`` in a second.  The
+per-query view ``(d_j, o_j)`` is that of six sequential rounds; the
+blocks moved are theirs less the repeats — :meth:`DPKVS.blocks_per_operation`
+(``2·3·(depth+1)``) is the worst case, and since ``d_j = o_j`` with
+probability ``(1−p)²`` an operation moves about a third less
+(:meth:`~repro.core.params.DPKVSParams.expected_blocks_per_operation`).
+See :mod:`repro.core.bucket_ram` for why the interleaving and the dedupe
+are free.
 
 Missing keys return ``None`` (the paper's ``⊥``).  Keys and values are
 fixed-size byte strings (shorter inputs are zero-padded by the codec).
@@ -201,8 +206,12 @@ class DPKVS(PrivateKVS):
         return self._ram.transcript_pairs
 
     def blocks_per_operation(self) -> int:
-        """Node blocks moved per operation: ``2 · 3 · (depth+1)``."""
-        return self._params.choices * 3 * self._params.shape.path_length
+        """Node blocks moved per operation, at most: ``2 · 3 · (depth+1)``.
+
+        The worst case; :meth:`DPKVSParams.expected_blocks_per_operation`
+        is what an operation moves on average.
+        """
+        return self._params.blocks_per_operation()
 
     # -- the KVS interface -----------------------------------------------------
 

@@ -15,11 +15,24 @@ A query for record ``i`` has two phases:
   write); otherwise ``A[i]`` is downloaded (and discarded) and a fresh
   ciphertext of the current version is uploaded to ``A[i]``.
 
-Every query therefore moves exactly three blocks (two downloads and one
+Every query therefore moves at most three blocks (two downloads and one
 upload) regardless of ``n`` — the O(1) overhead of Theorem 6.1 — and the
 transcript per query is the pair ``(d_j, o_j)`` the privacy proof analyzes.
 Correctness is perfect: the stash entry, when present, is always the
 current version, and otherwise the server ciphertext is.
+
+**Three is the worst case.**  Both downloads go in one ``read_many``
+round, and the round lists a slot once: when ``d_j = o_j`` — no stash hit
+and no restash, probability ``(1−p)²``, plus a ``1/n`` chance meeting
+otherwise — the second download would be a byte-identical copy of a
+ciphertext the client already holds, so it is not sent.  The expected
+cost is ``3 − (1−p)² − p(2−p)/n = 2 + O(p)`` blocks
+(:attr:`~repro.core.params.DPRAMParams.expected_blocks_per_query`).
+Privacy is untouched: the server's view is a deterministic function of
+the paper-shaped one (drop the repeated download), so ε cannot grow, and
+the function is injective — ``(D i, U i)`` still reads as ``(i, i)``
+(:meth:`~repro.storage.transcript.Transcript.dp_ram_pairs`) — so ε is
+exactly that of Theorem 6.1.
 
 :class:`ReadOnlyDPRAM` implements the encryption-free variant discussed
 after Theorem 6.1 for public, read-only data.
@@ -44,6 +57,18 @@ from repro.storage.blocks import check_block, uniform_block_size
 from repro.storage.client import ClientStash
 from repro.storage.errors import RetrievalError, StorageError
 from repro.storage.server import StorageServer
+
+
+def _download_round(download_slot: int, overwrite_slot: int) -> list[int]:
+    """The slots of one query's download round: ``d_j`` and ``o_j``, once.
+
+    When they are one slot — no stash hit and no restash, probability
+    ``(1−p)²`` — a second download would be a byte-identical copy of the
+    first.
+    """
+    if download_slot == overwrite_slot:
+        return [download_slot]
+    return [download_slot, overwrite_slot]
 
 
 class DPRAM(PrivateRAM):
@@ -208,9 +233,10 @@ class DPRAM(PrivateRAM):
         download_slot = self._rng.randbelow(n) if stashed else index
         restash = self._rng.random() < self._params.stash_probability
         overwrite_slot = self._rng.randbelow(n) if restash else index
-        downloaded, overwritten = self._server.read_many(
-            [download_slot, overwrite_slot]
+        fetched = self._server.read_many(
+            _download_round(download_slot, overwrite_slot)
         )
+        downloaded, overwritten = fetched[0], fetched[-1]
 
         # Download phase.
         if stashed:
@@ -250,7 +276,8 @@ class ReadOnlyDPRAM(PrivateRAM):
     privacy analysis, is exactly that of :class:`DPRAM` — but skips the
     uploads and stores plaintext on the server.  The adversary view is a
     strict projection of the proven scheme's view, so privacy can only
-    improve.
+    improve.  A query downloads ``d_j`` and ``o_j`` — one slot when they
+    coincide, so two blocks at most and ``1 + O(p)`` expected.
 
     Raises:
         BlockSizeError: if the blocks are not all of one size (the declared
@@ -342,9 +369,9 @@ class ReadOnlyDPRAM(PrivateRAM):
         """Retrieve record ``index``.
 
         Both cover downloads are planned up front and served as one
-        batched round — the same coin order as the per-slot formulation
-        (reads consume no client randomness), so the ``(d_j, o_j)``
-        distribution is untouched.
+        batched round over their distinct slots — the same coin order as
+        the per-slot formulation (reads consume no client randomness), so
+        the ``(d_j, o_j)`` distribution is untouched.
         """
         n = self._params.n
         if not 0 <= index < n:
@@ -355,9 +382,9 @@ class ReadOnlyDPRAM(PrivateRAM):
         download_slot = self._rng.randbelow(n) if stashed else index
         restash = self._rng.random() < self._params.stash_probability
         overwrite_slot = self._rng.randbelow(n) if restash else index
-        downloaded, _ = self._server.read_many(
-            [download_slot, overwrite_slot]  # second is pure cover traffic
-        )
+        downloaded = self._server.read_many(
+            _download_round(download_slot, overwrite_slot)
+        )[0]  # the overwrite slot is pure cover traffic
 
         current = self._stash.pop(index) if stashed else downloaded
         if restash:

@@ -156,6 +156,20 @@ class DPRAMParams:
     expected_stash: float
     epsilon_bound: float
 
+    @property
+    def expected_blocks_per_query(self) -> float:
+        """Expected blocks a query moves: ``3 − (1−p)² − p(2−p)/n``.
+
+        Three is the worst case (``d_j``, ``o_j``, the upload of
+        ``o_j``); the download round lists a slot once, so a query with
+        ``d_j = o_j`` moves two.  A record is stashed with probability
+        ``p`` at all times, so the two coincide with probability
+        ``(1−p)²`` (no stash hit, no restash: both are the queried slot)
+        plus ``1/n`` in each other case (a uniform slot meeting the other).
+        """
+        p = self.stash_probability
+        return 3.0 - (1.0 - p) ** 2 - p * (2.0 - p) / self.n
+
     @classmethod
     def from_phi(cls, n: int, phi: int | None = None) -> "DPRAMParams":
         """Resolve from a stash budget ``Φ(n)`` (defaults to :func:`default_phi`)."""
@@ -223,13 +237,25 @@ class DPKVSParams:
         return cls(n=n, shape=shape, phi=budget, stash_probability=p)
 
     def blocks_per_operation(self) -> int:
-        """Node blocks moved per KVS operation.
+        """Node blocks moved per KVS operation, at most.
 
         Each of the ``k = 2`` bucket queries downloads two paths and
         uploads one (Section 6 applied per Appendix E):
-        ``2 · 3 · path_length``.
+        ``2 · 3 · path_length`` when no node is on two of them.
         """
         return self.choices * 3 * self.shape.path_length
+
+    def expected_blocks_per_operation(self) -> float:
+        """Upper estimate of the expected node blocks per operation:
+        ``2 · path_length · (3 − (1−p)²)``.
+
+        A bucket query with ``d_j = o_j`` — probability ``(1−p)²`` plus a
+        chance meeting — downloads its path once.  Nodes two different
+        paths share (same tree, or two uniform buckets meeting) come off
+        as well, which this figure leaves out.
+        """
+        shared = (1.0 - self.stash_probability) ** 2
+        return self.choices * self.shape.path_length * (3.0 - shared)
 
 
 # -- shared validation -------------------------------------------------------

@@ -9,10 +9,10 @@ The model is deliberately simple and standard::
 
     time = roundtrips · rtt + total_bytes / bandwidth
 
-Schemes differ in both factors: DP-RAM moves 3 blocks over 2 roundtrips,
-Path ORAM moves Θ(log n) blocks over 2 roundtrips, and recursive Path
-ORAM pays Θ(log n) *roundtrips* — which is what dominates on real WAN
-links (experiment E13).
+Schemes differ in both factors: DP-RAM moves at most 3 blocks (2 + O(p)
+expected) over 2 roundtrips, Path ORAM moves Θ(log n) blocks over 2
+roundtrips, and recursive Path ORAM pays Θ(log n) *roundtrips* — which
+is what dominates on real WAN links (experiment E13).
 
 Multi-leg stages: a sharded deployment sends sub-requests to several
 shard groups at once.  :meth:`NetworkModel.serial_stage_ms` prices the

@@ -100,9 +100,13 @@ class Transcript:
     def dp_ram_pairs(self) -> list[tuple[int, int]]:
         """Project to the ``(d_j, o_j)`` pairs of the DP-RAM analysis.
 
-        Each DP-RAM query produces exactly three events: a download at
-        ``d_j``, a download at ``o_j`` and an upload at ``o_j``.  This
-        method recovers ``(d_j, o_j)`` per query and validates that shape.
+        A DP-RAM query downloads ``d_j`` and ``o_j`` and uploads ``o_j``,
+        a slot never listed twice in the download round: three events
+        when ``d_j != o_j``, and the two events ``(D i, U i)`` — read as
+        ``(i, i)`` — when they coincide.  The paper-shaped triple
+        ``(D i, D i, U i)`` reads the same way, so the projection is
+        injective on either form.  This method recovers ``(d_j, o_j)``
+        per query and validates that shape.
 
         Raises:
             ValueError: if the transcript does not look like a DP-RAM run.
@@ -115,17 +119,16 @@ class Transcript:
             by_query.setdefault(event.query, []).append(event)
         for query in sorted(by_query):
             events = by_query[query]
-            if len(events) != 3:
+            if len(events) not in (2, 3):
                 raise ValueError(
-                    f"query {query} has {len(events)} events, expected 3"
+                    f"query {query} has {len(events)} events, expected 2 or 3"
                 )
-            first, second, third = events
+            *downloads, upload = events
             if (
-                first.kind is not AccessKind.DOWNLOAD
-                or second.kind is not AccessKind.DOWNLOAD
-                or third.kind is not AccessKind.UPLOAD
-                or second.index != third.index
+                any(e.kind is not AccessKind.DOWNLOAD for e in downloads)
+                or upload.kind is not AccessKind.UPLOAD
+                or downloads[-1].index != upload.index
             ):
                 raise ValueError(f"query {query} does not match DP-RAM shape")
-            pairs.append((first.index, second.index))
+            pairs.append((downloads[0].index, upload.index))
         return pairs

@@ -25,6 +25,41 @@ def tiny_db():
     return integer_database(8)
 
 
+def dedupe_rounds(signature):
+    """φ: what a server sees of this repo's DP-RAM / bucket DP-RAM / DP-KVS,
+    as a function of what it saw of the paper-shaped rounds.
+
+    Inside one query a slot is downloaded at its first occurrence only,
+    and uploaded at its last only (the copy that would survive on the
+    server); everything else keeps its order.  A deterministic function
+    of the paper-shaped view, so ε can only shrink (post-processing).
+
+    Args:
+        signature: ``Transcript.signature()`` of the paper-shaped run.
+    """
+    by_query = {}
+    for event in signature:
+        by_query.setdefault(event[3], []).append(event)
+    kept = []
+    for events in by_query.values():
+        downloaded = set()
+        for position, event in enumerate(events):
+            if event[0] == "download":
+                if event in downloaded:
+                    continue
+                downloaded.add(event)
+            elif event in events[position + 1 :]:
+                continue
+            kept.append(event)
+    return tuple(kept)
+
+
+@pytest.fixture
+def phi():
+    """The round-deduplicating projection :func:`dedupe_rounds`."""
+    return dedupe_rounds
+
+
 class _ScriptedCoins:
     """Fault coins read off a script; past its end every round is served."""
 

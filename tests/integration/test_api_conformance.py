@@ -7,6 +7,8 @@ info, agrees between ``*_many`` and single operations, and attaches /
 detaches transcripts symmetrically.
 """
 
+import random
+
 import pytest
 
 from repro.api import (
@@ -19,6 +21,7 @@ from repro.api import (
     scheme_spec,
 )
 from repro.crypto.rng import SeededRandomSource
+from repro.storage.backends import InMemoryBackend
 from repro.storage.errors import BlockSizeError
 from repro.storage.server import StorageServer
 from repro.storage.transcript import Transcript
@@ -160,6 +163,55 @@ def test_ragged_ir_database_is_refused_before_anything_is_built(
         build(name, blocks=[b"a" * 64] * 7 + [b"b" * 3], rng=source)
     assert built == []
     assert source.random() == SeededRandomSource(9).random()
+
+
+class _RoundSpy(InMemoryBackend):
+    """An in-memory backend that fails the round listing a slot twice."""
+
+    rounds = 0
+
+    def read_slots(self, indices):
+        assert len(set(indices)) == len(indices), (
+            f"download round repeats a slot: {list(indices)}"
+        )
+        type(self).rounds += 1
+        return super().read_slots(indices)
+
+    def write_slots(self, items):
+        slots = [index for index, _ in items]
+        assert len(set(slots)) == len(slots), (
+            f"upload round repeats a slot: {slots}"
+        )
+        type(self).rounds += 1
+        super().write_slots(items)
+
+
+@pytest.mark.parametrize(
+    "name", available_schemes("ram") + available_schemes("kvs")
+)
+def test_no_storage_round_moves_a_slot_twice(name, monkeypatch):
+    # A second copy of a slot inside one round is wire traffic that tells
+    # the client nothing: DP-RAM's d_j = o_j, a tree node on two DP-KVS
+    # paths, two overwrite buckets sharing a node.  Held for every RAM and
+    # KVS in the catalogue, over reads, writes, hits, misses and deletes.
+    monkeypatch.setattr(_RoundSpy, "rounds", 0)
+    scheme = _build(name, backend=_RoundSpy, seed=0xD15C)
+    coins = random.Random(name)
+    for step in range(150):
+        if isinstance(scheme, PrivateKVS):
+            key = b"key-%d" % coins.randrange(12)
+            roll = coins.random()
+            if roll < 0.5:
+                scheme.put(key, b"v%d" % step)
+            elif roll < 0.85:
+                scheme.get(key)
+            else:
+                scheme.delete(key)
+        elif scheme.writable and coins.random() < 0.5:
+            scheme.write(coins.randrange(N), bytes([step]) * scheme.block_size)
+        else:
+            scheme.read(coins.randrange(N))
+    assert _RoundSpy.rounds > 0 or name.startswith("plaintext")
 
 
 def _exercise(scheme: Scheme) -> None:

@@ -81,8 +81,11 @@ class TestClaimsHold:
             sizes=(128, 512), queries=100
         )
         for row in table.rows:
-            _, phi, blocks, stash_peak, cap, *_rest, mismatches = row
-            assert blocks == 3.0
+            _, phi, blocks, expected, stash_peak, cap, *_rest, mismatches = row
+            # At most 3, flat in n, expected 2 + O(p).
+            assert 2.0 <= blocks <= 3.0
+            assert 2.0 < expected < 2.5
+            assert abs(blocks - expected) < 0.2
             assert stash_peak <= cap + 5
             assert mismatches == 0
 
@@ -105,8 +108,11 @@ class TestClaimsHold:
         table = experiments.experiment_e10_dpkvs(sizes=(128, 512),
                                                  operations=40)
         for row in table.rows:
-            _, path_len, measured, predicted, nodes_per_n, padded_per_n, mism = row
-            assert measured == predicted
+            (_, path_len, measured, expected, at_most,
+             nodes_per_n, padded_per_n, mism) = row
+            assert at_most == 6 * path_len
+            assert 4 * path_len < measured <= at_most
+            assert measured <= expected + 1.0   # 40 ops around the estimate
             assert nodes_per_n < 3
             assert padded_per_n > nodes_per_n
             assert mism == 0

@@ -47,7 +47,11 @@ class TestDPRAMScale:
         before = ram.server.operations
         for _ in range(100):
             ram.read(rng.randbelow(N))
-        assert ram.server.operations - before == 300
+        # Three blocks a query at most, two when d_j = o_j — which at this
+        # n (p = Φ(n)/n is small) is nearly every query.
+        shared = sum(d == o for d, o in ram.transcript_pairs)
+        assert ram.server.operations - before == 300 - shared
+        assert shared >= 90
 
 
 class TestDPIRScale:
@@ -84,16 +88,27 @@ class TestDPKVSScale:
         assert store.server_node_count < 3 * N
 
     def test_cost_independent_of_fill(self, rng):
+        # What an operation moves is the distinct nodes of its two
+        # (d_j, o_j) pairs — each downloaded once, those of o_j uploaded
+        # once — on an empty store and a filled one alike, and never
+        # more than the declared 2·3·path_length.
         store = DPKVS(1 << 12, rng=rng.spawn("kvs"))
-        cost = store.blocks_per_operation()
-        before = store.server.operations
-        store.get(b"empty-probe")
-        assert store.server.operations - before == cost
+        nodes = store._ram.bucket_nodes
+
+        def probe(key):
+            before = store.server.operations
+            store.get(key)
+            pairs = store.transcript_pairs[-2:]
+            overwritten = {n for _, o in pairs for n in nodes(o)}
+            downloaded = {n for d, _ in pairs for n in nodes(d)}
+            moved = store.server.operations - before
+            assert moved == len(downloaded | overwritten) + len(overwritten)
+            assert moved <= store.blocks_per_operation()
+
+        probe(b"empty-probe")
         for i in range(200):
             store.put(f"k{i}".encode(), b"v")
-        before = store.server.operations
-        store.get(b"k7")
-        assert store.server.operations - before == cost
+        probe(b"k7")
 
 
 def _peak_over_held(build):

@@ -247,31 +247,40 @@ _IR_PINS = {
         "6efc036e50e6d580ced90a82e5a0ace82d05c5e9114f56a48af432ec3e8e16c3",
 }
 
-# Re-pinned when DP-KVS went from six storage rounds per operation to
-# two: ``Transcript.signature()`` is ordered, and an operation's events now
-# read R(d1 d2 o1 o2) W(o1 o2) instead of R d1, R d2, R o1, W o1, R o2,
-# W o2.  Nothing else these pins hash moved — ``_KVS_UNORDERED_PINS``
-# below, taken over the same history before that change, still holds.
+# Re-pinned twice.  First when DP-KVS went from six storage rounds per
+# operation to two: ``Transcript.signature()`` is ordered, and an
+# operation's events went from R d1, R d2, R o1, W o1, R o2, W o2 to
+# R(d1 d2 o1 o2) W(o1 o2).  Then when the two rounds stopped listing a
+# node twice (d_j = o_j, a tree node two paths share): the views are now
+# φ (``dedupe_rounds`` in ``conftest.py``) of the old ones, and the four
+# figures that count slots moved with them — ``migration_operations`` /
+# ``serial_ms`` of the reshard report, 264 -> 196, and serial / wall
+# operations, 4296 -> 3396.  Checked at the re-pin, on all three
+# executors: the parent's history hashed with φ applied to its views
+# differs from this one in those figures and nowhere else — answers,
+# ledger report, fault counters, shard query counts and the trace are
+# equal, and so is every view, in order.
 _KVS_PINS = {
     "serial":
-        "2eac67a76aa4192711c127bd2360ad816805f3bf3becd037ecf3be61d8a72205",
+        "adcf4379ae41d39daaba6f56a60571f39bfe02da253f08283ac70f88e5e0bc2c",
     "parallel":
-        "d0210b4f3c25fe609a120330d0c09cd5ce2e9fc4c71cfd24f81e5575c0bebd32",
+        "7909602f75d9a7a663be0eb2934747a397bca182176902d5a60704a87ed10e52",
     "simulated":
-        "d0210b4f3c25fe609a120330d0c09cd5ce2e9fc4c71cfd24f81e5575c0bebd32",
+        "7909602f75d9a7a663be0eb2934747a397bca182176902d5a60704a87ed10e52",
 }
 
 # The same KVS history with every transcript reduced to its
-# per-(query, server) sorted events.  Computed at the commit before
-# DP-KVS fused its six storage rounds into two, and equal after it: the
-# fusion reorders events inside one client query and changes nothing else.
+# per-(query, server) sorted events.  It held across the fusion of six
+# rounds into two (which only reorders events inside one client query),
+# and was re-pinned with ``_KVS_PINS`` for the dedupe, which is the first
+# change to the event *multiset* of a query: repeats are gone from it.
 _KVS_UNORDERED_PINS = {
     "serial":
-        "a185b7ba2078555ff8916dbf47d89bab51e528368a88bb9ba79e4b00f27064db",
+        "df8e22d25034b54de65963b81bec2aa3c4176a32e9cf5a41a32578a5178a8fb2",
     "parallel":
-        "b5a594aed9ed110c55fd402199de634611ab4d5a991a2edd64aec045a2196b65",
+        "ad18c6244737b5c57a4bd0bd84fbb864ef79712976f6713b8467579501f708f9",
     "simulated":
-        "b5a594aed9ed110c55fd402199de634611ab4d5a991a2edd64aec045a2196b65",
+        "ad18c6244737b5c57a4bd0bd84fbb864ef79712976f6713b8467579501f708f9",
 }
 
 

@@ -331,8 +331,15 @@ class TestSealingAttribution:
         pending = ram.begin_query([0, 1])
         assert sealed == []
         ram.finish_query(pending)
-        assert sealed == [6]  # one call, every node of o_1 and o_2
-        assert ram.server.writes == 6
+        # One call, every node of o_1 ∪ o_2 once: the two overwrite
+        # buckets share node 6, and only its last copy would survive.
+        distinct = {
+            node
+            for _, overwrite in ram.transcript_pairs
+            for node in ram.bucket_nodes(overwrite)
+        }
+        assert sealed == [len(distinct)] == [ram.server.writes]
+        assert len(distinct) < 6
 
 
 class TestTranscriptShape:
@@ -349,13 +356,22 @@ class TestTranscriptShape:
         assert ram.transcript_pairs[-1] == (1, 1)
 
     def test_bandwidth_per_query(self, rng):
-        # Each query: download one bucket, download + upload one bucket.
+        # Each query: download the nodes of d_j and o_j, each once, and
+        # upload o_j — three buckets' worth when d_j != o_j, two when
+        # they are one bucket.
         ram = _disjoint_ram(rng)
-        reads_before = ram.server.reads
-        writes_before = ram.server.writes
-        ram.query(2)
-        assert ram.server.reads - reads_before == 4  # 2 nodes x 2 downloads
-        assert ram.server.writes - writes_before == 2  # 2 nodes uploaded
+        shapes = set()
+        for step in range(60):
+            reads_before = ram.server.reads
+            writes_before = ram.server.writes
+            ram.query(step % 4)
+            download, overwrite = ram.transcript_pairs[-1]
+            assert ram.server.reads - reads_before == (
+                2 if download == overwrite else 4
+            )
+            assert ram.server.writes - writes_before == 2
+            shapes.add(download == overwrite)
+        assert shapes == {True, False}
 
     def test_query_count(self, rng):
         ram = _disjoint_ram(rng)

@@ -51,6 +51,10 @@ class TestDatasheetBuilders:
         scheme = DPRAM(db, rng=rng)
         sheet = datasheet_for(scheme)
         assert sheet.blocks_per_query == 3.0
+        p = scheme.stash_probability
+        assert sheet.expected_blocks_per_query == pytest.approx(
+            3 - (1 - p) ** 2 - p * (2 - p) / N
+        )
         assert sheet.roundtrips == 2
         assert sheet.epsilon_kind == "upper bound"
         assert sheet.client_blocks == pytest.approx(
@@ -60,17 +64,34 @@ class TestDatasheetBuilders:
     def test_read_only_dpram(self, rng, db):
         sheet = datasheet_for(ReadOnlyDPRAM(db, rng=rng))
         assert sheet.blocks_per_query == 2.0
+        # One less than DP-RAM's figure at the same p: no upload.
+        assert sheet.expected_blocks_per_query == pytest.approx(
+            datasheet_for(DPRAM(db, rng=rng)).expected_blocks_per_query - 1
+        )
         assert sheet.error_probability == 0.0
 
     def test_dpkvs(self, rng):
         scheme = DPKVS(N, rng=rng)
         sheet = datasheet_for(scheme)
         assert sheet.blocks_per_query == scheme.blocks_per_operation()
+        params = scheme.params
+        assert sheet.expected_blocks_per_query == pytest.approx(
+            2 * params.shape.path_length
+            * (3 - (1 - params.stash_probability) ** 2)
+        )
         assert sheet.server_blocks == scheme.server_node_count
         assert sheet.epsilon_kind == "upper bound"
 
+    def test_the_benchmark_sizes_expect_two_blocks(self):
+        # ram_mixed runs dp_ram at n = 65536 on the default Φ(n).
+        from repro.core.params import DPRAMParams
+
+        expected = DPRAMParams.from_phi(65536).expected_blocks_per_query
+        assert expected == pytest.approx(2.00195, abs=5e-6)
+
     def test_linear_pir_is_perfect(self, db):
         sheet = datasheet_for(LinearScanPIR(db))
+        assert sheet.expected_blocks_per_query is None  # always exactly n
         assert sheet.epsilon == 0.0
         assert sheet.epsilon_kind == "perfect"
         assert sheet.blocks_per_query == N
@@ -97,7 +118,9 @@ class TestRendering:
         sheet = datasheet_for(DPRAM(db, rng=rng))
         text = sheet.to_text()
         assert "Datasheet: DPRAM" in text
-        assert "blocks per query" in text
+        assert "blocks per query (at most)" in text
+        assert "blocks per query (expected)" in text
+        assert f"{sheet.expected_blocks_per_query:.3f}" in text
         assert "upper bound" in text
 
     def test_stateless_rendering(self, db):
@@ -154,6 +177,80 @@ class TestDeclaredRoundtripsAreMeasured:
             server.backend.roundtrips for server in scheme.servers()
         )
         assert datasheet_for(scheme).roundtrips * operations == busiest
+
+
+def _moved_per_operation(scheme, operations):
+    """Blocks each of ``operations`` mixed operations moved, over all
+    servers."""
+    moved = []
+    for step in range(operations):
+        before = scheme.server_operations()
+        if isinstance(scheme, PrivateKVS):
+            if step % 2:
+                scheme.put(b"key-%d" % (step % 7), b"value-%d" % step)
+            else:
+                scheme.get(b"key-%d" % (step % 5))
+        elif isinstance(scheme, PrivateIR):
+            scheme.query(step % N)
+        elif scheme.writable and step % 2:
+            scheme.write(step % N, bytes([step % 256]) * scheme.block_size)
+        else:
+            scheme.read((7 * step) % N)
+        moved.append(scheme.server_operations() - before)
+    return moved
+
+
+# StrawmanIR declares a mean and nothing else: it downloads a Binomial
+# number of noise blocks, so its only worst case is n.
+_DECLARED_WORST_CASE = [
+    name for name in _schemes_with_a_datasheet() if name != "strawman_ir"
+]
+
+
+class TestDeclaredBlocksAreMeasured:
+    OPERATIONS = 600
+
+    @pytest.mark.parametrize("name", _DECLARED_WORST_CASE)
+    def test_no_operation_moves_more_than_the_sheet_declares(self, name):
+        scheme = repro.build(name, n=N, seed=7)
+        sheet = datasheet_for(scheme)
+        moved = _moved_per_operation(scheme, self.OPERATIONS)
+        assert max(moved) <= sheet.blocks_per_query
+        if sheet.expected_blocks_per_query is None:
+            assert set(moved) == {sheet.blocks_per_query}
+        else:
+            assert min(moved) < sheet.blocks_per_query
+
+    @pytest.mark.parametrize("name", ["dp_ram", "read_only_dp_ram"])
+    def test_dp_ram_mean_is_the_expected_figure(self, name):
+        # A query moves the worst case less Bernoulli(q), q = P(d_j = o_j)
+        # = worst case − expected, queries independent: the mean of 600 is
+        # held to five standard deviations of that binomial.
+        scheme = repro.build(name, n=N, seed=7)
+        sheet = datasheet_for(scheme)
+        moved = _moved_per_operation(scheme, self.OPERATIONS)
+        q = sheet.blocks_per_query - sheet.expected_blocks_per_query
+        tolerance = 5 * math.sqrt(q * (1 - q) / self.OPERATIONS)
+        mean = sum(moved) / self.OPERATIONS
+        assert abs(mean - sheet.expected_blocks_per_query) <= tolerance
+        assert tolerance < 0.11
+
+    def test_dp_kvs_mean_is_under_the_upper_estimate(self):
+        # Each of an operation's two bucket queries saves a path with
+        # probability q >= (1-p)^2; nodes two paths share save more, so
+        # the estimate is an upper one.  Held to five standard deviations
+        # of path_length · Binomial(2, q) per operation.
+        scheme = repro.build("dp_kvs", n=N, seed=7)
+        sheet = datasheet_for(scheme)
+        params = scheme.params
+        moved = _moved_per_operation(scheme, self.OPERATIONS)
+        q = (1 - params.stash_probability) ** 2
+        tolerance = 5 * params.shape.path_length * math.sqrt(
+            2 * q * (1 - q) / self.OPERATIONS
+        )
+        mean = sum(moved) / self.OPERATIONS
+        assert mean <= sheet.expected_blocks_per_query + tolerance
+        assert mean > 4 * params.shape.path_length  # d_1 ‖ d_2, o_1 ‖ o_2
 
 
 class TestDatasheetDataclass:

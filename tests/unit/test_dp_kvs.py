@@ -174,36 +174,53 @@ class TestKeyValueNormalization:
         assert store.get(b"k") == b"v\x00\x00"
 
 
-class TestBandwidthShape:
-    def test_get_and_put_same_cost(self, store):
-        store.put(b"seed", b"x")
-        before = store.server.operations
-        store.get(b"seed")
-        get_cost = store.server.operations - before
-        before = store.server.operations
-        store.put(b"seed", b"y")
-        put_cost = store.server.operations - before
-        assert get_cost == put_cost  # reads and writes indistinguishable
+def _cost_of_last_operation(store) -> int:
+    """Blocks the last operation's two ``(d_j, o_j)`` pairs account for:
+    every node of ``d_1 ‖ d_2 ‖ o_1 ‖ o_2`` downloaded once and every
+    node of ``o_1 ‖ o_2`` uploaded once — a function of the pairs alone."""
+    pairs = store.transcript_pairs[-2:]
+    nodes = store._ram.bucket_nodes
+    overwritten = {n for _, o in pairs for n in nodes(o)}
+    downloaded = {n for d, _ in pairs for n in nodes(d)}
+    return len(downloaded | overwritten) + len(overwritten)
 
-    def test_cost_matches_params(self, store):
-        expected = store.blocks_per_operation()
-        before = store.server.operations
-        store.get(b"anything")
-        assert store.server.operations - before == expected
+
+class TestBandwidthShape:
+    def test_cost_is_set_by_the_coins_not_the_operation(self, store):
+        # Reads and writes, hits and misses: what moves is the distinct
+        # nodes of the operation's (d_j, o_j) pairs, whatever was asked.
+        store.put(b"seed", b"x")
+        operations = [
+            lambda: store.get(b"seed"),
+            lambda: store.put(b"seed", b"y"),
+            lambda: store.get(b"miss"),
+            lambda: store.put(b"fresh", b"z"),
+            lambda: store.delete(b"seed"),
+            lambda: store.delete(b"miss"),
+        ]
+        for step in range(60):
+            before = store.server.operations
+            operations[step % len(operations)]()
+            moved = store.server.operations - before
+            assert moved == _cost_of_last_operation(store)
+
+    def test_cost_is_at_most_the_declared_worst_case(self, store):
+        # blocks_per_operation() = 2·3·path_length counts every node of
+        # d ‖ o as distinct; d_j = o_j (probability (1-p)^2) saves a path.
+        worst_case = store.blocks_per_operation()
+        path_length = store.params.shape.path_length
+        costs = set()
+        for step in range(40):
+            before = store.server.operations
+            store.get(b"key-%d" % step)
+            costs.add(store.server.operations - before)
+        assert max(costs) <= worst_case
+        assert min(costs) > 2 * path_length
+        assert worst_case - 2 * path_length in costs  # both d_j = o_j
 
     def test_blocks_per_operation_formula(self, store):
         shape = store.params.shape
         assert store.blocks_per_operation() == 6 * shape.path_length
-
-    def test_missing_get_same_cost_as_hit(self, store):
-        store.put(b"hit", b"v")
-        before = store.server.operations
-        store.get(b"hit")
-        hit_cost = store.server.operations - before
-        before = store.server.operations
-        store.get(b"miss")
-        miss_cost = store.server.operations - before
-        assert hit_cost == miss_cost
 
     def test_operation_counter(self, store):
         store.put(b"a", b"1")

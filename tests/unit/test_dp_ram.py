@@ -142,27 +142,45 @@ class TestWrongSizeWrites:
 
 
 class TestBandwidth:
-    def test_exactly_three_transfers_per_query(self, rng):
+    def test_three_transfers_less_the_shared_slot(self, rng):
+        # Theorem 6.1's three blocks are the worst case: d_j and o_j go in
+        # one download round that lists a slot once, so a query whose
+        # d_j = o_j (no stash hit, no restash) moves two.
         ram = _ram(rng, n=64, p=0.2)
-        reads_before = ram.server.reads
-        writes_before = ram.server.writes
-        queries = 100
         source = rng.spawn("mix")
-        for _ in range(queries):
+        shared = 0
+        for _ in range(100):
+            reads_before = ram.server.reads
+            writes_before = ram.server.writes
             index = source.randbelow(64)
             if source.random() < 0.5:
                 ram.write(index, encode_int(1))
             else:
                 ram.read(index)
-        assert ram.server.reads - reads_before == 2 * queries
-        assert ram.server.writes - writes_before == queries
+            download, overwrite = ram.transcript_pairs[-1]
+            assert ram.server.reads - reads_before == 2 - (download == overwrite)
+            assert ram.server.writes - writes_before == 1
+            shared += download == overwrite
+        assert 0 < shared < 100
+        assert ram.server.operations == 3 * 100 - shared
 
     def test_bandwidth_independent_of_n(self, rng):
-        for n in (16, 256):
-            ram = _ram(rng, n=n)
+        # p ~ 0: nothing is stashed, every query is d_j = o_j = q_j — two
+        # blocks at any n; p = 1 at a large n: both slots drawn at random,
+        # three blocks unless they meet.
+        for n in (16, 256, 4096):
+            ram = _ram(rng, n=n, p=1e-12)
             before = ram.server.operations
             ram.read(0)
-            assert ram.server.operations - before == 3
+            assert ram.server.operations - before == 2
+            ram = _ram(rng, n=n, p=1.0)
+            for index in range(8):
+                before = ram.server.operations
+                ram.read(index)
+                download, overwrite = ram.transcript_pairs[-1]
+                assert ram.server.operations - before == 3 - (
+                    download == overwrite
+                )
 
 
 class TestTranscript:
@@ -190,12 +208,17 @@ class TestTranscript:
         assert len(downloads) > 30  # spread over many slots, not pinned to 0
 
     def test_event_transcript_matches_pairs(self, rng):
+        # (d_j, o_j) is still read off the wire, two-event queries
+        # (d_j = o_j) and three-event ones alike.
         ram = _ram(rng, n=16, p=0.3)
         transcript = Transcript()
         ram.attach_transcript(transcript)
-        ram.read(1)
-        ram.read(2)
-        assert transcript.dp_ram_pairs() == ram.transcript_pairs[-2:]
+        for index in range(16):
+            ram.read(index)
+            ram.write(index, encode_int(index))
+        assert transcript.dp_ram_pairs() == ram.transcript_pairs[-32:]
+        lengths = {len(transcript.for_query(query)) for query in range(32)}
+        assert lengths == {2, 3}
 
     def test_reads_and_writes_look_identical(self, rng):
         # Same query index: the (d, o) marginal supports are identical for
@@ -254,11 +277,16 @@ class TestReadOnlyDPRAM:
             ram.read(rng.randbelow(len(small_db)))
         assert ram.server.writes == 0
 
-    def test_two_downloads_per_query(self, rng, small_db):
-        ram = ReadOnlyDPRAM(small_db, rng=rng)
-        before = ram.server.reads
-        ram.read(0)
-        assert ram.server.reads - before == 2
+    def test_two_downloads_less_the_shared_slot(self, rng, small_db):
+        ram = ReadOnlyDPRAM(small_db, stash_probability=0.3, rng=rng)
+        shapes = set()
+        for index in range(len(small_db)):
+            before = ram.server.reads
+            ram.read(index)
+            download, overwrite = ram.transcript_pairs[-1]
+            assert ram.server.reads - before == 2 - (download == overwrite)
+            shapes.add(download == overwrite)
+        assert shapes == {True, False}
 
     def test_pairs_distribution_shape(self, rng):
         ram = ReadOnlyDPRAM(

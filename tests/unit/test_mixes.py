@@ -179,4 +179,8 @@ class TestMixesThroughSchemes:
         scheme = DPRAM(database, rng=rng.spawn("ram"))
         metrics = run_ram_trace(scheme, composite, initial=database)
         assert metrics.mismatches == 0
-        assert metrics.blocks_per_operation == 3.0
+        # Three blocks less the queries whose d_j = o_j went as one slot.
+        pairs = scheme.transcript_pairs
+        shared = sum(download == overwrite for download, overwrite in pairs)
+        assert 0 < shared < len(pairs)
+        assert metrics.blocks_per_operation == 3.0 - shared / len(pairs)

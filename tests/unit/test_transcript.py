@@ -76,18 +76,53 @@ class TestTranscript:
         )
         assert transcript.dp_ram_pairs() == [(0, 2)]
 
-    def test_dp_ram_pairs_rejects_wrong_event_count(self):
-        transcript = Transcript()
-        transcript.extend([_download(0, query=0), _upload(0, query=0)])
-        with pytest.raises(ValueError):
-            transcript.dp_ram_pairs()
-
-    def test_dp_ram_pairs_rejects_wrong_shape(self):
+    def test_dp_ram_pairs_reads_a_deduplicated_round(self):
+        # d_j == o_j is sent as one download: (D i, U i) is the pair (i, i),
+        # next to a three-event query and the paper-shaped (D i, D i, U i).
         transcript = Transcript()
         transcript.extend(
-            [_download(0, query=0), _download(1, query=0), _upload(2, query=0)]
+            [
+                _download(5, query=0), _upload(5, query=0),
+                _download(4, query=1), _download(7, query=1), _upload(7, query=1),
+                _download(2, query=2), _download(2, query=2), _upload(2, query=2),
+            ]
         )
-        with pytest.raises(ValueError):
+        assert transcript.dp_ram_pairs() == [(5, 5), (4, 7), (2, 2)]
+
+    @pytest.mark.parametrize(
+        "events",
+        [
+            [_download(0)],
+            [_upload(0)],
+            [_download(0), _download(1), _download(1), _upload(1)],
+        ],
+        ids=["lone-download", "lone-upload", "four-events"],
+    )
+    def test_dp_ram_pairs_rejects_wrong_event_count(self, events):
+        transcript = Transcript()
+        transcript.extend(events)
+        with pytest.raises(ValueError, match="expected 2 or 3"):
+            transcript.dp_ram_pairs()
+
+    @pytest.mark.parametrize(
+        "events",
+        [
+            [_download(0), _upload(1)],
+            [_download(0), _download(0)],
+            [_upload(0), _download(0)],
+            [_upload(0), _upload(0)],
+            [_download(0), _download(1), _upload(2)],
+            [_download(0), _upload(1), _upload(1)],
+        ],
+        ids=[
+            "two-slots", "two-downloads", "upload-first", "two-uploads",
+            "upload-elsewhere", "three-with-two-uploads",
+        ],
+    )
+    def test_dp_ram_pairs_rejects_wrong_shape(self, events):
+        transcript = Transcript()
+        transcript.extend(events)
+        with pytest.raises(ValueError, match="does not match DP-RAM shape"):
             transcript.dp_ram_pairs()
 
     def test_iteration(self):
