@@ -291,28 +291,28 @@ def _cmd_cluster_checked(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
-    from repro.simulation import experiments
+    from repro.simulation.experiments import EXPERIMENTS
 
-    selected = []
-    wanted = {name.upper() for name in args.only} if args.only else None
-    for driver in experiments.ALL_EXPERIMENTS:
-        table = None
-        if wanted is not None:
-            # Resolve the experiment id lazily from the driver name,
-            # e.g. experiment_e06_dpram_construction -> E06/E6.
-            token = driver.__name__.split("_")[1].upper()  # 'E06', 'E11B'
-            normalized = token.lstrip("E").lstrip("0")
-            if token not in wanted and f"E{normalized}" not in wanted:
-                continue
-        table = driver()
-        selected.append(table)
-    if not selected:
-        print("no experiments matched", file=sys.stderr)
+    # Every id is resolved before the first driver runs: ``E06`` and
+    # ``e11b`` name E6 and E11b, and one unknown id fails the command.
+    known = {key.upper(): key for key in EXPERIMENTS}
+    wanted, unknown = set(), []
+    for name in args.only or EXPERIMENTS:
+        token = name.upper()
+        if token.startswith("E0"):
+            token = "E" + token[1:].lstrip("0")
+        if token in known:
+            wanted.add(known[token])
+        else:
+            unknown.append(name)
+    if unknown:
+        print(f"error: unknown experiment {', '.join(unknown)}; "
+              f"known: {' '.join(EXPERIMENTS)}", file=sys.stderr)
         return 1
-    renderer = (lambda t: t.to_markdown()) if args.markdown else (
-        lambda t: t.to_text()
-    )
-    print("\n\n".join(renderer(table) for table in selected))
+    tables = [EXPERIMENTS[key].driver() for key in EXPERIMENTS if key in wanted]
+    print("\n\n".join(
+        table.to_markdown() if args.markdown else table.to_text() for table in tables
+    ))
     return 0
 
 

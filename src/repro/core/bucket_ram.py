@@ -75,6 +75,7 @@ client copy stays authoritative until a later upload of the node lands.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -193,7 +194,8 @@ class BucketDPRAM(PrivateRAM):
         self._note_peak()
 
         self._queries = 0
-        self._pairs: list[tuple[int, int]] = []
+        self._downloads = array("q")  # the (d_j, o_j) history, as in DPRAM
+        self._overwrites = array("q")
 
     # -- accounting ----------------------------------------------------------
 
@@ -249,7 +251,7 @@ class BucketDPRAM(PrivateRAM):
     @property
     def transcript_pairs(self) -> list[tuple[int, int]]:
         """Bucket-granular ``(d_j, o_j)`` pairs — the adversary view."""
-        return list(self._pairs)
+        return list(zip(self._downloads, self._overwrites))
 
     def bucket_nodes(self, bucket: int) -> tuple[int, ...]:
         """Node ids of ``bucket``."""
@@ -449,7 +451,8 @@ class BucketDPRAM(PrivateRAM):
             upload_nodes.extend(overwrite_nodes)
             upload_blocks.extend(blocks)
             self._note_peak()
-            self._pairs.append((plan.download_bucket, plan.overwrite_bucket))
+            self._downloads.append(plan.download_bucket)
+            self._overwrites.append(plan.overwrite_bucket)
             self._queries += 1
 
         nonces = b"".join(plan.nonces for plan in pending._plans)

@@ -40,6 +40,7 @@ after Theorem 6.1 for public, read-only data.
 
 from __future__ import annotations
 
+from array import array
 from typing import Callable, Sequence
 
 from repro.api.protocols import PrivateRAM
@@ -128,7 +129,9 @@ class DPRAM(PrivateRAM):
                 self._stash.put(index, bytes(block))
 
         self._queries = 0
-        self._pairs: list[tuple[int, int]] = []
+        # The (d_j, o_j) history as two int64 columns: 16 B a query, forever.
+        self._downloads = array("q")
+        self._overwrites = array("q")
 
     def _cipher(self) -> tuple[Callable, Callable, Callable]:
         """``(encrypt, decrypt, encrypt_many)`` as of construction.
@@ -193,7 +196,7 @@ class DPRAM(PrivateRAM):
     @property
     def transcript_pairs(self) -> list[tuple[int, int]]:
         """The ``(d_j, o_j)`` pair per query — the adversary view."""
-        return list(self._pairs)
+        return list(zip(self._downloads, self._overwrites))
 
     # -- the RAM interface ----------------------------------------------------
 
@@ -260,7 +263,8 @@ class DPRAM(PrivateRAM):
                 overwrite_slot, self._encrypt(self._key, current, self._rng)
             )
 
-        self._pairs.append((download_slot, overwrite_slot))
+        self._downloads.append(download_slot)
+        self._overwrites.append(overwrite_slot)
         self._queries += 1
         return current
 
@@ -315,7 +319,8 @@ class ReadOnlyDPRAM(PrivateRAM):
             if self._rng.random() < p:
                 self._stash.put(index, bytes(block))
         self._queries = 0
-        self._pairs: list[tuple[int, int]] = []
+        self._downloads = array("q")  # the (d_j, o_j) history, as in DPRAM
+        self._overwrites = array("q")
 
     @property
     def n(self) -> int:
@@ -359,7 +364,7 @@ class ReadOnlyDPRAM(PrivateRAM):
     @property
     def transcript_pairs(self) -> list[tuple[int, int]]:
         """The ``(d_j, o_j)`` pair per query."""
-        return list(self._pairs)
+        return list(zip(self._downloads, self._overwrites))
 
     def write(self, index: int, value: bytes) -> None:
         """Reject the write: this variant serves public, read-only data."""
@@ -390,6 +395,7 @@ class ReadOnlyDPRAM(PrivateRAM):
         if restash:
             self._stash.put(index, current)
 
-        self._pairs.append((download_slot, overwrite_slot))
+        self._downloads.append(download_slot)
+        self._overwrites.append(overwrite_slot)
         self._queries += 1
         return current

@@ -94,7 +94,7 @@ class TreeShape:
         ``leaves_per_tree`` defaults to the smallest power of two at least
         ``log₂ n``; the paper asks for exactly ``n`` leaves overall, we
         round the tree count up so ``leaf_count ≥ n`` (extra leaves only
-        spread the load thinner — Section 5 of DESIGN.md).
+        spread the load thinner: Theorem 7.2's super-root bound still holds).
         """
         if n <= 0:
             raise ValueError(f"n must be positive, got {n}")

@@ -79,10 +79,12 @@ class _CostMeter:
     """Convert a dispatch's server-operation delta into simulated time.
 
     When every server already runs over a :class:`NetworkBackend`, the
-    backends' own accumulated milliseconds are authoritative.  Otherwise
-    each operation is priced at one roundtrip plus one block transfer
-    under ``model`` — the same formula ``NetworkBackend`` charges — so
-    in-memory and network-backed runs of the same scheme agree.
+    backends' own accumulated milliseconds are authoritative: one
+    roundtrip per *batch* (a ``read_many`` / ``write_many`` round) plus
+    the transfer of its bytes.  Otherwise each *block* moved is priced at
+    one roundtrip plus one block transfer under ``model``.  The two do
+    not agree on a batched scheme: a K-block round is ``rtt + transfer(K
+    blocks)`` on the backend and ``K · (rtt + transfer(block))`` here.
 
     Overlap: schemes whose :meth:`~repro.api.protocols.Scheme.wall_operations`
     diverges from their serial operation count (the cluster schemes

@@ -5,9 +5,8 @@
   workload traces with reference-model correctness checking.
 * :mod:`repro.simulation.reporting` — ascii/markdown tables for the
   experiment outputs.
-* :mod:`repro.simulation.experiments` — the E1..E12 experiment drivers
-  shared by the benchmark suite and the CLI
-  (``python -m repro.simulation.experiments``).
+* :mod:`repro.simulation.experiments` — the E1..E14 experiment drivers,
+  one per claim of the paper (``python -m repro experiments``).
 """
 
 from repro.simulation.harness import (

@@ -1,26 +1,31 @@
-"""Experiment drivers E1..E12 — one per paper claim (see DESIGN.md §4).
+"""Experiment drivers E1..E14 — one per claim of the paper.
 
-Each function returns an :class:`~repro.simulation.reporting.ExperimentTable`
-whose rows pair the paper's predicted quantity with the measured one.  The
-benchmark files call these with their default (fast) parameters; running
-``python -m repro.simulation.experiments`` prints every table, and the
-EXPERIMENTS.md in the repository root was generated from exactly these
-drivers.
+The paper is pure theory with no numbered tables or figures: its
+evaluation is its theorems, so each experiment id stands for one of them
+(Theorems 3.3–7.5 and C.1, the Section 4 strawman, and the comparisons
+with oblivious schemes its introduction and related work draw); the
+driver's docstring and the table's claim line name it.  Each driver
+returns an :class:`~repro.simulation.reporting.ExperimentTable` whose
+rows pair the predicted quantity with the measured one.
 
-The paper is a theory paper with no numbered tables or figures; its
-evaluation is the set of theorems, so the experiment ids map to theorems
-(the mapping is DESIGN.md §4's index).
+:data:`EXPERIMENTS` is the only list of them.  ``python -m repro
+experiments [--only E3 E11b] [--markdown]`` prints the tables at the
+drivers' default parameters, and ``tests/integration/test_experiments.py``
+asserts every claim on its table in tier-1.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 from repro.analysis import attacks, bounds, dp_ir_exact, dp_ram_exact, tails
 from repro.baselines.linear_pir import LinearScanPIR
 from repro.baselines.oram_kvs import ORAMKeyValueStore
 from repro.baselines.path_oram import PathORAM
 from repro.baselines.plaintext import PlaintextKVS, PlaintextRAM
+from repro.baselines.recursive_oram import RecursivePathORAM
 from repro.core.dp_ir import DPIR
 from repro.core.dp_kvs import DPKVS
 from repro.core.dp_ram import DPRAM
@@ -32,11 +37,31 @@ from repro.crypto.rng import SeededRandomSource
 from repro.hashing.padded import PaddedTwoChoiceStore
 from repro.hashing.tree_buckets import TreeBucketLayout, TreeOccupancySimulator
 from repro.hashing.two_choice import DChoiceTable
-from repro.simulation.harness import run_ir_trace, run_kv_trace, run_ram_trace
+from repro.simulation.harness import run_trace
 from repro.simulation.reporting import ExperimentTable
+from repro.storage.backends import NetworkBackendFactory
 from repro.storage.blocks import integer_database
+from repro.storage.network import LAN, MOBILE, WAN
 from repro.workloads.generators import read_write_trace, uniform_trace, zipf_trace
-from repro.workloads.kv_traces import ycsb_trace
+from repro.workloads.kv_traces import KVOperation, KVTrace, ycsb_trace
+from repro.workloads.trace import OpKind
+
+
+def _blocks_per_op(trace, *schemes, **reference) -> list[float]:
+    """Blocks per operation of each scheme over the same trace.
+
+    For the tables without a mismatch column (E1, E2, E11, E11b, E12,
+    E14): a cost means something only if the scheme answered the trace
+    correctly, so a mismatch against the harness's reference model stops
+    the experiment.  ``reference`` is the runner's reference-model keyword
+    (``expected=`` / ``initial=`` the database; none for a KVS).
+    """
+    blocks = []
+    for scheme in schemes:
+        metrics = run_trace(scheme, trace, **reference)
+        assert metrics.mismatches == 0, type(scheme).__name__
+        blocks.append(metrics.blocks_per_operation)
+    return blocks
 
 
 def experiment_e01_errorless_ir(
@@ -51,11 +76,9 @@ def experiment_e01_errorless_ir(
     rng = SeededRandomSource(seed)
     for n in sizes:
         database = integer_database(n)
-        scheme = LinearScanPIR(database)
         trace = uniform_trace(n, queries, rng.spawn(f"e1-{n}"))
-        metrics = run_ir_trace(scheme, trace, expected=database)
+        (measured,) = _blocks_per_op(trace, LinearScanPIR(database), expected=database)
         bound = bounds.dp_ir_errorless_lower_bound(n)
-        measured = metrics.blocks_per_operation
         table.add_row(n, bound, measured, measured >= bound)
     table.add_note(
         "linear-scan PIR realizes the bound with equality; Thm 3.3 says no "
@@ -89,9 +112,8 @@ def experiment_e02_dpir_lower_bound(
         scheme = DPIR(database, epsilon=epsilon, alpha=alpha,
                       rng=rng.spawn(f"e2-{epsilon:.3f}"))
         trace = uniform_trace(n, queries, rng.spawn(f"e2-trace-{epsilon:.3f}"))
-        metrics = run_ir_trace(scheme, trace, expected=database)
+        (measured,) = _blocks_per_op(trace, scheme, expected=database)
         floor = bounds.dp_ir_error_lower_bound(n, scheme.epsilon, alpha)
-        measured = metrics.blocks_per_operation
         table.add_row(
             n, round(epsilon, 3), round(scheme.epsilon, 3), scheme.pad_size,
             floor, measured, measured >= floor,
@@ -126,7 +148,7 @@ def experiment_e03_dpir_construction(
             scheme = DPIR(database, epsilon=epsilon, alpha=alpha,
                           rng=rng.spawn(f"e3-{n}-{alpha}"))
             trace = zipf_trace(n, queries, rng.spawn(f"e3-trace-{n}-{alpha}"))
-            metrics = run_ir_trace(scheme, trace, expected=database)
+            metrics = run_trace(scheme, trace, expected=database)
             table.add_row(
                 n, alpha, scheme.pad_size, round(scheme.epsilon, 3),
                 round(scheme.epsilon / math.log(n), 3),
@@ -177,7 +199,7 @@ def experiment_e04_strawman(
 
 
 def experiment_e05_dpram_lower_bound(
-    n: int = 1024, client_blocks: int = 32, seed: int = 5
+    n: int = 1024, client_blocks: int = 32
 ) -> ExperimentTable:
     """E5 / Theorem 3.7: the log_c((1−α)n/e^ε) floor vs the construction."""
     table = ExperimentTable(
@@ -188,7 +210,6 @@ def experiment_e05_dpram_lower_bound(
             "DP-RAM blocks/query (at most)", "meets bound",
         ],
     )
-    del seed  # analytic sweep; the construction's column is structural
     log_n = math.log(n)
     for factor in (0.0, 0.25, 0.5, 0.75, 1.0, 1.5):
         epsilon = factor * log_n
@@ -227,7 +248,7 @@ def experiment_e06_dpram_construction(
         scheme = DPRAM(database, rng=rng.spawn(f"e6-{n}"))
         trace = read_write_trace(n, queries, rng.spawn(f"e6-trace-{n}"),
                                  write_fraction=0.3)
-        metrics = run_ram_trace(scheme, trace, initial=database)
+        metrics = run_trace(scheme, trace, initial=database)
         phi = default_phi(n)
         table.add_row(
             n, phi, metrics.blocks_per_operation,
@@ -373,7 +394,7 @@ def experiment_e10_dpkvs(
         scheme = DPKVS(n, rng=rng.spawn(f"e10-{n}"))
         trace = ycsb_trace(max(8, n // 8), operations, rng.spawn(f"e10-t-{n}"),
                            profile="B")
-        metrics = run_kv_trace(scheme, trace)
+        metrics = run_trace(scheme, trace)
         padded = PaddedTwoChoiceStore(n, PRF(b"e10-padded"))
         shape = scheme.params.shape
         table.add_row(
@@ -410,26 +431,16 @@ def experiment_e11_vs_oram(
     rng = SeededRandomSource(seed)
     for n in sizes:
         database = integer_database(n)
-        plain = PlaintextRAM(database)
-        dpram = DPRAM(database, rng=rng.spawn(f"e11-dpram-{n}"))
-        oram = PathORAM(database, rng=rng.spawn(f"e11-oram-{n}"))
         trace = read_write_trace(n, queries, rng.spawn(f"e11-trace-{n}"),
                                  write_fraction=0.3)
-        plain_metrics = run_ram_trace(plain, trace, initial=database)
-        dpram_metrics = run_ram_trace(dpram, trace, initial=database)
-        oram_metrics = run_ram_trace(oram, trace, initial=database)
-        assert plain_metrics.mismatches == 0
-        assert dpram_metrics.mismatches == 0
-        assert oram_metrics.mismatches == 0
-        factor = (
-            oram_metrics.blocks_per_operation
-            / dpram_metrics.blocks_per_operation
+        plain, dpram, oram = _blocks_per_op(
+            trace,
+            PlaintextRAM(database),
+            DPRAM(database, rng=rng.spawn(f"e11-dpram-{n}")),
+            PathORAM(database, rng=rng.spawn(f"e11-oram-{n}")),
+            initial=database,
         )
-        table.add_row(
-            n, plain_metrics.blocks_per_operation,
-            dpram_metrics.blocks_per_operation,
-            oram_metrics.blocks_per_operation, round(factor, 1),
-        )
+        table.add_row(n, plain, dpram, oram, round(oram / dpram, 1))
     table.add_note(
         "the ORAM/DP-RAM factor grows ~ 4*log2(n) (Path ORAM's "
         "2*Z*(L+1) over DP-RAM's 2 + O(p) expected; (8/3)*log2(n) against "
@@ -457,24 +468,14 @@ def experiment_e11b_kvs_vs_oram(
     for n in sizes:
         trace = ycsb_trace(max(8, n // 8), operations, rng.spawn(f"e11b-{n}"),
                            profile="B")
-        plain = PlaintextKVS(n)
-        dpkvs = DPKVS(n, rng=rng.spawn(f"e11b-dpkvs-{n}"))
-        oramkvs = ORAMKeyValueStore(n, rng=rng.spawn(f"e11b-oram-{n}"))
-        plain_metrics = run_kv_trace(plain, trace)
-        dpkvs_metrics = run_kv_trace(dpkvs, trace)
-        oram_metrics = run_kv_trace(oramkvs, trace)
-        assert plain_metrics.mismatches == 0
-        assert dpkvs_metrics.mismatches == 0
-        assert oram_metrics.mismatches == 0
-        factor = (
-            oram_metrics.blocks_per_operation
-            / dpkvs_metrics.blocks_per_operation
+        plain, dpkvs, oramkvs = _blocks_per_op(
+            trace,
+            PlaintextKVS(n),
+            DPKVS(n, rng=rng.spawn(f"e11b-dpkvs-{n}")),
+            ORAMKeyValueStore(n, rng=rng.spawn(f"e11b-oram-{n}")),
         )
-        table.add_row(
-            n, plain_metrics.blocks_per_operation,
-            round(dpkvs_metrics.blocks_per_operation, 2),
-            round(oram_metrics.blocks_per_operation, 2), round(factor, 2),
-        )
+        table.add_row(n, plain, round(dpkvs, 2), round(oramkvs, 2),
+                      round(oramkvs / dpkvs, 2))
     return table
 
 
@@ -504,7 +505,7 @@ def experiment_e12_multi_server(
         )
         corrupted = set(range(corrupted_count))
         trace = uniform_trace(n, queries, rng.spawn(f"e12-t-{corrupted_count}"))
-        metrics = run_ir_trace(scheme, trace, expected=database)
+        (total,) = _blocks_per_op(trace, scheme, expected=database)
         view_rng = rng.spawn(f"e12-view-{corrupted_count}")
         visible = 0
         samples = 200
@@ -513,7 +514,6 @@ def experiment_e12_multi_server(
             visible += len(scheme.sample_corrupted_view(query, corrupted))
         t = corrupted_count / server_count
         floor = bounds.multi_server_ir_lower_bound(n, scheme.epsilon, alpha, t)
-        total = metrics.blocks_per_operation
         table.add_row(
             server_count, round(t, 2), round(scheme.epsilon, 3), total,
             round(visible / samples, 2), round(floor, 3), total >= floor,
@@ -536,8 +536,6 @@ def experiment_e13_roundtrips(
     stored position maps which requires Θ(log n) client-to-server
     roundtrips"; this repo's DP-RAM answers in two.
     """
-    from repro.baselines.recursive_oram import RecursivePathORAM
-
     table = ExperimentTable(
         experiment="E13",
         claim="recursive position maps cost Theta(log n) roundtrips; DP-RAM costs 2",
@@ -557,8 +555,8 @@ def experiment_e13_roundtrips(
         dpram = DPRAM(database, rng=rng.spawn(f"e13-d-{n}"))
         trace = read_write_trace(n, queries, rng.spawn(f"e13-t-{n}"),
                                  write_fraction=0.3)
-        recursive_metrics = run_ram_trace(recursive, trace, initial=database)
-        dpram_metrics = run_ram_trace(dpram, trace, initial=database)
+        recursive_metrics = run_trace(recursive, trace, initial=database)
+        dpram_metrics = run_trace(dpram, trace, initial=database)
         table.add_row(
             n, recursive.levels, recursive.roundtrips_per_access,
             recursive.client_position_entries, 2,
@@ -586,12 +584,6 @@ def experiment_e14_response_times(
     the "degradation in response time" the introduction argues rules out
     ORAM/PIR for heavily-trafficked systems.
     """
-    from repro.baselines.recursive_oram import RecursivePathORAM
-    from repro.storage.backends import NetworkBackendFactory
-    from repro.storage.network import LAN, MOBILE, WAN
-    from repro.workloads.kv_traces import KVOperation, KVTrace
-    from repro.workloads.trace import OpKind
-
     table = ExperimentTable(
         experiment="E14",
         claim="response-time impact: DP schemes vs oblivious schemes per link",
@@ -606,28 +598,24 @@ def experiment_e14_response_times(
                              write_fraction=0.3)
     read_trace = uniform_trace(n, queries, rng.spawn("e14-rt"))
 
-    plain = PlaintextRAM(database)
-    plain_metrics = run_ram_trace(plain, trace, initial=database)
-    dpram = DPRAM(database, rng=rng.spawn("e14-d"))
-    dpram_metrics = run_ram_trace(dpram, trace, initial=database)
-    dpir = DPIR(database, epsilon=math.log(n), alpha=0.05,
-                rng=rng.spawn("e14-i"))
-    dpir_metrics = run_ir_trace(dpir, read_trace, expected=database)
-    oram = PathORAM(database, rng=rng.spawn("e14-o"))
-    oram_metrics = run_ram_trace(oram, trace, initial=database)
     recursive = RecursivePathORAM(database, rng=rng.spawn("e14-r"))
-    recursive_metrics = run_ram_trace(recursive, trace, initial=database)
-    pir = LinearScanPIR(database)
-    pir_metrics = run_ir_trace(pir, read_trace, expected=database)
+    plain, dpram, oram, recursive_blocks = _blocks_per_op(
+        trace,
+        PlaintextRAM(database),
+        DPRAM(database, rng=rng.spawn("e14-d")),
+        PathORAM(database, rng=rng.spawn("e14-o")),
+        recursive,
+        initial=database,
+    )
+    dpir, pir = _blocks_per_op(
+        read_trace,
+        DPIR(database, epsilon=math.log(n), alpha=0.05, rng=rng.spawn("e14-i")),
+        LinearScanPIR(database),
+        expected=database,
+    )
     # The third primitive runs the same trace with record i as a key, over
     # a simulated link that counts the roundtrips it was asked for.
     link = NetworkBackendFactory(LAN)
-    dpkvs = DPKVS(
-        n,
-        value_size=len(database[0]),
-        rng=rng.spawn("e14-k"),
-        backend_factory=link,
-    )
     kv_trace = KVTrace(
         [
             KVOperation.put(b"record-%d" % op.index, op.value)
@@ -637,19 +625,20 @@ def experiment_e14_response_times(
         ],
         name=trace.name,
     )
-    dpkvs_metrics = run_kv_trace(dpkvs, kv_trace)
-    assert dpkvs_metrics.mismatches == 0
+    (dpkvs,) = _blocks_per_op(
+        kv_trace,
+        DPKVS(n, value_size=len(database[0]), rng=rng.spawn("e14-k"),
+              backend_factory=link),
+    )
 
     entries = [
-        ("plaintext", 1, plain_metrics.blocks_per_operation),
-        ("DP-IR (alpha=0.05)", 1, dpir_metrics.blocks_per_operation),
-        ("DP-RAM", 2, dpram_metrics.blocks_per_operation),
-        ("DP-KVS", link.roundtrips // dpkvs_metrics.operations,
-         dpkvs_metrics.blocks_per_operation),
-        ("Path ORAM", 2, oram_metrics.blocks_per_operation),
-        ("recursive ORAM", recursive.roundtrips_per_access,
-         recursive_metrics.blocks_per_operation),
-        ("linear PIR", 1, pir_metrics.blocks_per_operation),
+        ("plaintext", 1, plain),
+        ("DP-IR (alpha=0.05)", 1, dpir),
+        ("DP-RAM", 2, dpram),
+        ("DP-KVS", link.roundtrips // len(kv_trace), dpkvs),
+        ("Path ORAM", 2, oram),
+        ("recursive ORAM", recursive.roundtrips_per_access, recursive_blocks),
+        ("linear PIR", 1, pir),
     ]
     for name, roundtrips, blocks in entries:
         table.add_row(
@@ -669,35 +658,35 @@ def experiment_e14_response_times(
     return table
 
 
-ALL_EXPERIMENTS = (
-    experiment_e01_errorless_ir,
-    experiment_e02_dpir_lower_bound,
-    experiment_e03_dpir_construction,
-    experiment_e04_strawman,
-    experiment_e05_dpram_lower_bound,
-    experiment_e06_dpram_construction,
-    experiment_e07_dpram_ratios,
-    experiment_e08_two_choice,
-    experiment_e09_tree_hashing,
-    experiment_e10_dpkvs,
-    experiment_e11_vs_oram,
-    experiment_e11b_kvs_vs_oram,
-    experiment_e12_multi_server,
-    experiment_e13_roundtrips,
-    experiment_e14_response_times,
-)
+@dataclass(frozen=True)
+class Experiment:
+    """One registered driver and the keyword arguments of its smoke run.
+
+    ``driver()`` is the experiment at full scale — what the CLI prints;
+    ``driver(**smoke)`` is the same code path in well under a second.
+    """
+
+    driver: Callable[..., ExperimentTable]
+    smoke: dict[str, object]
 
 
-def run_all(markdown: bool = False) -> str:
-    """Run every experiment and render the combined report."""
-    sections = []
-    for driver in ALL_EXPERIMENTS:
-        result = driver()
-        sections.append(result.to_markdown() if markdown else result.to_text())
-    return "\n\n".join(sections)
+_FEW_SIZES = {"sizes": (64, 128)}
 
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    import sys
-
-    print(run_all(markdown="--markdown" in sys.argv))
+EXPERIMENTS: dict[str, Experiment] = {
+    "E1": Experiment(experiment_e01_errorless_ir, {**_FEW_SIZES, "queries": 20}),
+    "E2": Experiment(experiment_e02_dpir_lower_bound, {"n": 64, "queries": 20}),
+    "E3": Experiment(experiment_e03_dpir_construction, {**_FEW_SIZES, "queries": 20}),
+    "E4": Experiment(experiment_e04_strawman, {**_FEW_SIZES, "trials": 100}),
+    "E5": Experiment(experiment_e05_dpram_lower_bound, {"n": 64}),
+    "E6": Experiment(experiment_e06_dpram_construction, {**_FEW_SIZES, "queries": 20}),
+    "E7": Experiment(experiment_e07_dpram_ratios, {"n": 64, "trials": 100}),
+    "E8": Experiment(experiment_e08_two_choice, _FEW_SIZES),
+    "E9": Experiment(experiment_e09_tree_hashing, _FEW_SIZES),
+    "E10": Experiment(experiment_e10_dpkvs, {**_FEW_SIZES, "operations": 20}),
+    "E11": Experiment(experiment_e11_vs_oram, {**_FEW_SIZES, "queries": 20}),
+    "E11b": Experiment(experiment_e11b_kvs_vs_oram, {**_FEW_SIZES, "operations": 20}),
+    "E12": Experiment(experiment_e12_multi_server, {"n": 64, "queries": 20}),
+    "E13": Experiment(experiment_e13_roundtrips, {**_FEW_SIZES, "queries": 20}),
+    "E14": Experiment(experiment_e14_response_times, {"n": 64, "queries": 20}),
+}
+"""Every experiment, by id, in the order the CLI prints them."""

@@ -84,8 +84,8 @@ def latency_rows_from(summary: dict, label: str = "latency") -> list[list]:
 class ExperimentTable:
     """A named experiment result: headers, rows, and provenance notes.
 
-    The benchmark files build these and print them; the EXPERIMENTS.md
-    generator renders them as markdown.
+    The drivers of :mod:`repro.simulation.experiments` build these;
+    ``python -m repro experiments`` prints them as text or markdown.
     """
 
     experiment: str

@@ -82,8 +82,13 @@ def decode_int(block: bytes) -> int:
 def integer_database(count: int, size: int = DEFAULT_BLOCK_SIZE) -> list[bytes]:
     """Return ``count`` distinct blocks encoding ``0 .. count-1``.
 
-    Convenient for tests and examples: ``decode_int(db[i]) == i``.
+    Convenient for tests and examples: ``decode_int(db[i]) == i``.  Block
+    ``i`` is ``encode_int(i, size)``, built in one pass: every builder,
+    experiment and test loads its database through here.
     """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
-    return [encode_int(i, size) for i in range(count)]
+    if size < 8:
+        raise BlockSizeError(f"payload of 8 bytes does not fit in a {size}-byte block")
+    padding = b"\x00" * (size - 8)
+    return [i.to_bytes(8, "big") + padding for i in range(count)]

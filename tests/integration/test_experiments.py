@@ -1,135 +1,319 @@
-"""Integration: every experiment driver runs and its table shape holds.
+"""Integration: the paper's claims, asserted on the experiment tables.
 
-The benches exercise the same drivers with bigger parameters; these tests
-keep them runnable (small sizes) and assert the *claims* encoded in each
-table, so a regression in any scheme breaks the experiment that cites it.
+The paper is pure theory — its evaluation *is* Theorems 3.3–7.5, C.1 and
+the Θ(log n) gap to oblivious schemes — so these tests are the repository's
+statement that it reproduces them: every id of ``experiments.EXPERIMENTS``
+has a claim test on its table (at the sizes the claim was tuned at), next
+to the ablations that do not need the table.  A regression in any scheme
+breaks the experiment that cites it.
 """
 
-import inspect
 import math
 
 import pytest
 
-from repro.simulation import experiments
+from repro.analysis import bounds, tails
+from repro.baselines.recursive_oram import RecursivePathORAM
+from repro.core.dp_ir import DPIR
+from repro.core.dp_ram import DPRAM
+from repro.core.multi_server import MultiServerDPIR
+from repro.core.sharded_ir import ShardedDPIR
+from repro.crypto.prf import PRF
+from repro.crypto.rng import SeededRandomSource
+from repro.hashing.padded import PaddedTwoChoiceStore
+from repro.hashing.tree_buckets import TreeBucketLayout, TreeOccupancySimulator
+from repro.simulation.experiments import EXPERIMENTS
+from repro.storage.blocks import integer_database
+from repro.storage.network import WAN
 
 
-class TestDriversProduceTables:
-    @pytest.mark.parametrize("driver", experiments.ALL_EXPERIMENTS,
-                             ids=lambda d: d.__name__)
-    def test_driver_runs_with_defaults_shape(self, driver):
-        # Smoke at reduced scale where the signature allows it.
-        parameters = inspect.signature(driver).parameters
-        kwargs = {}
-        if "sizes" in parameters:
-            kwargs["sizes"] = (64, 128)
-        if "queries" in parameters:
-            kwargs["queries"] = 20
-        if "operations" in parameters:
-            kwargs["operations"] = 20
-        if "trials" in parameters:
-            kwargs["trials"] = 100
-        if "n" in parameters:
-            kwargs["n"] = 64
-        table = driver(**kwargs)
-        assert table.rows
-        assert all(len(row) == len(table.headers) for row in table.rows)
-        assert table.to_text()
-        assert table.to_markdown()
+def table_of(experiment_id, **parameters):
+    return EXPERIMENTS[experiment_id].driver(**parameters)
+
+
+@pytest.fixture
+def rng():
+    """The seed the ablations' thresholds were tuned at."""
+    return SeededRandomSource(0xBE9C)
+
+
+@pytest.mark.parametrize("experiment_id", EXPERIMENTS)
+def test_driver_smoke_run_has_table_shape(experiment_id):
+    experiment = EXPERIMENTS[experiment_id]
+    table = experiment.driver(**experiment.smoke)
+    assert table.experiment == experiment_id
+    assert table.rows
+    assert all(len(row) == len(table.headers) for row in table.rows)
+    assert table.to_text()
+    assert table.to_markdown()
 
 
 class TestClaimsHold:
-    def test_e1_bound_met_with_equality(self):
-        table = experiments.experiment_e01_errorless_ir(sizes=(128,), queries=10)
-        for row in table.rows:
-            n, bound, measured, ok = row
-            assert ok is True
-            assert measured == n == bound
+    def test_e01_table(self):
+        for n, bound, measured, meets in table_of(
+            "E1", sizes=(256, 512, 1024, 2048)
+        ).rows:
+            assert meets is True
+            assert measured == bound == n  # linear scan realizes the bound tightly
 
-    def test_e2_constructions_above_floor(self):
-        table = experiments.experiment_e02_dpir_lower_bound(n=256, queries=60)
+    def test_e02_table(self):
+        table = table_of("E2", n=2048, queries=400)
         assert all(row[-1] is True for row in table.rows)
+        # The construction tracks the floor within a constant factor at the
+        # epsilon it actually achieves (the bound is tight per Theorem 5.1).
+        for _, _, _, _, floor, measured, _ in table.rows:
+            if floor > 1:
+                assert measured <= 40 * floor
 
-    def test_e3_pad_constant_across_n(self):
-        table = experiments.experiment_e03_dpir_construction(
-            sizes=(256, 1024, 4096), alphas=(0.05,), queries=50
-        )
-        pads = [row[2] for row in table.rows]
-        assert max(pads) - min(pads) <= 2  # O(1): flat across n
+    def test_e02_bound_epsilon_sweep_shape(self):
+        # The floor decays exponentially in epsilon: halving checks.
+        floors = [
+            bounds.dp_ir_error_lower_bound(4096, eps, 0.05) for eps in (2, 3, 4, 5)
+        ]
+        for earlier, later in zip(floors, floors[1:]):
+            assert later < earlier / 2
 
-    def test_e3_error_rate_tracks_alpha(self):
-        table = experiments.experiment_e03_dpir_construction(
-            sizes=(512,), alphas=(0.1,), queries=1500
-        )
-        error_rate = table.rows[0][-1]
-        assert 0.06 < error_rate < 0.14
+    def test_e03_table(self):
+        table = table_of("E3", sizes=(256, 1024, 4096, 16384), queries=600)
+        # Pad size flat across n at fixed alpha (the O(1) claim).
+        for alpha in (0.01, 0.05, 0.1):
+            pads = [row[2] for row in table.rows if row[1] == alpha]
+            assert max(pads) - min(pads) <= 2
+        # Measured error rate tracks alpha.
+        for _, alpha, _, _, _, _, error_rate in table.rows:
+            assert abs(error_rate - alpha) < 0.05
 
-    def test_e4_strawman_broken_dpir_not(self):
-        table = experiments.experiment_e04_strawman(sizes=(128,), trials=600)
+    def test_e03_alpha_bandwidth_tradeoff(self):
+        # Ablation: at fixed epsilon, larger alpha buys a smaller pad.
+        pads = [
+            DPIR(integer_database(4096), epsilon=math.log(4096), alpha=alpha).pad_size
+            for alpha in (0.01, 0.05, 0.2, 0.5)
+        ]
+        assert pads == sorted(pads, reverse=True)
+
+    def test_e04_table(self):
+        table = table_of("E4", sizes=(64, 256, 1024), trials=3000)
+        for _, delta, straw_success, dpir_success, ceiling in table.rows:
+            assert delta > 0.98
+            assert straw_success > 0.95  # adversary nearly always wins
+            assert dpir_success <= ceiling + 0.03  # DP-IR stays under its ceiling
+            assert straw_success > dpir_success
+
+    def test_e05_table(self):
+        table = table_of("E5", n=4096)
+        assert all(row[-1] is True for row in table.rows)
+        # The floor is monotone decreasing in epsilon.
+        floors = [row[2] for row in table.rows]
+        assert floors == sorted(floors, reverse=True)
+
+    def test_e05_constant_epsilon_is_oram_regime(self):
+        # At eps = O(1) the floor matches the classic ORAM Omega(log n).
+        for n in (2**12, 2**16, 2**20):
+            floor = bounds.dp_ram_lower_bound(n, epsilon=1.0, client_blocks=2)
+            assert floor >= 0.5 * math.log2(n) - 3
+
+    def test_e05_inversion_answers_title_question(self):
+        # "What privacy is achievable with small overhead?": eps = Omega(log n).
+        for n in (2**12, 2**16, 2**20):
+            eps = bounds.min_epsilon_for_ram_bandwidth(n, bandwidth=3, client_blocks=4)
+            assert eps >= math.log(n) - 3 * math.log(4) - 1e-9
+
+    def test_e06_table(self):
+        table = table_of("E6", sizes=(256, 1024, 4096, 16384), queries=600)
         for row in table.rows:
-            _, delta, straw_success, dpir_success, ceiling = row
-            assert delta > 0.9
-            assert straw_success > 0.9
-            assert dpir_success <= ceiling + 0.05
-
-    def test_e5_floor_vanishes_at_log_n(self):
-        table = experiments.experiment_e05_dpram_lower_bound(n=256)
-        last_rows = [row for row in table.rows if row[1] >= math.log(256)]
-        assert all(row[2] <= 3.0 for row in last_rows)
-
-    def test_e6_constant_bandwidth_and_bounded_stash(self):
-        table = experiments.experiment_e06_dpram_construction(
-            sizes=(128, 512), queries=100
-        )
-        for row in table.rows:
-            _, phi, blocks, expected, stash_peak, cap, *_rest, mismatches = row
-            # At most 3, flat in n, expected 2 + O(p).
+            _, _, blocks, expected, stash_peak, cap, _, ratio, mismatches = row
+            # At most 3, flat in n, expected 2 + O(p): 600 queries stay
+            # within 0.1 of the closed form at every size.
             assert 2.0 <= blocks <= 3.0
             assert 2.0 < expected < 2.5
-            assert abs(blocks - expected) < 0.2
+            assert abs(blocks - expected) < 0.1
             assert stash_peak <= cap + 5
             assert mismatches == 0
+            assert ratio < 16  # eps bound = O(log n)
 
-    def test_e7_ratios_within_budget(self):
-        table = experiments.experiment_e07_dpram_ratios(trials=200)
+    def test_e06_stash_probability_ablation(self, rng):
+        # Larger p buys nothing in bandwidth (3 at most, 2 + O(p) expected)
+        # but costs client memory.
+        n = 2048
+        peaks = []
+        for p in (0.005, 0.02, 0.08):
+            ram = DPRAM(integer_database(n), stash_probability=p,
+                        rng=rng.spawn(f"p{p}"))
+            source = rng.spawn(f"load{p}")
+            for _ in range(300):
+                ram.read(source.randbelow(n))
+            peaks.append(ram.stash_peak)
+        assert peaks == sorted(peaks)
+
+    def test_e06_lemma_d1_bound_holds_empirically(self, rng):
+        # Pr[stash > (1+slack)c] across many fresh schemes vs the Chernoff cap.
+        n, p, slack, trials = 512, 0.05, 1.0, 60
+        expected = p * n  # c = 25.6
+        overflows = sum(
+            DPRAM(integer_database(n), stash_probability=p,
+                  rng=rng.spawn(f"t{trial}")).stash_size > (1 + slack) * expected
+            for trial in range(trials)
+        )
+        bound = tails.stash_overflow_bound(expected, slack)
+        assert overflows / trials <= max(bound * 5, 0.05)
+
+    def test_e07_table(self):
+        table = table_of("E7", n=8, length=5, trials=2000)
         assert all(row[-1] is True for row in table.rows)
+        for _, _, _, sampled, exact, budget, _ in table.rows:
+            # Sampled ratios are positive, never exceed the exact worst case,
+            # and the exact worst case sits under the analytic budget.
+            assert 0 < sampled <= exact + 1e-9 or exact != exact  # nan guard
+            assert exact != exact or exact < budget
 
-    def test_e8_one_choice_worse(self):
-        table = experiments.experiment_e08_two_choice(sizes=(2048,))
-        for row in table.rows:
-            _, one, two, three, *_ = row
-            assert one > two
-            assert three <= two + 1
+    def test_e08_table(self):
+        table = table_of("E8", sizes=(1024, 4096, 16384, 65536))
+        one_choice = [row[1] for row in table.rows]
+        # One choice grows with n; two choices stay within log log n + slack.
+        assert one_choice[-1] > one_choice[0]
+        for _, d1, d2, d3, _, loglog in table.rows:
+            assert d1 > d2
+            assert d2 <= loglog + 2
+            assert d3 <= d2 + 1
+        # The separation widens: ratio at the largest n exceeds the smallest.
+        ratios = [row[1] / row[2] for row in table.rows]
+        assert ratios[-1] >= ratios[0]
 
-    def test_e9_super_root_within_phi(self):
-        table = experiments.experiment_e09_tree_hashing(sizes=(2048, 8192))
-        assert all(row[5] is True for row in table.rows)
+    def test_e09_table(self):
+        table = table_of("E9", sizes=(4096, 16384, 65536, 262144))
+        for n, buckets, nodes, _, _, within, h0, beta0 in table.rows:
+            assert within is True
+            assert buckets >= n
+            assert nodes <= 3 * n  # O(n) server storage
+            assert h0 <= max(3 * beta0, 20)  # level occupancy dominated by beta
 
-    def test_e10_storage_linear_and_costs_loglog(self):
-        table = experiments.experiment_e10_dpkvs(sizes=(128, 512),
-                                                 operations=40)
+    def test_e09_level_occupancy_decays(self, rng):
+        n = 65536
+        simulator = TreeOccupancySimulator(TreeBucketLayout.for_capacity(n))
+        source = rng.spawn("keys")
+        for _ in range(n):
+            simulator.insert_random(source)
+        occupancy = simulator.level_occupancy()
+        # Filled-node counts must collapse moving up the tree.
+        assert occupancy[0] == max(occupancy)
+        assert sum(occupancy[2:]) <= occupancy[0] // 2 + 10
+
+    def test_e09_node_capacity_ablation(self, rng):
+        # Larger t pushes the spill probability down dramatically.
+        n = 16384
+        spills = []
+        for t in (1, 2, 4):
+            simulator = TreeOccupancySimulator(
+                TreeBucketLayout.for_capacity(n, node_capacity=t)
+            )
+            source = rng.spawn(f"t{t}")
+            for _ in range(n):
+                simulator.insert_random(source)
+            spills.append(simulator.super_root_load)
+        assert spills[0] >= spills[1] >= spills[2]
+        assert spills[2] == 0
+
+    def test_e09_beta_sequence_consistency(self):
+        values = [tails.beta_sequence_closed_form(262144, level) for level in range(4)]
+        assert values == sorted(values, reverse=True)
+
+    def test_e10_table(self):
+        table = table_of("E10", sizes=(256, 1024, 4096, 16384), operations=250)
         for row in table.rows:
             (_, path_len, measured, expected, at_most,
-             nodes_per_n, padded_per_n, mism) = row
-            assert at_most == 6 * path_len
+             nodes_per_n, padded_per_n, mismatches) = row
+            assert at_most == 6 * path_len  # the declared worst case
             assert 4 * path_len < measured <= at_most
-            assert measured <= expected + 1.0   # 40 ops around the estimate
-            assert nodes_per_n < 3
-            assert padded_per_n > nodes_per_n
-            assert mism == 0
+            assert measured <= expected + 0.5  # 250 ops around the estimate
+            assert nodes_per_n < 3  # tree sharing keeps O(n)
+            assert padded_per_n > nodes_per_n  # the padded-bins blow-up
+            assert mismatches == 0
+        # Overhead grows like log log n: doubling n four times moves the
+        # cost by at most one path-node step.
+        costs = [row[2] for row in table.rows]
+        assert costs[-1] - costs[0] <= 12
 
-    def test_e11_factor_grows(self):
-        table = experiments.experiment_e11_vs_oram(sizes=(128, 1024),
-                                                   queries=40)
+    def test_e10_storage_ablation_padded_vs_tree(self):
+        for n in (2**10, 2**14, 2**18):
+            tree_nodes = TreeBucketLayout.for_capacity(n).node_count
+            padded_slots = PaddedTwoChoiceStore(n, PRF(b"ablate")).server_slots
+            assert padded_slots / tree_nodes > 3  # the gap the paper closes
+
+    def test_e11_ram_table(self):
+        table = table_of("E11", sizes=(256, 1024, 4096), queries=300)
         factors = [row[-1] for row in table.rows]
-        assert factors[0] < factors[-1]
+        # The factor grows with n (Theta(log n) vs O(1)) and is large already.
+        assert factors == sorted(factors)
+        assert 10 < factors[0] < factors[-1]
+        dpram = [row[2] for row in table.rows]
+        assert max(dpram) - min(dpram) < 0.5  # flat in n
+        for row in table.rows:
+            assert row[1] == 1.0  # plaintext baseline
+            assert 2.0 <= row[2] <= 3.0  # DP-RAM: at most 3, 2 + O(p) expected
 
-    def test_e12_bound_met_and_view_scales(self):
-        table = experiments.experiment_e12_multi_server(n=256, queries=60)
+    def test_e11b_kvs_table(self):
+        table = table_of("E11b", sizes=(256, 1024), operations=150)
+        factors = [row[-1] for row in table.rows]
+        assert factors == sorted(factors)
+        assert all(factor > 2 for factor in factors)
+
+    def test_e12_table(self):
+        table = table_of("E12", n=2048, server_count=4, queries=400)
         assert all(row[-1] is True for row in table.rows)
+        # Corrupted view scales with t; full corruption sees everything.
         views = [row[4] for row in table.rows]
         assert views == sorted(views)
+        assert views[-1] <= max(row[3] for row in table.rows) + 0.01
 
-    def test_run_all_renders(self):
-        # Tiny global smoke via markdown path (uses default params for one
-        # driver only would be slow; rely on the parametrized smoke above).
-        assert callable(experiments.run_all)
+    def test_e12_t_one_collapses_to_single_server(self):
+        # With every server corrupted the bound equals Theorem 3.4's.
+        n, eps, alpha = 4096, 5.0, 0.05
+        multi = bounds.multi_server_ir_lower_bound(n, eps, alpha, t=1.0)
+        single = bounds.dp_ir_error_lower_bound(n + 1, eps, alpha)
+        assert math.isclose(multi, single, rel_tol=0.01)
+
+    def test_e12_sharded_vs_replicated_storage(self, rng):
+        # Deployment trade: sharding keeps total storage at n (vs D*n) while
+        # preserving the single-server exact epsilon.
+        n, shards = 1024, 4
+        db = integer_database(n)
+        sharded = ShardedDPIR(db, shard_count=shards, pad_size=8, alpha=0.05,
+                              rng=rng.spawn("sharded"))
+        replicated = MultiServerDPIR(db, server_count=shards, pad_size=8,
+                                     alpha=0.05, rng=rng.spawn("replicated"))
+        assert sharded.total_storage_blocks() == n
+        assert sum(s.capacity for s in replicated.pool) == shards * n
+        assert sharded.epsilon == replicated.epsilon
+
+    def test_e13_table(self):
+        table = table_of("E13", sizes=(256, 1024, 4096), queries=60)
+        roundtrips = [row[2] for row in table.rows]
+        # Recursion depth grows with n while DP-RAM stays at 2.
+        assert roundtrips == sorted(roundtrips)
+        assert roundtrips[-1] > 2
+        for row in table.rows:
+            assert row[4] == 2  # DP-RAM roundtrips
+            assert 2.0 <= row[6] <= 3.0  # DP-RAM blocks/op: <= 3, 2 + O(p) expected
+            assert row[-1] == 0  # no mismatches anywhere
+
+    def test_e13_client_map_shrinks_with_depth(self, rng):
+        oram = RecursivePathORAM(integer_database(4096), positions_per_block=8,
+                                 client_map_limit=32, rng=rng.spawn("o"))
+        assert oram.client_position_entries <= 32
+        assert oram.levels >= 3
+
+    def test_e14_table(self):
+        table = table_of("E14", n=4096, queries=120)
+        by_scheme = {row[0]: row for row in table.rows}
+        # On every link, plaintext <= DP-IR and DP-RAM << PIR.
+        for column in (3, 4, 5):
+            assert (by_scheme["plaintext"][column]
+                    <= by_scheme["DP-IR (alpha=0.05)"][column])
+            assert by_scheme["DP-RAM"][column] < by_scheme["linear PIR"][column]
+        # On the WAN, the recursive ORAM's roundtrips dominate Path ORAM's.
+        assert by_scheme["recursive ORAM"][4] > by_scheme["Path ORAM"][4]
+        # DP-RAM's WAN time is within 2.5 RTTs of plaintext-ish floor.
+        assert by_scheme["DP-RAM"][4] < 3 * WAN.rtt_ms
+        # So is DP-KVS — which holds only while an operation is two roundtrips.
+        assert by_scheme["DP-KVS"][1] == 2
+        assert by_scheme["DP-KVS"][4] < 3 * WAN.rtt_ms

@@ -1,6 +1,6 @@
 """Scale guards: no hidden superlinear behaviour at moderate sizes.
 
-These are not micro-benchmarks (pytest-benchmark owns timing); they run
+These are not micro-benchmarks (``benchmarks/e2e`` owns timing); they run
 the schemes at sizes large enough that an accidental O(n)-per-query bug
 (or an O(n²) setup) would blow past the generous wall-clock ceilings.
 The memory guards count allocations with ``tracemalloc``, which repeats
@@ -52,6 +52,26 @@ class TestDPRAMScale:
         shared = sum(d == o for d, o in ram.transcript_pairs)
         assert ram.server.operations - before == 300 - shared
         assert shared >= 90
+
+
+class TestQueryHistoryMemory:
+    def test_dp_ram_history_is_two_machine_words_a_query(self, rng):
+        # A served scheme keeps (d_j, o_j) of every query it ever answered:
+        # two int64 columns, 16 B a query plus the arrays' growth slack,
+        # where a list of tuples held 67.  Traced from before the build, so
+        # a rewritten server slot frees what it replaces.
+        tracemalloc.start()
+        try:
+            ram = DPRAM(integer_database(1024), rng=rng.spawn("ram"))
+            source = rng.spawn("ops")
+            before, _ = tracemalloc.get_traced_memory()
+            for _ in range(20_000):
+                ram.read(source.randbelow(1024))
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ram.transcript_pairs) == 20_000
+        assert (after - before) / 20_000 <= 24
 
 
 class TestDPIRScale:

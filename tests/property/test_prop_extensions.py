@@ -16,6 +16,7 @@ from repro.crypto.encryption import (
 from repro.crypto.rng import SeededRandomSource
 from repro.baselines.recursive_oram import RecursivePathORAM
 from repro.storage.blocks import encode_int, integer_database
+from repro.storage.errors import BlockSizeError
 from repro.storage.network import NetworkModel
 from repro.workloads.replay import load_trace, save_trace
 from repro.workloads.trace import Operation, Trace
@@ -173,3 +174,18 @@ class TestRecursiveOramProperties:
                 model[index] = value
             else:
                 assert oram.read(index) == model[index]
+
+
+class TestIntegerDatabaseProperties:
+    @given(count=st.integers(0, 300), size=st.integers(0, 80))
+    def test_is_encode_int_per_record(self, count, size):
+        # The one-pass build is the per-record encoder, refusals included.
+        if size < 8:
+            with pytest.raises(BlockSizeError):
+                integer_database(count, size)
+            with pytest.raises(BlockSizeError):
+                encode_int(count, size)
+        else:
+            assert integer_database(count, size) == [
+                encode_int(i, size) for i in range(count)
+            ]

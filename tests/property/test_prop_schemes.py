@@ -120,7 +120,8 @@ class _PaperRoundDPRAM(DPRAM):
                 overwrite_slot, self._encrypt(self._key, current, self._rng)
             )
 
-        self._pairs.append((download_slot, overwrite_slot))
+        self._downloads.append(download_slot)
+        self._overwrites.append(overwrite_slot)
         self._queries += 1
         return current
 
@@ -146,7 +147,8 @@ class _PaperRoundReadOnlyDPRAM(ReadOnlyDPRAM):
         if restash:
             self._stash.put(index, current)
 
-        self._pairs.append((download_slot, overwrite_slot))
+        self._downloads.append(download_slot)
+        self._overwrites.append(overwrite_slot)
         self._queries += 1
         return current
 
@@ -579,7 +581,8 @@ class SequentialBucketDPRAM(BucketDPRAM):
                 self._evict_if_unpinned(node)
 
         self._note_peak()
-        self._pairs.append((pending.download_bucket, overwrite_bucket))
+        self._downloads.append(pending.download_bucket)
+        self._overwrites.append(overwrite_bucket)
         self._queries += 1
 
 

@@ -225,6 +225,21 @@ class TestExperimentsCommand:
     def test_unknown_id_fails(self, capsys):
         assert main(["experiments", "--only", "E99"]) == 1
 
+    def test_unknown_id_beside_a_known_one_fails_before_any_table(self, capsys):
+        assert main(["experiments", "--only", "E5", "E99"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "E99" in captured.err and "E11b" in captured.err
+
+    @pytest.mark.parametrize(
+        "spelling, selected", [("e11b", "E11b"), ("E06", "E6"), ("E6", "E6")]
+    )
+    def test_only_accepts_case_and_zero_padding(self, capsys, spelling, selected):
+        assert main(["experiments", "--only", spelling]) == 0
+        output = capsys.readouterr().out
+        assert output.startswith(f"{selected}:")
+        assert "\n\n" not in output  # one table
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
