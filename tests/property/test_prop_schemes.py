@@ -202,6 +202,103 @@ class TestDPRAMRoundDedupeIdentity:
         assert ram._rng.random() == oracle._rng.random()
 
 
+def _dp_ram_step(ram, plan, number):
+    index = plan.randrange(ram.n)
+    if plan.random() < 0.5:
+        return ram.write(index, encode_int(10**6 + number))
+    return ram.read(index)
+
+
+def _bucket_ram_step(ram, plan, number):
+    batch = plan.sample(range(ram.bucket_count), plan.randint(1, 2))
+    nodes = sorted({node for b in batch for node in ram.bucket_nodes(b)})
+    updates = {
+        node: bytes([number % 256, node]) * 3
+        for node in plan.sample(nodes, plan.randint(0, len(nodes)))
+    }
+    pending = ram.begin_query(batch)
+    ram.finish_query(pending, updates)
+    return pending.contents
+
+
+def _dp_kvs_step(store, plan, number):
+    key = b"key-%03d" % plan.randrange(40)
+    roll = plan.random()
+    if roll < 0.5:
+        return store.put(key, b"value-%06d" % number)
+    if roll < 0.85:
+        return store.get(key)
+    return store.delete(key)
+
+
+# name -> (build(setting, **collaborators), one seeded operation, settings);
+# a setting is the stash probability, for DP-KVS the Φ it follows from.
+_HELD_UPLOAD_SCHEMES = {
+    "dp_ram": (
+        lambda p, **kwargs: DPRAM(
+            integer_database(24), stash_probability=p, **kwargs
+        ),
+        _dp_ram_step,
+        [0.02, 0.3, 1.0],
+    ),
+    "bucket_dp_ram": (
+        lambda p, **kwargs: BucketDPRAM(
+            [bytes([node]) * 6 for node in range(7)],
+            _REPERTOIRES["shared-ancestor"][1], p, **kwargs
+        ),
+        _bucket_ram_step,
+        [0.05, 0.5, 1.0],
+    ),
+    "dp_kvs": (
+        lambda phi, **kwargs: DPKVS(64, phi=phi, **kwargs),
+        _dp_kvs_step,
+        [1, 6, 64],
+    ),
+}
+
+# Written at the commit before an operation's upload started riding in the
+# next operation's request, and equal after it.
+_HELD_UPLOAD_PINS = {
+    "dp_ram":
+        "6f6c6e6bd45b32a425f7b305d53eb4687011d9ae5669e750bf0eaa3f2753cede",
+    "bucket_dp_ram":
+        "feecffd8a02d78f383019c0fcc771a9b25744e6d28cf7e2acaf4be6f119af17e",
+    "dp_kvs":
+        "e864c6d2fec3275264ea6d64469e2998dba5e81130b68814957bc844644de25a",
+}
+
+
+def _seeded_history(name, setting, seed, steps=120, **collaborators):
+    """``(scheme, everything a seeded run leaves behind)``."""
+    build, step, _ = _HELD_UPLOAD_SCHEMES[name]
+    source = SeededRandomSource(seed)
+    scheme = build(setting, rng=source, **collaborators)
+    log = Transcript()
+    scheme.attach_transcript(log)
+    plan = random.Random(seed)
+    answers = [step(scheme, plan, number) for number in range(steps)]
+    return scheme, (
+        answers,
+        log.signature(),
+        scheme.transcript_pairs,
+        _server_image(scheme),
+        scheme.server_counters(),
+        # DP-KVS hands its bucket RAM a spawned child source.
+        [source.random(), getattr(scheme, "_ram", scheme)._rng.random()],
+    )
+
+
+class TestHeldUploadIdentity:
+    @pytest.mark.parametrize("name", sorted(_HELD_UPLOAD_PINS))
+    def test_seeded_history_is_pinned(self, name):
+        setting = _HELD_UPLOAD_SCHEMES[name][2][1]
+        _, history = _seeded_history(name, setting, seed=24)
+        assert (
+            hashlib.sha256(repr(history).encode()).hexdigest()
+            == _HELD_UPLOAD_PINS[name]
+        )
+
+
 class TestPathORAMModel:
     @given(ops=ram_ops, seed=st.integers(0, 2**32))
     @settings(max_examples=30, deadline=None)
