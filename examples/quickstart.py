@@ -24,6 +24,7 @@ def dp_ram_demo() -> None:
     ram.write(7, encode_int(70_707))
     print(f"write(7) -> done; read back: "
           f"{int.from_bytes(ram.read(7)[:8], 'big')}")
+    ram.flush()  # the last upload was waiting to ride in a next request
     print(f"server blocks moved per query: "
           f"{ram.server.operations / ram.query_count:.1f}")
     print(f"client stash: {ram.stash_size} records "

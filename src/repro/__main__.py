@@ -511,6 +511,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     ram = DPRAM(database, rng=rng.spawn("ram"))
     ram.read(1)
     ram.write(1, b"hello".ljust(64, b"\x00"))
+    ram.flush()  # the write's upload was waiting for a next request
     print(f"DP-RAM  : 2 ops -> {ram.server.operations} block transfers "
           f"({ram.server.operations / 2:.0f}/query), stash={ram.stash_size}")
 

@@ -35,8 +35,11 @@ class PrivacyDatasheet:
             that coincide travel once); ``None`` when every operation
             moves exactly ``blocks_per_query``.
         roundtrips: sequential client-server exchanges per operation.
+            DP-RAM and DP-KVS declare 1: the upload an operation seals
+            rides in the next operation's request, so a run of ``k``
+            operations is ``k`` exchanges plus one for the last upload.
         client_blocks: expected client storage in blocks (``None`` for
-            stateless clients).
+            stateless clients); counts the upload held between requests.
         server_blocks: server storage in blocks.
     """
 
@@ -114,15 +117,15 @@ def datasheet_for(scheme: object) -> PrivacyDatasheet:
     if isinstance(scheme, (DPRAM, ReadOnlyDPRAM)):
         params = scheme.params
         # DP-RAM downloads d_j and o_j in one round — one slot when they
-        # coincide — and uploads o_j in a second; the read-only variant
-        # has no upload.
-        blocks, roundtrips = (3.0, 2) if isinstance(scheme, DPRAM) else (2.0, 1)
+        # coincide — and holds the upload of o_j for the next query's
+        # request; the read-only variant has no upload.
+        blocks, held = (3.0, 1) if isinstance(scheme, DPRAM) else (2.0, 0)
         return PrivacyDatasheet(
             scheme=name, n=params.n,
             epsilon=params.epsilon_bound, epsilon_kind="upper bound",
             delta=0.0, error_probability=0.0,
-            blocks_per_query=blocks, roundtrips=roundtrips,
-            client_blocks=params.expected_stash, server_blocks=params.n,
+            blocks_per_query=blocks, roundtrips=1,
+            client_blocks=params.expected_stash + held, server_blocks=params.n,
             expected_blocks_per_query=(
                 params.expected_blocks_per_query - (3.0 - blocks)  # no upload
             ),
@@ -139,9 +142,10 @@ def datasheet_for(scheme: object) -> PrivacyDatasheet:
             epsilon=params.choices * bucket_bound, epsilon_kind="upper bound",
             delta=0.0, error_probability=0.0,
             blocks_per_query=float(scheme.blocks_per_operation()),
-            roundtrips=2,  # one fused download round, one upload round
+            roundtrips=1,  # the held upload, then the fused download round
             client_blocks=float(
                 params.phi * params.shape.path_length + params.phi
+                + params.choices * params.shape.path_length  # the held upload
             ),
             server_blocks=scheme.server_node_count,
             # An upper estimate: nodes shared by two paths come off too.

@@ -13,7 +13,7 @@ roundtrips to get client storage of even O(√n)".  Every logical access
 here costs one ORAM access *per level*, strictly sequentially — the data
 leaf is unknown until the map level above resolves — so the roundtrip
 count equals the recursion depth.  Experiment E13 measures that count
-against DP-RAM's constant two roundtrips.
+against DP-RAM's constant one roundtrip.
 """
 
 from __future__ import annotations

@@ -403,23 +403,35 @@ class KVShardGroup(_ReplicaGroup[PrivateKVS]):
         """Delete from every live replica; result from the first survivor."""
         return bool(self._fan_out("delete", key))
 
+    def flush(self) -> None:
+        """Send what each live replica holds back for its next request.
+
+        Not an operation of its own — the upload was drawn, sealed and
+        charged by the one that produced it — so no draw is counted.  A
+        replica that faults goes fail-stop dead, as on any other leg.
+        """
+        for position, outcome in self._race_live("flush"):
+            if isinstance(outcome.error, ServerFault):
+                self._mark_dead(position)
+            elif outcome.error is not None:
+                raise outcome.error
+
     # -- internals ---------------------------------------------------------
 
-    def _fan_out(self, operation: str, *args: bytes) -> object:
-        """Apply one write to every live replica, racing when possible.
+    def _race_live(
+        self, operation: str, *args: bytes
+    ) -> list[tuple[int, TaskResult]]:
+        """``(position, outcome)`` of ``operation`` on every live replica.
 
         Replicas are disjoint object graphs, so their legs genuinely run
-        concurrently under a threaded executor; liveness marks and draw
-        charges are applied from the coordinating thread afterwards.
-        The ledger draw count (one per live replica attempted) and the
-        first-survivor result are executor-independent.
+        concurrently under a threaded executor; the stage is accounted
+        here, liveness marks are the caller's to apply afterwards.
         """
         live = [
             (position, replica)
             for position, replica in enumerate(self._replicas)
             if self._alive[position]
         ]
-        self._draws += len(live)
         ops_before = [replica.server_operations() for _, replica in live]
         results = self._executor.fan_out(
             [
@@ -432,6 +444,19 @@ class KVShardGroup(_ReplicaGroup[PrivateKVS]):
             for (_, replica), before in zip(live, ops_before)
         ]
         self._wall_ops += self._executor.stage_cost(leg_ops)
+        return [
+            (position, result) for (position, _), result in zip(live, results)
+        ]
+
+    def _fan_out(self, operation: str, *args: bytes) -> object:
+        """Apply one write to every live replica, racing when possible.
+
+        Liveness marks and draw charges are applied from the coordinating
+        thread after the legs ran.  The ledger draw count (one per live
+        replica attempted) and the first-survivor result are
+        executor-independent.
+        """
+        self._draws += self.live_replicas
         result = None
         any_succeeded = False
         failure: BaseException | None = None
@@ -439,7 +464,7 @@ class KVShardGroup(_ReplicaGroup[PrivateKVS]):
         # outcome before raising: a non-fault error from one replica
         # must not leave a sibling's ServerFault unrecorded — the
         # faulted sibling is inconsistent and has to go fail-stop dead.
-        for (position, _), outcome in zip(live, results):
+        for position, outcome in self._race_live(operation, *args):
             if outcome.error is not None:
                 if isinstance(outcome.error, ServerFault):
                     self._mark_dead(position)

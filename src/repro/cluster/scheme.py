@@ -602,6 +602,9 @@ class _ClusterBase(Scheme, Generic[_G]):
             )
         shards_before = self.shard_count
         shards = sorted(drain_legs)
+        # An upload held for a next request belongs to the traffic before
+        # the migration, not to its drain.
+        self.flush()
         close_stage = self._open_stage(
             [self._groups[shard] for shard in shards]
         )
@@ -1128,6 +1131,20 @@ class ClusterKVS(_ClusterBase[KVShardGroup], PrivateKVS):
         self._keys.discard(key)
         return existed
 
+    def flush(self) -> None:
+        """Send what every live replica holds back for its next request;
+        accounted as one stage, charged to no one (see
+        :meth:`KVShardGroup.flush`)."""
+        close_stage = self._open_stage(self._groups)
+        for group in self._groups:
+            group.flush()
+        close_stage()
+
+    def close(self) -> None:
+        """:meth:`flush`, then release the executor's worker threads."""
+        self.flush()
+        super().close()
+
     def _shard_of(self, key: bytes) -> int:
         return hash_shard_of_key(key, self.shard_count)
 
@@ -1151,7 +1168,11 @@ class ClusterKVS(_ClusterBase[KVShardGroup], PrivateKVS):
             per_shard_keys.setdefault(self._shard_of(key), []).append(key)
 
         def drain(group: KVShardGroup, keys: list[bytes]) -> list[Any]:
-            return list(zip(keys, group.get_many(keys)))
+            drained = list(zip(keys, group.get_many(keys)))
+            # The generation is dropped after this leg: the upload it
+            # holds for a next request goes now, as part of the drain.
+            group.flush()
+            return drained
 
         def reinstall(drained: list[tuple[bytes, bytes | None]]) -> int:
             snapshot = sorted(
@@ -1162,6 +1183,8 @@ class ClusterKVS(_ClusterBase[KVShardGroup], PrivateKVS):
             for key, value in snapshot:
                 self._groups[self._shard_of(key)].put(key, value)
                 self._keys.add(key)
+            for group in self._groups:
+                group.flush()  # re-insertion is complete when this returns
             return sum(
                 1
                 for key, _ in snapshot

@@ -21,24 +21,31 @@ refresh both copies.  We maintain:
   can be answered without any real download);
 * ``_pins`` — for each node, how many stashed buckets contain it.
 
-Overlay entries are only dropped right after a fresh ciphertext of the
-node is uploaded and no stashed bucket pins it; this guarantees a stale
-server copy can never be served.
+Overlay entries are only dropped once a fresh ciphertext of the node is
+sealed for upload and no stashed bucket pins it.  The invariant: a server
+copy may be stale only while its fresh ciphertext is *held* by the client
+(next paragraph), and every request sends what is held before it reads —
+so a stale server copy can never be served.
 
-**Plan, then two rounds.**  A *batch* of bucket queries — DP-KVS sends
+**Plan, then one request.**  A *batch* of bucket queries — DP-KVS sends
 the two hash-choice buckets of one operation, :meth:`BucketDPRAM.query`
-a batch of one — costs two roundtrips however many buckets it holds.
+a batch of one — costs one roundtrip however many buckets it holds.
 :meth:`BucketDPRAM.begin_query` draws every coin of both phases up front
 (per bucket the download coin; then per bucket the restash coin, the
 overwrite bucket and that upload's nonces), which is possible because no
-draw depends on a downloaded byte, and issues ONE ``read_many`` over
-the distinct nodes of ``d_1 ‖ … ‖ d_k ‖ o_1 ‖ … ‖ o_k``.  The caller
+draw depends on a downloaded byte, and sends ONE request: the upload the
+previous batch left held, then a ``read_many`` over the distinct nodes
+of ``d_1 ‖ … ‖ d_k ‖ o_1 ‖ … ‖ o_k``
+(:meth:`~repro.storage.server.StorageServer.exchange`).  The caller
 inspects the contents, and :meth:`BucketDPRAM.finish_query` replays the
-per-bucket overwrite logic on the client and issues ONE ``write_many``
-over the distinct nodes of ``o_1 ‖ … ‖ o_k``.  The draw order and the
-per-query pair ``(d_j, o_j)`` are those of running the queries one after
-the other; only the data-independent interleaving inside the batch
-changes, and no node moves twice in a round.
+per-bucket overwrite logic on the client and seals ONE upload over the
+distinct nodes of ``o_1 ‖ … ‖ o_k`` — which it holds for the next
+request; :meth:`BucketDPRAM.flush` sends it alone.  The draw order and
+the per-query pair ``(d_j, o_j)`` are those of running the queries one
+after the other; only data-independent things change — the interleaving
+inside the batch and where a message ends — and no node moves twice in a
+round.  With the flush that ends a run, transcript, stored bytes,
+counters and coin stream equal those of flushing after every batch.
 
 **A round lists a node once.**  ``d_j = o_j`` with probability
 ``(1−p)²`` (no stash hit, no restash), and tree paths share their upper
@@ -61,16 +68,19 @@ upload of the batch.  It looks a node up in this order:
 2. the plaintext an earlier bucket of this batch uploaded to that node
    (a tree node shared by ``o_1`` and ``o_2``, or ``o_1 = o_2``): the
    server copy will hold exactly that once the round lands;
-3. the pre-fetched ciphertext, which is current because nothing else
-   wrote the node since the download round.
+3. the pre-fetched ciphertext, which is current because the request
+   that fetched it landed the held upload first and nothing has written
+   the node since.
 
 Step 3 is why only one batch may be open at a time: the pre-fetched
 ciphertexts of two open batches could go stale against each other.
 
-Both rounds are transactional towards the client's state.  A download
-round that raises leaves it untouched (the coins stay spent); an upload
-round that raises leaves the failed plaintexts in ``_overlay``, so the
-client copy stays authoritative until a later upload of the node lands.
+The request is a batch's one point of failure and it comes before the
+client's state moves: one that raises leaves the client untouched (the
+coins stay spent) and the upload still held — sending it again is
+harmless, same nodes, same ciphertexts.  Sealing cannot fail, so there is
+no second failure to recover from.  The held ciphertexts count as client
+storage (:attr:`BucketDPRAM.client_blocks`).
 """
 
 from __future__ import annotations
@@ -106,7 +116,7 @@ class _BucketPlan(NamedTuple):
 
 @dataclass
 class PendingQuery:
-    """State between the download and upload rounds of one batch.
+    """State between the request of one batch and the sealing of its upload.
 
     Attributes:
         buckets: the queried bucket ids, in batch order.
@@ -181,6 +191,9 @@ class BucketDPRAM(PrivateRAM):
         self._overlay: dict[int, bytes] = {}
         self._pins: dict[int, int] = {}
         self._pending: PendingQuery | None = None
+        # The last batch's sealed upload, ``(query, [(node, ciphertext)])``,
+        # until the next request (or ``flush``) carries it to the server.
+        self._held: tuple[int, list[tuple[int, bytes]]] | None = None
         self._client_peak = 0
 
         # Setup: stash each bucket independently with probability p,
@@ -235,12 +248,14 @@ class BucketDPRAM(PrivateRAM):
 
     @property
     def client_blocks(self) -> int:
-        """Node blocks currently held on the client (the overlay)."""
-        return len(self._overlay)
+        """Node blocks currently held on the client: the overlay plus the
+        ciphertexts of the held upload."""
+        held = self._held
+        return len(self._overlay) + (len(held[1]) if held is not None else 0)
 
     @property
     def client_peak_blocks(self) -> int:
-        """Largest overlay occupancy observed."""
+        """Largest :attr:`client_blocks` observed."""
         return self._client_peak
 
     @property
@@ -257,15 +272,17 @@ class BucketDPRAM(PrivateRAM):
         """Node ids of ``bucket``."""
         return self._buckets[bucket]
 
-    # -- the two rounds --------------------------------------------------------
+    # -- the request, and the upload it leaves held ---------------------------
 
     def begin_query(self, buckets: Sequence[int]) -> PendingQuery:
-        """Plan the batch ``buckets`` and run its download round.
+        """Plan the batch ``buckets`` and send its request: the held
+        upload, if any, then the batch's downloads.
 
         Returns a :class:`PendingQuery` carrying the authoritative contents
         of every node of every queried bucket; pass it to
-        :meth:`finish_query` to run the upload round.  If the round
-        raises, no batch is open and the client's state is unchanged.
+        :meth:`finish_query` to seal the batch's upload.  If the request
+        raises, no batch is open, the client's state is unchanged and the
+        upload is still held.
 
         Raises:
             RetrievalError: if a bucket is out of range or listed twice,
@@ -324,8 +341,12 @@ class BucketDPRAM(PrivateRAM):
                 ]
             )
         )
-        self._server.begin_query(self._queries)
-        ciphertexts = self._server.read_many(round_nodes)
+        # The batch's one request, and its one point of failure: the
+        # previous batch's upload, then this batch's downloads.
+        ciphertexts = self._server.exchange(
+            self._queries, round_nodes, self._held
+        )
+        self._held = None
 
         # The round landed.  The client's state moves only at the end,
         # once the contents are in hand and the batch is really open.
@@ -368,11 +389,11 @@ class BucketDPRAM(PrivateRAM):
         pending: PendingQuery,
         new_contents: Mapping[int, bytes] | None = None,
     ) -> None:
-        """Run the upload round of the open batch.
+        """Close the open batch: seal its upload and hold it.
 
-        If the round raises, the batch is closed all the same and its
-        queries count as made (the server saw their download round); the
-        plaintexts it failed to upload stay on the client.
+        Nothing is sent — the upload rides in the next batch's request
+        (:meth:`begin_query`) or goes on its own with :meth:`flush` — so
+        once the arguments are accepted this cannot fail.
 
         Args:
             pending: the handle returned by :meth:`begin_query`.
@@ -409,8 +430,9 @@ class BucketDPRAM(PrivateRAM):
                 check_block(block, self._block_size)
                 updates[node] = block
         # Only a validated call consumes the handle: a rejected one leaves
-        # the batch open, so the caller can still run the upload round.
+        # the batch open, so the caller can still close it.
         self._pending = None
+        query = self._queries  # the number the download round ran under
 
         repertoire = self._buckets
         overlay = self._overlay
@@ -467,21 +489,25 @@ class BucketDPRAM(PrivateRAM):
             nonces = b"".join(
                 nonces[i * NONCE_SIZE : (i + 1) * NONCE_SIZE] for i in kept
             )
-        try:
-            self._server.write_many(
-                list(
-                    zip(
-                        upload_nodes,
-                        encrypt_many(self._key, upload_blocks, nonces=nonces),
-                    )
+        self._held = (
+            query,
+            list(
+                zip(
+                    upload_nodes,
+                    encrypt_many(self._key, upload_blocks, nonces=nonces),
                 )
-            )
-        except BaseException:
-            # Some server copies may be stale now: the client's stay
-            # authoritative until a later upload of the node lands.
-            overlay.update(uploaded)
-            self._note_peak()
-            raise
+            ),
+        )
+        self._note_peak()
+
+    def flush(self) -> None:
+        """Send the held upload on its own (one roundtrip); keeps it if
+        the server faults."""
+        if self._held is not None:
+            query, items = self._held
+            self._server.begin_query(query)
+            self._server.write_many(items)
+            self._held = None
 
     # -- the RAM interface over single-node buckets ---------------------------
 
@@ -563,5 +589,6 @@ class BucketDPRAM(PrivateRAM):
             self._overlay.pop(node, None)
 
     def _note_peak(self) -> None:
-        if len(self._overlay) > self._client_peak:
-            self._client_peak = len(self._overlay)
+        blocks = self.client_blocks
+        if blocks > self._client_peak:
+            self._client_peak = blocks

@@ -19,17 +19,19 @@ overhead of Theorem 7.5 (the paper's "at most 2·k(n) DP-RAM queries" bound
 is met with room to spare because the phase-split bucket DP-RAM retrieves
 and updates in a single query; the composition argument is unchanged).
 
-An operation is **two roundtrips**: both bucket queries go to the bucket
-DP-RAM as one batch, which downloads the distinct nodes of
-``d_1 ‖ d_2 ‖ o_1 ‖ o_2`` in one round, lets the storing algorithm run on
-the joint contents, and uploads those of ``o_1 ‖ o_2`` in a second.  The
+An operation is **one roundtrip**: both bucket queries go to the bucket
+DP-RAM as one batch, whose one request lands the upload the previous
+operation sealed and downloads the distinct nodes of
+``d_1 ‖ d_2 ‖ o_1 ‖ o_2``; the storing algorithm runs on the joint
+contents, and the upload of ``o_1 ‖ o_2`` is sealed and held for the next
+operation's request (:meth:`DPKVS.flush` sends it alone).  The
 per-query view ``(d_j, o_j)`` is that of six sequential rounds; the
 blocks moved are theirs less the repeats — :meth:`DPKVS.blocks_per_operation`
 (``2·3·(depth+1)``) is the worst case, and since ``d_j = o_j`` with
 probability ``(1−p)²`` an operation moves about a third less
 (:meth:`~repro.core.params.DPKVSParams.expected_blocks_per_operation`).
-See :mod:`repro.core.bucket_ram` for why the interleaving and the dedupe
-are free.
+See :mod:`repro.core.bucket_ram` for why the interleaving, the dedupe and
+the held upload are free.
 
 Missing keys return ``None`` (the paper's ``⊥``).  Keys and values are
 fixed-size byte strings (shorter inputs are zero-padded by the codec).
@@ -205,6 +207,10 @@ class DPKVS(PrivateKVS):
         """Bucket-granular ``(d_j, o_j)`` pairs from the underlying DP-RAM."""
         return self._ram.transcript_pairs
 
+    def flush(self) -> None:
+        """Send the upload the bucket DP-RAM is holding, on its own."""
+        self._ram.flush()
+
     def blocks_per_operation(self) -> int:
         """Node blocks moved per operation, at most: ``2 · 3 · (depth+1)``.
 
@@ -242,8 +248,8 @@ class DPKVS(PrivateKVS):
         Only the PRF pass is batched: the bucket choices of every key are
         derived in a single :meth:`~repro.crypto.prf.PRF.choices_many`
         call against the shared keyed state before the per-key queries
-        run.  The queries themselves (every coin they flip, and the two
-        roundtrips each costs) are those of sequential :meth:`get` calls.
+        run.  The queries themselves (every coin they flip, and the one
+        roundtrip each costs) are those of sequential :meth:`get` calls.
         """
         normalized = [self._codec.normalize_key(key) for key in keys]
         fresh = list(
@@ -276,9 +282,9 @@ class DPKVS(PrivateKVS):
                 key, value, pending.contents[:real_count]
             )
         except CapacityError:  # MappingOverflowError is a subclass
-            # The download round already ran: finish the batch as a fake
+            # The request already went out: finish the batch as a fake
             # update so it does not stay open and the server sees the
-            # same two-round shape as for any other operation.
+            # same shape as for any other operation.
             self._ram.finish_query(pending)
             raise
         self._ram.finish_query(pending, updates)

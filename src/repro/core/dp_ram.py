@@ -21,6 +21,22 @@ transcript per query is the pair ``(d_j, o_j)`` the privacy proof analyzes.
 Correctness is perfect: the stash entry, when present, is always the
 current version, and otherwise the server ciphertext is.
 
+**One roundtrip.**  The client has no use for an upload's reply, so the
+upload does not get a message of its own: a query seals it exactly as the
+paper's would — same coin, same nonce, same ciphertext — and *holds* it,
+and the next query's request carries it in front of its downloads ("write
+this slot, then read those"; the server applies the write first, so a
+slot in both comes back fresh).  :meth:`DPRAM.flush` sends a held upload
+alone; "flush after every call" is the two-message shape, and with the
+one flush that ends a run the server's transcript, the stored bytes, the
+counters and the coin stream are equal to that shape's at a given seed.
+Where the messages end is a data-independent rule, so ε is Theorem 6.1's;
+without the trailing flush the view is a prefix of it.  The request is
+also the query's one point of failure, and it comes before the stash is
+touched: a query whose request faults leaves the client as a query never
+made would (its coins are spent), the upload stays held, and sending it
+again is harmless.  The held ciphertext counts as client storage.
+
 **Three is the worst case.**  Both downloads go in one ``read_many``
 round, and the round lists a slot once: when ``d_j = o_j`` — no stash hit
 and no restash, probability ``(1−p)²``, plus a ``1/n`` chance meeting
@@ -132,6 +148,9 @@ class DPRAM(PrivateRAM):
         # The (d_j, o_j) history as two int64 columns: 16 B a query, forever.
         self._downloads = array("q")
         self._overwrites = array("q")
+        # The last query's sealed upload, ``(query, [(slot, ciphertext)])``,
+        # until the next request (or ``flush``) carries it to the server.
+        self._held: tuple[int, list[tuple[int, bytes]]] | None = None
 
     def _cipher(self) -> tuple[Callable, Callable, Callable]:
         """``(encrypt, decrypt, encrypt_many)`` as of construction.
@@ -185,8 +204,9 @@ class DPRAM(PrivateRAM):
 
     @property
     def client_peak_blocks(self) -> int:
-        """Peak client storage in blocks (the stash peak)."""
-        return self._stash.peak
+        """Peak client storage in blocks: the stash peak, plus the one
+        sealed upload held between requests once a query has been made."""
+        return self._stash.peak + (self._queries > 0)
 
     @property
     def query_count(self) -> int:
@@ -215,6 +235,15 @@ class DPRAM(PrivateRAM):
         """
         self._query(index, new_value=bytes(value))
 
+    def flush(self) -> None:
+        """Send the held upload on its own (one roundtrip); keeps it if
+        the server faults."""
+        if self._held is not None:
+            query, items = self._held
+            self._server.begin_query(query)
+            self._server.write_many(items)
+            self._held = None
+
     # -- Algorithm 3 ------------------------------------------------------------
 
     def _query(self, index: int, new_value: bytes | None) -> bytes:
@@ -223,7 +252,6 @@ class DPRAM(PrivateRAM):
             raise RetrievalError(f"index {index} out of range for n={n}")
         if new_value is not None:
             check_block(new_value, self._block_size)
-        self._server.begin_query(self._queries)
 
         # Plan both phases' coins first (the slots depend only on the
         # stash state and the scheme's own randomness, never on block
@@ -236,9 +264,16 @@ class DPRAM(PrivateRAM):
         download_slot = self._rng.randbelow(n) if stashed else index
         restash = self._rng.random() < self._params.stash_probability
         overwrite_slot = self._rng.randbelow(n) if restash else index
-        fetched = self._server.read_many(
-            _download_round(download_slot, overwrite_slot)
+        # The operation's one request, and its one point of failure: the
+        # previous query's upload, then this query's downloads.  Nothing
+        # of the client's has moved yet, so a fault here leaves the stash
+        # whole and the upload still held.
+        fetched = self._server.exchange(
+            self._queries,
+            _download_round(download_slot, overwrite_slot),
+            self._held,
         )
+        self._held = None
         downloaded, overwritten = fetched[0], fetched[-1]
 
         # Download phase.
@@ -249,19 +284,19 @@ class DPRAM(PrivateRAM):
         if new_value is not None:
             current = new_value
 
-        # Overwrite phase.
+        # Overwrite phase: seal the upload now — this query's nonce, from
+        # this point of the coin stream — and hold it for the next request.
         if restash:
             self._stash.put(index, current)
-            refreshed = self._decrypt(self._key, overwritten)
-            self._server.write(
-                overwrite_slot, self._encrypt(self._key, refreshed, self._rng)
-            )
+            upload = self._decrypt(self._key, overwritten)
         else:
             # The overwrite download was discarded; upload a fresh
             # ciphertext of the current version.
-            self._server.write(
-                overwrite_slot, self._encrypt(self._key, current, self._rng)
-            )
+            upload = current
+        self._held = (
+            self._queries,
+            [(overwrite_slot, self._encrypt(self._key, upload, self._rng))],
+        )
 
         self._downloads.append(download_slot)
         self._overwrites.append(overwrite_slot)

@@ -20,8 +20,9 @@ from repro.lint.context import ModuleContext
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule, register_rule
 
-#: The raw-backend entry points (slot granularity, no accounting).
-_BACKEND_METHODS = ("read_slots", "write_slots")
+#: The raw-backend entry points (slot granularity, no accounting), and
+#: the bracket that prices several of them as one request.
+_BACKEND_METHODS = ("read_slots", "write_slots", "begin_round", "end_round")
 
 #: The one package allowed to dispatch to backends.
 _ALLOWED_PACKAGES = ("repro.storage",)
@@ -35,8 +36,8 @@ class BackendBypassRule(Rule):
         "repro.storage — anywhere else bypasses counters and transcripts"
     )
     hint = (
-        "go through StorageServer.read/write/read_many/write_many so the "
-        "access is counted and recorded in the transcript"
+        "go through StorageServer.read/write/read_many/write_many/exchange "
+        "so the access is counted and recorded in the transcript"
     )
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:

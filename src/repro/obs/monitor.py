@@ -388,7 +388,11 @@ class SchemeWatch:
     — one per shard group when the scheme exposes ``groups`` (so the
     routing monitor can see which shards served), one shared otherwise
     — scores each monitor on the observed round, then restores
-    whatever transcript the servers carried before.  Wrapping is
+    whatever transcript the servers carried before.  The round is the
+    call's own: an upload the scheme would hold for its next request
+    (:meth:`~repro.api.protocols.Scheme.flush`) is sent before the
+    transcripts come off, so a watched DP-RAM pays the second roundtrip
+    an unwatched one saves.  Wrapping is
     per-instance (plain attribute shadowing), so :meth:`unwatch`
     restores the pristine scheme.
     """
@@ -487,6 +491,9 @@ class SchemeWatch:
             captured = self._attach()
             try:
                 result = inner(*args, **kwargs)
+                flush = getattr(self._scheme, "flush", None)
+                if callable(flush):
+                    flush()
             finally:
                 self._detach(captured)
                 self._active = False

@@ -287,6 +287,7 @@ class ServingSimulator:
         depth_area = 0.0
         max_depth = 0
         dispatches = 0
+        last_dispatched: list[Request] = []
         total_ops = 0
         total_wall_ms = 0.0
         total_serial_ms = 0.0
@@ -391,9 +392,23 @@ class ServingSimulator:
                 share = ops_delta / len(batch)
                 for request in batch:
                     tenant_reports[request.tenant].server_ops += share
+                last_dispatched = batch
                 push(now_ms + service_ms, _COMPLETE, batch)
                 in_flight += 1
                 peak_in_flight = max(peak_in_flight, in_flight)
+
+        # The run is over: an upload the scheme held for a next request
+        # that is not coming goes now.  It is no request's latency, but
+        # it is work the servers did — for the last dispatch group.
+        self._scheme.flush()
+        ops_delta, service_ms, serial_ms = meter.charge()
+        total_ops += ops_delta
+        total_wall_ms += service_ms
+        total_serial_ms += serial_ms
+        if last_dispatched:
+            share = ops_delta / len(last_dispatched)
+            for request in last_dispatched:
+                tenant_reports[request.tenant].server_ops += share
 
         for tenant, latencies in tenant_latencies.items():
             report = tenant_reports[tenant]

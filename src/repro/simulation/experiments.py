@@ -534,11 +534,12 @@ def experiment_e13_roundtrips(
 
     The paper: Wagh et al.'s Path-ORAM-based DP-RAM "requires recursively
     stored position maps which requires Θ(log n) client-to-server
-    roundtrips"; this repo's DP-RAM answers in two.
+    roundtrips"; this repo's DP-RAM answers in one, counted on a
+    simulated link.
     """
     table = ExperimentTable(
         experiment="E13",
-        claim="recursive position maps cost Theta(log n) roundtrips; DP-RAM costs 2",
+        claim="recursive position maps cost Theta(log n) roundtrips; DP-RAM costs 1",
         headers=[
             "n", "recursive ORAM levels", "recursive roundtrips/op",
             "recursive client map", "DP-RAM roundtrips/op",
@@ -552,21 +553,32 @@ def experiment_e13_roundtrips(
             database, positions_per_block=8, client_map_limit=32,
             rng=rng.spawn(f"e13-r-{n}"),
         )
-        dpram = DPRAM(database, rng=rng.spawn(f"e13-d-{n}"))
+        link = NetworkBackendFactory(LAN)
+        dpram = DPRAM(database, rng=rng.spawn(f"e13-d-{n}"),
+                      backend_factory=link)
         trace = read_write_trace(n, queries, rng.spawn(f"e13-t-{n}"),
                                  write_fraction=0.3)
         recursive_metrics = run_trace(recursive, trace, initial=database)
         dpram_metrics = run_trace(dpram, trace, initial=database)
         table.add_row(
             n, recursive.levels, recursive.roundtrips_per_access,
-            recursive.client_position_entries, 2,
+            recursive.client_position_entries,
+            # One request per operation; the run's last upload, which no
+            # next request carried, is the one more run_trace flushed.
+            (link.roundtrips - 1) / len(trace),
             round(recursive_metrics.blocks_per_operation, 1),
             dpram_metrics.blocks_per_operation,
             recursive_metrics.mismatches + dpram_metrics.mismatches,
         )
     table.add_note(
-        "DP-RAM's two roundtrips are the download phase and the overwrite "
-        "phase; recursion adds one sequential map level per chi-factor of n"
+        "DP-RAM's one roundtrip is the previous query's upload and this "
+        "query's two downloads in one request (measured on a simulated "
+        "link, less the one flush that ends the run); recursion adds one "
+        "sequential map level per chi-factor of n"
+    )
+    table.add_note(
+        "Path ORAM levels are not pipelined the same way: the held "
+        "write-back would be Z*(L+1) slots of client state per level"
     )
     return table
 
@@ -634,7 +646,7 @@ def experiment_e14_response_times(
     entries = [
         ("plaintext", 1, plain),
         ("DP-IR (alpha=0.05)", 1, dpir),
-        ("DP-RAM", 2, dpram),
+        ("DP-RAM", 1, dpram),
         ("DP-KVS", link.roundtrips // len(kv_trace), dpkvs),
         ("Path ORAM", 2, oram),
         ("recursive ORAM", recursive.roundtrips_per_access, recursive_blocks),
@@ -652,8 +664,13 @@ def experiment_e14_response_times(
         f"80ms/20Mbps; {block_bytes}-byte blocks at n={n}"
     )
     table.add_note(
-        "DP-KVS roundtrips and blocks are measured on the link: one fused "
-        "download round and one upload round of tree-node blocks"
+        "DP-RAM and DP-KVS send an operation's upload with the next "
+        "operation's downloads, one request per operation; DP-KVS "
+        "roundtrips and blocks are measured on the link"
+    )
+    table.add_note(
+        "Path ORAM is not pipelined and stays at 2: its held write-back "
+        "would be Z*(L+1) slots counted against the client's storage"
     )
     return table
 

@@ -150,6 +150,7 @@ def run_ir_trace(
             metrics.errors += 1
         elif expected is not None and answer != expected[operation.index]:
             metrics.mismatches += 1
+    scheme.flush()  # the last upload, so the counters below are complete
     metrics.elapsed_seconds = time.perf_counter() - started
     reads_after, writes_after = _server_counters(scheme)
     metrics.blocks_downloaded = reads_after - reads_before
@@ -191,6 +192,7 @@ def run_ram_trace(
             reference[operation.index] = operation.value
             metrics.operations += 1
         probe.sample()
+    scheme.flush()  # the last upload, so the counters below are complete
     metrics.elapsed_seconds = time.perf_counter() - started
     reads_after, writes_after = _server_counters(scheme)
     metrics.blocks_downloaded = reads_after - reads_before
@@ -232,6 +234,7 @@ def run_kv_trace(
             reference[operation.key] = operation.value
             metrics.operations += 1
         probe.sample()
+    scheme.flush()  # the last upload, so the counters below are complete
     metrics.elapsed_seconds = time.perf_counter() - started
     reads_after, writes_after = _server_counters(scheme)
     metrics.blocks_downloaded = reads_after - reads_before

@@ -17,7 +17,8 @@ Three backends ship today:
 * :class:`NetworkBackend` — wraps any inner backend and charges every
   slot access against a :class:`~repro.storage.network.NetworkModel`,
   accumulating the simulated wall-clock cost so experiments can report
-  response times for LAN/WAN/mobile deployments.
+  response times for LAN/WAN/mobile deployments.  Slot calls bracketed
+  by ``begin_round()`` / ``end_round()`` are one request: one roundtrip.
 
 Backends are created per server; schemes accept a *backend factory*
 (``capacity -> StorageBackend``) so multi-server constructions can build
@@ -48,6 +49,13 @@ class StorageBackend(abc.ABC):
     exist so one dispatched round can move a whole pad set; the defaults
     loop per slot, and backends that can genuinely amortize (a single
     in-memory pass, one network roundtrip) override them.
+
+    :meth:`begin_round` / :meth:`end_round` bracket the slot calls of one
+    client request — "write these slots, then read those" is a
+    ``write_slots`` and a ``read_slots`` inside one bracket.  Where the
+    slots live the bracket means nothing, so the defaults do nothing; a
+    backend that prices requests (:class:`NetworkBackend`) charges one
+    for the whole bracket.
     """
 
     __slots__ = ()
@@ -77,6 +85,12 @@ class StorageBackend(abc.ABC):
         """Store several ``(index, block)`` pairs in one dispatched round."""
         for index, block in items:
             self.write_slot(index, block)
+
+    def begin_round(self) -> None:
+        """The slot calls up to :meth:`end_round` are one client request."""
+
+    def end_round(self) -> None:
+        """Close the request :meth:`begin_round` opened."""
 
     def peek_slot(self, index: int) -> bytes | None:
         """Inspect a slot without charging any access cost.
@@ -334,13 +348,20 @@ class NetworkBackend(StorageBackend):
     point of the wire-level ``read_many`` protocol: a K-block pad set
     costs ``rtt + transfer(K · block)`` instead of ``K · rtt + ...``.
 
+    The slot calls made between :meth:`begin_round` and :meth:`end_round`
+    are one request and one response: ONE roundtrip plus the transfer of
+    every byte moved in either direction, charged when the bracket
+    closes (nothing, if it held no slot call).  That is how an upload
+    rides in the next operation's download request; no byte is
+    discounted.  Calls outside a bracket are priced as above.
+
     Args:
         inner: the backend that actually stores the blocks, or an ``int``
             capacity to wrap a fresh :class:`InMemoryBackend`.
         model: the link parameters (RTT and bandwidth).
     """
 
-    __slots__ = ("_inner", "_model", "_simulated_ms", "_roundtrips")
+    __slots__ = ("_inner", "_model", "_simulated_ms", "_roundtrips", "_round")
 
     def __init__(self, inner: StorageBackend | int, model: NetworkModel) -> None:
         if isinstance(inner, int):
@@ -349,6 +370,8 @@ class NetworkBackend(StorageBackend):
         self._model = model
         self._simulated_ms = 0.0
         self._roundtrips = 0
+        # Bytes per slot call of the open bracket; ``None`` outside one.
+        self._round: list[int] | None = None
 
     @property
     def capacity(self) -> int:
@@ -367,8 +390,18 @@ class NetworkBackend(StorageBackend):
 
     @property
     def roundtrips(self) -> int:
-        """Total slot accesses charged as roundtrips."""
+        """Total requests charged: slot calls outside a bracket, brackets."""
         return self._roundtrips
+
+    def begin_round(self) -> None:
+        """Open a request: slot calls accumulate until :meth:`end_round`."""
+        self._round = []
+
+    def end_round(self) -> None:
+        """Charge the open request: one roundtrip, all its bytes."""
+        moved, self._round = self._round, None
+        if moved:
+            self._charge(sum(moved))
 
     def read_slot(self, index: int) -> bytes | None:
         """Download one slot, charging one roundtrip plus transfer time."""
@@ -406,6 +439,9 @@ class NetworkBackend(StorageBackend):
         return self._inner.peek_slot(index)
 
     def _charge(self, moved_bytes: int) -> None:
+        if self._round is not None:
+            self._round.append(moved_bytes)
+            return
         self._roundtrips += 1
         self._simulated_ms += self._model.rtt_ms + self._model.transfer_ms(
             moved_bytes

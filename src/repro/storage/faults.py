@@ -140,22 +140,39 @@ class CorruptingServer:
         round has one bit flipped in one rng-chosen slot.
         """
         if self._coin_mode == "per_round":
-            blocks = self._inner.read_many(indices)
-            if blocks and self._rng.random() < self._rate:
-                position = self._rng.randbelow(len(blocks))
-                block = blocks[position]
-                if block:
-                    offset = self._rng.randbelow(len(block))
-                    bit = 1 << self._rng.randbelow(8)
-                    blocks[position] = (
-                        block[:offset]
-                        + bytes([block[offset] ^ bit])
-                        + block[offset + 1 :]
-                    )
-                    self._corrupted += 1
-                    self._corrupted_rounds += 1
-            return blocks
+            return self._corrupt_round(self._inner.read_many(indices))
         return [self.read(index) for index in indices]
+
+    def exchange(self, query: int, indices, held=None) -> list[bytes]:
+        """Serve a write-then-read request; the reads may come back bad.
+
+        Per-round mode flips its one coin over the request's downloads, as
+        :meth:`read_many` does; per-slot mode flips one per served block.
+        The upload goes to the inner server untouched either way.  Without
+        this override ``__getattr__`` would hand the whole request to the
+        inner server and skip fault injection.
+        """
+        if self._coin_mode == "per_round":
+            return self._corrupt_round(
+                self._inner.exchange(query, indices, held)
+            )
+        return _exchange_per_call(self, query, indices, held)
+
+    def _corrupt_round(self, blocks: list[bytes]) -> list[bytes]:
+        if blocks and self._rng.random() < self._rate:
+            position = self._rng.randbelow(len(blocks))
+            block = blocks[position]
+            if block:
+                offset = self._rng.randbelow(len(block))
+                bit = 1 << self._rng.randbelow(8)
+                blocks[position] = (
+                    block[:offset]
+                    + bytes([block[offset] ^ bit])
+                    + block[offset + 1 :]
+                )
+                self._corrupted += 1
+                self._corrupted_rounds += 1
+        return blocks
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
@@ -258,6 +275,22 @@ class FlakyServer:
         for index, block in items:
             self.write(index, block)
 
+    def exchange(self, query: int, indices, held=None) -> list[bytes]:
+        """Serve a write-then-read request or fail.
+
+        Per-round mode: one coin for the request; a clean one goes to the
+        inner server whole.  Per-slot mode: one coin per slot, uploads
+        first, and a fault leaves exactly the prefix the per-slot loop
+        would have committed — the client re-sends the upload, which is
+        idempotent.  Without this override ``__getattr__`` would route
+        the request around the fault layer.
+        """
+        if self._coin_mode == "per_round":
+            size = len(indices) + (len(held[1]) if held is not None else 0)
+            self._maybe_fail_round("exchange", size)
+            return self._inner.exchange(query, indices, held)
+        return _exchange_per_call(self, query, indices, held)
+
     def _maybe_fail_round(self, operation: str, size: int) -> None:
         if size and self._rng.random() < self._rate:
             self._failed_rounds += 1
@@ -272,6 +305,27 @@ class FlakyServer:
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
+
+
+def _exchange_per_call(wrapper, query: int, indices, held) -> list[bytes]:
+    """:meth:`StorageServer.exchange` over ``wrapper``'s own entry points.
+
+    The same bracket, the same two query attributions, but the upload
+    and the downloads go through the wrapper's ``write_many`` /
+    ``read_many`` (its own or, by ``__getattr__``, the inner server's),
+    so every slot meets the fault coin it would have met on its own.
+    """
+    backend = wrapper.backend
+    backend.begin_round()
+    try:
+        if held is not None:
+            upload_query, items = held
+            wrapper.begin_query(upload_query)
+            wrapper.write_many(items)
+        wrapper.begin_query(query)
+        return wrapper.read_many(indices)
+    finally:
+        backend.end_round()
 
 
 def _inner_fault_counters(inner) -> dict[str, int]:

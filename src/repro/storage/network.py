@@ -10,9 +10,11 @@ The model is deliberately simple and standard::
     time = roundtrips · rtt + total_bytes / bandwidth
 
 Schemes differ in both factors: DP-RAM moves at most 3 blocks (2 + O(p)
-expected) over 2 roundtrips, Path ORAM moves Θ(log n) blocks over 2
-roundtrips, and recursive Path ORAM pays Θ(log n) *roundtrips* — which
-is what dominates on real WAN links (experiment E13).
+expected) in 1 roundtrip — an operation's upload rides in the next
+operation's request — Path ORAM moves Θ(log n) blocks over 2 roundtrips
+(its write-back is not pipelined: held, it would be ``Z·(L+1)`` slots of
+client state), and recursive Path ORAM pays Θ(log n) *roundtrips* —
+which is what dominates on real WAN links (experiment E13).
 
 Multi-leg stages: a sharded deployment sends sub-requests to several
 shard groups at once.  :meth:`NetworkModel.serial_stage_ms` prices the

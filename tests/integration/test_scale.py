@@ -47,6 +47,7 @@ class TestDPRAMScale:
         before = ram.server.operations
         for _ in range(100):
             ram.read(rng.randbelow(N))
+        ram.flush()  # the hundredth upload
         # Three blocks a query at most, two when d_j = o_j — which at this
         # n (p = Φ(n)/n is small) is nearly every query.
         shared = sum(d == o for d, o in ram.transcript_pairs)
@@ -116,8 +117,10 @@ class TestDPKVSScale:
         nodes = store._ram.bucket_nodes
 
         def probe(key):
+            store.flush()  # the previous operation's upload is not ours
             before = store.server.operations
             store.get(key)
+            store.flush()
             pairs = store.transcript_pairs[-2:]
             overwritten = {n for _, o in pairs for n in nodes(o)}
             downloaded = {n for d, _ in pairs for n in nodes(d)}

@@ -73,6 +73,7 @@ class TestDPRAMModel:
                 ram.read(index)
             else:
                 ram.write(index, encode_int(payload))
+            ram.flush()  # the query's own upload, sent on its own
             download, overwrite = ram.transcript_pairs[-1]
             assert ram.server.operations - before == 3 - (download == overwrite)
 
@@ -185,6 +186,7 @@ class TestDPRAMRoundDedupeIdentity:
                     scheme.write(index, encode_int(10**6 + step))
             else:
                 assert ram.read(index) == oracle.read(index)
+            ram.flush()  # the oracle uploads inside the query
             assert ram.transcript_pairs == oracle.transcript_pairs
             assert dict(ram._stash.items()) == dict(oracle._stash.items())
             download, overwrite = ram.transcript_pairs[-1]
@@ -268,15 +270,26 @@ _HELD_UPLOAD_PINS = {
 }
 
 
-def _seeded_history(name, setting, seed, steps=120, **collaborators):
-    """``(scheme, everything a seeded run leaves behind)``."""
+def _seeded_history(
+    name, setting, seed, steps=120, flush_every_call=False, **collaborators
+):
+    """``(scheme, everything a seeded run leaves behind)``.
+
+    ``flush_every_call`` is the shape every operation had before uploads
+    were held: a download roundtrip, then an upload roundtrip.
+    """
     build, step, _ = _HELD_UPLOAD_SCHEMES[name]
     source = SeededRandomSource(seed)
     scheme = build(setting, rng=source, **collaborators)
     log = Transcript()
     scheme.attach_transcript(log)
     plan = random.Random(seed)
-    answers = [step(scheme, plan, number) for number in range(steps)]
+    answers = []
+    for number in range(steps):
+        answers.append(step(scheme, plan, number))
+        if flush_every_call:
+            scheme.flush()
+    scheme.flush()
     return scheme, (
         answers,
         log.signature(),
@@ -289,14 +302,69 @@ def _seeded_history(name, setting, seed, steps=120, **collaborators):
 
 
 class TestHeldUploadIdentity:
+    @pytest.mark.parametrize("flush_every_call", [False, True])
     @pytest.mark.parametrize("name", sorted(_HELD_UPLOAD_PINS))
-    def test_seeded_history_is_pinned(self, name):
+    def test_seeded_history_is_pinned(self, name, flush_every_call):
         setting = _HELD_UPLOAD_SCHEMES[name][2][1]
-        _, history = _seeded_history(name, setting, seed=24)
+        _, history = _seeded_history(
+            name, setting, seed=24, flush_every_call=flush_every_call
+        )
         assert (
             hashlib.sha256(repr(history).encode()).hexdigest()
             == _HELD_UPLOAD_PINS[name]
         )
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize(
+        "name, setting",
+        [
+            (name, setting)
+            for name in sorted(_HELD_UPLOAD_SCHEMES)
+            for setting in _HELD_UPLOAD_SCHEMES[name][2]
+        ],
+    )
+    def test_flushing_at_the_end_is_flushing_after_every_call(
+        self, name, setting, seed
+    ):
+        # "Flush after every call" is the two-roundtrip shape every
+        # operation had; nothing selects it but the caller.  Moving the
+        # upload into the next request changes where messages end and
+        # nothing else a client, a server or a seeded replay can see.
+        steps = 120
+        links = NetworkBackendFactory(LAN), NetworkBackendFactory(LAN)
+        (eager, eager_history), (lazy, lazy_history) = (
+            _seeded_history(
+                name, setting, seed, steps,
+                flush_every_call=every_call, backend_factory=link,
+            )
+            for every_call, link in zip((True, False), links)
+        )
+        assert eager_history == lazy_history
+        # Both hold the sealed upload from the moment it is sealed.
+        assert eager.client_peak_blocks == lazy.client_peak_blocks
+        assert links[0].roundtrips == 2 * steps
+        assert links[1].roundtrips == steps + 1
+        wire_ms = [
+            link.simulated_ms - link.roundtrips * LAN.rtt_ms for link in links
+        ]
+        assert wire_ms[0] == pytest.approx(wire_ms[1], rel=1e-9)
+
+    @pytest.mark.parametrize("name", sorted(_HELD_UPLOAD_SCHEMES))
+    def test_without_the_flush_the_view_is_a_prefix(self, name):
+        build, step, settings_ = _HELD_UPLOAD_SCHEMES[name]
+        scheme = build(settings_[1], rng=SeededRandomSource(5))
+        log = Transcript()
+        scheme.attach_transcript(log)
+        plan = random.Random(5)
+        for number in range(40):
+            step(scheme, plan, number)
+        seen = log.signature()
+        held = scheme._held if name != "dp_kvs" else scheme._ram._held
+        scheme.flush()
+        last = [("upload", 0, slot, held[0]) for slot, _ in held[1]]
+        assert log.signature() == seen + tuple(last)
+        scheme.flush()  # idempotent: nothing is held any more
+        assert len(log) == len(seen) + len(last)
 
 
 class TestPathORAMModel:
@@ -719,8 +787,13 @@ def _ram_state(ram):
         ram._overlay,
         ram._stashed,
         ram._pins,
-        ram.client_peak_blocks,
     )
+
+
+def _held_upload_at_most(fused, oracle, blocks):
+    """The fused client's peak is the oracle's plus, at most, the sealed
+    upload it holds between requests — which the oracle never holds."""
+    return 0 <= fused.client_peak_blocks - oracle.client_peak_blocks <= blocks
 
 
 def _server_view(signature):
@@ -774,6 +847,7 @@ class TestBucketRAMRoundFusionIdentity:
                 pending = ram.begin_query(batch)
                 answers.append(pending.contents)
                 ram.finish_query(pending, updates)
+                ram.flush()  # the oracle uploads inside finish_query
                 states.append(_ram_state(ram))
                 views.append(transcript.signature())
                 moved.append(
@@ -796,6 +870,7 @@ class TestBucketRAMRoundFusionIdentity:
         # a repeat: d_j = o_j in the download round, a node common to
         # o_1 and o_2 in the upload round.
         assert saved_downloads > 0 and saved_uploads > 0
+        assert _held_upload_at_most(fused, oracle, node_count)
         assert fused._rng.random() == oracle._rng.random()
 
     @pytest.mark.parametrize("capacity", [64, 256, 4096])
@@ -820,6 +895,7 @@ class TestBucketRAMRoundFusionIdentity:
                 assert fused.get(key) == oracle.get(key)
             else:
                 assert fused.delete(key) == oracle.delete(key)
+            fused.flush()  # the oracle uploads inside the operation
             # The paper's figure is what the oracle moves, every time;
             # the fused rounds stay at or under it.
             assert oracle.server.operations - moved[1] == worst_case
@@ -832,19 +908,23 @@ class TestBucketRAMRoundFusionIdentity:
         assert _server_view(fused_view)[1] == (
             fused.server.reads, fused.server.writes
         )
-        assert fused.client_peak_blocks == oracle.client_peak_blocks
+        assert _held_upload_at_most(
+            fused, oracle, 2 * fused.params.shape.path_length
+        )
         assert fused.size == oracle.size
         assert fused._ram._rng.random() == oracle._ram._rng.random()
         assert fused._rng.random() == oracle._rng.random()
 
-    def test_two_roundtrips_per_operation(self):
+    def test_one_roundtrip_per_operation(self):
         factory = NetworkBackendFactory(LAN)
         store = DPKVS(256, rng=SeededRandomSource(3), backend_factory=factory)
         for step in range(50):
             store.put(b"key-%03d" % (step % 20), b"value-%03d" % step)
             store.get(b"key-%03d" % (step % 31))
             store.delete(b"key-%03d" % (step % 7))
-        assert factory.roundtrips == 2 * store.operation_count == 300
+        assert factory.roundtrips == store.operation_count == 150
+        store.flush()  # the last upload, which no next request carried
+        assert factory.roundtrips == 151
 
 
 class TestBucketDPRAMModel:
@@ -925,6 +1005,7 @@ class TestDPKVSModel:
                 store.get(key)
             else:
                 store.delete(key)
+        store.flush()
         assert store.block_size == 330
         assert hashlib.sha256(b"".join(_server_image(store))).hexdigest() == (
             "270d16051601f7313cacd62a369c81e95887f79a0b35d673e281f4cf76f82f75"
@@ -943,5 +1024,6 @@ class TestDPKVSModel:
         for i in range(10):
             before = store.server.operations
             store.put(f"k{i}".encode(), b"v")
+            store.flush()
             moved = store.server.operations - before
             assert 2 * path_length < moved <= worst_case

@@ -297,6 +297,52 @@ class TestBatchPricingGuardEdges:
         assert backend.simulated_ms == 0.0
 
 
+class TestRoundBracket:
+    """``begin_round`` / ``end_round``: the slot calls between them are
+    one request — one roundtrip, every byte of either direction."""
+
+    def test_a_write_and_a_read_in_one_bracket_are_one_roundtrip(self):
+        backend = NetworkBackend(4, WAN)
+        backend.load([b"a" * 100, b"b" * 200, b"c" * 300, b"d" * 400])
+        backend.begin_round()
+        backend.write_slots([(0, b"x" * 700)])
+        backend.write_slot(1, b"y" * 50)
+        assert backend.read_slots([2, 3]) == [b"c" * 300, b"d" * 400]
+        # Nothing is charged until the request is complete.
+        assert (backend.roundtrips, backend.simulated_ms) == (0, 0.0)
+        backend.end_round()
+        assert backend.roundtrips == 1
+        assert backend.simulated_ms == pytest.approx(
+            WAN.rtt_ms + WAN.transfer_ms(700 + 50 + 300 + 400)
+        )
+
+    def test_an_empty_bracket_is_free_and_calls_after_it_are_not(self):
+        backend = NetworkBackend(4, WAN)
+        backend.begin_round()
+        backend.read_slots([])
+        backend.end_round()
+        backend.end_round()  # closing twice charges nothing either
+        assert (backend.roundtrips, backend.simulated_ms) == (0, 0.0)
+        backend.write_slot(0, b"z" * 256)
+        backend.read_slot(0)
+        assert backend.roundtrips == 2
+
+    def test_a_bare_roundtrip_is_still_a_roundtrip(self):
+        backend = NetworkBackend(4, WAN)
+        backend.begin_round()
+        backend.read_slots([0, 1])  # never written: no bytes
+        backend.end_round()
+        assert backend.roundtrips == 1
+        assert backend.simulated_ms == pytest.approx(WAN.rtt_ms)
+
+    @pytest.mark.parametrize("backend", [InMemoryBackend(4), SlabBackend(4)])
+    def test_it_means_nothing_where_the_slots_live(self, backend):
+        backend.begin_round()
+        backend.write_slot(0, b"kept")
+        backend.end_round()
+        assert backend.read_slot(0) == b"kept"
+
+
 class TestSlabBackend:
     def test_round_trip(self):
         backend = SlabBackend(4)

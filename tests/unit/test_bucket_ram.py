@@ -177,7 +177,7 @@ class TestTwoBucketBatch:
         ram.finish_query(pending, {6: b"JOINT-v2"})
         assert ram.query(2)[6] == b"JOINT-v2"
 
-    def test_batch_is_two_rounds(self, rng):
+    def test_batch_is_one_request(self, rng):
         factory = NetworkBackendFactory(LAN)
         ram = BucketDPRAM(_blocks(7), [(0, 1, 6), (2, 3, 6), (4, 5, 6)],
                           stash_probability=0.5, rng=rng.spawn("rounds"),
@@ -185,9 +185,15 @@ class TestTwoBucketBatch:
         pending = ram.begin_query([0, 1])
         assert factory.roundtrips == 1
         ram.finish_query(pending, {6: b"JOINT-v2"})
+        assert factory.roundtrips == 1  # sealed and held, not sent
+        assert ram.server.writes == 0
+        ram.query(2)  # the held upload and this batch's downloads
         assert factory.roundtrips == 2
-        ram.query(2)
-        assert factory.roundtrips == 4
+        assert ram.server.writes > 0
+        ram.flush()  # the last upload, on its own
+        assert factory.roundtrips == 3
+        ram.flush()  # nothing is held any more
+        assert factory.roundtrips == 3
 
 
 def _client_state(ram):
@@ -212,28 +218,31 @@ class TestFaultedRounds:
         assert _client_state(ram) == before
         assert ram.query(0) == {n: _blocks(7)[n] for n in (0, 1, 6)}
 
-    def test_faulted_upload_round_keeps_the_client_copy(
-        self, rng, fail_rounds
-    ):
+    def test_faulted_request_keeps_the_upload_held(self, rng, fail_rounds):
+        # The upload round of old is gone: a batch's upload rides in the
+        # next request, and a request that faults leaves it held.
         ram = _overlapping_ram(rng, p=1e-12)
-        fail_rounds(ram, False, True)
+        fail_rounds(ram, False, True, True)
         pending = ram.begin_query([0, 1])
-        with pytest.raises(ServerFault):
-            ram.finish_query(pending, {6: b"SHAREDv2", 0: b"bucket0!"})
-        # The handle is consumed and every plaintext of the failed
-        # upload is still on the client.
+        ram.finish_query(pending, {6: b"SHAREDv2", 0: b"bucket0!"})
         with pytest.raises(RetrievalError):
-            ram.finish_query(pending)
-        assert ram._pending is None
-        assert set(ram._overlay) == {0, 1, 2, 3, 6}
-        assert ram.query(2)[6] == b"SHAREDv2"
-        assert ram.query(0)[0] == b"bucket0!"
-        # Each later upload that lands evicts its nodes as usual.
-        ram.query(1)
-        assert ram.client_blocks == 0
+            ram.finish_query(pending)  # the handle is consumed
+        held, before = ram._held, _client_state(ram)
+        assert {node for node, _ in held[1]} == {0, 1, 2, 3, 6}
+        assert ram.client_blocks == 5 and ram._overlay == {}
+        with pytest.raises(ServerFault):
+            ram.begin_query([1])
+        with pytest.raises(ServerFault):
+            ram.flush()
+        assert ram._held is held and _client_state(ram) == before
+        assert ram.server.writes == 0  # the server copies are still stale
+        # The next request sends the upload first, then reads.
         assert ram.query(1) == {
             2: _blocks(7)[2], 3: _blocks(7)[3], 6: b"SHAREDv2"
         }
+        assert ram.query(0)[0] == b"bucket0!"
+        ram.flush()
+        assert ram.client_blocks == 0
 
 
 def _observable(ram, rng):
@@ -338,8 +347,10 @@ class TestSealingAttribution:
             for _, overwrite in ram.transcript_pairs
             for node in ram.bucket_nodes(overwrite)
         }
-        assert sealed == [len(distinct)] == [ram.server.writes]
+        assert sealed == [len(distinct)] == [len(ram._held[1])]
         assert len(distinct) < 6
+        ram.flush()  # sealed then, sent now: not sealed again
+        assert sealed == [ram.server.writes]
 
 
 class TestTranscriptShape:
@@ -369,9 +380,12 @@ class TestTranscriptShape:
             assert ram.server.reads - reads_before == (
                 2 if download == overwrite else 4
             )
-            assert ram.server.writes - writes_before == 2
+            # The upload that lands is the previous query's.
+            assert ram.server.writes - writes_before == 2 * (step > 0)
             shapes.add(download == overwrite)
         assert shapes == {True, False}
+        ram.flush()
+        assert ram.server.writes == 2 * 60
 
     def test_query_count(self, rng):
         ram = _disjoint_ram(rng)
@@ -394,6 +408,8 @@ class TestClientAccounting:
                           stash_probability=1e-12, rng=rng.spawn("cold2"))
         ram.query(0)
         ram.query(1)
+        assert ram.client_blocks == 2  # the upload held for the next request
+        ram.flush()
         assert ram.client_blocks == 0
 
     def test_stashed_bucket_count(self, rng):

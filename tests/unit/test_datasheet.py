@@ -55,10 +55,10 @@ class TestDatasheetBuilders:
         assert sheet.expected_blocks_per_query == pytest.approx(
             3 - (1 - p) ** 2 - p * (2 - p) / N
         )
-        assert sheet.roundtrips == 2
+        assert sheet.roundtrips == 1  # the upload rides in the next request
         assert sheet.epsilon_kind == "upper bound"
         assert sheet.client_blocks == pytest.approx(
-            scheme.params.expected_stash
+            scheme.params.expected_stash + 1  # the held upload
         )
 
     def test_read_only_dpram(self, rng, db):
@@ -81,6 +81,13 @@ class TestDatasheetBuilders:
         )
         assert sheet.server_blocks == scheme.server_node_count
         assert sheet.epsilon_kind == "upper bound"
+        assert sheet.roundtrips == 1
+        # Stashed paths, the super root and the upload held for the next
+        # request: two paths at most.
+        assert sheet.client_blocks == (
+            params.phi * (params.shape.path_length + 1)
+            + 2 * params.shape.path_length
+        )
 
     def test_the_benchmark_sizes_expect_two_blocks(self):
         # ram_mixed runs dp_ram at n = 65536 on the default Φ(n).
@@ -173,10 +180,20 @@ class TestDeclaredRoundtripsAreMeasured:
                 scheme.read(step % N)
         # Independent servers are contacted concurrently, so an operation
         # waits for its busiest server, not for the sum.
-        busiest = max(
-            server.backend.roundtrips for server in scheme.servers()
-        )
-        assert datasheet_for(scheme).roundtrips * operations == busiest
+        def busiest():
+            return max(
+                server.backend.roundtrips for server in scheme.servers()
+            )
+
+        # Measured between operations: what a run of them costs each.
+        assert datasheet_for(scheme).roundtrips * operations == busiest()
+        # Ending the run costs exactly one more where an upload was being
+        # held for the next request, and nothing anywhere else.
+        before = busiest()
+        scheme.flush()
+        assert busiest() - before == (name in ("dp_ram", "dp_kvs"))
+        scheme.flush()  # nothing is held any more
+        assert busiest() - before == (name in ("dp_ram", "dp_kvs"))
 
 
 def _moved_per_operation(scheme, operations):
@@ -196,6 +213,7 @@ def _moved_per_operation(scheme, operations):
             scheme.write(step % N, bytes([step % 256]) * scheme.block_size)
         else:
             scheme.read((7 * step) % N)
+        scheme.flush()  # the operation's own upload, not its predecessor's
         moved.append(scheme.server_operations() - before)
     return moved
 

@@ -138,16 +138,22 @@ class TestTransientFaults:
         assert store.get(b"key") == b"other"
 
     def test_get_after_faulted_put_is_never_garbage(self, fail_rounds):
+        # An operation is one request, sent before the client's state
+        # moves: a put whose request faults was never made.  (When the
+        # upload was a round of its own the answer could be either value.)
         store = repro.build("dp_kvs", n=256, seed=5)
         store.put(b"key", b"old")
-        fail_rounds(store, False, True, False, False, False, True)
+        fail_rounds(store, True, False, True)
         with pytest.raises(ServerFault):
             store.put(b"key", b"new")
-        assert store.get(b"key") in (b"old", b"new")
+        assert store.get(b"key") == b"old"
         with pytest.raises(ServerFault):
             store.put(b"fresh", b"new")
-        assert store.get(b"fresh") in (None, b"new")
-        assert store.get(b"key") in (b"old", b"new")
+        assert store.get(b"fresh") is None
+        assert store.get(b"key") == b"old"
+        store.put(b"key", b"new")
+        assert store.get(b"key") == b"new"
+        assert store.size == 1
 
 
 class TestKeyValueNormalization:
@@ -190,6 +196,7 @@ class TestBandwidthShape:
         # Reads and writes, hits and misses: what moves is the distinct
         # nodes of the operation's (d_j, o_j) pairs, whatever was asked.
         store.put(b"seed", b"x")
+        store.flush()
         operations = [
             lambda: store.get(b"seed"),
             lambda: store.put(b"seed", b"y"),
@@ -201,6 +208,7 @@ class TestBandwidthShape:
         for step in range(60):
             before = store.server.operations
             operations[step % len(operations)]()
+            store.flush()  # the operation's own upload, not the last one's
             moved = store.server.operations - before
             assert moved == _cost_of_last_operation(store)
 
@@ -213,6 +221,7 @@ class TestBandwidthShape:
         for step in range(40):
             before = store.server.operations
             store.get(b"key-%d" % step)
+            store.flush()
             costs.add(store.server.operations - before)
         assert max(costs) <= worst_case
         assert min(costs) > 2 * path_length

@@ -115,6 +115,18 @@ class TestBackendBypass:
         """
         assert "backend-bypass" in rules_hit(source)
 
+    def test_flags_the_round_bracket(self):
+        # A scheme that opens its own bracket re-prices its requests.
+        source = """
+            def cheap(server, slots):
+                server.backend.begin_round()
+                try:
+                    return [server.read(slot) for slot in slots]
+                finally:
+                    server.backend.end_round()
+        """
+        assert "backend-bypass" in rules_hit(source)
+
     def test_allows_inside_repro_storage(self):
         source = """
             def read(self, slot):

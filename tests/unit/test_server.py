@@ -4,7 +4,9 @@ import pytest
 
 from repro.obs.instrument import StorageObserver
 from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.storage.backends import InMemoryBackend, NetworkBackend
 from repro.storage.errors import BlockSizeError, StorageError
+from repro.storage.network import LAN
 from repro.storage.server import ServerPool, StorageServer
 from repro.storage.transcript import AccessKind, Transcript
 
@@ -218,3 +220,163 @@ class TestReadManyWireProtocol:
         assert server.read_many([]) == []
         server.write_many([])
         assert server.operations == 0
+
+
+def _observable(server):
+    backend = server.backend
+    return (
+        server.reads, server.writes,
+        [server.peek(slot) for slot in range(server.capacity)],
+        getattr(backend, "roundtrips", 0), getattr(backend, "simulated_ms", 0),
+    )
+
+
+class TestOnlyBytesAreStored:
+    # A ciphertext server has no block size to check against, and every
+    # backend calls ``bytes()`` on what it is handed: ``bytes(5)`` is five
+    # NULs and ``bytes(None)`` raises — after the write was counted, a
+    # sibling slot committed and, on a network backend, nothing charged.
+    # The twins below never made the rejected call.
+
+    @staticmethod
+    def _pair(tiny_db, network):
+        servers = [
+            StorageServer(
+                len(tiny_db),
+                backend=NetworkBackend(len(tiny_db), LAN) if network else None,
+            )
+            for _ in range(2)
+        ]
+        for server in servers:
+            server.load(tiny_db)
+            server.attach_transcript(Transcript())
+        return servers
+
+    @pytest.mark.parametrize("network", [False, True])
+    @pytest.mark.parametrize("bad", [5, None, "text", 1.5, [1, 2]])
+    def test_write_refuses_what_is_not_bytes(self, tiny_db, network, bad):
+        server, twin = self._pair(tiny_db, network)
+        with pytest.raises(TypeError, match="slot 0 needs a bytes-like"):
+            server.write(0, bad)
+        assert _observable(server) == _observable(twin)
+        assert len(server.detach_transcript()) == 0
+
+    @pytest.mark.parametrize("network", [False, True])
+    @pytest.mark.parametrize("bad", [5, None, "text"])
+    def test_write_many_refuses_before_any_slot_is_stored(
+        self, tiny_db, network, bad
+    ):
+        server, twin = self._pair(tiny_db, network)
+        with pytest.raises(TypeError, match="slot 2 needs a bytes-like"):
+            server.write_many([(1, b"zzzz"), (2, bad)])
+        assert _observable(server) == _observable(twin)
+        with pytest.raises(TypeError, match="slot 2 needs a bytes-like"):
+            server.exchange(0, [0], held=(0, [(1, b"zzzz"), (2, bad)]))
+        assert _observable(server) == _observable(twin)
+        assert len(server.detach_transcript()) == 0
+
+    def test_every_bytes_like_is_stored_as_bytes(self, tiny_db):
+        class Sealed(bytes):
+            """A subclass is still bytes."""
+
+        server = StorageServer(len(tiny_db))
+        server.load(tiny_db)
+        server.write(0, bytearray(b"ab"))
+        server.write_many(
+            [(1, memoryview(b"cd")), (2, Sealed(b"ef")), (3, b"gh")]
+        )
+        assert server.read_many([0, 1, 2, 3]) == [b"ab", b"cd", b"ef", b"gh"]
+        assert {type(server.peek(slot)) for slot in range(3)} == {bytes}
+        assert server.writes == 4
+
+    def test_writes_count_once_the_backend_took_them(self, tiny_db):
+        class Full(Exception):
+            pass
+
+        class FullBackend(InMemoryBackend):
+            def write_slot(self, index, block):
+                raise Full
+
+            def write_slots(self, items):
+                raise Full
+
+        server = StorageServer(
+            len(tiny_db), backend=FullBackend(len(tiny_db))
+        )
+        server.load(tiny_db)
+        for call in (
+            lambda: server.write(0, b"zz"),
+            lambda: server.write_many([(0, b"zz")]),
+            lambda: server.exchange(0, [1], held=(0, [(0, b"zz")])),
+        ):
+            with pytest.raises(Full):
+                call()
+        assert server.operations == 0
+
+
+class TestExchange:
+    def test_is_a_write_many_then_a_read_many(self, tiny_db):
+        held = (6, [(0, b"new0"), (3, b"new3")])
+        one, two = servers = [StorageServer(len(tiny_db)) for _ in range(2)]
+        views = [Transcript(), Transcript()]
+        for server, view in zip(servers, views):
+            server.load(tiny_db)
+            server.attach_transcript(view)
+        # The server applies the upload before it reads: slot 3 comes
+        # back fresh.
+        assert one.exchange(7, [3, 1], held) == [b"new3", tiny_db[1]]
+        two.begin_query(6)
+        two.write_many(held[1])
+        two.begin_query(7)
+        assert two.read_many([3, 1]) == [b"new3", tiny_db[1]]
+        assert _observable(one) == _observable(two)
+        # Upload events keep the query that produced them.
+        assert views[0].signature() == views[1].signature() == (
+            ("upload", 0, 0, 6), ("upload", 0, 3, 6),
+            ("download", 0, 3, 7), ("download", 0, 1, 7),
+        )
+
+    def test_with_nothing_held_it_is_a_read_many(self, tiny_db):
+        server = StorageServer(len(tiny_db))
+        server.load(tiny_db)
+        view = Transcript()
+        server.attach_transcript(view)
+        assert server.exchange(2, [1, 0]) == [tiny_db[1], tiny_db[0]]
+        assert (server.reads, server.writes) == (2, 0)
+        assert [event.query for event in view] == [2, 2]
+
+    def test_is_one_roundtrip_carrying_every_byte(self, tiny_db):
+        bracketed, separate = backends = [
+            NetworkBackend(len(tiny_db), LAN) for _ in range(2)
+        ]
+        servers = [
+            StorageServer(len(tiny_db), backend=backend) for backend in backends
+        ]
+        for server in servers:
+            server.load(tiny_db)
+        items = [(0, b"x" * 40), (1, b"y" * 40)]
+        servers[0].exchange(1, [2, 3, 4], (0, items))
+        servers[1].write_many(items)
+        servers[1].read_many([2, 3, 4])
+        assert (bracketed.roundtrips, separate.roundtrips) == (1, 2)
+        # No byte is discounted: the two differ by one RTT exactly.
+        assert separate.simulated_ms - bracketed.simulated_ms == pytest.approx(
+            LAN.rtt_ms
+        )
+        # Outside a bracket a call is priced as before.
+        servers[0].read_many([0])
+        servers[0].write(1, b"z")
+        assert bracketed.roundtrips == 3
+
+    def test_a_failed_read_closes_the_bracket(self, tiny_db):
+        backend = NetworkBackend(len(tiny_db), LAN)
+        server = StorageServer(len(tiny_db), backend=backend)
+        server.load(tiny_db)
+        with pytest.raises(StorageError):
+            server.exchange(1, [len(tiny_db)], (0, [(0, b"landed")]))
+        # The upload had landed — sending it again is harmless — and was
+        # charged as the one request it was.
+        assert server.peek(0) == b"landed"
+        assert (server.writes, server.reads, backend.roundtrips) == (1, 0, 1)
+        server.read_many([0])
+        assert backend.roundtrips == 2
