@@ -233,8 +233,13 @@ def _dp_kvs_step(store, plan, number):
     return store.delete(key)
 
 
-# name -> (build(setting, **collaborators), one seeded operation, settings);
-# a setting is the stash probability, for DP-KVS the Φ it follows from.
+def _pairs(scheme):
+    return (scheme.transcript_pairs,)
+
+
+# name -> (build(setting, **collaborators), one seeded operation, settings,
+# the client's own record of the run); a setting is the stash probability,
+# for DP-KVS the Φ it follows from, for the ORAMs Z, χ or the capacity.
 _HELD_UPLOAD_SCHEMES = {
     "dp_ram": (
         lambda p, **kwargs: DPRAM(
@@ -242,6 +247,7 @@ _HELD_UPLOAD_SCHEMES = {
         ),
         _dp_ram_step,
         [0.02, 0.3, 1.0],
+        _pairs,
     ),
     "bucket_dp_ram": (
         lambda p, **kwargs: BucketDPRAM(
@@ -250,11 +256,44 @@ _HELD_UPLOAD_SCHEMES = {
         ),
         _bucket_ram_step,
         [0.05, 0.5, 1.0],
+        _pairs,
     ),
     "dp_kvs": (
         lambda phi, **kwargs: DPKVS(64, phi=phi, **kwargs),
         _dp_kvs_step,
         [1, 6, 64],
+        _pairs,
+    ),
+    "path_oram": (
+        lambda z, **kwargs: PathORAM(
+            integer_database(24), bucket_size=z, **kwargs
+        ),
+        _dp_ram_step,
+        [1, 2, 4],
+        lambda oram: (oram.stash_peak, oram.query_count),
+    ),
+    "recursive_path_oram": (
+        lambda chi, **kwargs: RecursivePathORAM(
+            integer_database(64), positions_per_block=chi,
+            client_map_limit=4, **kwargs
+        ),
+        _dp_ram_step,
+        [2, 4, 8],
+        lambda ram: (
+            [level.stash_peak for level in ram._levels], ram._client_map,
+            [level._rng.random() for level in ram._levels],
+        ),
+    ),
+    "oram_kvs": (
+        lambda capacity, **kwargs: ORAMKeyValueStore(
+            capacity, key_size=8, value_size=12, **kwargs
+        ),
+        _dp_kvs_step,
+        [32, 64, 128],
+        lambda store: (
+            store.oram.stash_peak, store.size, store.operation_count,
+            store.oram._rng.random(),
+        ),
     ),
 }
 
@@ -267,7 +306,18 @@ _HELD_UPLOAD_PINS = {
         "feecffd8a02d78f383019c0fcc771a9b25744e6d28cf7e2acaf4be6f119af17e",
     "dp_kvs":
         "e864c6d2fec3275264ea6d64469e2998dba5e81130b68814957bc844644de25a",
+    # Written at the commit before a Path ORAM write-back started riding
+    # in the next access's request, and equal after it.
+    "path_oram":
+        "3f84f4e03d371983a286b919cb84866f2a01598b1a1207d6221ea13abf01039a",
+    "recursive_path_oram":
+        "3def47511978b8da2ea839fc12a616cb2c1a28b5aaaeefc13f10a4fa711e9d56",
+    "oram_kvs":
+        "182e794c000228f3a8fe04295d007e2a45b3b263bdbaea31293ef8378cdeb2f7",
 }
+
+# The schemes that hold an operation's upload for the next request.
+_HOLDING_SCHEMES = ("bucket_dp_ram", "dp_kvs", "dp_ram")
 
 
 def _seeded_history(
@@ -278,11 +328,14 @@ def _seeded_history(
     ``flush_every_call`` is the shape every operation had before uploads
     were held: a download roundtrip, then an upload roundtrip.
     """
-    build, step, _ = _HELD_UPLOAD_SCHEMES[name]
+    build, step, _, client = _HELD_UPLOAD_SCHEMES[name]
     source = SeededRandomSource(seed)
     scheme = build(setting, rng=source, **collaborators)
-    log = Transcript()
-    scheme.attach_transcript(log)
+    # One view a server: where a recursive ORAM's levels interleave is
+    # not part of what any one of them sees.
+    logs = [Transcript() for _ in scheme.servers()]
+    for server, log in zip(scheme.servers(), logs):
+        server.attach_transcript(log)
     plan = random.Random(seed)
     answers = []
     for number in range(steps):
@@ -292,8 +345,8 @@ def _seeded_history(
     scheme.flush()
     return scheme, (
         answers,
-        log.signature(),
-        scheme.transcript_pairs,
+        *(log.signature() for log in logs),
+        *client(scheme),
         _server_image(scheme),
         scheme.server_counters(),
         # DP-KVS hands its bucket RAM a spawned child source.
@@ -319,7 +372,7 @@ class TestHeldUploadIdentity:
         "name, setting",
         [
             (name, setting)
-            for name in sorted(_HELD_UPLOAD_SCHEMES)
+            for name in _HOLDING_SCHEMES
             for setting in _HELD_UPLOAD_SCHEMES[name][2]
         ],
     )
@@ -349,9 +402,9 @@ class TestHeldUploadIdentity:
         ]
         assert wire_ms[0] == pytest.approx(wire_ms[1], rel=1e-9)
 
-    @pytest.mark.parametrize("name", sorted(_HELD_UPLOAD_SCHEMES))
+    @pytest.mark.parametrize("name", _HOLDING_SCHEMES)
     def test_without_the_flush_the_view_is_a_prefix(self, name):
-        build, step, settings_ = _HELD_UPLOAD_SCHEMES[name]
+        build, step, settings_, _ = _HELD_UPLOAD_SCHEMES[name]
         scheme = build(settings_[1], rng=SeededRandomSource(5))
         log = Transcript()
         scheme.attach_transcript(log)
