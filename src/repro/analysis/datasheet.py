@@ -35,9 +35,10 @@ class PrivacyDatasheet:
             that coincide travel once); ``None`` when every operation
             moves exactly ``blocks_per_query``.
         roundtrips: sequential client-server exchanges per operation.
-            DP-RAM and DP-KVS declare 1: the upload an operation seals
-            rides in the next operation's request, so a run of ``k``
-            operations is ``k`` exchanges plus one for the last upload.
+            DP-RAM, DP-KVS and Path ORAM declare 1: the upload an
+            operation seals rides in the next operation's request, so a
+            run of ``k`` operations is ``k`` exchanges plus one for the
+            last upload.
         client_blocks: expected client storage in blocks (``None`` for
             stateless clients); counts the upload held between requests.
         server_blocks: server storage in blocks.
@@ -164,7 +165,9 @@ def datasheet_for(scheme: object) -> PrivacyDatasheet:
             scheme=name, n=scheme.n,
             epsilon=0.0, epsilon_kind="perfect", delta=0.0,
             error_probability=0.0,
-            blocks_per_query=float(scheme.blocks_per_access()), roundtrips=2,
+            # The path's write-back rides in the next access's request;
+            # its blocks left the stash, so it adds no client storage.
+            blocks_per_query=float(scheme.blocks_per_access()), roundtrips=1,
             client_blocks=float(scheme.n),  # position map + stash
             server_blocks=scheme.server.capacity,
         )

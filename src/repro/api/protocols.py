@@ -102,10 +102,11 @@ class Scheme(abc.ABC):
     def flush(self) -> None:
         """Send whatever the client is holding back for its next request.
 
-        DP-RAM and DP-KVS keep an operation's sealed upload on the client
-        so it can ride in the next operation's request; this sends it on
-        its own.  Call it where a run ends or the servers are inspected:
-        afterwards stored bytes, counters and transcript are complete.
+        DP-RAM, DP-KVS and the Path ORAM schemes keep an operation's
+        sealed upload on the client so it can ride in the next
+        operation's request; this sends it on its own.  Call it where a
+        run ends or the servers are inspected: afterwards stored bytes,
+        counters and transcript are complete.
         A scheme that holds nothing back — the default — does nothing.
         """
 

@@ -7,6 +7,26 @@ leaf (or in the client stash), and remapped on every access.  An access
 reads one full path and writes it back, moving ``2·Z·(L+1)`` slots — the
 ``Θ(log n)`` overhead that the paper's DP-RAM beats with O(1).
 
+**One request per access.**  The client has no use for a write-back's
+reply, so it does not get a message of its own: an access builds the
+write-back of its path exactly as a two-message access would — same
+placement, same slots, same bytes — and *holds* it, and the next
+access's request carries it in front of the new path's download ("write
+these slots, then read those"; the server applies the writes first, so
+the nodes both paths share, the root at least, come back fresh).
+:meth:`PathORAM.flush` sends a held write-back alone; "flush after every
+call" is the two-message shape, and with the one flush that ends a run
+the transcript, stored bytes, counters and coin stream equal that
+shape's at a given seed.  The held write-back never adds to client
+storage: its real blocks were all in the stash right after this access's
+path read, and they leave before the next path comes back.  The request
+is the access's one point of failure, and the client commits nothing —
+no remap, no stash change, no query number — until it has returned: a
+faulted access leaves the client as an access never made would (its
+coins are spent), the write-back stays held, and sending it again is
+harmless.  (An external ``position_resolver`` has remapped before the
+request goes out; see :mod:`repro.baselines.recursive_oram`.)
+
 Each slot is serialized as ``index (8B) || leaf tag (4B) || payload`` with
 an all-ones index marking dummies.  Carrying the leaf tag inside the
 block makes blocks self-describing: eviction never consults the position
@@ -57,9 +77,10 @@ class PathORAM(PrivateRAM):
         bucket_size: slots per tree node (``Z``).
         rng: randomness source.
         position_resolver: optional external position map.  When given, it
-            is called once per access with ``(index, new_leaf)`` and must
-            return the block's current leaf; the default keeps a plain
-            in-client list (``n`` labels of metadata).
+            is called once per access, before the access's request, with
+            ``(index, new_leaf)`` and must return the block's current
+            leaf; the default keeps a plain in-client list (``n`` labels
+            of metadata), remapped once the request is back.
 
     The client state is the position map (unless externalized) and the
     stash, whose peak occupancy is tracked because Path ORAM's stash bound
@@ -97,17 +118,19 @@ class PathORAM(PrivateRAM):
         initial_positions = [
             self._rng.randbelow(self._leaves) for _ in range(self._n)
         ]
-        self._position: list[int] | None
-        if position_resolver is None:
-            self._position = initial_positions
-            self._resolver = self._resolve_locally
-        else:
-            self._position = None
-            self._resolver = position_resolver
+        # The in-client map, or ``None`` when ``position_resolver`` keeps
+        # it: a local map is remapped once the access's request is back.
+        self._position: list[int] | None = (
+            initial_positions if position_resolver is None else None
+        )
+        self._resolver = position_resolver
         # stash: index -> (current leaf, payload)
         self._stash: dict[int, tuple[int, bytes]] = {}
         self._stash_peak = 0
         self._queries = 0
+        # The last access's write-back, ``(query, [(slot, bytes)])``, until
+        # the next request (or ``flush``) carries it to the server.
+        self._held: tuple[int, list[tuple[int, bytes]]] | None = None
         # Every empty slot holds these same bytes: compared on the way in
         # (no decode) and reused on the way out (no encode).
         self._dummy_slot = _HEADER.pack(_DUMMY, 0) + bytes(self._block_size)
@@ -161,7 +184,12 @@ class PathORAM(PrivateRAM):
 
     @property
     def client_peak_blocks(self) -> int:
-        """Peak client storage in blocks (the stash peak)."""
+        """Peak client storage in blocks: the stash peak.
+
+        The held write-back is counted too, and fits: its real blocks were
+        in the stash right after the path read that peak measures, and it
+        leaves in the next request before the next path comes back.
+        """
         return self._stash_peak
 
     @property
@@ -195,7 +223,7 @@ class PathORAM(PrivateRAM):
     def read_modify_write(self, index: int, transform) -> bytes:
         """Atomically replace record ``index`` with ``transform(old)``.
 
-        A *single* ORAM access (one path read + write-back) — what the
+        A *single* ORAM access (one request) — what the
         recursive position-map construction needs for its packed label
         blocks.  Returns the old value.  If ``transform`` raises or
         returns a value of the wrong size, the access still completes —
@@ -205,38 +233,56 @@ class PathORAM(PrivateRAM):
             raise TypeError("transform must be callable")
         return self._access(index, None, transform=transform)
 
-    # -- internals ----------------------------------------------------------
+    def flush(self) -> None:
+        """Send the held write-back on its own (one roundtrip); keeps it
+        if the server faults."""
+        if self._held is not None:
+            query, uploads = self._held
+            self._server.begin_query(query)
+            self._server.write_many(uploads)
+            self._held = None
 
-    def _resolve_locally(self, index: int, new_leaf: int) -> int:
-        old_leaf = self._position[index]
-        self._position[index] = new_leaf
-        return old_leaf
+    # -- internals ----------------------------------------------------------
 
     def _access(
         self, index: int, new_value: bytes | None, transform=None
     ) -> bytes:
         if not 0 <= index < self._n:
             raise RetrievalError(f"index {index} out of range for n={self._n}")
-        # A rejected write must leave no trace: refuse it before the query
-        # counter, the rng draw and the remap.
+        # A rejected write must leave no trace: refuse it before the rng
+        # draw and the request.
         if new_value is not None:
             self._check_value_size(new_value)
-        self._server.begin_query(self._queries)
-        self._queries += 1
 
         new_leaf = self._rng.randbelow(self._leaves)
-        leaf = self._resolver(index, new_leaf)
+        position = self._position
+        leaf = (
+            self._resolver(index, new_leaf) if position is None
+            else position[index]
+        )
 
-        # Read the whole path into the stash (blocks carry their own tag)
-        # as one batched round — 2·Z·(L+1) per-slot calls become two.
+        # The access's one request, and its one point of failure: the
+        # previous access's write-back, then this path, 2·Z·(L+1) slots.
+        # Nothing of the client's has moved yet, so a fault here leaves
+        # the map, the stash and the held write-back as they were.
         z = self._z
         height = self._height
         path = self._path_nodes(leaf)
+        fetched = self._server.exchange(
+            self._queries,
+            [slot for node in path for slot in range(node * z, node * z + z)],
+            self._held,
+        )
+        self._held = None
+        query = self._queries
+        self._queries += 1
+        if position is not None:
+            position[index] = new_leaf
+
+        # Read the path into the stash (blocks carry their own tag).
         stash = self._stash
         dummy = self._dummy_slot
-        for raw in self._server.read_many(
-            [slot for node in path for slot in range(node * z, node * z + z)]
-        ):
+        for raw in fetched:
             if raw != dummy:
                 stored_index, tag = _HEADER.unpack_from(raw)
                 if stored_index != _DUMMY:
@@ -250,7 +296,7 @@ class PathORAM(PrivateRAM):
             )
         result = stash[index][1]
         # The path now lives only in the stash, so the write-back below
-        # must run; a transform that raises or returns a wrong-sized
+        # must be built; a transform that raises or returns a wrong-sized
         # value finishes the access as a plain read and is reported after.
         failure: Exception | None = None
         if transform is not None:
@@ -262,12 +308,13 @@ class PathORAM(PrivateRAM):
                 new_value = None
         stash[index] = (new_leaf, result if new_value is None else new_value)
 
-        # Write the path back as one batched round.  Eviction is
-        # client-side (it consumes stash state, never server answers):
-        # rank every stash entry once by the deepest level its tagged path
-        # shares with this one, then fill the path leaf-up, each level
-        # taking the first Z of its own entries plus those the levels
-        # below could not hold — in stash order, kept by sorting ranks.
+        # Build the path's write-back and hold it for the next request.
+        # Eviction is client-side (it consumes stash state, never server
+        # answers): rank every stash entry once by the deepest level its
+        # tagged path shares with this one, then fill the path leaf-up,
+        # each level taking the first Z of its own entries plus those the
+        # levels below could not hold — in stash order, kept by sorting
+        # ranks.
         entries = list(stash.items())
         by_depth: list[list[int]] = [[] for _ in range(height + 1)]
         for rank, (_, (tag, _)) in enumerate(entries):
@@ -289,7 +336,7 @@ class PathORAM(PrivateRAM):
                 )
             for slot in range(first + len(placed), first + z):
                 uploads.append((slot, dummy))
-        self._server.write_many(uploads)
+        self._held = (query, uploads)
         if failure is not None:
             raise failure
         return result

@@ -139,9 +139,10 @@ class RecursivePathORAM(PrivateRAM):
         """Sequential client-server roundtrips per logical access.
 
         One per level: a level's path is only known after the level above
-        answers — the Θ(log n) roundtrips the paper charges [50] with
-        (each Path ORAM access itself is a read-then-write exchange; we
-        count it as one resolution step, which only favors the baseline).
+        answers — the Θ(log n) roundtrips the paper charges [50] with.
+        Each level's access is one request, its write-back riding in that
+        level's next request, so a run of ``k`` accesses is ``k·levels``
+        requests plus one per level for :meth:`flush`.
         """
         return len(self._levels)
 
@@ -193,6 +194,11 @@ class RecursivePathORAM(PrivateRAM):
             raise RetrievalError(f"index {index} out of range for n={self._n}")
         self._queries += 1
         self._levels[0].write(index, value)
+
+    def flush(self) -> None:
+        """Send every level's held write-back on its own, data level first."""
+        for level in self._levels:
+            level.flush()
 
     # -- internals ----------------------------------------------------------
 

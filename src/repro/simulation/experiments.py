@@ -534,8 +534,8 @@ def experiment_e13_roundtrips(
 
     The paper: Wagh et al.'s Path-ORAM-based DP-RAM "requires recursively
     stored position maps which requires Θ(log n) client-to-server
-    roundtrips"; this repo's DP-RAM answers in one, counted on a
-    simulated link.
+    roundtrips"; this repo's DP-RAM answers in one.  Both counts are
+    measured on a simulated link.
     """
     table = ExperimentTable(
         experiment="E13",
@@ -549,9 +549,10 @@ def experiment_e13_roundtrips(
     rng = SeededRandomSource(seed)
     for n in sizes:
         database = integer_database(n)
+        recursive_link = NetworkBackendFactory(LAN)
         recursive = RecursivePathORAM(
             database, positions_per_block=8, client_map_limit=32,
-            rng=rng.spawn(f"e13-r-{n}"),
+            rng=rng.spawn(f"e13-r-{n}"), backend_factory=recursive_link,
         )
         link = NetworkBackendFactory(LAN)
         dpram = DPRAM(database, rng=rng.spawn(f"e13-d-{n}"),
@@ -561,10 +562,12 @@ def experiment_e13_roundtrips(
         recursive_metrics = run_trace(recursive, trace, initial=database)
         dpram_metrics = run_trace(dpram, trace, initial=database)
         table.add_row(
-            n, recursive.levels, recursive.roundtrips_per_access,
+            # One request per operation and level; the run's last uploads,
+            # which no next request carried, are the one more a server
+            # that run_trace flushed.
+            n, recursive.levels,
+            (recursive_link.roundtrips - recursive.levels) / len(trace),
             recursive.client_position_entries,
-            # One request per operation; the run's last upload, which no
-            # next request carried, is the one more run_trace flushed.
             (link.roundtrips - 1) / len(trace),
             round(recursive_metrics.blocks_per_operation, 1),
             dpram_metrics.blocks_per_operation,
@@ -572,13 +575,10 @@ def experiment_e13_roundtrips(
         )
     table.add_note(
         "DP-RAM's one roundtrip is the previous query's upload and this "
-        "query's two downloads in one request (measured on a simulated "
-        "link, less the one flush that ends the run); recursion adds one "
-        "sequential map level per chi-factor of n"
-    )
-    table.add_note(
-        "Path ORAM levels are not pipelined the same way: the held "
-        "write-back would be Z*(L+1) slots of client state per level"
+        "query's two downloads in one request; each recursion level's is "
+        "its previous write-back and its next path, and recursion adds "
+        "one sequential level per chi-factor of n (both measured on a "
+        "simulated link, less the flush that ends the run)"
     )
     return table
 
@@ -610,12 +610,19 @@ def experiment_e14_response_times(
                              write_fraction=0.3)
     read_trace = uniform_trace(n, queries, rng.spawn("e14-rt"))
 
-    recursive = RecursivePathORAM(database, rng=rng.spawn("e14-r"))
+    # The ORAMs and the third primitive run over simulated links that
+    # count the roundtrips they were asked for.
+    oram_link, recursive_link, link = (
+        NetworkBackendFactory(LAN) for _ in range(3)
+    )
+    recursive = RecursivePathORAM(database, rng=rng.spawn("e14-r"),
+                                  backend_factory=recursive_link)
     plain, dpram, oram, recursive_blocks = _blocks_per_op(
         trace,
         PlaintextRAM(database),
         DPRAM(database, rng=rng.spawn("e14-d")),
-        PathORAM(database, rng=rng.spawn("e14-o")),
+        PathORAM(database, rng=rng.spawn("e14-o"),
+                 backend_factory=oram_link),
         recursive,
         initial=database,
     )
@@ -625,9 +632,7 @@ def experiment_e14_response_times(
         LinearScanPIR(database),
         expected=database,
     )
-    # The third primitive runs the same trace with record i as a key, over
-    # a simulated link that counts the roundtrips it was asked for.
-    link = NetworkBackendFactory(LAN)
+    # The third primitive runs the same trace with record i as a key.
     kv_trace = KVTrace(
         [
             KVOperation.put(b"record-%d" % op.index, op.value)
@@ -648,8 +653,13 @@ def experiment_e14_response_times(
         ("DP-IR (alpha=0.05)", 1, dpir),
         ("DP-RAM", 1, dpram),
         ("DP-KVS", link.roundtrips // len(kv_trace), dpkvs),
-        ("Path ORAM", 2, oram),
-        ("recursive ORAM", recursive.roundtrips_per_access, recursive_blocks),
+        # Less the flush that ends the run: one request a server.
+        ("Path ORAM", (oram_link.roundtrips - 1) // len(trace), oram),
+        (
+            "recursive ORAM",
+            (recursive_link.roundtrips - recursive.levels) // len(trace),
+            recursive_blocks,
+        ),
         ("linear PIR", 1, pir),
     ]
     for name, roundtrips, blocks in entries:
@@ -664,13 +674,10 @@ def experiment_e14_response_times(
         f"80ms/20Mbps; {block_bytes}-byte blocks at n={n}"
     )
     table.add_note(
-        "DP-RAM and DP-KVS send an operation's upload with the next "
-        "operation's downloads, one request per operation; DP-KVS "
-        "roundtrips and blocks are measured on the link"
-    )
-    table.add_note(
-        "Path ORAM is not pipelined and stays at 2: its held write-back "
-        "would be Z*(L+1) slots counted against the client's storage"
+        "DP-RAM, DP-KVS and Path ORAM send an operation's upload with the "
+        "next operation's downloads, one request per operation (one per "
+        "level for the recursive ORAM); DP-KVS and the ORAMs' roundtrips "
+        "are measured on the link"
     )
     return table
 

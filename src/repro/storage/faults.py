@@ -23,8 +23,8 @@ harness metrics surface, and what the cluster failover tests use to
 report detected-versus-silent faults.  :func:`wrap_scheme_servers`
 installs wrappers into an already-built scheme, replacing every server
 reference it holds (directly, in a :class:`ServerPool`, in a list, or
-inside a nested sub-scheme), so fault injection works on any registered
-scheme without per-scheme wiring.
+inside a nested sub-scheme, alone or in a list or tuple), so fault
+injection works on any registered scheme without per-scheme wiring.
 """
 
 from __future__ import annotations
@@ -364,10 +364,11 @@ def wrap_scheme_servers(
 
     Walks the instance's attributes — direct :class:`StorageServer`
     fields, :class:`~repro.storage.server.ServerPool` contents, lists of
-    servers, and nested sub-schemes (DP-KVS keeps its server inside an
-    internal bucket RAM) — and swaps each server for its wrapper, so the
-    scheme's own reads and writes flow through the injected fault layer
-    and ``servers()`` reports the wrappers.
+    servers, and nested sub-schemes, alone or in a list or tuple (DP-KVS
+    keeps its server inside an internal bucket RAM, a recursive Path ORAM
+    one inside each level ORAM) — and swaps each server for its wrapper,
+    so the scheme's own reads and writes flow through the injected fault
+    layer and ``servers()`` reports the wrappers.
 
     Returns:
         The installed wrappers.
@@ -399,13 +400,18 @@ def _wrap_attrs(obj, wrap, wrapped: list, seen: set[int]) -> None:
                 if isinstance(server, StorageServer):
                     servers[position] = wrap(server)
                     wrapped.append(servers[position])
-        elif isinstance(value, list):
+        elif isinstance(value, (list, tuple)):
             for position, item in enumerate(value):
-                if isinstance(item, StorageServer):
+                if isinstance(item, StorageServer) and isinstance(value, list):
                     value[position] = wrap(item)
                     wrapped.append(value[position])
-        elif hasattr(value, "servers") and callable(
-            getattr(value, "servers", None)
-        ):
+                elif _is_sub_scheme(item):
+                    # E.g. the level ORAMs of a recursive Path ORAM.
+                    _wrap_attrs(item, wrap, wrapped, seen)
+        elif _is_sub_scheme(value):
             # A nested sub-scheme (e.g. the bucket RAM inside DP-KVS).
             _wrap_attrs(value, wrap, wrapped, seen)
+
+
+def _is_sub_scheme(value) -> bool:
+    return callable(getattr(value, "servers", None))

@@ -11,10 +11,10 @@ The model is deliberately simple and standard::
 
 Schemes differ in both factors: DP-RAM moves at most 3 blocks (2 + O(p)
 expected) in 1 roundtrip — an operation's upload rides in the next
-operation's request — Path ORAM moves Θ(log n) blocks over 2 roundtrips
-(its write-back is not pipelined: held, it would be ``Z·(L+1)`` slots of
-client state), and recursive Path ORAM pays Θ(log n) *roundtrips* —
-which is what dominates on real WAN links (experiment E13).
+operation's request — Path ORAM moves Θ(log n) blocks in 1 roundtrip
+(its write-back rides the same way), and recursive Path ORAM pays
+Θ(log n) *roundtrips*, one a level — which is what dominates on real
+WAN links (experiment E13).
 
 Multi-leg stages: a sharded deployment sends sub-requests to several
 shard groups at once.  :meth:`NetworkModel.serial_stage_ms` prices the

@@ -293,6 +293,7 @@ class TestClaimsHold:
         assert roundtrips == sorted(roundtrips)
         assert roundtrips[-1] > 2
         for row in table.rows:
+            assert row[2] == row[1]  # one request a recursion level
             assert row[4] == 1  # DP-RAM roundtrips
             assert 2.0 <= row[6] <= 3.0  # DP-RAM blocks/op: <= 3, 2 + O(p) expected
             assert row[-1] == 0  # no mismatches anywhere
@@ -318,7 +319,8 @@ class TestClaimsHold:
         assert by_scheme["DP-RAM"][1] == by_scheme["DP-KVS"][1] == 1
         assert by_scheme["DP-RAM"][4] < 2 * WAN.rtt_ms
         assert by_scheme["DP-KVS"][4] < 2 * WAN.rtt_ms
-        # Path ORAM is not pipelined: the held write-back would be client
-        # state.  The table says so.
-        assert by_scheme["Path ORAM"][1] == 2
-        assert any("not pipelined" in note for note in table.notes)
+        # Path ORAM's write-back rides in the next request, one request
+        # a level for the recursive ORAM — both measured on the link.
+        assert by_scheme["Path ORAM"][1] == 1
+        # 4096 labels, then 512, then 64 the client keeps: three levels.
+        assert by_scheme["recursive ORAM"][1] == 3

@@ -316,8 +316,20 @@ _HELD_UPLOAD_PINS = {
         "182e794c000228f3a8fe04295d007e2a45b3b263bdbaea31293ef8378cdeb2f7",
 }
 
-# The schemes that hold an operation's upload for the next request.
-_HOLDING_SCHEMES = ("bucket_dp_ram", "dp_kvs", "dp_ram")
+# Where a step is not one access: an ORAM-KVS put reads its bucket, then
+# writes it; a recursive access is one a level.
+_ACCESSES = {
+    "oram_kvs": lambda store, steps: store.oram.query_count,
+    "recursive_path_oram": lambda ram, steps: steps * ram.levels,
+}
+
+
+def _held_uploads(scheme):
+    """What ``scheme.flush()`` sends, in the order it sends it."""
+    holders = getattr(scheme, "_levels", None) or [
+        getattr(scheme, "_ram", None) or getattr(scheme, "_oram", scheme)
+    ]
+    return [holder._held for holder in holders if holder._held is not None]
 
 
 def _seeded_history(
@@ -372,7 +384,7 @@ class TestHeldUploadIdentity:
         "name, setting",
         [
             (name, setting)
-            for name in _HOLDING_SCHEMES
+            for name in sorted(_HELD_UPLOAD_SCHEMES)
             for setting in _HELD_UPLOAD_SCHEMES[name][2]
         ],
     )
@@ -395,14 +407,19 @@ class TestHeldUploadIdentity:
         assert eager_history == lazy_history
         # Both hold the sealed upload from the moment it is sealed.
         assert eager.client_peak_blocks == lazy.client_peak_blocks
-        assert links[0].roundtrips == 2 * steps
-        assert links[1].roundtrips == steps + 1
+        # One request an access, and one more a server for each flush.
+        accesses = _ACCESSES.get(name, lambda scheme, steps: steps)(
+            lazy, steps
+        )
+        servers = len(lazy.servers())
+        assert links[0].roundtrips == accesses + steps * servers
+        assert links[1].roundtrips == accesses + servers
         wire_ms = [
             link.simulated_ms - link.roundtrips * LAN.rtt_ms for link in links
         ]
         assert wire_ms[0] == pytest.approx(wire_ms[1], rel=1e-9)
 
-    @pytest.mark.parametrize("name", _HOLDING_SCHEMES)
+    @pytest.mark.parametrize("name", sorted(_HELD_UPLOAD_SCHEMES))
     def test_without_the_flush_the_view_is_a_prefix(self, name):
         build, step, settings_, _ = _HELD_UPLOAD_SCHEMES[name]
         scheme = build(settings_[1], rng=SeededRandomSource(5))
@@ -412,12 +429,38 @@ class TestHeldUploadIdentity:
         for number in range(40):
             step(scheme, plan, number)
         seen = log.signature()
-        held = scheme._held if name != "dp_kvs" else scheme._ram._held
+        held = _held_uploads(scheme)
+        assert len(held) == len(scheme.servers())
         scheme.flush()
-        last = [("upload", 0, slot, held[0]) for slot, _ in held[1]]
+        last = [
+            ("upload", 0, slot, query)
+            for query, items in held
+            for slot, _ in items
+        ]
         assert log.signature() == seen + tuple(last)
         scheme.flush()  # idempotent: nothing is held any more
         assert len(log) == len(seen) + len(last)
+
+    @pytest.mark.parametrize(
+        "name", ["oram_kvs", "path_oram", "recursive_path_oram"]
+    )
+    def test_held_write_back_fits_the_stash_peak(self, name):
+        # A held write-back's real blocks were all in the stash right
+        # after the path read, so at every call boundary the client holds
+        # no more than the peak it already reports.
+        build, step, settings_, _ = _HELD_UPLOAD_SCHEMES[name]
+        for setting in settings_:
+            scheme = build(setting, rng=SeededRandomSource(setting))
+            orams = getattr(scheme, "_levels", None) or [
+                getattr(scheme, "_oram", scheme)
+            ]
+            plan = random.Random(setting)
+            for number in range(200):
+                step(scheme, plan, number)
+                for oram in orams:
+                    _, uploads = oram._held
+                    real = sum(raw != oram._dummy_slot for _, raw in uploads)
+                    assert oram.stash_size + real <= oram.client_peak_blocks
 
 
 class TestPathORAMModel:
@@ -456,7 +499,8 @@ class GreedyScanPathORAM(PathORAM):
         self._queries += 1
 
         new_leaf = self._rng.randbelow(self._leaves)
-        leaf = self._resolver(index, new_leaf)
+        leaf = self._position[index]  # the in-client map, remapped at once
+        self._position[index] = new_leaf
 
         path = self._path_nodes(leaf)
         path_slots = [
@@ -586,6 +630,7 @@ class TestPathORAMPlacementIdentity:
             else:
                 assert oram.read(index) == greedy.read(index)
             assert list(oram._stash.items()) == list(greedy._stash.items())
+        oram.flush()  # the oracle writes back inside the access
         assert _server_image(oram) == _server_image(greedy)
         assert oram.stash_peak == greedy.stash_peak
 
@@ -606,6 +651,7 @@ class TestPathORAMPlacementIdentity:
                 recursive.write(index, encode_int(10**6 + step))
             else:
                 recursive.read(index)
+        recursive.flush()
         assert hashlib.sha256(b"".join(_server_image(recursive))).hexdigest() == (
             "055412a09934fde895e5398da87c7c795fbbab72366b7f3a78870ddf85e56b18"
         )
@@ -623,6 +669,7 @@ class TestPathORAMPlacementIdentity:
                 store.get(key)
             else:
                 store.delete(key)
+        store.flush()
         assert hashlib.sha256(b"".join(_server_image(store))).hexdigest() == (
             "30165f7bb0aa2de6dad8a12638e9570d96db5ddc3b77bf00975912b9714cd708"
         )

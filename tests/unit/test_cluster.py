@@ -453,6 +453,22 @@ class TestFaultCounterSurface:
         # The scheme's own server surface now reports the wrappers.
         assert any(isinstance(s, FlakyServer) for s in kvs.servers())
 
+    def test_wrap_scheme_servers_reaches_every_recursive_level(self, rng):
+        from repro.baselines.recursive_oram import RecursivePathORAM
+        from repro.storage.faults import FlakyServer, wrap_scheme_servers
+
+        # The level ORAMs sit in a list; each holds its own server.
+        oram = RecursivePathORAM(
+            integer_database(256), positions_per_block=4,
+            client_map_limit=8, rng=rng.spawn("oram"),
+        )
+        assert oram.levels >= 3
+        wrapped = wrap_scheme_servers(
+            oram, lambda s: FlakyServer(s, 0.0, rng.spawn("f"))
+        )
+        assert len(wrapped) == oram.levels
+        assert all(isinstance(s, FlakyServer) for s in oram.servers())
+
     def test_wrap_scheme_servers_requires_servers(self):
         from repro.storage.faults import wrap_scheme_servers
 

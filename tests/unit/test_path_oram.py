@@ -7,6 +7,7 @@ import pytest
 from repro.baselines.path_oram import PathORAM
 from repro.storage.blocks import encode_int, integer_database
 from repro.storage.errors import RetrievalError
+from repro.storage.faults import ServerFault
 
 
 def _oram(rng, n=32, z=4):
@@ -112,6 +113,34 @@ class TestCorrectness:
             assert list(oram._stash.items()) == list(twin._stash.items())
 
 
+def _client_state(oram):
+    return (
+        list(oram._stash.items()), oram._held, list(oram._position),
+        oram.query_count, oram.client_peak_blocks,
+    )
+
+
+class TestFaultedRequests:
+    def test_faulted_request_leaves_the_client_untouched(
+        self, rng, fail_rounds
+    ):
+        # An access is one request: the previous write-back, then the
+        # path.  A fault leaves the map, the stash and the held write-back
+        # as they were, and the next request sends the write-back again.
+        oram = _oram(rng, n=32)
+        oram.write(5, encode_int(55))
+        fail_rounds(oram, True, True)
+        held, before = oram._held, _client_state(oram)
+        for _ in range(2):
+            with pytest.raises(ServerFault):
+                oram.read(5)
+            assert oram._held is held and _client_state(oram) == before
+        assert oram.read(5) == encode_int(55)
+        for index in range(32):
+            expected = encode_int(55 if index == 5 else index)
+            assert oram.read(index) == expected
+
+
 class TestBandwidth:
     def test_blocks_per_access_formula(self, rng):
         oram = _oram(rng, n=64, z=4)
@@ -121,6 +150,7 @@ class TestBandwidth:
         oram = _oram(rng, n=64)
         before = oram.server.operations
         oram.read(0)
+        oram.flush()  # the access's own write-back, sent on its own
         assert oram.server.operations - before == oram.blocks_per_access()
 
     def test_cost_grows_with_log_n(self, rng):

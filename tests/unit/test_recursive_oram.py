@@ -3,8 +3,10 @@
 import pytest
 
 from repro.baselines.recursive_oram import RecursivePathORAM
+from repro.storage.backends import NetworkBackendFactory
 from repro.storage.blocks import encode_int, integer_database
 from repro.storage.errors import RetrievalError
+from repro.storage.network import LAN
 
 
 def _oram(rng, n=256, chi=4, limit=8):
@@ -99,12 +101,27 @@ class TestAccounting:
         oram = _oram(rng, n=128)
         before = oram.server_operations()
         oram.read(0)
+        oram.flush()  # every level's write-back, sent on its own
         moved = oram.server_operations() - before
         assert moved == oram.blocks_per_access()
 
     def test_roundtrips_equal_levels(self, rng):
         oram = _oram(rng, n=512, chi=4, limit=8)
         assert oram.roundtrips_per_access == oram.levels >= 4
+
+    def test_roundtrips_are_measured(self, rng):
+        # One request a level an access, each write-back riding in that
+        # level's next request; the flush sends one more a level.
+        link = NetworkBackendFactory(LAN)
+        oram = RecursivePathORAM(
+            integer_database(512), positions_per_block=4,
+            client_map_limit=8, rng=rng.spawn("link"), backend_factory=link,
+        )
+        for index in range(10):
+            oram.read(index)
+        assert link.roundtrips == 10 * oram.roundtrips_per_access
+        oram.flush()
+        assert link.roundtrips == 11 * oram.levels
 
     def test_harness_integration(self, rng):
         from repro.simulation.harness import run_ram_trace
