@@ -23,6 +23,7 @@ from __future__ import annotations
 import abc
 from typing import Iterable, Sequence
 
+from repro.storage.held import HeldRequest, scheme_parts
 from repro.storage.server import StorageServer
 from repro.storage.transcript import Transcript
 
@@ -104,11 +105,17 @@ class Scheme(abc.ABC):
 
         DP-RAM, DP-KVS and the Path ORAM schemes keep an operation's
         sealed upload on the client so it can ride in the next
-        operation's request; this sends it on its own.  Call it where a
-        run ends or the servers are inspected: afterwards stored bytes,
-        counters and transcript are complete.
-        A scheme that holds nothing back — the default — does nothing.
+        operation's request (:mod:`repro.storage.held`); this sends every
+        held upload the scheme's parts hold
+        (:func:`~repro.storage.held.scheme_parts`, the data level of a
+        recursive ORAM first), each on its own.  Call it where a run ends
+        or the servers are inspected: afterwards stored bytes, counters
+        and transcript are complete.  A scheme that holds nothing back
+        sends nothing.
         """
+        for part in scheme_parts(self):
+            if isinstance(part, HeldRequest):
+                part.flush()
 
     @property
     def client_peak_blocks(self) -> int | None:

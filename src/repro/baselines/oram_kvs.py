@@ -222,9 +222,5 @@ class ORAMKeyValueStore(PrivateKVS):
         self._oram.write(bucket, self._codec.pack(remaining))
         return True
 
-    def flush(self) -> None:
-        """Send the ORAM's held write-back on its own."""
-        self._oram.flush()
-
     def _bucket_for(self, key: bytes) -> int:
         return self._prf.integer(key, self._buckets)

@@ -7,25 +7,16 @@ leaf (or in the client stash), and remapped on every access.  An access
 reads one full path and writes it back, moving ``2·Z·(L+1)`` slots — the
 ``Θ(log n)`` overhead that the paper's DP-RAM beats with O(1).
 
-**One request per access.**  The client has no use for a write-back's
-reply, so it does not get a message of its own: an access builds the
-write-back of its path exactly as a two-message access would — same
-placement, same slots, same bytes — and *holds* it, and the next
-access's request carries it in front of the new path's download ("write
-these slots, then read those"; the server applies the writes first, so
-the nodes both paths share, the root at least, come back fresh).
-:meth:`PathORAM.flush` sends a held write-back alone; "flush after every
-call" is the two-message shape, and with the one flush that ends a run
-the transcript, stored bytes, counters and coin stream equal that
-shape's at a given seed.  The held write-back never adds to client
-storage: its real blocks were all in the stash right after this access's
-path read, and they leave before the next path comes back.  The request
-is the access's one point of failure, and the client commits nothing —
-no remap, no stash change, no query number — until it has returned: a
-faulted access leaves the client as an access never made would (its
-coins are spent), the write-back stays held, and sending it again is
-harmless.  (An external ``position_resolver`` has remapped before the
-request goes out; see :mod:`repro.baselines.recursive_oram`.)
+**One request per access.**  An access's request downloads its path,
+with the previous access's write-back in front (the nodes both paths
+share, the root at least, come back fresh); its own write-back is held
+for the next request (:mod:`repro.storage.held` states the protocol).
+An access commits — remap, stash, peak, query number, held write-back —
+only once its request is back, in one step that
+:class:`~repro.baselines.recursive_oram.RecursivePathORAM` defers until
+the data level's request is back too.  The held write-back never adds to
+client storage: its real blocks were all in the stash right after this
+access's path read, and they leave before the next path comes back.
 
 Each slot is serialized as ``index (8B) || leaf tag (4B) || payload`` with
 an all-ones index marking dummies.  Carrying the leaf tag inside the
@@ -60,6 +51,7 @@ from repro.api.protocols import PrivateRAM
 from repro.crypto.rng import RandomSource, SystemRandomSource
 from repro.storage.backends import BackendFactory
 from repro.storage.errors import RetrievalError
+from repro.storage.held import HeldRequest
 from repro.storage.server import StorageServer
 
 _DUMMY = (1 << 64) - 1
@@ -79,8 +71,9 @@ class PathORAM(PrivateRAM):
         position_resolver: optional external position map.  When given, it
             is called once per access, before the access's request, with
             ``(index, new_leaf)`` and must return the block's current
-            leaf; the default keeps a plain in-client list (``n`` labels
-            of metadata), remapped once the request is back.
+            leaf, remapping it no earlier than the access commits; the
+            default keeps a plain in-client list (``n`` labels of
+            metadata), remapped when the access commits.
 
     The client state is the position map (unless externalized) and the
     stash, whose peak occupancy is tracked because Path ORAM's stash bound
@@ -111,9 +104,11 @@ class PathORAM(PrivateRAM):
         self._leaves = 1 << self._height
         self._nodes = 2 * self._leaves - 1
         slot_count = self._nodes * self._z
-        self._server = StorageServer(
-            slot_count,
-            backend=backend_factory(slot_count) if backend_factory else None,
+        self._link = HeldRequest(
+            StorageServer(
+                slot_count,
+                backend=backend_factory(slot_count) if backend_factory else None,
+            )
         )
         initial_positions = [
             self._rng.randbelow(self._leaves) for _ in range(self._n)
@@ -128,9 +123,6 @@ class PathORAM(PrivateRAM):
         self._stash: dict[int, tuple[int, bytes]] = {}
         self._stash_peak = 0
         self._queries = 0
-        # The last access's write-back, ``(query, [(slot, bytes)])``, until
-        # the next request (or ``flush``) carries it to the server.
-        self._held: tuple[int, list[tuple[int, bytes]]] | None = None
         # Every empty slot holds these same bytes: compared on the way in
         # (no decode) and reused on the way out (no encode).
         self._dummy_slot = _HEADER.pack(_DUMMY, 0) + bytes(self._block_size)
@@ -166,11 +158,11 @@ class PathORAM(PrivateRAM):
     @property
     def server(self) -> StorageServer:
         """The passive slot server (exposes operation counters)."""
-        return self._server
+        return self._link.server
 
     def servers(self) -> tuple[StorageServer, ...]:
         """The single slot server."""
-        return (self._server,)
+        return (self._link.server,)
 
     @property
     def stash_size(self) -> int:
@@ -233,20 +225,27 @@ class PathORAM(PrivateRAM):
             raise TypeError("transform must be callable")
         return self._access(index, None, transform=transform)
 
-    def flush(self) -> None:
-        """Send the held write-back on its own (one roundtrip); keeps it
-        if the server faults."""
-        if self._held is not None:
-            query, uploads = self._held
-            self._server.begin_query(query)
-            self._server.write_many(uploads)
-            self._held = None
-
     # -- internals ----------------------------------------------------------
 
     def _access(
         self, index: int, new_value: bytes | None, transform=None
     ) -> bytes:
+        commit, result, failure = self._stage(index, new_value, transform)
+        commit()
+        if failure is not None:
+            raise failure
+        return result
+
+    def _stage(self, index: int, new_value: bytes | None, transform=None):
+        """Run an access up to its commit: ``(commit, result, failure)``.
+
+        The request goes out and the path's write-back is built, but the
+        client — map, stash, peak, query number, held write-back — moves
+        only when ``commit()`` is called.  Until then, or if it never is,
+        the client is as an access never made would leave it (the coins
+        stay spent).  ``failure`` is a ``transform`` error, to be raised
+        once the access has committed.
+        """
         if not 0 <= index < self._n:
             raise RetrievalError(f"index {index} out of range for n={self._n}")
         # A rejected write must leave no trace: refuse it before the rng
@@ -261,34 +260,27 @@ class PathORAM(PrivateRAM):
             else position[index]
         )
 
-        # The access's one request, and its one point of failure: the
-        # previous access's write-back, then this path, 2·Z·(L+1) slots.
-        # Nothing of the client's has moved yet, so a fault here leaves
-        # the map, the stash and the held write-back as they were.
+        # The access's one request, and its one point of failure: this
+        # path, 2·Z·(L+1) slots.
         z = self._z
         height = self._height
         path = self._path_nodes(leaf)
-        fetched = self._server.exchange(
-            self._queries,
-            [slot for node in path for slot in range(node * z, node * z + z)],
-            self._held,
-        )
-        self._held = None
         query = self._queries
-        self._queries += 1
-        if position is not None:
-            position[index] = new_leaf
+        fetched = self._link.send(
+            query,
+            [slot for node in path for slot in range(node * z, node * z + z)],
+        )
 
-        # Read the path into the stash (blocks carry their own tag).
-        stash = self._stash
+        # Read the path into a copy of the stash (blocks carry their own
+        # tag); the copy becomes the stash when the access commits.
+        stash = dict(self._stash)
         dummy = self._dummy_slot
         for raw in fetched:
             if raw != dummy:
                 stored_index, tag = _HEADER.unpack_from(raw)
                 if stored_index != _DUMMY:
                     stash[stored_index] = (tag, raw[_HEADER.size :])
-        if len(stash) > self._stash_peak:
-            self._stash_peak = len(stash)
+        peak = max(self._stash_peak, len(stash))
 
         if index not in stash:
             raise RetrievalError(
@@ -308,7 +300,7 @@ class PathORAM(PrivateRAM):
                 new_value = None
         stash[index] = (new_leaf, result if new_value is None else new_value)
 
-        # Build the path's write-back and hold it for the next request.
+        # Build the path's write-back, to be held for the next request.
         # Eviction is client-side (it consumes stash state, never server
         # answers): rank every stash entry once by the deepest level its
         # tagged path shares with this one, then fill the path leaf-up,
@@ -336,10 +328,16 @@ class PathORAM(PrivateRAM):
                 )
             for slot in range(first + len(placed), first + z):
                 uploads.append((slot, dummy))
-        self._held = (query, uploads)
-        if failure is not None:
-            raise failure
-        return result
+
+        def commit() -> None:
+            self._stash = stash
+            self._stash_peak = peak
+            if position is not None:
+                position[index] = new_leaf
+            self._queries = query + 1
+            self._link.hold(query, uploads)
+
+        return commit, result, failure
 
     def _check_value_size(self, value: bytes) -> None:
         if len(value) != self._block_size:
@@ -377,6 +375,6 @@ class PathORAM(PrivateRAM):
                     _HEADER.pack(index, leaf) + bytes(block)
                 )
                 fill[node] += 1
-        self._server.load(slots)
+        self._link.server.load(slots)
         self._stash.update(spilled)
         self._stash_peak = len(self._stash)

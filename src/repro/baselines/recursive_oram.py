@@ -14,17 +14,25 @@ here costs one ORAM access *per level*, strictly sequentially — the data
 leaf is unknown until the map level above resolves — so the roundtrip
 count equals the recursion depth.  Experiment E13 measures that count
 against DP-RAM's constant one roundtrip.
+
+An access is all-or-nothing.  Each map level's access is *staged* — its
+request goes out, and its remap, eviction and write-back are built but
+not committed — and so is the top level's client-map update; once the data level's request is back,
+every level commits, bottom-up.  A request that raises at any level
+drops every staged level, so the map never points a block at a leaf its
+own level has not moved it to, and each level keeps the write-back it
+held.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 from repro.api.protocols import PrivateRAM
 from repro.baselines.path_oram import PathORAM
 from repro.crypto.rng import RandomSource, SystemRandomSource
 from repro.storage.backends import BackendFactory
-from repro.storage.errors import RetrievalError
 from repro.storage.server import StorageServer
 
 _LABEL_BYTES = 4
@@ -54,7 +62,7 @@ class RecursivePathORAM(PrivateRAM):
 
     Levels are numbered from 0 (the data ORAM) upward; level ``k+1``
     stores the packed position map of level ``k``.  Accesses resolve
-    top-down, one :meth:`PathORAM.read_modify_write` per map level.
+    top-down, one read-modify-write access per map level.
     """
 
     def __init__(
@@ -88,12 +96,11 @@ class RecursivePathORAM(PrivateRAM):
         level_blocks = list(blocks)
         level = 0
         while True:
-            resolver = self._make_resolver(level)
             oram = PathORAM(
                 level_blocks,
                 bucket_size=bucket_size,
                 rng=self._rng.spawn(f"level-{level}"),
-                position_resolver=resolver,
+                position_resolver=partial(self._resolve, level),
                 backend_factory=backend_factory,
             )
             self._levels.append(oram)
@@ -110,12 +117,8 @@ class RecursivePathORAM(PrivateRAM):
             ]
             level += 1
         self._queries = 0
-
-    def _make_resolver(self, level: int):
-        def resolve(index: int, new_leaf: int) -> int:
-            return self._resolve(level, index, new_leaf)
-
-        return resolve
+        # The commits of the access in flight, top level first.
+        self._staged: list = []
 
     # -- accounting ----------------------------------------------------------
 
@@ -183,45 +186,49 @@ class RecursivePathORAM(PrivateRAM):
 
     def read(self, index: int) -> bytes:
         """Retrieve the current version of record ``index``."""
-        if not 0 <= index < self._n:
-            raise RetrievalError(f"index {index} out of range for n={self._n}")
-        self._queries += 1
-        return self._levels[0].read(index)
+        return self._access(index, None)
 
     def write(self, index: int, value: bytes) -> None:
         """Overwrite record ``index`` with ``value``."""
-        if not 0 <= index < self._n:
-            raise RetrievalError(f"index {index} out of range for n={self._n}")
-        self._queries += 1
-        self._levels[0].write(index, value)
-
-    def flush(self) -> None:
-        """Send every level's held write-back on its own, data level first."""
-        for level in self._levels:
-            level.flush()
+        self._access(index, bytes(value))
 
     # -- internals ----------------------------------------------------------
 
+    def _access(self, index: int, value: bytes | None) -> bytes:
+        """One logical access: a request a level, top-down, then every
+        level's commit, bottom-up — or, if any request raises, none."""
+        self._staged = []
+        commit, result, _ = self._levels[0]._stage(index, value)
+        commit()
+        for level_commit in reversed(self._staged):
+            level_commit()
+        self._queries += 1
+        return result
+
     def _resolve(self, level: int, index: int, new_leaf: int) -> int:
-        """Return level-``level``'s current leaf for ``index`` and remap it.
+        """Return level-``level``'s current leaf for ``index``, staging
+        its remap.
 
         The labels of level ``level`` live either in the client map (if
         ``level`` is the top) or packed into block ``index // χ`` of level
-        ``level + 1``, which is fetched with a single read-modify-write —
-        recursively triggering that level's own resolution.
+        ``level + 1``, which is staged as a single read-modify-write
+        access — recursively staging that level's own resolution.
         """
         if level + 1 == len(self._levels):
-            old_leaf = self._client_map[index]
-            self._client_map[index] = new_leaf
-            return old_leaf
+            client_map = self._client_map
+            self._staged.append(
+                lambda: client_map.__setitem__(index, new_leaf)
+            )
+            return client_map[index]
         map_block, slot = divmod(index, self._chi)
-        captured: list[int] = []
 
         def swap(block: bytes) -> bytes:
             labels = _unpack(block)
-            captured.append(labels[slot])
             labels[slot] = new_leaf
             return _pack(labels)
 
-        self._levels[level + 1].read_modify_write(map_block, swap)
-        return captured[0]
+        commit, block, _ = self._levels[level + 1]._stage(
+            map_block, None, swap
+        )
+        self._staged.append(commit)
+        return _unpack(block)[slot]

@@ -24,8 +24,8 @@ refresh both copies.  We maintain:
 Overlay entries are only dropped once a fresh ciphertext of the node is
 sealed for upload and no stashed bucket pins it.  The invariant: a server
 copy may be stale only while its fresh ciphertext is *held* by the client
-(next paragraph), and every request sends what is held before it reads —
-so a stale server copy can never be served.
+(:mod:`repro.storage.held`), and every request sends what is held before
+it reads — so a stale server copy can never be served.
 
 **Plan, then one request.**  A *batch* of bucket queries — DP-KVS sends
 the two hash-choice buckets of one operation, :meth:`BucketDPRAM.query`
@@ -33,19 +33,15 @@ a batch of one — costs one roundtrip however many buckets it holds.
 :meth:`BucketDPRAM.begin_query` draws every coin of both phases up front
 (per bucket the download coin; then per bucket the restash coin, the
 overwrite bucket and that upload's nonces), which is possible because no
-draw depends on a downloaded byte, and sends ONE request: the upload the
-previous batch left held, then a ``read_many`` over the distinct nodes
-of ``d_1 ‖ … ‖ d_k ‖ o_1 ‖ … ‖ o_k``
-(:meth:`~repro.storage.server.StorageServer.exchange`).  The caller
+draw depends on a downloaded byte, and its request downloads the
+distinct nodes of ``d_1 ‖ … ‖ d_k ‖ o_1 ‖ … ‖ o_k``.  The caller
 inspects the contents, and :meth:`BucketDPRAM.finish_query` replays the
 per-bucket overwrite logic on the client and seals ONE upload over the
-distinct nodes of ``o_1 ‖ … ‖ o_k`` — which it holds for the next
-request; :meth:`BucketDPRAM.flush` sends it alone.  The draw order and
-the per-query pair ``(d_j, o_j)`` are those of running the queries one
-after the other; only data-independent things change — the interleaving
-inside the batch and where a message ends — and no node moves twice in a
-round.  With the flush that ends a run, transcript, stored bytes,
-counters and coin stream equal those of flushing after every batch.
+distinct nodes of ``o_1 ‖ … ‖ o_k``, held for the next request.  The
+draw order and the per-query pair ``(d_j, o_j)`` are those of running the
+queries one after the other; only data-independent things change — the
+interleaving inside the batch and where a message ends — and no node
+moves twice in a round.
 
 **A round lists a node once.**  ``d_j = o_j`` with probability
 ``(1−p)²`` (no stash hit, no restash), and tree paths share their upper
@@ -76,11 +72,9 @@ Step 3 is why only one batch may be open at a time: the pre-fetched
 ciphertexts of two open batches could go stale against each other.
 
 The request is a batch's one point of failure and it comes before the
-client's state moves: one that raises leaves the client untouched (the
-coins stay spent) and the upload still held — sending it again is
-harmless, same nodes, same ciphertexts.  Sealing cannot fail, so there is
-no second failure to recover from.  The held ciphertexts count as client
-storage (:attr:`BucketDPRAM.client_blocks`).
+client's state moves; sealing cannot fail, so there is no second failure
+to recover from.  The held ciphertexts count as client storage
+(:attr:`BucketDPRAM.client_blocks`).
 """
 
 from __future__ import annotations
@@ -102,6 +96,7 @@ from repro.crypto.rng import RandomSource, SystemRandomSource
 from repro.storage.backends import BackendFactory
 from repro.storage.blocks import check_block, uniform_block_size
 from repro.storage.errors import BlockSizeError, RetrievalError, StorageError
+from repro.storage.held import HeldRequest
 from repro.storage.server import StorageServer
 
 
@@ -181,19 +176,17 @@ class BucketDPRAM(PrivateRAM):
         self._rng = rng if rng is not None else SystemRandomSource()
         self._key = key if key is not None else generate_key(self._rng)
 
-        self._server = StorageServer(
+        server = StorageServer(
             node_count,
             backend=backend_factory(node_count) if backend_factory else None,
         )
-        self._server.load(encrypt_many(self._key, node_blocks, self._rng))
+        server.load(encrypt_many(self._key, node_blocks, self._rng))
+        self._link = HeldRequest(server)
 
         self._stashed: set[int] = set()
         self._overlay: dict[int, bytes] = {}
         self._pins: dict[int, int] = {}
         self._pending: PendingQuery | None = None
-        # The last batch's sealed upload, ``(query, [(node, ciphertext)])``,
-        # until the next request (or ``flush``) carries it to the server.
-        self._held: tuple[int, list[tuple[int, bytes]]] | None = None
         self._client_peak = 0
 
         # Setup: stash each bucket independently with probability p,
@@ -235,11 +228,11 @@ class BucketDPRAM(PrivateRAM):
     @property
     def server(self) -> StorageServer:
         """The passive server of node slots (exposes operation counters)."""
-        return self._server
+        return self._link.server
 
     def servers(self) -> tuple[StorageServer, ...]:
         """The single node-slot server."""
-        return (self._server,)
+        return (self._link.server,)
 
     @property
     def stashed_buckets(self) -> int:
@@ -250,8 +243,7 @@ class BucketDPRAM(PrivateRAM):
     def client_blocks(self) -> int:
         """Node blocks currently held on the client: the overlay plus the
         ciphertexts of the held upload."""
-        held = self._held
-        return len(self._overlay) + (len(held[1]) if held is not None else 0)
+        return len(self._overlay) + self._link.blocks
 
     @property
     def client_peak_blocks(self) -> int:
@@ -341,12 +333,8 @@ class BucketDPRAM(PrivateRAM):
                 ]
             )
         )
-        # The batch's one request, and its one point of failure: the
-        # previous batch's upload, then this batch's downloads.
-        ciphertexts = self._server.exchange(
-            self._queries, round_nodes, self._held
-        )
-        self._held = None
+        # The batch's one request, and its one point of failure.
+        ciphertexts = self._link.send(self._queries, round_nodes)
 
         # The round landed.  The client's state moves only at the end,
         # once the contents are in hand and the batch is really open.
@@ -392,7 +380,7 @@ class BucketDPRAM(PrivateRAM):
         """Close the open batch: seal its upload and hold it.
 
         Nothing is sent — the upload rides in the next batch's request
-        (:meth:`begin_query`) or goes on its own with :meth:`flush` — so
+        (:meth:`begin_query`) or goes on its own with ``flush()`` — so
         once the arguments are accepted this cannot fail.
 
         Args:
@@ -489,7 +477,7 @@ class BucketDPRAM(PrivateRAM):
             nonces = b"".join(
                 nonces[i * NONCE_SIZE : (i + 1) * NONCE_SIZE] for i in kept
             )
-        self._held = (
+        self._link.hold(
             query,
             list(
                 zip(
@@ -499,15 +487,6 @@ class BucketDPRAM(PrivateRAM):
             ),
         )
         self._note_peak()
-
-    def flush(self) -> None:
-        """Send the held upload on its own (one roundtrip); keeps it if
-        the server faults."""
-        if self._held is not None:
-            query, items = self._held
-            self._server.begin_query(query)
-            self._server.write_many(items)
-            self._held = None
 
     # -- the RAM interface over single-node buckets ---------------------------
 

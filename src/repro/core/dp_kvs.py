@@ -24,7 +24,7 @@ DP-RAM as one batch, whose one request lands the upload the previous
 operation sealed and downloads the distinct nodes of
 ``d_1 ‖ d_2 ‖ o_1 ‖ o_2``; the storing algorithm runs on the joint
 contents, and the upload of ``o_1 ‖ o_2`` is sealed and held for the next
-operation's request (:meth:`DPKVS.flush` sends it alone).  The
+operation's request (``flush()`` sends it alone).  The
 per-query view ``(d_j, o_j)`` is that of six sequential rounds; the
 blocks moved are theirs less the repeats — :meth:`DPKVS.blocks_per_operation`
 (``2·3·(depth+1)``) is the worst case, and since ``d_j = o_j`` with
@@ -206,10 +206,6 @@ class DPKVS(PrivateKVS):
     def transcript_pairs(self) -> list[tuple[int, int]]:
         """Bucket-granular ``(d_j, o_j)`` pairs from the underlying DP-RAM."""
         return self._ram.transcript_pairs
-
-    def flush(self) -> None:
-        """Send the upload the bucket DP-RAM is holding, on its own."""
-        self._ram.flush()
 
     def blocks_per_operation(self) -> int:
         """Node blocks moved per operation, at most: ``2 · 3 · (depth+1)``.

@@ -21,21 +21,12 @@ transcript per query is the pair ``(d_j, o_j)`` the privacy proof analyzes.
 Correctness is perfect: the stash entry, when present, is always the
 current version, and otherwise the server ciphertext is.
 
-**One roundtrip.**  The client has no use for an upload's reply, so the
-upload does not get a message of its own: a query seals it exactly as the
-paper's would — same coin, same nonce, same ciphertext — and *holds* it,
-and the next query's request carries it in front of its downloads ("write
-this slot, then read those"; the server applies the write first, so a
-slot in both comes back fresh).  :meth:`DPRAM.flush` sends a held upload
-alone; "flush after every call" is the two-message shape, and with the
-one flush that ends a run the server's transcript, the stored bytes, the
-counters and the coin stream are equal to that shape's at a given seed.
-Where the messages end is a data-independent rule, so ε is Theorem 6.1's;
-without the trailing flush the view is a prefix of it.  The request is
-also the query's one point of failure, and it comes before the stash is
-touched: a query whose request faults leaves the client as a query never
-made would (its coins are spent), the upload stays held, and sending it
-again is harmless.  The held ciphertext counts as client storage.
+**One roundtrip.**  A query's request downloads ``d_j`` and ``o_j`` and
+carries the previous query's upload in front of them; its own upload —
+``o_j``'s fresh ciphertext, sealed from this query's point of the coin
+stream — is held for the next request (:mod:`repro.storage.held` states
+the protocol).  The request comes before the stash is touched, and the
+held ciphertext counts as client storage.
 
 **Three is the worst case.**  Both downloads go in one ``read_many``
 round, and the round lists a slot once: when ``d_j = o_j`` — no stash hit
@@ -73,19 +64,8 @@ from repro.storage.backends import BackendFactory
 from repro.storage.blocks import check_block, uniform_block_size
 from repro.storage.client import ClientStash
 from repro.storage.errors import RetrievalError, StorageError
+from repro.storage.held import HeldRequest
 from repro.storage.server import StorageServer
-
-
-def _download_round(download_slot: int, overwrite_slot: int) -> list[int]:
-    """The slots of one query's download round: ``d_j`` and ``o_j``, once.
-
-    When they are one slot — no stash hit and no restash, probability
-    ``(1−p)²`` — a second download would be a byte-identical copy of the
-    first.
-    """
-    if download_slot == overwrite_slot:
-        return [download_slot]
-    return [download_slot, overwrite_slot]
 
 
 class DPRAM(PrivateRAM):
@@ -134,10 +114,11 @@ class DPRAM(PrivateRAM):
         # Setup (Algorithm 2): encrypted array on the server, independent
         # p-Bernoulli stash on the client.  The stash copy and the server
         # ciphertext start out equal, so both are fresh.
-        self._server = StorageServer(
+        server = StorageServer(
             n, backend=backend_factory(n) if backend_factory else None
         )
-        self._server.load(encrypt_all(self._key, blocks, self._rng))
+        server.load(encrypt_all(self._key, blocks, self._rng))
+        self._link = HeldRequest(server)
         self._stash = ClientStash()
         p = self._params.stash_probability
         for index, block in enumerate(blocks):
@@ -148,9 +129,6 @@ class DPRAM(PrivateRAM):
         # The (d_j, o_j) history as two int64 columns: 16 B a query, forever.
         self._downloads = array("q")
         self._overwrites = array("q")
-        # The last query's sealed upload, ``(query, [(slot, ciphertext)])``,
-        # until the next request (or ``flush``) carries it to the server.
-        self._held: tuple[int, list[tuple[int, bytes]]] | None = None
 
     def _cipher(self) -> tuple[Callable, Callable, Callable]:
         """``(encrypt, decrypt, encrypt_many)`` as of construction.
@@ -186,11 +164,11 @@ class DPRAM(PrivateRAM):
     @property
     def server(self) -> StorageServer:
         """The passive server (exposes operation counters)."""
-        return self._server
+        return self._link.server
 
     def servers(self) -> tuple[StorageServer, ...]:
         """The single passive server."""
-        return (self._server,)
+        return (self._link.server,)
 
     @property
     def stash_size(self) -> int:
@@ -235,15 +213,6 @@ class DPRAM(PrivateRAM):
         """
         self._query(index, new_value=bytes(value))
 
-    def flush(self) -> None:
-        """Send the held upload on its own (one roundtrip); keeps it if
-        the server faults."""
-        if self._held is not None:
-            query, items = self._held
-            self._server.begin_query(query)
-            self._server.write_many(items)
-            self._held = None
-
     # -- Algorithm 3 ------------------------------------------------------------
 
     def _query(self, index: int, new_value: bytes | None) -> bytes:
@@ -264,16 +233,16 @@ class DPRAM(PrivateRAM):
         download_slot = self._rng.randbelow(n) if stashed else index
         restash = self._rng.random() < self._params.stash_probability
         overwrite_slot = self._rng.randbelow(n) if restash else index
-        # The operation's one request, and its one point of failure: the
-        # previous query's upload, then this query's downloads.  Nothing
-        # of the client's has moved yet, so a fault here leaves the stash
-        # whole and the upload still held.
-        fetched = self._server.exchange(
+        # The operation's one request, and its one point of failure:
+        # nothing of the client's has moved yet.  It lists d_j and o_j
+        # once: when they are one slot — no stash hit and no restash,
+        # probability (1−p)² — a second download would be a byte-identical
+        # copy of the first.
+        fetched = self._link.send(
             self._queries,
-            _download_round(download_slot, overwrite_slot),
-            self._held,
+            [download_slot] if download_slot == overwrite_slot
+            else [download_slot, overwrite_slot],
         )
-        self._held = None
         downloaded, overwritten = fetched[0], fetched[-1]
 
         # Download phase.
@@ -293,7 +262,7 @@ class DPRAM(PrivateRAM):
             # The overwrite download was discarded; upload a fresh
             # ciphertext of the current version.
             upload = current
-        self._held = (
+        self._link.hold(
             self._queries,
             [(overwrite_slot, self._encrypt(self._key, upload, self._rng))],
         )
@@ -423,7 +392,8 @@ class ReadOnlyDPRAM(PrivateRAM):
         restash = self._rng.random() < self._params.stash_probability
         overwrite_slot = self._rng.randbelow(n) if restash else index
         downloaded = self._server.read_many(
-            _download_round(download_slot, overwrite_slot)
+            [download_slot] if download_slot == overwrite_slot
+            else [download_slot, overwrite_slot]
         )[0]  # the overwrite slot is pure cover traffic
 
         current = self._stash.pop(index) if stashed else downloaded

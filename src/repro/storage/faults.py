@@ -23,8 +23,8 @@ harness metrics surface, and what the cluster failover tests use to
 report detected-versus-silent faults.  :func:`wrap_scheme_servers`
 installs wrappers into an already-built scheme, replacing every server
 reference it holds (directly, in a :class:`ServerPool`, in a list, or
-inside a nested sub-scheme, alone or in a list or tuple), so fault
-injection works on any registered scheme without per-scheme wiring.
+inside a nested sub-scheme or held request), so fault injection works on
+any registered scheme without per-scheme wiring.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from typing import Callable
 
 from repro.crypto.rng import RandomSource
 from repro.storage.errors import StorageError
+from repro.storage.held import scheme_parts
 from repro.storage.server import ServerPool, StorageServer
 
 
@@ -49,6 +50,14 @@ def _check_coin_mode(coin_mode: str) -> str:
             f"coin mode must be one of {_COIN_MODES}, got {coin_mode!r}"
         )
     return coin_mode
+
+
+# ``StorageServer.exchange`` run over a wrapper sets the query its slots
+# are attributed to; the inner server is the one that records them.
+# Reads fall through to ``__getattr__`` like every other inner attribute.
+_INNER_QUERY = property(
+    None, lambda wrapper, query: wrapper._inner.begin_query(query)
+)
 
 
 class CorruptingServer:
@@ -85,6 +94,8 @@ class CorruptingServer:
         self._coin_mode = _check_coin_mode(coin_mode)
         self._corrupted = 0
         self._corrupted_rounds = 0
+
+    _current_query = _INNER_QUERY
 
     @property
     def corrupted_reads(self) -> int:
@@ -147,16 +158,18 @@ class CorruptingServer:
         """Serve a write-then-read request; the reads may come back bad.
 
         Per-round mode flips its one coin over the request's downloads, as
-        :meth:`read_many` does; per-slot mode flips one per served block.
-        The upload goes to the inner server untouched either way.  Without
-        this override ``__getattr__`` would hand the whole request to the
-        inner server and skip fault injection.
+        :meth:`read_many` does; per-slot mode runs the server's own
+        :meth:`~repro.storage.server.StorageServer.exchange` over this
+        wrapper's entry points, one coin per served block.  The upload goes
+        to the inner server untouched either way.  Without this override
+        ``__getattr__`` would hand the whole request to the inner server
+        and skip fault injection.
         """
         if self._coin_mode == "per_round":
             return self._corrupt_round(
                 self._inner.exchange(query, indices, held)
             )
-        return _exchange_per_call(self, query, indices, held)
+        return StorageServer.exchange(self, query, indices, held)
 
     def _corrupt_round(self, blocks: list[bytes]) -> list[bytes]:
         if blocks and self._rng.random() < self._rate:
@@ -211,6 +224,8 @@ class FlakyServer:
         self._coin_mode = _check_coin_mode(coin_mode)
         self._failures = 0
         self._failed_rounds = 0
+
+    _current_query = _INNER_QUERY
 
     @property
     def failures(self) -> int:
@@ -279,7 +294,9 @@ class FlakyServer:
         """Serve a write-then-read request or fail.
 
         Per-round mode: one coin for the request; a clean one goes to the
-        inner server whole.  Per-slot mode: one coin per slot, uploads
+        inner server whole.  Per-slot mode: the server's own
+        :meth:`~repro.storage.server.StorageServer.exchange` over this
+        wrapper's entry points, so every slot meets its coin, uploads
         first, and a fault leaves exactly the prefix the per-slot loop
         would have committed — the client re-sends the upload, which is
         idempotent.  Without this override ``__getattr__`` would route
@@ -289,7 +306,7 @@ class FlakyServer:
             size = len(indices) + (len(held[1]) if held is not None else 0)
             self._maybe_fail_round("exchange", size)
             return self._inner.exchange(query, indices, held)
-        return _exchange_per_call(self, query, indices, held)
+        return StorageServer.exchange(self, query, indices, held)
 
     def _maybe_fail_round(self, operation: str, size: int) -> None:
         if size and self._rng.random() < self._rate:
@@ -305,27 +322,6 @@ class FlakyServer:
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
-
-
-def _exchange_per_call(wrapper, query: int, indices, held) -> list[bytes]:
-    """:meth:`StorageServer.exchange` over ``wrapper``'s own entry points.
-
-    The same bracket, the same two query attributions, but the upload
-    and the downloads go through the wrapper's ``write_many`` /
-    ``read_many`` (its own or, by ``__getattr__``, the inner server's),
-    so every slot meets the fault coin it would have met on its own.
-    """
-    backend = wrapper.backend
-    backend.begin_round()
-    try:
-        if held is not None:
-            upload_query, items = held
-            wrapper.begin_query(upload_query)
-            wrapper.write_many(items)
-        wrapper.begin_query(query)
-        return wrapper.read_many(indices)
-    finally:
-        backend.end_round()
 
 
 def _inner_fault_counters(inner) -> dict[str, int]:
@@ -362,13 +358,13 @@ def wrap_scheme_servers(
 ) -> list:
     """Replace every server reference inside a built scheme with ``wrap(server)``.
 
-    Walks the instance's attributes — direct :class:`StorageServer`
-    fields, :class:`~repro.storage.server.ServerPool` contents, lists of
-    servers, and nested sub-schemes, alone or in a list or tuple (DP-KVS
+    Walks the scheme's parts (:func:`~repro.storage.held.scheme_parts`:
+    the scheme, its nested sub-schemes and its held requests — DP-KVS
     keeps its server inside an internal bucket RAM, a recursive Path ORAM
-    one inside each level ORAM) — and swaps each server for its wrapper,
-    so the scheme's own reads and writes flow through the injected fault
-    layer and ``servers()`` reports the wrappers.
+    one inside each level ORAM) and swaps each server a part holds —
+    directly, in a :class:`~repro.storage.server.ServerPool` or in a list
+    — for its wrapper, so the scheme's own reads and writes flow through
+    the injected fault layer and ``servers()`` reports the wrappers.
 
     Returns:
         The installed wrappers.
@@ -377,41 +373,22 @@ def wrap_scheme_servers(
         ValueError: if no server reference was found to wrap.
     """
     wrapped: list = []
-    _wrap_attrs(scheme, wrap, wrapped, seen=set())
+    for part in scheme_parts(scheme):
+        for name, value in list(vars(part).items()):
+            if isinstance(value, StorageServer):
+                setattr(part, name, wrap(value))
+                wrapped.append(getattr(part, name))
+                continue
+            if isinstance(value, ServerPool):
+                value = value._servers
+            elif not isinstance(value, list):
+                continue
+            for position, item in enumerate(value):
+                if isinstance(item, StorageServer):
+                    value[position] = wrap(item)
+                    wrapped.append(value[position])
     if not wrapped:
         raise ValueError(
             f"no server references found on {type(scheme).__name__}"
         )
     return wrapped
-
-
-def _wrap_attrs(obj, wrap, wrapped: list, seen: set[int]) -> None:
-    if id(obj) in seen or not hasattr(obj, "__dict__"):
-        return
-    seen.add(id(obj))
-    for name, value in list(vars(obj).items()):
-        if isinstance(value, StorageServer):
-            wrapper = wrap(value)
-            setattr(obj, name, wrapper)
-            wrapped.append(wrapper)
-        elif isinstance(value, ServerPool):
-            servers = value._servers
-            for position, server in enumerate(servers):
-                if isinstance(server, StorageServer):
-                    servers[position] = wrap(server)
-                    wrapped.append(servers[position])
-        elif isinstance(value, (list, tuple)):
-            for position, item in enumerate(value):
-                if isinstance(item, StorageServer) and isinstance(value, list):
-                    value[position] = wrap(item)
-                    wrapped.append(value[position])
-                elif _is_sub_scheme(item):
-                    # E.g. the level ORAMs of a recursive Path ORAM.
-                    _wrap_attrs(item, wrap, wrapped, seen)
-        elif _is_sub_scheme(value):
-            # A nested sub-scheme (e.g. the bucket RAM inside DP-KVS).
-            _wrap_attrs(value, wrap, wrapped, seen)
-
-
-def _is_sub_scheme(value) -> bool:
-    return callable(getattr(value, "servers", None))

@@ -296,6 +296,10 @@ class StorageServer:
         round bracket: one roundtrip on a
         :class:`~repro.storage.backends.NetworkBackend`, not two.
 
+        A fault wrapper runs this body over its own entry points
+        (:mod:`repro.storage.faults`), so every slot meets the coin it
+        would have met on its own.
+
         Raises:
             What :meth:`write_many` and :meth:`read_many` raise.  A request
             that fails half-way may have landed the upload; sending it

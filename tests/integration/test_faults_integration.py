@@ -36,7 +36,9 @@ class TestDPRAMUnderFaults:
         (no silent wrong answers, no corrupted client state)."""
         db = integer_database(32)
         ram = DPRAM(db, stash_probability=0.2, rng=rng.spawn("ram"))
-        ram._server = FlakyServer(ram._server, 0.3, rng.spawn("faults"))
+        wrap_scheme_servers(
+            ram, lambda server: FlakyServer(server, 0.3, rng.spawn("faults"))
+        )
         answered, faulted = 0, 0
         for i in range(100):
             try:
@@ -55,7 +57,10 @@ class TestDPRAMUnderFaults:
         exactly the gap the authenticated mode closes."""
         db = integer_database(16)
         ram = DPRAM(db, stash_probability=1e-9, rng=rng.spawn("ram"))
-        ram._server = CorruptingServer(ram._server, 1.0, rng.spawn("faults"))
+        wrap_scheme_servers(
+            ram,
+            lambda server: CorruptingServer(server, 1.0, rng.spawn("faults")),
+        )
         wrong = sum(1 for i in range(16) if ram.read(i) != db[i])
         assert wrong > 0  # silent corruption, no exception raised
 
@@ -111,25 +116,32 @@ def _calls(scheme):
 def _bucket_client(ram):
     return (
         set(ram._stashed), dict(ram._overlay), dict(ram._pins), ram._pending,
-        ram._held, ram.transcript_pairs, ram.query_count,
+        ram._link.held, ram.transcript_pairs, ram.query_count,
         ram.client_peak_blocks,
     )
 
 
 def _oram_client(oram):
     return (
-        list(oram._stash.items()), oram._held, list(oram._position),
+        list(oram._stash.items()), oram._link.held, list(oram._position),
         oram.query_count, oram.client_peak_blocks,
     )
 
 
 _CLIENT_STATE = {
     "path_oram": _oram_client,
+    "recursive_path_oram": lambda ram: (
+        [
+            (list(level._stash.items()), level._link.held, level.query_count)
+            for level in ram._levels
+        ],
+        list(ram._client_map), ram.query_count,
+    ),
     "oram_kvs": lambda store: _oram_client(store.oram) + (
         store.size, store.operation_count,
     ),
     "dp_ram": lambda ram: (
-        dict(ram._stash.items()), ram._held, ram.transcript_pairs,
+        dict(ram._stash.items()), ram._link.held, ram.transcript_pairs,
         ram.query_count, ram.client_peak_blocks,
     ),
     "bucket_dp_ram": _bucket_client,
@@ -140,6 +152,7 @@ _CLIENT_STATE = {
 
 _COINS = {
     "path_oram": lambda oram: [oram._rng],
+    "recursive_path_oram": lambda ram: [level._rng for level in ram._levels],
     "oram_kvs": lambda store: [store._rng, store.oram._rng],
     "dp_ram": lambda ram: [ram._rng],
     "bucket_dp_ram": lambda ram: [ram._rng],
@@ -160,9 +173,14 @@ class TestFaultedRoundsLoseNothing:
     # before its read round was known to have succeeded: every one of 30
     # seeds ended with a wrong or unreadable record, in both coin modes.
     # Its access is one request now too, and commits after it returns.
+    # A recursive Path ORAM's map levels committed their remaps before the
+    # data level's request had returned: 30 of 30 seeds ended with a
+    # block missing from its path and stash, in both coin modes.  Every
+    # level now commits once the data level's request is back, or none.
 
     SEEDS = {"dp_ram": 60, "bucket_dp_ram": 60, "dp_kvs": 15,
-             "cluster_dp_kvs": 6, "path_oram": 30, "oram_kvs": 15}
+             "cluster_dp_kvs": 6, "path_oram": 30, "oram_kvs": 15,
+             "recursive_path_oram": 30}
 
     @pytest.mark.parametrize("coin_mode", ["per_round", "per_slot"])
     @pytest.mark.parametrize("name", sorted(SEEDS))

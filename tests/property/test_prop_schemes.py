@@ -93,13 +93,13 @@ class _PaperRoundDPRAM(DPRAM):
             raise RetrievalError(f"index {index} out of range for n={n}")
         if new_value is not None:
             check_block(new_value, self._block_size)
-        self._server.begin_query(self._queries)
+        self.server.begin_query(self._queries)
 
         stashed = index in self._stash
         download_slot = self._rng.randbelow(n) if stashed else index
         restash = self._rng.random() < self._params.stash_probability
         overwrite_slot = self._rng.randbelow(n) if restash else index
-        downloaded, overwritten = self._server.read_many(
+        downloaded, overwritten = self.server.read_many(
             [download_slot, overwrite_slot]
         )
 
@@ -113,11 +113,11 @@ class _PaperRoundDPRAM(DPRAM):
         if restash:
             self._stash.put(index, current)
             refreshed = self._decrypt(self._key, overwritten)
-            self._server.write(
+            self.server.write(
                 overwrite_slot, self._encrypt(self._key, refreshed, self._rng)
             )
         else:
-            self._server.write(
+            self.server.write(
                 overwrite_slot, self._encrypt(self._key, current, self._rng)
             )
 
@@ -134,13 +134,13 @@ class _PaperRoundReadOnlyDPRAM(ReadOnlyDPRAM):
         n = self._params.n
         if not 0 <= index < n:
             raise RetrievalError(f"index {index} out of range for n={n}")
-        self._server.begin_query(self._queries)
+        self.server.begin_query(self._queries)
 
         stashed = index in self._stash
         download_slot = self._rng.randbelow(n) if stashed else index
         restash = self._rng.random() < self._params.stash_probability
         overwrite_slot = self._rng.randbelow(n) if restash else index
-        downloaded, _ = self._server.read_many(
+        downloaded, _ = self.server.read_many(
             [download_slot, overwrite_slot]  # second is pure cover traffic
         )
 
@@ -329,7 +329,10 @@ def _held_uploads(scheme):
     holders = getattr(scheme, "_levels", None) or [
         getattr(scheme, "_ram", None) or getattr(scheme, "_oram", scheme)
     ]
-    return [holder._held for holder in holders if holder._held is not None]
+    return [
+        holder._link.held for holder in holders
+        if holder._link.held is not None
+    ]
 
 
 def _seeded_history(
@@ -458,7 +461,7 @@ class TestHeldUploadIdentity:
             for number in range(200):
                 step(scheme, plan, number)
                 for oram in orams:
-                    _, uploads = oram._held
+                    _, uploads = oram._link.held
                     real = sum(raw != oram._dummy_slot for _, raw in uploads)
                     assert oram.stash_size + real <= oram.client_peak_blocks
 
@@ -495,7 +498,7 @@ class GreedyScanPathORAM(PathORAM):
     def _access(self, index, new_value, transform=None):
         if not 0 <= index < self._n:
             raise RetrievalError(f"index {index} out of range for n={self._n}")
-        self._server.begin_query(self._queries)
+        self.server.begin_query(self._queries)
         self._queries += 1
 
         new_leaf = self._rng.randbelow(self._leaves)
@@ -506,7 +509,7 @@ class GreedyScanPathORAM(PathORAM):
         path_slots = [
             slot for node in path for slot in self._slot_range(node)
         ]
-        for raw in self._server.read_many(path_slots):
+        for raw in self.server.read_many(path_slots):
             stored_index, tag, payload = self._decode(raw)
             if stored_index != _DUMMY:
                 self._stash[stored_index] = (tag, payload)
@@ -541,7 +544,7 @@ class GreedyScanPathORAM(PathORAM):
                     )
                 else:
                     uploads.append((slot, self._encode(_DUMMY, 0, b"")))
-        self._server.write_many(uploads)
+        self.server.write_many(uploads)
         return result
 
     def _evict_into(self, node):
@@ -715,12 +718,12 @@ class SequentialBucketDPRAM(BucketDPRAM):
                 "interleaved queries must target distinct buckets"
             )
         self._pending.add(bucket)
-        self._server.begin_query(self._queries)
+        self.server.begin_query(self._queries)
         nodes = self._buckets[bucket]
         if bucket in self._stashed:
             download_bucket = self._rng.randbelow(len(self._buckets))
             # Cover traffic, discarded — one batched round for the bucket.
-            self._server.read_many(self._buckets[download_bucket])
+            self.server.read_many(self._buckets[download_bucket])
             contents = {node: self._overlay[node] for node in nodes}
             self._stashed.remove(bucket)
             for node in nodes:
@@ -730,7 +733,7 @@ class SequentialBucketDPRAM(BucketDPRAM):
         else:
             download_bucket = bucket
             contents = {}
-            ciphertexts = self._server.read_many(nodes)
+            ciphertexts = self.server.read_many(nodes)
             plaintexts = iter(
                 decrypt_many(
                     self._key,
@@ -793,7 +796,7 @@ class SequentialBucketDPRAM(BucketDPRAM):
                 self._pin(node)
             overwrite_bucket = self._rng.randbelow(len(self._buckets))
             overwrite_nodes = self._buckets[overwrite_bucket]
-            ciphertexts = self._server.read_many(overwrite_nodes)
+            ciphertexts = self.server.read_many(overwrite_nodes)
             # Decrypts consume no client randomness, so hoisting them
             # ahead of the whole-bucket bulk re-encrypt preserves the
             # rng draw order of the per-node formulation exactly.
@@ -813,7 +816,7 @@ class SequentialBucketDPRAM(BucketDPRAM):
                 else next(plaintexts)
                 for node in overwrite_nodes
             ]
-            self._server.write_many(
+            self.server.write_many(
                 list(
                     zip(
                         overwrite_nodes,
@@ -825,8 +828,8 @@ class SequentialBucketDPRAM(BucketDPRAM):
                 self._evict_if_unpinned(node)
         else:
             overwrite_bucket = bucket
-            self._server.read_many(nodes)  # downloaded and discarded
-            self._server.write_many(
+            self.server.read_many(nodes)  # downloaded and discarded
+            self.server.write_many(
                 list(
                     zip(
                         nodes,

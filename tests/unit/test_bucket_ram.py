@@ -227,14 +227,14 @@ class TestFaultedRounds:
         ram.finish_query(pending, {6: b"SHAREDv2", 0: b"bucket0!"})
         with pytest.raises(RetrievalError):
             ram.finish_query(pending)  # the handle is consumed
-        held, before = ram._held, _client_state(ram)
+        held, before = ram._link.held, _client_state(ram)
         assert {node for node, _ in held[1]} == {0, 1, 2, 3, 6}
         assert ram.client_blocks == 5 and ram._overlay == {}
         with pytest.raises(ServerFault):
             ram.begin_query([1])
         with pytest.raises(ServerFault):
             ram.flush()
-        assert ram._held is held and _client_state(ram) == before
+        assert ram._link.held is held and _client_state(ram) == before
         assert ram.server.writes == 0  # the server copies are still stale
         # The next request sends the upload first, then reads.
         assert ram.query(1) == {
@@ -347,7 +347,7 @@ class TestSealingAttribution:
             for _, overwrite in ram.transcript_pairs
             for node in ram.bucket_nodes(overwrite)
         }
-        assert sealed == [len(distinct)] == [len(ram._held[1])]
+        assert sealed == [len(distinct)] == [len(ram._link.held[1])]
         assert len(distinct) < 6
         ram.flush()  # sealed then, sent now: not sealed again
         assert sealed == [ram.server.writes]

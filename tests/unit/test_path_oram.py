@@ -115,7 +115,7 @@ class TestCorrectness:
 
 def _client_state(oram):
     return (
-        list(oram._stash.items()), oram._held, list(oram._position),
+        list(oram._stash.items()), oram._link.held, list(oram._position),
         oram.query_count, oram.client_peak_blocks,
     )
 
@@ -130,11 +130,11 @@ class TestFaultedRequests:
         oram = _oram(rng, n=32)
         oram.write(5, encode_int(55))
         fail_rounds(oram, True, True)
-        held, before = oram._held, _client_state(oram)
+        held, before = oram._link.held, _client_state(oram)
         for _ in range(2):
             with pytest.raises(ServerFault):
                 oram.read(5)
-            assert oram._held is held and _client_state(oram) == before
+            assert oram._link.held is held and _client_state(oram) == before
         assert oram.read(5) == encode_int(55)
         for index in range(32):
             expected = encode_int(55 if index == 5 else index)

@@ -2,10 +2,12 @@
 
 import pytest
 
+import repro
 from repro.baselines.recursive_oram import RecursivePathORAM
 from repro.storage.backends import NetworkBackendFactory
 from repro.storage.blocks import encode_int, integer_database
 from repro.storage.errors import RetrievalError
+from repro.storage.faults import ServerFault
 from repro.storage.network import LAN
 
 
@@ -141,3 +143,47 @@ class TestAccounting:
         oram.read(0)
         oram.write(1, encode_int(1))
         assert oram.query_count == 2
+
+    def test_only_accesses_that_happened_are_counted(self, fail_rounds):
+        oram = repro.build(
+            "recursive_path_oram", blocks=integer_database(64, 8), seed=1
+        )
+        with pytest.raises(ValueError):
+            oram.write(0, b"x")  # the wrong size: refused before a coin
+        fail_rounds(oram, True)  # the top level's request faults
+        with pytest.raises(ServerFault):
+            oram.read(0)
+        counts = [level.query_count for level in oram._levels]
+        assert (oram.query_count, counts) == (0, [0] * oram.levels)
+        oram.read(0)
+        assert oram.query_count == 1
+
+
+def _client_state(oram):
+    return (
+        [
+            (list(level._stash.items()), level._link.held, level.query_count)
+            for level in oram._levels
+        ],
+        list(oram._client_map), oram.query_count,
+    )
+
+
+class TestFaultedRequests:
+    def test_a_faulted_data_level_request_commits_no_level(
+        self, rng, fail_rounds
+    ):
+        # Every map level's request has come back when the data level's
+        # faults; had they committed, the map would point the block at a
+        # leaf its level never moved it to.
+        oram = _oram(rng, n=64)
+        assert oram.levels >= 3
+        oram.write(5, encode_int(55))
+        before = _client_state(oram)
+        fail_rounds(oram, *[False] * (oram.levels - 1), True)
+        with pytest.raises(ServerFault):
+            oram.read(5)
+        assert _client_state(oram) == before
+        for index in range(64):
+            expected = encode_int(55 if index == 5 else index)
+            assert oram.read(index) == expected

@@ -6,6 +6,8 @@ from repro.obs.instrument import StorageObserver
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.storage.backends import InMemoryBackend, NetworkBackend
 from repro.storage.errors import BlockSizeError, StorageError
+from repro.storage.faults import ServerFault
+from repro.storage.held import HeldRequest
 from repro.storage.network import LAN
 from repro.storage.server import ServerPool, StorageServer
 from repro.storage.transcript import AccessKind, Transcript
@@ -312,6 +314,78 @@ class TestOnlyBytesAreStored:
             with pytest.raises(Full):
                 call()
         assert server.operations == 0
+
+
+class TestHeldRequest:
+    _UPLOAD = [(0, b"new0"), (3, b"new3")]
+
+    @staticmethod
+    def _links(tiny_db, network=False):
+        links = []
+        for _ in range(2):
+            server = StorageServer(
+                len(tiny_db),
+                backend=NetworkBackend(len(tiny_db), LAN) if network else None,
+            )
+            server.load(tiny_db)
+            server.attach_transcript(Transcript())
+            links.append(HeldRequest(server))
+        return links
+
+    def test_a_faulted_request_keeps_the_upload_and_sends_it_again(
+        self, tiny_db, fail_rounds
+    ):
+        link, twin = self._links(tiny_db)
+        for each in (link, twin):
+            each.hold(6, self._UPLOAD)
+        held = link.held
+        fail_rounds(link, True)
+        with pytest.raises(ServerFault):
+            link.send(7, [3, 1])
+        assert link.held is held and link.blocks == 2
+        # The twin never sent the faulted request: the one that goes out
+        # now is the same, byte for byte.
+        assert link.send(7, [3, 1]) == twin.send(7, [3, 1]) == [
+            b"new3", tiny_db[1],
+        ]
+        assert _observable(link.server) == _observable(twin.server)
+        assert (
+            link.server.detach_transcript().signature()
+            == twin.server.detach_transcript().signature()
+        )
+
+    def test_a_flush_alone_is_one_roundtrip_and_a_second_sends_nothing(
+        self, tiny_db
+    ):
+        link, twin = self._links(tiny_db, network=True)
+        link.hold(6, self._UPLOAD)
+        link.flush()
+        twin.server.begin_query(6)
+        twin.server.write_many(self._UPLOAD)
+        assert link.server.backend.roundtrips == 1
+        assert _observable(link.server) == _observable(twin.server)
+        assert link.held is None
+        link.flush()
+        assert _observable(link.server) == _observable(twin.server)
+        assert (
+            link.server.detach_transcript().signature()
+            == twin.server.detach_transcript().signature()
+            == (("upload", 0, 0, 6), ("upload", 0, 3, 6))
+        )
+
+    def test_blocks_counts_the_upload_until_it_lands(self, tiny_db):
+        link, _ = self._links(tiny_db)
+        assert (link.held, link.blocks) == (None, 0)
+        link.hold(6, self._UPLOAD)
+        assert link.blocks == 2
+        link.send(7, [1])
+        # Landed, and kept until the operation commits in its place.
+        assert (link.held, link.blocks) == ((6, self._UPLOAD), 0)
+        link.hold(7, [(1, b"new1")])
+        assert link.blocks == 1
+        link.flush()
+        assert (link.held, link.blocks) == (None, 0)
+        assert link.server.writes == 3
 
 
 class TestExchange:
