@@ -1,9 +1,10 @@
 """The overhead gap: DP-RAM vs Path ORAM as the database grows.
 
 The paper's core trade: obliviousness costs Ω(log n) per query (and Path
-ORAM pays 2·Z·(log n + 1)), while ε = Θ(log n) differential privacy costs
-a flat 3 blocks.  This example sweeps n and prints the widening factor,
-plus client-memory figures for both schemes.
+ORAM pays up to 2·Z·(log n + 1), about 2·Z·(log n − 1) once it leaves out
+the nodes consecutive paths share), while ε = Θ(log n) differential
+privacy costs a flat 3 blocks.  This example sweeps n and prints the
+widening factor, plus client-memory figures for both schemes.
 
 Run with::
 

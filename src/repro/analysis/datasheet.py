@@ -32,13 +32,17 @@ class PrivacyDatasheet:
             declared worst case; no operation moves more.
         expected_blocks_per_query: what an operation moves on average,
             where that is less (a round lists a slot once, so blocks
-            that coincide travel once); ``None`` when every operation
-            moves exactly ``blocks_per_query``.
+            that coincide travel once; a Path ORAM access sends neither
+            way the nodes its path shares with the held write-back);
+            ``None`` when every operation moves exactly
+            ``blocks_per_query``.
         roundtrips: sequential client-server exchanges per operation.
             DP-RAM, DP-KVS and Path ORAM declare 1: the upload an
             operation seals rides in the next operation's request, so a
             run of ``k`` operations is ``k`` exchanges plus one for the
-            last upload.
+            last upload — less, for Path ORAM, the accesses whose whole
+            path is held, which have nothing to send (probability
+            ``2^-L`` each).
         client_blocks: expected client storage in blocks (``None`` for
             stateless clients); counts the upload held between requests.
         server_blocks: server storage in blocks.
@@ -161,14 +165,19 @@ def datasheet_for(scheme: object) -> PrivacyDatasheet:
             client_blocks=None, server_blocks=scheme.n,
         )
     if isinstance(scheme, PathORAM):
+        z, height = scheme.bucket_size, scheme.height
         return PrivacyDatasheet(
             scheme=name, n=scheme.n,
             epsilon=0.0, epsilon_kind="perfect", delta=0.0,
             error_probability=0.0,
             # The path's write-back rides in the next access's request;
             # its blocks left the stash, so it adds no client storage.
+            # A request carries neither way the 2 - 2^-L nodes two uniform
+            # paths share on average; with nothing held (the first access,
+            # or the first after a flush) an access moves them all.
             blocks_per_query=float(scheme.blocks_per_access()), roundtrips=1,
             client_blocks=float(scheme.n),  # position map + stash
             server_blocks=scheme.server.capacity,
+            expected_blocks_per_query=2 * z * (height - 1 + 2.0**-height),
         )
     raise TypeError(f"no datasheet support for {name}")

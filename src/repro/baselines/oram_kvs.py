@@ -7,9 +7,14 @@ as one ORAM block, and access buckets through Path ORAM.
 
 With ``m = n`` buckets holding ``n`` keys, the maximum bucket load is
 ``Θ(log n / log log n)`` w.h.p., so each ORAM block must be sized for that
-many entries and every operation moves ``2·Z·(L+1)`` such blocks — a
-``Θ(log n)`` block overhead with ``Θ(log n / log log n)``-entry blocks,
-versus DP-KVS's ``Θ(log log n)`` node blocks of constant capacity.
+many entries and every ORAM access moves up to ``2·Z·(L+1)`` such blocks
+— a ``Θ(log n)`` block overhead with ``Θ(log n / log log n)``-entry
+blocks, versus DP-KVS's ``Θ(log log n)`` node blocks of constant
+capacity.  A ``get`` is one access; a ``put`` that stores, or a
+``delete`` that removes, is two in one call, its bucket's read and then
+its write, and the second leaves out the nodes its path shares with the
+first's held write-back like any other (``2·Z·(2 − 2^−L)`` blocks on
+average).
 """
 
 from __future__ import annotations
@@ -158,7 +163,8 @@ class ORAMKeyValueStore(PrivateKVS):
         return self._operations
 
     def blocks_per_operation(self) -> int:
-        """Bucket blocks moved per KVS operation."""
+        """Bucket blocks one ORAM access moves at most; an operation is
+        one access or two (see the module docstring)."""
         return self._oram.blocks_per_access()
 
     # -- the KVS interface ------------------------------------------------------

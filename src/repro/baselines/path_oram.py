@@ -4,19 +4,29 @@ The standard tree ORAM: server storage is a complete binary tree of
 ``2^L`` leaves whose nodes hold ``Z`` block slots; every logical block is
 mapped to a uniformly random leaf, stored somewhere on the path to that
 leaf (or in the client stash), and remapped on every access.  An access
-reads one full path and writes it back, moving ``2·Z·(L+1)`` slots — the
-``Θ(log n)`` overhead that the paper's DP-RAM beats with O(1).
+reads one full path and writes it back, moving at most ``2·Z·(L+1)``
+slots — the ``Θ(log n)`` overhead that the paper's DP-RAM beats with
+O(1).
 
 **One request per access.**  An access's request downloads its path,
-with the previous access's write-back in front (the nodes both paths
-share, the root at least, come back fresh); its own write-back is held
-for the next request (:mod:`repro.storage.held` states the protocol).
+with the previous access's write-back in front; its own write-back is
+held for the next request (:mod:`repro.storage.held` states the
+protocol).  The two paths share their top nodes — the root at least,
+``2 − 2^−L`` on average — and the client holds those nodes' bytes, so
+the request carries them neither way (*path merging*: Zhang et al.'s
+Fork Path, restricted to what the client already holds): an access moves
+``2·Z·(L − 1 + 2^−L)`` slots on average, and one whose whole path is held
+sends no request.  Which nodes are left out follows from two public,
+i.i.d.-uniform leaves, so the server's view is a function of the
+two-message one and obliviousness is untouched.
 An access commits — remap, stash, peak, query number, held write-back —
 only once its request is back, in one step that
 :class:`~repro.baselines.recursive_oram.RecursivePathORAM` defers until
-the data level's request is back too.  The held write-back never adds to
-client storage: its real blocks were all in the stash right after this
-access's path read, and they leave before the next path comes back.
+the data level's request is back too; until then the shared nodes stay
+held, unsent.  The held write-back never adds to client storage: its
+real blocks were all in the stash right after this access's path read,
+and by the time the next path comes back they have left, or — those in
+the shared nodes — are that path's own blocks, read into its stash.
 
 Each slot is serialized as ``index (8B) || leaf tag (4B) || payload`` with
 an all-ones index marking dummies.  Carrying the leaf tag inside the
@@ -123,6 +133,8 @@ class PathORAM(PrivateRAM):
         self._stash: dict[int, tuple[int, bytes]] = {}
         self._stash_peak = 0
         self._queries = 0
+        # The leaf of the last committed access, whose write-back is held.
+        self._held_leaf = 0
         # Every empty slot holds these same bytes: compared on the way in
         # (no decode) and reused on the way out (no encode).
         self._dummy_slot = _HEADER.pack(_DUMMY, 0) + bytes(self._block_size)
@@ -180,7 +192,8 @@ class PathORAM(PrivateRAM):
 
         The held write-back is counted too, and fits: its real blocks were
         in the stash right after the path read that peak measures, and it
-        leaves in the next request before the next path comes back.
+        leaves in the next request before the next path comes back, but
+        for the nodes the two paths share, whose blocks that path reads.
         """
         return self._stash_peak
 
@@ -199,7 +212,10 @@ class PathORAM(PrivateRAM):
         return list(self._initial_positions)
 
     def blocks_per_access(self) -> int:
-        """Slots moved per access: ``2·Z·(L+1)``."""
+        """Slots an access moves at most: ``2·Z·(L+1)``, what one moves
+        with nothing held (the first, or the first after a flush).  Any
+        other leaves out, both ways, the nodes its path shares with the
+        held write-back: ``2·Z·(L − 1 + 2^−L)`` on average."""
         return 2 * self._z * (self._height + 1)
 
     # -- the RAM interface ------------------------------------------------------
@@ -261,20 +277,41 @@ class PathORAM(PrivateRAM):
         )
 
         # The access's one request, and its one point of failure: this
-        # path, 2·Z·(L+1) slots.
+        # path, less its top nodes that the held write-back's path shares
+        # (the root at least) while they are still unsent — those the
+        # client has, so they are neither uploaded nor downloaded.
         z = self._z
         height = self._height
         path = self._path_nodes(leaf)
+        link = self._link
+        shared = min(
+            link.blocks,
+            z * (height + 1 - (leaf ^ self._held_leaf).bit_length()),
+        )
         query = self._queries
-        fetched = self._link.send(
+        fetched = link.send(
             query,
-            [slot for node in path for slot in range(node * z, node * z + z)],
+            [
+                slot for node in path[shared // z :]
+                for slot in range(node * z, node * z + z)
+            ],
+            shared,
         )
 
         # Read the path into a copy of the stash (blocks carry their own
-        # tag); the copy becomes the stash when the access commits.
+        # tag), root first; the copy becomes the stash when the access
+        # commits.  The write-back lists its nodes leaf-up, so the shared
+        # ones are its tail, and each of its empty slots is the one dummy.
         stash = dict(self._stash)
         dummy = self._dummy_slot
+        if shared:
+            items = link.held[1]
+            top = len(items)
+            for end in range(top, top - shared, -z):
+                for _, raw in items[end - z : end]:
+                    if raw is not dummy:
+                        stored_index, tag = _HEADER.unpack_from(raw)
+                        stash[stored_index] = (tag, raw[_HEADER.size :])
         for raw in fetched:
             if raw != dummy:
                 stored_index, tag = _HEADER.unpack_from(raw)
@@ -335,7 +372,8 @@ class PathORAM(PrivateRAM):
             if position is not None:
                 position[index] = new_leaf
             self._queries = query + 1
-            self._link.hold(query, uploads)
+            self._held_leaf = leaf
+            link.hold(query, uploads)
 
         return commit, result, failure
 

@@ -12,16 +12,18 @@ recursively stored position maps which requires Θ(log n) client-to-server
 roundtrips to get client storage of even O(√n)".  Every logical access
 here costs one ORAM access *per level*, strictly sequentially — the data
 leaf is unknown until the map level above resolves — so the roundtrip
-count equals the recursion depth.  Experiment E13 measures that count
-against DP-RAM's constant one roundtrip.
+count is the recursion depth (less, on average, the small levels' rare
+accesses whose whole path is held, which send nothing).  Experiment E13
+measures that count against DP-RAM's constant one roundtrip.
 
 An access is all-or-nothing.  Each map level's access is *staged* — its
 request goes out, and its remap, eviction and write-back are built but
-not committed — and so is the top level's client-map update; once the data level's request is back,
-every level commits, bottom-up.  A request that raises at any level
-drops every staged level, so the map never points a block at a leaf its
-own level has not moved it to, and each level keeps the write-back it
-held.
+not committed — and so is the top level's client-map update; once the
+data level's request is back, every level commits, bottom-up.  A request
+that raises at any level drops every staged level, so the map never
+points a block at a leaf its own level has not moved it to, and each
+level keeps what it held of its write-back unsent, the nodes its request
+shared with it included.
 """
 
 from __future__ import annotations
@@ -144,8 +146,10 @@ class RecursivePathORAM(PrivateRAM):
         One per level: a level's path is only known after the level above
         answers — the Θ(log n) roundtrips the paper charges [50] with.
         Each level's access is one request, its write-back riding in that
-        level's next request, so a run of ``k`` accesses is ``k·levels``
-        requests plus one per level for :meth:`flush`.
+        level's next request, so a run of ``k`` accesses is at most
+        ``k·levels`` requests plus one per level for :meth:`flush`: a level
+        access whose whole path is in the write-back that level holds
+        (probability ``2^-L`` for a level of height ``L``) sends none.
         """
         return len(self._levels)
 

@@ -42,6 +42,7 @@ from repro.simulation.reporting import ExperimentTable
 from repro.storage.backends import NetworkBackendFactory
 from repro.storage.blocks import integer_database
 from repro.storage.network import LAN, MOBILE, WAN
+from repro.storage.transcript import AccessKind, Transcript
 from repro.workloads.generators import read_write_trace, uniform_trace, zipf_trace
 from repro.workloads.kv_traces import KVOperation, KVTrace, ycsb_trace
 from repro.workloads.trace import OpKind
@@ -542,8 +543,9 @@ def experiment_e13_roundtrips(
         claim="recursive position maps cost Theta(log n) roundtrips; DP-RAM costs 1",
         headers=[
             "n", "recursive ORAM levels", "recursive roundtrips/op",
-            "recursive client map", "DP-RAM roundtrips/op",
-            "recursive blocks/op", "DP-RAM blocks/op", "mismatches",
+            "recursive requests seen/op", "recursive client map",
+            "DP-RAM roundtrips/op", "recursive blocks/op", "DP-RAM blocks/op",
+            "mismatches",
         ],
     )
     rng = SeededRandomSource(seed)
@@ -554,6 +556,10 @@ def experiment_e13_roundtrips(
             database, positions_per_block=8, client_map_limit=32,
             rng=rng.spawn(f"e13-r-{n}"), backend_factory=recursive_link,
         )
+        # One view a level: the requests its server saw download.
+        views = [Transcript() for _ in recursive.servers()]
+        for server, view in zip(recursive.servers(), views):
+            server.attach_transcript(view)
         link = NetworkBackendFactory(LAN)
         dpram = DPRAM(database, rng=rng.spawn(f"e13-d-{n}"),
                       backend_factory=link)
@@ -561,12 +567,18 @@ def experiment_e13_roundtrips(
                                  write_fraction=0.3)
         recursive_metrics = run_trace(recursive, trace, initial=database)
         dpram_metrics = run_trace(dpram, trace, initial=database)
+        downloaded = sum(
+            len({e.query for e in view if e.kind is AccessKind.DOWNLOAD})
+            for view in views
+        )
         table.add_row(
-            # One request per operation and level; the run's last uploads,
-            # which no next request carried, are the one more a server
-            # that run_trace flushed.
+            # One request per operation and level, but for a level access
+            # whose whole path is in its held write-back; the run's last
+            # uploads, which no next request carried, are the one more a
+            # server that run_trace flushed.
             n, recursive.levels,
             (recursive_link.roundtrips - recursive.levels) / len(trace),
+            downloaded / len(trace),
             recursive.client_position_entries,
             (link.roundtrips - 1) / len(trace),
             round(recursive_metrics.blocks_per_operation, 1),
@@ -576,9 +588,11 @@ def experiment_e13_roundtrips(
     table.add_note(
         "DP-RAM's one roundtrip is the previous query's upload and this "
         "query's two downloads in one request; each recursion level's is "
-        "its previous write-back and its next path, and recursion adds "
-        "one sequential level per chi-factor of n (both measured on a "
-        "simulated link, less the flush that ends the run)"
+        "its previous write-back and its next path, less the nodes the "
+        "two share, and recursion adds one sequential level per "
+        "chi-factor of n (both measured on a simulated link, less the "
+        "flush that ends the run); a level access whose whole path is "
+        "held (probability 2^-L) sends no request"
     )
     return table
 
@@ -653,18 +667,20 @@ def experiment_e14_response_times(
         ("DP-IR (alpha=0.05)", 1, dpir),
         ("DP-RAM", 1, dpram),
         ("DP-KVS", link.roundtrips // len(kv_trace), dpkvs),
-        # Less the flush that ends the run: one request a server.
-        ("Path ORAM", (oram_link.roundtrips - 1) // len(trace), oram),
+        # Less the flush that ends the run: one request a server.  An
+        # ORAM access whose whole path is held sends none, so the ORAMs'
+        # counts are means, a little under one a level.
+        ("Path ORAM", (oram_link.roundtrips - 1) / len(trace), oram),
         (
             "recursive ORAM",
-            (recursive_link.roundtrips - recursive.levels) // len(trace),
+            (recursive_link.roundtrips - recursive.levels) / len(trace),
             recursive_blocks,
         ),
         ("linear PIR", 1, pir),
     ]
     for name, roundtrips, blocks in entries:
         table.add_row(
-            name, roundtrips, round(blocks, 1),
+            name, round(roundtrips, 3), round(blocks, 1),
             round(LAN.response_time_ms(roundtrips, blocks, block_bytes), 2),
             round(WAN.response_time_ms(roundtrips, blocks, block_bytes), 1),
             round(MOBILE.response_time_ms(roundtrips, blocks, block_bytes), 1),
@@ -676,8 +692,9 @@ def experiment_e14_response_times(
     table.add_note(
         "DP-RAM, DP-KVS and Path ORAM send an operation's upload with the "
         "next operation's downloads, one request per operation (one per "
-        "level for the recursive ORAM); DP-KVS and the ORAMs' roundtrips "
-        "are measured on the link"
+        "level for the recursive ORAM, and none for an ORAM access whose "
+        "path is all in the held write-back); DP-KVS and the ORAMs' "
+        "roundtrips are measured on the link"
     )
     return table
 

@@ -13,20 +13,28 @@ then read those").  The invariant every scheme built on it keeps:
   inside one backend round bracket — one roundtrip on a
   :class:`~repro.storage.backends.NetworkBackend`, and a slot in both
   comes back fresh.
+* **Shared slots.**  An operation that rewrites some of the held slots
+  and knows they are the upload's last ``shared`` items may read them
+  from the client instead (``send(..., shared)``): they go neither way,
+  and stay held, unsent, until the operation commits.  Path ORAM does
+  (the top nodes two consecutive paths share); DP-RAM, bucket DP-RAM and
+  DP-KVS pass none.
 * **One commit point.**  :meth:`HeldRequest.hold` replaces the held
   upload, and it is the last thing an operation does.  An operation whose
   request raises, or that is dropped after its request came back, never
   reaches it: the client is left as an operation never made would leave
-  it (the coins stay spent) and the upload stays held.  The next request
-  sends it again unless one already landed it; a second copy of a
-  half-landed upload is harmless, since nothing else writes those slots
-  first.
+  it (the coins stay spent) and what of the upload did not go out stays
+  held.  The next request sends it again unless one already landed it;
+  a second copy of a half-landed upload is harmless, since nothing else
+  writes those slots first.
 * **Flush.**  :meth:`HeldRequest.flush` sends a held upload alone, as one
   request; "flush after every call" is the two-message shape, and with
-  the one flush that ends a run the transcript, stored bytes, counters
-  and coin stream equal that shape's at a given seed.  Where messages end
-  is a data-independent rule, so ε is the two-message scheme's; without
-  the trailing flush the view is a prefix of it.
+  the one flush that ends a run the stored bytes and coin stream equal
+  that shape's at a given seed, and so do the transcript and counters
+  less the shared slots' events (none, for the DP schemes).  Where
+  messages end, and which slots a Path ORAM request leaves out, follow
+  from data-independent public coins, so ε is the two-message scheme's;
+  without the trailing flush the view is a prefix of it.
   :meth:`repro.api.protocols.Scheme.flush` flushes every held request
   :func:`scheme_parts` finds.
 * **Client storage.**  A held upload is client storage until it lands:
@@ -58,7 +66,8 @@ class HeldRequest:
         #: The last committed upload, ``(query, [(slot, block)])``, until a
         #: flush; ``None`` when nothing is held.
         self.held: tuple[int, list[tuple[int, bytes]]] | None = None
-        # ``held`` until a request that carried it has come back.
+        # What of ``held`` no returned request has carried: all of it, or
+        # the tail a request left out as ``shared``.
         self._unsent: tuple[int, list[tuple[int, bytes]]] | None = None
 
     @property
@@ -66,17 +75,40 @@ class HeldRequest:
         """Blocks the held upload keeps on the client until it lands."""
         return len(self._unsent[1]) if self._unsent is not None else 0
 
-    def send(self, query: int, slots: Sequence[int]) -> list[bytes]:
+    def send(
+        self, query: int, slots: Sequence[int], shared: int = 0
+    ) -> list[bytes]:
         """One request: the held upload, then a download of ``slots``.
 
-        The upload stays held until the operation commits (:meth:`hold`).
+        ``shared`` (at most :attr:`blocks`) is how many of the unsent
+        upload's *last* items the operation reads from the client instead
+        (they are the tail of :attr:`held`): neither uploaded nor
+        downloaded, and the caller leaves their slots out of ``slots``.
+        They stay unsent, so they go out in a later request, until the
+        operation commits (:meth:`hold`), which must rewrite them.  A
+        request with nothing to upload or download is not sent.
 
         Raises:
+            ValueError: if ``shared`` exceeds :attr:`blocks`; nothing is
+                sent.
             What :meth:`~repro.storage.server.StorageServer.exchange`
             raises; the held upload is kept, to be sent again.
         """
-        fetched = self.server.exchange(query, slots, self._unsent)
-        self._unsent = None
+        upload, kept = self._unsent, None
+        if shared:
+            held_query, items = upload or (None, ())
+            cut = len(items) - shared
+            if cut < 0:
+                raise ValueError(
+                    f"{shared} held blocks shared, {len(items)} unsent"
+                )
+            upload = (held_query, items[:cut]) if cut else None
+            kept = (held_query, items[cut:])
+        fetched = (
+            self.server.exchange(query, slots, upload)
+            if upload is not None or slots else []
+        )
+        self._unsent = kept
         return fetched
 
     def hold(self, query: int, items: list[tuple[int, bytes]]) -> None:

@@ -286,7 +286,10 @@ class StorageServer:
 
         ``held`` is the ``(query, items)`` upload an earlier operation
         sealed and kept back so it could ride here; the server applies it
-        before it reads, so a slot that is in both comes back fresh.  Its
+        before it reads, so a slot that is in both comes back fresh (a
+        DP-RAM's random slots can meet; Path ORAM lists none in both, as
+        it reads the slots its path shares with the held write-back from
+        the client and leaves them out of both).  Its
         events keep the query number of the operation that produced them
         and the downloads are attributed to ``query``: counters,
         transcript and stored bytes are those of ``write_many(items)``

@@ -74,15 +74,14 @@ class _ScriptedCoins:
 def fail_rounds():
     """``fail_rounds(scheme, False, True)`` serves the scheme's next storage
     round, fails the one after it (a per-round ``FlakyServer`` fault) and
-    serves every later one."""
+    serves every later one; with ``coin_mode="per_slot"`` each entry is
+    one slot's coin instead."""
 
-    def install(scheme, *script):
+    def install(scheme, *script, coin_mode="per_round"):
         coins = _ScriptedCoins(script)
         wrap_scheme_servers(
             scheme,
-            lambda server: FlakyServer(
-                server, 0.5, coins, coin_mode="per_round"
-            ),
+            lambda server: FlakyServer(server, 0.5, coins, coin_mode=coin_mode),
         )
 
     return install

@@ -293,9 +293,13 @@ class TestClaimsHold:
         assert roundtrips == sorted(roundtrips)
         assert roundtrips[-1] > 2
         for row in table.rows:
-            assert row[2] == row[1]  # one request a recursion level
-            assert row[4] == 1  # DP-RAM roundtrips
-            assert 2.0 <= row[6] <= 3.0  # DP-RAM blocks/op: <= 3, 2 + O(p) expected
+            # One request a recursion level, but for a level access whose
+            # whole path was held: the link counts exactly the accesses
+            # the level servers saw download anything.
+            assert row[2] == row[3] <= row[1]
+            assert row[2] > row[1] - 0.25  # small levels: 2^-L a time
+            assert row[5] == 1  # DP-RAM roundtrips
+            assert 2.0 <= row[7] <= 3.0  # DP-RAM blocks/op: <= 3, 2 + O(p) expected
             assert row[-1] == 0  # no mismatches anywhere
 
     def test_e13_client_map_shrinks_with_depth(self, rng):
@@ -320,7 +324,10 @@ class TestClaimsHold:
         assert by_scheme["DP-RAM"][4] < 2 * WAN.rtt_ms
         assert by_scheme["DP-KVS"][4] < 2 * WAN.rtt_ms
         # Path ORAM's write-back rides in the next request, one request
-        # a level for the recursive ORAM — both measured on the link.
-        assert by_scheme["Path ORAM"][1] == 1
+        # a level for the recursive ORAM — both measured on the link, and
+        # none for an access whose whole path is held (2^-L a level).
+        assert 0.99 <= by_scheme["Path ORAM"][1] <= 1
         # 4096 labels, then 512, then 64 the client keeps: three levels.
-        assert by_scheme["recursive ORAM"][1] == 3
+        assert 2.9 <= by_scheme["recursive ORAM"][1] <= 3
+        # Path ORAM's blocks grow as log n; DP-RAM's stay flat.
+        assert by_scheme["DP-RAM"][2] <= 3 < by_scheme["Path ORAM"][2]

@@ -71,6 +71,12 @@ N = 64
 def _build(name, seed):
     if name in ("dp_kvs", "oram_kvs"):
         return repro.build(name, n=N, seed=seed)
+    if name == "recursive_path_oram":
+        # Three levels: at the default map limit, 64 records are one.
+        return repro.build(
+            name, blocks=integer_database(N, 8), client_map_limit=4,
+            seed=seed,
+        )
     return repro.build(name, blocks=integer_database(N, 8), seed=seed)
 
 
@@ -177,6 +183,10 @@ class TestFaultedRoundsLoseNothing:
     # data level's request had returned: 30 of 30 seeds ended with a
     # block missing from its path and stash, in both coin modes.  Every
     # level now commits once the data level's request is back, or none.
+    # A level's request leaves out the nodes its path shares with the
+    # write-back it holds; cleared when the request came back rather than
+    # when the access commits, those nodes were lost whenever the data
+    # level's request then faulted: 30 of 30 seeds corrupt again.
 
     SEEDS = {"dp_ram": 60, "bucket_dp_ram": 60, "dp_kvs": 15,
              "cluster_dp_kvs": 6, "path_oram": 30, "oram_kvs": 15,

@@ -298,7 +298,8 @@ _HELD_UPLOAD_SCHEMES = {
 }
 
 # Written at the commit before an operation's upload started riding in the
-# next operation's request, and equal after it.
+# next operation's request, and equal after it — with a flush after every
+# call, or, where no scheme merges paths, with one flush at the end.
 _HELD_UPLOAD_PINS = {
     "dp_ram":
         "6f6c6e6bd45b32a425f7b305d53eb4687011d9ae5669e750bf0eaa3f2753cede",
@@ -315,6 +316,57 @@ _HELD_UPLOAD_PINS = {
     "oram_kvs":
         "182e794c000228f3a8fe04295d007e2a45b3b263bdbaea31293ef8378cdeb2f7",
 }
+
+# The Path ORAM family's histories once an access stopped sending the nodes
+# its path shares with the held write-back; ``(name, flush_every_call)``.
+# An ORAM-KVS put is two accesses in one call, so it merges either way.
+_PATH_MERGE_PINS = {
+    ("path_oram", False):
+        "98a4751d0ab44f7112eb487ab93c221463453d9c0f286283c76d24b887b0b01d",
+    ("recursive_path_oram", False):
+        "ca810b89d6fd093dcf90b699a4511d98d7f3fa867e79abc670e19fb284b048f6",
+    ("oram_kvs", False):
+        "b1669786da82beadc4438cbc4365d682f111dfbaf9f0a1d6231b9b62170ab187",
+    ("oram_kvs", True):
+        "a21c398df274585c3de234ebb574ca342c2ffb9a20768fe572f356c4d8624b9d",
+}
+_MERGES_PATHS = {name for name, _ in _PATH_MERGE_PINS}
+
+
+def merge_shared_prefix(signature):
+    """What a server sees of a Path ORAM access that reads the nodes its
+    path shares with the held write-back from the client, as a function of
+    what it sees when each write-back goes out on its own.
+
+    An upload run (one write-back) and the download run right after it
+    (the next path) drop the slots they have in common — consecutive
+    paths share their top nodes, and nothing else; every other event keeps
+    its order.  A deterministic function of the two-message view over
+    public, i.i.d.-uniform leaves, so ε stays what it was.
+
+    Args:
+        signature: ``Transcript.signature()`` of one server.
+    """
+    runs = []
+    for event in signature:
+        if runs and runs[-1][0] == (event[0], event[3]):
+            runs[-1][1].append(event)
+        else:
+            runs.append(((event[0], event[3]), [event]))
+    kinds = [kind for (kind, _), _ in runs]
+    merged = []
+    for position, (_, events) in enumerate(runs):
+        if kinds[position : position + 2] == ["upload", "download"]:
+            shared = {event[2] for event in runs[position + 1][1]}
+        elif position and kinds[position - 1 : position + 1] == [
+            "upload", "download"
+        ]:
+            shared = {event[2] for event in runs[position - 1][1]}
+        else:
+            shared = set()
+        merged.extend(event for event in events if event[2] not in shared)
+    return tuple(merged)
+
 
 # Where a step is not one access: an ORAM-KVS put reads its bucket, then
 # writes it; a recursive access is one a level.
@@ -369,6 +421,26 @@ def _seeded_history(
     )
 
 
+def _orams(scheme):
+    """The Path ORAMs a Path ORAM family scheme runs, data level first."""
+    return getattr(scheme, "_levels", None) or [
+        getattr(scheme, "_oram", scheme)
+    ]
+
+
+def _merged_history(history, servers):
+    """``history`` as the merged request shape leaves it: each server's
+    view through :func:`merge_shared_prefix` and the counters it adds up
+    to; answers, client state, stored bytes and coins as they were."""
+    answers, *rest = history
+    views = [merge_shared_prefix(view) for view in rest[:servers]]
+    counters = tuple(
+        sum(event[0] == kind for view in views for event in view)
+        for kind in ("download", "upload")
+    )
+    return (answers, *views, *rest[servers:-2], counters, rest[-1])
+
+
 class TestHeldUploadIdentity:
     @pytest.mark.parametrize("flush_every_call", [False, True])
     @pytest.mark.parametrize("name", sorted(_HELD_UPLOAD_PINS))
@@ -377,9 +449,10 @@ class TestHeldUploadIdentity:
         _, history = _seeded_history(
             name, setting, seed=24, flush_every_call=flush_every_call
         )
-        assert (
-            hashlib.sha256(repr(history).encode()).hexdigest()
-            == _HELD_UPLOAD_PINS[name]
+        assert hashlib.sha256(repr(history).encode()).hexdigest() == (
+            _PATH_MERGE_PINS.get(
+                (name, flush_every_call), _HELD_UPLOAD_PINS[name]
+            )
         )
 
     @pytest.mark.parametrize("seed", range(3))
@@ -397,7 +470,9 @@ class TestHeldUploadIdentity:
         # "Flush after every call" is the two-roundtrip shape every
         # operation had; nothing selects it but the caller.  Moving the
         # upload into the next request changes where messages end and
-        # nothing else a client, a server or a seeded replay can see.
+        # nothing else a client, a server or a seeded replay can see —
+        # but that a Path ORAM access sends neither way the top nodes its
+        # path shares with the held write-back (``merge_shared_prefix``).
         steps = 120
         links = NetworkBackendFactory(LAN), NetworkBackendFactory(LAN)
         (eager, eager_history), (lazy, lazy_history) = (
@@ -407,20 +482,41 @@ class TestHeldUploadIdentity:
             )
             for every_call, link in zip((True, False), links)
         )
-        assert eager_history == lazy_history
+        servers = len(lazy.servers())
+        if name in _MERGES_PATHS:
+            assert _merged_history(eager_history, servers) == lazy_history
+            assert [list(oram._stash.items()) for oram in _orams(eager)] == [
+                list(oram._stash.items()) for oram in _orams(lazy)
+            ]
+        else:
+            assert eager_history == lazy_history
         # Both hold the sealed upload from the moment it is sealed.
         assert eager.client_peak_blocks == lazy.client_peak_blocks
-        # One request an access, and one more a server for each flush.
+        # One request an access that downloads anything (a Path ORAM access
+        # whose whole path is held sends none), one more a server for each
+        # flush, and every byte of the view and nothing else on the wire.
         accesses = _ACCESSES.get(name, lambda scheme, steps: steps)(
             lazy, steps
         )
-        servers = len(lazy.servers())
-        assert links[0].roundtrips == accesses + steps * servers
-        assert links[1].roundtrips == accesses + servers
-        wire_ms = [
-            link.simulated_ms - link.roundtrips * LAN.rtt_ms for link in links
-        ]
-        assert wire_ms[0] == pytest.approx(wire_ms[1], rel=1e-9)
+        slot_bytes = [len(server.peek(0)) for server in lazy.servers()]
+        for link, history, flushes in zip(
+            links, (eager_history, lazy_history), (steps, 1)
+        ):
+            views = history[1 : 1 + servers]
+            requests = sum(
+                len({event[3] for event in view if event[0] == "download"})
+                for view in views
+            )
+            assert requests <= accesses
+            assert link.roundtrips == requests + flushes * servers
+            sent = sum(
+                len(view) * size for view, size in zip(views, slot_bytes)
+            )
+            assert link.simulated_ms - link.roundtrips * LAN.rtt_ms == (
+                pytest.approx(LAN.transfer_ms(sent), rel=1e-9)
+            )
+        if name not in _MERGES_PATHS:
+            assert requests == accesses
 
     @pytest.mark.parametrize("name", sorted(_HELD_UPLOAD_SCHEMES))
     def test_without_the_flush_the_view_is_a_prefix(self, name):
@@ -454,13 +550,10 @@ class TestHeldUploadIdentity:
         build, step, settings_, _ = _HELD_UPLOAD_SCHEMES[name]
         for setting in settings_:
             scheme = build(setting, rng=SeededRandomSource(setting))
-            orams = getattr(scheme, "_levels", None) or [
-                getattr(scheme, "_oram", scheme)
-            ]
             plan = random.Random(setting)
             for number in range(200):
                 step(scheme, plan, number)
-                for oram in orams:
+                for oram in _orams(scheme):
                     _, uploads = oram._link.held
                     real = sum(raw != oram._dummy_slot for _, raw in uploads)
                     assert oram.stash_size + real <= oram.client_peak_blocks

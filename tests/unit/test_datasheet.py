@@ -15,7 +15,11 @@ from repro.core.dp_kvs import DPKVS
 from repro.core.dp_ram import DPRAM, ReadOnlyDPRAM
 from repro.core.multi_server import MultiServerDPIR
 from repro.core.strawman import StrawmanIR
+from repro.crypto.rng import SeededRandomSource
+from repro.storage.backends import NetworkBackendFactory
 from repro.storage.blocks import integer_database
+from repro.storage.network import LAN
+from repro.storage.transcript import AccessKind, Transcript
 
 
 N = 64
@@ -108,6 +112,12 @@ class TestDatasheetBuilders:
         sheet = datasheet_for(scheme)
         assert sheet.epsilon_kind == "perfect"
         assert sheet.blocks_per_query == scheme.blocks_per_access()
+        # Two uniform paths share 2 - 2^-L nodes on average, and an access
+        # sends them neither way.
+        z, height = scheme.bucket_size, scheme.height
+        assert sheet.expected_blocks_per_query == pytest.approx(
+            2 * z * (height + 1) - 2 * z * (2 - 2.0**-height)
+        )
 
     def test_multi_server(self, rng, db):
         sheet = datasheet_for(
@@ -167,6 +177,8 @@ class TestDeclaredRoundtripsAreMeasured:
         scheme = repro.build(
             name, n=N, seed=7, backend="network", network="lan"
         )
+        transcript = Transcript()
+        scheme.attach_transcript(transcript)
         operations = 40
         for step in range(operations):
             if isinstance(scheme, PrivateKVS):
@@ -185,8 +197,11 @@ class TestDeclaredRoundtripsAreMeasured:
                 server.backend.roundtrips for server in scheme.servers()
             )
 
-        # Measured between operations: what a run of them costs each.
-        assert datasheet_for(scheme).roundtrips * operations == busiest()
+        # Measured between operations: what a run of them costs each —
+        # but for an operation with nothing to send.
+        assert datasheet_for(scheme).roundtrips * (
+            operations - _silent(scheme, transcript, operations)
+        ) == busiest()
         # Ending the run costs exactly one more where an upload was being
         # held for the next request, and nothing anywhere else.
         before = busiest()
@@ -196,6 +211,47 @@ class TestDeclaredRoundtripsAreMeasured:
         scheme.flush()  # nothing is held any more
         assert busiest() - before == holds
 
+    def test_a_path_oram_access_with_its_whole_path_held_sends_nothing(self):
+        # At L = 2 one access in four reads the leaf the last one read:
+        # every node is in the held write-back, so there is no request.
+        scheme = PathORAM(
+            [bytes(4)] * 4, rng=SeededRandomSource(3),
+            backend_factory=NetworkBackendFactory(LAN),
+        )
+        transcript = Transcript()
+        scheme.attach_transcript(transcript)
+        operations = 400
+        for step in range(operations):
+            scheme.read(step % 4)
+        silent = _silent(scheme, transcript, operations)
+        assert 60 < silent < 140  # Binomial(399, 1/4): 100 ± 8.7
+        assert scheme.server.backend.roundtrips == operations - silent
+
+
+def _silent(scheme, transcript, operations):
+    """Operations that sent no request: Path ORAM accesses that downloaded
+    nothing, their whole path held (probability ``2^-L`` each)."""
+    if not isinstance(scheme, PathORAM):
+        return 0
+    return operations - len(
+        {event.query for event in transcript if event.kind is AccessKind.DOWNLOAD}
+    )
+
+
+def _operate(scheme, step):
+    """Mixed operation number ``step``."""
+    if isinstance(scheme, PrivateKVS):
+        if step % 2:
+            scheme.put(b"key-%d" % (step % 7), b"value-%d" % step)
+        else:
+            scheme.get(b"key-%d" % (step % 5))
+    elif isinstance(scheme, PrivateIR):
+        scheme.query(step % N)
+    elif scheme.writable and step % 2:
+        scheme.write(step % N, bytes([step % 256]) * scheme.block_size)
+    else:
+        scheme.read((7 * step) % N)
+
 
 def _moved_per_operation(scheme, operations):
     """Blocks each of ``operations`` mixed operations moved, over all
@@ -203,17 +259,7 @@ def _moved_per_operation(scheme, operations):
     moved = []
     for step in range(operations):
         before = scheme.server_operations()
-        if isinstance(scheme, PrivateKVS):
-            if step % 2:
-                scheme.put(b"key-%d" % (step % 7), b"value-%d" % step)
-            else:
-                scheme.get(b"key-%d" % (step % 5))
-        elif isinstance(scheme, PrivateIR):
-            scheme.query(step % N)
-        elif scheme.writable and step % 2:
-            scheme.write(step % N, bytes([step % 256]) * scheme.block_size)
-        else:
-            scheme.read((7 * step) % N)
+        _operate(scheme, step)
         scheme.flush()  # the operation's own upload, not its predecessor's
         moved.append(scheme.server_operations() - before)
     return moved
@@ -235,7 +281,11 @@ class TestDeclaredBlocksAreMeasured:
         sheet = datasheet_for(scheme)
         moved = _moved_per_operation(scheme, self.OPERATIONS)
         assert max(moved) <= sheet.blocks_per_query
-        if sheet.expected_blocks_per_query is None:
+        if sheet.expected_blocks_per_query is None or isinstance(
+            scheme, PathORAM
+        ):
+            # Flushed after every access, a Path ORAM holds nothing when
+            # the next begins, and each moves the worst case.
             assert set(moved) == {sheet.blocks_per_query}
         else:
             assert min(moved) < sheet.blocks_per_query
@@ -253,6 +303,26 @@ class TestDeclaredBlocksAreMeasured:
         mean = sum(moved) / self.OPERATIONS
         assert abs(mean - sheet.expected_blocks_per_query) <= tolerance
         assert tolerance < 0.11
+
+    def test_path_oram_mean_is_the_expected_figure(self):
+        # Flushed once, at the end: each access leaves out, both ways, the
+        # X nodes its path shares with the previous one's, X independent
+        # across accesses over i.i.d. uniform leaves, P(X >= k) = 2^(1-k)
+        # for k = 1..L+1 (mean 2 - 2^-L, variance under 2).  The first
+        # access had nothing held; the rest of the mean is held to five
+        # standard deviations of 2·Z·X.
+        scheme = repro.build("path_oram", n=N, seed=7)
+        sheet = datasheet_for(scheme)
+        z, height = scheme.bucket_size, scheme.height
+        before = scheme.server_operations()
+        for step in range(self.OPERATIONS):
+            _operate(scheme, step)
+        scheme.flush()
+        mean = (scheme.server_operations() - before) / self.OPERATIONS
+        first = 2 * z * (2 - 2.0**-height) / self.OPERATIONS
+        tolerance = 5 * 2 * z * math.sqrt(2 / self.OPERATIONS)
+        assert abs(mean - first - sheet.expected_blocks_per_query) <= tolerance
+        assert mean + tolerance < sheet.blocks_per_query
 
     def test_dp_kvs_mean_is_under_the_upper_estimate(self):
         # Each of an operation's two bucket queries saves a path with

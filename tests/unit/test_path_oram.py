@@ -140,6 +140,69 @@ class TestFaultedRequests:
             expected = encode_int(55 if index == 5 else index)
             assert oram.read(index) == expected
 
+    def test_dropped_accesses_keep_their_shared_nodes_unsent(self, rng):
+        # A recursive map level's access is dropped after its request
+        # came back when the data level's request faults.  The nodes it
+        # read from the held write-back never went out, so they stay
+        # unsent; the next path may share more nodes than that with the
+        # committed one, and downloads those the dropped request landed.
+        n = 32
+        oram = _oram(rng, n=n)
+        model = {index: encode_int(index) for index in range(n)}
+        source = rng.spawn("ops")
+        for step in range(400):
+            index = source.randbelow(n)
+            if source.random() < 0.4:
+                unsent = oram._link.blocks
+                oram._stage(index, None)  # never committed
+                assert 0 < oram._link.blocks <= unsent
+            elif step % 2:
+                assert oram.read(index) == model[index]
+            else:
+                model[index] = encode_int(1000 + step)
+                oram.write(index, model[index])
+        oram.flush()
+        assert [oram.read(index) for index in range(n)] == [
+            model[index] for index in range(n)
+        ]
+
+    @pytest.mark.parametrize(
+        "coin_mode, served",
+        [("per_round", 0), ("per_slot", 0), ("per_slot", 3), ("per_slot", 14)],
+    )
+    def test_a_fault_inside_a_merged_request_loses_nothing(
+        self, rng, fail_rounds, coin_mode, served
+    ):
+        # The request after a committed access carries its write-back less
+        # the top nodes the new path shares with it, which the client reads
+        # from the write-back it holds.  A fault before anything lands,
+        # mid-upload or mid-download leaves all of it held, and every
+        # access after it answers as the model does.
+        n = 32
+        oram = _oram(rng, n=n)
+        model = {index: encode_int(index) for index in range(n)}
+        source = rng.spawn("ops")
+        for step in range(20):
+            index = source.randbelow(n)
+            model[index] = encode_int(1000 + step)
+            oram.write(index, model[index])
+        fail_rounds(oram, *[False] * served, True, coin_mode=coin_mode)
+        held = oram._link.held
+        with pytest.raises(ServerFault):
+            oram.read(5)
+        assert oram._link.held is held
+        for step in range(200):
+            index = source.randbelow(n)
+            if step % 3:
+                assert oram.read(index) == model[index]
+            else:
+                model[index] = encode_int(2000 + step)
+                oram.write(index, model[index])
+        oram.flush()
+        assert [oram.read(index) for index in range(n)] == [
+            model[index] for index in range(n)
+        ]
+
 
 class TestBandwidth:
     def test_blocks_per_access_formula(self, rng):

@@ -387,6 +387,33 @@ class TestHeldRequest:
         assert (link.held, link.blocks) == (None, 0)
         assert link.server.writes == 3
 
+    def test_shared_items_go_neither_way_and_stay_held(self, tiny_db):
+        link, _ = self._links(tiny_db, network=True)
+        link.hold(6, self._UPLOAD)
+        # Slot 3 is the upload's last item: the caller has it, and
+        # downloads only slot 1.
+        assert link.send(7, [1], shared=1) == [tiny_db[1]]
+        assert (link.held, link.blocks) == ((6, self._UPLOAD), 1)
+        # Never committed: the next request sends slot 3 after all.
+        link.send(8, [2])
+        assert link.server.peek(3) == b"new3" and link.blocks == 0
+        assert link.server.backend.roundtrips == 2
+        assert link.server.detach_transcript().signature() == (
+            ("upload", 0, 0, 6), ("download", 0, 1, 7),
+            ("upload", 0, 3, 6), ("download", 0, 2, 8),
+        )
+
+    def test_a_request_with_nothing_to_move_is_not_sent(self, tiny_db):
+        link, _ = self._links(tiny_db, network=True)
+        link.hold(6, self._UPLOAD)
+        assert link.send(7, [], shared=2) == []
+        assert link.server.backend.roundtrips == 0
+        assert link.blocks == 2
+        with pytest.raises(ValueError):
+            link.send(7, [1], shared=3)  # more than is unsent
+        assert link.server.backend.roundtrips == 0
+        assert link.blocks == 2
+
 
 class TestExchange:
     def test_is_a_write_many_then_a_read_many(self, tiny_db):
