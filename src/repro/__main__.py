@@ -21,6 +21,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -29,10 +30,8 @@ def _observability(args: argparse.Namespace):
     """Build (tracer, registry) from the shared --trace/--metrics flags."""
     from repro.obs import MetricsRegistry, Tracer
 
-    tracer = (
-        Tracer(args.command) if getattr(args, "trace", None) else None
-    )
-    registry = MetricsRegistry() if getattr(args, "metrics", False) else None
+    tracer = Tracer(args.command) if args.trace else None
+    registry = MetricsRegistry() if args.metrics else None
     return tracer, registry
 
 
@@ -47,44 +46,34 @@ def _emit_observability(args: argparse.Namespace, tracer, registry) -> None:
         print(f"trace written to {args.trace} "
               f"({len(tracer.spans())} spans)", file=sys.stderr)
     if registry is not None:
-        destination = getattr(args, "metrics", False)
-        if isinstance(destination, str):
-            with open(destination, "w", encoding="utf-8") as handle:
+        if isinstance(args.metrics, str):
+            with open(args.metrics, "w", encoding="utf-8") as handle:
                 json.dump(registry.to_json(), handle, indent=2)
                 handle.write("\n")
-            print(f"metrics written to {destination} "
+            print(f"metrics written to {args.metrics} "
                   f"({len(registry.collect())} series)", file=sys.stderr)
         else:
             print(registry.to_prometheus(), end="")
 
 
-def _add_observability_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--trace", metavar="PATH", default=None,
-        help="record a deterministic span trace and write it as JSON",
-    )
-    parser.add_argument(
-        "--metrics", nargs="?", const=True, default=False, metavar="PATH",
-        help="collect metrics; bare prints Prometheus text, with PATH "
-             "writes the JSON export there",
-    )
+def _config(config_type, args: argparse.Namespace, **sinks):
+    """Build a ServingConfig / ClusterConfig from the parsed flags.
+
+    Every flag's dest is the field it sets (see :data:`_FLAGS`), so the
+    fields are read off the namespace by name; ``sinks`` are the tracer,
+    registry or timeline the command made.
+    """
+    fields = {
+        field.name: getattr(args, field.name)
+        for field in dataclasses.fields(config_type)
+        if hasattr(args, field.name)
+    }
+    return config_type(**fields, **sinks)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.storage.errors import ReproError
-
-    try:
-        return _cmd_run_checked(args)
-    except (ReproError, ValueError) as exc:
-        # User-level configuration mistakes (unknown scheme/workload/
-        # network, invalid sizes) get a message, not a traceback.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-def _cmd_run_checked(args: argparse.Namespace) -> int:
     from repro.api import available_schemes, build, scheme_spec
-    from repro.crypto.rng import SeededRandomSource, SystemRandomSource
+    from repro.crypto.rng import default_rng
     from repro.simulation.harness import run_trace, simulated_network_ms
     from repro.simulation.reporting import format_table, latency_rows
     from repro.workloads import catalogue
@@ -98,11 +87,7 @@ def _cmd_run_checked(args: argparse.Namespace) -> int:
                            title="Registered schemes"))
         return 0
     spec = scheme_spec(args.scheme)
-    rng = (
-        SeededRandomSource(args.seed)
-        if args.seed is not None
-        else SystemRandomSource()
-    )
+    rng = default_rng(args.seed)
     build_kwargs: dict = {
         "n": args.n,
         "rng": rng.spawn("scheme"),
@@ -112,33 +97,19 @@ def _cmd_run_checked(args: argparse.Namespace) -> int:
         build_kwargs["network"] = args.network
     if spec.kind == "kvs":
         build_kwargs["value_size"] = args.value_size
-        workload = args.workload
-        if workload in catalogue.INDEX_WORKLOADS:
-            # Index workloads have a natural KV analogue: a mixed
-            # insert/lookup stream over the same operation budget.
-            workload = "insert-lookup"
+    scheme = build(args.scheme, **build_kwargs)
+    catalogue.check_workload(args.workload, spec.kind, args.scheme,
+                             getattr(scheme, "writable", True))
+    if spec.kind == "kvs":
         trace = catalogue.kv_trace(
-            workload, args.n, args.ops, rng.spawn("trace"),
+            args.workload, args.n, args.ops, rng.spawn("trace"),
             value_size=args.value_size,
         )
     else:
-        workload = args.workload
-        if workload in catalogue.KV_WORKLOADS:
-            print(f"workload {workload!r} needs a KVS scheme", file=sys.stderr)
-            return 1
-        if spec.kind == "ir" and workload == "readwrite":
-            print("IR schemes are read-only; pick another workload",
-                  file=sys.stderr)
-            return 1
         trace = catalogue.index_trace(
-            workload, args.n, args.ops, rng.spawn("trace"),
+            args.workload, args.n, args.ops, rng.spawn("trace"),
             write_fraction=args.write_fraction,
         )
-    scheme = build(args.scheme, **build_kwargs)
-    if workload == "readwrite" and not getattr(scheme, "writable", True):
-        print(f"scheme {args.scheme!r} is read-only; pick a read workload",
-              file=sys.stderr)
-        return 1
     tracer, registry = _observability(args)
     if tracer is not None or registry is not None:
         from repro.obs import instrument_scheme
@@ -193,67 +164,46 @@ def _cmd_run_checked(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.storage.errors import ReproError
-
-    try:
-        return _cmd_serve_checked(args)
-    except (ReproError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-def _cmd_serve_checked(args: argparse.Namespace) -> int:
+def _serve_or_cluster(args: argparse.Namespace, entry, config_type):
+    """Run ``entry`` (serve / cluster) on the flags; print the report."""
     import json
 
     from repro.api import scheme_spec
-    from repro.serving import ServingConfig, serve
 
-    # Validate the scheme spelling up front: unknown names exit 2 with
-    # the registry catalogue (ValueError above) and can never surface
-    # as a raw KeyError from some deeper lookup.
+    # Validate the scheme spelling up front: an unknown name exits 2
+    # with the registry catalogue, never a KeyError from a deeper lookup.
     scheme_spec(args.scheme)
-
     tracer, registry = _observability(args)
-    config = ServingConfig.from_cli_args(
-        args, tracer=tracer, metrics_registry=registry
-    )
-    report = serve(args.scheme, config)
+    report = entry(args.scheme, _config(
+        config_type, args, tracer=tracer, metrics_registry=registry
+    ))
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
         print(report.to_text())
     _emit_observability(args, tracer, registry)
-    if report.leakage_tripped:
-        for leakage in report.leakage:
-            if leakage.tripped:
-                print(f"leakage monitor tripped: {leakage.to_text()}",
-                      file=sys.stderr)
-        return 1
-    return 0
+    return report
+
+
+def _leakage_status(report) -> int:
+    """Exit 1 naming each tripped leakage monitor, else 0."""
+    for leakage in report.leakage:
+        if leakage.tripped:
+            print(f"leakage monitor tripped: {leakage.to_text()}",
+                  file=sys.stderr)
+    return 1 if report.leakage_tripped else 0
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.serving import ServingConfig, serve
+
+    return _leakage_status(_serve_or_cluster(args, serve, ServingConfig))
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    from repro.storage.errors import ReproError
-
-    try:
-        return _cmd_cluster_checked(args)
-    except (ReproError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-def _cmd_cluster_checked(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.api import scheme_spec, schemes
+    from repro.api import schemes
     from repro.cluster import ClusterConfig, cluster
     from repro.simulation.reporting import format_table
-
-    if not args.list:
-        # Validate the scheme spelling up front (unknown names exit 2
-        # with the catalogue, never a raw KeyError traceback).
-        scheme_spec(args.scheme)
 
     if args.list:
         rows = [
@@ -267,27 +217,11 @@ def _cmd_cluster_checked(args: argparse.Namespace) -> int:
             title="Cluster-capable base schemes (IR and KVS)",
         ))
         return 0
-
-    tracer, registry = _observability(args)
-    config = ClusterConfig.from_cli_args(
-        args, tracer=tracer, metrics_registry=registry
-    )
-    report = cluster(args.scheme, config)
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(report.to_text())
-    _emit_observability(args, tracer, registry)
+    report = _serve_or_cluster(args, cluster, ClusterConfig)
     if report.mismatches:
         print("correctness mismatches detected!", file=sys.stderr)
         return 1
-    if report.leakage_tripped:
-        for leakage in report.leakage:
-            if leakage.tripped:
-                print(f"leakage monitor tripped: {leakage.to_text()}",
-                      file=sys.stderr)
-        return 1
-    return 0
+    return _leakage_status(report)
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
@@ -317,16 +251,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    from repro.storage.errors import ReproError
-
-    try:
-        return _cmd_audit_checked(args)
-    except (ReproError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-def _cmd_audit_checked(args: argparse.Namespace) -> int:
     import json
     from fractions import Fraction
 
@@ -343,8 +267,8 @@ def _cmd_audit_checked(args: argparse.Namespace) -> int:
     # its float image.
     cap = Fraction(str(args.cap)) if args.cap is not None else None
     timeline = BudgetTimeline(cap=cap)
-    config = ClusterConfig.from_cli_args(args, timeline=timeline)
-    report = cluster(args.scheme, config)
+    report = cluster(args.scheme, _config(ClusterConfig, args,
+                                          timeline=timeline))
 
     slo_report = None
     if args.slo:
@@ -371,7 +295,7 @@ def _cmd_audit_checked(args: argparse.Namespace) -> int:
         if slo_report is not None:
             payload["slo"] = slo_report.to_dict()
         print(json.dumps(payload, indent=2))
-    elif args.timeline:
+    elif args.plot_timeline:
         print(timeline.to_text())
         if slo_report is not None:
             print(slo_report.to_text())
@@ -407,23 +331,26 @@ def _cmd_audit_checked(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_trace(path: str) -> dict:
+    """An exported trace; an unreadable file is a usage error (exit 2)."""
+    import json
+
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ValueError(f"cannot read trace {path}: {exc}") from exc
+
+
 def _cmd_trace_diff(args: argparse.Namespace) -> int:
     import json
 
     from repro.obs import diff_traces
 
     if args.tolerance < 0:
-        print("error: --tolerance must be >= 0", file=sys.stderr)
-        return 2
-    payloads = []
-    for path in (args.trace_a, args.trace_b):
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payloads.append(json.load(handle))
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read trace {path}: {exc}", file=sys.stderr)
-            return 2
-    diff = diff_traces(payloads[0], payloads[1], tolerance=args.tolerance)
+        raise ValueError("--tolerance must be >= 0")
+    diff = diff_traces(_load_trace(args.trace_a), _load_trace(args.trace_b),
+                       tolerance=args.tolerance)
     if args.json:
         print(json.dumps(diff.to_dict(), indent=2))
     else:
@@ -435,37 +362,22 @@ def _cmd_trace_summary(args: argparse.Namespace) -> int:
     import json
 
     from repro.obs import (
-        DEFAULT_STRAGGLER_THRESHOLD,
         profile_to_text,
         summary_to_text,
         trace_profile,
         trace_summary,
     )
 
-    try:
-        with open(args.trace, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read trace {args.trace}: {exc}",
-              file=sys.stderr)
-        return 2
-    try:
-        if args.profile:
-            profile = trace_profile(payload)
-            if args.json:
-                print(json.dumps(profile, indent=2))
-            else:
-                print(profile_to_text(profile))
-            return 0
-        threshold = (
-            args.straggler_threshold
-            if args.straggler_threshold is not None
-            else DEFAULT_STRAGGLER_THRESHOLD
-        )
-        summary = trace_summary(payload, straggler_threshold=threshold)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    payload = _load_trace(args.trace)
+    if args.profile:
+        profile = trace_profile(payload)
+        if args.json:
+            print(json.dumps(profile, indent=2))
+        else:
+            print(profile_to_text(profile))
+        return 0
+    summary = trace_summary(payload,
+                            straggler_threshold=args.straggler_threshold)
     if args.json:
         print(json.dumps(summary, indent=2))
     else:
@@ -477,12 +389,15 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     from repro.analysis import bounds
 
     n = args.n
-    print(f"n = {n}, alpha = {args.alpha}, client blocks = {args.client}")
-    print(f"  errorless DP-IR floor (Thm 3.3): "
-          f"{bounds.dp_ir_errorless_lower_bound(n):.0f} blocks/query")
+    if n < 2:
+        # The "x ln n" ratios below divide by ln n, which is 0 at n = 1.
+        raise ValueError(f"--n must be at least 2, got {n}")
+    floor = bounds.dp_ir_errorless_lower_bound(n)
     eps_ir = bounds.min_epsilon_for_ir_bandwidth(n, args.bandwidth, args.alpha)
     eps_ram = bounds.min_epsilon_for_ram_bandwidth(n, args.bandwidth,
                                                    args.client)
+    print(f"n = {n}, alpha = {args.alpha}, client blocks = {args.client}")
+    print(f"  errorless DP-IR floor (Thm 3.3): {floor:.0f} blocks/query")
     print(f"  at {args.bandwidth} blocks/query:")
     print(f"    DP-IR needs  eps >= {eps_ir:.2f}  "
           f"({eps_ir / math.log(n):.2f} x ln n)   [Thm 3.4]")
@@ -491,12 +406,6 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     print("  -> with small overhead, eps = Theta(log n) is the best "
           "achievable privacy (the paper's answer).")
     return 0
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint.cli import run_lint
-
-    return run_lint(args)
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
@@ -529,7 +438,131 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
+# Every run / serve / cluster / audit flag, declared once.  A flag's dest
+# is the ServingConfig / ClusterConfig field it sets, so _config builds
+# the config by name.  Its default is the one its row states, else that
+# field's default on the command's config; --help prints it.
+_FLAGS: dict[str, dict] = {
+    "--scheme": dict(default="dp_ir", help="registry name or alias such as "
+                     "batch-dpir; cluster / audit take an IR or KVS base "
+                     "(run / cluster --list names them)"),
+    "--workload": dict(help="trace shape: uniform, sequential, zipf, hotspot, "
+                       "readwrite (RAM); ycsb-a/b/c, insert-lookup (KVS)"),
+    "--n": dict(type=int, help="database size / key capacity"),
+    "--ops": dict(type=int, default=200, help="operations to run"),
+    "--seed": dict(type=int, help="deterministic randomness seed"),
+    "--value-size": dict(type=int, help="KVS value size in bytes"),
+    "--write-fraction": dict(type=float, default=0.5,
+                             help="write fraction for the readwrite workload"),
+    "--backend": dict(choices=("memory", "slab", "network"),
+                      help="slot-storage backend (None: the scheme's own, "
+                      "memory); slab packs blocks into one contiguous buffer"),
+    "--network": dict(choices=("lan", "wan", "mobile"),
+                      help="link model pricing simulated time"),
+    "--list": dict(action="store_true",
+                   help="list the schemes this command takes and exit"),
+    "--trace": dict(metavar="PATH", help="record a deterministic span trace "
+                    "and write it as JSON"),
+    "--metrics": dict(nargs="?", const=True, default=False, metavar="PATH",
+                      help="collect metrics; bare prints Prometheus text, with "
+                      "PATH writes the JSON export there"),
+    "--clients": dict(type=int, help="concurrent tenant sessions"),
+    "--requests": dict(type=int, metavar="REQUESTS",
+                       help="operations to drive, per client under serve"),
+    "--scheduler": dict(choices=("fifo", "window", "continuous", "batch"),
+                        help="dispatch policy; 'batch' is a legacy alias for "
+                        "window, 'continuous' pipelines dispatch groups with "
+                        "admission control"),
+    "--window-ms": dict(dest="batch_window_ms", type=float, metavar="WINDOW_MS",
+                        help="batching window in ms"),
+    "--max-batch": dict(type=int, help="dispatch group size cap"),
+    "--max-in-flight": dict(type=int, help="concurrent dispatch groups for "
+                            "the continuous scheduler"),
+    "--tenant-credits": dict(type=int, help="per-tenant outstanding-request "
+                             "cap for the continuous scheduler (None: off)"),
+    "--queue-cap": dict(type=int, help="global pending-queue cap for the "
+                        "continuous scheduler (None: off)"),
+    "--load": dict(choices=("open", "closed"),
+                   help="open-loop Poisson or closed-loop think"),
+    "--rate": dict(dest="rate_rps", type=float, metavar="RATE",
+                   help="open-loop arrivals/s per client"),
+    "--think-ms": dict(type=float, help="closed-loop mean think time in ms"),
+    "--executor": dict(choices=("serial", "parallel", "simulated"),
+                       help="cross-shard fan-out policy for cluster schemes "
+                       "(None: serial)"),
+    "--monitor": dict(action="store_true", help="attach online leakage "
+                      "monitors (cluster adds shard routing); exit 1 if "
+                      "adversary success exceeds the eps-implied ceiling"),
+    "--json": dict(action="store_true", help="emit the report as JSON"),
+    "--shards": dict(type=int, help="shard groups D"),
+    "--replicas": dict(type=int, help="replicas per group R"),
+    "--placement": dict(choices=("range", "hash"),
+                        help="shard placement policy (IR clusters)"),
+    "--epsilon": dict(type=float,
+                      help="cluster-wide privacy target (None: ln n)"),
+    "--pad-size": dict(type=int, help="explicit global pad size K"),
+    "--alpha": dict(type=float, help="per-query error probability"),
+    "--no-auth": dict(dest="authenticated", action="store_false",
+                      help="store plaintext instead of authenticated ciphertexts"),
+    "--failure-rate": dict(type=float, help="flaky-node rate per replica"),
+    "--corruption-rate": dict(type=float, help="bit-flip rate per replica"),
+    "--batch": dict(type=int, help="requests dispatched per round; a round "
+                    "spanning shards is what a parallel executor overlaps"),
+    "--fault-coins": dict(dest="fault_coin_mode",
+                          choices=("per_slot", "per_round"),
+                          help="fault-coin granularity for injected faults"),
+    "--cap": dict(metavar="EPS", help="budget cap to audit cumulative spend "
+                  "against (flags the first crossing); decimals and "
+                  "rationals like 7/3 stay exact"),
+    # Not "timeline": ClusterConfig.timeline is the BudgetTimeline sink.
+    "--timeline": dict(dest="plot_timeline", action="store_true",
+                       help="plot the cumulative spend timeline"),
+    "--slo": dict(action="store_true", help="evaluate the two-window eps "
+                  "burn-rate SLO (per tenant and operator); exit 1 on a breach"),
+    "--slo-budget": dict(metavar="EPS", help="exact SLO budget (None: --cap)"),
+    "--slo-horizon": dict(type=int, help="SLO period in spend events (None: "
+                          "the run length)"),
+    "--slo-fast-window": dict(type=int, help="fast window in events (None: "
+                              "horizon/50)"),
+    "--slo-slow-window": dict(type=int, help="slow window in events (None: "
+                              "horizon/10)"),
+    "--slo-fast-burn": dict(default="14", metavar="RATE",
+                            help="fast-window burn threshold"),
+    "--slo-slow-burn": dict(default="6", metavar="RATE",
+                            help="slow-window burn threshold"),
+}
+
+
+def _add_command(commands, name, handler, summary, config_type, flags,
+                 overrides=None) -> None:
+    """Add command ``name`` with ``flags``, rows of :data:`_FLAGS`.
+
+    ``config_type`` supplies the defaults the rows leave out, and
+    ``overrides`` maps a flag to the keywords that differ on this command.
+    """
+    parser = commands.add_parser(
+        name, help=summary,
+        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+    )
+    fields = {
+        field.name: field.default
+        for field in dataclasses.fields(config_type)
+    }
+    for flag in flags.split():
+        spec = {**_FLAGS[flag], **(overrides or {}).get(flag, {})}
+        dest = spec.get("dest", flag[2:].replace("-", "_"))
+        if "default" not in spec and dest in fields:
+            spec["default"] = fields[dest]
+        parser.add_argument(flag, **spec)
+    parser.set_defaults(handler=handler)
+
+
 def main(argv: list[str] | None = None) -> int:
+    from repro.cluster import ClusterConfig
+    from repro.obs import DEFAULT_STRAGGLER_THRESHOLD
+    from repro.serving import ServingConfig
+    from repro.storage.errors import ReproError
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="DP storage access (Patel-Persiano-Yeo, PODS 2019) "
@@ -537,251 +570,45 @@ def main(argv: list[str] | None = None) -> int:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    run_parser = commands.add_parser(
-        "run",
-        help="build a registered scheme and drive a named workload",
+    # A run is one client without the scheduler: it takes the serving
+    # defaults, but builds no network unless asked.
+    _add_command(
+        commands, "run", _cmd_run,
+        "build a registered scheme and drive a named workload", ServingConfig,
+        "--scheme --workload --n --ops --seed --value-size --write-fraction "
+        "--backend --network --list --trace --metrics",
+        {"--scheme": dict(default="dp_ram"), "--network": dict(default=None)},
     )
-    run_parser.add_argument(
-        "--scheme", default="dp_ram",
-        help="registry name (see --list); default dp_ram",
+    _add_command(
+        commands, "serve", _cmd_serve,
+        "serve N concurrent client sessions through a scheduler", ServingConfig,
+        "--scheme --clients --requests --scheduler --window-ms --max-batch "
+        "--max-in-flight --tenant-credits --queue-cap --load --rate --think-ms "
+        "--workload --n --seed --network --backend --value-size --executor "
+        "--monitor --json --trace --metrics",
+        {"--requests": dict(dest="requests_per_client")},
     )
-    run_parser.add_argument(
-        "--workload", default="uniform",
-        help="workload name: uniform, sequential, zipf, hotspot, "
-             "readwrite (RAM), ycsb-a/b/c, insert-lookup (KVS)",
+    _add_command(
+        commands, "cluster", _cmd_cluster,
+        "deploy a scheme as N shard groups x R replicas with failover",
+        ClusterConfig,
+        "--scheme --shards --replicas --n --requests --workload --placement "
+        "--epsilon --pad-size --alpha --no-auth --failure-rate "
+        "--corruption-rate --value-size --seed --network --backend --executor "
+        "--batch --fault-coins --monitor --json --list --trace --metrics",
+        {"--executor": dict(default="serial")},
     )
-    run_parser.add_argument("--n", type=int, default=1024,
-                            help="database size / key capacity (default 1024)")
-    run_parser.add_argument("--ops", type=int, default=200,
-                            help="operations to run (default 200)")
-    run_parser.add_argument("--seed", type=int, default=None,
-                            help="deterministic randomness seed")
-    run_parser.add_argument("--value-size", type=int, default=32,
-                            help="KVS value size in bytes (default 32)")
-    run_parser.add_argument("--write-fraction", type=float, default=0.5,
-                            help="write fraction for the readwrite workload")
-    run_parser.add_argument("--backend", default=None,
-                            choices=("memory", "slab", "network"),
-                            help="slot-storage backend (default memory; "
-                                 "slab packs fixed-size blocks into one "
-                                 "contiguous buffer)")
-    run_parser.add_argument("--network", default=None,
-                            choices=("lan", "wan", "mobile"),
-                            help="link model for the network backend")
-    run_parser.add_argument("--list", action="store_true",
-                            help="list registered schemes and exit")
-    _add_observability_arguments(run_parser)
-    run_parser.set_defaults(handler=_cmd_run)
-
-    serve_parser = commands.add_parser(
-        "serve",
-        help="serve N concurrent client sessions through a scheduler",
+    _add_command(
+        commands, "audit", _cmd_audit,
+        "run a cluster workload with an eps-budget timeline attached",
+        ClusterConfig,
+        "--scheme --shards --replicas --n --requests --workload --epsilon "
+        "--pad-size --seed --executor --batch --cap --timeline --slo "
+        "--slo-budget --slo-horizon --slo-fast-window --slo-slow-window "
+        "--slo-fast-burn --slo-slow-burn --json",
+        {"--replicas": dict(default=1), "--requests": dict(default=64),
+         "--executor": dict(default="serial")},
     )
-    serve_parser.add_argument(
-        "--scheme", default="dp_ir",
-        help="registry name; hyphenated aliases like batch-dpir accepted",
-    )
-    serve_parser.add_argument("--clients", type=int, default=8,
-                              help="concurrent tenant sessions (default 8)")
-    serve_parser.add_argument("--requests", type=int, default=32,
-                              help="requests per client (default 32)")
-    serve_parser.add_argument("--scheduler", default="window",
-                              choices=("fifo", "window", "continuous",
-                                       "batch"),
-                              help="dispatch policy (default window; "
-                                   "'batch' is a legacy alias for window, "
-                                   "'continuous' pipelines dispatch groups "
-                                   "with admission control)")
-    serve_parser.add_argument("--window-ms", type=float, default=2.0,
-                              help="batching window in ms (default 2)")
-    serve_parser.add_argument("--max-batch", type=int, default=16,
-                              help="dispatch group size cap (default 16)")
-    serve_parser.add_argument("--max-in-flight", type=int, default=4,
-                              help="concurrent dispatch groups for the "
-                                   "continuous scheduler (default 4)")
-    serve_parser.add_argument("--tenant-credits", type=int, default=None,
-                              help="per-tenant outstanding-request cap for "
-                                   "the continuous scheduler (default: "
-                                   "admission control off)")
-    serve_parser.add_argument("--queue-cap", type=int, default=None,
-                              help="global pending-queue cap for the "
-                                   "continuous scheduler (default: off)")
-    serve_parser.add_argument("--load", default="open",
-                              choices=("open", "closed"),
-                              help="open-loop Poisson or closed-loop think")
-    serve_parser.add_argument("--rate", type=float, default=100.0,
-                              help="open-loop arrivals/s per client")
-    serve_parser.add_argument("--think-ms", type=float, default=5.0,
-                              help="closed-loop mean think time in ms")
-    serve_parser.add_argument(
-        "--workload", default="uniform",
-        help="per-tenant trace: uniform, sequential, zipf, hotspot, "
-             "readwrite (RAM), ycsb-a/b/c (KVS)",
-    )
-    serve_parser.add_argument("--n", type=int, default=1024,
-                              help="database size / key capacity")
-    serve_parser.add_argument("--seed", type=int, default=None,
-                              help="deterministic randomness seed")
-    serve_parser.add_argument("--network", default="lan",
-                              choices=("lan", "wan", "mobile"),
-                              help="link model pricing simulated time")
-    serve_parser.add_argument("--backend", default=None,
-                              choices=("memory", "slab", "network"),
-                              help="slot-storage backend override "
-                                   "(default: scheme default; slab packs "
-                                   "blocks into one contiguous buffer)")
-    serve_parser.add_argument("--value-size", type=int, default=32,
-                              help="KVS value size in bytes (default 32)")
-    serve_parser.add_argument("--executor", default=None,
-                              choices=("serial", "parallel", "simulated"),
-                              help="cross-shard fan-out policy for "
-                                   "cluster schemes (default serial)")
-    serve_parser.add_argument("--monitor", action="store_true",
-                              help="attach online leakage monitors; exit 1 "
-                                   "if empirical adversary success exceeds "
-                                   "the eps-implied ceiling")
-    serve_parser.add_argument("--json", action="store_true",
-                              help="emit the report as JSON")
-    _add_observability_arguments(serve_parser)
-    serve_parser.set_defaults(handler=_cmd_serve)
-
-    cluster_parser = commands.add_parser(
-        "cluster",
-        help="deploy a scheme as N shard groups x R replicas with failover",
-    )
-    cluster_parser.add_argument(
-        "--scheme", default="dp_ir",
-        help="base scheme each shard group hosts (IR or KVS; see --list)",
-    )
-    cluster_parser.add_argument("--shards", type=int, default=4,
-                                help="shard groups D (default 4)")
-    cluster_parser.add_argument("--replicas", type=int, default=2,
-                                help="replicas per group R (default 2)")
-    cluster_parser.add_argument("--n", type=int, default=1024,
-                                help="database size / key capacity")
-    cluster_parser.add_argument("--requests", type=int, default=256,
-                                help="operations to drive (default 256)")
-    cluster_parser.add_argument(
-        "--workload", default="uniform",
-        help="trace shape: uniform, sequential, zipf, hotspot (IR); "
-             "ycsb-a/b/c, insert-lookup (KVS)",
-    )
-    cluster_parser.add_argument("--placement", default="range",
-                                choices=("range", "hash"),
-                                help="shard placement policy (IR clusters)")
-    cluster_parser.add_argument("--epsilon", type=float, default=None,
-                                help="cluster-wide privacy target "
-                                     "(default ln n)")
-    cluster_parser.add_argument("--pad-size", type=int, default=None,
-                                help="explicit global pad size K")
-    cluster_parser.add_argument("--alpha", type=float, default=0.05,
-                                help="per-query error probability")
-    cluster_parser.add_argument("--no-auth", action="store_true",
-                                help="store plaintext instead of "
-                                     "authenticated ciphertexts")
-    cluster_parser.add_argument("--failure-rate", type=float, default=0.0,
-                                help="flaky-node rate per replica")
-    cluster_parser.add_argument("--corruption-rate", type=float, default=0.0,
-                                help="bit-flip rate per replica")
-    cluster_parser.add_argument("--value-size", type=int, default=32,
-                                help="KVS value size in bytes (default 32)")
-    cluster_parser.add_argument("--seed", type=int, default=None,
-                                help="deterministic randomness seed")
-    cluster_parser.add_argument("--network", default="lan",
-                                choices=("lan", "wan", "mobile"),
-                                help="link model pricing simulated time")
-    cluster_parser.add_argument("--backend", default=None,
-                                choices=("memory", "slab", "network"),
-                                help="per-replica slot-storage backend "
-                                     "(default memory; slab packs blocks "
-                                     "into one contiguous buffer)")
-    cluster_parser.add_argument("--executor", default="serial",
-                                choices=("serial", "parallel", "simulated"),
-                                help="cross-shard fan-out policy "
-                                     "(default serial)")
-    cluster_parser.add_argument("--batch", type=int, default=1,
-                                help="requests dispatched per round; a "
-                                     "round spanning several shards is "
-                                     "what a parallel executor overlaps "
-                                     "(default 1)")
-    cluster_parser.add_argument("--fault-coins", default="per_slot",
-                                choices=("per_slot", "per_round"),
-                                help="fault-coin granularity for injected "
-                                     "faults (default per_slot)")
-    cluster_parser.add_argument("--monitor", action="store_true",
-                                help="attach online leakage monitors "
-                                     "(membership + shard routing); exit 1 "
-                                     "if empirical success exceeds the "
-                                     "eps-implied ceiling")
-    cluster_parser.add_argument("--json", action="store_true",
-                                help="emit the report as JSON")
-    cluster_parser.add_argument("--list", action="store_true",
-                                help="list cluster-capable base schemes "
-                                     "(names + aliases) and exit")
-    _add_observability_arguments(cluster_parser)
-    cluster_parser.set_defaults(handler=_cmd_cluster)
-
-    audit_parser = commands.add_parser(
-        "audit",
-        help="run a cluster workload with an eps-budget timeline attached",
-    )
-    audit_parser.add_argument(
-        "--scheme", default="dp_ir",
-        help="base scheme each shard group hosts (IR or KVS)",
-    )
-    audit_parser.add_argument("--shards", type=int, default=4,
-                              help="shard groups D (default 4)")
-    audit_parser.add_argument("--replicas", type=int, default=1,
-                              help="replicas per group R (default 1)")
-    audit_parser.add_argument("--n", type=int, default=1024,
-                              help="database size / key capacity")
-    audit_parser.add_argument("--requests", type=int, default=64,
-                              help="operations to drive (default 64)")
-    audit_parser.add_argument("--workload", default="uniform",
-                              help="trace shape (uniform, zipf, ...)")
-    audit_parser.add_argument("--epsilon", type=float, default=None,
-                              help="cluster-wide privacy target "
-                                   "(default ln n)")
-    audit_parser.add_argument("--pad-size", type=int, default=None,
-                              help="explicit global pad size K")
-    audit_parser.add_argument("--seed", type=int, default=None,
-                              help="deterministic randomness seed")
-    audit_parser.add_argument("--executor", default="serial",
-                              choices=("serial", "parallel", "simulated"),
-                              help="cross-shard fan-out policy")
-    audit_parser.add_argument("--batch", type=int, default=1,
-                              help="requests dispatched per round")
-    audit_parser.add_argument("--cap", default=None, metavar="EPS",
-                              help="budget cap to audit cumulative spend "
-                                   "against (flags the first crossing); "
-                                   "decimals and rationals like 7/3 stay "
-                                   "exact")
-    audit_parser.add_argument("--timeline", action="store_true",
-                              help="plot the cumulative spend timeline")
-    audit_parser.add_argument("--slo", action="store_true",
-                              help="evaluate the two-window eps burn-rate "
-                                   "SLO (per tenant and per operator); "
-                                   "exit 1 on a breach")
-    audit_parser.add_argument("--slo-budget", default=None, metavar="EPS",
-                              help="SLO budget (exact; defaults to --cap)")
-    audit_parser.add_argument("--slo-horizon", type=int, default=None,
-                              help="SLO period in spend events "
-                                   "(default: the run length)")
-    audit_parser.add_argument("--slo-fast-window", type=int, default=None,
-                              help="fast window in events "
-                                   "(default horizon/50)")
-    audit_parser.add_argument("--slo-slow-window", type=int, default=None,
-                              help="slow window in events "
-                                   "(default horizon/10)")
-    audit_parser.add_argument("--slo-fast-burn", default="14",
-                              metavar="RATE",
-                              help="fast-window burn threshold (default 14)")
-    audit_parser.add_argument("--slo-slow-burn", default="6",
-                              metavar="RATE",
-                              help="slow-window burn threshold (default 6)")
-    audit_parser.add_argument("--json", action="store_true",
-                              help="emit the timeline (and SLO) as JSON")
-    audit_parser.set_defaults(handler=_cmd_audit)
 
     diff_parser = commands.add_parser(
         "trace-diff",
@@ -811,9 +638,10 @@ def main(argv: list[str] | None = None) -> int:
                                      "critical-path share instead of the "
                                      "round summary")
     summary_parser.add_argument(
-        "--straggler-threshold", type=float, default=None, metavar="RATIO",
+        "--straggler-threshold", type=float, metavar="RATIO",
+        default=DEFAULT_STRAGGLER_THRESHOLD,
         help="flag rounds whose slowest leg costs at least RATIO times "
-             "the mean leg (default 1.5)",
+             "the mean leg (default %(default)s)",
     )
     summary_parser.add_argument("--json", action="store_true",
                                 help="emit the summary as JSON")
@@ -848,16 +676,22 @@ def main(argv: list[str] | None = None) -> int:
         "lint",
         help="run the privacy & determinism linter over the source tree",
     )
-    from repro.lint.cli import add_lint_arguments
+    from repro.lint.cli import add_lint_arguments, run_lint
 
     add_lint_arguments(lint_parser)
-    lint_parser.set_defaults(handler=_cmd_lint)
+    lint_parser.set_defaults(handler=run_lint)
 
     demo_parser = commands.add_parser("demo", help="one-minute tour")
     demo_parser.set_defaults(handler=_cmd_demo)
 
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except (ReproError, ValueError) as exc:
+        # A usage mistake (unknown scheme, workload or network, a bad
+        # size or rate) gets a message and exit 2, not a traceback.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - entry point

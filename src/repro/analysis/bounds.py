@@ -31,8 +31,7 @@ def dp_ir_error_lower_bound(
     _check_n(n)
     _check_epsilon(epsilon)
     _check_delta(delta)
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    _check_alpha(alpha, positive=True)
     return max(0.0, (n - 1) * (1.0 - alpha - delta) / math.exp(epsilon))
 
 
@@ -51,8 +50,7 @@ def dp_ram_lower_bound(
         raise ValueError(
             f"client storage must be at least 2 blocks, got {client_blocks}"
         )
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    _check_alpha(alpha)
     inner = (1.0 - alpha) * n / math.exp(epsilon)
     if inner <= 1.0:
         return 0.0
@@ -67,8 +65,7 @@ def multi_server_ir_lower_bound(
     _check_n(n)
     _check_epsilon(epsilon)
     _check_delta(delta)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    _check_alpha(alpha)
     if not 0.0 < t <= 1.0:
         raise ValueError(f"corrupted fraction t must be in (0, 1], got {t}")
     return max(0.0, ((1.0 - alpha) * t - delta) * n / math.exp(epsilon))
@@ -82,8 +79,11 @@ def min_epsilon_for_ir_bandwidth(
 
     This is the paper's core message made quantitative: for constant
     bandwidth the result is ``ln n − O(1)``, i.e. ``ε = Ω(log n)``.
+    α and δ range over what Theorem 3.4 admits (0 < α ≤ 1, 0 ≤ δ ≤ 1).
     """
     _check_n(n)
+    _check_alpha(alpha, positive=True)
+    _check_delta(delta)
     if bandwidth <= 0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
     numerator = (n - 1) * (1.0 - alpha - delta)
@@ -97,8 +97,9 @@ def min_epsilon_for_ram_bandwidth(
 ) -> float:
     """Invert Theorem 3.7: the smallest ε any DP-RAM moving at most
     ``bandwidth`` blocks per query with client storage ``c`` could provide:
-    ``ε ≥ ln((1−α)·n) − bandwidth·ln c``."""
+    ``ε ≥ ln((1−α)·n) − bandwidth·ln c``, for 0 ≤ α ≤ 1 as in Theorem 3.7."""
     _check_n(n)
+    _check_alpha(alpha)
     if bandwidth <= 0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
     if client_blocks < 2:
@@ -119,6 +120,13 @@ def _check_n(n: int) -> None:
 def _check_epsilon(epsilon: float) -> None:
     if epsilon < 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
+
+
+def _check_alpha(alpha: float, *, positive: bool = False) -> None:
+    if positive and not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
 
 
 def _check_delta(delta: float) -> None:

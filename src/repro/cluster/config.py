@@ -13,13 +13,14 @@ fault coins, trace/metrics sinks, budget timeline, monitors) lives on
     report = repro.cluster("dp_ir", config)
 
 ``cluster()`` takes the config and nothing else (base-scheme builder
-keywords ride in ``base_kwargs``); the CLI builds configs via
-:meth:`ClusterConfig.from_cli_args`.
+keywords ride in ``base_kwargs``).  ``repro cluster`` and ``repro audit``
+build their configs by field name: each flag sets the field its dest
+names (``--no-auth`` clears ``authenticated``), and the field defaults
+are the flag defaults unless the command overrides one.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
@@ -109,45 +110,3 @@ class ClusterConfig:
     def replace(self, **changes: Any) -> "ClusterConfig":
         """A copy with ``changes`` applied (frozen-dataclass idiom)."""
         return dataclasses.replace(self, **changes)
-
-    @classmethod
-    def from_cli_args(
-        cls,
-        args: argparse.Namespace,
-        *,
-        tracer: Tracer | None = None,
-        metrics_registry: MetricsRegistry | None = None,
-        timeline: BudgetTimeline | None = None,
-    ) -> "ClusterConfig":
-        """Build a config from the ``repro cluster``/``audit`` namespace.
-
-        Flags absent from a subcommand (``repro audit`` has no
-        ``--placement``, ``--no-auth``, fault-rate or ``--monitor``
-        flags) fall back to the field defaults, so both CLIs share one
-        construction path.
-        """
-        return cls(
-            shards=args.shards,
-            replicas=args.replicas,
-            n=args.n,
-            requests=args.requests,
-            workload=args.workload,
-            placement=getattr(args, "placement", "range"),
-            epsilon=args.epsilon,
-            pad_size=args.pad_size,
-            alpha=getattr(args, "alpha", 0.05),
-            authenticated=not getattr(args, "no_auth", False),
-            failure_rate=getattr(args, "failure_rate", 0.0),
-            corruption_rate=getattr(args, "corruption_rate", 0.0),
-            value_size=getattr(args, "value_size", 32),
-            seed=args.seed,
-            network=getattr(args, "network", "lan"),
-            backend=getattr(args, "backend", None),
-            executor=args.executor,
-            batch=args.batch,
-            tracer=tracer,
-            metrics_registry=metrics_registry,
-            timeline=timeline,
-            fault_coin_mode=getattr(args, "fault_coins", "per_slot"),
-            monitor=getattr(args, "monitor", False),
-        )

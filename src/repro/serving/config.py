@@ -12,13 +12,13 @@ documented way to parameterize :func:`repro.serve`::
     report = repro.serve("batch_dp_ir", config)
 
 ``serve()`` takes the config and nothing else (scheme-builder keywords
-ride in ``build_kwargs``); the CLI builds configs via
-:meth:`ServingConfig.from_cli_args`.
+ride in ``build_kwargs``).  ``repro serve`` builds its config by field
+name: each flag sets the field its dest names (``--requests`` sets
+``requests_per_client``), and the field defaults are the flag defaults.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Mapping
@@ -113,42 +113,3 @@ class ServingConfig:
     def replace(self, **changes: Any) -> "ServingConfig":
         """A copy with ``changes`` applied (frozen-dataclass idiom)."""
         return dataclasses.replace(self, **changes)
-
-    @classmethod
-    def from_cli_args(
-        cls,
-        args: argparse.Namespace,
-        *,
-        tracer: Tracer | None = None,
-        metrics_registry: MetricsRegistry | None = None,
-    ) -> "ServingConfig":
-        """Build a config from the ``repro serve`` argparse namespace.
-
-        Maps flag spellings to field names (``--requests`` →
-        ``requests_per_client``, ``--window-ms`` → ``batch_window_ms``,
-        ``--rate`` → ``rate_rps``) so the CLI and the Python API share
-        one construction path.
-        """
-        return cls(
-            clients=args.clients,
-            requests_per_client=args.requests,
-            scheduler=args.scheduler,
-            batch_window_ms=args.window_ms,
-            max_batch=args.max_batch,
-            max_in_flight=getattr(args, "max_in_flight", 4),
-            tenant_credits=getattr(args, "tenant_credits", None),
-            queue_cap=getattr(args, "queue_cap", None),
-            load=args.load,
-            rate_rps=args.rate,
-            think_ms=args.think_ms,
-            workload=args.workload,
-            n=args.n,
-            seed=args.seed,
-            network=args.network,
-            backend=getattr(args, "backend", None),
-            value_size=args.value_size,
-            executor=args.executor,
-            tracer=tracer,
-            metrics_registry=metrics_registry,
-            monitor=args.monitor,
-        )

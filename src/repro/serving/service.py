@@ -64,10 +64,6 @@ def _tenant_trace(
         return catalogue.kv_trace(
             workload, n, count, rng, value_size=value_size
         )
-    if kind == "ir" and workload == "readwrite":
-        raise ValueError("IR schemes are read-only; pick a read workload")
-    if workload in catalogue.KV_WORKLOADS:
-        raise ValueError(f"workload {workload!r} needs a KVS scheme")
     # Sequential tenants scan from distinct offsets so concurrent
     # sessions don't trivially share every index.
     return catalogue.index_trace(
@@ -164,12 +160,11 @@ def serve(
         n = instance.n  # traces must address the instance's universe
 
     workload = config.workload
-    if workload == "readwrite" and not getattr(instance, "writable", True):
-        # Fail before the simulation starts (matching the run CLI's
-        # pre-check) instead of dying mid-run on the scheme's own error.
-        raise ValueError(
-            f"scheme {label!r} is read-only; pick a read workload"
-        )
+    # Fail before the simulation starts (the run CLI makes the same
+    # check) instead of dying mid-run on the scheme's own error.
+    catalogue.check_workload(
+        workload, kind, label, getattr(instance, "writable", True)
+    )
 
     generator = _resolve_load(config.load, config.rate_rps, config.think_ms)
     sessions = []

@@ -17,6 +17,30 @@ INDEX_WORKLOADS = ("uniform", "sequential", "zipf", "hotspot", "readwrite")
 KV_WORKLOADS = ("ycsb-a", "ycsb-b", "ycsb-c", "insert-lookup")
 
 
+def check_workload(
+    name: str, kind: str, scheme: str, writable: bool
+) -> None:
+    """Reject a workload the scheme cannot run, before any trace is built.
+
+    Args:
+        name: the workload name.
+        kind: the scheme's protocol, ``"ir"``, ``"ram"`` or ``"kvs"``.
+        scheme: the scheme's name, for the message.
+        writable: whether the scheme accepts writes.
+
+    Raises:
+        ValueError: for a KV workload on an IR or RAM scheme, or
+            ``readwrite`` on an IR or read-only scheme.  (A KVS scheme
+            takes index workload names as ``insert-lookup``.)
+    """
+    if kind != "kvs" and name in KV_WORKLOADS:
+        raise ValueError(f"workload {name!r} needs a KVS scheme")
+    if name == "readwrite" and (kind == "ir" or not writable):
+        raise ValueError(
+            f"scheme {scheme!r} is read-only; pick a read workload"
+        )
+
+
 def index_trace(
     name: str,
     universe: int,

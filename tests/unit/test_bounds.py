@@ -141,3 +141,23 @@ class TestInversions:
             min_epsilon_for_ir_bandwidth(10, 0, 0.05)
         with pytest.raises(ValueError):
             min_epsilon_for_ram_bandwidth(10, 0, 4)
+
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, 1.5])
+    def test_ir_inversion_rejects_alpha_theorem_3_4_excludes(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            min_epsilon_for_ir_bandwidth(1024, 3, alpha)
+
+    @pytest.mark.parametrize("delta", [-0.1, 1.5])
+    def test_ir_inversion_rejects_bad_delta(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            min_epsilon_for_ir_bandwidth(1024, 3, 0.05, delta)
+
+    @pytest.mark.parametrize("alpha", [-1.0, 2.0])
+    def test_ram_inversion_rejects_alpha_theorem_3_7_excludes(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            min_epsilon_for_ram_bandwidth(1024, 3, 4, alpha)
+
+    def test_inversions_accept_the_range_ends(self):
+        assert min_epsilon_for_ir_bandwidth(1024, 3, 1.0, 0.0) == 0.0
+        assert min_epsilon_for_ram_bandwidth(1024, 3, 4, 0.0) > 0.0
+        assert min_epsilon_for_ram_bandwidth(1024, 3, 4, 1.0) == 0.0

@@ -20,6 +20,23 @@ class TestBoundsCommand:
         assert "8.0 blocks/query" in output
 
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--n", "0"], "--n must be at least 2"),
+        (["--n", "1"], "--n must be at least 2"),
+        (["--bandwidth", "0"], "bandwidth must be positive"),
+        (["--client", "0"], "client storage must be at least 2"),
+        (["--client", "-1"], "client storage must be at least 2"),
+        (["--alpha", "-1"], "alpha must be in (0, 1]"),
+        (["--alpha", "2"], "alpha must be in (0, 1]"),
+    ])
+    def test_bad_input_is_a_usage_error(self, capsys, flags, message):
+        assert main(["bounds", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+        assert captured.out == ""
+
+
 class TestDemoCommand:
     def test_runs(self, capsys):
         assert main(["demo"]) == 0
@@ -68,11 +85,13 @@ class TestRunCommand:
 
     def test_ir_rejects_write_workload(self, capsys):
         assert main(["run", "--scheme", "dp_ir", "--workload", "readwrite",
-                     "--ops", "10", "--seed", "7"]) == 1
+                     "--ops", "10", "--seed", "7"]) == 2
+        assert "read-only" in capsys.readouterr().err
 
     def test_non_kvs_rejects_kv_workload(self, capsys):
         assert main(["run", "--scheme", "dp_ram", "--workload", "ycsb-a",
-                     "--ops", "10", "--seed", "7"]) == 1
+                     "--ops", "10", "--seed", "7"]) == 2
+        assert "needs a KVS scheme" in capsys.readouterr().err
 
     def test_list_schemes(self, capsys):
         assert main(["run", "--list"]) == 0
@@ -94,7 +113,7 @@ class TestRunCommand:
     def test_read_only_scheme_rejects_readwrite(self, capsys):
         assert main(["run", "--scheme", "read_only_dp_ram",
                      "--workload", "readwrite", "--ops", "5",
-                     "--seed", "1"]) == 1
+                     "--seed", "1"]) == 2
         assert "read-only" in capsys.readouterr().err
 
 

@@ -5,8 +5,6 @@ dataclasses, the scheduler registry, and that ``serve()`` /
 ``cluster()`` take the config and no keywords.
 """
 
-import argparse
-
 import pytest
 
 import repro
@@ -55,20 +53,6 @@ class TestServingConfig:
     def test_validates_counts_at_construction(self, bad):
         with pytest.raises(ValueError):
             ServingConfig(**bad)
-
-    def test_from_cli_args_maps_flag_spellings(self):
-        args = argparse.Namespace(
-            clients=3, requests=9, scheduler="continuous", window_ms=1.5,
-            max_batch=8, max_in_flight=2, tenant_credits=4, queue_cap=None,
-            load="open", rate=250.0, think_ms=5.0, workload="uniform",
-            n=64, seed=11, network="lan", value_size=32, executor=None,
-            monitor=False,
-        )
-        config = ServingConfig.from_cli_args(args)
-        assert config.requests_per_client == 9
-        assert config.batch_window_ms == 1.5
-        assert config.rate_rps == 250.0
-        assert config.tenant_credits == 4
 
 
 class TestClusterConfig:
