@@ -42,9 +42,9 @@ CELLS = [
 def main() -> None:
     print(f"== {CLIENTS} tenants flooding one BatchDPIR worker "
           f"(n={N}, {RATE_RPS:.0f} req/s each) ==\n")
-    print("registered schedulers:")
-    for spec in repro.schedulers():
-        print(f"  {spec.name:<12} {spec.summary}")
+    print("scheduler settings:")
+    for name, summary in repro.schedulers():
+        print(f"  {name:<12} {summary}")
     print()
 
     reports = [(label, repro.serve("batch_dp_ir", config))

@@ -90,12 +90,9 @@ from repro.parallel import (
 )
 from repro.serving import (
     ContinuousBatchScheduler,
-    FIFOScheduler,
     RequestScheduler,
     ServingConfig,
     ServingReport,
-    WindowedBatchScheduler,
-    register_scheduler,
     serve,
 )
 from repro.serving import scheduler_listings as schedulers
@@ -130,7 +127,6 @@ __all__ = [
     "DPRAM",
     "DPRAMParams",
     "Executor",
-    "FIFOScheduler",
     "InMemoryBackend",
     "LAN",
     "LeakageReport",
@@ -172,7 +168,6 @@ __all__ = [
     "TracingExecutor",
     "Transcript",
     "WAN",
-    "WindowedBatchScheduler",
     "available_schemes",
     "build",
     "cluster",
@@ -181,7 +176,6 @@ __all__ = [
     "diff_traces",
     "evaluate_slo",
     "instrument_scheme",
-    "register_scheduler",
     "register_scheme",
     "resolve_executor",
     "schedulers",

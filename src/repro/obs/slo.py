@@ -190,15 +190,16 @@ def evaluate_slo(
         timeline: a :class:`BudgetTimeline` or an iterable of
             :class:`SpendEvent` in sequence order.
         budget: exact ε budget for the horizon (``"3/2"`` accepted).
-        horizon: SLO period in events; defaults to the timeline length
-            (so the default sustainable rate is "spend the budget
-            exactly once over this run").
+        horizon: SLO period in events, at least 1; defaults to the
+            timeline length (so the default sustainable rate is "spend
+            the budget exactly once over this run").
         fast_window: events in the fast window (default ``horizon/50``,
             at least 1).
         slow_window: events in the slow window (default ``horizon/10``,
             at least 1).
-        fast_burn: fast-window threshold (default 14× — the page rule).
-        slow_burn: slow-window threshold (default 6×).
+        fast_burn: fast-window threshold, positive (default 14× — the
+            page rule).
+        slow_burn: slow-window threshold, positive (default 6×).
 
     Returns:
         An :class:`SLOReport`; ``breached`` is True when any scope's
@@ -212,8 +213,16 @@ def evaluate_slo(
     exact_budget = Fraction(budget)
     if exact_budget <= 0:
         raise ValueError(f"budget must be positive, got {budget}")
-    effective_horizon = horizon if horizon is not None else len(events)
-    effective_horizon = max(1, effective_horizon)
+    if horizon is not None and horizon < 1:
+        raise ValueError(f"horizon must be at least 1, got {horizon}")
+    exact_fast_burn = Fraction(fast_burn)
+    exact_slow_burn = Fraction(slow_burn)
+    if exact_fast_burn <= 0 or exact_slow_burn <= 0:
+        raise ValueError(
+            f"burn thresholds must be positive, got fast {fast_burn}, "
+            f"slow {slow_burn}"
+        )
+    effective_horizon = horizon if horizon is not None else max(1, len(events))
     fast = fast_window if fast_window is not None else max(
         1, effective_horizon // 50
     )
@@ -227,8 +236,8 @@ def evaluate_slo(
         horizon=effective_horizon,
         fast_window=fast,
         slow_window=slow,
-        fast_burn=Fraction(fast_burn),
-        slow_burn=Fraction(slow_burn),
+        fast_burn=exact_fast_burn,
+        slow_burn=exact_slow_burn,
     )
     target_rate = exact_budget / effective_horizon
 

@@ -8,9 +8,9 @@ client loop.  This package adds the missing serving regime as a
     N client sessions ──► load generator (open-loop Poisson /
          │                closed-loop think time) emits arrivals
          ▼
-    request scheduler — FIFO per-request dispatch, or a batching
-         │              scheduler with a configurable window
-         ▼
+    request scheduler — one dispatch policy in three settings: fifo,
+         │              window (batching window) and continuous
+         ▼              (pipelined, admission caps)
     one scheme worker — batches routed through the ``query_many`` /
          │              ``read_many`` / ``get_many`` protocol entry
          │              points, so ``BatchDPIR`` fetches pad-set unions
@@ -30,11 +30,11 @@ configured through a frozen :class:`ServingConfig`, and the
 ``python -m repro serve`` CLI subcommand.  The scheduler claims (window
 beats FIFO, continuous outruns window, caps shed) are seeded tier-1
 assertions on simulated figures; ``serve_cluster`` in
-``BENCHMARK.json`` measures the cost.  Schedulers are a registry
-(:func:`register_scheduler`, listed by :func:`scheduler_listings` /
-``repro.schedulers()``) mirroring the scheme registry: ``fifo``,
-``window`` (legacy alias ``batch``) and ``continuous`` — the pipelined
-batcher with per-tenant admission control.
+``BENCHMARK.json`` measures the cost.  ``fifo``, ``window`` (legacy
+alias ``batch``) and ``continuous`` are three settings of
+:class:`ContinuousBatchScheduler`, listed by :func:`scheduler_listings`
+/ ``repro.schedulers()``; a custom policy is a :class:`RequestScheduler`
+instance passed as ``ServingConfig(scheduler=...)``.
 """
 
 from repro.serving.config import ServingConfig
@@ -47,44 +47,32 @@ from repro.serving.load import (
 from repro.serving.report import ServingReport, TenantReport
 from repro.serving.requests import Request
 from repro.serving.schedulers import (
-    BatchScheduler,
     ContinuousBatchScheduler,
-    FIFOScheduler,
     RequestScheduler,
-    SchedulerSpec,
-    WindowedBatchScheduler,
     available_schedulers,
     build_scheduler,
-    register_scheduler,
     resolve_scheduler_name,
     scheduler_listings,
-    scheduler_spec,
 )
 from repro.serving.service import resolve_scheme_name, serve
 from repro.serving.simulator import ClientSession, ServingSimulator
 
 __all__ = [
     "ArrivalPlan",
-    "BatchScheduler",
     "ClientSession",
     "ClosedLoopLoad",
     "ContinuousBatchScheduler",
-    "FIFOScheduler",
     "LoadGenerator",
     "OpenLoopLoad",
     "Request",
     "RequestScheduler",
-    "SchedulerSpec",
     "ServingConfig",
     "ServingReport",
     "ServingSimulator",
     "TenantReport",
-    "WindowedBatchScheduler",
     "available_schedulers",
     "build_scheduler",
-    "register_scheduler",
     "resolve_scheduler_name",
     "scheduler_listings",
-    "scheduler_spec",
     "serve",
 ]

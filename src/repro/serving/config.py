@@ -26,7 +26,7 @@ from typing import Any, Mapping
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.serving.load import LoadGenerator
-from repro.serving.schedulers import RequestScheduler
+from repro.serving.schedulers import RequestScheduler, check_at_least_one
 from repro.storage.network import NetworkModel
 
 
@@ -37,7 +37,7 @@ class ServingConfig:
     Attributes:
         clients: number of concurrent tenant sessions.
         requests_per_client: operations each session issues.
-        scheduler: a registered scheduler name (``fifo`` / ``window`` /
+        scheduler: a scheduler name (``fifo`` / ``window`` /
             ``continuous``; legacy alias ``batch``) or a
             :class:`~repro.serving.schedulers.RequestScheduler` instance.
         batch_window_ms: batching window for the ``window`` scheduler.
@@ -100,15 +100,25 @@ class ServingConfig:
     build_kwargs: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.clients < 1:
+        # Every knob is checked here, whichever scheduler or load reads
+        # it, so an out-of-range value fails even where it is unused.
+        check_at_least_one(
+            clients=self.clients,
+            requests_per_client=self.requests_per_client,
+            max_batch=self.max_batch,
+            max_in_flight=self.max_in_flight,
+            tenant_credits=self.tenant_credits,
+            queue_cap=self.queue_cap,
+        )
+        if self.batch_window_ms < 0:
             raise ValueError(
-                f"clients must be at least 1, got {self.clients}"
+                "batch_window_ms must be non-negative, got "
+                f"{self.batch_window_ms}"
             )
-        if self.requests_per_client < 1:
-            raise ValueError(
-                "requests_per_client must be at least 1, got "
-                f"{self.requests_per_client}"
-            )
+        if self.rate_rps <= 0:
+            raise ValueError(f"rate_rps must be positive, got {self.rate_rps}")
+        if self.think_ms <= 0:
+            raise ValueError(f"think_ms must be positive, got {self.think_ms}")
 
     def replace(self, **changes: Any) -> "ServingConfig":
         """A copy with ``changes`` applied (frozen-dataclass idiom)."""

@@ -291,9 +291,10 @@ class TestServingIntegration:
 
     def test_serving_report_surfaces_cluster_faults(self, rng):
         from repro.serving import (
-            BatchScheduler,
             ClientSession,
+            ServingConfig,
             ServingSimulator,
+            build_scheduler,
         )
         from repro.serving.load import OpenLoopLoad
         from repro.workloads import catalogue
@@ -313,9 +314,10 @@ class TestServingIntegration:
             sessions.append(
                 ClientSession(f"tenant-{client}", trace.operations, plan)
             )
-        report = ServingSimulator(
-            ir, sessions, BatchScheduler(window_ms=2.0, max_batch=8)
-        ).run()
+        scheduler = build_scheduler("window", ServingConfig(
+            batch_window_ms=2.0, max_batch=8,
+        ))
+        report = ServingSimulator(ir, sessions, scheduler).run()
         assert report.completed == report.requests
         assert report.faults.get("failovers", 0) > 0
         assert report.faults.get("failed_operations", 0) > 0

@@ -20,7 +20,7 @@ EXPECTED_MARKERS = {
     "cluster_deployment.py": ["shard groups", "failover", "resharding",
                               "retrieval preserved", "Done."],
     "concurrent_serving.py": ["FIFO", "batched", "latency p95", "Done."],
-    "continuous_batching.py": ["registered schedulers", "continuous",
+    "continuous_batching.py": ["scheduler settings", "continuous",
                                "shed", "bounding the queue", "Done."],
     "private_advertising.py": ["impressions", "DP-IR", "linear PIR"],
     "kv_store_workload.py": ["YCSB", "DP-KVS", "ORAM-KVS"],

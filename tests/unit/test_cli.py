@@ -141,6 +141,29 @@ class TestServeCommand:
         assert payload["clients"] == 2
         assert payload["completed"] == 6
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--max-batch", "0", "--scheduler", "fifo"],
+         "max_batch must be at least 1"),
+        (["--window-ms", "-1", "--scheduler", "continuous"],
+         "batch_window_ms must be non-negative"),
+        (["--max-in-flight", "0", "--scheduler", "window"],
+         "max_in_flight must be at least 1"),
+        (["--tenant-credits", "0", "--scheduler", "window"],
+         "tenant_credits must be at least 1"),
+        (["--queue-cap", "0", "--scheduler", "fifo"],
+         "queue_cap must be at least 1"),
+        (["--load", "closed", "--rate", "-5"], "rate_rps must be positive"),
+        (["--load", "open", "--think-ms", "-1"], "think_ms must be positive"),
+    ])
+    def test_out_of_range_knob_is_a_usage_error(self, capsys, flags, message):
+        # Checked even where the chosen scheduler or load ignores it.
+        assert main(["serve", "--scheme", "dp_ir", "--clients", "2",
+                     "--requests", "3", "--n", "64", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_unknown_scheme_reports_catalogue(self, capsys):
         assert main(["serve", "--scheme", "warp_drive"]) == 2
         assert "registered schemes" in capsys.readouterr().err
@@ -405,6 +428,19 @@ class TestAuditSloCommand:
     def test_slo_budget_defaults_to_cap(self, capsys):
         assert main(self.ARGS + ["--slo", "--cap", "100000"]) == 0
         assert "SLO healthy" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--slo-horizon", "-5"], "horizon must be at least 1"),
+        (["--slo-horizon", "0"], "horizon must be at least 1"),
+        (["--slo-fast-burn", "-1"], "burn thresholds must be positive"),
+        (["--slo-slow-burn", "0"], "burn thresholds must be positive"),
+    ])
+    def test_bad_slo_policy_is_a_usage_error(self, capsys, flags, message):
+        assert main(self.ARGS + ["--slo", "--slo-budget", "100",
+                                 *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
 
     def test_json_mode_carries_the_slo_payload(self, capsys):
         import json

@@ -3,19 +3,29 @@
 import pytest
 
 from repro.serving import (
-    BatchScheduler,
     ClientSession,
     ClosedLoopLoad,
-    FIFOScheduler,
+    ContinuousBatchScheduler,
     OpenLoopLoad,
     Request,
     ServingConfig,
     ServingSimulator,
+    build_scheduler,
     resolve_scheme_name,
     serve,
 )
 from repro.storage.network import LAN
 from repro.workloads.trace import Operation
+
+
+def _fifo() -> ContinuousBatchScheduler:
+    return build_scheduler("fifo", ServingConfig())
+
+
+def _window(window_ms: float, max_batch: int) -> ContinuousBatchScheduler:
+    return build_scheduler("batch", ServingConfig(
+        batch_window_ms=window_ms, max_batch=max_batch,
+    ))
 
 
 def _request(sequence: int, arrival_ms: float = 0.0) -> Request:
@@ -72,7 +82,7 @@ class TestClosedLoopLoad:
 
 class TestFIFOScheduler:
     def test_singleton_batches_in_arrival_order(self):
-        scheduler = FIFOScheduler()
+        scheduler = _fifo()
         for sequence in range(3):
             assert scheduler.enqueue(_request(sequence), 0.0) is None
         assert scheduler.pending() == 3
@@ -83,7 +93,7 @@ class TestFIFOScheduler:
 
 class TestBatchScheduler:
     def test_window_holds_then_releases(self):
-        scheduler = BatchScheduler(window_ms=5.0, max_batch=16)
+        scheduler = _window(5.0, 16)
         wake = scheduler.enqueue(_request(0, 0.0), 0.0)
         assert wake == 5.0
         assert scheduler.enqueue(_request(1, 1.0), 1.0) is None
@@ -94,7 +104,7 @@ class TestBatchScheduler:
         assert [request.sequence for request in batch] == [0, 1]
 
     def test_full_batch_dispatches_early(self):
-        scheduler = BatchScheduler(window_ms=100.0, max_batch=2)
+        scheduler = _window(100.0, 2)
         scheduler.enqueue(_request(0), 0.0)
         scheduler.enqueue(_request(1), 0.0)
         scheduler.enqueue(_request(2), 0.0)
@@ -104,9 +114,9 @@ class TestBatchScheduler:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            BatchScheduler(window_ms=-1.0)
+            ContinuousBatchScheduler(window_ms=-1.0)
         with pytest.raises(ValueError):
-            BatchScheduler(max_batch=0)
+            ContinuousBatchScheduler(max_batch=0)
 
 
 class TestServingSimulator:
@@ -152,7 +162,7 @@ class TestServingSimulator:
             OpenLoopLoad(100.0).plan(1, rng),
         )
         simulator = ServingSimulator(
-            scheme, [session], FIFOScheduler(), network=LAN
+            scheme, [session], _fifo(), network=LAN
         )
         with pytest.raises(ValueError):
             simulator.run()
@@ -167,7 +177,7 @@ class TestServingSimulator:
             for i in range(2)
         ]
         with pytest.raises(ValueError):
-            ServingSimulator(scheme, sessions, FIFOScheduler())
+            ServingSimulator(scheme, sessions, _fifo())
 
     def test_kvs_scheme_serves(self):
         report = serve("plaintext_kvs", ServingConfig(

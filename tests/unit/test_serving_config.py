@@ -1,7 +1,7 @@
 """Tests for the redesigned config/scheduler API surface.
 
 Covers the frozen :class:`ServingConfig` / :class:`ClusterConfig`
-dataclasses, the scheduler registry, and that ``serve()`` /
+dataclasses, the named scheduler settings, and that ``serve()`` /
 ``cluster()`` take the config and no keywords.
 """
 
@@ -12,14 +12,12 @@ from repro.cluster.config import ClusterConfig
 from repro.cluster.service import cluster
 from repro.serving import (
     ContinuousBatchScheduler,
-    FIFOScheduler,
+    RequestScheduler,
     ServingConfig,
-    WindowedBatchScheduler,
     available_schedulers,
     build_scheduler,
     resolve_scheduler_name,
     scheduler_listings,
-    scheduler_spec,
     serve,
 )
 from repro.serving.requests import Request
@@ -49,6 +47,9 @@ class TestServingConfig:
 
     @pytest.mark.parametrize("bad", [
         {"clients": 0}, {"requests_per_client": 0},
+        {"max_batch": 0}, {"batch_window_ms": -1.0}, {"max_in_flight": 0},
+        {"tenant_credits": 0}, {"queue_cap": 0}, {"rate_rps": -5.0},
+        {"rate_rps": 0.0}, {"think_ms": -1.0},
     ])
     def test_validates_counts_at_construction(self, bad):
         with pytest.raises(ValueError):
@@ -103,21 +104,19 @@ class TestSchedulerRegistry:
 
     def test_batch_is_an_alias_of_window(self):
         assert resolve_scheduler_name("batch") == "window"
-        assert scheduler_spec("batch").factory is WindowedBatchScheduler
+        assert build_scheduler("batch", ServingConfig()).name == "window"
 
     def test_unknown_name_lists_the_registered_ones(self):
-        with pytest.raises(ValueError, match="fifo"):
-            scheduler_spec("nope")
-        with pytest.raises(ValueError, match="continuous"):
+        with pytest.raises(ValueError, match="continuous, fifo, window"):
             build_scheduler("nope", ServingConfig())
 
     def test_listings_carry_summaries(self):
-        listings = {spec.name: spec for spec in scheduler_listings()}
+        listings = dict(scheduler_listings())
         assert "continuous" in listings
-        assert listings["continuous"].summary
+        assert listings["continuous"]
 
     def test_public_schedulers_helper(self):
-        names = [spec.name for spec in repro.schedulers()]
+        names = [name for name, _ in repro.schedulers()]
         assert "fifo" in names and "continuous" in names
 
     def test_build_from_config_respects_fields(self):
@@ -131,8 +130,40 @@ class TestSchedulerRegistry:
         assert scheduler.max_batch == 8
 
     def test_instance_passes_through(self):
-        instance = FIFOScheduler()
+        instance = ContinuousBatchScheduler(max_batch=1, max_in_flight=1)
         assert build_scheduler(instance, ServingConfig()) is instance
+
+    # Every named setting is ContinuousBatchScheduler with the knobs its
+    # name reads off the config; the ones it does not read are ignored.
+    KNOBS = ServingConfig(batch_window_ms=5.0, max_batch=8, max_in_flight=3,
+                          tenant_credits=2, queue_cap=9)
+
+    @pytest.mark.parametrize("name,expected", [
+        ("fifo", dict(name="fifo", max_batch=1, pipeline_depth=1,
+                      window_ms=None, tenant_credits=None, queue_cap=None)),
+        ("window", dict(name="window", max_batch=8, pipeline_depth=1,
+                        window_ms=5.0, tenant_credits=None, queue_cap=None)),
+        ("continuous", dict(name="continuous", max_batch=8, pipeline_depth=3,
+                            window_ms=None, tenant_credits=2, queue_cap=9)),
+    ])
+    def test_named_settings_read_their_knobs(self, name, expected):
+        scheduler = build_scheduler(name, self.KNOBS)
+        assert type(scheduler) is ContinuousBatchScheduler
+        assert {key: getattr(scheduler, key) for key in expected} == expected
+
+    def test_a_custom_policy_is_served_by_instance(self):
+        class NewestFirst(RequestScheduler):
+            name = "newest-first"
+
+            def next_batch(self, now_ms):
+                return [self._queue.pop()] if self._queue else []
+
+        report = serve("dp_ir", ServingConfig(
+            clients=2, requests_per_client=3, n=64, seed=1,
+            scheduler=NewestFirst(),
+        ))
+        assert report.scheduler == "newest-first"
+        assert report.completed == report.requests == 6
 
 
 def _request(sequence: int, tenant: str = "t0") -> Request:

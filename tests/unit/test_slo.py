@@ -119,6 +119,16 @@ class TestEvaluateSlo:
         with pytest.raises(ValueError):
             evaluate_slo(_steady(5), budget=-1)
 
+    @pytest.mark.parametrize("policy", [
+        {"horizon": 0}, {"horizon": -5},
+        {"fast_burn": 0}, {"fast_burn": -1}, {"slow_burn": "-1/2"},
+    ])
+    def test_out_of_range_policy_raises(self, policy):
+        # A horizon below 1 used to clamp to 1 and a non-positive burn
+        # threshold was accepted; both silently change what alerts.
+        with pytest.raises(ValueError):
+            evaluate_slo(_steady(5), budget=1, **policy)
+
     def test_default_windows_derive_from_horizon(self):
         report = evaluate_slo(_steady(10), budget=1, horizon=1000)
         assert report.policy.fast_window == 20   # horizon / 50
@@ -148,3 +158,4 @@ class TestEvaluateSlo:
         report = evaluate_slo([], budget=1)
         assert not report.breached
         assert report.scopes[0]["events"] == 0
+        assert report.policy.horizon == 1  # the default never drops below 1
