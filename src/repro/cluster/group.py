@@ -54,6 +54,15 @@ from repro.storage.server import StorageServer
 DEFAULT_MAX_ATTEMPTS = 32
 
 
+def check_max_attempts(max_attempts: int) -> int:
+    """Return ``max_attempts`` if it allows at least one attempt."""
+    if max_attempts < 1:
+        raise ValueError(
+            f"max_attempts must be at least 1, got {max_attempts}"
+        )
+    return max_attempts
+
+
 class GroupExhaustedError(ServerFault):
     """Every replica of a shard group failed to serve an operation."""
 
@@ -206,7 +215,8 @@ class ShardGroup(_ReplicaGroup[PrivateIR]):
     Args:
         shard_id: position in the cluster (for reports).
         replicas: independently built base-scheme instances, each
-            loaded with this shard's (possibly encrypted) records.
+            loaded with the same copy of this shard's (possibly
+            encrypted) records.
         key: authenticated-encryption key when the cluster stores
             ciphertexts; ``None`` stores plaintext (corruption is then
             silent, exactly as in the single-node fault tests).
@@ -224,12 +234,8 @@ class ShardGroup(_ReplicaGroup[PrivateIR]):
         executor: Executor | None = None,
     ) -> None:
         super().__init__(shard_id, replicas, executor)
-        if max_attempts < 1:
-            raise ValueError(
-                f"max_attempts must be at least 1, got {max_attempts}"
-            )
         self._key = key
-        self._max_attempts = max_attempts
+        self._max_attempts = check_max_attempts(max_attempts)
 
     @property
     def local_n(self) -> int:

@@ -112,6 +112,11 @@ class RangeRouter(ShardRouter):
         """The ``D + 1`` range start offsets."""
         return tuple(self._starts)
 
+    def assignment(self) -> list[list[int]]:
+        """Each shard's range, sliced from the boundaries."""
+        starts = self._starts
+        return [list(range(lo, hi)) for lo, hi in zip(starts, starts[1:])]
+
     def shard_of(self, index: int) -> int:
         """Binary search over the range boundaries."""
         self._check_index(index)

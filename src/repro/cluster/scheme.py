@@ -7,7 +7,9 @@ cluster exactly like a single-node scheme.  Internally a
 :class:`~repro.cluster.router.ShardRouter` maps each logical index (or
 key) to one shard group; the group hosts ``R`` independently built
 instances of any registered base scheme over that shard's records and
-fails reads over between them (see :mod:`repro.cluster.group`).
+fails reads over between them (see :mod:`repro.cluster.group`).  An IR
+shard is sealed once and its replicas are built over that one sealed
+copy; a KVS replica is a stateful store of its own.
 
 Privacy model — stated honestly: within a shard, the base instance's
 exact per-query ε (over its ``n/D`` records, with a ``K/D`` pad) equals
@@ -40,6 +42,7 @@ from repro.cluster.group import (
     DEFAULT_MAX_ATTEMPTS,
     KVShardGroup,
     ShardGroup,
+    check_max_attempts,
 )
 from repro.cluster.ledger import ClusterLedger
 from repro.cluster.report import jain_index
@@ -58,6 +61,7 @@ from repro.parallel.executor import Executor, resolve_executor
 from repro.storage.faults import (
     CorruptingServer,
     FlakyServer,
+    check_coin_mode,
     wrap_scheme_servers,
 )
 from repro.storage.backends import BackendFactory
@@ -205,6 +209,7 @@ class _ClusterBase(Scheme, Generic[_G]):
             raise ValueError(
                 f"replica count must be positive, got {replica_count}"
             )
+        check_coin_mode(fault_coin_mode)
         spec = scheme_spec(base)
         if spec.kind != self.kind:
             raise ValueError(
@@ -243,25 +248,30 @@ class _ClusterBase(Scheme, Generic[_G]):
     def _install_groups(
         self,
         shard_count: int,
-        replica_kwargs: Callable[[int, str], dict[str, Any]],
+        shard_kwargs: Callable[[int, str], dict[str, Any]],
         make_group: Callable[[int, list[Any]], _G],
     ) -> None:
         """(Re)build ``shard_count`` groups of ``R`` replicas each.
 
-        ``replica_kwargs(shard, label)`` is what the base builder needs
-        beyond ``rng``/``backend``.  The live layout is swapped only
-        once everything is built: a failed build changes nothing.
+        ``shard_kwargs(shard, label)`` is what the base builder needs
+        beyond ``rng``/``backend``; it is called once per shard (``label``
+        is ``g{generation}/s{shard}``) and every replica of the shard is
+        built from the same kwargs, each with its own scheme and fault
+        coins.  The live layout is swapped only once everything is built:
+        a failed build changes nothing.
         """
         generation = self._generation
         self._generation += 1
         groups: list[_G] = []
         for shard in range(shard_count):
+            shard_label = f"g{generation}/s{shard}"
+            kwargs = shard_kwargs(shard, shard_label)
             replicas = []
             for replica in range(self._replica_count):
-                label = f"g{generation}/s{shard}/r{replica}"
+                label = f"{shard_label}/r{replica}"
                 instance = _build_base(
                     self._base,
-                    **replica_kwargs(shard, label),
+                    **kwargs,
                     rng=self._rng.spawn(f"scheme/{label}"),
                     backend=self._backend_factory,
                     **self._base_kwargs,
@@ -713,6 +723,7 @@ class ClusterIR(_ClusterBase[ShardGroup], PrivateIR):
             raise ValueError("the database must contain at least one block")
         data = [bytes(block) for block in blocks]
         n = len(data)
+        check_max_attempts(max_attempts)
         # Before the key is spawned or a replica sealed: the cipher hides a
         # block's content, not its length.
         self._block_size = uniform_block_size(data)
@@ -741,28 +752,42 @@ class ClusterIR(_ClusterBase[ShardGroup], PrivateIR):
                 n, epsilon if epsilon is not None else math.log(max(n, 2)),
                 alpha,
             )
-        self._install(make_router(placement, n, shard_count), data)
+        router = make_router(placement, n, shard_count)
+        self._install(router, router.assignment(), data)
 
     # -- layout ------------------------------------------------------------
 
-    def _install(self, router: ShardRouter, blocks: list[bytes]) -> None:
-        """(Re)build every shard group for ``router``'s assignment."""
-        assignment = router.assignment()
+    def _install(
+        self,
+        router: ShardRouter,
+        assignment: list[list[int]],
+        blocks: list[bytes],
+    ) -> None:
+        """(Re)build every shard group for ``router``'s ``assignment``.
+
+        Each shard is sealed once, from its replica 0's stream
+        (``enc/g{generation}/s{shard}/r0``), and all ``R`` replicas are
+        built over that one sealed list.  Replicas share the
+        cluster key, hold the same records at the same local slots and
+        never write, so separate seals would only cost ``R`` times the
+        crypto; identical ciphertexts at identical slots show an operator
+        nothing the public layout does not.
+        """
         shard_pad = max(
             1, math.ceil(self._global_params.pad_size / router.shard_count)
         )
 
-        def replica_kwargs(shard: int, label: str) -> dict[str, Any]:
+        def shard_kwargs(shard: int, label: str) -> dict[str, Any]:
             owned = assignment[shard]
             return {
-                "blocks": self._stored_blocks(blocks, owned, label),
+                "blocks": self._stored_blocks(blocks, owned, f"{label}/r0"),
                 "pad_size": min(len(owned), shard_pad),
                 "alpha": self._alpha,
             }
 
         self._install_groups(
             router.shard_count,
-            replica_kwargs,
+            shard_kwargs,
             partial(
                 ShardGroup, key=self._key, max_attempts=self._max_attempts,
                 executor=self._executor,
@@ -924,27 +949,27 @@ class ClusterIR(_ClusterBase[ShardGroup], PrivateIR):
         return self._migrate_to(self._router.rebalanced(loads))
 
     def _migrate_to(self, router: ShardRouter) -> MigrationReport:
-        per_shard_indices: dict[int, list[int]] = {}
-        for index in range(self.n):
-            shard = self._locate[index][0]
-            per_shard_indices.setdefault(shard, []).append(index)
-
+        assignment = router.assignment()
+        locate = self._locate
         moved = sum(
-            shard != router.shard_of(index)
-            for index, (shard, _) in self._locate.items()
+            locate[index][0] != shard
+            for shard, owned in enumerate(assignment)
+            for index in owned
         )
 
         def reinstall(drained: list[tuple[int, bytes]]) -> int:
             # Every index was drained exactly once: sorting restores
             # database order.
-            self._install(router, [block for _, block in sorted(drained)])
+            self._install(
+                router, assignment, [block for _, block in sorted(drained)]
+            )
             return moved
 
         return self._migrate(
             router.shard_count,
             {
-                shard: partial(self._drain_shard, shard, indices)
-                for shard, indices in per_shard_indices.items()
+                shard: partial(self._drain_shard, shard, owned)
+                for shard, owned in enumerate(self._router.assignment())
             },
             reinstall,
         )
@@ -1048,10 +1073,10 @@ class ClusterKVS(_ClusterBase[KVShardGroup], PrivateKVS):
 
     def _install(self, shard_count: int) -> None:
         local_n = math.ceil(self._capacity_slack * self._n / shard_count)
-        replica_kwargs = {"n": max(4, local_n), "value_size": self._value_size}
+        shard_kwargs = {"n": max(4, local_n), "value_size": self._value_size}
         self._install_groups(
             shard_count,
-            lambda shard, label: replica_kwargs,
+            lambda shard, label: shard_kwargs,
             partial(KVShardGroup, executor=self._executor),
         )
 

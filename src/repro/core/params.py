@@ -55,8 +55,7 @@ def dp_ir_pad_size(n: int, epsilon: float, alpha: float) -> int:
     """
     _check_n(n)
     _check_alpha(alpha)
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
+    _check_epsilon(epsilon)
     if epsilon == 0:
         return n
     raw = math.ceil((1.0 - alpha) * n / (alpha * (math.exp(epsilon) - 1.0)))
@@ -71,8 +70,7 @@ def dp_ir_pad_size_paper(n: int, epsilon: float, alpha: float) -> int:
     """
     _check_n(n)
     _check_alpha(alpha)
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
+    _check_epsilon(epsilon)
     if epsilon == 0:
         return n
     raw = math.ceil((1.0 - alpha) * n / (math.exp(epsilon) - 1.0))
@@ -269,6 +267,13 @@ def _check_n(n: int) -> None:
 def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+
+
+def _check_epsilon(epsilon: float) -> None:
+    # Written so that NaN, which compares false both ways, is refused here
+    # rather than reaching ``math.ceil``.
+    if not epsilon >= 0:
+        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
 
 
 def _check_probability(p: float) -> None:

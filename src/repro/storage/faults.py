@@ -44,7 +44,8 @@ class ServerFault(StorageError):
 _COIN_MODES = ("per_slot", "per_round")
 
 
-def _check_coin_mode(coin_mode: str) -> str:
+def check_coin_mode(coin_mode: str) -> str:
+    """Return ``coin_mode`` if it names a fault-coin granularity."""
     if coin_mode not in _COIN_MODES:
         raise ValueError(
             f"coin mode must be one of {_COIN_MODES}, got {coin_mode!r}"
@@ -91,7 +92,7 @@ class CorruptingServer:
         self._inner = inner
         self._rate = corruption_rate
         self._rng = rng
-        self._coin_mode = _check_coin_mode(coin_mode)
+        self._coin_mode = check_coin_mode(coin_mode)
         self._corrupted = 0
         self._corrupted_rounds = 0
 
@@ -221,7 +222,7 @@ class FlakyServer:
         self._inner = inner
         self._rate = failure_rate
         self._rng = rng
-        self._coin_mode = _check_coin_mode(coin_mode)
+        self._coin_mode = check_coin_mode(coin_mode)
         self._failures = 0
         self._failed_rounds = 0
 

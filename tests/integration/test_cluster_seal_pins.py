@@ -288,6 +288,79 @@ def test_cluster_install_matches_its_pin(case):
     assert _case(case) == PINS[case]
 
 
+# -- beyond the pins: what every install must do ---------------------------
+#
+# Seal each shard once for all its replicas, and give every replica of a
+# shard replica 0's stored bytes.
+
+
+def _count_seals(monkeypatch) -> list[int]:
+    """Record the batch size of every ``encrypt_authenticated_many`` call
+    the cluster makes."""
+    import repro.cluster.scheme as scheme_module
+
+    sizes: list[int] = []
+    seal = scheme_module.encrypt_authenticated_many
+
+    def counting(key, plaintexts, rng):
+        sizes.append(len(plaintexts))
+        return seal(key, plaintexts, rng)
+
+    monkeypatch.setattr(
+        scheme_module, "encrypt_authenticated_many", counting
+    )
+    return sizes
+
+
+def _assert_replicas_store_replica_0s_bytes(cluster: ClusterIR) -> None:
+    for group in cluster.groups:
+        servers = [replica.servers()[0] for replica in group.replicas]
+        first = [servers[0].peek(slot) for slot in range(servers[0].capacity)]
+        for server in servers[1:]:
+            assert [
+                server.peek(slot) for slot in range(server.capacity)
+            ] == first
+
+
+@pytest.mark.parametrize("placement", PLACEMENTS)
+def test_each_install_seals_every_shard_once_for_all_replicas(
+    monkeypatch, placement
+):
+    seals = _count_seals(monkeypatch)
+    cluster = ClusterIR(
+        integer_database(N, 16),
+        shard_count=4,
+        replica_count=3,
+        placement=placement,
+        rng=SeededRandomSource(5),
+    )
+
+    def assert_sealed_once_per_shard():
+        assert len(seals) == cluster.shard_count
+        assert sum(seals) == N
+        _assert_replicas_store_replica_0s_bytes(cluster)
+        seals.clear()
+
+    assert_sealed_once_per_shard()
+    cluster.reshard(8)
+    assert_sealed_once_per_shard()
+    if placement == "range":
+        _answers(cluster)  # load for the recut to even out
+        cluster.rebalance()
+        assert_sealed_once_per_shard()
+
+
+def test_plaintext_storage_seals_nothing(monkeypatch):
+    seals = _count_seals(monkeypatch)
+    cluster = ClusterIR(
+        integer_database(N, 16), shard_count=4, replica_count=2,
+        authenticated=False, rng=SeededRandomSource(5),
+    )
+    cluster.reshard(8)
+    assert seals == []
+    _assert_replicas_store_replica_0s_bytes(cluster)
+
+
 if __name__ == "__main__":
     for case in CASES:
         print(f'    "{case}": {{')

@@ -88,6 +88,32 @@ class TestClusterRetrievalProperties:
         assert sorted(flattened) == list(range(n))
 
 
+@st.composite
+def _routers(draw):
+    """A range router with random valid boundaries, or a hash router."""
+    n = draw(st.integers(1, 300))
+    shards = draw(st.integers(1, min(n, 12)))
+    if draw(st.booleans()):
+        return HashRouter(n, shards)
+    if draw(st.booleans()):
+        return RangeRouter(n, shards)
+    cuts = draw(st.lists(
+        st.integers(1, n - 1), min_size=shards - 1, max_size=shards - 1,
+        unique=True,
+    )) if shards > 1 else []
+    return RangeRouter(n, shards, boundaries=[0, *sorted(cuts), n])
+
+
+class TestRouterAssignment:
+    @settings(max_examples=80, deadline=None)
+    @given(router=_routers())
+    def test_assignment_is_the_per_index_grouping_by_shard_of(self, router):
+        expected = [[] for _ in range(router.shard_count)]
+        for index in range(router.n):
+            expected[router.shard_of(index)].append(index)
+        assert router.assignment() == expected
+
+
 # -- seeded-history pins ---------------------------------------------------
 #
 # The fingerprints below were computed at the commit *before* ClusterIR /

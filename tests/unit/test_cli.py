@@ -203,6 +203,12 @@ class TestClusterCommand:
         assert "error:" in err
         assert "registered schemes" in err
 
+    def test_nan_epsilon_is_a_usage_error_naming_epsilon(self, capsys):
+        assert main(["cluster", "--epsilon", "nan", "--requests", "8"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "epsilon" in err
+
     def test_ram_scheme_rejected_cleanly(self, capsys):
         assert main(["cluster", "--scheme", "dp_ram", "--n", "64",
                      "--requests", "8", "--seed", "1"]) == 2

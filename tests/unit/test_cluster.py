@@ -479,6 +479,51 @@ class TestFaultCounterSurface:
             wrap_scheme_servers(Empty(), lambda s: s)
 
 
+class _SpawnRecorder(SeededRandomSource):
+    """A seeded source that lists the labels of every child it spawns."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.spawned = []
+
+    def spawn(self, label):
+        self.spawned.append(label)
+        return super().spawn(label)
+
+
+class TestClusterArgumentsAreRefusedBeforeSealing:
+    """Arguments only a shard group or a fault wrapper reads are checked
+    by the cluster constructors, before the key is spawned or a shard
+    built — with every fault rate at 0, too, where no wrapper exists."""
+
+    @pytest.mark.parametrize("cluster_type, bad, match", [
+        (ClusterIR, dict(fault_coin_mode="bogus"), "coin mode"),
+        (ClusterKVS, dict(fault_coin_mode="bogus"), "coin mode"),
+        (ClusterIR, dict(max_attempts=0), "max_attempts"),
+    ])
+    def test_bad_argument_is_a_value_error_before_any_seal(
+        self, monkeypatch, cluster_type, bad, match
+    ):
+        import repro.cluster.scheme as scheme_module
+
+        calls = []
+        for name in ("encrypt_authenticated_many", "_build_base"):
+            monkeypatch.setattr(
+                scheme_module, name,
+                lambda *args, name=name, **kwargs: calls.append(name),
+            )
+        rng = _SpawnRecorder(1)
+        first = (
+            integer_database(16, 8) if cluster_type is ClusterIR else 16
+        )
+        with pytest.raises(ValueError, match=match):
+            cluster_type(
+                first, failure_rate=0.0, corruption_rate=0.0, rng=rng, **bad
+            )
+        assert calls == []
+        assert rng.spawned == []
+
+
 class TestClusterSchemeBasics:
     def test_per_shard_epsilon_matches_single_server(self, rng):
         # n and K both divide by D, so the exact per-shard budget equals

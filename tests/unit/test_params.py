@@ -12,6 +12,7 @@ from repro.core.params import (
     default_phi,
     dp_ir_exact_epsilon,
     dp_ir_pad_size,
+    dp_ir_pad_size_paper,
     dp_ram_epsilon_upper_bound,
 )
 
@@ -39,8 +40,6 @@ class TestDpIrPadSize:
         assert dp_ir_pad_size(n, epsilon, alpha) == expected
 
     def test_paper_formula_variant(self):
-        from repro.core.params import dp_ir_pad_size_paper
-
         n, alpha = 1000, 0.05
         epsilon = math.log(n)
         expected = math.ceil((1 - alpha) * n / (math.exp(epsilon) - 1))
@@ -68,6 +67,19 @@ class TestDpIrPadSize:
     def test_rejects_negative_epsilon(self):
         with pytest.raises(ValueError):
             dp_ir_pad_size(10, -1.0, 0.1)
+
+    @pytest.mark.parametrize("resolver", [dp_ir_pad_size, dp_ir_pad_size_paper])
+    def test_nan_epsilon_is_named_before_ceil(self, resolver):
+        # NaN passes an ``epsilon < 0`` guard and reaches ``math.ceil``.
+        with pytest.raises(ValueError, match="epsilon"):
+            resolver(10, float("nan"), 0.1)
+
+    @pytest.mark.parametrize("scheme", ["dp_ir", "cluster_dp_ir"])
+    def test_nan_epsilon_build_is_named(self, scheme):
+        import repro
+
+        with pytest.raises(ValueError, match="epsilon"):
+            repro.build(scheme, n=64, epsilon=float("nan"), seed=1)
 
     def test_rejects_alpha_bounds(self):
         with pytest.raises(ValueError):
