@@ -24,7 +24,7 @@ from repro.core.dp_kvs import DPKVS
 from repro.core.dp_ram import DPRAM, ReadOnlyDPRAM
 from repro.crypto.encryption import decrypt_many, encrypt_many
 from repro.crypto.rng import SeededRandomSource
-from repro.storage.backends import NetworkBackendFactory
+from repro.storage.backends import NetworkBackendFactory, SlabBackend
 from repro.storage.blocks import check_block, encode_int, integer_database
 from repro.storage.errors import RetrievalError, StorageError
 from repro.storage.network import LAN
@@ -211,6 +211,10 @@ def _dp_ram_step(ram, plan, number):
     return ram.read(index)
 
 
+def _read_only_step(ram, plan, number):
+    return ram.read(plan.randrange(ram.n))
+
+
 def _bucket_ram_step(ram, plan, number):
     batch = plan.sample(range(ram.bucket_count), plan.randint(1, 2))
     nodes = sorted({node for b in batch for node in ram.bucket_nodes(b)})
@@ -248,6 +252,17 @@ _HELD_UPLOAD_SCHEMES = {
         _dp_ram_step,
         [0.02, 0.3, 1.0],
         _pairs,
+    ),
+    "read_only_dp_ram": (
+        lambda p, **kwargs: ReadOnlyDPRAM(
+            integer_database(24), stash_probability=p, **kwargs
+        ),
+        _read_only_step,
+        [0.02, 0.3, 1.0],
+        lambda ram: (
+            ram.transcript_pairs, sorted(ram._stash.items()),
+            ram.client_peak_blocks,
+        ),
     ),
     "bucket_dp_ram": (
         lambda p, **kwargs: BucketDPRAM(
@@ -315,6 +330,10 @@ _HELD_UPLOAD_PINS = {
         "3def47511978b8da2ea839fc12a616cb2c1a28b5aaaeefc13f10a4fa711e9d56",
     "oram_kvs":
         "182e794c000228f3a8fe04295d007e2a45b3b263bdbaea31293ef8378cdeb2f7",
+    # Written while the read-only variant still had its own Algorithm 3,
+    # and equal once it is DPRAM without the upload.
+    "read_only_dp_ram":
+        "1fbb16236cd18e787e9e01b6c3398d90f820a0d62e503faefa6c9d6799e78c46",
 }
 
 # The Path ORAM family's histories once an access stopped sending the nodes
@@ -331,6 +350,8 @@ _PATH_MERGE_PINS = {
         "a21c398df274585c3de234ebb574ca342c2ffb9a20768fe572f356c4d8624b9d",
 }
 _MERGES_PATHS = {name for name, _ in _PATH_MERGE_PINS}
+# Schemes with no upload to hold: a flush sends nothing.
+_UPLOADS_NOTHING = {"read_only_dp_ram"}
 
 
 def merge_shared_prefix(signature):
@@ -381,9 +402,10 @@ def _held_uploads(scheme):
     holders = getattr(scheme, "_levels", None) or [
         getattr(scheme, "_ram", None) or getattr(scheme, "_oram", scheme)
     ]
+    links = [getattr(holder, "_link", None) for holder in holders]
     return [
-        holder._link.held for holder in holders
-        if holder._link.held is not None
+        link.held for link in links
+        if link is not None and link.held is not None
     ]
 
 
@@ -455,6 +477,22 @@ class TestHeldUploadIdentity:
             )
         )
 
+    @pytest.mark.parametrize("backend", ["slab", "network"])
+    @pytest.mark.parametrize("name", sorted(_HELD_UPLOAD_PINS))
+    def test_pin_holds_on_every_backend(self, name, backend):
+        # Stored bytes, counters and the view are the backend's to keep,
+        # not to shape: the memory-backed pin holds over a slab and a link.
+        factory = SlabBackend if backend == "slab" else (
+            NetworkBackendFactory(LAN)
+        )
+        _, history = _seeded_history(
+            name, _HELD_UPLOAD_SCHEMES[name][2][1], seed=24,
+            backend_factory=factory,
+        )
+        assert hashlib.sha256(repr(history).encode()).hexdigest() == (
+            _PATH_MERGE_PINS.get((name, False), _HELD_UPLOAD_PINS[name])
+        )
+
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize(
         "name, setting",
@@ -500,7 +538,8 @@ class TestHeldUploadIdentity:
         )
         slot_bytes = [len(server.peek(0)) for server in lazy.servers()]
         for link, history, flushes in zip(
-            links, (eager_history, lazy_history), (steps, 1)
+            links, (eager_history, lazy_history),
+            (0, 0) if name in _UPLOADS_NOTHING else (steps, 1),
         ):
             views = history[1 : 1 + servers]
             requests = sum(
@@ -529,7 +568,9 @@ class TestHeldUploadIdentity:
             step(scheme, plan, number)
         seen = log.signature()
         held = _held_uploads(scheme)
-        assert len(held) == len(scheme.servers())
+        assert len(held) == (
+            0 if name in _UPLOADS_NOTHING else len(scheme.servers())
+        )
         scheme.flush()
         last = [
             ("upload", 0, slot, query)
