@@ -98,7 +98,7 @@ def datasheet_for(scheme: object) -> PrivacyDatasheet:
     from repro.baselines.path_oram import PathORAM
     from repro.core.dp_ir import _Algorithm1Client
     from repro.core.dp_kvs import DPKVS
-    from repro.core.dp_ram import DPRAM, ReadOnlyDPRAM
+    from repro.core.dp_ram import DPRAM
     from repro.core.strawman import StrawmanIR
 
     name = type(scheme).__name__
@@ -119,12 +119,12 @@ def datasheet_for(scheme: object) -> PrivacyDatasheet:
             blocks_per_query=1.0 + (scheme.n - 1) / scheme.n, roundtrips=1,
             client_blocks=None, server_blocks=scheme.n,
         )
-    if isinstance(scheme, (DPRAM, ReadOnlyDPRAM)):
+    if isinstance(scheme, DPRAM):
         params = scheme.params
         # DP-RAM downloads d_j and o_j in one round — one slot when they
         # coincide — and holds the upload of o_j for the next query's
         # request; the read-only variant has no upload.
-        blocks, held = (3.0, 1) if isinstance(scheme, DPRAM) else (2.0, 0)
+        blocks, held = (3.0, 1) if scheme.writable else (2.0, 0)
         return PrivacyDatasheet(
             scheme=name, n=params.n,
             epsilon=params.epsilon_bound, epsilon_kind="upper bound",

@@ -8,7 +8,8 @@
   a probability-``p`` client stash, O(1) blocks per query and ε = O(log n)
   (Thm 6.1).
 * :class:`~repro.core.dp_ram.ReadOnlyDPRAM` — the encryption-free,
-  retrieval-only variant discussed after Thm 6.1.
+  retrieval-only variant discussed after Thm 6.1: ``DPRAM`` without the
+  upload (a subclass, not a second implementation).
 * :class:`~repro.core.bucket_ram.BucketDPRAM` — the Appendix E
   generalization to overlapping buckets, the engine under DP-KVS.
 * :class:`~repro.core.dp_kvs.DPKVS` — Section 7: DP key-value storage via

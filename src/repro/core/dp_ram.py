@@ -41,12 +41,15 @@ the function is injective — ``(D i, U i)`` still reads as ``(i, i)``
 (:meth:`~repro.storage.transcript.Transcript.dp_ram_pairs`) — so ε is
 exactly that of Theorem 6.1.
 
-:class:`ReadOnlyDPRAM` implements the encryption-free variant discussed
-after Theorem 6.1 for public, read-only data.
+:class:`ReadOnlyDPRAM`, the encryption-free variant discussed after
+Theorem 6.1 for public, read-only data, is this algorithm without the
+upload: the same coin plan (:meth:`DPRAM._plan`), request and commit, over
+an identity cipher, holding nothing.
 """
 
 from __future__ import annotations
 
+import operator
 from array import array
 from typing import Callable, Sequence
 
@@ -108,7 +111,7 @@ class DPRAM(PrivateRAM):
             self._params = DPRAMParams.from_phi(n, phi)
         self._block_size = uniform_block_size(blocks)
         self._rng = rng if rng is not None else SystemRandomSource()
-        self._key = key if key is not None else generate_key(self._rng)
+        self._key = self._new_key(key)
         self._encrypt, self._decrypt, encrypt_all = self._cipher()
 
         # Setup (Algorithm 2): encrypted array on the server, independent
@@ -129,6 +132,10 @@ class DPRAM(PrivateRAM):
         # The (d_j, o_j) history as two int64 columns: 16 B a query, forever.
         self._downloads = array("q")
         self._overwrites = array("q")
+
+    def _new_key(self, key: SecretKey | None) -> SecretKey | None:
+        """The given key, or a fresh one from the scheme's coins."""
+        return key if key is not None else generate_key(self._rng)
 
     def _cipher(self) -> tuple[Callable, Callable, Callable]:
         """``(encrypt, decrypt, encrypt_many)`` as of construction.
@@ -183,8 +190,9 @@ class DPRAM(PrivateRAM):
     @property
     def client_peak_blocks(self) -> int:
         """Peak client storage in blocks: the stash peak, plus the one
-        sealed upload held between requests once a query has been made."""
-        return self._stash.peak + (self._queries > 0)
+        sealed upload held between requests once a query has been made
+        (a read-only scheme holds none)."""
+        return self._stash.peak + (self.writable and self._queries > 0)
 
     @property
     def query_count(self) -> int:
@@ -216,23 +224,17 @@ class DPRAM(PrivateRAM):
     # -- Algorithm 3 ------------------------------------------------------------
 
     def _query(self, index: int, new_value: bytes | None) -> bytes:
+        # Refuse a non-integer before any coin is drawn: a float would be
+        # found in the stash, or reach the server after the held upload
+        # landed, and so tell the server whether the record was stashed.
+        index = operator.index(index)
         n = self._params.n
         if not 0 <= index < n:
             raise RetrievalError(f"index {index} out of range for n={n}")
         if new_value is not None:
             check_block(new_value, self._block_size)
 
-        # Plan both phases' coins first (the slots depend only on the
-        # stash state and the scheme's own randomness, never on block
-        # contents), then serve the two downloads as one batched round.
-        # The rng draw order matches the per-slot formulation exactly:
-        # reads consume no client randomness, so hoisting them past the
-        # overwrite coin changes nothing the adversary — or a seeded
-        # replay — can observe.
-        stashed = index in self._stash
-        download_slot = self._rng.randbelow(n) if stashed else index
-        restash = self._rng.random() < self._params.stash_probability
-        overwrite_slot = self._rng.randbelow(n) if restash else index
+        stashed, download_slot, restash, overwrite_slot = self._plan(index)
         # The operation's one request, and its one point of failure:
         # nothing of the client's has moved yet.  It lists d_j and o_j
         # once: when they are one slot — no stash hit and no restash,
@@ -245,7 +247,7 @@ class DPRAM(PrivateRAM):
         )
         downloaded, overwritten = fetched[0], fetched[-1]
 
-        # Download phase.
+        # Commit.  Download phase.
         if stashed:
             current = self._stash.pop(index)  # cover download discarded
         else:
@@ -253,8 +255,7 @@ class DPRAM(PrivateRAM):
         if new_value is not None:
             current = new_value
 
-        # Overwrite phase: seal the upload now — this query's nonce, from
-        # this point of the coin stream — and hold it for the next request.
+        # Overwrite phase.
         if restash:
             self._stash.put(index, current)
             upload = self._decrypt(self._key, overwritten)
@@ -262,145 +263,75 @@ class DPRAM(PrivateRAM):
             # The overwrite download was discarded; upload a fresh
             # ciphertext of the current version.
             upload = current
-        self._link.hold(
-            self._queries,
-            [(overwrite_slot, self._encrypt(self._key, upload, self._rng))],
-        )
+        self._hold(overwrite_slot, upload)
 
         self._downloads.append(download_slot)
         self._overwrites.append(overwrite_slot)
         self._queries += 1
         return current
 
+    def _plan(self, index: int) -> tuple[bool, int, bool, int]:
+        """A query's coins, ``(stashed, d_j, restash, o_j)``.
 
-class ReadOnlyDPRAM(PrivateRAM):
-    """Encryption-free DP-RAM for public, read-only data.
+        Reads the stash and draws the three coins in the per-slot
+        formulation's order — a cover download if ``index`` is stashed,
+        the restash coin, a cover overwrite if it restashes — and changes
+        nothing else.  The slots depend on the stash and the scheme's own
+        randomness, never on block contents, so both downloads can go out
+        as one request before the client's state moves.
+        """
+        n = self._params.n
+        stashed = index in self._stash
+        download_slot = self._rng.randbelow(n) if stashed else index
+        restash = self._rng.random() < self._params.stash_probability
+        overwrite_slot = self._rng.randbelow(n) if restash else index
+        return stashed, download_slot, restash, overwrite_slot
+
+    def _hold(self, slot: int, block: bytes) -> None:
+        """Seal the upload — this query's nonce, from this point of the
+        coin stream — and hold it for the next request."""
+        self._link.hold(
+            self._queries, [(slot, self._encrypt(self._key, block, self._rng))]
+        )
+
+
+class ReadOnlyDPRAM(DPRAM):
+    """Encryption-free DP-RAM for public, read-only data: :class:`DPRAM`
+    without the upload.
 
     Section 6 ("Discussion about encryption") observes that when only
     retrievals are permitted the scheme needs no encryption and provides
     differentially private access against computationally *unbounded*
-    adversaries.  This variant keeps the download/overwrite index dynamics
-    of Algorithm 3 — so the ``(d_j, o_j)`` distribution, and therefore the
-    privacy analysis, is exactly that of :class:`DPRAM` — but skips the
-    uploads and stores plaintext on the server.  The adversary view is a
+    adversaries.  This is Algorithm 3 itself — the same stash, the same
+    coin plan, the same request — so the ``(d_j, o_j)`` distribution, and
+    therefore the privacy analysis, is exactly that of :class:`DPRAM`.  It
+    differs in four overrides: no key, an identity cipher (the server
+    stores plaintext), no writes, and no upload.  The adversary view is a
     strict projection of the proven scheme's view, so privacy can only
     improve.  A query downloads ``d_j`` and ``o_j`` — one slot when they
     coincide, so two blocks at most and ``1 + O(p)`` expected.
-
-    Raises:
-        BlockSizeError: if the blocks are not all of one size (the declared
-            :attr:`block_size` would be wrong); no coin is drawn.
     """
 
     writable = False
 
-    def __init__(
-        self,
-        blocks: Sequence[bytes],
-        stash_probability: float | None = None,
-        phi: int | None = None,
-        rng: RandomSource | None = None,
-        backend_factory: BackendFactory | None = None,
-    ) -> None:
-        if not blocks:
-            raise ValueError("the database must contain at least one block")
-        if stash_probability is not None and phi is not None:
-            raise ValueError("provide at most one of stash_probability and phi")
-        n = len(blocks)
-        if stash_probability is not None:
-            self._params = DPRAMParams.from_probability(n, stash_probability)
-        else:
-            self._params = DPRAMParams.from_phi(n, phi)
-        self._block_size = uniform_block_size(blocks)
-        self._rng = rng if rng is not None else SystemRandomSource()
-        self._server = StorageServer(
-            n, backend=backend_factory(n) if backend_factory else None
-        )
-        self._server.load([bytes(b) for b in blocks])
-        self._stash = ClientStash()
-        p = self._params.stash_probability
-        for index, block in enumerate(blocks):
-            if self._rng.random() < p:
-                self._stash.put(index, bytes(block))
-        self._queries = 0
-        self._downloads = array("q")  # the (d_j, o_j) history, as in DPRAM
-        self._overwrites = array("q")
+    def _new_key(self, key: SecretKey | None) -> None:
+        """No key, and no coin drawn for one; a given key is refused."""
+        if key is not None:
+            raise ValueError("ReadOnlyDPRAM stores plaintext and takes no key")
 
-    @property
-    def n(self) -> int:
-        """Database size."""
-        return self._params.n
+    def _cipher(self) -> tuple[Callable, Callable, Callable]:
+        """The identity: the server stores plaintext."""
+        def identity(key, block, rng=None):
+            return block
 
-    @property
-    def params(self) -> DPRAMParams:
-        """The resolved parameter bundle."""
-        return self._params
+        def encrypt_all(key, blocks, rng):
+            return [bytes(block) for block in blocks]
 
-    @property
-    def block_size(self) -> int:
-        """Bytes per (plaintext) record."""
-        return self._block_size
-
-    @property
-    def server(self) -> StorageServer:
-        """The passive server (plaintext; exposes operation counters)."""
-        return self._server
-
-    def servers(self) -> tuple[StorageServer, ...]:
-        """The single passive server."""
-        return (self._server,)
-
-    @property
-    def stash_size(self) -> int:
-        """Current number of stashed records."""
-        return len(self._stash)
-
-    @property
-    def stash_peak(self) -> int:
-        """Largest stash occupancy observed."""
-        return self._stash.peak
-
-    @property
-    def client_peak_blocks(self) -> int:
-        """Peak client storage in blocks (the stash peak)."""
-        return self._stash.peak
-
-    @property
-    def transcript_pairs(self) -> list[tuple[int, int]]:
-        """The ``(d_j, o_j)`` pair per query."""
-        return list(zip(self._downloads, self._overwrites))
+        return identity, identity, encrypt_all
 
     def write(self, index: int, value: bytes) -> None:
         """Reject the write: this variant serves public, read-only data."""
         raise StorageError("ReadOnlyDPRAM does not support writes")
 
-    def read(self, index: int) -> bytes:
-        """Retrieve record ``index``.
-
-        Both cover downloads are planned up front and served as one
-        batched round over their distinct slots — the same coin order as
-        the per-slot formulation (reads consume no client randomness), so
-        the ``(d_j, o_j)`` distribution is untouched.
-        """
-        n = self._params.n
-        if not 0 <= index < n:
-            raise RetrievalError(f"index {index} out of range for n={n}")
-        self._server.begin_query(self._queries)
-
-        stashed = index in self._stash
-        download_slot = self._rng.randbelow(n) if stashed else index
-        restash = self._rng.random() < self._params.stash_probability
-        overwrite_slot = self._rng.randbelow(n) if restash else index
-        downloaded = self._server.read_many(
-            [download_slot] if download_slot == overwrite_slot
-            else [download_slot, overwrite_slot]
-        )[0]  # the overwrite slot is pure cover traffic
-
-        current = self._stash.pop(index) if stashed else downloaded
-        if restash:
-            self._stash.put(index, current)
-
-        self._downloads.append(download_slot)
-        self._overwrites.append(overwrite_slot)
-        self._queries += 1
-        return current
+    def _hold(self, slot: int, block: bytes) -> None:
+        """Hold nothing: the overwrite download is pure cover traffic."""

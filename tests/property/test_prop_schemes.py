@@ -330,8 +330,6 @@ _HELD_UPLOAD_PINS = {
         "3def47511978b8da2ea839fc12a616cb2c1a28b5aaaeefc13f10a4fa711e9d56",
     "oram_kvs":
         "182e794c000228f3a8fe04295d007e2a45b3b263bdbaea31293ef8378cdeb2f7",
-    # Written while the read-only variant still had its own Algorithm 3,
-    # and equal once it is DPRAM without the upload.
     "read_only_dp_ram":
         "1fbb16236cd18e787e9e01b6c3398d90f820a0d62e503faefa6c9d6799e78c46",
 }
@@ -402,10 +400,9 @@ def _held_uploads(scheme):
     holders = getattr(scheme, "_levels", None) or [
         getattr(scheme, "_ram", None) or getattr(scheme, "_oram", scheme)
     ]
-    links = [getattr(holder, "_link", None) for holder in holders]
     return [
-        link.held for link in links
-        if link is not None and link.held is not None
+        holder._link.held for holder in holders
+        if holder._link.held is not None
     ]
 
 

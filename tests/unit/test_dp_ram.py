@@ -5,7 +5,9 @@ import math
 import pytest
 
 from repro.core.dp_ram import DPRAM, ReadOnlyDPRAM
+from repro.crypto.encryption import generate_key
 from repro.crypto.rng import SeededRandomSource
+from repro.storage.backends import SlabBackend
 from repro.storage.blocks import encode_int, integer_database
 from repro.storage.errors import BlockSizeError, RetrievalError
 from repro.storage.transcript import Transcript
@@ -84,6 +86,51 @@ class TestCorrectness:
             ram.read(8)
         with pytest.raises(RetrievalError):
             ram.write(-1, b"x")
+
+
+class TestNonIntegerIndex:
+    # A float index found a stashed record (3.0 == 3) and was answered;
+    # an unstashed one drew the coins, landed the held upload and only
+    # then failed in the backend.  Whether the call reached the server
+    # told the server whether the record was stashed.
+
+    @staticmethod
+    def _build(scheme_type):
+        ram = scheme_type(
+            integer_database(16), stash_probability=0.5,
+            rng=SeededRandomSource(1),
+        )
+        ram.read(5)  # a DP-RAM now holds this query's upload
+        return ram
+
+    @pytest.mark.parametrize("scheme_type", [DPRAM, ReadOnlyDPRAM])
+    def test_refused_before_a_coin_or_a_request(self, scheme_type):
+        ram, twin = self._build(scheme_type), self._build(scheme_type)
+        stashed = {index for index, _ in ram._stash.items()}
+        unstashed = set(range(ram.n)) - stashed
+        log = Transcript()
+        ram.attach_transcript(log)
+        operations = ram.server.operations
+        for index in (float(min(stashed)), float(min(unstashed))):
+            with pytest.raises(TypeError):
+                ram.read(index)
+            if ram.writable:
+                with pytest.raises(TypeError):
+                    ram.write(index, bytes(ram.block_size))
+        assert len(log) == 0 and ram.server.operations == operations
+        assert ram._link.held == twin._link.held
+        assert ram._link.blocks == twin._link.blocks == ram.writable
+        assert dict(ram._stash.items()) == dict(twin._stash.items())
+        assert ram.query_count == twin.query_count == 1
+        assert ram._rng.random() == twin._rng.random()
+
+    @pytest.mark.parametrize("scheme_type", [DPRAM, ReadOnlyDPRAM])
+    def test_integer_types_still_read(self, scheme_type):
+        ram, twin = self._build(scheme_type), self._build(scheme_type)
+        numpy = pytest.importorskip("numpy")
+        for index in (True, numpy.int64(3), numpy.uint8(0)):
+            assert ram.read(index) == twin.read(int(index))
+        assert ram.transcript_pairs == twin.transcript_pairs
 
 
 class TestWrongSizeWrites:
@@ -305,6 +352,14 @@ class TestReadOnlyDPRAM:
     def test_rejects_both_parameters(self, rng, small_db):
         with pytest.raises(ValueError):
             ReadOnlyDPRAM(small_db, stash_probability=0.1, phi=8, rng=rng)
+
+    def test_refuses_a_key(self, rng, small_db):
+        # The server holds plaintext, so a key would only mislead; a
+        # backend factory passed in the fifth position lands there too.
+        with pytest.raises(ValueError):
+            ReadOnlyDPRAM(small_db, key=generate_key(rng), rng=rng)
+        with pytest.raises(ValueError):
+            ReadOnlyDPRAM(small_db, 0.1, None, rng, SlabBackend)
 
     def test_out_of_range(self, rng, small_db):
         ram = ReadOnlyDPRAM(small_db, rng=rng)
