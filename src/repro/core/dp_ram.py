@@ -280,11 +280,11 @@ class DPRAM(PrivateRAM):
         randomness, never on block contents, so both downloads can go out
         as one request before the client's state moves.
         """
-        n = self._params.n
+        rng, params = self._rng, self._params
         stashed = index in self._stash
-        download_slot = self._rng.randbelow(n) if stashed else index
-        restash = self._rng.random() < self._params.stash_probability
-        overwrite_slot = self._rng.randbelow(n) if restash else index
+        download_slot = rng.randbelow(params.n) if stashed else index
+        restash = rng.random() < params.stash_probability
+        overwrite_slot = rng.randbelow(params.n) if restash else index
         return stashed, download_slot, restash, overwrite_slot
 
     def _hold(self, slot: int, block: bytes) -> None:
