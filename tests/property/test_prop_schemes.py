@@ -26,7 +26,7 @@ from repro.crypto.encryption import decrypt_many, encrypt_many
 from repro.crypto.rng import SeededRandomSource
 from repro.storage.backends import NetworkBackendFactory, SlabBackend
 from repro.storage.blocks import check_block, encode_int, integer_database
-from repro.storage.errors import RetrievalError, StorageError
+from repro.storage.errors import CapacityError, RetrievalError, StorageError
 from repro.storage.network import LAN
 from repro.storage.transcript import Transcript
 
@@ -227,14 +227,24 @@ def _bucket_ram_step(ram, plan, number):
     return pending.contents
 
 
-def _dp_kvs_step(store, plan, number):
-    key = b"key-%03d" % plan.randrange(40)
+def _dp_kvs_step(store, plan, number, keys=40):
+    key = b"key-%03d" % plan.randrange(keys)
     roll = plan.random()
     if roll < 0.5:
         return store.put(key, b"value-%06d" % number)
     if roll < 0.85:
         return store.get(key)
     return store.delete(key)
+
+
+def _refusing_kvs_step(store, plan, number):
+    # More keys than the store holds: puts are refused at capacity, a
+    # full pair of paths and super root refuse a spill, and deletes meet
+    # both present and absent keys.
+    try:
+        return _dp_kvs_step(store, plan, number, keys=48)
+    except CapacityError as refusal:  # MappingOverflowError is one
+        return type(refusal).__name__
 
 
 def _pairs(scheme):
@@ -279,6 +289,16 @@ _HELD_UPLOAD_SCHEMES = {
         [1, 6, 64],
         _pairs,
     ),
+    "dp_kvs_refusals": (
+        lambda capacity, **kwargs: DPKVS(
+            capacity, key_size=8, value_size=12, node_capacity=1,
+            leaves_per_tree=2, phi=1, enforce_super_root_capacity=True,
+            **kwargs
+        ),
+        _refusing_kvs_step,
+        [20, 24, 28],
+        lambda store: (store.transcript_pairs, store.client_peak_blocks),
+    ),
     "path_oram": (
         lambda z, **kwargs: PathORAM(
             integer_database(24), bucket_size=z, **kwargs
@@ -322,6 +342,9 @@ _HELD_UPLOAD_PINS = {
         "feecffd8a02d78f383019c0fcc771a9b25744e6d28cf7e2acaf4be6f119af17e",
     "dp_kvs":
         "e864c6d2fec3275264ea6d64469e2998dba5e81130b68814957bc844644de25a",
+    # Written while a refused put still closed its batch by hand.
+    "dp_kvs_refusals":
+        "01158c0af8bff3652edfcc42f13782a918196eb436407e312cd801bc6fd4c992",
     # Written at the commit before a Path ORAM write-back started riding
     # in the next access's request, and equal after it.
     "path_oram":
