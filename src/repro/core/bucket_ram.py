@@ -27,21 +27,24 @@ copy may be stale only while its fresh ciphertext is *held* by the client
 (:mod:`repro.storage.held`), and every request sends what is held before
 it reads — so a stale server copy can never be served.
 
-**Plan, then one request.**  A *batch* of bucket queries — DP-KVS sends
+**One request, one commit.**  A *batch* of bucket queries — DP-KVS sends
 the two hash-choice buckets of one operation, :meth:`BucketDPRAM.query`
-a batch of one — costs one roundtrip however many buckets it holds.
-:meth:`BucketDPRAM.begin_query` draws every coin of both phases up front
-(per bucket the download coin; then per bucket the restash coin, the
-overwrite bucket and that upload's nonces), which is possible because no
-draw depends on a downloaded byte, and its request downloads the
-distinct nodes of ``d_1 ‖ … ‖ d_k ‖ o_1 ‖ … ‖ o_k``.  The caller
-inspects the contents, and :meth:`BucketDPRAM.finish_query` replays the
-per-bucket overwrite logic on the client and seals ONE upload over the
-distinct nodes of ``o_1 ‖ … ‖ o_k``, held for the next request.  The
-draw order and the per-query pair ``(d_j, o_j)`` are those of running the
-queries one after the other; only data-independent things change — the
-interleaving inside the batch and where a message ends — and no node
-moves twice in a round.
+a batch of one — is :meth:`BucketDPRAM.batch`: one roundtrip however
+many buckets it holds.  :meth:`~BucketDPRAM.begin_query` draws every coin
+of both phases up front (per bucket the download coin; then per bucket
+the restash coin, the overwrite bucket and that upload's nonces), which
+no downloaded byte can affect, and sends one request for the distinct
+nodes of ``d_1 ‖ … ‖ d_k ‖ o_1 ‖ … ‖ o_k``; nothing of the client's moves.
+The caller's ``transform`` names the new contents, and
+:meth:`~BucketDPRAM.finish_query`, the one commit point, replays the
+per-bucket stash and overwrite logic and seals ONE upload over the
+distinct nodes of ``o_1 ‖ … ‖ o_k``, held for the next request.  A
+``transform`` that raises, or contents ``finish_query`` refuses, commit
+the batch as a read (its request went out), and the error is raised
+after.  The draw order and the per-query pair ``(d_j, o_j)`` are those of
+running the queries one after the other; only data-independent things
+change — the interleaving inside the batch and where a message ends —
+and no node moves twice in a round.
 
 **A round lists a node once.**  ``d_j = o_j`` with probability
 ``(1−p)²`` (no stash hit, no restash), and tree paths share their upper
@@ -68,8 +71,8 @@ upload of the batch.  It looks a node up in this order:
    that fetched it landed the held upload first and nothing has written
    the node since.
 
-Step 3 is why only one batch may be open at a time: the pre-fetched
-ciphertexts of two open batches could go stale against each other.
+Step 3 is why ``finish_query`` refuses a stage once another batch has
+committed: that batch's upload may rewrite a node the stage pre-fetched.
 
 The request is a batch's one point of failure and it comes before the
 client's state moves; sealing cannot fail, so there is no second failure
@@ -79,9 +82,9 @@ to recover from.  The held ciphertexts count as client storage
 
 from __future__ import annotations
 
+import operator
 from array import array
-from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from repro.api.protocols import PrivateRAM
 from repro.crypto.encryption import (
@@ -95,7 +98,7 @@ from repro.crypto.encryption import (
 from repro.crypto.rng import RandomSource, SystemRandomSource
 from repro.storage.backends import BackendFactory
 from repro.storage.blocks import check_block, uniform_block_size
-from repro.storage.errors import BlockSizeError, RetrievalError, StorageError
+from repro.storage.errors import RetrievalError, StorageError
 from repro.storage.held import HeldRequest
 from repro.storage.server import StorageServer
 
@@ -109,20 +112,23 @@ class _BucketPlan(NamedTuple):
     nonces: bytes
 
 
-@dataclass
-class PendingQuery:
-    """State between the request of one batch and the sealing of its upload.
+class PendingQuery(NamedTuple):
+    """A batch staged up to its commit: planned, sent and decrypted.
 
     Attributes:
         buckets: the queried bucket ids, in batch order.
         contents: per queried bucket, the authoritative plaintext of
             each of its nodes.
+        query: the query number the request ran under.
+        plans: per queried bucket, the coins of its query.
+        fetched: the request's ciphertexts, by node.
     """
 
     buckets: tuple[int, ...]
     contents: list[dict[int, bytes]]
-    _plans: list[_BucketPlan]
-    _prefetched: dict[int, bytes]
+    query: int
+    plans: list[_BucketPlan]
+    fetched: dict[int, bytes]
 
 
 class BucketDPRAM(PrivateRAM):
@@ -186,7 +192,6 @@ class BucketDPRAM(PrivateRAM):
         self._stashed: set[int] = set()
         self._overlay: dict[int, bytes] = {}
         self._pins: dict[int, int] = {}
-        self._pending: PendingQuery | None = None
         self._client_peak = 0
 
         # Setup: stash each bucket independently with probability p,
@@ -264,29 +269,45 @@ class BucketDPRAM(PrivateRAM):
         """Node ids of ``bucket``."""
         return self._buckets[bucket]
 
-    # -- the request, and the upload it leaves held ---------------------------
+    # -- one batch: the request, then the commit ------------------------------
+
+    def batch(
+        self,
+        buckets: Sequence[int],
+        transform: Callable[..., Mapping[int, bytes] | None] | None = None,
+    ) -> list[dict[int, bytes]]:
+        """One batch, request to commit, in one roundtrip: returns per
+        queried bucket the contents its download found.
+
+        ``transform(contents)`` returns the ``new_contents`` of
+        :meth:`finish_query` (without one, the batch is a read).  If it
+        raises, or they are refused, the batch commits as a read — its
+        request went out — and the error is raised after.
+        """
+        stage = self.begin_query(buckets)
+        try:
+            new_contents = transform(stage.contents) if transform else None
+            self.finish_query(stage, new_contents)
+        except Exception:
+            self.finish_query(stage)
+            raise
+        return stage.contents
 
     def begin_query(self, buckets: Sequence[int]) -> PendingQuery:
-        """Plan the batch ``buckets`` and send its request: the held
-        upload, if any, then the batch's downloads.
-
-        Returns a :class:`PendingQuery` carrying the authoritative contents
-        of every node of every queried bucket; pass it to
-        :meth:`finish_query` to seal the batch's upload.  If the request
-        raises, no batch is open, the client's state is unchanged and the
-        upload is still held.
+        """Stage the batch ``buckets``: plan it, send its one request (the
+        held upload, then the downloads) and decrypt.  Changes nothing of
+        the client's: :meth:`finish_query` commits the stage, and a stage
+        never committed leaves the client as a batch never made would.
 
         Raises:
+            TypeError: if a bucket is not an integer.
             RetrievalError: if a bucket is out of range or listed twice,
-                the batch is empty, or another batch is still open.
+                or the batch is empty.
         """
-        buckets = tuple(buckets)
+        # A float would be found in the stash and its request sent before
+        # a lookup raised: refuse it before any coin is drawn.
+        buckets = tuple(map(operator.index, buckets))
         repertoire = self._buckets
-        if self._pending is not None:
-            raise RetrievalError(
-                f"buckets {self._pending.buckets} have an unfinished batch; "
-                "only one batch may be open at a time"
-            )
         if not buckets:
             raise RetrievalError("a batch needs at least one bucket")
         for bucket in buckets:
@@ -334,12 +355,10 @@ class BucketDPRAM(PrivateRAM):
             )
         )
         # The batch's one request, and its one point of failure.
-        ciphertexts = self._link.send(self._queries, round_nodes)
+        query = self._queries
+        fetched = dict(zip(round_nodes, self._link.send(query, round_nodes)))
 
-        # The round landed.  The client's state moves only at the end,
-        # once the contents are in hand and the batch is really open.
         overlay = self._overlay
-        fetched = dict(zip(round_nodes, ciphertexts))
         # A stashed bucket is answered from the overlay (its download
         # was cover traffic); the others decrypt what the overlay lacks,
         # a node shared by two of them once.
@@ -362,29 +381,20 @@ class BucketDPRAM(PrivateRAM):
             }
             for bucket in buckets
         ]
-        for bucket in buckets:
-            if bucket in stashed:
-                stashed.remove(bucket)
-                for node in repertoire[bucket]:
-                    self._unpin(node)
-                # Overlay entries persist: the server copies are still
-                # stale until the upload round lands fresh ciphertexts.
-        self._pending = PendingQuery(buckets, contents, plans, fetched)
-        return self._pending
+        return PendingQuery(buckets, contents, query, plans, fetched)
 
     def finish_query(
         self,
-        pending: PendingQuery,
+        stage: PendingQuery,
         new_contents: Mapping[int, bytes] | None = None,
     ) -> None:
-        """Close the open batch: seal its upload and hold it.
-
-        Nothing is sent — the upload rides in the next batch's request
-        (:meth:`begin_query`) or goes on its own with ``flush()`` — so
-        once the arguments are accepted this cannot fail.
+        """Commit ``stage``, the batch's one commit point: unstash its
+        buckets, replay their overwrite phase, and seal and hold the upload
+        for the next request or ``flush()``.  Once the arguments are
+        accepted this cannot fail; a refusal changes nothing.
 
         Args:
-            pending: the handle returned by :meth:`begin_query`.
+            stage: what :meth:`begin_query` returned.
             new_contents: replacement plaintext for any subset of the
                 batch's nodes, applied to every queried bucket holding
                 the node (so a shared node never diverges); omitted
@@ -393,37 +403,40 @@ class BucketDPRAM(PrivateRAM):
                 operations use.
 
         Raises:
-            RetrievalError: if ``pending`` is not the open batch (it was
-                finished already, or its download round never landed).
-            StorageError: if ``new_contents`` names a node outside the
-                batch; the batch stays open.
+            RetrievalError: if any batch (``stage`` itself, say) has
+                committed since ``stage`` was begun.
+            StorageError: if ``new_contents`` names a node outside the batch.
             BlockSizeError: if a replacement is not :attr:`block_size`
                 bytes (ciphertext length is all the cipher leaks, so it
-                would show the server which upload was a real write); the
-                batch stays open.
+                would show the server which upload was a real write).
         """
-        if pending is not self._pending:
+        query = stage.query
+        if query != self._queries:
             raise RetrievalError(
-                "finish_query needs the handle of the open batch; this one "
-                "is finished already or was never opened"
+                f"buckets {stage.buckets} were staged at query {query} and "
+                f"a batch has committed since; this one is at {self._queries}"
             )
         updates: dict[int, bytes] = {}
         if new_contents is not None:
             for node, block in new_contents.items():
-                if not any(node in seen for seen in pending.contents):
+                if not any(node in seen for seen in stage.contents):
                     raise StorageError(
-                        f"node {node} is not part of buckets {pending.buckets}"
+                        f"node {node} is not part of buckets {stage.buckets}"
                     )
                 block = bytes(block)
                 check_block(block, self._block_size)
                 updates[node] = block
-        # Only a validated call consumes the handle: a rejected one leaves
-        # the batch open, so the caller can still close it.
-        self._pending = None
-        query = self._queries  # the number the download round ran under
 
         repertoire = self._buckets
         overlay = self._overlay
+        stashed = self._stashed
+        for bucket in stage.buckets:
+            if bucket in stashed:
+                stashed.remove(bucket)
+                for node in repertoire[bucket]:
+                    self._unpin(node)
+                # Overlay entries persist: the server copies are still
+                # stale until the upload lands fresh ciphertexts.
         uploaded: dict[int, bytes] = {}
         upload_nodes: list[int] = []
         upload_blocks: list[bytes] = []
@@ -434,16 +447,14 @@ class BucketDPRAM(PrivateRAM):
                 return overlay[node]
             if node in uploaded:
                 return uploaded[node]
-            return decrypt(self._key, pending._prefetched[node])
+            return decrypt(self._key, stage.fetched[node])
 
-        for bucket, plan, seen in zip(
-            pending.buckets, pending._plans, pending.contents
-        ):
+        for bucket, plan, seen in zip(stage.buckets, stage.plans, stage.contents):
             nodes = repertoire[bucket]
             overwrite_nodes = repertoire[plan.overwrite_bucket]
             if plan.restash:
                 # Re-stash the queried bucket; cover-rewrite a random one.
-                self._stashed.add(bucket)
+                stashed.add(bucket)
                 for node in nodes:
                     overlay[node] = updates.get(node, seen[node])
                     self._pin(node)
@@ -465,7 +476,7 @@ class BucketDPRAM(PrivateRAM):
             self._overwrites.append(plan.overwrite_bucket)
             self._queries += 1
 
-        nonces = b"".join(plan.nonces for plan in pending._plans)
+        nonces = b"".join(plan.nonces for plan in stage.plans)
         if len(uploaded) < len(upload_nodes):
             # Each node once: where two overwrite buckets share one, only
             # its last occurrence would survive on the server, so only that
@@ -495,7 +506,7 @@ class BucketDPRAM(PrivateRAM):
 
         Only meaningful for single-node buckets (the degenerate repertoire
         equivalent to the Section 6 scheme); multi-node repertoires go
-        through :meth:`query` or :meth:`begin_query`/:meth:`finish_query`.
+        through :meth:`query` or :meth:`batch`.
 
         Raises:
             StorageError: if bucket ``index`` holds more than one node.
@@ -534,20 +545,10 @@ class BucketDPRAM(PrivateRAM):
         bucket: int,
         new_contents: Mapping[int, bytes] | None = None,
     ) -> dict[int, bytes]:
-        """Convenience: the one-bucket batch, both rounds back to back.
-
-        Returns the bucket contents as seen by the download round (before
-        ``new_contents`` is applied).
-        """
-        pending = self.begin_query((bucket,))
-        try:
-            self.finish_query(pending, new_contents)
-        except (StorageError, BlockSizeError):
-            if self._pending is pending:
-                # Rejected ``new_contents``: close the batch as a read.
-                self.finish_query(pending)
-            raise
-        return pending.contents[0]
+        """The one-bucket :meth:`batch`: the bucket's contents as its
+        download found them; a refused ``new_contents`` is raised after
+        the query commits as a read."""
+        return self.batch((bucket,), lambda contents: new_contents)[0]
 
     # -- overlay / pin bookkeeping ----------------------------------------------
 

@@ -230,11 +230,10 @@ class DPKVS(PrivateKVS):
         """Retrieve the exact value for ``user_key``; ``None`` if absent (⊥)."""
         key = self._codec.normalize_key(user_key)
         buckets, real_count = self._query_buckets(key)
-        pending = self._ram.begin_query(buckets)
-        value = self._find(key, pending.contents[:real_count])
+        contents = self._ram.batch(buckets)
+        value = self._find(key, contents[:real_count])
         if value is None:
             value = self._super_root.get(key)
-        self._ram.finish_query(pending)
         self._operations += 1
         return None if value is None else self._values.decode(value)
 
@@ -272,18 +271,10 @@ class DPKVS(PrivateKVS):
         key = self._codec.normalize_key(user_key)
         value = self._values.encode(user_value)
         buckets, real_count = self._query_buckets(key)
-        pending = self._ram.begin_query(buckets)
-        try:
-            updates = self._plan_put(
-                key, value, pending.contents[:real_count]
-            )
-        except CapacityError:  # MappingOverflowError is a subclass
-            # The request already went out: finish the batch as a fake
-            # update so it does not stay open and the server sees the
-            # same shape as for any other operation.
-            self._ram.finish_query(pending)
-            raise
-        self._ram.finish_query(pending, updates)
+        self._ram.batch(
+            buckets,
+            lambda contents: self._plan_put(key, value, contents[:real_count]),
+        )
         self._operations += 1
 
     def delete(self, user_key: bytes) -> bool:
@@ -295,23 +286,13 @@ class DPKVS(PrivateKVS):
         """
         key = self._codec.normalize_key(user_key)
         buckets, real_count = self._query_buckets(key)
-        pending = self._ram.begin_query(buckets)
-        updates: dict[int, bytes] = {}
-        existed = False
-        home = self._locate(key, pending.contents[:real_count])
-        if home is not None:
-            node, entries = home
-            remaining = [entry for entry in entries if entry.key != key]
-            updates[node] = self._codec.pack(remaining)
-            existed = True
-        elif key in self._super_root:
-            self._super_root.discard(key)
-            existed = True
-        self._ram.finish_query(pending, updates)
-        if existed:
-            self._size -= 1
+        size = self._size
+        self._ram.batch(
+            buckets,
+            lambda contents: self._plan_delete(key, contents[:real_count]),
+        )
         self._operations += 1
-        return existed
+        return self._size < size
 
     # -- internals ----------------------------------------------------------
 
@@ -378,6 +359,23 @@ class DPKVS(PrivateKVS):
                     if entry.key == key:
                         return node, entries
         return None
+
+    def _plan_delete(
+        self, key: bytes, contents: list[dict[int, bytes]]
+    ) -> dict[int, bytes]:
+        """Drop ``key`` wherever it lives; return the node rewrite map."""
+        home = self._locate(key, contents)
+        if home is not None:
+            node, entries = home
+            block = self._codec.pack(
+                [entry for entry in entries if entry.key != key]
+            )
+            self._size -= 1
+            return {node: block}
+        if key in self._super_root:
+            self._super_root.discard(key)
+            self._size -= 1
+        return {}
 
     def _plan_put(
         self, key: bytes, value: bytes, contents: list[dict[int, bytes]]

@@ -68,6 +68,7 @@ _STORAGE_CALLS = frozenset(
         "put",
         "put_many",
         "delete",
+        "batch",
         "begin_query",
         "finish_query",
         "fan_out",

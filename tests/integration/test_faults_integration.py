@@ -121,7 +121,7 @@ def _calls(scheme):
 
 def _bucket_client(ram):
     return (
-        set(ram._stashed), dict(ram._overlay), dict(ram._pins), ram._pending,
+        set(ram._stashed), dict(ram._overlay), dict(ram._pins),
         ram._link.held, ram.transcript_pairs, ram.query_count,
         ram.client_peak_blocks,
     )

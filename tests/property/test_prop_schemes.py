@@ -1031,6 +1031,16 @@ class _SequentialBatches:
             }
             self._ram.finish_query(handle, relevant if relevant else None)
 
+    def batch(self, buckets, transform=None):
+        pending = self.begin_query(buckets)
+        try:
+            new_contents = transform and transform(pending.contents)
+        except Exception:
+            self.finish_query(pending)
+            raise
+        self.finish_query(pending, new_contents)
+        return pending.contents
+
     def __getattr__(self, name):
         return getattr(self._ram, name)
 

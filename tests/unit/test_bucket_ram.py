@@ -9,6 +9,7 @@ from repro.storage.backends import NetworkBackendFactory
 from repro.storage.errors import BlockSizeError, RetrievalError, StorageError
 from repro.storage.faults import ServerFault
 from repro.storage.network import LAN
+from repro.storage.transcript import Transcript
 
 
 def _blocks(count, size=8):
@@ -120,13 +121,28 @@ class TestQueryLifecycle:
             ram.begin_query([0, 0])
         ram.query(0)  # the rejected batch was never opened
 
-    def test_second_open_batch_rejected(self, rng):
-        ram = _disjoint_ram(rng)
-        pending = ram.begin_query([0])
-        with pytest.raises(RetrievalError):
-            ram.begin_query([1])  # even over other buckets
-        ram.finish_query(pending)
-        ram.finish_query(ram.begin_query([1]))  # allowed once finished
+    def test_finish_query_refuses_a_superseded_or_committed_stage(self):
+        # p = 1: every bucket is stashed, so a stage committed over a
+        # moved stash would unpin what is no longer pinned.
+        ram, twin = (
+            BucketDPRAM(_blocks(8), [(0, 1), (2, 3), (4, 5), (6, 7)], 1.0,
+                        rng=SeededRandomSource(4))
+            for _ in range(2)
+        )
+        stale = ram.begin_query([0])
+        # The twin never staged it; its coin stream is moved up instead.
+        twin._rng._rng.setstate(ram._rng._rng.getstate())
+        ram.finish_query(ram.begin_query([0, 1]), {2: b"written!"})
+        fresh = twin.begin_query([0, 1])
+        twin.finish_query(fresh, {2: b"written!"})
+        before = _client_state(ram)
+        for refused, stage in ((ram, stale), (twin, fresh)):
+            # Superseded by a later commit; committed already.
+            with pytest.raises(RetrievalError, match="has committed since"):
+                refused.finish_query(stage)
+            assert _client_state(ram) == before == _client_state(twin)
+        assert ram.query(1)[2] == twin.query(1)[2] == b"written!"
+        assert _client_state(ram) == _client_state(twin)
 
 
 class TestOverlapConsistency:
@@ -198,7 +214,7 @@ class TestTwoBucketBatch:
 
 def _client_state(ram):
     return (
-        set(ram._stashed), dict(ram._overlay), dict(ram._pins), ram._pending,
+        set(ram._stashed), dict(ram._overlay), dict(ram._pins),
         ram.transcript_pairs, ram.query_count, ram.client_peak_blocks,
     )
 
@@ -291,7 +307,6 @@ class TestWrongSizeWrites:
             with pytest.raises(BlockSizeError):
                 ram.finish_query(pending, bad)
         # Nothing was consumed: the same handle still runs the upload.
-        assert ram._pending is pending
         ram.finish_query(pending, {6: b"SHAREDv2"})
         twin.finish_query(twin_pending, {6: b"SHAREDv2"})
         assert _observable(ram, rng) == _observable(twin, twin_rng)
@@ -315,9 +330,93 @@ class TestWrongSizeWrites:
             ram.query(0, {6: b"far too long"})
         # The download round had run, so the twin made a read.
         twin.query(0)
-        assert ram._pending is None
         assert _observable(ram, rng) == _observable(twin, twin_rng)
         assert {len(ram.server.peek(slot)) for slot in range(8)} == {24}
+
+
+class TestOneBatch:
+    # ``begin_query`` stages a batch and moves nothing of the client's;
+    # ``finish_query`` is the one commit point, and ``batch`` runs both.
+
+    @staticmethod
+    def _pair(p):
+        rams = [_overlapping_ram(SeededRandomSource(6), p) for _ in range(2)]
+        for ram in rams:
+            ram.query(2, {6: b"SHAREDv1"})
+        return rams
+
+    @pytest.mark.parametrize("p", [1e-12, 0.5, 1.0])
+    def test_a_dropped_stage_leaves_the_client_as_it_was(self, p):
+        # p = 1: both staged buckets are stashed, and staging them used
+        # to unstash and unpin them.
+        ram, twin = self._pair(p)
+        ram.begin_query([0, 1])  # staged, never committed
+        twin._rng._rng.setstate(ram._rng._rng.getstate())
+        assert _client_state(ram) == _client_state(twin)
+        # Its request landed the held upload; the twin's next one does.
+        assert ram.query(0) == twin.query(0)
+        assert _client_state(ram) == _client_state(twin)
+        for each in (ram, twin):
+            each.flush()
+        assert [ram.server.peek(n) for n in range(7)] == [
+            twin.server.peek(n) for n in range(7)
+        ]
+
+    @pytest.mark.parametrize("p", [1e-12, 0.5, 1.0])
+    def test_a_raising_transform_commits_the_batch_as_a_read(self, p):
+        ram, twin = self._pair(p)
+
+        def refuse(contents):
+            raise LookupError("no room")
+
+        with pytest.raises(LookupError, match="no room"):
+            ram.batch([0, 1], refuse)
+        twin.batch([0, 1])
+        for each in (ram, twin):
+            each.flush()
+        assert _observable(ram, ram._rng) == _observable(twin, twin._rng)
+
+    def test_batch_answers_what_the_download_found(self, rng):
+        ram = _overlapping_ram(rng)
+        assert ram.batch([0, 1], lambda contents: {6: b"JOINT-v2"}) == [
+            {n: _blocks(7)[n] for n in nodes} for nodes in ((0, 1, 6), (2, 3, 6))
+        ]
+        assert ram.batch([2]) == [{4: _blocks(7)[4], 5: _blocks(7)[5],
+                                   6: b"JOINT-v2"}]
+
+
+class TestNonIntegerBucket:
+    # A float bucket was found in the stash (0.0 == 0), so the request
+    # went out — the held upload, then cover downloads — before a lookup
+    # raised; an unstashed one raised first.  Whether the call reached
+    # the server told the server whether the bucket was stashed.
+
+    @staticmethod
+    def _build(p):
+        ram = BucketDPRAM(_blocks(8), [(i,) for i in range(8)], p,
+                          rng=SeededRandomSource(3))
+        ram.query(1, {1: b"x" * 8})
+        return ram
+
+    @pytest.mark.parametrize("p", [1e-9, 1.0])
+    def test_refused_before_a_coin_or_a_request(self, p):
+        ram, twin = self._build(p), self._build(p)
+        log = Transcript()
+        ram.server.attach_transcript(log)
+        for call in (lambda: ram.query(0.0), lambda: ram.begin_query([2, 0.0])):
+            with pytest.raises(TypeError):
+                call()
+        assert len(log) == 0
+        assert ram._link.held == twin._link.held
+        assert _observable(ram, ram._rng) == _observable(twin, twin._rng)
+
+    def test_integer_types_still_query(self):
+        numpy = pytest.importorskip("numpy")
+        ram, twin = self._build(0.5), self._build(0.5)
+        for bucket in (True, numpy.int64(3), numpy.uint8(0)):
+            assert ram.query(bucket) == twin.query(int(bucket))
+        assert ram.batch([numpy.int32(4), False]) == twin.batch([4, 0])
+        assert _observable(ram, ram._rng) == _observable(twin, twin._rng)
 
 
 class TestSealingAttribution:

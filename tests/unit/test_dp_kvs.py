@@ -10,7 +10,11 @@ from repro.storage.errors import (
     CapacityError,
     MappingOverflowError,
 )
-from repro.storage.faults import ServerFault
+from repro.storage.faults import (
+    CorruptingServer,
+    ServerFault,
+    wrap_scheme_servers,
+)
 
 
 @pytest.fixture
@@ -93,7 +97,6 @@ class TestBasicOperations:
         operations = store.operation_count
         with pytest.raises(CapacityError):
             store.put(b"extra", b"v")
-        assert store._ram._pending is None
         assert len(store.transcript_pairs) == pairs + 2
         assert store.size == 8
         assert store.operation_count == operations
@@ -111,7 +114,6 @@ class TestBasicOperations:
                 store.put(f"key{i}".encode(), b"v")
                 stored.append(f"key{i}".encode())
         pairs = len(store.transcript_pairs)
-        assert store._ram._pending is None
         assert pairs == 2 * (len(stored) + 1)
         assert store.size == len(stored)
         assert store.super_root_size == 1
@@ -154,6 +156,54 @@ class TestTransientFaults:
         store.put(b"key", b"new")
         assert store.get(b"key") == b"new"
         assert store.size == 1
+
+    @pytest.mark.parametrize("operation, key", [
+        ("get", b"k2"), ("delete", b"k5"),
+    ])
+    def test_a_garbled_node_fails_one_operation_not_the_store(
+        self, operation, key
+    ):
+        # Unauthenticated, a node whose bits flipped in transit decodes to
+        # a count prefix no node can hold.  The request had gone out, so
+        # the operation commits as a read before that error reaches the
+        # caller; it used to leave its batch open, and every later
+        # operation was refused for it.
+        store = DPKVS(64, rng=SeededRandomSource(1))
+        stored = {b"k%d" % i: b"v%d" % i for i in range(8)}
+        for stored_key, value in stored.items():
+            store.put(stored_key, value)
+        (garbling,) = wrap_scheme_servers(
+            store, lambda server: CorruptingServer(
+                server, 1.0, SeededRandomSource(15)
+            ),
+        )
+        pairs = len(store.transcript_pairs)
+        with pytest.raises(CapacityError, match="count prefix"):
+            getattr(store, operation)(key)
+        assert len(store.transcript_pairs) == pairs + 2
+        assert store._ram._link.held[0] == pairs  # its upload, held
+        garbling._rate = 0.0
+        # The read wrote back what it decoded; other buckets are clean.
+        moved = {
+            node
+            for pair in store.transcript_pairs[pairs:]
+            for bucket in pair
+            for node in store._ram.bucket_nodes(bucket)
+        }
+        clean = [
+            stored_key for stored_key in stored
+            if moved.isdisjoint(
+                node
+                for bucket in store._prf.choices(
+                    store._codec.normalize_key(stored_key),
+                    store._layout.bucket_count, store.params.choices,
+                )
+                for node in store._ram.bucket_nodes(bucket)
+            )
+        ]
+        assert clean
+        for stored_key in clean:
+            assert store.get(stored_key) == stored[stored_key]
 
 
 class TestKeyValueNormalization:

@@ -207,6 +207,18 @@ class TestSecretDependentBranch:
         """
         assert "secret-dependent-branch" in rules_hit(source)
 
+    def test_flags_branch_around_a_bucket_batch(self):
+        source = """
+            class Store:
+                def get(self, key):
+                    if key == self._cached_key:
+                        value = self._cached_value
+                    else:
+                        value = self._ram.batch(self._buckets(key))
+                    return value
+        """
+        assert "secret-dependent-branch" in rules_hit(source)
+
     def test_flags_secret_loop_bound(self):
         source = """
             class Scheme:
