@@ -1034,7 +1034,7 @@ class _SequentialBatches:
     def batch(self, buckets, transform=None):
         pending = self.begin_query(buckets)
         try:
-            new_contents = transform and transform(pending.contents)
+            new_contents = transform(pending.contents) if transform else None
         except Exception:
             self.finish_query(pending)
             raise
