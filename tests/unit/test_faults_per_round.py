@@ -1,11 +1,12 @@
 """Unit tests for the batched fault model (one coin per round)."""
 
+import hashlib
 import inspect
 
 import pytest
 
 from repro.crypto.rng import SeededRandomSource
-from repro.storage.backends import NetworkBackend
+from repro.storage.backends import InMemoryBackend, NetworkBackend, SlabBackend
 from repro.storage.blocks import integer_database
 from repro.storage.faults import (
     CorruptingServer,
@@ -190,3 +191,155 @@ class TestExchangeUnderFaults:
         assert differing == (1 if coin_mode == "per_round" else 3)
         assert corrupting.corrupted_reads == differing
         assert (inner.reads, inner.writes) == (3, 32 + 3)
+
+
+# -- the pin table -----------------------------------------------------------
+#
+# A fixed script through each wrapper stack, coin mode and backend, hashed:
+# what every call returned or raised, the inner counters, fault counters
+# and link cost after it, then the transcript and the next coin of every
+# fault layer.  A refactor of the server or the wrappers that moves a coin,
+# a counter, an event or a charged byte moves a digest.
+
+_PIN_N = 16
+
+
+def _block(tag):
+    return bytes([tag % 256]) * 8
+
+
+def _pin_script(p):
+    def slot(offset):
+        return (p + offset) % _PIN_N
+
+    return [
+        ("read", (slot(0),)),
+        ("write", (slot(1), _block(p))),
+        ("read_many", ([slot(0), slot(3), slot(7)],)),
+        ("write_many", ([(slot(2), _block(p + 1)), (slot(5), _block(p + 2))],)),
+        # A DP-RAM-shaped request: one held slot, then the downloads.
+        ("exchange", (10 * p + 1, [slot(0), slot(4)],
+                      (10 * p, [(slot(4), _block(p + 3))]))),
+        ("exchange", (10 * p + 3, [slot(1), slot(2), slot(9)],
+                      (10 * p + 2, [(slot(9), _block(p + 4)),
+                                    (slot(10), _block(p + 5)),
+                                    (slot(11), _block(p + 6))]))),
+        ("exchange", (10 * p + 4, [slot(6)], None)),
+        # ``flush()``: the held upload alone.
+        ("exchange", (10 * p + 6, (),
+                      (10 * p + 5, [(slot(8), _block(p + 7)),
+                                    (slot(12), _block(p + 8)),
+                                    (slot(13), _block(p + 9))]))),
+        ("read", (_PIN_N,)),
+        ("read_many", ([1, _PIN_N + 83],)),
+        ("write", (3, 7)),
+        ("write_many", ([(2, _block(1)), (3, None)],)),
+        ("write", (4, b"short")),
+    ]
+
+
+_PIN_STACKS = {
+    "corrupting": lambda inner, rng, mode: CorruptingServer(
+        inner, 0.3, rng.spawn("corrupt"), coin_mode=mode),
+    "flaky": lambda inner, rng, mode: FlakyServer(
+        inner, 0.25, rng.spawn("flaky"), coin_mode=mode),
+    "corrupting_flaky": lambda inner, rng, mode: CorruptingServer(
+        FlakyServer(inner, 0.25, rng.spawn("flaky"), coin_mode=mode),
+        0.3, rng.spawn("corrupt"), coin_mode=mode),
+}
+
+_PIN_BACKENDS = {
+    "memory": lambda: InMemoryBackend(_PIN_N),
+    "slab": lambda: SlabBackend(_PIN_N),
+    "network": lambda: NetworkBackend(_PIN_N, LAN),
+}
+
+
+def _pin_record(stack, coin_mode, backend_name):
+    backend = _PIN_BACKENDS[backend_name]()
+    inner = StorageServer(_PIN_N, block_size=8, backend=backend)
+    inner.load(integer_database(_PIN_N, 8))
+    view = Transcript()
+    inner.attach_transcript(view)
+    wrapper = _PIN_STACKS[stack](inner, SeededRandomSource(35), coin_mode)
+    record = []
+    for p in range(6):
+        for name, args in _pin_script(p):
+            try:
+                outcome = ("ok", getattr(wrapper, name)(*args))
+            except Exception as exc:  # the raised type and message are pinned
+                outcome = (type(exc).__name__, str(exc))
+            link = (
+                (backend.roundtrips, backend.simulated_ms)
+                if isinstance(backend, NetworkBackend) else None
+            )
+            record.append((
+                name, outcome, inner.reads, inner.writes,
+                sorted(wrapper.fault_counters().items()), link,
+            ))
+    record.append(view.signature())
+    layer = wrapper
+    while layer is not inner:
+        record.append(layer._rng.random())
+        layer = layer._inner
+    return record
+
+
+def _pin_digest(stack, coin_mode, backend_name):
+    record = _pin_record(stack, coin_mode, backend_name)
+    return hashlib.sha256(repr(record).encode()).hexdigest()
+
+
+_PINS = {
+    "corrupting/per_slot/memory":
+        "ccb3b26d41c653b6a5dc14ba31e190d27050cc8560d7f0ed9e1b04e73534d81a",
+    "corrupting/per_slot/slab":
+        "ccb3b26d41c653b6a5dc14ba31e190d27050cc8560d7f0ed9e1b04e73534d81a",
+    "corrupting/per_slot/network":
+        "92c4d9a1ec6794f79c78b0b9d504f575f718e49e91224c6d6018db60854ca8c4",
+    "corrupting/per_round/memory":
+        "bc6994584c2e4ec5aa63daed237c54ffe80156096e651d31f867770f24f95b34",
+    "corrupting/per_round/slab":
+        "bc6994584c2e4ec5aa63daed237c54ffe80156096e651d31f867770f24f95b34",
+    "corrupting/per_round/network":
+        "038063702055aeeaabb8cdf858fd0f7bf053f1934dfa43e7b7eb89a6a83409ec",
+    "flaky/per_slot/memory":
+        "7223ace6ffbebf8a707ddb80ec1b06e9c2b8b9431373234de14fab2b7104977a",
+    "flaky/per_slot/slab":
+        "7223ace6ffbebf8a707ddb80ec1b06e9c2b8b9431373234de14fab2b7104977a",
+    "flaky/per_slot/network":
+        "9283597a491e9aeb88bdd06c88a0be74377f7e6ceafd059ab3e826ce57b457cb",
+    "flaky/per_round/memory":
+        "d2f3c793f8d47169c566cda16d42c8bfc26cf77f064afa4d101b834ee3afa155",
+    "flaky/per_round/slab":
+        "d2f3c793f8d47169c566cda16d42c8bfc26cf77f064afa4d101b834ee3afa155",
+    "flaky/per_round/network":
+        "24235fe46151e63d0f984a547015c0ce8f4fcd8a1af23b5d3bde85f4a8d7a001",
+    "corrupting_flaky/per_slot/memory":
+        "42a23b0e975773d439a9deed2ed9dc25c0d85fd7f3d54d94974c20c538ee3530",
+    "corrupting_flaky/per_slot/slab":
+        "42a23b0e975773d439a9deed2ed9dc25c0d85fd7f3d54d94974c20c538ee3530",
+    "corrupting_flaky/per_slot/network":
+        "62a2aa848a0202d455acae42441b0e413d8eab0b5bf90e61852827a1edc5a6e2",
+    "corrupting_flaky/per_round/memory":
+        "761812a12dea2758efba0557a5077989ee3313837ccddd635544842418b17b18",
+    "corrupting_flaky/per_round/slab":
+        "761812a12dea2758efba0557a5077989ee3313837ccddd635544842418b17b18",
+    "corrupting_flaky/per_round/network":
+        "d5a792ae4b8f3bb7f54ad13b5a56a611ec104282af4c4e8c041a31cdc5c4022b",
+}
+
+
+class TestFaultWrapperPins:
+    @pytest.mark.parametrize("case", sorted(_PINS))
+    def test_script_digest(self, case):
+        stack, coin_mode, backend = case.split("/")
+        assert _pin_digest(stack, coin_mode, backend) == _PINS[case]
+
+    def test_table_covers_every_stack_mode_and_backend(self):
+        assert set(_PINS) == {
+            f"{stack}/{mode}/{backend}"
+            for stack in _PIN_STACKS
+            for mode in ("per_slot", "per_round")
+            for backend in _PIN_BACKENDS
+        }
