@@ -7,7 +7,7 @@ request arrivals, batch-window wake-ups, dispatch completions —
 advance a simulated clock; each dispatch occupies a lane for the time
 its server operations cost under the network model, using exactly the
 accounting of :class:`~repro.storage.backends.NetworkBackend` (one
-roundtrip plus serialization per slot access).
+roundtrip per request plus the serialization of its bytes).
 
 Pipelining across rounds: the scheduler's
 :attr:`~repro.serving.schedulers.RequestScheduler.pipeline_depth` is
@@ -80,8 +80,9 @@ class _CostMeter:
 
     When every server already runs over a :class:`NetworkBackend`, the
     backends' own accumulated milliseconds are authoritative: one
-    roundtrip per *batch* (a ``read_many`` / ``write_many`` round) plus
-    the transfer of its bytes.  Otherwise each *block* moved is priced at
+    roundtrip per *request* — a held upload and the downloads it rides
+    with (``StorageServer.exchange``), or a lone round — plus the
+    transfer of its bytes.  Otherwise each *block* moved is priced at
     one roundtrip plus one block transfer under ``model``.  The two do
     not agree on a batched scheme: a K-block round is ``rtt + transfer(K
     blocks)`` on the backend and ``K · (rtt + transfer(block))`` here.

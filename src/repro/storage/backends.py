@@ -45,10 +45,10 @@ class StorageBackend(abc.ABC):
     marking a slot that was never written.  Index validation is the
     server's job; backends may assume ``0 <= index < capacity``.
 
-    The batched entry points :meth:`read_slots` / :meth:`write_slots`
-    exist so one dispatched round can move a whole pad set; the defaults
-    loop per slot, and backends that can genuinely amortize (a single
-    in-memory pass, one network roundtrip) override them.
+    The server calls only the batched :meth:`read_slots` /
+    :meth:`write_slots`, once per round (a single-slot read or write is
+    a batch of one); the defaults loop per slot, and backends that can
+    amortize (one in-memory pass, one network roundtrip) override them.
 
     :meth:`begin_round` / :meth:`end_round` bracket the slot calls of one
     client request — "write these slots, then read those" is a
@@ -298,11 +298,6 @@ class SlabBackend(StorageBackend):
                 for index in indices
             ]
         return [self.read_slot(index) for index in indices]
-
-    def write_slots(self, items: Sequence[tuple[int, bytes]]) -> None:
-        """Store every ``(index, block)`` pair into the slab."""
-        for index, block in items:
-            self.write_slot(index, block)
 
     def load(self, blocks: Sequence[bytes]) -> None:
         """Install the initial database as one contiguous copy."""

@@ -10,7 +10,11 @@ about the failure modes these wrappers simulate:
   (timeouts, crashes).
 
 They wrap any :class:`~repro.storage.server.StorageServer` transparently,
-so every scheme in the library can be exercised under faults.  The tests
+so every scheme in the library can be exercised under faults.  One
+private base, ``_FaultLayer``, holds what they share — the inner server,
+the counters, the coin granularity of ``read_many`` and ``exchange`` —
+so a wrapper names its two counter keys, its per-slot entry points and
+what one per-round coin does around the inner call.  The tests
 use them to demonstrate two facts: the plain IND-CPA encryption of the
 DP schemes does *not* detect tampering (decryptions silently garble,
 exactly as the threat model predicts), while the authenticated mode of
@@ -53,15 +57,99 @@ def check_coin_mode(coin_mode: str) -> str:
     return coin_mode
 
 
-# ``StorageServer.exchange`` run over a wrapper sets the query its slots
-# are attributed to; the inner server is the one that records them.
-# Reads fall through to ``__getattr__`` like every other inner attribute.
-_INNER_QUERY = property(
-    None, lambda wrapper, query: wrapper._inner.begin_query(query)
-)
+class _FaultLayer:
+    """What both wrappers share: the inner server, the coins and the rounds.
+
+    A subclass names its two counter keys (``_KEYS``: per slot, per
+    round) and says in :meth:`_round` what one per-round coin does around
+    the inner call.  Every round entry point is defined here or on the
+    subclass, never left to ``__getattr__``, which would hand the round
+    to the inner server and skip the coins.
+    """
+
+    _RATE: str
+    _KEYS: tuple[str, str]
+
+    def __init__(
+        self,
+        inner: StorageServer,
+        rate: float,
+        rng: RandomSource,
+        coin_mode: str,
+    ) -> None:
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError(f"{self._RATE} must be in [0, 1], got {rate}")
+        self._inner = inner
+        self._rate = rate
+        self._rng = rng
+        self._coin_mode = check_coin_mode(coin_mode)
+        self._slots = 0
+        self._rounds = 0
+
+    # ``StorageServer.exchange`` run over a wrapper sets the query its
+    # slots are attributed to; the inner server is the one that records
+    # them.  Reads fall through to ``__getattr__``.
+    _current_query = property(
+        None, lambda self, query: self._inner.begin_query(query)
+    )
+
+    @property
+    def coin_mode(self) -> str:
+        """Fault-coin granularity: ``"per_slot"`` or ``"per_round"``."""
+        return self._coin_mode
+
+    def fault_counters(self) -> dict[str, int]:
+        """Injected-fault totals, merged with any wrapped fault layer."""
+        counters = _inner_fault_counters(self._inner)
+        slot_key, round_key = self._KEYS
+        counters[slot_key] = counters.get(slot_key, 0) + self._slots
+        if self._coin_mode == "per_round":
+            counters[round_key] = counters.get(round_key, 0) + self._rounds
+        return counters
+
+    def read_many(self, indices) -> list[bytes]:
+        """Serve a batched read; coin granularity follows ``coin_mode``.
+
+        Per-slot mode: one coin per slot, in order, through this
+        wrapper's :meth:`read` — a mid-batch fault leaves exactly the
+        prefix the per-slot loop would have served (inner counters and
+        transcript included), the equivalence the failover layers and
+        property tests rely on.  Per-round mode: one coin for the whole
+        round, and the round rides the inner server's ``read_many``.
+        """
+        if self._coin_mode == "per_round":
+            return self._round(
+                "read", len(indices), self._inner.read_many, indices
+            )
+        return [self.read(index) for index in indices]
+
+    def exchange(self, query: int, indices, held=None) -> list[bytes]:
+        """Serve a write-then-read request under this layer's coins.
+
+        Per-round mode: one coin for the request, around the inner
+        server's ``exchange``.  Per-slot mode: the server's own
+        :meth:`~repro.storage.server.StorageServer.exchange` over this
+        wrapper's entry points, so every slot meets the coin it would
+        have met on its own, uploads first; a fault leaves exactly the
+        prefix the per-slot loop would have committed, and the client
+        re-sends the upload, which is idempotent.
+        """
+        if self._coin_mode == "per_round":
+            size = len(indices) + (len(held[1]) if held is not None else 0)
+            return self._round(
+                "exchange", size, self._inner.exchange, query, indices, held
+            )
+        return StorageServer.exchange(self, query, indices, held)
+
+    def _round(self, operation: str, size: int, call, *args):
+        """Run ``call(*args)``, one round of ``size`` slots, under one coin."""
+        raise NotImplementedError
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
 
 
-class CorruptingServer:
+class CorruptingServer(_FaultLayer):
     """Wrapper that flips one bit in a fraction of served reads.
 
     Args:
@@ -76,7 +164,12 @@ class CorruptingServer:
             tests run at batched speed.  The two modes report under
             *different* counter keys (``corrupted_reads`` vs.
             ``corrupted_rounds``) so metrics stay distinguishable.
+
+    Uploads go to the inner server untouched.
     """
+
+    _RATE = "corruption rate"
+    _KEYS = ("corrupted_reads", "corrupted_rounds")
 
     def __init__(
         self,
@@ -85,114 +178,44 @@ class CorruptingServer:
         rng: RandomSource,
         coin_mode: str = "per_slot",
     ) -> None:
-        if not 0.0 <= corruption_rate <= 1.0:
-            raise ValueError(
-                f"corruption rate must be in [0, 1], got {corruption_rate}"
-            )
-        self._inner = inner
-        self._rate = corruption_rate
-        self._rng = rng
-        self._coin_mode = check_coin_mode(coin_mode)
-        self._corrupted = 0
-        self._corrupted_rounds = 0
-
-    _current_query = _INNER_QUERY
+        super().__init__(inner, corruption_rate, rng, coin_mode)
 
     @property
     def corrupted_reads(self) -> int:
         """Reads that were served corrupted."""
-        return self._corrupted
+        return self._slots
 
     @property
     def corrupted_rounds(self) -> int:
         """Batched rounds served with a corrupted block (per-round mode)."""
-        return self._corrupted_rounds
-
-    @property
-    def coin_mode(self) -> str:
-        """Fault-coin granularity: ``"per_slot"`` or ``"per_round"``."""
-        return self._coin_mode
-
-    def fault_counters(self) -> dict[str, int]:
-        """Injected-fault totals, merged with any wrapped fault layer."""
-        counters = _inner_fault_counters(self._inner)
-        counters["corrupted_reads"] = (
-            counters.get("corrupted_reads", 0) + self._corrupted
-        )
-        if self._coin_mode == "per_round":
-            counters["corrupted_rounds"] = (
-                counters.get("corrupted_rounds", 0) + self._corrupted_rounds
-            )
-        return counters
+        return self._rounds
 
     def read(self, index: int) -> bytes:
         """Serve a read, possibly with one bit flipped."""
         block = self._inner.read(index)
         if self._rng.random() < self._rate and block:
-            position = self._rng.randbelow(len(block))
-            bit = 1 << self._rng.randbelow(8)
-            block = (
-                block[:position]
-                + bytes([block[position] ^ bit])
-                + block[position + 1 :]
-            )
-            self._corrupted += 1
+            block = self._flip(block)
         return block
 
-    def read_many(self, indices) -> list[bytes]:
-        """Serve a batched read; coin granularity follows ``coin_mode``.
-
-        Per-slot mode stays slot-accurate — one corruption coin per
-        served block, in slot order — so the batched entry point
-        deliberately degrades to the single-slot path instead of
-        delegating to the inner server's fast ``read_many`` (which would
-        bypass the fault layer entirely via ``__getattr__``).  Per-round
-        mode flips *one* coin for the whole round: a clean round rides
-        the inner server's batched fast path untouched, a corrupted
-        round has one bit flipped in one rng-chosen slot.
-        """
-        if self._coin_mode == "per_round":
-            return self._corrupt_round(self._inner.read_many(indices))
-        return [self.read(index) for index in indices]
-
-    def exchange(self, query: int, indices, held=None) -> list[bytes]:
-        """Serve a write-then-read request; the reads may come back bad.
-
-        Per-round mode flips its one coin over the request's downloads, as
-        :meth:`read_many` does; per-slot mode runs the server's own
-        :meth:`~repro.storage.server.StorageServer.exchange` over this
-        wrapper's entry points, one coin per served block.  The upload goes
-        to the inner server untouched either way.  Without this override
-        ``__getattr__`` would hand the whole request to the inner server
-        and skip fault injection.
-        """
-        if self._coin_mode == "per_round":
-            return self._corrupt_round(
-                self._inner.exchange(query, indices, held)
-            )
-        return StorageServer.exchange(self, query, indices, held)
-
-    def _corrupt_round(self, blocks: list[bytes]) -> list[bytes]:
+    def _round(self, operation: str, size: int, call, *args):
+        # The coin is flipped over what comes back: a request that
+        # downloads nothing has nothing to corrupt.
+        blocks = call(*args)
         if blocks and self._rng.random() < self._rate:
             position = self._rng.randbelow(len(blocks))
-            block = blocks[position]
-            if block:
-                offset = self._rng.randbelow(len(block))
-                bit = 1 << self._rng.randbelow(8)
-                blocks[position] = (
-                    block[:offset]
-                    + bytes([block[offset] ^ bit])
-                    + block[offset + 1 :]
-                )
-                self._corrupted += 1
-                self._corrupted_rounds += 1
+            if blocks[position]:
+                blocks[position] = self._flip(blocks[position])
+                self._rounds += 1
         return blocks
 
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
+    def _flip(self, block: bytes) -> bytes:
+        offset = self._rng.randbelow(len(block))
+        bit = 1 << self._rng.randbelow(8)
+        self._slots += 1
+        return block[:offset] + bytes([block[offset] ^ bit]) + block[offset + 1 :]
 
 
-class FlakyServer:
+class FlakyServer(_FaultLayer):
     """Wrapper that raises :class:`ServerFault` on a fraction of operations.
 
     Args:
@@ -208,6 +231,9 @@ class FlakyServer:
             counter key.
     """
 
+    _RATE = "failure rate"
+    _KEYS = ("failed_operations", "failed_rounds")
+
     def __init__(
         self,
         inner: StorageServer,
@@ -215,45 +241,17 @@ class FlakyServer:
         rng: RandomSource,
         coin_mode: str = "per_slot",
     ) -> None:
-        if not 0.0 <= failure_rate <= 1.0:
-            raise ValueError(
-                f"failure rate must be in [0, 1], got {failure_rate}"
-            )
-        self._inner = inner
-        self._rate = failure_rate
-        self._rng = rng
-        self._coin_mode = check_coin_mode(coin_mode)
-        self._failures = 0
-        self._failed_rounds = 0
-
-    _current_query = _INNER_QUERY
+        super().__init__(inner, failure_rate, rng, coin_mode)
 
     @property
     def failures(self) -> int:
         """Operations that failed."""
-        return self._failures
+        return self._slots
 
     @property
     def failed_rounds(self) -> int:
         """Batched rounds that failed outright (per-round mode)."""
-        return self._failed_rounds
-
-    @property
-    def coin_mode(self) -> str:
-        """Fault-coin granularity: ``"per_slot"`` or ``"per_round"``."""
-        return self._coin_mode
-
-    def fault_counters(self) -> dict[str, int]:
-        """Injected-fault totals, merged with any wrapped fault layer."""
-        counters = _inner_fault_counters(self._inner)
-        counters["failed_operations"] = (
-            counters.get("failed_operations", 0) + self._failures
-        )
-        if self._coin_mode == "per_round":
-            counters["failed_rounds"] = (
-                counters.get("failed_rounds", 0) + self._failed_rounds
-            )
-        return counters
+        return self._rounds
 
     def read(self, index: int) -> bytes:
         """Serve a read or fail."""
@@ -265,64 +263,26 @@ class FlakyServer:
         self._maybe_fail("write", index)
         self._inner.write(index, block)
 
-    def read_many(self, indices) -> list[bytes]:
-        """Serve a batched read; coin granularity follows ``coin_mode``.
-
-        Per-slot mode: one failure coin per slot, in order, with a
-        mid-batch fault leaving exactly the prefix the per-slot loop
-        would have served (inner counters and transcript included) —
-        the equivalence the failover layers and property tests rely on.
-        Without this override ``__getattr__`` would route ``read_many``
-        straight to the inner server and silently skip fault injection.
-        Per-round mode: one coin for the whole round; a clean round
-        delegates to the inner batched fast path.
-        """
-        if self._coin_mode == "per_round":
-            self._maybe_fail_round("read", len(indices))
-            return self._inner.read_many(indices)
-        return [self.read(index) for index in indices]
-
     def write_many(self, items) -> None:
         """Serve a batched write (coin granularity follows ``coin_mode``)."""
         if self._coin_mode == "per_round":
-            self._maybe_fail_round("write", len(items))
-            self._inner.write_many(items)
+            self._round("write", len(items), self._inner.write_many, items)
             return
         for index, block in items:
             self.write(index, block)
 
-    def exchange(self, query: int, indices, held=None) -> list[bytes]:
-        """Serve a write-then-read request or fail.
-
-        Per-round mode: one coin for the request; a clean one goes to the
-        inner server whole.  Per-slot mode: the server's own
-        :meth:`~repro.storage.server.StorageServer.exchange` over this
-        wrapper's entry points, so every slot meets its coin, uploads
-        first, and a fault leaves exactly the prefix the per-slot loop
-        would have committed — the client re-sends the upload, which is
-        idempotent.  Without this override ``__getattr__`` would route
-        the request around the fault layer.
-        """
-        if self._coin_mode == "per_round":
-            size = len(indices) + (len(held[1]) if held is not None else 0)
-            self._maybe_fail_round("exchange", size)
-            return self._inner.exchange(query, indices, held)
-        return StorageServer.exchange(self, query, indices, held)
-
-    def _maybe_fail_round(self, operation: str, size: int) -> None:
+    def _round(self, operation: str, size: int, call, *args):
         if size and self._rng.random() < self._rate:
-            self._failed_rounds += 1
+            self._rounds += 1
             raise ServerFault(
                 f"simulated batched {operation} failure ({size} slots)"
             )
+        return call(*args)
 
     def _maybe_fail(self, operation: str, index: int) -> None:
         if self._rng.random() < self._rate:
-            self._failures += 1
+            self._slots += 1
             raise ServerFault(f"simulated {operation} failure at slot {index}")
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
 
 
 def _inner_fault_counters(inner) -> dict[str, int]:

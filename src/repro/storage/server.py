@@ -146,13 +146,7 @@ class StorageServer:
         Raises:
             StorageError: if the slot is out of range or was never written.
         """
-        self._check_index(index)
-        block = self._backend.read_slot(index)
-        if block is None:
-            raise StorageError(f"slot {index} was never written")
-        self._reads += 1
-        self._record(AccessKind.DOWNLOAD, index)
-        return block
+        return self._download((index,))[0]
 
     def write(self, index: int, block: bytes) -> None:
         """Upload ``block`` into slot ``index``.
@@ -163,16 +157,7 @@ class StorageServer:
                 counted or charged.
             BlockSizeError: if size validation is on and the size mismatches.
         """
-        self._check_index(index)
-        if type(block) is not bytes and not isinstance(
-            block, (bytes, bytearray, memoryview)
-        ):
-            raise TypeError(_not_a_block(index, block))
-        if self._block_size is not None:
-            check_block(block, self._block_size)
-        self._backend.write_slot(index, block)
-        self._writes += 1
-        self._record(AccessKind.UPLOAD, index)
+        self._upload(((index, block),))
 
     # -- the batched wire protocol ----------------------------------------
 
@@ -181,47 +166,19 @@ class StorageServer:
 
         Observationally equivalent to ``[self.read(i) for i in indices]``
         — identical counter totals and the identical transcript event
-        sequence — but validated once, counted once, recorded in one
-        batched append and dispatched to the backend as a single
-        :meth:`~repro.storage.backends.StorageBackend.read_slots` call.
-        The one deliberate difference: validation failures (out-of-range
-        or never-written slots) fail *before* any counter or transcript
-        side effect, where the per-slot loop would have committed a
-        prefix.
+        sequence — and dispatched to the backend as the same single
+        :meth:`~repro.storage.backends.StorageBackend.read_slots` call
+        each :meth:`read` makes for its one slot.  The one deliberate
+        difference: validation failures (out-of-range or never-written
+        slots) fail *before* any counter or transcript side effect,
+        where the per-slot loop would have committed a prefix.
 
         Raises:
             StorageError: if any slot is out of range or never written.
         """
         if not indices:
             return []
-        capacity = self._capacity
-        # C-speed range check over the whole batch; only a failing batch
-        # pays a Python loop to name the offending slot.
-        if min(indices) < 0 or max(indices) >= capacity:
-            for index in indices:
-                if not 0 <= index < capacity:
-                    raise StorageError(
-                        f"slot {index} out of range for capacity {capacity}"
-                    )
-        blocks = self._backend.read_slots(indices)
-        # Backends that track presence report 0 missing slots once the
-        # database is loaded, so the steady-state round skips the scan.
-        if self._backend.missing_slots != 0 and None in blocks:
-            index = indices[blocks.index(None)]
-            raise StorageError(f"slot {index} was never written")
-        self._reads += len(indices)
-        if self._transcript is not None:
-            server_id = self._server_id
-            query = self._current_query
-            self._transcript.extend(
-                AccessEvent(
-                    kind=AccessKind.DOWNLOAD,
-                    index=index,
-                    server=server_id,
-                    query=query,
-                )
-                for index in indices
-            )
+        blocks = self._download(indices)
         obs = self._obs
         if obs is not None:
             obs.on_batch(self._server_id, "read", len(indices))
@@ -230,10 +187,8 @@ class StorageServer:
     def write_many(self, items: Sequence[tuple[int, bytes]]) -> None:
         """Upload every ``(index, block)`` pair (in order) as one round.
 
-        The batched counterpart of :meth:`write`, with the same
-        validate-once / count-once / single-dispatch shape as
-        :meth:`read_many`: the whole batch is checked before any slot is
-        stored, counted or charged.
+        The batched counterpart of :meth:`write`: the whole batch is
+        checked before any slot is stored, counted or charged.
 
         Raises:
             StorageError: if any slot is out of range.
@@ -243,35 +198,7 @@ class StorageServer:
         """
         if not items:
             return
-        capacity = self._capacity
-        for index, block in items:
-            if not 0 <= index < capacity:
-                raise StorageError(
-                    f"slot {index} out of range for capacity {capacity}"
-                )
-            # An identity test per item: on 68 slots it beats unzipping
-            # the batch for a C-level ``set(map(type, ...))`` pass.
-            if type(block) is not bytes and not isinstance(
-                block, (bytes, bytearray, memoryview)
-            ):
-                raise TypeError(_not_a_block(index, block))
-        if self._block_size is not None:
-            for _, block in items:
-                check_block(block, self._block_size)
-        self._backend.write_slots(items)
-        self._writes += len(items)
-        if self._transcript is not None:
-            server_id = self._server_id
-            query = self._current_query
-            self._transcript.extend(
-                AccessEvent(
-                    kind=AccessKind.UPLOAD,
-                    index=index,
-                    server=server_id,
-                    query=query,
-                )
-                for index, _ in items
-            )
+        self._upload(items)
         obs = self._obs
         if obs is not None:
             obs.on_batch(self._server_id, "write", len(items))
@@ -314,8 +241,9 @@ class StorageServer:
             if held is not None:
                 self._current_query, items = held
                 if len(items) == 1:
-                    # DP-RAM's upload: one slot is cheaper by the per-slot
-                    # entry point than as a batch of one.
+                    # DP-RAM's upload enters by ``write``, which no observer
+                    # reports: as a batch of one it would add a round to
+                    # every traced DP-RAM request.
                     index, block = items[0]
                     self.write(index, block)
                 else:
@@ -346,27 +274,63 @@ class StorageServer:
 
     def peek(self, index: int) -> bytes | None:
         """Inspect a slot without counting an operation (test helper)."""
-        self._check_index(index)
+        if not 0 <= index < self._capacity:
+            raise StorageError(_out_of_range(index, self._capacity))
         return self._backend.peek_slot(index)
 
     # -- internals ---------------------------------------------------------
 
-    def _check_index(self, index: int) -> None:
-        if not 0 <= index < self._capacity:
-            raise StorageError(
-                f"slot {index} out of range for capacity {self._capacity}"
-            )
-
-    def _record(self, kind: AccessKind, index: int) -> None:
+    def _download(self, indices: Sequence[int]) -> list[bytes]:
+        """Check, read, count and record a non-empty download."""
+        capacity = self._capacity
+        # C-speed range check over the whole batch; only a failing batch
+        # pays a Python loop to name the offending slot.
+        if min(indices) < 0 or max(indices) >= capacity:
+            for index in indices:
+                if not 0 <= index < capacity:
+                    raise StorageError(_out_of_range(index, capacity))
+        blocks = self._backend.read_slots(indices)
+        # Backends that track presence report 0 missing slots once the
+        # database is loaded, so the steady-state round skips the scan.
+        if self._backend.missing_slots != 0 and None in blocks:
+            index = indices[blocks.index(None)]
+            raise StorageError(f"slot {index} was never written")
+        self._reads += len(indices)
         if self._transcript is not None:
-            self._transcript.append(
-                AccessEvent(
-                    kind=kind,
-                    index=index,
-                    server=self._server_id,
-                    query=self._current_query,
-                )
-            )
+            self._record(AccessKind.DOWNLOAD, indices)
+        return blocks
+
+    def _upload(self, items: Sequence[tuple[int, bytes]]) -> None:
+        """Check the whole upload, then store, count and record it."""
+        capacity = self._capacity
+        for index, block in items:
+            if not 0 <= index < capacity:
+                raise StorageError(_out_of_range(index, capacity))
+            # An identity test per item: on 68 slots it beats unzipping
+            # the batch for a C-level ``set(map(type, ...))`` pass.
+            if type(block) is not bytes and not isinstance(
+                block, (bytes, bytearray, memoryview)
+            ):
+                raise TypeError(_not_a_block(index, block))
+        if self._block_size is not None:
+            for _, block in items:
+                check_block(block, self._block_size)
+        self._backend.write_slots(items)
+        self._writes += len(items)
+        if self._transcript is not None:
+            self._record(AccessKind.UPLOAD, [index for index, _ in items])
+
+    def _record(self, kind: AccessKind, indices: Sequence[int]) -> None:
+        server_id = self._server_id
+        query = self._current_query
+        self._transcript.extend(
+            AccessEvent(kind=kind, index=index, server=server_id, query=query)
+            for index in indices
+        )
+
+
+def _out_of_range(index: int, capacity: int) -> str:
+    return f"slot {index} out of range for capacity {capacity}"
 
 
 def _not_a_block(index: int, block: object) -> str:

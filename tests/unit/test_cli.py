@@ -209,6 +209,14 @@ class TestClusterCommand:
         assert err.startswith("error:")
         assert "epsilon" in err
 
+    def test_exhausted_replicas_exit_1_not_the_usage_code(self, capsys):
+        # Valid flags; every replica of a shard fails a put.
+        assert main(["cluster", "--scheme", "dp_kvs", "--shards", "2",
+                     "--replicas", "3", "--n", "128", "--requests", "64",
+                     "--seed", "7", "--failure-rate", "0.05"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: shard 0: no live replicas left for put\n"
+
     def test_ram_scheme_rejected_cleanly(self, capsys):
         assert main(["cluster", "--scheme", "dp_ram", "--n", "64",
                      "--requests", "8", "--seed", "1"]) == 2

@@ -114,9 +114,19 @@ class TestNoRoundGoesAroundTheWrappers:
             if inspect.isfunction(member) and not name.startswith("_")
         } - _WIRING
         assert rounds == {"read", "write", "read_many", "write_many", "exchange"}
-        assert rounds <= set(vars(FlakyServer))
+        assert rounds <= _defined_on(FlakyServer)
         read_side = rounds - {"write", "write_many"}
-        assert read_side <= set(vars(CorruptingServer))
+        assert read_side <= _defined_on(CorruptingServer)
+
+
+def _defined_on(cls):
+    # A name the wrapper or a base of it defines is never looked up by
+    # ``__getattr__``; ``object`` defines no round.
+    return {
+        name
+        for klass in cls.__mro__ if klass is not object
+        for name in vars(klass)
+    }
 
 
 class _Coins:
