@@ -62,9 +62,9 @@ class _FaultLayer:
 
     A subclass names its two counter keys (``_KEYS``: per slot, per
     round) and says in :meth:`_round` what one per-round coin does around
-    the inner call.  Every round entry point is defined here or on the
-    subclass, never left to ``__getattr__``, which would hand the round
-    to the inner server and skip the coins.
+    the inner call.  Every round entry point a coin guards is defined
+    here or on the subclass, never left to ``__getattr__``, which would
+    hand the round to the inner server and skip the coins.
     """
 
     _RATE: str
