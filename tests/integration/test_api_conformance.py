@@ -3,10 +3,12 @@
 Parametrized over the full :func:`repro.api.available_schemes`
 catalogue, so a newly registered scheme is automatically held to the
 same contract: builds by name, implements its protocol, reports scheme
-info, agrees between ``*_many`` and single operations, and attaches /
-detaches transcripts symmetrically.
+info, agrees between ``*_many`` and single operations, attaches /
+detaches transcripts symmetrically, and refuses a bad argument at every
+entry point before anything of it reaches a server.
 """
 
+import functools
 import random
 
 import pytest
@@ -22,7 +24,7 @@ from repro.api import (
 )
 from repro.crypto.rng import SeededRandomSource
 from repro.storage.backends import InMemoryBackend
-from repro.storage.errors import BlockSizeError
+from repro.storage.errors import BlockSizeError, RetrievalError, StorageError
 from repro.storage.server import StorageServer
 from repro.storage.transcript import Transcript
 
@@ -212,6 +214,169 @@ def test_no_storage_round_moves_a_slot_twice(name, monkeypatch):
         else:
             scheme.read(coins.randrange(N))
     assert _RoundSpy.rounds > 0 or name.startswith("plaintext")
+
+
+# -- the argument gate --------------------------------------------------------
+#
+# A refused call must leave the scheme where a call never made would: a
+# coin drawn, a PRF call or a request sent for it is a view of the
+# server's that no charged operation explains.  Each row is one bad
+# argument at one entry point.  The scheme runs a few good operations,
+# the refused call, a few more and a flush; a same-seed twin runs the same
+# good operations only, and both must agree on answers, transcript,
+# server counters, operation count and the next coin.
+
+GATE_N = 16
+_BAD_INDICES = [
+    ("3.0", 3.0, TypeError),
+    ("'3'", "3", TypeError),
+    ("None", None, TypeError),
+    ("-1", -1, RetrievalError),
+    ("n", GATE_N, RetrievalError),
+]
+_BAD_KEYS = [("'k'", "k"), ("None", None), ("3", 3)]
+
+
+def _bad_values(size):
+    """``(label, value, error)`` of the values a ``size``-byte RAM refuses."""
+    return [
+        ("short", b"v" * (size - 1), BlockSizeError),
+        ("long", b"v" * (size + 1), BlockSizeError),
+        ("str", "v" * size, TypeError),
+        ("None", None, TypeError),
+        ("int", size, TypeError),
+    ]
+
+
+def _gate_rows():
+    rows = []
+    for name in available_schemes():
+        probe = build(name, n=GATE_N, seed=1)
+        if isinstance(probe, PrivateIR):
+            for label, bad, error in _BAD_INDICES:
+                rows += [
+                    (name, f"query({label})", error,
+                     lambda s, bad=bad: s.query(bad)),
+                    (name, f"query_many([0, {label}])", error,
+                     lambda s, bad=bad: s.query_many([0, bad])),
+                ]
+        elif isinstance(probe, PrivateRAM):
+            write_error = None if probe.writable else StorageError
+            good = bytes(probe.block_size)
+            for label, bad, error in _BAD_INDICES:
+                rows += [
+                    (name, f"read({label})", error,
+                     lambda s, bad=bad: s.read(bad)),
+                    (name, f"read_many([0, {label}])", error,
+                     lambda s, bad=bad: s.read_many([0, bad])),
+                    (name, f"write({label}, good)", write_error or error,
+                     lambda s, bad=bad: s.write(bad, good)),
+                    (name, f"write_many([0, {label}])", write_error or error,
+                     lambda s, bad=bad: s.write_many([(0, good), (bad, good)])),
+                ]
+                if hasattr(probe, "read_modify_write"):
+                    rows.append(
+                        (name, f"read_modify_write({label})", error,
+                         lambda s, bad=bad: s.read_modify_write(bad, bytes))
+                    )
+                if hasattr(probe, "batch"):
+                    rows += [
+                        (name, f"query_bucket({label})", error,
+                         lambda s, bad=bad: s.query(bad)),
+                        (name, f"batch([0, {label}])", error,
+                         lambda s, bad=bad: s.batch([0, bad])),
+                    ]
+            for label, bad, error in _bad_values(probe.block_size):
+                rows += [
+                    (name, f"write(1, {label})", write_error or error,
+                     lambda s, bad=bad: s.write(1, bad)),
+                    (name, f"write_many([good, {label}])", write_error or error,
+                     lambda s, bad=bad: s.write_many([(0, good), (1, bad)])),
+                ]
+        else:
+            for label, bad in _BAD_KEYS:
+                rows += [
+                    (name, f"get({label})", TypeError,
+                     lambda s, bad=bad: s.get(bad)),
+                    (name, f"put({label}, v)", TypeError,
+                     lambda s, bad=bad: s.put(bad, b"v")),
+                    (name, f"delete({label})", TypeError,
+                     lambda s, bad=bad: s.delete(bad)),
+                    (name, f"get_many([a, {label}])", TypeError,
+                     lambda s, bad=bad: s.get_many([b"a", bad])),
+                ]
+            size = probe.value_size
+            rows += [
+                (name, "put(k, long)", BlockSizeError,
+                 lambda s: s.put(b"k", b"v" * (size + 1))),
+                (name, "put(k, int)", TypeError, lambda s: s.put(b"k", size)),
+            ]
+    return [
+        pytest.param(name, error, call, id=f"{name}-{label}")
+        for name, label, error, call in rows
+    ]
+
+
+def _gate_good_operations(scheme, step):
+    """A few good operations of the scheme's protocol, and their answers."""
+    if isinstance(scheme, PrivateKVS):
+        key = b"key-%d" % step
+        scheme.put(key, b"value-%d" % step)
+        return [scheme.get(key), scheme.get_many([key, b"absent"]),
+                scheme.delete(key), scheme.get(b"key-0")]
+    if isinstance(scheme, PrivateIR):
+        return [scheme.query(step), scheme.query_many([2, step, 2])]
+    answers = [scheme.read(step), scheme.read_many([step, 2])]
+    if scheme.writable:
+        scheme.write(2, bytes([step]) * scheme.block_size)
+        scheme.write_many([(step, bytes([step + 1]) * scheme.block_size)])
+        answers.append(scheme.read(step))
+    return answers
+
+
+def _gate_history(name, refused=None):
+    source = SeededRandomSource(5)
+    scheme = build(name, n=GATE_N, rng=source)
+    log = Transcript()
+    scheme.attach_transcript(log)
+    answers = _gate_good_operations(scheme, 0)
+    if refused is not None:
+        error, call = refused
+        with pytest.raises(error):
+            call(scheme)
+    answers += _gate_good_operations(scheme, 1)
+    scheme.flush()
+    counts = [
+        getattr(scheme, name, None)
+        for name in ("query_count", "operation_count")
+    ]
+    return (answers, log.signature(), scheme.server_counters(), counts,
+            source.random())
+
+
+_twin_history = functools.lru_cache(maxsize=None)(_gate_history)
+
+
+@pytest.mark.parametrize("name, error, call", _gate_rows())
+def test_bad_argument_is_refused_before_anything_moves(name, error, call):
+    assert _gate_history(name, (error, call)) == _twin_history(name)
+
+
+@pytest.mark.parametrize("name", all_schemes())
+def test_empty_batch_is_answered_empty(name):
+    # An empty batch is no operation: every ``*_many`` answers it with
+    # nothing, and nothing reaches a server.
+    scheme = _build(name)
+    if isinstance(scheme, PrivateKVS):
+        answers = [scheme.get_many([])]
+    elif isinstance(scheme, PrivateIR):
+        answers = [scheme.query_many([])]
+    else:
+        answers = [scheme.read_many([])]
+        if scheme.writable:
+            scheme.write_many([])
+    assert answers == [[]]
+    assert scheme.server_operations() == 0
 
 
 def _exercise(scheme: Scheme) -> None:
