@@ -16,16 +16,50 @@ The ``*_many`` entry points default to per-operation loops so every
 scheme supports batched drivers; constructions that can genuinely
 amortize (``BatchDPIR`` fetches the union of pad sets,
 ``MultiServerDPIR`` coalesces per-replica reads) override them.
+
+Every entry point calls an argument gate (:func:`check_index`,
+:func:`check_indices`, :func:`check_value`, :meth:`PrivateKVS.canonical_key`)
+before it draws a coin, calls the PRF or touches a server.
 """
 
 from __future__ import annotations
 
 import abc
+import operator
 from typing import Iterable, Sequence
 
+from repro.storage.errors import BlockSizeError, RetrievalError
 from repro.storage.held import HeldRequest, scheme_parts
 from repro.storage.server import StorageServer
 from repro.storage.transcript import Transcript
+
+
+def check_index(index: int, n: int) -> int:
+    """``index`` as an ``int`` in ``range(n)``: ``TypeError`` if
+    :func:`operator.index` refuses it (a float, a string, ``None``),
+    :class:`~repro.storage.errors.RetrievalError` if it is out of range."""
+    index = operator.index(index)
+    if not 0 <= index < n:
+        raise RetrievalError(f"index {index} out of range for n={n}")
+    return index
+
+
+def check_indices(indices: Iterable[int], n: int) -> list[int]:
+    """A whole batch through :func:`check_index`, before its first operation."""
+    return [check_index(index, n) for index in indices]
+
+
+def check_value(value: bytes, size: int, *, exact: bool = True) -> bytes:
+    """``value`` as ``bytes`` of ``size`` bytes (at most ``size`` unless
+    ``exact``): ``TypeError`` if it is not bytes-like — nothing else is
+    converted, as ``bytes(64)`` is 64 zero bytes — and
+    :class:`~repro.storage.errors.BlockSizeError` if its length is wrong.
+    Exact ``bytes`` pass without a copy."""
+    if type(value) is not bytes:
+        value = bytes(memoryview(value))
+    if len(value) != size and (exact or len(value) > size):
+        raise BlockSizeError(f"a {len(value)}-byte value for a {size}-byte field")
+    return value
 
 
 class Scheme(abc.ABC):
@@ -124,7 +158,12 @@ class Scheme(abc.ABC):
 
 
 class PrivateIR(Scheme):
-    """Read-only retrieval with a data-independent error event."""
+    """Read-only retrieval with a data-independent error event.
+
+    A non-integer index raises ``TypeError`` and one outside ``range(n)``
+    :class:`~repro.storage.errors.RetrievalError`; a batch is refused
+    whole.  A refused call draws no coin, sends nothing, counts nothing.
+    """
 
     kind = "ir"
 
@@ -138,11 +177,19 @@ class PrivateIR(Scheme):
         Schemes that can amortize (shared pad sets, coalesced reads)
         override this with a genuinely batched implementation.
         """
+        indices = check_indices(indices, self.n)
         return [self.query(index) for index in indices]
 
 
 class PrivateRAM(Scheme):
-    """Read/write access to ``n`` fixed-size records."""
+    """Read/write access to ``n`` fixed-size records.
+
+    Indices are refused as :class:`PrivateIR` refuses them; a value that
+    is not bytes-like raises ``TypeError``, and one that is not
+    :attr:`block_size` bytes :class:`~repro.storage.errors.BlockSizeError`
+    (the cipher hides all but length, so an odd-sized upload would show
+    which upload was a write).  Nothing of a refused call reaches a server.
+    """
 
     kind = "ram"
 
@@ -160,10 +207,16 @@ class PrivateRAM(Scheme):
 
     def read_many(self, indices: Sequence[int]) -> list[bytes]:
         """Read ``indices`` in order; default is one query per index."""
+        indices = check_indices(indices, self.n)
         return [self.read(index) for index in indices]
 
     def write_many(self, items: Iterable[tuple[int, bytes]]) -> None:
         """Apply ``(index, value)`` overwrites in order."""
+        n, size = self.n, self.block_size
+        items = [
+            (check_index(index, n), check_value(value, size))
+            for index, value in items
+        ]
         for index, value in items:
             self.write(index, value)
 
@@ -174,6 +227,11 @@ class PrivateKVS(Scheme):
     Values are exact: ``get`` returns precisely the bytes that were
     ``put``, with any fixed-size storage padding stripped by the scheme
     itself (each scheme declares its :attr:`value_size` budget).
+
+    :meth:`canonical_key` refuses a key that is not bytes-like, or that
+    the store cannot hold, and a value longer than :attr:`value_size`
+    raises :class:`~repro.storage.errors.BlockSizeError`; a batch is
+    refused whole.  A refused call calls no PRF and sends nothing.
     """
 
     kind = "kvs"
@@ -197,6 +255,7 @@ class PrivateKVS(Scheme):
 
     def get_many(self, keys: Sequence[bytes]) -> list[bytes | None]:
         """Retrieve ``keys`` in order; default is one query per key."""
+        keys = [self.canonical_key(key) for key in keys]
         return [self.get(key) for key in keys]
 
     def canonical_key(self, key: bytes) -> bytes:
@@ -208,6 +267,7 @@ class PrivateKVS(Scheme):
         a fixed-size field returns the key less its trailing NULs, and
         raises what :meth:`put` would for a key it cannot hold.  A front
         end that routes or counts keys (the cluster) does so on this form,
-        so it agrees with the store behind it.
+        so it agrees with the store behind it.  A key that is not
+        bytes-like (a ``str``, an ``int``, ``None``) raises ``TypeError``.
         """
-        return bytes(key)
+        return bytes(memoryview(key))

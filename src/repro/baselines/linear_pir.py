@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.api.protocols import PrivateIR
+from repro.api.protocols import PrivateIR, check_index
 from repro.storage.backends import BackendFactory
 from repro.storage.blocks import uniform_block_size
-from repro.storage.errors import RetrievalError
 from repro.storage.server import StorageServer
 
 
@@ -73,8 +72,7 @@ class LinearScanPIR(PrivateIR):
         all ``n`` slots — the downloaded set (everything, in order) is
         what makes the scheme perfectly oblivious, batched or not.
         """
-        if not 0 <= index < self._n:
-            raise RetrievalError(f"index {index} out of range for n={self._n}")
+        index = check_index(index, self._n)
         self._server.begin_query(self._queries)
         self._queries += 1
         return self._server.read_many(range(self._n))[index]

@@ -57,7 +57,7 @@ from __future__ import annotations
 import struct
 from typing import Callable, Sequence
 
-from repro.api.protocols import PrivateRAM
+from repro.api.protocols import PrivateRAM, check_index, check_value
 from repro.crypto.rng import RandomSource, SystemRandomSource
 from repro.storage.backends import BackendFactory
 from repro.storage.errors import RetrievalError
@@ -222,11 +222,12 @@ class PathORAM(PrivateRAM):
 
     def read(self, index: int) -> bytes:
         """Retrieve the current version of record ``index``."""
-        return self._access(index, None)
+        return self._access(check_index(index, self._n), None)
 
     def write(self, index: int, value: bytes) -> None:
         """Overwrite record ``index`` with ``value``."""
-        self._access(index, bytes(value))
+        index = check_index(index, self._n)
+        self._access(index, check_value(value, self._block_size))
 
     def read_modify_write(self, index: int, transform) -> bytes:
         """Atomically replace record ``index`` with ``transform(old)``.
@@ -237,6 +238,7 @@ class PathORAM(PrivateRAM):
         returns a value of the wrong size, the access still completes —
         as a plain read — and the error is raised afterwards.
         """
+        index = check_index(index, self._n)
         if not callable(transform):
             raise TypeError("transform must be callable")
         return self._access(index, None, transform=transform)
@@ -262,13 +264,6 @@ class PathORAM(PrivateRAM):
         stay spent).  ``failure`` is a ``transform`` error, to be raised
         once the access has committed.
         """
-        if not 0 <= index < self._n:
-            raise RetrievalError(f"index {index} out of range for n={self._n}")
-        # A rejected write must leave no trace: refuse it before the rng
-        # draw and the request.
-        if new_value is not None:
-            self._check_value_size(new_value)
-
         new_leaf = self._rng.randbelow(self._leaves)
         position = self._position
         leaf = (
@@ -330,8 +325,7 @@ class PathORAM(PrivateRAM):
         failure: Exception | None = None
         if transform is not None:
             try:
-                new_value = bytes(transform(result))
-                self._check_value_size(new_value)
+                new_value = check_value(transform(result), self._block_size)
             except Exception as error:
                 failure = error
                 new_value = None
@@ -376,12 +370,6 @@ class PathORAM(PrivateRAM):
             link.hold(query, uploads)
 
         return commit, result, failure
-
-    def _check_value_size(self, value: bytes) -> None:
-        if len(value) != self._block_size:
-            raise ValueError(
-                f"value must be {self._block_size} bytes, got {len(value)}"
-            )
 
     def _path_nodes(self, leaf: int) -> list[int]:
         """Heap node ids (0-based) from the root down to ``leaf``."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.api.protocols import PrivateKVS, PrivateRAM
+from repro.api.protocols import PrivateKVS, PrivateRAM, check_index, check_value
 from repro.hashing.node_codec import SizedValueCodec
 from repro.storage.backends import BackendFactory
 from repro.storage.errors import RetrievalError
@@ -60,21 +60,18 @@ class PlaintextRAM(PrivateRAM):
 
     def read(self, index: int) -> bytes:
         """Retrieve record ``index``."""
-        self._check(index)
+        index = check_index(index, self._n)
         self._server.begin_query(self._queries)
         self._queries += 1
         return self._server.read(index)
 
     def write(self, index: int, value: bytes) -> None:
         """Overwrite record ``index``."""
-        self._check(index)
+        index = check_index(index, self._n)
+        value = check_value(value, self._block_size)
         self._server.begin_query(self._queries)
         self._queries += 1
         self._server.write(index, value)
-
-    def _check(self, index: int) -> None:
-        if not 0 <= index < self._n:
-            raise RetrievalError(f"index {index} out of range for n={self._n}")
 
 
 class PlaintextKVS(PrivateKVS):
@@ -144,6 +141,7 @@ class PlaintextKVS(PrivateKVS):
 
     def get(self, key: bytes) -> bytes | None:
         """Retrieve the exact value for ``key``; ``None`` if absent."""
+        key = self.canonical_key(key)
         self._operations += 1
         slot = self._directory.get(key)
         if slot is None:
@@ -152,6 +150,7 @@ class PlaintextKVS(PrivateKVS):
 
     def put(self, key: bytes, value: bytes) -> None:
         """Insert or update ``key``."""
+        key = self.canonical_key(key)
         encoded = self._values.encode(value)
         self._operations += 1
         slot = self._directory.get(key)
@@ -164,6 +163,7 @@ class PlaintextKVS(PrivateKVS):
 
     def delete(self, key: bytes) -> bool:
         """Remove ``key``; returns whether it existed."""
+        key = self.canonical_key(key)
         self._operations += 1
         slot = self._directory.pop(key, None)
         if slot is None:

@@ -31,7 +31,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Sequence
 
-from repro.api.protocols import PrivateRAM
+from repro.api.protocols import PrivateRAM, check_index, check_value
 from repro.baselines.path_oram import PathORAM
 from repro.crypto.rng import RandomSource, SystemRandomSource
 from repro.storage.backends import BackendFactory
@@ -190,11 +190,12 @@ class RecursivePathORAM(PrivateRAM):
 
     def read(self, index: int) -> bytes:
         """Retrieve the current version of record ``index``."""
-        return self._access(index, None)
+        return self._access(check_index(index, self._n), None)
 
     def write(self, index: int, value: bytes) -> None:
         """Overwrite record ``index`` with ``value``."""
-        self._access(index, bytes(value))
+        index = check_index(index, self._n)
+        self._access(index, check_value(value, self.block_size))
 
     # -- internals ----------------------------------------------------------
 

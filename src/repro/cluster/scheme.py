@@ -36,7 +36,9 @@ from functools import partial
 from typing import Any, Callable, Generic, Iterable, Sequence, TypeVar
 
 from repro.analysis.ledger import BudgetExceededError
-from repro.api.protocols import PrivateIR, PrivateKVS, Scheme
+from repro.api.protocols import (
+    PrivateIR, PrivateKVS, Scheme, check_index, check_indices, check_value,
+)
 from repro.api.registry import scheme_spec
 from repro.cluster.group import (
     DEFAULT_MAX_ATTEMPTS,
@@ -846,7 +848,7 @@ class ClusterIR(_ClusterBase[ShardGroup], PrivateIR):
 
     def query(self, index: int) -> bytes | None:
         """Retrieve block ``index``; ``None`` on the α-error event."""
-        shard, local = self._locate_index(index)
+        shard, local = self._locate[check_index(index, self._n)]
         answer = self._single_shard(
             "cluster.query", shard, self._groups[shard].query, local
         )
@@ -863,8 +865,8 @@ class ClusterIR(_ClusterBase[ShardGroup], PrivateIR):
         are the legs of one :meth:`_ClusterBase._fan_out_round`.
         """
         return self._fan_out_round(
-            "cluster.query_many", indices, self._locate_index,
-            ShardGroup.query_many,
+            "cluster.query_many", check_indices(indices, self._n),
+            self._locate.__getitem__, ShardGroup.query_many,
         )
 
     def _deliver(
@@ -887,9 +889,6 @@ class ClusterIR(_ClusterBase[ShardGroup], PrivateIR):
         Raises:
             ValueError: if ``index`` is out of range.
         """
-        return self._locate_index(index)
-
-    def _locate_index(self, index: int) -> tuple[int, int]:
         try:
             return self._locate[index]
         except KeyError:
@@ -1138,6 +1137,7 @@ class ClusterKVS(_ClusterBase[KVShardGroup], PrivateKVS):
     def put(self, key: bytes, value: bytes) -> None:
         """Insert or update ``key`` on every live replica of its shard."""
         shard, key = self._route(key)
+        value = check_value(value, self._value_size, exact=False)
         group = self._groups[shard]
         self._single_shard(
             "cluster.put", shard, group.put, key, value,

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from repro.api.protocols import check_indices
 from repro.core.dp_ir import DPIR
 
 
@@ -62,17 +63,18 @@ class BatchDPIR(DPIR):
 
     def query_many(self, indices: Sequence[int]) -> list[bytes | None]:
         """Serve ``indices`` as one batch, downloading the pad-set union."""
-        return self.query_batch(indices)
+        return self.query_batch(indices) if len(indices) else []
 
     def query_batch(self, indices: Sequence[int]) -> list[bytes | None]:
         """Serve a batch; position ``i`` of the result answers
         ``indices[i]`` (``None`` on that query's α-error event).
 
-        Duplicate indices are allowed and answered independently.
+        Duplicate indices are allowed and answered independently; an
+        empty batch raises ``ValueError``.
         """
+        indices = check_indices(indices, self._params.n)
         if not indices:
             raise ValueError("batch must contain at least one index")
-        self._check_indices(indices)
         plans: list[tuple[list[int], bool]] = []
         union: set[int] = set()
         for index in indices:

@@ -82,11 +82,10 @@ to recover from.  The held ciphertexts count as client storage
 
 from __future__ import annotations
 
-import operator
 from array import array
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from repro.api.protocols import PrivateRAM
+from repro.api.protocols import PrivateRAM, check_index, check_indices, check_value
 from repro.crypto.encryption import (
     NONCE_SIZE,
     SecretKey,
@@ -97,7 +96,7 @@ from repro.crypto.encryption import (
 )
 from repro.crypto.rng import RandomSource, SystemRandomSource
 from repro.storage.backends import BackendFactory
-from repro.storage.blocks import check_block, uniform_block_size
+from repro.storage.blocks import uniform_block_size
 from repro.storage.errors import RetrievalError, StorageError
 from repro.storage.held import HeldRequest
 from repro.storage.server import StorageServer
@@ -306,15 +305,10 @@ class BucketDPRAM(PrivateRAM):
         """
         # A float would be found in the stash and its request sent before
         # a lookup raised: refuse it before any coin is drawn.
-        buckets = tuple(map(operator.index, buckets))
         repertoire = self._buckets
+        buckets = tuple(check_indices(buckets, len(repertoire)))
         if not buckets:
             raise RetrievalError("a batch needs at least one bucket")
-        for bucket in buckets:
-            if not 0 <= bucket < len(repertoire):
-                raise RetrievalError(
-                    f"bucket {bucket} out of range for {len(repertoire)}"
-                )
         if len(set(buckets)) != len(buckets):
             raise RetrievalError(
                 f"batch {buckets} repeats a bucket; the queries of one "
@@ -423,9 +417,7 @@ class BucketDPRAM(PrivateRAM):
                     raise StorageError(
                         f"node {node} is not part of buckets {stage.buckets}"
                     )
-                block = bytes(block)
-                check_block(block, self._block_size)
-                updates[node] = block
+                updates[node] = check_value(block, self._block_size)
 
         repertoire = self._buckets
         overlay = self._overlay
@@ -511,7 +503,7 @@ class BucketDPRAM(PrivateRAM):
         Raises:
             StorageError: if bucket ``index`` holds more than one node.
         """
-        node = self._single_node(index)
+        node = self._single_node(check_index(index, len(self._buckets)))
         return self.query(index)[node]
 
     def write(self, index: int, value: bytes) -> None:
@@ -519,19 +511,11 @@ class BucketDPRAM(PrivateRAM):
 
         Raises:
             StorageError: if bucket ``index`` holds more than one node.
-            BlockSizeError: if ``value`` is not :attr:`block_size` bytes;
-                nothing is drawn or sent.
         """
-        node = self._single_node(index)
-        value = bytes(value)
-        check_block(value, self._block_size)
-        self.query(index, {node: value})
+        node = self._single_node(check_index(index, len(self._buckets)))
+        self.query(index, {node: check_value(value, self._block_size)})
 
     def _single_node(self, index: int) -> int:
-        if not 0 <= index < len(self._buckets):
-            raise RetrievalError(
-                f"bucket {index} out of range for {len(self._buckets)}"
-            )
         nodes = self._buckets[index]
         if len(nodes) != 1:
             raise StorageError(

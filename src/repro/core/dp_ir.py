@@ -27,24 +27,23 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Sequence
 
-from repro.api.protocols import PrivateIR
+from repro.api.protocols import PrivateIR, check_index
 from repro.core.params import DPIRParams
 from repro.core.sampling import draw_pad_set
 from repro.crypto.rng import RandomSource, SystemRandomSource
 from repro.storage.backends import BackendFactory
 from repro.storage.blocks import uniform_block_size
-from repro.storage.errors import RetrievalError
 from repro.storage.server import StorageServer
 
 
 class _Algorithm1Client(PrivateIR):
     """The client of Algorithm 1, before it is told where the blocks live.
 
-    Everything Appendix B's proof talks about is here: the parameters,
-    the rule that an index is checked before the first coin is spent on
-    it, and the one draw of one pad set.  A subclass places the database
-    on servers (after ``super().__init__``, so a refused database builds
-    none) and turns a drawn set into reads.
+    Everything Appendix B's proof talks about is here: the parameters
+    and the one draw of one pad set, spent on an index the entry point
+    has already checked (:func:`~repro.api.protocols.check_index`).  A
+    subclass places the database on servers (after ``super().__init__``,
+    so a refused database builds none) and turns a drawn set into reads.
 
     The arguments are :class:`DPIR`'s, less the backend.
 
@@ -120,31 +119,9 @@ class _Algorithm1Client(PrivateIR):
 
     # -- querying ------------------------------------------------------------
 
-    def query_many(self, indices: Sequence[int]) -> list[bytes | None]:
-        """Answer ``indices`` in order, one Algorithm-1 query per index.
-
-        Raises:
-            RetrievalError: if any index is out of range — before the
-                first query runs, so no answer is fetched and discarded.
-        """
-        self._check_indices(indices)
-        return [self.query(index) for index in indices]
-
-    def _check_indices(self, indices: Sequence[int]) -> None:
-        """Reject a bad index before the first coin.
-
-        A refused call must leave the rng stream, the counters and the
-        servers where a call never made would: a pad set shown to a
-        server is ε spent, whether or not its answer is kept.
-        """
-        n = self._params.n
-        for index in indices:
-            if not 0 <= index < n:
-                raise RetrievalError(f"index {index} out of range for n={n}")
-
     def _draw_set(self, index: int) -> tuple[list[int], bool]:
-        """One checked draw: ``(pad set, whether the real block counts)``."""
-        self._check_indices((index,))
+        """One draw for a checked index: ``(pad set, whether the real
+        block counts)``."""
         params = self._params
         return draw_pad_set(
             self._rng, params.n, params.pad_size, params.alpha, index
@@ -199,10 +176,8 @@ class DPIR(_Algorithm1Client):
         :meth:`~repro.storage.server.StorageServer.read_many` round and
         only the real block — when the error coin spares it — is
         retained.
-
-        Raises:
-            RetrievalError: if ``index`` is out of range.
         """
+        index = check_index(index, self._params.n)
         download_set, include_real = self._draw_set(index)
         self._server.begin_query(self._queries)
         self._queries += 1
@@ -219,5 +194,5 @@ class DPIR(_Algorithm1Client):
         Used by the privacy auditors to build transcript distributions
         cheaply; draws from exactly the same distribution as :meth:`query`.
         """
-        download_set, _ = self._draw_set(index)
+        download_set, _ = self._draw_set(check_index(index, self._params.n))
         return frozenset(download_set)

@@ -49,11 +49,10 @@ an identity cipher, holding nothing.
 
 from __future__ import annotations
 
-import operator
 from array import array
 from typing import Callable, Sequence
 
-from repro.api.protocols import PrivateRAM
+from repro.api.protocols import PrivateRAM, check_index, check_value
 from repro.core.params import DPRAMParams
 from repro.crypto.encryption import (
     SecretKey,
@@ -64,9 +63,9 @@ from repro.crypto.encryption import (
 )
 from repro.crypto.rng import RandomSource, SystemRandomSource
 from repro.storage.backends import BackendFactory
-from repro.storage.blocks import check_block, uniform_block_size
+from repro.storage.blocks import uniform_block_size
 from repro.storage.client import ClientStash
-from repro.storage.errors import RetrievalError, StorageError
+from repro.storage.errors import StorageError
 from repro.storage.held import HeldRequest
 from repro.storage.server import StorageServer
 
@@ -208,32 +207,19 @@ class DPRAM(PrivateRAM):
 
     def read(self, index: int) -> bytes:
         """Retrieve the current version of record ``index``."""
-        return self._query(index, new_value=None)
+        return self._query(check_index(index, self._params.n), None)
 
     def write(self, index: int, value: bytes) -> None:
-        """Overwrite record ``index`` with ``value``.
-
-        Raises:
-            BlockSizeError: if ``value`` is not :attr:`block_size` bytes —
-                the cipher hides everything but length, so an odd-sized
-                upload would tell the server this was a write, and of what.
-                Nothing is drawn or sent.
-        """
-        self._query(index, new_value=bytes(value))
+        """Overwrite record ``index`` with ``value``."""
+        index = check_index(index, self._params.n)
+        self._query(index, check_value(value, self._block_size))
 
     # -- Algorithm 3 ------------------------------------------------------------
 
     def _query(self, index: int, new_value: bytes | None) -> bytes:
-        # Refuse a non-integer before any coin is drawn: a float would be
-        # found in the stash, or reach the server after the held upload
-        # landed, and so tell the server whether the record was stashed.
-        index = operator.index(index)
-        n = self._params.n
-        if not 0 <= index < n:
-            raise RetrievalError(f"index {index} out of range for n={n}")
-        if new_value is not None:
-            check_block(new_value, self._block_size)
-
+        # ``read`` / ``write`` gate the arguments before this first coin:
+        # a float would be found in the stash, or reach the server after
+        # the held upload landed, and so tell whether it was stashed.
         stashed, download_slot, restash, overwrite_slot = self._plan(index)
         # The operation's one request, and its one point of failure:
         # nothing of the client's has moved yet.  It lists d_j and o_j
@@ -331,6 +317,10 @@ class ReadOnlyDPRAM(DPRAM):
 
     def write(self, index: int, value: bytes) -> None:
         """Reject the write: this variant serves public, read-only data."""
+        raise StorageError("ReadOnlyDPRAM does not support writes")
+
+    def write_many(self, items) -> None:
+        """Reject the writes, whatever they are, as :meth:`write` does."""
         raise StorageError("ReadOnlyDPRAM does not support writes")
 
     def _hold(self, slot: int, block: bytes) -> None:

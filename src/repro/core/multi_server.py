@@ -24,6 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Sequence
 
+from repro.api.protocols import check_index, check_indices
 from repro.core.dp_ir import _Algorithm1Client
 from repro.crypto.rng import RandomSource
 from repro.parallel.executor import Executor, resolve_executor
@@ -135,9 +136,9 @@ class MultiServerDPIR(_Algorithm1Client):
         counter).  ``query_count`` still advances by one per logical
         query.
         """
+        indices = check_indices(indices, self._params.n)
         if not indices:
             return []
-        self._check_indices(indices)
         # Draw, then route, per query: drawing every pad set first would
         # reorder the coins and move every seeded transcript.
         plans = [self._draw_plan(index) for index in indices]
@@ -196,7 +197,7 @@ class MultiServerDPIR(_Algorithm1Client):
         Draws from the same distribution as :meth:`query` without touching
         the servers; used by the E12 privacy audit.
         """
-        plan, _ = self._draw_plan(index)
+        plan, _ = self._draw_plan(check_index(index, self._params.n))
         view = {
             (server_id, slot)
             for server_id, slots in enumerate(plan)

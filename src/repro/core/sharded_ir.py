@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.api.protocols import check_index
 from repro.core.dp_ir import _Algorithm1Client
 from repro.crypto.rng import RandomSource
 from repro.storage.backends import BackendFactory
@@ -120,6 +121,7 @@ class ShardedDPIR(_Algorithm1Client):
         shards in order and their local slots sorted preserves exactly
         the global sorted access order of the per-slot loop.
         """
+        index = check_index(index, self._params.n)
         chosen, include_real = self._draw_set(index)
         for server in self._shards:
             server.begin_query(self._queries)
@@ -148,7 +150,7 @@ class ShardedDPIR(_Algorithm1Client):
 
         Sampling only — no server operations are performed.
         """
-        chosen, _ = self._draw_set(index)
+        chosen, _ = self._draw_set(check_index(index, self._params.n))
         return frozenset(
             g for g in chosen if self.shard_of(g) in corrupted
         )

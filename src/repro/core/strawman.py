@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.api.protocols import PrivateIR
+from repro.api.protocols import PrivateIR, check_index
 from repro.crypto.rng import RandomSource, SystemRandomSource
 from repro.storage.backends import BackendFactory
 from repro.storage.blocks import uniform_block_size
-from repro.storage.errors import RetrievalError
 from repro.storage.server import StorageServer
 
 
@@ -71,6 +70,7 @@ class StrawmanIR(PrivateIR):
 
     def query(self, index: int) -> bytes:
         """Retrieve block ``index`` — always succeeds (and always leaks)."""
+        index = check_index(index, self._n)
         download_set = self._draw_set(index)
         self._server.begin_query(self._queries)
         self._queries += 1
@@ -80,11 +80,9 @@ class StrawmanIR(PrivateIR):
 
     def sample_query_set(self, index: int) -> frozenset[int]:
         """Sample the download set without touching the server."""
-        return frozenset(self._draw_set(index))
+        return frozenset(self._draw_set(check_index(index, self._n)))
 
     def _draw_set(self, index: int) -> set[int]:
-        if not 0 <= index < self._n:
-            raise RetrievalError(f"index {index} out of range for n={self._n}")
         noise_rate = 1.0 / self._n
         download_set = {index}
         for other in range(self._n):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.api.protocols import check_value
 from repro.storage.errors import BlockSizeError, CapacityError
 
 _COUNT_BYTES = 2
@@ -62,16 +63,10 @@ class SizedValueCodec:
         return _LENGTH_BYTES + self.value_size
 
     def encode(self, value: bytes) -> bytes:
-        """Serialize ``value`` into the fixed-size field.
-
-        Raises:
-            BlockSizeError: if ``value`` exceeds :attr:`value_size`.
-        """
-        if len(value) > self.value_size:
-            raise BlockSizeError(
-                f"value of {len(value)} bytes exceeds "
-                f"value_size {self.value_size}"
-            )
+        """Serialize ``value`` into the fixed-size field; the KVS value
+        gate (:func:`~repro.api.protocols.check_value`, at most
+        :attr:`value_size` bytes) refuses it first."""
+        value = check_value(value, self.value_size, exact=False)
         return (
             len(value).to_bytes(_LENGTH_BYTES, "big")
             + value

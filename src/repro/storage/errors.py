@@ -37,6 +37,7 @@ class RetrievalError(ReproError):
     """A query failed to produce the requested record.
 
     DP-IR queries fail *by design* with probability ``α`` (the scheme
-    returns ``None`` rather than raising); this error marks genuine misuse
-    such as querying an out-of-range index.
+    returns ``None`` rather than raising); this error marks genuine misuse,
+    above all an index outside ``range(n)`` at an entry point (refused by
+    :func:`repro.api.protocols.check_index` before the first coin).
     """

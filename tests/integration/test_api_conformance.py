@@ -281,7 +281,7 @@ def _gate_rows():
                     )
                 if hasattr(probe, "batch"):
                     rows += [
-                        (name, f"query_bucket({label})", error,
+                        (name, f"query({label})", error,
                          lambda s, bad=bad: s.query(bad)),
                         (name, f"batch([0, {label}])", error,
                          lambda s, bad=bad: s.batch([0, bad])),
@@ -348,7 +348,8 @@ def _gate_history(name, refused=None):
     scheme.flush()
     counts = [
         getattr(scheme, name, None)
-        for name in ("query_count", "operation_count")
+        for name in ("query_count", "operation_count", "error_count",
+                     "batch_count")
     ]
     return (answers, log.signature(), scheme.server_counters(), counts,
             source.random())
@@ -360,6 +361,32 @@ _twin_history = functools.lru_cache(maxsize=None)(_gate_history)
 @pytest.mark.parametrize("name, error, call", _gate_rows())
 def test_bad_argument_is_refused_before_anything_moves(name, error, call):
     assert _gate_history(name, (error, call)) == _twin_history(name)
+
+
+@pytest.mark.parametrize("name", all_schemes())
+def test_bytes_like_values_and_integer_indices_are_taken(name):
+    # The gate copies any bytes-like value through memoryview and takes
+    # whatever operator.index takes as an index, so none of these is a
+    # refusal — only a float, a string or None is.
+    numpy = pytest.importorskip("numpy")
+    scheme = _build(name)
+    if isinstance(scheme, PrivateKVS):
+        scheme.put(b"k", memoryview(b"value"))
+        scheme.put(b"j", bytearray(b"other"))
+        assert scheme.get_many([b"k", b"j"]) == [b"value", b"other"]
+    elif isinstance(scheme, PrivateIR):
+        from repro.storage.blocks import integer_database
+
+        expected = integer_database(N)
+        answers = scheme.query_many([True, numpy.int64(2)])
+        for index, answer in zip((1, 2), answers):
+            assert answer in (None, expected[index])
+    elif scheme.writable:
+        payload = b"\x5a" * scheme.block_size
+        scheme.write(True, bytearray(payload))
+        scheme.write_many([(numpy.uint8(2), memoryview(payload))])
+        assert scheme.read_many([1, numpy.int32(2)]) == [payload, payload]
+        assert all(type(value) is bytes for value in scheme.read_many([1, 2]))
 
 
 @pytest.mark.parametrize("name", all_schemes())

@@ -3,13 +3,8 @@
 import pytest
 
 from repro.core.batch_ir import BatchDPIR
-from repro.core.dp_ir import DPIR
-from repro.core.multi_server import MultiServerDPIR
-from repro.core.sharded_ir import ShardedDPIR
-from repro.crypto.rng import SeededRandomSource
 from repro.storage.blocks import integer_database
 from repro.storage.errors import RetrievalError
-from repro.storage.transcript import Transcript
 
 
 def _scheme(rng, n=128, pad=8, alpha=0.1):
@@ -86,33 +81,6 @@ class TestBatchQueries:
         scheme = _scheme(rng, n=16)
         with pytest.raises(RetrievalError):
             scheme.query_batch([0, 16])
-
-    @pytest.mark.parametrize(
-        "scheme_type", [DPIR, BatchDPIR, MultiServerDPIR, ShardedDPIR]
-    )
-    @pytest.mark.parametrize("bad", [[1, 2, 999], [999], [1, -1, 2]])
-    def test_rejected_batch_leaves_no_trace(self, bad, scheme_type):
-        # Every index is validated before the first coin: a twin that
-        # never saw the bad batch has the same rng stream, counters and
-        # transcript afterwards.
-        sides = []
-        for sees_bad_batch in (True, False):
-            source = SeededRandomSource(3)
-            scheme = scheme_type(
-                integer_database(256), pad_size=8, alpha=0.1, rng=source
-            )
-            log = Transcript()
-            scheme.attach_transcript(log)
-            if sees_bad_batch:
-                with pytest.raises(RetrievalError):
-                    scheme.query_many(bad)
-            answers = scheme.query_many([5, 6])
-            sides.append((
-                answers, log.signature(), scheme.query_count,
-                getattr(scheme, "batch_count", None), scheme.error_count,
-                scheme.server_counters(), source.random(),
-            ))
-        assert sides[0] == sides[1]
 
     def test_expected_union_validation(self, rng):
         with pytest.raises(ValueError):

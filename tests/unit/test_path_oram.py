@@ -6,7 +6,7 @@ import pytest
 
 from repro.baselines.path_oram import PathORAM
 from repro.storage.blocks import encode_int, integer_database
-from repro.storage.errors import RetrievalError
+from repro.storage.errors import BlockSizeError, RetrievalError
 from repro.storage.faults import ServerFault
 
 
@@ -60,7 +60,7 @@ class TestCorrectness:
 
     def test_wrong_value_size_rejected(self, rng):
         oram = _oram(rng)
-        with pytest.raises(ValueError):
+        with pytest.raises(BlockSizeError):
             oram.write(0, b"short")
 
     def test_out_of_range(self, rng):
@@ -96,7 +96,7 @@ class TestCorrectness:
             index = source.randbelow(n)
             roll = source.random()
             if roll < 0.1:
-                with pytest.raises((ValueError, ZeroDivisionError)):
+                with pytest.raises((BlockSizeError, ZeroDivisionError)):
                     rejected(oram, index)
                 if twin_sees is not None:
                     twin_sees(twin, index)

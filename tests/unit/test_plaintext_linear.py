@@ -11,13 +11,14 @@ class TestPlaintextRAM:
     def test_read_write(self, small_db):
         ram = PlaintextRAM(small_db)
         assert ram.read(3) == small_db[3]
-        ram.write(3, b"updated")
-        assert ram.read(3) == b"updated"
+        updated = b"updated".ljust(ram.block_size, b"\x00")
+        ram.write(3, updated)
+        assert ram.read(3) == updated
 
     def test_one_block_per_query(self, small_db):
         ram = PlaintextRAM(small_db)
         ram.read(0)
-        ram.write(1, b"x")
+        ram.write(1, b"x" * ram.block_size)
         assert ram.server.operations == 2
 
     def test_out_of_range(self, small_db):

@@ -6,7 +6,7 @@ import repro
 from repro.baselines.recursive_oram import RecursivePathORAM
 from repro.storage.backends import NetworkBackendFactory
 from repro.storage.blocks import encode_int, integer_database
-from repro.storage.errors import RetrievalError
+from repro.storage.errors import BlockSizeError, RetrievalError
 from repro.storage.faults import ServerFault
 from repro.storage.network import LAN
 from repro.storage.transcript import AccessKind, Transcript
@@ -163,7 +163,7 @@ class TestAccounting:
         oram = repro.build(
             "recursive_path_oram", blocks=integer_database(64, 8), seed=1
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(BlockSizeError):
             oram.write(0, b"x")  # the wrong size: refused before a coin
         fail_rounds(oram, True)  # the top level's request faults
         with pytest.raises(ServerFault):
