@@ -248,6 +248,11 @@ def _bad_values(size):
     ]
 
 
+def _good(scheme):
+    """A record value the RAM ``scheme`` takes."""
+    return bytes(scheme.block_size)
+
+
 def _gate_rows():
     rows = []
     for name in available_schemes():
@@ -262,7 +267,6 @@ def _gate_rows():
                 ]
         elif isinstance(probe, PrivateRAM):
             write_error = None if probe.writable else StorageError
-            good = bytes(probe.block_size)
             for label, bad, error in _BAD_INDICES:
                 rows += [
                     (name, f"read({label})", error,
@@ -270,9 +274,10 @@ def _gate_rows():
                     (name, f"read_many([0, {label}])", error,
                      lambda s, bad=bad: s.read_many([0, bad])),
                     (name, f"write({label}, good)", write_error or error,
-                     lambda s, bad=bad: s.write(bad, good)),
+                     lambda s, bad=bad: s.write(bad, _good(s))),
                     (name, f"write_many([0, {label}])", write_error or error,
-                     lambda s, bad=bad: s.write_many([(0, good), (bad, good)])),
+                     lambda s, bad=bad: s.write_many([(0, _good(s)),
+                                                      (bad, _good(s))])),
                 ]
                 if hasattr(probe, "read_modify_write"):
                     rows.append(
@@ -291,7 +296,7 @@ def _gate_rows():
                     (name, f"write(1, {label})", write_error or error,
                      lambda s, bad=bad: s.write(1, bad)),
                     (name, f"write_many([good, {label}])", write_error or error,
-                     lambda s, bad=bad: s.write_many([(0, good), (1, bad)])),
+                     lambda s, bad=bad: s.write_many([(0, _good(s)), (1, bad)])),
                 ]
         else:
             for label, bad in _BAD_KEYS:
@@ -305,11 +310,11 @@ def _gate_rows():
                     (name, f"get_many([a, {label}])", TypeError,
                      lambda s, bad=bad: s.get_many([b"a", bad])),
                 ]
-            size = probe.value_size
             rows += [
                 (name, "put(k, long)", BlockSizeError,
-                 lambda s: s.put(b"k", b"v" * (size + 1))),
-                (name, "put(k, int)", TypeError, lambda s: s.put(b"k", size)),
+                 lambda s: s.put(b"k", b"v" * (s.value_size + 1))),
+                (name, "put(k, int)", TypeError,
+                 lambda s: s.put(b"k", s.value_size)),
             ]
     return [
         pytest.param(name, error, call, id=f"{name}-{label}")
@@ -347,9 +352,9 @@ def _gate_history(name, refused=None):
     answers += _gate_good_operations(scheme, 1)
     scheme.flush()
     counts = [
-        getattr(scheme, name, None)
-        for name in ("query_count", "operation_count", "error_count",
-                     "batch_count")
+        getattr(scheme, attribute, None)
+        for attribute in ("query_count", "operation_count", "error_count",
+                          "batch_count")
     ]
     return (answers, log.signature(), scheme.server_counters(), counts,
             source.random())
