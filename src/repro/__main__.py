@@ -562,7 +562,6 @@ def main(argv: list[str] | None = None) -> int:
     from repro.obs import DEFAULT_STRAGGLER_THRESHOLD
     from repro.serving import ServingConfig
     from repro.storage.errors import ReproError
-    from repro.storage.faults import ServerFault
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -690,10 +689,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except (ReproError, ValueError) as exc:
         # A usage mistake (unknown scheme, workload or network, a bad
-        # size or rate) gets a message and exit 2, not a traceback.  A
-        # server fault no failover absorbed is a run that failed: exit 1.
+        # size or rate) raises ValueError: a message and exit 2, not a
+        # traceback.  Any other library error — a server fault no
+        # failover absorbed, a garbled node — is a run that failed: exit 1.
         print(f"error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, ServerFault) else 2
+        return 2 if isinstance(exc, ValueError) else 1
 
 
 if __name__ == "__main__":  # pragma: no cover - entry point

@@ -217,6 +217,16 @@ class TestClusterCommand:
         err = capsys.readouterr().err
         assert err == "error: shard 0: no live replicas left for put\n"
 
+    def test_a_garbled_node_exits_1_not_the_usage_code(self, capsys):
+        # Valid flags; a corrupted replica's node decodes to a count its
+        # node cannot hold, a CapacityError: the run failed.
+        assert main(["cluster", "--scheme", "dp_kvs", "--shards", "2",
+                     "--replicas", "3", "--n", "256", "--requests", "400",
+                     "--seed", "7", "--corruption-rate", "0.05"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: count prefix")
+        assert "exceeds node capacity" in err
+
     def test_ram_scheme_rejected_cleanly(self, capsys):
         assert main(["cluster", "--scheme", "dp_ram", "--n", "64",
                      "--requests", "8", "--seed", "1"]) == 2
