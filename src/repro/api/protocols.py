@@ -6,8 +6,9 @@ the schemes (``hasattr(scheme, "server")``, ``getattr(scheme, "pool")``,
 paper primitive — plus a shared *scheme info* surface:
 
 * :class:`Scheme` — ``n``, ``block_size``, :meth:`Scheme.servers`,
-  operation counters, transcript attach/detach, and an optional client
-  storage figure.  Metrics code never probes attributes again.
+  operation counters, transcript attach/detach, an optional client
+  storage figure, and :meth:`Scheme.datasheet`, what the scheme declares
+  it costs and guarantees.  Metrics code never probes attributes again.
 * :class:`PrivateIR` — ``query`` / ``query_many`` (Section 2.1's IR).
 * :class:`PrivateRAM` — ``read``/``write`` and their ``*_many`` forms.
 * :class:`PrivateKVS` — ``get``/``put``/``delete`` and ``get_many``.
@@ -26,12 +27,15 @@ from __future__ import annotations
 
 import abc
 import operator
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.storage.errors import BlockSizeError, RetrievalError
 from repro.storage.held import HeldRequest, scheme_parts
 from repro.storage.server import StorageServer
 from repro.storage.transcript import Transcript
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.analysis.datasheet import PrivacyDatasheet
 
 
 def check_index(index: int, n: int) -> int:
@@ -88,6 +92,13 @@ class Scheme(abc.ABC):
         tuple is legal (a scheme whose servers are not yet provisioned)
         and simply counts zero operations.
         """
+
+    @abc.abstractmethod
+    def datasheet(self) -> PrivacyDatasheet:
+        """What this configured scheme declares, from its own parameters:
+        ε, δ, α, blocks and roundtrips per operation, client and server
+        storage.  Nothing is measured or sampled; the conformance tests
+        hold every figure to what a run moves."""
 
     def server_counters(self) -> tuple[int, int]:
         """Total ``(reads, writes)`` across :meth:`servers`."""

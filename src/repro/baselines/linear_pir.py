@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.analysis.datasheet import PrivacyDatasheet
 from repro.api.protocols import PrivateIR, check_index
 from repro.storage.backends import BackendFactory
 from repro.storage.blocks import uniform_block_size
@@ -63,6 +64,16 @@ class LinearScanPIR(PrivateIR):
     def query_count(self) -> int:
         """Number of queries issued so far."""
         return self._queries
+
+    def datasheet(self) -> PrivacyDatasheet:
+        """Perfectly oblivious and errorless: all ``n`` blocks, every query."""
+        return PrivacyDatasheet(
+            scheme=type(self).__name__, n=self._n,
+            epsilon=0.0, epsilon_kind="perfect", delta=0.0,
+            error_probability=0.0,
+            blocks_per_query=float(self._n), roundtrips=1,
+            client_blocks=None, server_blocks=self._server.capacity,
+        )
 
     def query(self, index: int) -> bytes:
         """Retrieve record ``index`` by scanning the whole database.

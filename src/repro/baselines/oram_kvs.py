@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 
+from repro.analysis.datasheet import PrivacyDatasheet
 from repro.api.protocols import PrivateKVS
 from repro.crypto.prf import PRF
 from repro.crypto.rng import RandomSource, SystemRandomSource
@@ -166,6 +167,25 @@ class ORAMKeyValueStore(PrivateKVS):
         """Bucket blocks one ORAM access moves at most; an operation is
         one access or two (see the module docstring)."""
         return self._oram.blocks_per_access()
+
+    def datasheet(self) -> PrivacyDatasheet:
+        """Path ORAM's sheet, per operation: which bucket an operation
+        touches is perfectly hidden, errorless.  A get is one access; a
+        put that stores, or a delete that removes, is two, the second sent
+        once the first is back — so the expected figure, two accesses'
+        worth, is an upper estimate.  How many accesses an operation makes
+        is not hidden."""
+        oram = self._oram.datasheet()
+        return PrivacyDatasheet(
+            scheme=type(self).__name__, n=self._capacity,
+            epsilon=oram.epsilon, epsilon_kind=oram.epsilon_kind,
+            delta=oram.delta, error_probability=oram.error_probability,
+            blocks_per_query=2 * oram.blocks_per_query,
+            roundtrips=2 * oram.roundtrips,
+            client_blocks=oram.client_blocks,
+            server_blocks=oram.server_blocks,
+            expected_blocks_per_query=2 * oram.expected_blocks_per_query,
+        )
 
     # -- the KVS interface ------------------------------------------------------
 

@@ -57,6 +57,7 @@ from __future__ import annotations
 import struct
 from typing import Callable, Sequence
 
+from repro.analysis.datasheet import PrivacyDatasheet
 from repro.api.protocols import PrivateRAM, check_index, check_value
 from repro.crypto.rng import RandomSource, SystemRandomSource
 from repro.storage.backends import BackendFactory
@@ -217,6 +218,26 @@ class PathORAM(PrivateRAM):
         other leaves out, both ways, the nodes its path shares with the
         held write-back: ``2·Z·(L − 1 + 2^−L)`` on average."""
         return 2 * self._z * (self._height + 1)
+
+    def datasheet(self) -> PrivacyDatasheet:
+        """Perfectly oblivious and errorless; one request an access.
+
+        The path's write-back rides in the next access's request; its
+        blocks left the stash, so it adds no client storage.  A request
+        carries neither way the ``2 − 2^−L`` nodes two uniform paths share
+        on average; with nothing held (the first access, or the first
+        after a flush) an access moves them all.
+        """
+        z, height = self._z, self._height
+        return PrivacyDatasheet(
+            scheme=type(self).__name__, n=self._n,
+            epsilon=0.0, epsilon_kind="perfect", delta=0.0,
+            error_probability=0.0,
+            blocks_per_query=float(self.blocks_per_access()), roundtrips=1,
+            client_blocks=float(self._n),  # position map + stash
+            server_blocks=self._link.server.capacity,
+            expected_blocks_per_query=2 * z * (height - 1 + 2.0**-height),
+        )
 
     # -- the RAM interface ------------------------------------------------------
 

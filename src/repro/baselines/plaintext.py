@@ -7,8 +7,10 @@ double as reference implementations for correctness checks.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
+from repro.analysis.datasheet import PrivacyDatasheet
 from repro.api.protocols import PrivateKVS, PrivateRAM, check_index, check_value
 from repro.hashing.node_codec import SizedValueCodec
 from repro.storage.backends import BackendFactory
@@ -57,6 +59,16 @@ class PlaintextRAM(PrivateRAM):
     def query_count(self) -> int:
         """Number of queries issued so far."""
         return self._queries
+
+    def datasheet(self) -> PrivacyDatasheet:
+        """No privacy — the server reads the index (``δ = 1`` at every
+        ε) — and one block an operation."""
+        return PrivacyDatasheet(
+            scheme=type(self).__name__, n=self._n,
+            epsilon=math.inf, epsilon_kind="exact", delta=1.0,
+            error_probability=0.0, blocks_per_query=1.0, roundtrips=1,
+            client_blocks=None, server_blocks=self._server.capacity,
+        )
 
     def read(self, index: int) -> bytes:
         """Retrieve record ``index``."""
@@ -138,6 +150,19 @@ class PlaintextKVS(PrivateKVS):
     def operation_count(self) -> int:
         """Completed operations."""
         return self._operations
+
+    def datasheet(self) -> PrivacyDatasheet:
+        """No privacy — the server reads the slot (``δ = 1`` at every ε)
+        — and one block an operation at most: a miss or a delete moves
+        none, so the expected figure is an upper estimate.  The key
+        directory is metadata, not blocks."""
+        return PrivacyDatasheet(
+            scheme=type(self).__name__, n=self._capacity,
+            epsilon=math.inf, epsilon_kind="exact", delta=1.0,
+            error_probability=0.0, blocks_per_query=1.0, roundtrips=1,
+            client_blocks=0.0, server_blocks=self._server.capacity,
+            expected_blocks_per_query=1.0,
+        )
 
     def get(self, key: bytes) -> bytes | None:
         """Retrieve the exact value for ``key``; ``None`` if absent."""

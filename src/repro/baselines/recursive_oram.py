@@ -31,6 +31,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Sequence
 
+from repro.analysis.datasheet import PrivacyDatasheet
 from repro.api.protocols import PrivateRAM, check_index, check_value
 from repro.baselines.path_oram import PathORAM
 from repro.crypto.rng import RandomSource, SystemRandomSource
@@ -185,6 +186,25 @@ class RecursivePathORAM(PrivateRAM):
     def blocks_per_access(self) -> int:
         """Slots moved per logical access, summed over the chain."""
         return sum(level.blocks_per_access() for level in self._levels)
+
+    def datasheet(self) -> PrivacyDatasheet:
+        """Perfectly oblivious and errorless: an access is one Path ORAM
+        access a level, a request each, and each level's path is only
+        known once the level above has answered (:attr:`roundtrips_per_access`).
+        The client keeps the top level's position map."""
+        levels = [level.datasheet() for level in self._levels]
+        return PrivacyDatasheet(
+            scheme=type(self).__name__, n=self._n,
+            epsilon=0.0, epsilon_kind="perfect", delta=0.0,
+            error_probability=0.0,
+            blocks_per_query=sum(sheet.blocks_per_query for sheet in levels),
+            roundtrips=len(levels),
+            client_blocks=float(len(self._client_map)),
+            server_blocks=sum(sheet.server_blocks for sheet in levels),
+            expected_blocks_per_query=sum(
+                sheet.expected_blocks_per_query for sheet in levels
+            ),
+        )
 
     # -- the RAM interface ------------------------------------------------------
 

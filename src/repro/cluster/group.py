@@ -35,6 +35,7 @@ executor must never change what the ledger sees.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Any, Callable, Generic, Sequence, TypeVar
 
 from repro.api.protocols import PrivateIR, PrivateKVS, Scheme
@@ -117,10 +118,11 @@ class _ReplicaGroup(Generic[_R]):
         """
         return self._draws
 
-    @property
+    @cached_property
     def epsilon(self) -> float:
-        """The replicas' exact per-operation budget (0.0 for ε-free bases)."""
-        return getattr(self._replicas[0], "epsilon", 0.0)
+        """The per-operation ε the replicas' datasheet declares (0.0 for
+        perfectly oblivious bases): every replica runs one configuration."""
+        return self._replicas[0].datasheet().epsilon
 
     @property
     def failovers(self) -> int:

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Generic, Iterable, Sequence, TypeVar
 
+from repro.analysis.datasheet import PrivacyDatasheet
 from repro.analysis.ledger import BudgetExceededError
 from repro.api.protocols import (
     PrivateIR, PrivateKVS, Scheme, check_index, check_indices, check_value,
@@ -287,6 +288,11 @@ class _ClusterBase(Scheme, Generic[_G]):
                 )
                 replicas.append(instance)
             groups.append(make_group(shard, replicas))
+        if not math.isfinite(groups[0].epsilon):
+            raise ValueError(
+                f"{self._base} declares no finite epsilon, so no ledger "
+                f"can charge its operations"
+            )
         # Resharding must not launder spent budget: the drained epoch's
         # ledger seeds the new one so lifetime accounting stays honest.
         ledger = ClusterLedger(
@@ -371,6 +377,34 @@ class _ClusterBase(Scheme, Generic[_G]):
     def total_storage_blocks(self) -> int:
         """Total stored blocks across the cluster — ``R·n`` for IR."""
         return sum(server.capacity for server in self.servers())
+
+    def _datasheet(self, copies: int) -> PrivacyDatasheet:
+        """The cluster's sheet from its replicas': a fault-free operation
+        is one base operation on ``copies`` replicas of one shard, run
+        concurrently.  ε, δ and α are the worst shard's (the ledger
+        charges each draw its shard's ε), and the client and the servers
+        hold every replica's share."""
+        sheets = [
+            replica.datasheet()
+            for group in self._groups for replica in group.replicas
+        ]
+        worst = max(sheets, key=lambda sheet: sheet.epsilon)
+        widest = max(sheets, key=lambda sheet: sheet.blocks_per_query)
+        clients = [sheet.client_blocks for sheet in sheets]
+        expected = widest.expected_blocks_per_query
+        return PrivacyDatasheet(
+            scheme=type(self).__name__, n=self._n,
+            epsilon=worst.epsilon, epsilon_kind=worst.epsilon_kind,
+            delta=max(sheet.delta for sheet in sheets),
+            error_probability=max(sheet.error_probability for sheet in sheets),
+            blocks_per_query=copies * widest.blocks_per_query,
+            roundtrips=max(sheet.roundtrips for sheet in sheets),
+            client_blocks=None if None in clients else sum(clients),
+            server_blocks=sum(sheet.server_blocks for sheet in sheets),
+            expected_blocks_per_query=(
+                None if expected is None else copies * expected
+            ),
+        )
 
     # -- overlap accounting ------------------------------------------------
 
@@ -834,6 +868,10 @@ class ClusterIR(_ClusterBase[ShardGroup], PrivateIR):
         """Worst per-shard exact budget — the cluster's per-query ε."""
         return max(group.epsilon for group in self._groups)
 
+    def datasheet(self) -> PrivacyDatasheet:
+        """A query reads one replica of its shard."""
+        return self._datasheet(copies=1)
+
     @property
     def query_count(self) -> int:
         """Logical queries issued so far."""
@@ -1100,6 +1138,11 @@ class ClusterKVS(_ClusterBase[KVShardGroup], PrivateKVS):
     def operation_count(self) -> int:
         """Logical KVS operations issued so far."""
         return self._operations
+
+    def datasheet(self) -> PrivacyDatasheet:
+        """A write reaches every replica of its shard (a read, one), so
+        the expected figure, a write's, is an upper estimate."""
+        return self._datasheet(copies=self._replica_count)
 
     # -- operations --------------------------------------------------------
 

@@ -85,7 +85,9 @@ from __future__ import annotations
 from array import array
 from typing import Callable, Mapping, NamedTuple, Sequence
 
+from repro.analysis.datasheet import PrivacyDatasheet
 from repro.api.protocols import PrivateRAM, check_index, check_indices, check_value
+from repro.core.params import dp_ram_epsilon_upper_bound
 from repro.crypto.encryption import (
     NONCE_SIZE,
     SecretKey,
@@ -258,6 +260,28 @@ class BucketDPRAM(PrivateRAM):
     def query_count(self) -> int:
         """Completed bucket queries."""
         return self._queries
+
+    def datasheet(self) -> PrivacyDatasheet:
+        """Section 6's ε bound over the ``b`` buckets (Appendix E),
+        errorless, one request a query.
+
+        A query moves at most three of the widest bucket — ``d_j``,
+        ``o_j`` and the held upload of ``o_j`` — and two when ``d_j = o_j``
+        (probability ``(1−p)²`` at least); nodes two of them share move
+        once, so the expected figure is an upper estimate.
+        """
+        p = self._p
+        widest = max(map(len, self._buckets))
+        return PrivacyDatasheet(
+            scheme=type(self).__name__, n=len(self._buckets),
+            epsilon=dp_ram_epsilon_upper_bound(len(self._buckets), p),
+            epsilon_kind="upper bound", delta=0.0, error_probability=0.0,
+            blocks_per_query=3.0 * widest, roundtrips=1,
+            # The stashed buckets' nodes and the held upload.
+            client_blocks=p * sum(map(len, self._buckets)) + widest,
+            server_blocks=self._link.server.capacity,
+            expected_blocks_per_query=(3.0 - (1.0 - p) ** 2) * widest,
+        )
 
     @property
     def transcript_pairs(self) -> list[tuple[int, int]]:

@@ -27,6 +27,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Sequence
 
+from repro.analysis.datasheet import PrivacyDatasheet
 from repro.api.protocols import PrivateIR, check_index
 from repro.core.params import DPIRParams
 from repro.core.sampling import draw_pad_set
@@ -116,6 +117,20 @@ class _Algorithm1Client(PrivateIR):
     def error_count(self) -> int:
         """Number of queries that erred (should be ≈ α of all queries)."""
         return self._errors
+
+    def datasheet(self) -> PrivacyDatasheet:
+        """Appendix B's exact ε at α, ``K`` blocks in one round, a
+        stateless client, and every server's slots (a replica pool holds
+        the database once per server)."""
+        params = self._params
+        return PrivacyDatasheet(
+            scheme=type(self).__name__, n=params.n,
+            epsilon=params.epsilon, epsilon_kind="exact", delta=0.0,
+            error_probability=params.alpha,
+            blocks_per_query=float(params.pad_size), roundtrips=1,
+            client_blocks=None,
+            server_blocks=sum(server.capacity for server in self.servers()),
+        )
 
     # -- querying ------------------------------------------------------------
 

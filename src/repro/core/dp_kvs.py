@@ -41,9 +41,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.analysis.datasheet import PrivacyDatasheet
 from repro.api.protocols import PrivateKVS
 from repro.core.bucket_ram import BucketDPRAM
-from repro.core.params import DPKVSParams
+from repro.core.params import DPKVSParams, dp_ram_epsilon_upper_bound
 from repro.crypto.encryption import SecretKey
 from repro.crypto.prf import PRF
 from repro.crypto.rng import RandomSource, SystemRandomSource
@@ -214,6 +215,30 @@ class DPKVS(PrivateKVS):
         is what an operation moves on average.
         """
         return self._params.blocks_per_operation()
+
+    def datasheet(self) -> PrivacyDatasheet:
+        """Theorem 7.1: the bucket DP-RAM's ε bound over the leaves, once
+        per hash choice, errorless; one request an operation (the held
+        upload, then the fused download round)."""
+        params = self._params
+        path_length = params.shape.path_length
+        return PrivacyDatasheet(
+            scheme=type(self).__name__, n=params.n,
+            epsilon=params.choices * dp_ram_epsilon_upper_bound(
+                params.shape.leaf_count, params.stash_probability
+            ),
+            epsilon_kind="upper bound", delta=0.0, error_probability=0.0,
+            blocks_per_query=float(params.blocks_per_operation()),
+            roundtrips=1,
+            # Stashed paths, the super root and the held upload.
+            client_blocks=float(
+                params.phi * path_length + params.phi
+                + params.choices * path_length
+            ),
+            server_blocks=self._layout.node_count,
+            # An upper estimate: nodes shared by two paths come off too.
+            expected_blocks_per_query=params.expected_blocks_per_operation(),
+        )
 
     # -- the KVS interface -----------------------------------------------------
 

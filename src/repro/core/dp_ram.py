@@ -52,6 +52,7 @@ from __future__ import annotations
 from array import array
 from typing import Callable, Sequence
 
+from repro.analysis.datasheet import PrivacyDatasheet
 from repro.api.protocols import PrivateRAM, check_index, check_value
 from repro.core.params import DPRAMParams
 from repro.crypto.encryption import (
@@ -202,6 +203,27 @@ class DPRAM(PrivateRAM):
     def transcript_pairs(self) -> list[tuple[int, int]]:
         """The ``(d_j, o_j)`` pair per query — the adversary view."""
         return list(zip(self._downloads, self._overwrites))
+
+    def datasheet(self) -> PrivacyDatasheet:
+        """Theorem 6.1's ε bound for ``p``, errorless, one request a query.
+
+        A query downloads ``d_j`` and ``o_j`` in one round — one slot when
+        they coincide — and holds the upload of ``o_j`` for the next
+        query's request; the read-only variant has no upload.
+        """
+        params = self._params
+        blocks, held = (3.0, 1) if self.writable else (2.0, 0)
+        return PrivacyDatasheet(
+            scheme=type(self).__name__, n=params.n,
+            epsilon=params.epsilon_bound, epsilon_kind="upper bound",
+            delta=0.0, error_probability=0.0,
+            blocks_per_query=blocks, roundtrips=1,
+            client_blocks=params.expected_stash + held,
+            server_blocks=self._link.server.capacity,
+            expected_blocks_per_query=(
+                params.expected_blocks_per_query - (3.0 - blocks)  # no upload
+            ),
+        )
 
     # -- the RAM interface ----------------------------------------------------
 

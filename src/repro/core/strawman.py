@@ -15,8 +15,10 @@ paper warns about; do not use it for anything else.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
+from repro.analysis.datasheet import PrivacyDatasheet
 from repro.api.protocols import PrivateIR, check_index
 from repro.crypto.rng import RandomSource, SystemRandomSource
 from repro.storage.backends import BackendFactory
@@ -67,6 +69,19 @@ class StrawmanIR(PrivateIR):
     def query_count(self) -> int:
         """Number of queries issued so far."""
         return self._queries
+
+    def datasheet(self) -> PrivacyDatasheet:
+        """No privacy: ``δ = 1 − 1/n`` at every ε (Section 4); the real
+        block plus ``(n−1)/n`` noise blocks on average, and no worst case
+        short of ``n``."""
+        n = self._n
+        return PrivacyDatasheet(
+            scheme=type(self).__name__, n=n,
+            epsilon=math.inf, epsilon_kind="exact", delta=1.0 - 1.0 / n,
+            error_probability=0.0,
+            blocks_per_query=1.0 + (n - 1) / n, roundtrips=1,
+            client_blocks=None, server_blocks=self._server.capacity,
+        )
 
     def query(self, index: int) -> bytes:
         """Retrieve block ``index`` — always succeeds (and always leaks)."""

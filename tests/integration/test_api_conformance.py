@@ -3,9 +3,10 @@
 Parametrized over the full :func:`repro.api.available_schemes`
 catalogue, so a newly registered scheme is automatically held to the
 same contract: builds by name, implements its protocol, reports scheme
-info, agrees between ``*_many`` and single operations, attaches /
-detaches transcripts symmetrically, and refuses a bad argument at every
-entry point before anything of it reaches a server.
+info and a datasheet that declares the servers it runs, agrees between
+``*_many`` and single operations, attaches / detaches transcripts
+symmetrically, and refuses a bad argument at every entry point before
+anything of it reaches a server.
 """
 
 import functools
@@ -13,6 +14,7 @@ import random
 
 import pytest
 
+from repro.analysis.datasheet import PrivacyDatasheet, datasheet_for
 from repro.api import (
     PrivateIR,
     PrivateKVS,
@@ -72,6 +74,18 @@ class TestConformance:
         assert writes == sum(s.writes for s in servers)
         peak = scheme.client_peak_blocks
         assert peak is None or peak >= 0
+
+    def test_datasheet_declares_the_servers_it_runs(self, name):
+        scheme = _build(name)
+        sheet = scheme.datasheet()
+        assert isinstance(sheet, PrivacyDatasheet)
+        assert datasheet_for(scheme) == sheet
+        assert sheet.scheme == type(scheme).__name__
+        assert sheet.n == scheme.n
+        assert sheet.to_text()
+        assert sheet.server_blocks == sum(
+            server.capacity for server in scheme.servers()
+        )
 
     def test_counters_move_with_operations(self, name):
         scheme = _build(name)
@@ -165,6 +179,24 @@ def test_ragged_ir_database_is_refused_before_anything_is_built(
         build(name, blocks=[b"a" * 64] * 7 + [b"b" * 3], rng=source)
     assert built == []
     assert source.random() == SeededRandomSource(9).random()
+
+
+def _schemes_with_a_ledger():
+    return [name for name in all_schemes() if hasattr(_build(name), "ledger")]
+
+
+@pytest.mark.parametrize("name", _schemes_with_a_ledger())
+def test_sheet_epsilon_is_what_the_ledger_charges(name):
+    # A benchmark reads a scheme's ledger where it has one and its sheet
+    # otherwise; once every shard has been charged the two agree.
+    scheme = _build(name)
+    for step in range(N):
+        if isinstance(scheme, PrivateKVS):
+            scheme.put(b"key-%d" % step, b"value")
+        else:
+            scheme.query(step)
+    assert all(scheme.shard_query_counts())
+    assert scheme.datasheet().epsilon == scheme.ledger.per_query_epsilon
 
 
 class _RoundSpy(InMemoryBackend):

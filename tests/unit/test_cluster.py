@@ -304,8 +304,8 @@ class TestClusterLedgerEpochs:
         assert ir.ledger.report().colluding_epsilon > after.colluding_epsilon
 
     def test_reshard_carries_cluster_kvs_budget(self, rng):
-        # DPKVS exposes no per-query ε (groups charge ε=0), so the
-        # carried quantity to check here is the charged-query count.
+        # The groups charge the ε DP-KVS's datasheet declares, so both
+        # the charged-query count and the spend carry.
         kvs = ClusterKVS(n=16, value_size=8, shard_count=2,
                          replica_count=1, rng=rng.spawn("kv-epoch"))
         kvs.put(b"k1", b"v1")
@@ -313,10 +313,12 @@ class TestClusterLedgerEpochs:
         kvs.get(b"k1")
         before = kvs.ledger.report()
         assert before.queries > 0
+        assert before.colluding_epsilon > 0.0
         kvs.reshard(4)
         after = kvs.ledger.report()
         assert after.epochs == 2
         assert after.queries == before.queries
+        assert after.colluding_epsilon >= before.colluding_epsilon
         assert kvs.get(b"k2") == b"v2"
         assert kvs.ledger.report().queries > after.queries
 
@@ -578,6 +580,14 @@ class TestClusterSchemeBasics:
         with pytest.raises(ValueError, match="KVS base"):
             ClusterKVS(16, base="dp_ir", rng=rng.spawn("c"))
 
+    def test_rejects_a_base_no_ledger_can_charge(self, rng):
+        # Their sheets declare no finite ε (no privacy at all).
+        with pytest.raises(ValueError, match="no finite epsilon"):
+            ClusterIR(integer_database(8), base="strawman_ir",
+                      rng=rng.spawn("c"))
+        with pytest.raises(ValueError, match="no finite epsilon"):
+            ClusterKVS(16, base="plaintext_kvs", rng=rng.spawn("c"))
+
     def test_kvs_routes_and_tracks_directory(self, rng):
         kvs = ClusterKVS(32, shard_count=2, replica_count=2,
                          value_size=8, rng=rng.spawn("kvs"))
@@ -652,18 +662,16 @@ class TestEpsilonCapIsAnAdmissionCheck:
         lambda kvs, key: kvs.get(key),
         lambda kvs, key: kvs.put(key, b"again"),
     ], ids=["get", "put"])
-    def test_refused_kvs_operation_leaves_no_trace(self, refused, monkeypatch):
-        # DPKVS declares no per-operation ε (the groups would charge 0);
-        # give the base one so the cap has something to bind on.
-        monkeypatch.setattr(DPKVS, "epsilon", 1.0, raising=False)
-
-        def build():
+    def test_refused_kvs_operation_leaves_no_trace(self, refused):
+        def build(cap=None):
             return ClusterKVS(
                 64, shard_count=2, replica_count=2, value_size=16,
-                epsilon_cap=4.5, rng=SeededRandomSource(5),
+                epsilon_cap=cap, rng=SeededRandomSource(5),
             )
 
-        kvs, twin = build(), build()
+        # The groups charge the ε DP-KVS's datasheet declares.
+        cap = 4.5 * build().groups[0].epsilon
+        kvs, twin = build(cap), build(cap)
         for cluster in (kvs, twin):
             cluster.put(b"k", b"one")   # a write is a draw per replica
             cluster.put(b"k", b"two")   # the shard has spent 4 of 4.5

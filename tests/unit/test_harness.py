@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.datasheet import PrivacyDatasheet
 from repro.baselines.plaintext import PlaintextKVS, PlaintextRAM
 from repro.core.dp_ir import DPIR
 from repro.simulation.harness import run_ir_trace, run_kv_trace, run_ram_trace
@@ -149,6 +150,10 @@ class TestSchemeShapes:
 
             def servers(self):
                 return ()
+
+            def datasheet(self):
+                return PrivacyDatasheet("UnprovisionedIR", 4, 0.0, "perfect",
+                                        0.0, 0.0, 0.0, 0, 4.0, 0)
 
             def query(self, index):
                 return b"\x00" * 8  # answered from a warm client cache

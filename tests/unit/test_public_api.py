@@ -46,29 +46,3 @@ class TestSubpackageExports:
         module = importlib.import_module(module_name)
         for name in getattr(module, "__all__", []):
             assert hasattr(module, name), f"{module_name} missing {name}"
-
-    def test_datasheet_covers_every_exported_scheme(self, rng):
-        """Every public single-object scheme has datasheet support."""
-        from repro import (
-            BatchDPIR, DPIR, DPKVS, DPRAM, LinearScanPIR, MultiServerDPIR,
-            PathORAM, ReadOnlyDPRAM, ShardedDPIR, StrawmanIR, datasheet_for,
-        )
-        from repro.storage.blocks import integer_database
-
-        db = integer_database(16)
-        schemes = [
-            DPIR(db, pad_size=2, alpha=0.1, rng=rng.spawn("a")),
-            BatchDPIR(db, pad_size=2, alpha=0.1, rng=rng.spawn("b")),
-            StrawmanIR(db, rng=rng.spawn("c")),
-            DPRAM(db, rng=rng.spawn("d")),
-            ReadOnlyDPRAM(db, rng=rng.spawn("e")),
-            DPKVS(16, rng=rng.spawn("f")),
-            LinearScanPIR(db),
-            PathORAM(db, rng=rng.spawn("g")),
-            MultiServerDPIR(db, server_count=2, pad_size=2, rng=rng.spawn("h")),
-            ShardedDPIR(db, shard_count=2, pad_size=2, rng=rng.spawn("i")),
-        ]
-        for scheme in schemes:
-            sheet = datasheet_for(scheme)
-            assert sheet.n == 16
-            assert sheet.to_text()
