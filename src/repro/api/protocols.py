@@ -98,7 +98,8 @@ class Scheme(abc.ABC):
         """What this configured scheme declares, from its own parameters:
         ε, δ, α, blocks and roundtrips per operation, client and server
         storage.  Nothing is measured or sampled; the conformance tests
-        hold every figure to what a run moves."""
+        hold the server storage, roundtrips and blocks to what a run
+        moves."""
 
     def server_counters(self) -> tuple[int, int]:
         """Total ``(reads, writes)`` across :meth:`servers`."""
