@@ -2,7 +2,7 @@
 
 Drives a 4-shard DP-IR cluster through a batched parallel workload with
 the full observability stack attached: a deterministic span tracer (the
-same span *tree* every run — serial, parallel or simulated), a metrics
+same span *tree* every run — serial or parallel), a metrics
 registry exported in Prometheus text format, and a budget timeline that
 receives every ledger charge as an exact Fraction.  Run with::
 

@@ -14,7 +14,7 @@ explains it::
     python scripts/update_golden_trace.py --out X    # write elsewhere (CI)
 
 The configuration is deliberately small (4x1 shards over n=512, 64
-requests in rounds of 8 under the simulated executor) so the golden
+requests in rounds of 8 under the parallel executor) so the golden
 stays reviewable (~100 spans) while still exercising batched rounds,
 cross-shard fan-out and the per-leg simulated clock.
 """
@@ -41,7 +41,7 @@ GOLDEN_CONFIG = {
     "requests": 64,
     "batch": 8,
     "seed": 7,
-    "executor": "simulated",
+    "executor": "parallel",
     "workload": "uniform",
 }
 

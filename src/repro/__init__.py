@@ -85,7 +85,6 @@ from repro.parallel import (
     Executor,
     ParallelExecutor,
     SerialExecutor,
-    SimulatedParallelExecutor,
     resolve_executor,
 )
 from repro.serving import (
@@ -158,7 +157,6 @@ __all__ = [
     "ServingConfig",
     "ServingReport",
     "ShardedDPIR",
-    "SimulatedParallelExecutor",
     "SlabBackend",
     "StorageBackend",
     "StorageServer",

@@ -202,19 +202,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
     from repro.api import schemes
-    from repro.cluster import ClusterConfig, cluster
+    from repro.cluster import ClusterConfig, cluster, cluster_bases
     from repro.simulation.reporting import format_table
 
     if args.list:
+        accepted = set(cluster_bases())
         rows = [
             [listing.name, listing.kind,
              ", ".join(listing.aliases) or "-", listing.summary]
             for listing in schemes()
-            if listing.kind in ("ir", "kvs")
+            if listing.name in accepted
         ]
         print(format_table(
             ["scheme", "kind", "aliases", "summary"], rows,
-            title="Cluster-capable base schemes (IR and KVS)",
+            title="Cluster-capable base schemes (IR and KVS with a finite "
+            "epsilon)",
         ))
         return 0
     report = _serve_or_cluster(args, cluster, ClusterConfig)
@@ -487,7 +489,7 @@ _FLAGS: dict[str, dict] = {
     "--rate": dict(dest="rate_rps", type=float, metavar="RATE",
                    help="open-loop arrivals/s per client"),
     "--think-ms": dict(type=float, help="closed-loop mean think time in ms"),
-    "--executor": dict(choices=("serial", "parallel", "simulated"),
+    "--executor": dict(choices=("serial", "parallel"),
                        help="cross-shard fan-out policy for cluster schemes "
                        "(None: serial)"),
     "--monitor": dict(action="store_true", help="attach online leakage "

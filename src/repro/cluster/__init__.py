@@ -64,7 +64,12 @@ from repro.cluster.router import (
     ShardRouter,
     make_router,
 )
-from repro.cluster.scheme import ClusterIR, ClusterKVS, MigrationReport
+from repro.cluster.scheme import (
+    ClusterIR,
+    ClusterKVS,
+    MigrationReport,
+    cluster_bases,
+)
 from repro.cluster.service import cluster
 
 __all__ = [
@@ -84,6 +89,7 @@ __all__ = [
     "ShardReport",
     "ShardRouter",
     "cluster",
+    "cluster_bases",
     "jain_index",
     "make_router",
 ]

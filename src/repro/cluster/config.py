@@ -56,8 +56,8 @@ class ClusterConfig:
         backend: per-replica slot-storage backend name (``memory`` /
             ``slab`` / ``network``); ``None`` keeps the in-memory
             default.
-        executor: cross-shard fan-out policy (``serial`` / ``parallel``
-            / ``simulated``).
+        executor: cross-shard fan-out pricing (``serial`` /
+            ``parallel``).
         batch: requests dispatched per round through the batched entry
             points.
         percentiles: quantile fractions for the report's tail set.

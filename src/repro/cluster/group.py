@@ -22,15 +22,13 @@ Executors and wall-clock accounting (:mod:`repro.parallel`): a group
 accepts an :class:`~repro.parallel.executor.Executor` and keeps two
 operation counters — :meth:`ShardGroup.operations` (every server
 operation, the serial cost) and :meth:`ShardGroup.wall_operations`
-(overlap-accounted op-units).  Legs that are independent race for real
-under a concurrent executor (KVS write fan-out hits ``R`` disjoint
-replica instances); legs that share client state — the rotation
-pointer, the draw ledger, integrity-fallback re-reads — execute in
-deterministic order (``ordered=True``) and are only *accounted* as
-racing.  Failover retries themselves stay sequential in *draw* terms
-everywhere: a retry is causally dependent on the previous attempt's
-failure, and racing it would multiply the privacy charge — the
-executor must never change what the ledger sees.
+(overlap-accounted op-units).  Every executor runs a stage's legs in
+submission order; a concurrent one prices the stage as racing legs (KVS
+write fan-out to ``R`` replicas, one failover read per batched item).
+Failover retries are never priced as racing: a retry is causally
+dependent on the previous attempt's failure, and racing it would
+multiply the privacy charge — the executor must never change what the
+ledger sees.
 """
 
 from __future__ import annotations
@@ -176,8 +174,8 @@ class _ReplicaGroup(Generic[_R]):
     ) -> list[TaskResult]:
         """One failover read per item, as one overlap-accounted stage.
 
-        Distinct items race under a concurrent executor but *execute*
-        in order (``ordered=True`` — rotation pointer, draw count and
+        Distinct items are priced as racing under a concurrent executor
+        (the legs still run in order — rotation pointer, draw count and
         liveness marks are shared); the stage costs its slowest leg.
         """
         leg_ops = [0.0] * len(items)
@@ -185,8 +183,7 @@ class _ReplicaGroup(Generic[_R]):
             [
                 self._timed_leg(serve, item, leg_ops, slot)
                 for slot, item in enumerate(items)
-            ],
-            ordered=True,
+            ]
         )
         self._wall_ops += self._executor.stage_cost(leg_ops)
         return results
@@ -199,7 +196,7 @@ class _ReplicaGroup(Generic[_R]):
         slot: int,
     ) -> Callable[[], Any]:
         """One racing leg, recording its op cost into ``leg_ops[slot]``
-        (safe: the legs run in order — see ``ordered=True``)."""
+        (safe: the legs run in order on the caller's thread)."""
 
         def run() -> Any:
             before = self.operations()
@@ -431,9 +428,9 @@ class KVShardGroup(_ReplicaGroup[PrivateKVS]):
     ) -> list[tuple[int, TaskResult]]:
         """``(position, outcome)`` of ``operation`` on every live replica.
 
-        Replicas are disjoint object graphs, so their legs genuinely run
-        concurrently under a threaded executor; the stage is accounted
-        here, liveness marks are the caller's to apply afterwards.
+        Replicas are disjoint object graphs, so a concurrent executor
+        prices their legs as racing; the stage is accounted here,
+        liveness marks are the caller's to apply afterwards.
         """
         live = [
             (position, replica)
@@ -459,10 +456,9 @@ class KVShardGroup(_ReplicaGroup[PrivateKVS]):
     def _fan_out(self, operation: str, *args: bytes) -> object:
         """Apply one write to every live replica, racing when possible.
 
-        Liveness marks and draw charges are applied from the coordinating
-        thread after the legs ran.  The ledger draw count (one per live
-        replica attempted) and the first-survivor result are
-        executor-independent.
+        Liveness marks and draw charges are applied after the legs ran.
+        The ledger draw count (one per live replica attempted) and the
+        first-survivor result are executor-independent.
         """
         self._draws += self.live_replicas
         result = None

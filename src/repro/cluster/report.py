@@ -78,8 +78,8 @@ class ClusterReport:
     faults: dict = field(default_factory=dict)
     #: Extra quantiles beyond the summary's fixed fields, keyed ``pXX``.
     percentiles: dict = field(default_factory=dict)
-    #: The run's cross-shard fan-out policy (``serial`` / ``parallel``
-    #: / ``simulated``).
+    #: The run's cross-shard fan-out pricing (``serial`` /
+    #: ``parallel``).
     executor: str = "serial"
     #: Requests dispatched per round through the batched entry points.
     batch: int = 1

@@ -40,7 +40,7 @@ from repro.analysis.ledger import BudgetExceededError
 from repro.api.protocols import (
     PrivateIR, PrivateKVS, Scheme, check_index, check_indices, check_value,
 )
-from repro.api.registry import scheme_spec
+from repro.api.registry import available_schemes, scheme_spec
 from repro.cluster.group import (
     DEFAULT_MAX_ATTEMPTS,
     KVShardGroup,
@@ -126,6 +126,36 @@ def _rate_per_replica(
     return rates
 
 
+def _check_chargeable(base: str, epsilon: float) -> None:
+    """Refuse a base whose replicas declare no finite ε: no ledger could
+    charge its operations."""
+    if not math.isfinite(epsilon):
+        raise ValueError(
+            f"{base} declares no finite epsilon, so no ledger "
+            f"can charge its operations"
+        )
+
+
+def cluster_bases() -> tuple[str, ...]:
+    """Registry names a cluster build accepts as its base scheme.
+
+    The IR and KVS schemes whose replicas pass the ε check every cluster
+    build makes on its first shard group; each is built once, small, to
+    read its datasheet.
+    """
+    accepted = []
+    for name in available_schemes():
+        if scheme_spec(name).kind == "ram":
+            continue
+        replica = _build_base(name, n=16, seed=0)
+        try:
+            _check_chargeable(name, replica.datasheet().epsilon)
+        except ValueError:
+            continue
+        accepted.append(name)
+    return tuple(accepted)
+
+
 def _build_base(base: str, **kwargs: Any) -> Any:
     """Build the base scheme, dropping kwargs its builder cannot take.
 
@@ -179,7 +209,6 @@ def _inject_faults(
 
 
 _G = TypeVar("_G", ShardGroup, KVShardGroup)
-_C = TypeVar("_C", bound="_ClusterBase[Any]")
 
 
 class _ClusterBase(Scheme, Generic[_G]):
@@ -226,7 +255,6 @@ class _ClusterBase(Scheme, Generic[_G]):
         self._backend_factory = backend_factory
         self._base_kwargs = base_kwargs
         self._rng = rng if rng is not None else SystemRandomSource()
-        self._owns_executor = not isinstance(executor, Executor)
         self._executor = resolve_executor(executor)
         self.attach_tracer(tracer)
         self._network_model = _resolve_model(network)
@@ -288,11 +316,7 @@ class _ClusterBase(Scheme, Generic[_G]):
                 )
                 replicas.append(instance)
             groups.append(make_group(shard, replicas))
-        if not math.isfinite(groups[0].epsilon):
-            raise ValueError(
-                f"{self._base} declares no finite epsilon, so no ledger "
-                f"can charge its operations"
-            )
+        _check_chargeable(self._base, groups[0].epsilon)
         # Resharding must not launder spent budget: the drained epoch's
         # ledger seeds the new one so lifetime accounting stays honest.
         ledger = ClusterLedger(
@@ -423,7 +447,7 @@ class _ClusterBase(Scheme, Generic[_G]):
 
         Tracing never touches answers, draw sequences or ledger
         charges; leg spans are pre-allocated in submission order, so
-        serial/parallel/simulated executors emit identical span trees.
+        the serial and parallel executors emit identical span trees.
         """
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._texec = TracingExecutor(self._executor, self._tracer)
@@ -488,23 +512,6 @@ class _ClusterBase(Scheme, Generic[_G]):
             return serial, wall
 
         return close_stage
-
-    def close(self) -> None:
-        """Release executor worker threads.
-
-        Only shuts down an executor the cluster resolved itself from a
-        name; a caller-supplied :class:`Executor` instance stays alive
-        for its owner to reuse.  Safe to call more than once, and a
-        no-op for poolless executors.
-        """
-        if self._owns_executor:
-            self._executor.close()
-
-    def __enter__(self: _C) -> _C:
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     # -- route → charge → account ------------------------------------------
 
@@ -573,11 +580,11 @@ class _ClusterBase(Scheme, Generic[_G]):
 
         ``route(entry)`` names the owner shard and the item to hand it;
         each shard's items go through ``leg(group, items)``.  The legs
-        touch disjoint groups: under a concurrent executor they run in
-        parallel and the round costs the slowest leg plus dispatch
-        overhead, not the sum.  Answers, draw sequences and charges are
-        executor-invariant, and an exhausted leg does not poison its
-        siblings — every shard is charged before the fault propagates.
+        touch disjoint groups: a concurrent executor prices the round at
+        the slowest leg plus dispatch overhead, not the sum.  Answers,
+        draw sequences and charges are executor-invariant, and an
+        exhausted leg does not poison its siblings — every shard is
+        charged before the fault propagates.
         """
         if not batch:
             return []
@@ -635,8 +642,8 @@ class _ClusterBase(Scheme, Generic[_G]):
         """Drain the live layout, rebuild it, report what that cost.
 
         ``drain_legs[shard]`` reads one group out through the failover
-        path (migration works over faulty replicas); the legs overlap
-        under a concurrent executor, so migration pays the slowest
+        path (migration works over faulty replicas); a concurrent executor
+        prices the legs as overlapping, so migration pays the slowest
         shard.  ``reinstall(drained)`` rebuilds the groups and returns
         how many records changed shard.  Drain reads are a
         data-independent maintenance scan, not client queries: they are
@@ -714,11 +721,11 @@ class ClusterIR(_ClusterBase[ShardGroup], PrivateIR):
             reads below what operators saw) and close the shard.
         rng: randomness source.
         backend_factory: slot-storage backend for every replica server.
-        executor: cross-shard fan-out policy (``"serial"``,
-            ``"parallel"``, ``"simulated"`` or an
+        executor: cross-shard fan-out pricing (``"serial"``,
+            ``"parallel"`` or an
             :class:`~repro.parallel.executor.Executor`).  Changes
-            wall-clock accounting and real concurrency only — answers,
-            draw sequences and privacy budgets are executor-invariant.
+            wall-clock accounting only — answers, draw sequences and
+            privacy budgets are executor-invariant.
         network: link model pricing the ``*_ms`` figures (LAN default).
         tracer: optional :class:`~repro.obs.tracer.Tracer`; entry
             points and shard legs emit spans (answers, draws and
@@ -1207,11 +1214,6 @@ class ClusterKVS(_ClusterBase[KVShardGroup], PrivateKVS):
         for group in self._groups:
             group.flush()
         close_stage()
-
-    def close(self) -> None:
-        """:meth:`flush`, then release the executor's worker threads."""
-        self.flush()
-        super().close()
 
     def _shard_of(self, key: bytes) -> int:
         return hash_shard_of_key(key, self.shard_count)

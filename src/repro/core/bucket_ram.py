@@ -285,7 +285,13 @@ class BucketDPRAM(PrivateRAM):
 
     @property
     def transcript_pairs(self) -> list[tuple[int, int]]:
-        """Bucket-granular ``(d_j, o_j)`` pairs — the adversary view."""
+        """Bucket-granular ``(d_j, o_j)`` pairs — the adversary view.
+
+        As in :class:`~repro.core.dp_ram.DPRAM`, the history is two
+        ``array("q")`` columns that grow by 16 B a query and are never
+        trimmed: client state counted neither in :attr:`client_blocks`
+        nor in the datasheet's ``client_blocks``.
+        """
         return list(zip(self._downloads, self._overwrites))
 
     def bucket_nodes(self, bucket: int) -> tuple[int, ...]:

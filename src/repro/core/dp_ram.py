@@ -201,7 +201,13 @@ class DPRAM(PrivateRAM):
 
     @property
     def transcript_pairs(self) -> list[tuple[int, int]]:
-        """The ``(d_j, o_j)`` pair per query — the adversary view."""
+        """The ``(d_j, o_j)`` pair per query — the adversary view.
+
+        The history behind it is two ``array("q")`` columns that grow by
+        16 B a query and are never trimmed: client state counted neither
+        in :attr:`client_peak_blocks` nor in the datasheet's
+        ``client_blocks``, so a long run holds it all.
+        """
         return list(zip(self._downloads, self._overwrites))
 
     def datasheet(self) -> PrivacyDatasheet:

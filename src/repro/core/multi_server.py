@@ -40,8 +40,8 @@ class MultiServerDPIR(_Algorithm1Client):
         server_count: number of replicas ``D``.
         epsilon, pad_size, alpha, rng, backend_factory: as in
             :class:`~repro.core.dp_ir.DPIR`; ``K`` is the total over servers.
-        executor: fan-out policy for the one-batched-leg-per-server reads
-            (``"serial"``/``"parallel"``/``"simulated"`` or an
+        executor: fan-out pricing for the one-batched-leg-per-server
+            reads (``"serial"``/``"parallel"`` or an
             :class:`~repro.parallel.executor.Executor`).  Executors change
             wall-clock accounting only — every server still sees exactly
             one :meth:`~repro.storage.server.StorageServer.read_many`
@@ -68,7 +68,6 @@ class MultiServerDPIR(_Algorithm1Client):
             raise ValueError(f"server count must be positive, got {server_count}")
         self._pool = ServerPool(server_count, self.n, backend_factory=backend_factory)
         self._pool.load_replicas(blocks)
-        self._owns_executor = not isinstance(executor, Executor)
         self._executor = resolve_executor(executor)
         self._wall_ops = 0.0
 
@@ -93,21 +92,6 @@ class MultiServerDPIR(_Algorithm1Client):
         what the configured executor says (max over concurrent legs, the
         plain sum under the serial default)."""
         return self._wall_ops
-
-    def close(self) -> None:
-        """Release executor worker threads.
-
-        Only shuts down an executor this scheme resolved itself from a
-        name; a caller-supplied instance stays alive for its owner.
-        """
-        if self._owns_executor:
-            self._executor.close()
-
-    def __enter__(self) -> "MultiServerDPIR":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # -- querying ------------------------------------------------------------
 
@@ -164,12 +148,11 @@ class MultiServerDPIR(_Algorithm1Client):
     ) -> list[tuple[list[int], list[bytes]]]:
         """One batched ``read_many`` leg per server, through the executor.
 
-        Legs run in deterministic submission order (``ordered=True``:
-        the pool's servers may share one attached transcript, and the
-        draw-free reads must interleave identically under every
-        executor) while the stage is *accounted* as overlapped — the
-        wall-clock cost is the slowest server's share of the pad set,
-        not the sum.
+        Legs run in submission order (the pool's servers may share one
+        attached transcript, and the draw-free reads interleave
+        identically under every executor); a concurrent executor prices
+        the stage as overlapped — the wall-clock cost is the slowest
+        server's share of the pad set, not the sum.
         """
         orders = [sorted(slots) for slots in per_server]
         pool = self._pool
@@ -178,8 +161,7 @@ class MultiServerDPIR(_Algorithm1Client):
                 (lambda server=pool[server_id], order=order:
                     server.read_many(order))
                 for server_id, order in enumerate(orders)
-            ],
-            ordered=True,
+            ]
         )
         self._wall_ops += self._executor.stage_cost(
             [float(len(order)) for order in orders]

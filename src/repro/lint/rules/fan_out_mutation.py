@@ -1,13 +1,15 @@
 """fan-out-mutation: closures handed to executors must not mutate
 enclosing state.
 
-``Executor.fan_out`` may run its tasks on worker threads.  A closure
-that mutates enclosing-scope state — appending to a shared list,
-bumping a counter on ``self``, writing through a closed-over dict — is
-the data race PR 4 had to hand-audit: it works under ``SerialExecutor``
-and corrupts counters (or worse, draw order) under ``ParallelExecutor``.
-Results must flow back through the task's *return value*; shared-state
-updates happen in the caller, after ``fan_out`` returns.
+A concurrent executor prices the legs of one ``Executor.fan_out`` stage
+as racing, which is only honest if they are independent — as they would
+be on separate servers.  A closure that mutates enclosing-scope state —
+appending to a shared list, bumping a counter on ``self``, writing
+through a closed-over dict — couples its leg to its siblings: the
+result then depends on the order the legs run in, which racing servers
+would not keep.  Results must flow back through the task's *return
+value*; shared-state updates happen in the caller, after ``fan_out``
+returns.
 
 The rule inspects every ``lambda`` and nested ``def`` inside a function
 that calls ``.fan_out(...)`` and flags: ``nonlocal`` declarations,
@@ -58,7 +60,7 @@ class FanOutMutationRule(Rule):
     name = "fan-out-mutation"
     summary = (
         "closures in functions that call Executor.fan_out mutate "
-        "enclosing-scope state — a race under concurrent executors"
+        "enclosing-scope state — legs priced as racing must be independent"
     )
     hint = (
         "return the result from the task and apply shared-state updates "
@@ -92,8 +94,8 @@ class FanOutMutationRule(Rule):
                     yield self.finding(
                         module,
                         node,
-                        "nonlocal write inside a fan-out closure races "
-                        "under a concurrent executor",
+                        "nonlocal write inside a fan-out closure couples "
+                        "legs priced as racing",
                     )
                 elif isinstance(node, (ast.Assign, ast.AugAssign)):
                     targets = (
@@ -116,8 +118,8 @@ class FanOutMutationRule(Rule):
                                 module,
                                 node,
                                 f"store through closed-over {root!r} "
-                                "inside a fan-out closure races under a "
-                                "concurrent executor",
+                                "inside a fan-out closure couples legs "
+                                "priced as racing",
                             )
                 elif isinstance(node, ast.Call) and isinstance(
                     node.func, ast.Attribute

@@ -4,7 +4,7 @@ Executor equivalence (PR 4) and transcript invariance (PR 5) are proofs
 about *seeded* runs: they hold because every coin any scheme flips comes
 from the explicit :class:`repro.crypto.rng.RandomSource` threaded through
 the constructors.  One stray ``import random`` — module-level global
-state — breaks bit-identical replay across serial/threaded executors and
+state — breaks bit-identical replay across serial/parallel executors and
 silently invalidates the Monte-Carlo privacy audits.
 
 The only module allowed to touch ambient randomness (``random``,

@@ -4,13 +4,12 @@ Wraps any executor so each fanned-out leg gets its own span, while
 preserving the executor contract exactly: results in submission order,
 per-leg fault capture, ``stage_cost`` delegated to the inner policy.
 
-The wrapper is what makes span trees *executor-invariant*: leg spans
-are pre-created by the coordinating thread in submission order (so
-their ids never depend on completion order), then activated on
-whichever thread runs the leg so spans opened inside the leg — e.g. a
-storage server's batch events — parent beneath it.  Serial, threaded
-and simulated executors therefore emit identical trees; only the
-``wall_ms`` timing fields differ.
+Leg spans are pre-created in submission order (so their ids are fixed
+before any leg runs), then activated while the leg runs so spans opened
+inside it — e.g. a storage server's batch events — parent beneath it.
+Each leg span is stamped with its timing and error once the stage
+returns.  Serial and parallel executors therefore emit identical trees;
+only the ``wall_ms`` timing fields differ.
 """
 
 from __future__ import annotations
@@ -55,16 +54,12 @@ class TracingExecutor(Executor):
         self,
         tasks: Sequence[Callable[[], Any]],
         *,
-        ordered: bool = False,
-        on_result: Callable[[TaskResult], None] | None = None,
         name: str | None = None,
         leg_labels: Sequence[Mapping[str, Any]] | None = None,
     ) -> list[TaskResult]:
         tracer = self._tracer
         if not tracer.enabled or not tasks:
-            return self._inner.fan_out(
-                tasks, ordered=ordered, on_result=on_result
-            )
+            return self._inner.fan_out(tasks)
         if leg_labels is not None and len(leg_labels) != len(tasks):
             raise ValueError(
                 f"got {len(leg_labels)} leg label sets for "
@@ -82,23 +77,13 @@ class TracingExecutor(Executor):
                 parent=parent,
                 **labels,
             ))
-        wrapped = [
+        results = self._inner.fan_out([
             self._bind(task, span) for task, span in zip(tasks, spans)
-        ]
-
-        def annotated(result: TaskResult) -> None:
-            # Stamp the leg's span before the caller's in-flight hook
-            # observes it, so completion callbacks see finished spans.
-            span = spans[result.index]
+        ])
+        for span, result in zip(spans, results):
             span.wall_ms = result.elapsed_ms
             if result.error is not None and span.error is None:
                 span.error = type(result.error).__name__
-            if on_result is not None:
-                on_result(result)
-
-        results = self._inner.fan_out(
-            wrapped, ordered=ordered, on_result=annotated
-        )
         return results
 
     def _bind(
@@ -114,6 +99,3 @@ class TracingExecutor(Executor):
 
     def stage_cost(self, leg_costs: Sequence[float]) -> float:
         return self._inner.stage_cost(leg_costs)
-
-    def close(self) -> None:
-        self._inner.close()

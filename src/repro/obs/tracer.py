@@ -2,17 +2,17 @@
 
 Spans form a tree: the cluster entry point opens a root span, the
 tracing executor opens one child per shard leg, and storage servers
-attach batch events beneath whichever leg is active on their thread.
-Two design rules keep traces *deterministic* (two seeded runs produce
-identical JSON, and serial/parallel/simulated executors produce
-identical span trees):
+attach batch events beneath whichever leg is active.  Two design rules
+keep traces *deterministic* (two seeded runs produce identical JSON,
+and the serial and parallel executors produce identical span trees):
 
 * **Ids come from counters, not clocks.** A span's id is its parent's
   id plus a per-parent child counter (``"0"``, ``"0.2"``, ``"0.2.1"``),
-  allocated in *submission* order by the coordinating thread — never
-  from ``time.time()`` or ``uuid``.  Worker threads only allocate ids
-  beneath their own leg span, so completion order cannot perturb the
-  tree, and :meth:`Tracer.export` sorts spans by parsed id.
+  allocated in *submission* order — never from ``time.time()`` or
+  ``uuid``.  Spans opened inside a leg get ids beneath that leg's span,
+  and :meth:`Tracer.export` sorts spans by parsed id.  The active-span
+  stack is per thread, so a caller that runs legs on threads of its own
+  still gets the same tree.
 * **Wall-clock is data, not identity.** Spans carry the simulator's
   deterministic clock in ``sim_start_ms``/``sim_end_ms`` where one
   exists, plus monotonic wall deltas measured at the edges in
@@ -188,7 +188,7 @@ class Tracer:
     ``span(name, **labels)`` opens a child of the thread's current
     span (context-manager API); ``start_span`` allocates one without
     activating it (the tracing executor pre-creates leg spans in
-    submission order, then activates them on worker threads with
+    submission order, then activates each while its leg runs with
     ``activate``).
     """
 
@@ -259,9 +259,9 @@ class Tracer:
     def activate(self, span: Span) -> "_SpanContext | _NullContext":
         """Adopt a pre-created span as this thread's current span.
 
-        Used by the tracing executor: leg spans are allocated by the
-        coordinating thread (deterministic ids), then activated on
-        whichever worker runs the leg so nested spans parent correctly.
+        Used by the tracing executor: leg spans are allocated before
+        any leg runs (deterministic ids), then activated while their leg
+        runs so nested spans parent correctly.
         """
         if not self.enabled or span is _NULL_SPAN:
             return _NULL_CONTEXT
@@ -316,7 +316,7 @@ def canonical_trace(payload: dict[str, Any]) -> dict[str, Any]:
     """A copy of an exported trace with wall-clock fields removed.
 
     This is the determinism contract: two runs with the same seed (or
-    the same run under serial/parallel/simulated executors) produce
+    the same run under the serial and parallel executors) produce
     identical ``canonical_trace`` payloads; only the stripped wall
     fields may differ.
     """

@@ -1,36 +1,31 @@
-"""Cross-shard parallel execution: pluggable executors + overlap accounting.
+"""Cross-shard fan-out: one way to run a stage, two ways to price it.
 
-The cluster layer runs N shard groups × R replicas, but until this
-package existed every shard-group sub-batch executed *sequentially*
-inside one process — cross-shard parallelism was modelled in the
-accounting only, never overlapped in wall-clock.  ``repro.parallel``
-closes that gap with a small, pluggable abstraction:
+The cluster layer runs N shard groups × R replicas; a multi-server
+scheme reads from D replicas.  Each such step is a *stage* of
+independent legs.  ``repro.parallel`` runs every stage the same way and
+lets the caller choose how it is priced:
 
 * :class:`~repro.parallel.executor.Executor` — the ``fan_out(tasks)``
-  contract: run independent legs, preserve ordering, capture per-task
-  faults (:class:`~repro.storage.faults.ServerFault`,
+  contract: run the legs on the caller's thread in submission order,
+  capture per-task faults (:class:`~repro.storage.faults.ServerFault`,
   :class:`~repro.crypto.encryption.IntegrityError`) instead of
   aborting siblings, and record per-task timing.
-* :class:`~repro.parallel.executor.SerialExecutor` — one leg after
-  another; stage cost is the *sum* of the legs.
-* :class:`~repro.parallel.executor.ParallelExecutor` — a real
-  ``ThreadPoolExecutor``-backed fan-out; stage cost is the *max* over
-  concurrent legs plus dispatch overhead.
-* :class:`~repro.parallel.executor.SimulatedParallelExecutor` — runs
-  legs in deterministic submission order but *accounts* them as
-  overlapped; the executor the property tests use to prove serial and
-  parallel paths are bit-identical.
+* :class:`~repro.parallel.executor.SerialExecutor` — stage cost is the
+  *sum* of the legs.
+* :class:`~repro.parallel.executor.ParallelExecutor` — stage cost is the
+  *max* over the legs plus dispatch overhead: the legs are priced as
+  racing, as they would on separate servers.
 
-Privacy invariant, stated honestly: executors change **wall-clock
-accounting only** — never the sequence of mechanism draws.  A leg that
-is causally dependent (a failover retry only exists because the
-previous attempt failed) or that mutates shared client state executes
-in deterministic order even under the threaded executor, so the
-privacy ledger charges exactly the same draws whichever executor runs
-the stage.  That is what lets the tests assert *parallel wall-clock <
-serial* while ops/request, storage and ε stay exactly invariant
+Privacy invariant: executors change **wall-clock accounting only** —
+never the sequence of mechanism draws, since every executor runs the
+same legs in the same order.  The privacy ledger therefore charges
+exactly the same draws whichever executor prices the stage, which is
+what lets the tests assert *parallel wall-clock < serial* while
+ops/request, storage and ε stay exactly invariant
 (``tests/integration/test_parallel_integration.py``,
-``tests/property/test_prop_parallel.py``).
+``tests/property/test_prop_parallel.py``).  The concurrency that does
+matter to privacy — the interleaving of client requests — is the
+serving scheduler's (:mod:`repro.serving`).
 
 Entry points: ``executor=`` on :class:`~repro.cluster.scheme.ClusterIR`
 / :class:`~repro.cluster.scheme.ClusterKVS` and on
@@ -42,7 +37,6 @@ from repro.parallel.executor import (
     Executor,
     ParallelExecutor,
     SerialExecutor,
-    SimulatedParallelExecutor,
     TaskResult,
     resolve_executor,
 )
@@ -51,7 +45,6 @@ __all__ = [
     "Executor",
     "ParallelExecutor",
     "SerialExecutor",
-    "SimulatedParallelExecutor",
     "TaskResult",
     "resolve_executor",
 ]

@@ -1,11 +1,14 @@
-"""The ``fan_out`` contract and its three executors.
+"""The ``fan_out`` contract and its two executors.
 
 An :class:`Executor` runs a *stage*: a list of independent thunks
-("legs"), one per shard group / replica / server.  The contract every
-implementation honours:
+("legs"), one per shard group / replica / server.  Every executor runs
+the legs the same way — on the caller's thread, one after another, in
+submission order — and differs only in how it *prices* the stage.  The
+contract:
 
-* **Ordering** — results come back in submission order, whatever order
-  the legs actually ran in.
+* **Ordering** — legs run, and their results come back, in submission
+  order, so the sequence of mechanism draws is the same under every
+  executor.
 * **Per-task fault capture** — a leg that raises is recorded in its
   :class:`TaskResult` instead of aborting sibling legs, so the caller
   can fail over leg-by-leg (the cluster's replica failover needs the
@@ -14,23 +17,16 @@ implementation honours:
   wall-clock milliseconds.
 * **Stage cost** — :meth:`Executor.stage_cost` turns per-leg costs into
   the stage's accounted cost: a serial stage is the *sum* of its legs,
-  a concurrent stage is the *max* over its legs plus a fixed dispatch
-  overhead.
-
-Stateful legs: :meth:`Executor.fan_out` takes ``ordered=True`` for
-stages whose legs share mutable client state (a shard group's rotation
-pointer, a privacy ledger).  Concurrent executors then run the legs in
-deterministic submission order — the stage is still *accounted* as
-overlapped, but the draw sequence cannot depend on thread scheduling,
-which is what keeps privacy budgets identical across executors.
+  a parallel stage is the *max* over its legs plus a fixed dispatch
+  overhead — what the stage would cost with every leg on its own
+  server, racing the others.
 """
 
 from __future__ import annotations
 
 import abc
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 Task = Callable[[], Any]
@@ -94,27 +90,8 @@ class Executor(abc.ABC):
     dispatch_overhead_ms: float = 0.0
 
     @abc.abstractmethod
-    def fan_out(
-        self,
-        tasks: Sequence[Task],
-        *,
-        ordered: bool = False,
-        on_result: Callable[[TaskResult], None] | None = None,
-    ) -> list[TaskResult]:
-        """Run every task, returning results in submission order.
-
-        Args:
-            tasks: independent thunks, one per leg.
-            ordered: the legs mutate shared state — execute them in
-                deterministic submission order even when concurrent
-                (the stage is still *accounted* as overlapped).
-            on_result: invoked once per leg, in submission order, as
-                results become available — the in-flight completion
-                hook a pipelined caller (the continuous batcher) uses
-                to react before the whole stage returns.  Callbacks run
-                on the caller's thread on every executor, so they need
-                no locking and cannot perturb leg ordering.
-        """
+    def fan_out(self, tasks: Sequence[Task]) -> list[TaskResult]:
+        """Run every task in submission order; one result per task."""
 
     def stage_cost(self, leg_costs: Sequence[float]) -> float:
         """Accounted cost of one stage given its per-leg costs.
@@ -133,48 +110,31 @@ class Executor(abc.ABC):
             return max(legs) + self.dispatch_overhead_ms
         return sum(legs)
 
-    def close(self) -> None:
-        """Release any worker resources (no-op for poolless executors)."""
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"
 
 
 class SerialExecutor(Executor):
-    """One leg after another, in order — the baseline everything else
-    must agree with bit-for-bit."""
+    """One leg after another, priced as the sum of the legs — the
+    baseline every other pricing is compared with."""
 
     name = "serial"
     concurrent = False
 
-    def fan_out(
-        self,
-        tasks: Sequence[Task],
-        *,
-        ordered: bool = False,
-        on_result: Callable[[TaskResult], None] | None = None,
-    ) -> list[TaskResult]:
-        del ordered  # serial execution is always ordered
-        results = []
-        for index, task in enumerate(tasks):
-            result = _run_task(index, task)
-            if on_result is not None:
-                on_result(result)
-            results.append(result)
-        return results
+    def fan_out(self, tasks: Sequence[Task]) -> list[TaskResult]:
+        return [_run_task(index, task) for index, task in enumerate(tasks)]
 
 
-class SimulatedParallelExecutor(Executor):
-    """Deterministic overlap: legs run in submission order, the stage is
-    accounted as concurrent.
+class ParallelExecutor(SerialExecutor):
+    """The same in-order run, priced as racing legs: a stage costs its
+    slowest leg plus ``dispatch_overhead_ms``.
 
-    This is the executor the equivalence tests lean on: execution is
-    bit-identical to :class:`SerialExecutor` (same order, same draws,
-    same budgets) while :meth:`stage_cost` models the wall-clock of a
-    genuinely racing deployment (max over legs + dispatch overhead).
+    Execution is bit-identical to :class:`SerialExecutor` (same order,
+    same draws, same budgets); only :meth:`stage_cost` differs, modelling
+    a deployment whose legs reach separate servers at once.
     """
 
-    name = "simulated"
+    name = "parallel"
     concurrent = True
 
     def __init__(self, dispatch_overhead_ms: float = 0.0) -> None:
@@ -185,139 +145,15 @@ class SimulatedParallelExecutor(Executor):
             )
         self.dispatch_overhead_ms = dispatch_overhead_ms
 
-    def fan_out(
-        self,
-        tasks: Sequence[Task],
-        *,
-        ordered: bool = False,
-        on_result: Callable[[TaskResult], None] | None = None,
-    ) -> list[TaskResult]:
-        del ordered
-        results = []
-        for index, task in enumerate(tasks):
-            result = _run_task(index, task)
-            if on_result is not None:
-                on_result(result)
-            results.append(result)
-        return results
-
-
-class ParallelExecutor(Executor):
-    """Real threads: a lazily created ``ThreadPoolExecutor`` fan-out.
-
-    Legs confined to disjoint object graphs (different shard groups,
-    different replicas, different servers) genuinely race; ``ordered``
-    stages fall back to deterministic in-order execution because their
-    legs share client state (see the module docstring).
-
-    Args:
-        max_workers: thread cap; defaults to the stdlib's.
-        dispatch_overhead_ms: fixed per-stage accounting overhead.
-    """
-
-    name = "parallel"
-    concurrent = True
-
-    def __init__(
-        self,
-        max_workers: int | None = None,
-        dispatch_overhead_ms: float = 0.0,
-    ) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise ValueError(
-                f"max_workers must be at least 1, got {max_workers}"
-            )
-        if dispatch_overhead_ms < 0:
-            raise ValueError(
-                f"dispatch overhead must be non-negative, "
-                f"got {dispatch_overhead_ms}"
-            )
-        self._max_workers = max_workers
-        self.dispatch_overhead_ms = dispatch_overhead_ms
-        self._pool: ThreadPoolExecutor | None = None
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self._max_workers,
-                thread_name_prefix="repro-fanout",
-            )
-        return self._pool
-
-    def fan_out(
-        self,
-        tasks: Sequence[Task],
-        *,
-        ordered: bool = False,
-        on_result: Callable[[TaskResult], None] | None = None,
-    ) -> list[TaskResult]:
-        if ordered or len(tasks) <= 1:
-            results = []
-            for index, task in enumerate(tasks):
-                result = _run_task(index, task)
-                if on_result is not None:
-                    on_result(result)
-                results.append(result)
-            return results
-        pool = self._ensure_pool()
-        futures = [
-            pool.submit(_run_task, index, task)
-            for index, task in enumerate(tasks)
-        ]
-        # Gathering in submission order preserves the result contract
-        # regardless of completion order; callbacks fire in the same
-        # order on the caller's thread, so a leg that finished early
-        # still reports after every leg submitted before it.
-        results = []
-        for future in futures:
-            result = future.result()
-            if on_result is not None:
-                on_result(result)
-            results.append(result)
-        return results
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
-@dataclass
-class StageTiming:
-    """Bookkeeping for one fan-out stage: per-leg costs plus the
-    executor's accounted (overlapped or serial) total.
-
-    Attributes:
-        leg_costs: per-leg costs in the caller's unit (op-units here).
-        serial_cost: what the stage costs executed one leg at a time.
-        wall_cost: what the stage costs under the recording executor.
-    """
-
-    leg_costs: list[float] = field(default_factory=list)
-    serial_cost: float = 0.0
-    wall_cost: float = 0.0
-
-    @classmethod
-    def record(
-        cls, executor: Executor, leg_costs: Sequence[float]
-    ) -> "StageTiming":
-        legs = [float(cost) for cost in leg_costs]
-        return cls(
-            leg_costs=legs,
-            serial_cost=sum(legs),
-            wall_cost=executor.stage_cost(legs),
-        )
-
 
 _EXECUTORS: dict[str, Callable[[], Executor]] = {
     "serial": SerialExecutor,
     "parallel": ParallelExecutor,
-    "simulated": SimulatedParallelExecutor,
 }
 
 
 def resolve_executor(executor: Executor | str | None) -> Executor:
-    """Map a name (``serial``/``parallel``/``simulated``) to an executor.
+    """Map a name (``serial``/``parallel``) to an executor.
 
     ``None`` keeps the serial default; an :class:`Executor` instance
     passes through unchanged.

@@ -65,8 +65,8 @@ class ServingConfig:
             the scheme's default.
         value_size: KVS value budget when building by name.
         write_fraction: write share of the ``readwrite`` workload.
-        executor: cross-shard fan-out policy (``serial`` / ``parallel``
-            / ``simulated``) for cluster schemes.
+        executor: cross-shard fan-out pricing (``serial`` /
+            ``parallel``) for cluster schemes.
         tracer: optional :class:`~repro.obs.tracer.Tracer`.
         metrics_registry: optional
             :class:`~repro.obs.metrics.MetricsRegistry`.

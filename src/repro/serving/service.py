@@ -212,12 +212,6 @@ def serve(
     finally:
         if watch is not None:
             watch.unwatch()
-        if isinstance(scheme, str):
-            # serve() built (and owns) the instance: release any
-            # executor worker threads even when the run raises.
-            closer = getattr(instance, "close", None)
-            if callable(closer):
-                closer()
     if watch is not None:
         report.leakage = watch.reports()
     report.scheme = label

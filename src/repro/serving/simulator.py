@@ -16,11 +16,10 @@ historical single-lane behaviour — round N+1 waits for round N — while
 the continuous batcher keeps up to ``max_in_flight`` dispatch windows
 open at once, so new arrivals are admitted into in-flight windows and
 a slow leg no longer stalls the whole pipeline.  Scheme execution
-still happens in dispatch order (the deterministic order every
-executor honours for ``ordered`` stages), only the simulated occupancy
-windows overlap — which is what keeps admission, dispatch and
-completion order bit-stable across serial, parallel and simulated
-executors.
+still happens in dispatch order (and every executor runs a stage's legs
+in submission order), only the simulated occupancy windows overlap —
+which is what keeps admission, dispatch and completion order bit-stable
+across the serial and parallel executors.
 
 Admission control: before a request enqueues, the scheduler's
 ``try_admit`` may refuse it.  Refused requests are *shed* — counted

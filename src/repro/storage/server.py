@@ -400,29 +400,21 @@ class ServerPool:
         return sum(server.operations for server in self._servers)
 
     def request_all(self, operation, executor=None) -> list:
-        """Apply ``operation(server)`` to every server, fanning out.
+        """Apply ``operation(server)`` to every server, in server order.
 
-        Servers in a pool are independent object graphs, so their legs
-        may genuinely race under a concurrent executor
-        (:mod:`repro.parallel`); the default stays serial.  Results come
-        back in server order as :class:`~repro.parallel.executor.TaskResult`
-        entries, so a caller can fail over per-server (one faulted
-        replica does not poison its siblings' answers).
+        One leg per server through ``executor`` (:mod:`repro.parallel`;
+        serial by default).  Results come back in server order as
+        :class:`~repro.parallel.executor.TaskResult` entries, so a
+        caller can fail over per-server (one faulted replica does not
+        poison its siblings' answers).
         """
         from functools import partial
 
-        from repro.parallel.executor import Executor, resolve_executor
+        from repro.parallel.executor import resolve_executor
 
-        runner = resolve_executor(executor)
-        try:
-            return runner.fan_out(
-                [partial(operation, server) for server in self._servers]
-            )
-        finally:
-            # An executor resolved here from a name is ours to clean up;
-            # a caller-supplied instance stays alive for reuse.
-            if not isinstance(executor, Executor):
-                runner.close()
+        return resolve_executor(executor).fan_out(
+            [partial(operation, server) for server in self._servers]
+        )
 
     @staticmethod
     def corrupted_view(transcript: Transcript, corrupted: set[int]) -> Transcript:

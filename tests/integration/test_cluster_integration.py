@@ -383,6 +383,23 @@ class TestClusterCLI:
         assert "cluster_dpir" in output
         assert "dp_ram" not in output    # RAM bases are not clusterable
 
+    @pytest.mark.parametrize("name", repro.available_schemes("ir")
+                             + repro.available_schemes("kvs"))
+    def test_listed_exactly_when_a_cluster_builds(self, name, capsys):
+        assert main(["cluster", "--list"]) == 0
+        listed = {
+            line.split()[0] for line in capsys.readouterr().out.splitlines()
+            if line.strip()
+        }
+        try:
+            repro.cluster(name, ClusterConfig(shards=1, replicas=1, n=64,
+                                              requests=4))
+        except ValueError:
+            builds = False
+        else:
+            builds = True
+        assert (name in listed) == builds
+
     def test_ram_base_rejected(self, capsys):
         assert main(["cluster", "--scheme", "dp_ram", "--n", "64",
                      "--requests", "8", "--seed", "1"]) == 2

@@ -126,12 +126,12 @@ class TestWallClockAccountingEndToEnd:
     def test_cluster_report_surfaces_executor_fields(self):
         report = cluster("dp_ir", ClusterConfig(
             shards=2, replicas=1, n=64, pad_size=8, requests=8, seed=3,
-            executor="simulated", batch=4,
+            executor="parallel", batch=4,
         ))
-        assert report.executor == "simulated"
+        assert report.executor == "parallel"
         assert report.batch == 4
         payload = report.to_dict()
-        assert payload["executor"] == "simulated"
+        assert payload["executor"] == "parallel"
         assert payload["wall_clock_ms"] <= payload["serial_ms"]
         assert "overlap speedup" in report.to_text()
 

@@ -184,7 +184,7 @@ class _History:
 def _ir_history_fingerprint(base, executor):
     n = 64
     coins = random.Random(2019)
-    with ClusterIR(
+    cluster = ClusterIR(
         integer_database(n, 16),
         base=base,
         shard_count=2,
@@ -196,33 +196,33 @@ def _ir_history_fingerprint(base, executor):
         rng=SeededRandomSource(14),
         executor=executor,
         tracer=Tracer("pin"),
-    ) as cluster:
-        history = _History(cluster)
+    )
+    history = _History(cluster)
 
-        def traffic(ops):
-            for _ in range(ops):
-                if coins.random() < 0.5:
-                    history.note(cluster.query(coins.randrange(n)))
-                else:
-                    batch = [
-                        coins.randrange(n)
-                        for _ in range(coins.randrange(1, 9))
-                    ]
-                    history.note(cluster.query_many(batch))
+    def traffic(ops):
+        for _ in range(ops):
+            if coins.random() < 0.5:
+                history.note(cluster.query(coins.randrange(n)))
+            else:
+                batch = [
+                    coins.randrange(n)
+                    for _ in range(coins.randrange(1, 9))
+                ]
+                history.note(cluster.query_many(batch))
 
-        traffic(40)
-        history.migrate(cluster.reshard, 3)
-        traffic(30)
-        history.migrate(cluster.rebalance)
-        traffic(30)
-        history.note((cluster.query_count, cluster.error_count))
-        return history.fingerprint()
+    traffic(40)
+    history.migrate(cluster.reshard, 3)
+    traffic(30)
+    history.migrate(cluster.rebalance)
+    traffic(30)
+    history.note((cluster.query_count, cluster.error_count))
+    return history.fingerprint()
 
 
 def _kvs_history_fingerprint(executor, view=Transcript.signature):
     coins = random.Random(7)
     keys = [f"key-{i:02d}".encode() for i in range(24)]
-    with ClusterKVS(
+    cluster = ClusterKVS(
         64,
         shard_count=2,
         replica_count=2,
@@ -231,28 +231,28 @@ def _kvs_history_fingerprint(executor, view=Transcript.signature):
         rng=SeededRandomSource(14),
         executor=executor,
         tracer=Tracer("pin"),
-    ) as cluster:
-        history = _History(cluster, view)
+    )
+    history = _History(cluster, view)
 
-        def traffic(ops):
-            for _ in range(ops):
-                coin = coins.random()
-                key = coins.choice(keys)
-                if coin < 0.4:
-                    history.note(cluster.put(key, coins.randbytes(12)))
-                elif coin < 0.65:
-                    history.note(cluster.get(key))
-                elif coin < 0.85:
-                    batch = coins.sample(keys, coins.randrange(1, 7))
-                    history.note(cluster.get_many(batch))
-                else:
-                    history.note(cluster.delete(key))
+    def traffic(ops):
+        for _ in range(ops):
+            coin = coins.random()
+            key = coins.choice(keys)
+            if coin < 0.4:
+                history.note(cluster.put(key, coins.randbytes(12)))
+            elif coin < 0.65:
+                history.note(cluster.get(key))
+            elif coin < 0.85:
+                batch = coins.sample(keys, coins.randrange(1, 7))
+                history.note(cluster.get_many(batch))
+            else:
+                history.note(cluster.delete(key))
 
-        traffic(60)
-        history.migrate(cluster.reshard, 3)
-        traffic(40)
-        history.note((cluster.operation_count, cluster.size))
-        return history.fingerprint()
+    traffic(60)
+    history.migrate(cluster.reshard, 3)
+    traffic(40)
+    history.note((cluster.operation_count, cluster.size))
+    return history.fingerprint()
 
 
 # Re-pinned when pad sets became one entropy draw carved into K indices
@@ -264,13 +264,9 @@ _IR_PINS = {
         "d323f60406afd71a5badc51b38774633b76231e07959f9f8a594a3f7d596995b",
     ("dp_ir", "parallel"):
         "b32d8fb42e9a43135728730cba0ca8f711b0f66d5eba0140b3fdef673326f311",
-    ("dp_ir", "simulated"):
-        "b32d8fb42e9a43135728730cba0ca8f711b0f66d5eba0140b3fdef673326f311",
     ("batch_dp_ir", "serial"):
         "b7ea7ecddb476f4f78afbe62dac4794829e8636312d29c22ee681eaf72130d3f",
     ("batch_dp_ir", "parallel"):
-        "6efc036e50e6d580ced90a82e5a0ace82d05c5e9114f56a48af432ec3e8e16c3",
-    ("batch_dp_ir", "simulated"):
         "6efc036e50e6d580ced90a82e5a0ace82d05c5e9114f56a48af432ec3e8e16c3",
 }
 
@@ -307,8 +303,6 @@ _KVS_PINS = {
         "d914687ab5211d5c5ddddc45de2c4dbcd78c8bb6384cd4127b3a7c3676dec119",
     "parallel":
         "55f4372885edad9ad51a0cfe801b907286cfaa6cde8816cd26aae937082d066b",
-    "simulated":
-        "55f4372885edad9ad51a0cfe801b907286cfaa6cde8816cd26aae937082d066b",
 }
 
 # The same KVS history with every transcript reduced to its
@@ -322,8 +316,6 @@ _KVS_UNORDERED_PINS = {
     "serial":
         "635dccbf35028195cc242e916f5c8845d0947c6d6a070641ea67d6d14e3d5d33",
     "parallel":
-        "e6ad7bf82975520701ff5258fe533105b76ee69ae0b55ccf614251c804ccd14f",
-    "simulated":
         "e6ad7bf82975520701ff5258fe533105b76ee69ae0b55ccf614251c804ccd14f",
 }
 

@@ -1,9 +1,9 @@
 """Property tests: executors never change answers or privacy budgets.
 
 The headline invariant of :mod:`repro.parallel`: for any cluster
-geometry, fault injection and workload, the serial, threaded-parallel
-and simulated-parallel executors return bit-identical retrievals,
-charge identical privacy-ledger budgets and count identical failovers.
+geometry, fault injection and workload, the serial and parallel
+executors return bit-identical retrievals, charge identical
+privacy-ledger budgets and count identical failovers.
 Overlap is a wall-clock accounting change, never a mechanism change.
 """
 
@@ -51,7 +51,7 @@ class TestExecutorEquivalenceProperties:
             else 0.0
         )
         outcomes = {}
-        for executor in ("serial", "parallel", "simulated"):
+        for executor in ("serial", "parallel"):
             instance = ClusterIR(
                 blocks,
                 shard_count=shards,
@@ -74,10 +74,7 @@ class TestExecutorEquivalenceProperties:
                 instance.serial_operations(),
             )
         serial = outcomes["serial"]
-        for executor in ("parallel", "simulated"):
-            assert outcomes[executor] == serial, (
-                f"{executor} diverged from serial"
-            )
+        assert outcomes["parallel"] == serial, "parallel diverged from serial"
         # Wall-clock may only ever shrink relative to serial.
         assert serial[3] >= 0
 
@@ -98,7 +95,7 @@ class TestExecutorEquivalenceProperties:
             else 0.0
         )
         outcomes = {}
-        for executor in ("serial", "parallel", "simulated"):
+        for executor in ("serial", "parallel"):
             instance = ClusterKVS(
                 n,
                 shard_count=shards,
@@ -121,7 +118,6 @@ class TestExecutorEquivalenceProperties:
             )
         serial = outcomes["serial"]
         assert outcomes["parallel"] == serial
-        assert outcomes["simulated"] == serial
         assert serial[0] == [b"value-%d" % i for i in range(keys)]
 
     @settings(max_examples=8, deadline=None)
@@ -143,7 +139,7 @@ class TestExecutorEquivalenceProperties:
             replica_count=1,
             pad_size=min(8, n),
             rng=SeededRandomSource(seed),
-            executor="simulated",
+            executor="parallel",
         )
         report = instance.reshard(new_shards)
         assert report.wall_clock_ms <= report.serial_ms

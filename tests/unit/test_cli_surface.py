@@ -126,8 +126,7 @@ OPTIONS = {
         ("--network", ("lan", "wan", "mobile"), None, None, "lan"),
         ("--backend", ("memory", "slab", "network"), None, None, None),
         ("--value-size", None, None, "int", 32),
-        ("--executor", ("serial", "parallel", "simulated"), None, None,
-         None),
+        ("--executor", ("serial", "parallel"), None, None, None),
         ("--monitor", None, "switch", None, None),
         ("--json", None, "switch", None, None),
         ("--trace", None, None, None, None),
@@ -152,8 +151,7 @@ OPTIONS = {
         ("--seed", None, None, "int", None),
         ("--network", ("lan", "wan", "mobile"), None, None, "lan"),
         ("--backend", ("memory", "slab", "network"), None, None, None),
-        ("--executor", ("serial", "parallel", "simulated"), None, None,
-         "serial"),
+        ("--executor", ("serial", "parallel"), None, None, "serial"),
         ("--batch", None, None, "int", 1),
         ("--fault-coins", ("per_slot", "per_round"), None, None,
          "per_slot"),
@@ -174,8 +172,7 @@ OPTIONS = {
         ("--epsilon", None, None, "float", None),
         ("--pad-size", None, None, "int", None),
         ("--seed", None, None, "int", None),
-        ("--executor", ("serial", "parallel", "simulated"), None, None,
-         "serial"),
+        ("--executor", ("serial", "parallel"), None, None, "serial"),
         ("--batch", None, None, "int", 1),
         ("--cap", None, None, None, None),
         ("--timeline", None, "switch", None, None),
@@ -209,7 +206,7 @@ USAGE = {
         "[--workload WORKLOAD] [--n N] [--seed SEED] "
         "[--network {lan,wan,mobile}] [--backend {memory,slab,network}] "
         "[--value-size VALUE_SIZE] "
-        "[--executor {serial,parallel,simulated}] [--monitor] [--json] "
+        "[--executor {serial,parallel}] [--monitor] [--json] "
         "[--trace PATH] [--metrics [PATH]]"
     ),
     "cluster": (
@@ -222,7 +219,7 @@ USAGE = {
         "[--corruption-rate CORRUPTION_RATE] [--value-size VALUE_SIZE] "
         "[--seed SEED] [--network {lan,wan,mobile}] "
         "[--backend {memory,slab,network}] "
-        "[--executor {serial,parallel,simulated}] [--batch BATCH] "
+        "[--executor {serial,parallel}] [--batch BATCH] "
         "[--fault-coins {per_slot,per_round}] [--monitor] [--json] "
         "[--list] [--trace PATH] [--metrics [PATH]]"
     ),
@@ -231,7 +228,7 @@ USAGE = {
         "[--shards SHARDS] [--replicas REPLICAS] [--n N] "
         "[--requests REQUESTS] [--workload WORKLOAD] [--epsilon EPSILON] "
         "[--pad-size PAD_SIZE] [--seed SEED] "
-        "[--executor {serial,parallel,simulated}] [--batch BATCH] "
+        "[--executor {serial,parallel}] [--batch BATCH] "
         "[--cap EPS] [--timeline] [--slo] [--slo-budget EPS] "
         "[--slo-horizon SLO_HORIZON] [--slo-fast-window SLO_FAST_WINDOW] "
         "[--slo-slow-window SLO_SLOW_WINDOW] [--slo-fast-burn RATE] "
@@ -348,7 +345,7 @@ class TestClusterConfig:
                 "--no-auth", "--failure-rate", "0.1",
                 "--corruption-rate", "0.05", "--value-size", "48",
                 "--seed", "5", "--network", "mobile",
-                "--backend", "network", "--executor", "simulated",
+                "--backend", "network", "--executor", "parallel",
                 "--batch", "4", "--fault-coins", "per_round", "--monitor",
                 "--json", "--trace", str(tmp_path / "t.json"),
                 "--metrics", str(tmp_path / "m.json")]
@@ -359,7 +356,7 @@ class TestClusterConfig:
             "pad_size": 12, "alpha": 0.1, "authenticated": False,
             "failure_rate": 0.1, "corruption_rate": 0.05,
             "value_size": 48, "seed": 5, "network": "mobile",
-            "backend": "network", "executor": "simulated", "batch": 4,
+            "backend": "network", "executor": "parallel", "batch": 4,
             "fault_coin_mode": "per_round", "monitor": True,
             "tracer": "Tracer", "metrics_registry": "MetricsRegistry",
         })

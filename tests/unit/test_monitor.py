@@ -280,7 +280,6 @@ class TestSchemeWatch:
         assert monitors[0].trials == 16
         assert monitors[1].trials == 16
         watch.unwatch()
-        instance.close()
 
 
 class TestUnderPaddedSchemeTrips:

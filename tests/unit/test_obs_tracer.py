@@ -14,6 +14,7 @@ from repro.obs import (
 )
 from repro.obs.tracer import _NULL_SPAN
 from repro.parallel import SerialExecutor
+from repro.storage.faults import ServerFault
 
 
 class TestSpanIds:
@@ -168,31 +169,29 @@ class TestThreading:
         assert batches == ["0.0", "1.0", "2.0", "3.0"]
 
 
-class TestTracingExecutorOnResult:
-    def test_callback_sees_stamped_leg_spans(self):
+class TestTracingExecutorLegSpans:
+    def test_leg_spans_are_stamped_when_the_stage_returns(self):
         tracer = Tracer("t")
-        observed = []
 
-        def capture(result):
-            # The wrapper stamps the leg's span before forwarding, so
-            # in-flight hooks always observe finished timing.
-            span = tracer.spans()[result.index]
-            observed.append((result.index, span.wall_ms))
+        def boom():
+            raise ServerFault("injected")
 
         executor = TracingExecutor(SerialExecutor(), tracer)
         results = executor.fan_out(
-            [lambda value=value: value for value in range(3)],
-            on_result=capture,
+            [lambda: 0, boom, lambda: 2],
+            leg_labels=[{"shard": shard} for shard in range(3)],
         )
-        assert [index for index, _ in observed] == [0, 1, 2]
-        assert all(wall is not None for _, wall in observed)
-        assert [result.value for result in results] == [0, 1, 2]
+        spans = tracer.spans()
+        assert [span.labels["shard"] for span in spans] == [0, 1, 2]
+        assert [span.wall_ms for span in spans] == [
+            result.elapsed_ms for result in results
+        ]
+        assert [span.error for span in spans] == [None, "ServerFault", None]
 
-    def test_disabled_tracer_still_forwards_callback(self):
-        seen = []
+    def test_disabled_tracer_forwards_to_the_inner_executor(self):
         executor = TracingExecutor(SerialExecutor(), NullTracer())
-        executor.fan_out([lambda: "x"], on_result=seen.append)
-        assert [result.value for result in seen] == ["x"]
+        results = executor.fan_out([lambda: "x"])
+        assert [result.value for result in results] == ["x"]
 
 
 class TestNullTracer:

@@ -9,7 +9,6 @@ from repro.parallel import (
     Executor,
     ParallelExecutor,
     SerialExecutor,
-    SimulatedParallelExecutor,
     resolve_executor,
 )
 from repro.storage.faults import ServerFault
@@ -19,7 +18,7 @@ from repro.storage.server import ServerPool
 
 class TestFanOutContract:
     @pytest.mark.parametrize("executor", [
-        SerialExecutor(), ParallelExecutor(), SimulatedParallelExecutor(),
+        SerialExecutor(), ParallelExecutor(),
     ])
     def test_results_preserve_submission_order(self, executor):
         tasks = [lambda value=value: value * 2 for value in range(16)]
@@ -29,10 +28,9 @@ class TestFanOutContract:
         ]
         assert [result.index for result in results] == list(range(16))
         assert all(result.ok for result in results)
-        executor.close()
 
     @pytest.mark.parametrize("executor", [
-        SerialExecutor(), ParallelExecutor(), SimulatedParallelExecutor(),
+        SerialExecutor(), ParallelExecutor(),
     ])
     def test_faulted_task_does_not_poison_siblings(self, executor):
         def boom():
@@ -45,7 +43,6 @@ class TestFanOutContract:
         assert not results[1].ok
         with pytest.raises(ServerFault):
             results[1].unwrap()
-        executor.close()
 
     def test_per_task_timing_recorded(self):
         executor = SerialExecutor()
@@ -56,69 +53,21 @@ class TestFanOutContract:
         assert SerialExecutor().fan_out([]) == []
         assert ParallelExecutor().fan_out([]) == []
 
-    def test_parallel_executor_actually_uses_threads(self):
-        executor = ParallelExecutor(max_workers=4)
-        seen = set()
-
-        def record():
-            seen.add(threading.get_ident())
-            time.sleep(0.005)
-
-        executor.fan_out([record for _ in range(4)])
-        executor.close()
-        assert len(seen) > 1
-
-    def test_ordered_stage_runs_in_submission_order_under_threads(self):
-        executor = ParallelExecutor(max_workers=4)
-        order = []
-        executor.fan_out(
-            [lambda slot=slot: order.append(slot) for slot in range(8)],
-            ordered=True,
-        )
-        executor.close()
-        assert order == list(range(8))
-
-
-class TestOnResultCallback:
-    @pytest.mark.parametrize("executor", [
-        SerialExecutor(), ParallelExecutor(), SimulatedParallelExecutor(),
-    ])
-    def test_invoked_per_leg_in_submission_order(self, executor):
-        seen = []
-        results = executor.fan_out(
-            [lambda value=value: value * 3 for value in range(8)],
-            on_result=seen.append,
-        )
-        assert seen == results
-        assert [result.index for result in seen] == list(range(8))
-        assert [result.value for result in seen] == [
-            value * 3 for value in range(8)
-        ]
-        executor.close()
-
-    def test_callback_runs_on_the_callers_thread(self):
-        executor = ParallelExecutor(max_workers=4)
+    def test_parallel_stage_runs_in_order_and_is_priced_as_racing(self):
+        executor = ParallelExecutor(dispatch_overhead_ms=0.5)
         caller = threading.get_ident()
-        callback_threads = set()
-        executor.fan_out(
-            [lambda: time.sleep(0.002) for _ in range(4)],
-            on_result=lambda result: callback_threads.add(
-                threading.get_ident()
-            ),
-        )
-        executor.close()
-        assert callback_threads == {caller}
+        ran = []
 
-    def test_callback_sees_faulted_legs(self):
-        def boom():
-            raise ServerFault("injected")
+        def leg(slot):
+            ran.append((slot, threading.get_ident()))
+            return slot
 
-        seen = []
-        SerialExecutor().fan_out(
-            [lambda: "a", boom, lambda: "c"], on_result=seen.append
+        results = executor.fan_out(
+            [lambda slot=slot: leg(slot) for slot in range(8)]
         )
-        assert [result.ok for result in seen] == [True, False, True]
-        assert isinstance(seen[1].error, ServerFault)
+        assert ran == [(slot, caller) for slot in range(8)]
+        assert [result.value for result in results] == list(range(8))
+        assert executor.stage_cost([3.0, 5.0, 2.0]) == 5.5
 
 
 class TestStageCost:
@@ -126,16 +75,15 @@ class TestStageCost:
         assert SerialExecutor().stage_cost([3.0, 5.0, 2.0]) == 10.0
 
     def test_concurrent_is_the_max(self):
-        assert SimulatedParallelExecutor().stage_cost([3.0, 5.0, 2.0]) == 5.0
         assert ParallelExecutor().stage_cost([3.0, 5.0, 2.0]) == 5.0
 
     def test_dispatch_overhead_added_once(self):
-        executor = SimulatedParallelExecutor(dispatch_overhead_ms=0.5)
+        executor = ParallelExecutor(dispatch_overhead_ms=0.5)
         assert executor.stage_cost([3.0, 5.0]) == 5.5
 
     def test_single_leg_costs_the_leg(self):
         # One leg has nothing to overlap — no overhead, no discount.
-        assert SimulatedParallelExecutor(
+        assert ParallelExecutor(
             dispatch_overhead_ms=0.5
         ).stage_cost([4.0]) == 4.0
 
@@ -151,9 +99,10 @@ class TestResolveExecutor:
     def test_names(self):
         assert isinstance(resolve_executor("serial"), SerialExecutor)
         assert isinstance(resolve_executor("parallel"), ParallelExecutor)
-        assert isinstance(
-            resolve_executor("simulated"), SimulatedParallelExecutor
-        )
+
+    def test_simulated_is_gone(self):
+        with pytest.raises(ValueError, match="parallel, serial"):
+            resolve_executor("simulated")
 
     def test_none_is_serial(self):
         assert isinstance(resolve_executor(None), SerialExecutor)
@@ -168,7 +117,7 @@ class TestResolveExecutor:
 
     def test_subclass_counts_as_executor(self):
         class Custom(Executor):
-            def fan_out(self, tasks, *, ordered=False):
+            def fan_out(self, tasks):
                 return SerialExecutor().fan_out(tasks)
 
         custom = Custom()
@@ -249,15 +198,13 @@ class TestServerPoolRequestAll:
         assert [result.value for result in results] == [bytes(8)] * 3
         assert all(server.reads == 1 for server in pool)
 
-    def test_parallel_path_races_independent_servers(self):
+    def test_parallel_executor_reaches_every_server(self):
         pool = ServerPool(4, capacity=4, block_size=8)
         pool.load_replicas([bytes(8)] * 4)
-        executor = ParallelExecutor(max_workers=4)
         results = pool.request_all(
             lambda server: [server.read(slot) for slot in range(4)],
-            executor=executor,
+            executor=ParallelExecutor(),
         )
-        executor.close()
         assert all(result.ok for result in results)
         assert all(server.reads == 4 for server in pool)
 

@@ -157,7 +157,6 @@ class TestDiffRealRuns:
         )
         for index in range(8):
             instance.query(index)
-        instance.close()
         first = canonical_trace(tracer.export())
 
         tracer_b = Tracer("cluster")
@@ -168,7 +167,6 @@ class TestDiffRealRuns:
         )
         for index in range(9):  # one extra round: a structural change
             instance_b.query(index)
-        instance_b.close()
         second = canonical_trace(tracer_b.export())
 
         diff = diff_traces(first, second)
