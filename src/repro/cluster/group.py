@@ -19,12 +19,17 @@ Failure semantics differ by protocol, deliberately:
   never used again (fail-stop), and reads continue on the survivors.
 
 Executors and wall-clock accounting (:mod:`repro.parallel`): a group
-accepts an :class:`~repro.parallel.executor.Executor` and keeps two
-operation counters — :meth:`ShardGroup.operations` (every server
-operation, the serial cost) and :meth:`ShardGroup.wall_operations`
-(overlap-accounted op-units).  Every executor runs a stage's legs in
-submission order; a concurrent one prices the stage as racing legs (KVS
-write fan-out to ``R`` replicas, one failover read per batched item).
+accepts an :class:`~repro.parallel.executor.Executor` and is where a
+cluster counts a server operation, once.  Every leg an entry point runs
+— a serial failover read or ``query_many`` batch, or one racing leg of
+a stage (fallback reads, ``get_many`` keys, a KVS write or flush fan-out)
+— sums the group's server counters before and after it and adds the
+difference to two counters: :meth:`ShardGroup.operations` (the serial
+cost) and :meth:`ShardGroup.wall_operations` (overlap-accounted
+op-units).  The cluster above reads only those two.
+Every executor runs a stage's legs in submission order; a concurrent
+one prices the stage as racing legs (KVS write fan-out to ``R``
+replicas, one failover read per batched item).
 Failover retries are never priced as racing: a retry is causally
 dependent on the previous attempt's failure, and racing it would
 multiply the privacy charge — the executor must never change what the
@@ -33,7 +38,7 @@ ledger sees.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Any, Callable, Generic, Sequence, TypeVar
 
 from repro.api.protocols import PrivateIR, PrivateKVS, Scheme
@@ -69,10 +74,17 @@ class GroupExhaustedError(ServerFault):
 _R = TypeVar("_R", bound=Scheme)
 
 
+def _served(servers: tuple[StorageServer, ...]) -> int:
+    """Operations ``servers`` have performed: Σ(reads + writes)."""
+    return sum([server.reads + server.writes for server in servers])
+
+
 class _ReplicaGroup(Generic[_R]):
     """``R`` replicas of one shard: the replica list, rotation pointer,
     draw count, failover counters and operation counters both group
-    flavours share; they add only their failover policies on top."""
+    flavours share; they add only their failover policies on top.  The
+    servers counted are fixed at construction: a fault wrapper installed
+    later reads its counters off the server it wraps."""
 
     def __init__(
         self,
@@ -84,12 +96,14 @@ class _ReplicaGroup(Generic[_R]):
             raise ValueError("a shard group needs at least one replica")
         self.shard_id = shard_id
         self._replicas = list(replicas)
+        self._servers = self.servers()
         self._executor = executor if executor is not None else SerialExecutor()
         self._next_primary = 0
         self._failovers = 0
         self._detected_corruptions = 0
         self._faulted_reads = 0
         self._draws = 0
+        self._ops = 0
         self._wall_ops = 0.0
 
     # -- introspection -----------------------------------------------------
@@ -138,14 +152,14 @@ class _ReplicaGroup(Generic[_R]):
 
     def servers(self) -> tuple[StorageServer, ...]:
         """Every server behind every replica (dead ones included)."""
-        servers: list[StorageServer] = []
-        for replica in self._replicas:
-            servers.extend(replica.servers())
-        return tuple(servers)
+        return tuple(
+            server for replica in self._replicas for server in replica.servers()
+        )
 
     def operations(self) -> int:
-        """Total server operations across the group."""
-        return sum(replica.server_operations() for replica in self._replicas)
+        """Server operations served through the group's entry points,
+        priced serially."""
+        return self._ops
 
     def wall_operations(self) -> float:
         """Overlap-accounted op-units served through the group's entry
@@ -163,47 +177,44 @@ class _ReplicaGroup(Generic[_R]):
         """One failover read; its attempts are causally dependent (each
         retry exists only because the previous one failed), so they cost
         serial wall-clock under every executor."""
-        before = self.operations()
+        before = _served(self._servers)
         try:
             return serve(item)
         finally:
-            self._wall_ops += self.operations() - before
+            ops = _served(self._servers) - before
+            self._ops += ops
+            self._wall_ops += ops
 
-    def _racing_legs(
-        self, serve: Callable[[Any], Any], items: Sequence[Any]
-    ) -> list[TaskResult]:
-        """One failover read per item, as one overlap-accounted stage.
+    def _racing_legs(self, legs: Sequence[Callable[[], Any]]) -> list[TaskResult]:
+        """``legs`` as one overlap-accounted stage.
 
-        Distinct items are priced as racing under a concurrent executor
-        (the legs still run in order — rotation pointer, draw count and
+        Independent legs are priced as racing under a concurrent executor
+        (they still run in order — rotation pointer, draw count and
         liveness marks are shared); the stage costs its slowest leg.
         """
-        leg_ops = [0.0] * len(items)
+        leg_ops = [0.0] * len(legs)
         results = self._executor.fan_out(
-            [
-                self._timed_leg(serve, item, leg_ops, slot)
-                for slot, item in enumerate(items)
-            ]
+            [self._timed_leg(leg, leg_ops, slot) for slot, leg in enumerate(legs)]
         )
         self._wall_ops += self._executor.stage_cost(leg_ops)
         return results
 
     def _timed_leg(
-        self,
-        serve: Callable[[Any], Any],
-        item: Any,
-        leg_ops: list[float],
-        slot: int,
+        self, leg: Callable[[], Any], leg_ops: list[float], slot: int
     ) -> Callable[[], Any]:
-        """One racing leg, recording its op cost into ``leg_ops[slot]``
-        (safe: the legs run in order on the caller's thread)."""
+        """``leg``, adding the server operations it caused to
+        :meth:`operations` and to ``leg_ops[slot]`` (safe: legs run in
+        order on the caller's thread, so the group's servers moved for
+        this leg alone)."""
 
         def run() -> Any:
-            before = self.operations()
+            before = _served(self._servers)
             try:
-                return serve(item)
+                return leg()
             finally:
-                leg_ops[slot] = float(self.operations() - before)
+                ops = _served(self._servers) - before
+                self._ops += ops
+                leg_ops[slot] = float(ops)
 
         return run
 
@@ -287,25 +298,7 @@ class ShardGroup(_ReplicaGroup[PrivateIR]):
         """
         if not local_indices:
             return []
-        batch_before = self.operations()
-        start = self._rotate()
-        answers: list[bytes | None] | None = None
-        for attempt in range(self._max_attempts):
-            replica = self._replicas[(start + attempt) % len(self._replicas)]
-            self._draws += len(local_indices)
-            try:
-                answers = replica.query_many(list(local_indices))
-            except ServerFault:
-                self._faulted_reads += 1
-                self._failovers += 1
-                continue
-            break
-        self._wall_ops += self.operations() - batch_before
-        if answers is None:
-            raise GroupExhaustedError(
-                f"shard {self.shard_id}: batched read failed on every "
-                "attempt"
-            )
+        answers = self._serial_leg(self._batch_with_failover, local_indices)
         decoded: list[bytes | None] = []
         fallbacks: list[tuple[int, int]] = []
         for local_index, answer in zip(local_indices, answers):
@@ -321,12 +314,28 @@ class ShardGroup(_ReplicaGroup[PrivateIR]):
                 decoded.append(None)
         if fallbacks:
             results = self._racing_legs(
-                self._query_with_failover,
-                [local_index for _, local_index in fallbacks],
+                [
+                    partial(self._query_with_failover, local_index)
+                    for _, local_index in fallbacks
+                ]
             )
             for (position, _), result in zip(fallbacks, results):
                 decoded[position] = result.unwrap()
         return decoded
+
+    def _batch_with_failover(self, local_indices: Sequence[int]) -> list[bytes | None]:
+        start = self._rotate()
+        for attempt in range(self._max_attempts):
+            replica = self._replicas[(start + attempt) % len(self._replicas)]
+            self._draws += len(local_indices)
+            try:
+                return replica.query_many(list(local_indices))
+            except ServerFault:
+                self._faulted_reads += 1
+                self._failovers += 1
+        raise GroupExhaustedError(
+            f"shard {self.shard_id}: batched read failed on every attempt"
+        )
 
     def _decode(self, block: bytes) -> bytes:
         if self._key is None:
@@ -397,7 +406,9 @@ class KVShardGroup(_ReplicaGroup[PrivateKVS]):
         racing stage: distinct keys are independent requests."""
         if not keys:
             return []
-        results = self._racing_legs(self._get_with_failover, keys)
+        results = self._racing_legs(
+            [partial(self._get_with_failover, key) for key in keys]
+        )
         return [result.unwrap() for result in results]
 
     def put(self, key: bytes, value: bytes) -> None:
@@ -437,18 +448,9 @@ class KVShardGroup(_ReplicaGroup[PrivateKVS]):
             for position, replica in enumerate(self._replicas)
             if self._alive[position]
         ]
-        ops_before = [replica.server_operations() for _, replica in live]
-        results = self._executor.fan_out(
-            [
-                (lambda replica=replica: getattr(replica, operation)(*args))
-                for _, replica in live
-            ]
+        results = self._racing_legs(
+            [partial(getattr(replica, operation), *args) for _, replica in live]
         )
-        leg_ops = [
-            float(replica.server_operations() - before)
-            for (_, replica), before in zip(live, ops_before)
-        ]
-        self._wall_ops += self._executor.stage_cost(leg_ops)
         return [
             (position, result) for (position, _), result in zip(live, results)
         ]

@@ -367,10 +367,12 @@ class _ClusterBase(Scheme, Generic[_G]):
 
     def servers(self) -> tuple[StorageServer, ...]:
         """Every server behind every replica of every group."""
-        servers: list[StorageServer] = []
-        for group in self._groups:
-            servers.extend(group.servers())
-        return tuple(servers)
+        return tuple(server for group in self._groups for server in group.servers())
+
+    def server_operations(self) -> int:
+        """The live generation's server operations, as its groups counted
+        them at their entry points (no server is walked)."""
+        return sum([group.operations() for group in self._groups])
 
     def fault_counters(self) -> dict[str, int]:
         """Cluster-level failover totals, merged across shard groups."""
@@ -491,9 +493,12 @@ class _ClusterBase(Scheme, Generic[_G]):
     ) -> Callable[[], tuple[int, float]]:
         """Snapshot ``groups``' operation counters before a stage runs.
 
-        Calling the result closes the stage: each group's delta is one
-        leg, priced as their sum (serial) and as the executor's overlap
-        of them; returns those ``(serial, overlapped)`` op-units.
+        The counters are the ones each group keeps at its entry points
+        (see :mod:`repro.cluster.group`), where an operation is counted
+        once; no server is walked here.  Calling the result closes the
+        stage: each group's delta is one leg, priced as their sum
+        (serial) and as the executor's overlap of them; returns those
+        ``(serial, overlapped)`` op-units.
         """
         ops_before = [group.operations() for group in groups]
         wall_before = [group.wall_operations() for group in groups]

@@ -13,8 +13,10 @@ The monitor reports the empirical success rate next to the ε-implied
 ceiling ``max_success_probability(ε, δ)`` and **trips** when the
 empirical rate exceeds the ceiling by more than a one-sided Hoeffding
 confidence slack (so finite-sample noise cannot fire a false alarm).
-Schemes that claim no ε (the Section 4 strawman, plaintext baselines,
-full ORAMs) are monitored report-only against the trivial ceiling 1.0.
+The claimed ε is the one the scheme's datasheet declares, when finite
+and positive.  Schemes that claim no ε (the Section 4 strawman,
+plaintext baselines, full ORAMs) are monitored report-only against the
+trivial ceiling 1.0.
 
 Two attackers ship:
 
@@ -36,6 +38,7 @@ feed every monitor.  A re-entrancy guard keeps protocol-default
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -508,6 +511,12 @@ class SchemeWatch:
 
 
 def _claimed_epsilon(scheme: Any) -> float | None:
+    """The scheme's datasheet ε when it is finite and positive; else an
+    ``epsilon`` attribute (``linear_pir``'s 0.0), else no claim."""
+    datasheet = getattr(scheme, "datasheet", None)
+    epsilon = datasheet().epsilon if callable(datasheet) else math.nan
+    if 0.0 < epsilon < math.inf:
+        return float(epsilon)
     value = getattr(scheme, "epsilon", None)
     try:
         return float(value) if value is not None else None

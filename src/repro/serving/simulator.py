@@ -77,6 +77,10 @@ class ClientSession:
 class _CostMeter:
     """Convert a dispatch's server-operation delta into simulated time.
 
+    The delta is read off :meth:`~repro.api.protocols.Scheme.server_operations`,
+    never counted here: a single-node scheme sums its servers' counters,
+    a cluster its shard groups' (each group counts an operation once, at
+    the entry point that caused it — see :mod:`repro.cluster.group`).
     When every server already runs over a :class:`NetworkBackend`, the
     backends' own accumulated milliseconds are authoritative: one
     roundtrip per *request* — a held upload and the downloads it rides
@@ -95,18 +99,15 @@ class _CostMeter:
 
     def __init__(self, scheme: Scheme, model: NetworkModel) -> None:
         self._scheme = scheme
-        self._model = model
+        self._per_op = model.rtt_ms + model.transfer_ms(scheme.block_size)
         backends = [server.backend for server in scheme.servers()]
         network = [b for b in backends if isinstance(b, NetworkBackend)]
         self._network = network if backends and len(network) == len(backends) else None
-        self._last_ms = self._network_ms()
+        self._last_ms = sum(backend.simulated_ms for backend in network)
         self._last_ops = scheme.server_operations()
         self._last_wall = scheme.wall_operations()
-
-    def _network_ms(self) -> float:
-        if self._network is None:
-            return 0.0
-        return sum(backend.simulated_ms for backend in self._network)
+        #: Running totals of what :meth:`charge` returned.
+        self.operations, self.wall_ms, self.serial_ms = 0, 0.0, 0.0
 
     def charge(self) -> tuple[int, float, float]:
         """``(operations, service_ms, serial_ms)`` since the last charge.
@@ -123,7 +124,7 @@ class _CostMeter:
         wall_delta = wall - self._last_wall
         self._last_wall = wall
         if self._network is not None:
-            now_ms = self._network_ms()
+            now_ms = sum(backend.simulated_ms for backend in self._network)
             serial_ms = now_ms - self._last_ms
             self._last_ms = now_ms
             # The backends accumulate serially; scale by the scheme's
@@ -131,11 +132,11 @@ class _CostMeter:
             scale = (wall_delta / ops_delta) if ops_delta > 0 else 1.0
             service_ms = serial_ms * scale
         else:
-            per_op = self._model.rtt_ms + self._model.transfer_ms(
-                self._scheme.block_size
-            )
-            serial_ms = ops_delta * per_op
-            service_ms = wall_delta * per_op
+            serial_ms = ops_delta * self._per_op
+            service_ms = wall_delta * self._per_op
+        self.operations += ops_delta
+        self.wall_ms += service_ms
+        self.serial_ms += serial_ms
         return ops_delta, service_ms, serial_ms
 
 
@@ -159,7 +160,8 @@ def _execute_batch(scheme: Scheme, batch: list[Request]) -> None:
             request.errored = answer is None
         return
     if isinstance(scheme, PrivateRAM):
-        for kind, run in _runs(batch, lambda r: r.operation.kind):
+        for kind, group in itertools.groupby(batch, lambda r: r.operation.kind):
+            run = list(group)
             if kind is OpKind.READ:
                 scheme.read_many([r.operation.index for r in run])
             else:
@@ -168,7 +170,8 @@ def _execute_batch(scheme: Scheme, batch: list[Request]) -> None:
                 )
         return
     if isinstance(scheme, PrivateKVS):
-        for kind, run in _runs(batch, lambda r: r.operation.kind):
+        for kind, group in itertools.groupby(batch, lambda r: r.operation.kind):
+            run = list(group)
             if kind is KVOpKind.GET:
                 scheme.get_many([r.operation.key for r in run])
             else:
@@ -178,17 +181,6 @@ def _execute_batch(scheme: Scheme, batch: list[Request]) -> None:
     raise TypeError(
         f"{type(scheme).__name__} implements no servable protocol"
     )
-
-
-def _runs(batch: list[Request], key) -> list[tuple[object, list[Request]]]:
-    grouped: list[tuple[object, list[Request]]] = []
-    for request in batch:
-        kind = key(request)
-        if grouped and grouped[-1][0] is kind:
-            grouped[-1][1].append(request)
-        else:
-            grouped.append((kind, [request]))
-    return grouped
 
 
 class ServingSimulator:
@@ -237,47 +229,53 @@ class ServingSimulator:
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._registry = registry
         if registry is not None:
-            self._admitted = registry.counter(
-                "repro_serve_admitted_total", "Requests admitted to the queue"
+            self._admitted, self._completed, self._errored, self._shed = (
+                registry.counter(name, text) for name, text in (
+                    ("repro_serve_admitted_total", "Requests admitted to the queue"),
+                    ("repro_serve_completed_total", "Requests completed"),
+                    ("repro_serve_errors_total", "Requests completed with errors"),
+                    ("repro_serve_shed_total",
+                     "Requests refused by admission control"),
+                )
             )
-            self._completed = registry.counter(
-                "repro_serve_completed_total", "Requests completed"
-            )
-            self._errored = registry.counter(
-                "repro_serve_errors_total", "Requests completed with errors"
-            )
-            self._shed = registry.counter(
-                "repro_serve_shed_total",
-                "Requests refused by admission control",
-            )
-        else:
-            self._admitted = self._completed = self._errored = None
-            self._shed = None
 
     def run(self) -> ServingReport:
-        """Simulate to completion and return the report."""
+        """Simulate to completion and return the report.
+
+        Per-session state sits in lists indexed by ``session_index``; the
+        scheduler's methods are bound once and called on every event."""
+        sessions = self._sessions
+        operations = [session.operations for session in sessions]
+        plans = [session.plan for session in sessions]
+        reports = [TenantReport(tenant=session.tenant) for session in sessions]
+        latencies: list[list[float]] = [[] for _ in sessions]
         heap: list[tuple[float, int, int, object]] = []
-        ticket = itertools.count()
+        ticket = itertools.count().__next__
+        push = heapq.heappush
+        pop = heapq.heappop
 
-        def push(time_ms: float, kind: int, payload: object) -> None:
-            heapq.heappush(heap, (time_ms, next(ticket), kind, payload))
+        def arrive(session_index: int, arrival: tuple[int, float]) -> None:
+            op_index, time_ms = arrival
+            if op_index < len(operations[session_index]):
+                push(heap, (time_ms, ticket(), _ARRIVE,
+                            (session_index, op_index)))
 
-        for session_index, session in enumerate(self._sessions):
-            plan_arrivals = session.plan.initial_arrivals()
-            for op_index, time_ms in plan_arrivals:
-                if op_index < len(session.operations):
-                    push(time_ms, _ARRIVE, (session_index, op_index))
+        for session_index, plan in enumerate(plans):
+            for arrival in plan.initial_arrivals():
+                arrive(session_index, arrival)
 
-        meter = _CostMeter(self._scheme, self._model)
+        scheme = self._scheme
+        meter = _CostMeter(scheme, self._model)
+        charge = meter.charge
         scheduler = self._scheduler
+        pending = scheduler.pending
+        try_admit = scheduler.try_admit
+        enqueue = scheduler.enqueue
+        next_batch = scheduler.next_batch
+        notify_complete = scheduler.notify_complete
+        span = self._tracer.span
+        counting = self._registry is not None
         requests: list[Request] = []
-        tenant_reports = {
-            session.tenant: TenantReport(tenant=session.tenant)
-            for session in self._sessions
-        }
-        tenant_latencies: dict[str, list[float]] = {
-            session.tenant: [] for session in self._sessions
-        }
 
         depth = max(1, getattr(scheduler, "pipeline_depth", 1))
         in_flight = 0
@@ -288,94 +286,86 @@ class ServingSimulator:
         max_depth = 0
         dispatches = 0
         last_dispatched: list[Request] = []
-        total_ops = 0
-        total_wall_ms = 0.0
-        total_serial_ms = 0.0
         makespan_ms = 0.0
 
         while heap:
-            now_ms, _, kind, payload = heapq.heappop(heap)
-            depth_area += scheduler.pending() * (now_ms - last_ms)
+            now_ms, _, kind, payload = pop(heap)
+            depth_area += pending() * (now_ms - last_ms)
             last_ms = now_ms
 
             if kind == _ARRIVE:
                 session_index, op_index = payload
-                session = self._sessions[session_index]
+                report = reports[session_index]
                 request = Request(
-                    tenant=session.tenant,
-                    operation=session.operations[op_index],
-                    arrival_ms=now_ms,
-                    sequence=len(requests),
-                    session_index=session_index,
-                    op_index=op_index,
+                    report.tenant, operations[session_index][op_index],
+                    now_ms, len(requests), session_index, op_index,
                 )
                 requests.append(request)
-                tenant_reports[session.tenant].requests += 1
-                if not scheduler.try_admit(request, now_ms):
+                report.requests += 1
+                if not try_admit(request, now_ms):
                     # Shed: admission control refused the request.  It
                     # never queues; the session's plan still advances so
                     # a closed loop is not deadlocked by a refusal.
                     request.shed = True
                     shed_total += 1
-                    tenant_reports[session.tenant].shed += 1
-                    if self._shed is not None:
-                        self._shed.inc(tenant=session.tenant)
-                    with self._tracer.span(
-                        "serve.shed", tenant=session.tenant
-                    ) as shed_span:
+                    report.shed += 1
+                    if counting:
+                        self._shed.inc(tenant=report.tenant)
+                    with span("serve.shed", tenant=report.tenant) as shed_span:
                         shed_span.set_sim(now_ms, now_ms)
-                    follow = session.plan.after_completion(op_index, now_ms)
+                    follow = plans[session_index].after_completion(
+                        op_index, now_ms
+                    )
                     if follow is not None:
-                        next_index, at_ms = follow
-                        if next_index < len(session.operations):
-                            push(at_ms, _ARRIVE, (session_index, next_index))
+                        arrive(session_index, follow)
                 else:
-                    if self._admitted is not None:
-                        self._admitted.inc(tenant=session.tenant)
-                    wake_ms = scheduler.enqueue(request, now_ms)
-                    max_depth = max(max_depth, scheduler.pending())
+                    if counting:
+                        self._admitted.inc(tenant=report.tenant)
+                    wake_ms = enqueue(request, now_ms)
+                    queued = pending()
+                    if queued > max_depth:
+                        max_depth = queued
                     if wake_ms is not None:
-                        push(wake_ms, _WAKE, None)
+                        push(heap, (wake_ms, ticket(), _WAKE, None))
             elif kind == _COMPLETE:
                 in_flight -= 1
                 batch: list[Request] = payload
-                scheduler.notify_complete(batch, now_ms)
+                notify_complete(batch, now_ms)
+                makespan_ms = max(makespan_ms, now_ms)
                 for request in batch:
                     request.completed_ms = now_ms
-                    makespan_ms = max(makespan_ms, now_ms)
-                    report = tenant_reports[request.tenant]
+                    session_index = request.session_index
+                    report = reports[session_index]
                     report.completed += 1
-                    if self._completed is not None:
+                    if counting:
                         self._completed.inc(tenant=request.tenant)
                     if request.errored:
                         report.errors += 1
-                        if self._errored is not None:
+                        if counting:
                             self._errored.inc(tenant=request.tenant)
-                    tenant_latencies[request.tenant].append(request.latency_ms)
-                    session = self._sessions[request.session_index]
-                    follow = session.plan.after_completion(
+                    latencies[session_index].append(
+                        now_ms - request.arrival_ms
+                    )
+                    follow = plans[session_index].after_completion(
                         request.op_index, now_ms
                     )
                     if follow is not None:
-                        next_index, at_ms = follow
-                        if next_index < len(session.operations):
-                            push(at_ms, _ARRIVE,
-                                 (request.session_index, next_index))
+                        arrive(session_index, follow)
             # _WAKE carries no payload; it only forces a dispatch check.
 
             while in_flight < depth:
-                batch = scheduler.next_batch(now_ms)
+                batch = next_batch(now_ms)
                 if not batch:
                     break
                 queue_wait = 0.0
                 for request in batch:
                     request.dispatched_ms = now_ms
                     queue_wait += now_ms - request.arrival_ms
-                with self._tracer.span(
+                with span(
                     "serve.round", round=dispatches, batch=len(batch)
                 ) as round_span:
-                    _execute_batch(self._scheme, batch)
-                ops_delta, service_ms, serial_ms = meter.charge()
+                    _execute_batch(scheme, batch)
+                ops_delta, service_ms, serial_ms = charge()
                 # Annotate after the executor legs ran so the span
                 # carries the dispatch's simulated occupancy window.
                 round_span.set_sim(now_ms, now_ms + service_ms)
@@ -386,61 +376,53 @@ class ServingSimulator:
                     inflight=in_flight + 1,
                 )
                 dispatches += 1
-                total_ops += ops_delta
-                total_wall_ms += service_ms
-                total_serial_ms += serial_ms
                 share = ops_delta / len(batch)
                 for request in batch:
-                    tenant_reports[request.tenant].server_ops += share
+                    reports[request.session_index].server_ops += share
                 last_dispatched = batch
-                push(now_ms + service_ms, _COMPLETE, batch)
+                push(heap, (now_ms + service_ms, ticket(), _COMPLETE, batch))
                 in_flight += 1
                 peak_in_flight = max(peak_in_flight, in_flight)
 
         # The run is over: an upload the scheme held for a next request
         # that is not coming goes now.  It is no request's latency, but
         # it is work the servers did — for the last dispatch group.
-        self._scheme.flush()
-        ops_delta, service_ms, serial_ms = meter.charge()
-        total_ops += ops_delta
-        total_wall_ms += service_ms
-        total_serial_ms += serial_ms
+        scheme.flush()
+        ops_delta = charge()[0]
         if last_dispatched:
             share = ops_delta / len(last_dispatched)
             for request in last_dispatched:
-                tenant_reports[request.tenant].server_ops += share
+                reports[request.session_index].server_ops += share
 
-        for tenant, latencies in tenant_latencies.items():
-            report = tenant_reports[tenant]
-            if latencies:
-                report.mean_latency_ms = sum(latencies) / len(latencies)
-                report.max_latency_ms = max(latencies)
+        for report, values in zip(reports, latencies):
+            if values:
+                report.mean_latency_ms = sum(values) / len(values)
+                report.max_latency_ms = max(values)
 
         completed = [r for r in requests if r.completed_ms is not None]
-        duration_ms = makespan_ms
         return ServingReport(
-            scheme=type(self._scheme).__name__,
+            scheme=type(scheme).__name__,
             scheduler=scheduler.name,
             network=self._network_label,
-            clients=len(self._sessions),
+            clients=len(sessions),
             requests=len(requests),
             completed=len(completed),
             errors=sum(1 for r in completed if r.errored),
-            duration_ms=duration_ms,
+            duration_ms=makespan_ms,
             latency=LatencySummary.from_values(
                 [r.latency_ms for r in completed]
             ),
             queue_latency=LatencySummary.from_values(
                 [r.queue_ms for r in completed]
             ),
-            mean_queue_depth=(depth_area / duration_ms) if duration_ms > 0 else 0.0,
+            mean_queue_depth=(depth_area / makespan_ms) if makespan_ms > 0 else 0.0,
             max_queue_depth=max_depth,
             shed=shed_total,
             max_in_flight=peak_in_flight if dispatches else 0,
             dispatches=dispatches,
-            server_operations=total_ops,
-            tenants=[tenant_reports[s.tenant] for s in self._sessions],
-            faults=scheme_fault_counters(self._scheme),
-            serial_ms=total_serial_ms,
-            wall_clock_ms=total_wall_ms,
+            server_operations=meter.operations,
+            tenants=reports,
+            faults=scheme_fault_counters(scheme),
+            serial_ms=meter.serial_ms,
+            wall_clock_ms=meter.wall_ms,
         )

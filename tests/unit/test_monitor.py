@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import repro
 from repro import DPIR, SeededRandomSource
 from repro.analysis.attacks import (
     distinguishing_guess,
@@ -264,6 +265,19 @@ class TestSchemeWatch:
         monitors = default_monitors(scheme, rng=SeededRandomSource(5))
         assert len(monitors) == 1
         assert monitors[0].epsilon == pytest.approx(scheme.epsilon)
+        # Every registered scheme: the sheet's ε when finite and positive
+        # (DP-RAM and DP-KVS declare theirs only there); linear PIR keeps
+        # its 0.0, and the perfect ORAMs and ∞ baselines stay report-only.
+        for name in repro.available_schemes():
+            scheme = repro.build(name, n=64, seed=0)
+            epsilon = scheme.datasheet().epsilon
+            membership = default_monitors(scheme)[0]
+            if 0.0 < epsilon < math.inf:
+                assert membership.epsilon == epsilon, name
+            elif name == "linear_pir":
+                assert membership.epsilon == 0.0
+            else:
+                assert membership.epsilon is None, name
 
     def test_cluster_gets_membership_and_routing(self):
         rng = SeededRandomSource(31)

@@ -167,8 +167,8 @@ class _StubKVSReplica:
             raise self._error
         self.puts += 1
 
-    def server_operations(self):
-        return self.puts
+    def servers(self):
+        return ()
 
 
 class TestKVWriteFanOutErrorHandling:
