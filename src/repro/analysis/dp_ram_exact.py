@@ -36,8 +36,10 @@ def sample_transcript_pairs(
 
     Simulates only the index dynamics (stash indicators and uniform
     draws), not the block contents — it is distribution-identical to
-    running :class:`repro.core.dp_ram.DPRAM` and reading
-    ``transcript_pairs``, but orders of magnitude faster for audits.
+    running :class:`repro.core.dp_ram.DPRAM` and reading the pairs off
+    its server's transcript
+    (:meth:`~repro.storage.transcript.Transcript.dp_ram_pairs`), but
+    orders of magnitude faster for audits.
     """
     _check(n, p, queries)
     in_stash: dict[int, bool] = {}

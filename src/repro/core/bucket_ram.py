@@ -206,7 +206,7 @@ class BucketDPRAM(PrivateRAM):
         self._note_peak()
 
         self._queries = 0
-        self._downloads = array("q")  # the (d_j, o_j) history, as in DPRAM
+        self._downloads = array("q")  # the (d_j, o_j) history
         self._overwrites = array("q")
 
     # -- accounting ----------------------------------------------------------
@@ -287,10 +287,13 @@ class BucketDPRAM(PrivateRAM):
     def transcript_pairs(self) -> list[tuple[int, int]]:
         """Bucket-granular ``(d_j, o_j)`` pairs — the adversary view.
 
-        As in :class:`~repro.core.dp_ram.DPRAM`, the history is two
-        ``array("q")`` columns that grow by 16 B a query and are never
-        trimmed: client state counted neither in :attr:`client_blocks`
-        nor in the datasheet's ``client_blocks``.
+        The history is two ``array("q")`` columns that grow by 16 B a
+        query and are never trimmed: client state counted neither in
+        :attr:`client_blocks` nor in the datasheet's ``client_blocks``.
+        :class:`~repro.core.dp_ram.DPRAM` keeps none — its pairs are read
+        off the server's transcript — but a bucket pair cannot be: when
+        a batch's buckets share tree nodes, the node-level transcript no
+        longer says which bucket a node was fetched for.
         """
         return list(zip(self._downloads, self._overwrites))
 

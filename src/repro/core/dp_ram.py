@@ -8,7 +8,8 @@ A query for record ``i`` has two phases:
 
 * **Download phase** — if ``B_i`` is stashed, download a uniformly random
   slot (and discard it), answering from the stash; otherwise download
-  ``A[i]``.
+  ``A[i]``.  A write fetches that download and does not decrypt it: the
+  new value replaces whatever it holds.
 * **Overwrite phase** — with probability ``p`` the current version of
   ``B_i`` re-enters the stash and a uniformly random *other* slot is
   downloaded, re-encrypted with fresh randomness and uploaded (a cover
@@ -18,6 +19,9 @@ A query for record ``i`` has two phases:
 Every query therefore moves at most three blocks (two downloads and one
 upload) regardless of ``n`` — the O(1) overhead of Theorem 6.1 — and the
 transcript per query is the pair ``(d_j, o_j)`` the privacy proof analyzes.
+The client keeps no record of it: the pairs are the server's view, read
+off an attached :class:`~repro.storage.transcript.Transcript`
+(:meth:`~repro.storage.transcript.Transcript.dp_ram_pairs`).
 Correctness is perfect: the stash entry, when present, is always the
 current version, and otherwise the server ciphertext is.
 
@@ -49,7 +53,6 @@ an identity cipher, holding nothing.
 
 from __future__ import annotations
 
-from array import array
 from typing import Callable, Sequence
 
 from repro.analysis.datasheet import PrivacyDatasheet
@@ -129,9 +132,6 @@ class DPRAM(PrivateRAM):
                 self._stash.put(index, bytes(block))
 
         self._queries = 0
-        # The (d_j, o_j) history as two int64 columns: 16 B a query, forever.
-        self._downloads = array("q")
-        self._overwrites = array("q")
 
     def _new_key(self, key: SecretKey | None) -> SecretKey | None:
         """The given key, or a fresh one from the scheme's coins."""
@@ -199,17 +199,6 @@ class DPRAM(PrivateRAM):
         """Number of queries issued so far."""
         return self._queries
 
-    @property
-    def transcript_pairs(self) -> list[tuple[int, int]]:
-        """The ``(d_j, o_j)`` pair per query — the adversary view.
-
-        The history behind it is two ``array("q")`` columns that grow by
-        16 B a query and are never trimmed: client state counted neither
-        in :attr:`client_peak_blocks` nor in the datasheet's
-        ``client_blocks``, so a long run holds it all.
-        """
-        return list(zip(self._downloads, self._overwrites))
-
     def datasheet(self) -> PrivacyDatasheet:
         """Theorem 6.1's ε bound for ``p``, errorless, one request a query.
 
@@ -259,28 +248,25 @@ class DPRAM(PrivateRAM):
             [download_slot] if download_slot == overwrite_slot
             else [download_slot, overwrite_slot],
         )
-        downloaded, overwritten = fetched[0], fetched[-1]
 
-        # Commit.  Download phase.
+        # Commit.  Download phase: only a read opens the record's download;
+        # a write's was fetched for the server's view and is replaced.
         if stashed:
             current = self._stash.pop(index)  # cover download discarded
-        else:
-            current = self._decrypt(self._key, downloaded)
+        elif new_value is None:
+            current = self._decrypt(self._key, fetched[0])
         if new_value is not None:
             current = new_value
 
         # Overwrite phase.
         if restash:
             self._stash.put(index, current)
-            upload = self._decrypt(self._key, overwritten)
+            upload = self._decrypt(self._key, fetched[-1])
         else:
             # The overwrite download was discarded; upload a fresh
             # ciphertext of the current version.
             upload = current
         self._hold(overwrite_slot, upload)
-
-        self._downloads.append(download_slot)
-        self._overwrites.append(overwrite_slot)
         self._queries += 1
         return current
 

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from dp_ram_view import seen_pairs, watch
 
 from repro.baselines.linear_pir import LinearScanPIR
 from repro.baselines.oram_kvs import ORAMKeyValueStore
@@ -42,12 +43,13 @@ class TestRamSchemesAcrossWorkloads:
     ])
     def test_dpram_correct_on_all_workloads(self, rng, database, make_trace):
         scheme = DPRAM(database, rng=rng.spawn("scheme"))
+        log = watch(scheme)
         trace = make_trace(rng.spawn("trace"))
         metrics = run_ram_trace(scheme, trace, initial=database)
         assert metrics.mismatches == 0
         # Whatever the workload: three blocks a query, less one where
         # d_j = o_j went over the wire as a single slot.
-        pairs = scheme.transcript_pairs
+        pairs = seen_pairs(log, scheme)
         shared = sum(download == overwrite for download, overwrite in pairs)
         assert metrics.blocks_per_operation == 3.0 - shared / len(pairs)
         assert 2.0 <= metrics.blocks_per_operation <= 3.0

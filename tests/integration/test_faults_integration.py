@@ -8,6 +8,7 @@ encryption, fault wrappers) behaves as designed end to end.
 import random
 
 import pytest
+from dp_ram_view import seen_pairs, watch
 
 import repro
 from repro.api.protocols import PrivateKVS
@@ -147,17 +148,21 @@ _CLIENT_STATE = {
         store.size, store.operation_count,
     ),
     "dp_ram": lambda ram: (
-        dict(ram._stash.items()), ram._link.held, ram.transcript_pairs,
-        ram.query_count, ram.client_peak_blocks,
+        dict(ram._stash.items()), ram._link.held, ram.query_count,
+        ram.client_peak_blocks,
     ),
     "read_only_dp_ram": lambda ram: (
-        dict(ram._stash.items()), ram.transcript_pairs, ram.query_count,
+        dict(ram._stash.items()), ram.query_count,
     ),
     "bucket_dp_ram": _bucket_client,
     "dp_kvs": lambda store: _bucket_client(store._ram) + (
         dict(store._super_root.items()), store.size, store.operation_count,
     ),
 }
+
+# A DP-RAM client keeps no (d_j, o_j) history: the server's views of the
+# scheme and of its twin are compared instead, less the requests that raised.
+_SERVER_VIEW = {"dp_ram", "read_only_dp_ram"}
 
 _COINS = {
     "path_oram": lambda oram: [oram._rng],
@@ -212,6 +217,16 @@ class TestFaultedRoundsLoseNothing:
         # out; the twin's coin streams are moved up to the same point.
         twin = _build(name, seed) if name in _COINS else None
         twin_read, twin_write = _calls(twin) if twin else (None, None)
+        views = (watch(scheme), watch(twin)) if name in _SERVER_VIEW else ()
+        faulted = []  # the log positions of each request that raised
+
+        def assert_same_client():
+            assert _CLIENT_STATE[name](scheme) == _CLIENT_STATE[name](twin)
+            if views:
+                assert seen_pairs(views[0], scheme, faulted) == (
+                    seen_pairs(views[1], twin)
+                )
+
         is_kvs = isinstance(scheme, PrivateKVS)
         model = {} if is_kvs else dict(enumerate(integer_database(N, 8)))
         plan = random.Random(seed)
@@ -229,10 +244,13 @@ class TestFaultedRoundsLoseNothing:
             _switch(flaky, True)
             for _ in range(24):
                 index = plan.randrange(N)
+                mark = len(views[0]) if views else 0
                 try:
                     answer = read(index)
                 except ServerFault:
                     faults += 1
+                    if views:
+                        faulted.append(range(mark, len(views[0])))
                     if twin:
                         for ours, theirs in zip(
                             _COINS[name](scheme), _COINS[name](twin)
@@ -243,9 +261,7 @@ class TestFaultedRoundsLoseNothing:
                     if twin:
                         assert twin_read(index) == answer
                 if twin:
-                    assert _CLIENT_STATE[name](scheme) == (
-                        _CLIENT_STATE[name](twin)
-                    )
+                    assert_same_client()
             _switch(flaky, False)
         # Faults are off: every record is the last one written.
         for index in range(N):
@@ -253,11 +269,12 @@ class TestFaultedRoundsLoseNothing:
             if twin:
                 assert twin_read(index) == model.get(index)
         if twin:
-            assert _CLIENT_STATE[name](scheme) == _CLIENT_STATE[name](twin)
+            assert_same_client()
             for ours, theirs in zip(_COINS[name](scheme), _COINS[name](twin)):
                 assert ours.random() == theirs.random()
             scheme.flush()
             twin.flush()
+            assert_same_client()
             assert [s.peek(i) for s in scheme.servers()
                     for i in range(s.capacity)] == [
                 s.peek(i) for s in twin.servers() for i in range(s.capacity)

@@ -9,6 +9,7 @@ sampled behaviour must match the formulas the paper proves.
 import math
 
 import pytest
+from dp_ram_view import seen_pairs, watch
 
 from repro.analysis.dp_ir_exact import (
     dpir_membership_probabilities,
@@ -121,10 +122,11 @@ class TestDpramAudit:
         for trial in range(60):
             ram = DPRAM(integer_database(n), stash_probability=p,
                         rng=rng.spawn(f"r{trial}"))
+            log = watch(ram)
             for q in queries_a:
                 ram.read(q)
             ratio = transcript_log_ratio(
-                queries_a, queries_b, ram.transcript_pairs, n, p
+                queries_a, queries_b, seen_pairs(log, ram), n, p
             )
             assert abs(ratio) <= budget
 

@@ -11,6 +11,7 @@ import time
 import tracemalloc
 
 import pytest
+from dp_ram_view import seen_pairs, watch
 
 from repro.core.dp_ir import DPIR
 from repro.core.dp_kvs import DPKVS
@@ -44,23 +45,26 @@ class TestDPRAMScale:
 
     def test_bandwidth_flat_at_scale(self, rng):
         ram = DPRAM(integer_database(N), rng=rng.spawn("ram"))
+        log = watch(ram)
         before = ram.server.operations
         for _ in range(100):
             ram.read(rng.randbelow(N))
         ram.flush()  # the hundredth upload
         # Three blocks a query at most, two when d_j = o_j — which at this
         # n (p = Φ(n)/n is small) is nearly every query.
-        shared = sum(d == o for d, o in ram.transcript_pairs)
+        shared = sum(d == o for d, o in seen_pairs(log, ram))
         assert ram.server.operations - before == 300 - shared
         assert shared >= 90
 
 
 class TestQueryHistoryMemory:
-    def test_dp_ram_history_is_two_machine_words_a_query(self, rng):
-        # A served scheme keeps (d_j, o_j) of every query it ever answered:
-        # two int64 columns, 16 B a query plus the arrays' growth slack,
-        # where a list of tuples held 67.  Traced from before the build, so
-        # a rewritten server slot frees what it replaces.
+    def test_dp_ram_keeps_no_query_history(self, rng):
+        # A served scheme kept (d_j, o_j) of every query it ever answered,
+        # as two int64 columns: 16 B a query, never trimmed.  The pairs are
+        # the server's view, and the client now keeps none: what a query
+        # leaves behind is the stash moving by a record, well under a byte
+        # a query over the run.  Traced from before the build, so a
+        # rewritten server slot frees what it replaces.
         tracemalloc.start()
         try:
             ram = DPRAM(integer_database(1024), rng=rng.spawn("ram"))
@@ -71,8 +75,8 @@ class TestQueryHistoryMemory:
             after, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(ram.transcript_pairs) == 20_000
-        assert (after - before) / 20_000 <= 24
+        assert ram.query_count == 20_000
+        assert (after - before) / 20_000 <= 1
 
 
 class TestDPIRScale:

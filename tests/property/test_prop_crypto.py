@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pytest
+from dp_ram_view import seen_pairs, watch
 
 from repro.crypto import encryption
 from repro.crypto.encryption import (
@@ -532,6 +533,7 @@ class TestDPRAMOnBulkCryptoAndSlab:
                 rng=SeededRandomSource(seed),
                 backend_factory=backend_factory,
             )
+            log = watch(scheme)
             answers = [
                 scheme.write(index, bytes(scheme.block_size))
                 if write else scheme.read(index)
@@ -539,7 +541,7 @@ class TestDPRAMOnBulkCryptoAndSlab:
             ]
             witnesses.append({
                 "answers": answers,
-                "pairs": scheme.transcript_pairs,
+                "pairs": seen_pairs(log, scheme),
                 "reads": scheme.server.reads,
                 "writes": scheme.server.writes,
                 "epsilon": scheme.params.epsilon_bound,

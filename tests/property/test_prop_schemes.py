@@ -13,6 +13,7 @@ from typing import Mapping
 from unittest import mock
 
 import pytest
+from dp_ram_view import record_plans, seen_pairs, watch
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -67,6 +68,7 @@ class TestDPRAMModel:
         # d_j, o_j and the upload of o_j, and no slot twice in one round.
         ram = DPRAM(integer_database(N), stash_probability=p,
                     rng=SeededRandomSource(seed))
+        log = watch(ram)
         for kind, index, payload in ops:
             before = ram.server.operations
             if kind == "read":
@@ -74,7 +76,7 @@ class TestDPRAMModel:
             else:
                 ram.write(index, encode_int(payload))
             ram.flush()  # the query's own upload, sent on its own
-            download, overwrite = ram.transcript_pairs[-1]
+            download, overwrite = seen_pairs(log, ram)[-1]
             assert ram.server.operations - before == 3 - (download == overwrite)
 
 
@@ -82,9 +84,10 @@ class _PaperRoundDPRAM(DPRAM):
     """Algorithm 3 with the download round ``DPRAM`` shipped before the
     dedupe: ``[d_j, o_j]`` as drawn, the same slot twice when they meet.
 
-    Kept verbatim as the oracle.  ``DPRAM`` must reproduce its every
-    answer, coin, stash entry and stored byte, and show the server
-    exactly φ (``dedupe_rounds`` in ``conftest.py``) of what this shows.
+    Kept verbatim as the oracle, less the ``(d_j, o_j)`` history the
+    client no longer keeps.  ``DPRAM`` must reproduce its every answer,
+    coin, stash entry and stored byte, and show the server exactly φ
+    (``dedupe_rounds`` in ``conftest.py``) of what this shows.
     """
 
     def _query(self, index, new_value):
@@ -121,14 +124,13 @@ class _PaperRoundDPRAM(DPRAM):
                 overwrite_slot, self._encrypt(self._key, current, self._rng)
             )
 
-        self._downloads.append(download_slot)
-        self._overwrites.append(overwrite_slot)
         self._queries += 1
         return current
 
 
 class _PaperRoundReadOnlyDPRAM(ReadOnlyDPRAM):
-    """``ReadOnlyDPRAM.read`` as shipped before the dedupe, verbatim."""
+    """``ReadOnlyDPRAM.read`` as shipped before the dedupe, verbatim but
+    for the ``(d_j, o_j)`` history the client no longer keeps."""
 
     def read(self, index):
         n = self._params.n
@@ -148,8 +150,6 @@ class _PaperRoundReadOnlyDPRAM(ReadOnlyDPRAM):
         if restash:
             self._stash.put(index, current)
 
-        self._downloads.append(download_slot)
-        self._overwrites.append(overwrite_slot)
         self._queries += 1
         return current
 
@@ -173,9 +173,8 @@ class TestDPRAMRoundDedupeIdentity:
                   rng=SeededRandomSource(seed))
             for build in (deduped, paper)
         ]
-        transcripts = [Transcript(), Transcript()]
-        for scheme, transcript in zip(rams, transcripts):
-            scheme.attach_transcript(transcript)
+        transcripts = [watch(scheme) for scheme in rams]
+        planned = record_plans(ram)
         plan = random.Random(seed)
         shared = 0
         for step in range(300):
@@ -187,9 +186,8 @@ class TestDPRAMRoundDedupeIdentity:
             else:
                 assert ram.read(index) == oracle.read(index)
             ram.flush()  # the oracle uploads inside the query
-            assert ram.transcript_pairs == oracle.transcript_pairs
             assert dict(ram._stash.items()) == dict(oracle._stash.items())
-            download, overwrite = ram.transcript_pairs[-1]
+            download, overwrite = planned[-1]
             moved = ram.server.operations - before
             assert moved == worst_case - (download == overwrite) <= worst_case
             shared += download == overwrite
@@ -198,9 +196,12 @@ class TestDPRAMRoundDedupeIdentity:
         assert ram.stash_peak == oracle.stash_peak
         assert transcripts[0].signature() == phi(transcripts[1].signature())
         assert len(transcripts[1]) - len(transcripts[0]) == shared
+        # Both servers saw the pairs the client planned.
+        assert seen_pairs(transcripts[1], oracle) == planned
+        assert seen_pairs(transcripts[0], ram) == planned
         if ram.writable:
             # φ is injective for DP-RAM: (d_j, o_j) is still on the wire.
-            assert transcripts[0].dp_ram_pairs() == ram.transcript_pairs
+            assert transcripts[0].dp_ram_pairs() == planned
         assert ram._rng.random() == oracle._rng.random()
 
 
@@ -251,6 +252,13 @@ def _pairs(scheme):
     return (scheme.transcript_pairs,)
 
 
+def _seen_pairs(ram):
+    """The ``(d_j, o_j)`` a DP-RAM's server saw.  The client keeps no
+    record of them now; its pin was written when it did, and hashes that
+    record, which equals this view once the run is flushed."""
+    return seen_pairs(ram.server._transcript, ram)
+
+
 # name -> (build(setting, **collaborators), one seeded operation, settings,
 # the client's own record of the run); a setting is the stash probability,
 # for DP-KVS the Φ it follows from, for the ORAMs Z, χ or the capacity.
@@ -261,7 +269,7 @@ _HELD_UPLOAD_SCHEMES = {
         ),
         _dp_ram_step,
         [0.02, 0.3, 1.0],
-        _pairs,
+        lambda ram: (_seen_pairs(ram),),
     ),
     "read_only_dp_ram": (
         lambda p, **kwargs: ReadOnlyDPRAM(
@@ -270,7 +278,7 @@ _HELD_UPLOAD_SCHEMES = {
         _read_only_step,
         [0.02, 0.3, 1.0],
         lambda ram: (
-            ram.transcript_pairs, sorted(ram._stash.items()),
+            _seen_pairs(ram), sorted(ram._stash.items()),
             ram.client_peak_blocks,
         ),
     ),

@@ -1,8 +1,11 @@
 """Tests for repro.core.dp_ram (Algorithms 2-3)."""
 
 import math
+import random
+from collections import Counter
 
 import pytest
+from dp_ram_view import record_plans, seen_pairs, watch
 
 from repro.core.dp_ram import DPRAM, ReadOnlyDPRAM
 from repro.crypto.encryption import generate_key
@@ -127,10 +130,11 @@ class TestNonIntegerIndex:
     @pytest.mark.parametrize("scheme_type", [DPRAM, ReadOnlyDPRAM])
     def test_integer_types_still_read(self, scheme_type):
         ram, twin = self._build(scheme_type), self._build(scheme_type)
+        logs = watch(ram), watch(twin)
         numpy = pytest.importorskip("numpy")
         for index in (True, numpy.int64(3), numpy.uint8(0)):
             assert ram.read(index) == twin.read(int(index))
-        assert ram.transcript_pairs == twin.transcript_pairs
+        assert seen_pairs(logs[0], ram) == seen_pairs(logs[1], twin)
 
 
 class TestWrongSizeWrites:
@@ -143,6 +147,7 @@ class TestWrongSizeWrites:
             rng = SeededRandomSource(3)
             ram = DPRAM(integer_database(64, 16), stash_probability=0.2,
                         rng=rng)
+            log = watch(ram)
             answers = []
             for step in range(40):
                 index = (7 * step) % 64
@@ -157,7 +162,7 @@ class TestWrongSizeWrites:
             server = ram.server
             return {
                 "answers": answers,
-                "pairs": ram.transcript_pairs,
+                "pairs": seen_pairs(log, ram),
                 "queries": ram.query_count,
                 "reads": server.reads,
                 "writes": server.writes,
@@ -195,6 +200,7 @@ class TestBandwidth:
         # d_j = o_j (no stash hit, no restash) moves two.  The upload is
         # held: it reaches the server in the next query's request.
         ram = _ram(rng, n=64, p=0.2)
+        log = watch(ram)
         source = rng.spawn("mix")
         shared = 0
         for step in range(100):
@@ -205,7 +211,7 @@ class TestBandwidth:
                 ram.write(index, encode_int(1))
             else:
                 ram.read(index)
-            download, overwrite = ram.transcript_pairs[-1]
+            download, overwrite = seen_pairs(log, ram)[-1]
             assert ram.server.reads - reads_before == 2 - (download == overwrite)
             assert ram.server.writes - writes_before == (step > 0)
             shared += download == overwrite
@@ -225,52 +231,108 @@ class TestBandwidth:
             ram.flush()
             assert ram.server.operations - before == 2
             ram = _ram(rng, n=n, p=1.0)
+            log = watch(ram)
             for index in range(8):
                 before = ram.server.operations
                 ram.read(index)
                 ram.flush()
-                download, overwrite = ram.transcript_pairs[-1]
+                download, overwrite = seen_pairs(log, ram)[-1]
                 assert ram.server.operations - before == 3 - (
                     download == overwrite
                 )
 
 
+class _CountingDPRAM(DPRAM):
+    """DP-RAM whose cipher counts its calls, through the ``_cipher`` seam."""
+
+    def _cipher(self):
+        encrypt, decrypt, encrypt_all = super()._cipher()
+        self.calls = Counter()
+
+        def counted(name, call):
+            def counting(*args):
+                self.calls[name] += 1
+                return call(*args)
+            return counting
+
+        return counted("encrypt", encrypt), counted("decrypt", decrypt), (
+            encrypt_all
+        )
+
+
+class TestCipherCalls:
+    def test_decrypts_only_what_the_client_reads_or_re_encrypts(self):
+        # A query seals one upload.  It opens the record's download only
+        # to answer a read — a write replaces the record, so its download
+        # goes out for the server's view and is never decrypted — and the
+        # cover block only when it restashes and must re-encrypt it.
+        ram = _CountingDPRAM(
+            integer_database(16), stash_probability=0.5,
+            rng=SeededRandomSource(7),
+        )
+        plan = random.Random(7)
+        branches = Counter()
+        for _ in range(400):
+            index = plan.randrange(16)
+            write = plan.random() < 0.5
+            stashed = index in ram._stash
+            before = Counter(ram.calls)
+            if write:
+                ram.write(index, bytes(ram.block_size))
+            else:
+                ram.read(index)
+            restash = index in ram._stash  # only a restash puts it back
+            branch = ("write" if write else "read", stashed, restash)
+            calls = ram.calls - before
+            assert (calls["decrypt"], calls["encrypt"]) == (
+                (not write and not stashed) + restash, 1
+            ), branch
+            branches[branch] += 1
+        # Every branch: a write to an unstashed record (0 / 1), to a
+        # stashed one (0 decrypts), with a restash (1 / 1, the cover
+        # block), and reads of both (1 decrypt when unstashed).
+        assert len(branches) == 8 and min(branches.values()) >= 20
+
+
 class TestTranscript:
     def test_pairs_recorded_per_query(self, rng):
         ram = _ram(rng, n=16, p=0.3)
+        log = watch(ram)
         ram.read(3)
         ram.write(4, encode_int(1))
-        pairs = ram.transcript_pairs
+        pairs = seen_pairs(log, ram)  # the write's upload is still held
         assert len(pairs) == 2
         assert all(len(pair) == 2 for pair in pairs)
 
     def test_unstashed_read_touches_own_slot(self, rng):
         # With p ~ 0 nothing is stashed, so d_j = o_j = q_j always.
         ram = _ram(rng, n=16, p=1e-12)
+        log = watch(ram)
         ram.read(7)
-        assert ram.transcript_pairs[-1] == (7, 7)
+        assert seen_pairs(log, ram) == [(7, 7)]
 
     def test_stashed_read_downloads_random(self, rng):
         # With p = 1 everything is stashed; downloads are uniform.
         ram = _ram(rng, n=64, p=1.0)
-        downloads = set()
+        log = watch(ram)
         for _ in range(200):
             ram.read(0)
-            downloads.add(ram.transcript_pairs[-1][0])
+        downloads = {download for download, _ in seen_pairs(log, ram)}
         assert len(downloads) > 30  # spread over many slots, not pinned to 0
 
     def test_event_transcript_matches_pairs(self, rng):
         # (d_j, o_j) is still read off the wire, two-event queries
-        # (d_j = o_j) and three-event ones alike.
+        # (d_j = o_j) and three-event ones alike: the pairs the client
+        # planned are the pairs the server saw.
         ram = _ram(rng, n=16, p=0.3)
-        transcript = Transcript()
-        ram.attach_transcript(transcript)
+        transcript = watch(ram)
+        planned = record_plans(ram)
         for index in range(16):
             ram.read(index)
             ram.write(index, encode_int(index))
         assert len(transcript.for_query(31)) in (1, 2)  # its upload is held
         ram.flush()
-        assert transcript.dp_ram_pairs() == ram.transcript_pairs[-32:]
+        assert transcript.dp_ram_pairs() == planned
         lengths = {len(transcript.for_query(query)) for query in range(32)}
         assert lengths == {2, 3}
 
@@ -281,9 +343,10 @@ class TestTranscript:
         ram_w = DPRAM(
             integer_database(8), stash_probability=0.5, rng=rng.spawn("ram")
         )  # same spawn label -> same randomness as ram_r
+        logs = watch(ram_r), watch(ram_w)
         ram_r.read(3)
         ram_w.write(3, encode_int(42))
-        assert ram_r.transcript_pairs == ram_w.transcript_pairs
+        assert seen_pairs(logs[0], ram_r) == seen_pairs(logs[1], ram_w)
 
 
 class TestStash:
@@ -333,11 +396,12 @@ class TestReadOnlyDPRAM:
 
     def test_two_downloads_less_the_shared_slot(self, rng, small_db):
         ram = ReadOnlyDPRAM(small_db, stash_probability=0.3, rng=rng)
+        log = watch(ram)
         shapes = set()
         for index in range(len(small_db)):
             before = ram.server.reads
             ram.read(index)
-            download, overwrite = ram.transcript_pairs[-1]
+            download, overwrite = seen_pairs(log, ram)[-1]
             assert ram.server.reads - before == 2 - (download == overwrite)
             shapes.add(download == overwrite)
         assert shapes == {True, False}
@@ -346,8 +410,9 @@ class TestReadOnlyDPRAM:
         ram = ReadOnlyDPRAM(
             integer_database(16), stash_probability=1e-12, rng=rng
         )
+        log = watch(ram)
         ram.read(5)
-        assert ram.transcript_pairs[-1] == (5, 5)
+        assert seen_pairs(log, ram) == [(5, 5)]
 
     def test_rejects_both_parameters(self, rng, small_db):
         with pytest.raises(ValueError):

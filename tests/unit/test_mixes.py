@@ -1,6 +1,7 @@
 """Tests for repro.workloads.mixes."""
 
 import pytest
+from dp_ram_view import seen_pairs, watch
 
 from repro.workloads.generators import sequential_trace, uniform_trace
 from repro.workloads.mixes import (
@@ -177,10 +178,11 @@ class TestMixesThroughSchemes:
             uniform_trace(n, 30, rng.spawn("u")),
         ])
         scheme = DPRAM(database, rng=rng.spawn("ram"))
+        log = watch(scheme)
         metrics = run_ram_trace(scheme, composite, initial=database)
         assert metrics.mismatches == 0
         # Three blocks less the queries whose d_j = o_j went as one slot.
-        pairs = scheme.transcript_pairs
+        pairs = seen_pairs(log, scheme)
         shared = sum(download == overwrite for download, overwrite in pairs)
         assert 0 < shared < len(pairs)
         assert metrics.blocks_per_operation == 3.0 - shared / len(pairs)
