@@ -72,7 +72,6 @@ from repro.obs import (
     MetricsRegistry,
     NullTracer,
     Tracer,
-    TracingExecutor,
     default_monitors,
     diff_traces,
     evaluate_slo,
@@ -163,7 +162,6 @@ __all__ = [
     "StrawmanIR",
     "SystemRandomSource",
     "Tracer",
-    "TracingExecutor",
     "Transcript",
     "WAN",
     "available_schemes",

@@ -58,9 +58,8 @@ from repro.cluster.router import (
 from repro.core.params import DPIRParams
 from repro.crypto.encryption import encrypt_authenticated_many, generate_key
 from repro.crypto.rng import RandomSource, SystemRandomSource
-from repro.obs.executor import TracingExecutor
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.parallel.executor import Executor, resolve_executor
+from repro.parallel.executor import Executor, TaskResult, resolve_executor
 from repro.storage.faults import (
     CorruptingServer,
     FlakyServer,
@@ -448,11 +447,10 @@ class _ClusterBase(Scheme, Generic[_G]):
         """Emit spans to ``tracer`` (``None`` restores the no-op default).
 
         Tracing never touches answers, draw sequences or ledger
-        charges; leg spans are pre-allocated in submission order, so
+        charges; legs run in submission order under every executor, so
         the serial and parallel executors emit identical span trees.
         """
         self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._texec = TracingExecutor(self._executor, self._tracer)
 
     @property
     def network_model(self) -> NetworkModel:
@@ -607,11 +605,7 @@ class _ClusterBase(Scheme, Generic[_G]):
             for shard, group in zip(shards, groups)
         ]
         with self._tracer.span(name, batch=len(batch), shards=len(shards)):
-            results = self._texec.fan_out(
-                tasks,
-                name="cluster.shard_leg",
-                leg_labels=[{"shard": shard} for shard in shards],
-            )
+            results = self._run_legs("cluster.shard_leg", shards, tasks)
             answers: list[Any] = [None] * len(batch)
             failure: BaseException | None = None
             for shard, group, before, result in zip(
@@ -627,6 +621,33 @@ class _ClusterBase(Scheme, Generic[_G]):
         if failure is not None:
             raise failure
         return answers
+
+    def _run_legs(
+        self,
+        leg_name: str,
+        shards: Sequence[int],
+        tasks: Sequence[Callable[[], Any]],
+    ) -> list[TaskResult]:
+        """Run one stage's per-shard ``tasks`` through the executor.
+
+        A traced cluster opens a ``leg_name`` span labelled with the
+        shard around each leg; legs run in submission order on the
+        caller's thread, so leg span ids follow shard order and a leg's
+        storage events nest beneath it.  Untraced, the tasks pass
+        through unwrapped.
+        """
+        if self._tracer.enabled:
+            tasks = [
+                partial(self._traced_leg, leg_name, shard, task)
+                for shard, task in zip(shards, tasks)
+            ]
+        return self._executor.fan_out(tasks)
+
+    def _traced_leg(
+        self, leg_name: str, shard: int, task: Callable[[], Any]
+    ) -> Any:
+        with self._tracer.span(leg_name, shard=shard):
+            return task()
 
     def _deliver(
         self,
@@ -671,10 +692,9 @@ class _ClusterBase(Scheme, Generic[_G]):
             shards_before=shards_before,
             shards_after=shards_after,
         ):
-            results = self._texec.fan_out(
+            results = self._run_legs(
+                "cluster.drain_leg", shards,
                 [drain_legs[shard] for shard in shards],
-                name="cluster.drain_leg",
-                leg_labels=[{"shard": shard} for shard in shards],
             )
         migration_ops, wall_units = close_stage()
         moved = reinstall(

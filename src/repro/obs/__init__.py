@@ -11,9 +11,8 @@ Three pieces, one import surface:
 * :class:`BudgetTimeline` — exact-Fraction ε spend events emitted by
   the ledgers, with first-cap-crossing detection for ``repro audit``.
 
-Plus the wiring: :class:`TracingExecutor` (span per shard leg),
-:func:`instrument_scheme` (attach to a built scheme) and
-:func:`trace_summary` (per-round critical paths from a span tree).
+Plus the wiring: :func:`instrument_scheme` (attach to a built scheme)
+and :func:`trace_summary` (per-round critical paths from a span tree).
 
 PR 8 adds the *active* layer on top of that passive one:
 
@@ -30,7 +29,6 @@ PR 8 adds the *active* layer on top of that passive one:
 """
 
 from repro.obs.diff import TraceDiff, diff_traces
-from repro.obs.executor import TracingExecutor
 from repro.obs.instrument import StorageObserver, instrument_scheme
 from repro.obs.metrics import (
     Counter,
@@ -84,7 +82,6 @@ __all__ = [
     "StorageObserver",
     "TraceDiff",
     "Tracer",
-    "TracingExecutor",
     "canonical_trace",
     "collect_scheme_metrics",
     "default_monitors",

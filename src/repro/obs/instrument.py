@@ -31,9 +31,8 @@ class StorageObserver:
     ``on_batch`` is called once per successful ``read_many`` /
     ``write_many`` round with the server id, operation and batch size —
     sizes and ids only, never slot indices (trace-hygiene).  It emits
-    an event span under whichever span is active on the calling thread
-    (so batches nest beneath their shard leg) and feeds a batch-size
-    histogram.
+    an event span under whichever span is active (so batches nest
+    beneath their shard leg) and feeds a batch-size histogram.
     """
 
     __slots__ = ("_tracer", "_batch_sizes", "_rounds", "enabled")

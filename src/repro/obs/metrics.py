@@ -16,7 +16,6 @@ sizes, shard/server ids, fault kinds — never secret-derived data (the
 from __future__ import annotations
 
 import re
-import threading
 from typing import Any, Iterable, Mapping
 
 from repro.simulation.metrics import (
@@ -85,7 +84,6 @@ class _Metric:
             )
         self.name = name
         self.help = help
-        self._lock = threading.Lock()
 
     def _series(self) -> Iterable[tuple[_LabelKey, Any]]:
         raise NotImplementedError
@@ -104,16 +102,13 @@ class Counter(_Metric):
         if amount < 0:
             raise ValueError(f"counter increments must be >= 0, got {amount}")
         key = _label_key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0) + amount
+        self._values[key] = self._values.get(key, 0) + amount
 
     def value(self, **labels: Any) -> float:
-        with self._lock:
-            return self._values.get(_label_key(labels), 0)
+        return self._values.get(_label_key(labels), 0)
 
     def _series(self) -> Iterable[tuple[_LabelKey, float]]:
-        with self._lock:
-            return sorted(self._values.items())
+        return sorted(self._values.items())
 
 
 class Gauge(_Metric):
@@ -126,16 +121,13 @@ class Gauge(_Metric):
         self._values: dict[_LabelKey, float] = {}
 
     def set(self, value: float, **labels: Any) -> None:
-        with self._lock:
-            self._values[_label_key(labels)] = value
+        self._values[_label_key(labels)] = value
 
     def value(self, **labels: Any) -> float:
-        with self._lock:
-            return self._values.get(_label_key(labels), 0)
+        return self._values.get(_label_key(labels), 0)
 
     def _series(self) -> Iterable[tuple[_LabelKey, float]]:
-        with self._lock:
-            return sorted(self._values.items())
+        return sorted(self._values.items())
 
 
 class Histogram(_Metric):
@@ -149,17 +141,14 @@ class Histogram(_Metric):
 
     def observe(self, value: float, **labels: Any) -> None:
         key = _label_key(labels)
-        with self._lock:
-            self._samples.setdefault(key, []).append(value)
+        self._samples.setdefault(key, []).append(value)
 
     def summary(self, **labels: Any) -> LatencySummary:
-        with self._lock:
-            sample = list(self._samples.get(_label_key(labels), ()))
+        sample = list(self._samples.get(_label_key(labels), ()))
         return LatencySummary.from_values(sample)
 
     def _series(self) -> Iterable[tuple[_LabelKey, dict[str, float]]]:
-        with self._lock:
-            snapshot = {key: list(vals) for key, vals in self._samples.items()}
+        snapshot = {key: list(vals) for key, vals in self._samples.items()}
         rendered = []
         for key, sample in sorted(snapshot.items()):
             stats = {
@@ -178,20 +167,18 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: dict[str, _Metric] = {}
-        self._lock = threading.Lock()
 
     def _get(self, cls: type, name: str, help: str) -> Any:
-        with self._lock:
-            metric = self._metrics.get(name)
-            if metric is None:
-                metric = cls(name, help)
-                self._metrics[name] = metric
-            elif not isinstance(metric, cls):
-                raise TypeError(
-                    f"metric {name!r} already registered as "
-                    f"{metric.kind}, not {cls.kind}"
-                )
-            return metric
+        metric = self._metrics.get(name)
+        if metric is None:
+            metric = cls(name, help)
+            self._metrics[name] = metric
+        elif not isinstance(metric, cls):
+            raise TypeError(
+                f"metric {name!r} already registered as "
+                f"{metric.kind}, not {cls.kind}"
+            )
+        return metric
 
     def counter(self, name: str, help: str = "") -> Counter:
         return self._get(Counter, name, help)
@@ -204,8 +191,7 @@ class MetricsRegistry:
 
     def collect(self) -> list[dict[str, Any]]:
         """Every series of every metric, deterministically ordered."""
-        with self._lock:
-            metrics = sorted(self._metrics.items())
+        metrics = sorted(self._metrics.items())
         samples: list[dict[str, Any]] = []
         for name, metric in metrics:
             for key, value in metric._series():
@@ -222,8 +208,7 @@ class MetricsRegistry:
 
     def to_prometheus(self) -> str:
         """Prometheus text exposition format (0.0.4)."""
-        with self._lock:
-            metrics = sorted(self._metrics.items())
+        metrics = sorted(self._metrics.items())
         lines: list[str] = []
         for name, metric in metrics:
             if metric.help:

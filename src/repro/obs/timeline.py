@@ -15,7 +15,6 @@ render a float image next to each exact ``"p/q"`` string).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
@@ -79,7 +78,6 @@ class BudgetTimeline:
         self._cumulative: dict[str, Fraction] = {}
         self._total = Fraction(0)
         self._first_crossing: SpendEvent | None = None
-        self._lock = threading.Lock()
 
     @property
     def cap(self) -> Fraction | None:
@@ -87,22 +85,18 @@ class BudgetTimeline:
 
     @property
     def events(self) -> list[SpendEvent]:
-        with self._lock:
-            return list(self._events)
+        return list(self._events)
 
     @property
     def total_spent(self) -> Fraction:
-        with self._lock:
-            return self._total
+        return self._total
 
     @property
     def first_crossing(self) -> SpendEvent | None:
-        with self._lock:
-            return self._first_crossing
+        return self._first_crossing
 
     def per_operator(self) -> dict[str, Fraction]:
-        with self._lock:
-            return dict(self._cumulative)
+        return dict(self._cumulative)
 
     def record(
         self,
@@ -117,28 +111,27 @@ class BudgetTimeline:
         """Append one spend event (called by the ledgers post-charge)."""
         exact_epsilon = Fraction(epsilon)
         exact_delta = Fraction(delta)
-        with self._lock:
-            event = SpendEvent(
-                sequence=len(self._events),
-                epsilon=exact_epsilon,
-                delta=exact_delta,
-                operator=operator,
-                shard=shard,
-                epoch=epoch,
-                tenant=tenant,
-            )
-            self._events.append(event)
-            cumulative = self._cumulative.get(operator, Fraction(0))
-            cumulative += exact_epsilon
-            self._cumulative[operator] = cumulative
-            self._total += exact_epsilon
-            if (
-                self._cap is not None
-                and self._first_crossing is None
-                and cumulative > self._cap
-            ):
-                self._first_crossing = event
-            return event
+        event = SpendEvent(
+            sequence=len(self._events),
+            epsilon=exact_epsilon,
+            delta=exact_delta,
+            operator=operator,
+            shard=shard,
+            epoch=epoch,
+            tenant=tenant,
+        )
+        self._events.append(event)
+        cumulative = self._cumulative.get(operator, Fraction(0))
+        cumulative += exact_epsilon
+        self._cumulative[operator] = cumulative
+        self._total += exact_epsilon
+        if (
+            self._cap is not None
+            and self._first_crossing is None
+            and cumulative > self._cap
+        ):
+            self._first_crossing = event
+        return event
 
     def cumulative_series(
         self, operator: str | None = None
@@ -159,11 +152,10 @@ class BudgetTimeline:
         return series
 
     def to_dict(self) -> dict[str, Any]:
-        with self._lock:
-            events = list(self._events)
-            cumulative = dict(self._cumulative)
-            total = self._total
-            crossing = self._first_crossing
+        events = list(self._events)
+        cumulative = dict(self._cumulative)
+        total = self._total
+        crossing = self._first_crossing
         return {
             "version": 1,
             "cap": _exact(self._cap) if self._cap is not None else None,

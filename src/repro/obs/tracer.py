@@ -1,8 +1,8 @@
 """Deterministic span tracer for the serving/cluster/parallel stack.
 
-Spans form a tree: the cluster entry point opens a root span, the
-tracing executor opens one child per shard leg, and storage servers
-attach batch events beneath whichever leg is active.  Two design rules
+Spans form a tree: the cluster entry point opens a root span, one
+child per shard leg, and storage servers attach batch events beneath
+whichever leg is active.  Two design rules
 keep traces *deterministic* (two seeded runs produce identical JSON,
 and the serial and parallel executors produce identical span trees):
 
@@ -10,9 +10,9 @@ and the serial and parallel executors produce identical span trees):
   id plus a per-parent child counter (``"0"``, ``"0.2"``, ``"0.2.1"``),
   allocated in *submission* order — never from ``time.time()`` or
   ``uuid``.  Spans opened inside a leg get ids beneath that leg's span,
-  and :meth:`Tracer.export` sorts spans by parsed id.  The active-span
-  stack is per thread, so a caller that runs legs on threads of its own
-  still gets the same tree.
+  and :meth:`Tracer.export` sorts spans by parsed id.  Every executor
+  runs a stage's legs on the caller's thread in submission order, so
+  one list is the whole active-span stack.
 * **Wall-clock is data, not identity.** Spans carry the simulator's
   deterministic clock in ``sim_start_ms``/``sim_end_ms`` where one
   exists, plus monotonic wall deltas measured at the edges in
@@ -27,9 +27,8 @@ single attribute check.
 from __future__ import annotations
 
 import itertools
-import threading
 import time
-from typing import Any, Iterator
+from typing import Any
 
 __all__ = [
     "NULL_TRACER",
@@ -64,9 +63,9 @@ class Span:
     """One node of the trace tree.
 
     Mutable while open (``annotate``/``set_sim``), exported as a plain
-    dict.  Child ids are allocated from the span's own counter so a
-    subtree built inside one worker thread is deterministic regardless
-    of how sibling threads interleave.
+    dict.  Child ids are allocated from the span's own counter, in the
+    order the children open: legs run one after another on the caller's
+    thread, so a subtree's ids depend only on the work inside it.
     """
 
     __slots__ = (
@@ -99,7 +98,7 @@ class Span:
         self._children = itertools.count()
 
     def child_id(self) -> str:
-        """Next deterministic child id (``itertools.count`` is atomic)."""
+        """Next deterministic child id, in opening order."""
         return f"{self.span_id}.{next(self._children)}"
 
     def annotate(self, **labels: Any) -> None:
@@ -159,7 +158,7 @@ class _NullContext:
 
 
 class _SpanContext:
-    """Context manager that opens/closes one span on the current thread."""
+    """Context manager that opens/closes one span on its tracer's stack."""
 
     __slots__ = ("_tracer", "_span", "_started")
 
@@ -169,7 +168,7 @@ class _SpanContext:
         self._started = 0.0
 
     def __enter__(self) -> Span:
-        self._tracer._push(self._span)
+        self._tracer._stack.append(self._span)
         self._started = time.perf_counter()
         return self._span
 
@@ -178,18 +177,19 @@ class _SpanContext:
         span.wall_ms = (time.perf_counter() - self._started) * 1000.0
         if exc_type is not None and span.error is None:
             span.error = exc_type.__name__
-        self._tracer._pop(span)
+        self._tracer._stack.pop()
         return False
 
 
 class Tracer:
     """Collects spans for one run.
 
-    ``span(name, **labels)`` opens a child of the thread's current
-    span (context-manager API); ``start_span`` allocates one without
-    activating it (the tracing executor pre-creates leg spans in
-    submission order, then activates each while its leg runs with
-    ``activate``).
+    ``span(name, **labels)`` opens a child of the current span
+    (context-manager API); ``start_span`` allocates one without
+    activating it (an event such as a storage batch).  The active spans
+    are one plain list: every executor runs a stage's legs on the
+    caller's thread in submission order, so spans open and close
+    strictly nested.
     """
 
     def __init__(self, name: str = "trace", *, enabled: bool = True) -> None:
@@ -197,52 +197,27 @@ class Tracer:
         self.enabled = enabled
         self._roots = itertools.count()
         self._spans: list[Span] = []
-        self._lock = threading.Lock()
-        self._local = threading.local()
-
-    # -- active-span bookkeeping (thread-local) -------------------------
-
-    def _stack(self) -> list[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
-
-    def _push(self, span: Span) -> None:
-        self._stack().append(span)
-
-    def _pop(self, span: Span) -> None:
-        stack = self._stack()
-        if stack and stack[-1] is span:
-            stack.pop()
+        self._stack: list[Span] = []
 
     def current_span(self) -> Span | None:
-        """The span active on *this* thread, if any."""
-        stack = getattr(self._local, "stack", None)
+        """The innermost open span, if any."""
+        stack = self._stack
         return stack[-1] if stack else None
 
     # -- span creation --------------------------------------------------
 
-    def start_span(
-        self,
-        name: str,
-        *,
-        parent: Span | None = None,
-        **labels: Any,
-    ) -> Span:
-        """Allocate a span without activating it on this thread."""
+    def start_span(self, name: str, **labels: Any) -> Span:
+        """Allocate a child of the current span without activating it."""
         if not self.enabled:
             return _NULL_SPAN
-        if parent is None:
-            parent = self.current_span()
-        if parent is None or parent is _NULL_SPAN:
-            span_id, parent_id = str(next(self._roots)), None
-        else:
+        stack = self._stack
+        if stack:
+            parent = stack[-1]
             span_id, parent_id = parent.child_id(), parent.span_id
+        else:
+            span_id, parent_id = str(next(self._roots)), None
         span = Span(span_id, parent_id, name, labels)
-        with self._lock:
-            self._spans.append(span)
+        self._spans.append(span)
         return span
 
     def span(self, name: str, **labels: Any) -> "_SpanContext | _NullContext":
@@ -256,28 +231,14 @@ class Tracer:
             return _NULL_CONTEXT
         return _SpanContext(self, self.start_span(name, **labels))
 
-    def activate(self, span: Span) -> "_SpanContext | _NullContext":
-        """Adopt a pre-created span as this thread's current span.
-
-        Used by the tracing executor: leg spans are allocated before
-        any leg runs (deterministic ids), then activated while their leg
-        runs so nested spans parent correctly.
-        """
-        if not self.enabled or span is _NULL_SPAN:
-            return _NULL_CONTEXT
-        return _SpanContext(self, span)
-
     # -- export ---------------------------------------------------------
 
     def spans(self) -> list[Span]:
         """All spans, sorted by id (deterministic across executors)."""
-        with self._lock:
-            snapshot = list(self._spans)
-        return sorted(snapshot, key=Span.sort_key)
+        return sorted(self._spans, key=Span.sort_key)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._spans)
+        return len(self._spans)
 
     def export(self) -> dict[str, Any]:
         """JSON-ready trace payload (``{"version": 1, "spans": [...]}``)."""
@@ -286,9 +247,6 @@ class Tracer:
             "name": self.name,
             "spans": [span.to_dict() for span in self.spans()],
         }
-
-    def walk(self) -> Iterator[Span]:  # pragma: no cover - convenience
-        yield from self.spans()
 
 
 class NullTracer(Tracer):

@@ -19,9 +19,12 @@ from fractions import Fraction
 import pytest
 
 from repro.__main__ import main
-from repro.cluster import ClusterConfig
+from repro.cluster import ClusterConfig, ClusterIR
+from repro.cluster.group import GroupExhaustedError
 from repro.cluster.service import cluster
+from repro.crypto.rng import SeededRandomSource
 from repro.obs import (
+    NULL_TRACER,
     BudgetTimeline,
     MetricsRegistry,
     Tracer,
@@ -29,6 +32,8 @@ from repro.obs import (
     trace_summary,
 )
 from repro.serving import ServingConfig, serve
+from repro.storage.blocks import integer_database
+from repro.storage.faults import FlakyServer, wrap_scheme_servers
 
 RUN = dict(shards=4, replicas=1, n=256, requests=48, seed=13,
            pad_size=16, batch=8)
@@ -74,6 +79,44 @@ class TestExecutorInvariance:
         errors = {s["error"] for s in tracer.export()["spans"]
                   if s["error"]}
         assert "GroupExhaustedError" in errors
+
+
+class TestClusterLegSpans:
+    """One round over a healthy shard 0 and a dead shard 1: each shard's
+    leg gets its own span, and only the dead one's carries an error."""
+
+    @staticmethod
+    def _half_dead_cluster(tracer=None):
+        scheme = ClusterIR(
+            integer_database(64), shard_count=2, replica_count=2,
+            pad_size=8, rng=SeededRandomSource("legs"), tracer=tracer,
+        )
+        dead = SeededRandomSource("dead")
+        for replica in scheme.groups[1].replicas:
+            wrap_scheme_servers(
+                replica, lambda server: FlakyServer(server, 1.0, dead)
+            )
+        return scheme
+
+    def test_each_shard_leg_gets_a_span_in_shard_order(self):
+        tracer = Tracer("legs")
+        scheme = self._half_dead_cluster(tracer)
+        with pytest.raises(GroupExhaustedError):
+            scheme.query_many([40, 3, 63, 7])  # shards 1, 0, 1, 0
+        legs = [s for s in tracer.spans() if s.name == "cluster.shard_leg"]
+        assert [leg.labels["shard"] for leg in legs] == [0, 1]
+        assert [leg.error for leg in legs] == [None, "GroupExhaustedError"]
+        (round_span,) = [
+            s for s in tracer.spans() if s.name == "cluster.query_many"
+        ]
+        assert {leg.parent_id for leg in legs} == {round_span.span_id}
+
+    def test_untraced_cluster_records_no_span(self):
+        scheme = self._half_dead_cluster()
+        assert scheme.tracer is NULL_TRACER
+        with pytest.raises(GroupExhaustedError):
+            scheme.query_many([40, 3, 63, 7])
+        assert len(NULL_TRACER) == 0
 
 
 class TestDeterminism:

@@ -1,20 +1,11 @@
 """Unit tests for the deterministic span tracer."""
 
 import json
-import threading
 
 import pytest
 
-from repro.obs import (
-    NULL_TRACER,
-    NullTracer,
-    Tracer,
-    TracingExecutor,
-    canonical_trace,
-)
+from repro.obs import NULL_TRACER, NullTracer, Tracer, canonical_trace
 from repro.obs.tracer import _NULL_SPAN
-from repro.parallel import SerialExecutor
-from repro.storage.faults import ServerFault
 
 
 class TestSpanIds:
@@ -51,23 +42,6 @@ class TestSpanIds:
             [s.span_id for s in tracer.spans()]
             == [s.span_id for s in tracer2.spans()]
         )
-
-    def test_start_span_with_explicit_parent(self):
-        tracer = Tracer("t")
-        parent = tracer.start_span("round")
-        legs = [tracer.start_span("leg", parent=parent, shard=i)
-                for i in range(3)]
-        assert [leg.span_id for leg in legs] == ["0.0", "0.1", "0.2"]
-        assert all(leg.parent_id == "0" for leg in legs)
-
-    def test_activate_adopts_a_precreated_span(self):
-        tracer = Tracer("t")
-        leg = tracer.start_span("leg")
-        with tracer.activate(leg):
-            with tracer.span("inner"):
-                pass
-        inner = [s for s in tracer.spans() if s.name == "inner"]
-        assert inner[0].parent_id == leg.span_id
 
 
 class TestLabels:
@@ -124,9 +98,9 @@ class TestExport:
     def test_spans_sorted_by_parsed_path_not_lexically(self):
         # "0.10" must sort after "0.9", which string order gets wrong.
         tracer = Tracer("t")
-        parent = tracer.start_span("round")
-        for i in range(11):
-            tracer.start_span("leg", parent=parent, leg=i)
+        with tracer.span("round"):
+            for i in range(11):
+                tracer.start_span("leg", leg=i)
         ids = [s["id"] for s in tracer.export()["spans"]]
         assert ids == ["0"] + [f"0.{i}" for i in range(11)]
 
@@ -145,53 +119,6 @@ class TestExport:
         assert canon["spans"][0]["sim_end_ms"] == 1.0
         # The original payload is not mutated.
         assert "wall_ms" in tracer.export()["spans"][0]
-
-
-class TestThreading:
-    def test_worker_threads_build_deterministic_subtrees(self):
-        tracer = Tracer("t")
-        legs = [tracer.start_span("leg", shard=i) for i in range(4)]
-
-        def work(leg):
-            with tracer.activate(leg):
-                with tracer.span("batch", size=2):
-                    pass
-
-        threads = [threading.Thread(target=work, args=(leg,))
-                   for leg in legs]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        batches = sorted(
-            s.span_id for s in tracer.spans() if s.name == "batch"
-        )
-        assert batches == ["0.0", "1.0", "2.0", "3.0"]
-
-
-class TestTracingExecutorLegSpans:
-    def test_leg_spans_are_stamped_when_the_stage_returns(self):
-        tracer = Tracer("t")
-
-        def boom():
-            raise ServerFault("injected")
-
-        executor = TracingExecutor(SerialExecutor(), tracer)
-        results = executor.fan_out(
-            [lambda: 0, boom, lambda: 2],
-            leg_labels=[{"shard": shard} for shard in range(3)],
-        )
-        spans = tracer.spans()
-        assert [span.labels["shard"] for span in spans] == [0, 1, 2]
-        assert [span.wall_ms for span in spans] == [
-            result.elapsed_ms for result in results
-        ]
-        assert [span.error for span in spans] == [None, "ServerFault", None]
-
-    def test_disabled_tracer_forwards_to_the_inner_executor(self):
-        executor = TracingExecutor(SerialExecutor(), NullTracer())
-        results = executor.fan_out([lambda: "x"])
-        assert [result.value for result in results] == ["x"]
 
 
 class TestNullTracer:

@@ -1,10 +1,13 @@
 """Tests for the executor abstraction and its accounting contract."""
 
+import ast
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.parallel import (
     Executor,
     ParallelExecutor,
@@ -68,6 +71,44 @@ class TestFanOutContract:
         assert ran == [(slot, caller) for slot in range(8)]
         assert [result.value for result in results] == list(range(8))
         assert executor.stage_cost([3.0, 5.0, 2.0]) == 5.5
+
+
+#: Modules that start threads or processes, or lock against them.
+_CONCURRENCY_MODULES = (
+    "threading", "_thread", "concurrent.futures", "multiprocessing",
+)
+
+
+def _imported_names(node: ast.AST) -> list[str]:
+    """Dotted names an import statement binds (``[]`` for other nodes)."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module] + [
+            f"{node.module}.{alias.name}" for alias in node.names
+        ]
+    return []
+
+
+class TestNoConcurrencyMachinery:
+    def test_no_library_module_imports_threads_or_processes(self):
+        # Legs run on the caller's thread, so nothing in the library has
+        # concurrency to guard: a lock or a pool coming back is a design
+        # change, not a detail.
+        root = Path(repro.__file__).parent
+        found = []
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(tree):
+                for name in _imported_names(node):
+                    if any(
+                        name == module or name.startswith(module + ".")
+                        for module in _CONCURRENCY_MODULES
+                    ):
+                        found.append(
+                            f"{path.relative_to(root)}:{node.lineno} {name}"
+                        )
+        assert found == []
 
 
 class TestStageCost:
