@@ -81,12 +81,14 @@ class MigrationReport:
         shards_after: shard-group count after.
         moved_records: records whose owning shard changed.
         migration_operations: server operations spent reading the data
-            out of the old layout (the measurable cost of going online).
-        serial_ms: the drain scan priced one shard after another under
-            the cluster's network model.
-        wall_clock_ms: the same scan under the cluster's executor —
-            per-shard drain legs are independent and overlap, so a
-            concurrent executor pays the slowest shard, not the sum.
+            out of the old layout and writing it into the new one (the
+            measurable cost of going online; an IR cluster's new layout
+            is sealed at build time and writes nothing through it).
+        serial_ms: the drain and the re-insertion priced one shard after
+            another under the cluster's network model.
+        wall_clock_ms: the same work under the cluster's executor —
+            per-shard legs are independent and overlap, so a concurrent
+            executor pays the slowest shard of each stage, not the sum.
     """
 
     shards_before: int
@@ -670,10 +672,12 @@ class _ClusterBase(Scheme, Generic[_G]):
         ``drain_legs[shard]`` reads one group out through the failover
         path (migration works over faulty replicas); a concurrent executor
         prices the legs as overlapping, so migration pays the slowest
-        shard.  ``reinstall(drained)`` rebuilds the groups and returns
-        how many records changed shard.  Drain reads are a
-        data-independent maintenance scan, not client queries: they are
-        not charged, and the ledger's epoch carry keeps earlier spend.
+        shard.  ``reinstall(drained)`` rebuilds the groups, writes the
+        records into them where the base scheme needs that, and returns
+        how many records changed shard; those writes are accounted as one
+        more stage, one leg per new group.  Drain reads and re-insertion
+        writes are data-independent maintenance, not client queries: they
+        are not charged, and the ledger's epoch carry keeps earlier spend.
         """
         if shards_after <= 0:
             raise ValueError(
@@ -700,6 +704,16 @@ class _ClusterBase(Scheme, Generic[_G]):
         moved = reinstall(
             [item for result in results for item in result.unwrap()]
         )
+        # The new groups were built counting from zero, so their counters
+        # hold the re-insertion and nothing else.
+        refill_ops = sum(group.operations() for group in self._groups)
+        refill_wall = self._executor.stage_cost(
+            [group.wall_operations() for group in self._groups]
+        )
+        self._serial_ops += refill_ops
+        self._wall_ops += refill_wall
+        migration_ops += refill_ops
+        wall_units += refill_wall
         self._reshard_count += 1
         per_op = self._per_op_ms()
         return MigrationReport(
@@ -1252,8 +1266,8 @@ class ClusterKVS(_ClusterBase[KVShardGroup], PrivateKVS):
         client-side key directory (one drain leg per shard group), the
         groups are rebuilt, and every pair is re-inserted under the new
         hash placement.  The ledger carries the drained epoch's spend
-        forward; re-insertion writes are maintenance traffic and are
-        not charged.  A non-positive ``shard_count`` is a
+        forward; re-insertion writes are maintenance traffic, counted in
+        the report and the cluster's operation totals but not charged.  A non-positive ``shard_count`` is a
         :class:`ValueError` before anything is drained.
         """
         new_count = shard_count if shard_count is not None else self.shard_count

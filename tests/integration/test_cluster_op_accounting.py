@@ -5,9 +5,10 @@ cluster's ``serial_operations()`` and a serving run's
 ``ServingReport.server_operations`` must equal the change in
 Σ(reads + writes) over ``servers()`` across any history: direct entry
 point calls, failover retries, integrity fall-backs, KVS write fan-out,
-held uploads and a whole ``repro.serve`` run.  ``wall_operations()``
-equals it under the serial executor and never exceeds it under the
-parallel one (a stage costs at most the sum of its legs).
+held uploads, a whole ``repro.serve`` run and a reshard's drain and
+re-insertion.  ``wall_operations()`` equals it under the serial
+executor and never exceeds it under the parallel one (a stage costs at
+most the sum of its legs).
 """
 
 import pytest
@@ -94,15 +95,25 @@ def _serve_and_check(scheme, counted, executor, workload, fault):
 
 
 def _reshard_and_check(scheme, executor, next_round):
-    """A migration's drain counts once, on the generation it drains, and
-    the new generation's servers are counted from its first operation."""
+    """A migration counts its drain once, on the generation it drains,
+    and its re-insertion once, on the new generation, whose servers are
+    counted from their first operation."""
     drained_servers = scheme.servers()
     before = _ops_of(drained_servers)
     serial_before = scheme.serial_operations()
+    wall_before = scheme.wall_operations()
     report = scheme.reshard(3)
     drained = _ops_of(drained_servers) - before
-    assert scheme.serial_operations() - serial_before == drained
-    assert 0 < report.migration_operations <= drained
+    refilled = _server_ops(scheme)
+    migrated = drained + refilled
+    assert scheme.serial_operations() - serial_before == migrated
+    wall = scheme.wall_operations() - wall_before
+    if executor == "serial":
+        assert wall == migrated
+    else:
+        assert wall <= migrated
+    # The report leaves out only the flush of the uploads held before it.
+    assert refilled < report.migration_operations <= migrated
     counted = _Counted(scheme)
     next_round()
     assert counted.check(executor) > 0
