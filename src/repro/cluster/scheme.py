@@ -1267,8 +1267,9 @@ class ClusterKVS(_ClusterBase[KVShardGroup], PrivateKVS):
         groups are rebuilt, and every pair is re-inserted under the new
         hash placement.  The ledger carries the drained epoch's spend
         forward; re-insertion writes are maintenance traffic, counted in
-        the report and the cluster's operation totals but not charged.  A non-positive ``shard_count`` is a
-        :class:`ValueError` before anything is drained.
+        the report and the cluster's operation totals but not charged.
+        A non-positive ``shard_count`` is a :class:`ValueError` before
+        anything is drained.
         """
         new_count = shard_count if shard_count is not None else self.shard_count
         shards_before = self.shard_count

@@ -2,9 +2,9 @@
 
 Spans form a tree: the cluster entry point opens a root span, one
 child per shard leg, and storage servers attach batch events beneath
-whichever leg is active.  Two design rules
-keep traces *deterministic* (two seeded runs produce identical JSON,
-and the serial and parallel executors produce identical span trees):
+whichever leg is active.  Two design rules keep traces *deterministic*
+(two seeded runs produce identical JSON, and the serial and parallel
+executors produce identical span trees):
 
 * **Ids come from counters, not clocks.** A span's id is its parent's
   id plus a per-parent child counter (``"0"``, ``"0.2"``, ``"0.2.1"``),
@@ -198,11 +198,6 @@ class Tracer:
         self._roots = itertools.count()
         self._spans: list[Span] = []
         self._stack: list[Span] = []
-
-    def current_span(self) -> Span | None:
-        """The innermost open span, if any."""
-        stack = self._stack
-        return stack[-1] if stack else None
 
     # -- span creation --------------------------------------------------
 
