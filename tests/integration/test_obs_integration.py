@@ -31,9 +31,22 @@ from repro.obs import (
     canonical_trace,
     trace_summary,
 )
+from repro.parallel import SerialExecutor
 from repro.serving import ServingConfig, serve
 from repro.storage.blocks import integer_database
 from repro.storage.faults import FlakyServer, wrap_scheme_servers
+
+
+class _RecordingExecutor(SerialExecutor):
+    """A serial executor that keeps every task it was handed."""
+
+    def __init__(self):
+        self.tasks = []
+
+    def fan_out(self, tasks):
+        self.tasks.extend(tasks)
+        return super().fan_out(tasks)
+
 
 RUN = dict(shards=4, replicas=1, n=256, requests=48, seed=13,
            pad_size=16, batch=8)
@@ -117,6 +130,65 @@ class TestClusterLegSpans:
         with pytest.raises(GroupExhaustedError):
             scheme.query_many([40, 3, 63, 7])
         assert len(NULL_TRACER) == 0
+
+    def test_untraced_legs_reach_the_executor_unwrapped(self):
+        seen = {}
+        for traced in (False, True):
+            executor = _RecordingExecutor()
+            database = integer_database(64)
+            scheme = ClusterIR(
+                database, shard_count=2, replica_count=1,
+                pad_size=8, rng=SeededRandomSource("legs"),
+                executor=executor, tracer=Tracer("t") if traced else None,
+            )
+            assert scheme.query_many([40, 3]) == [database[40], database[3]]
+            seen[traced] = [
+                getattr(task, "func", None) == scheme._traced_leg
+                for task in executor.tasks
+            ]
+        assert seen == {False: [False, False], True: [True, True]}
+
+    def test_reshard_drain_legs_get_spans_in_shard_order(self):
+        tracer = Tracer("reshard")
+        scheme = ClusterIR(
+            integer_database(64), shard_count=3, replica_count=1,
+            pad_size=8, rng=SeededRandomSource("drain"), tracer=tracer,
+        )
+        scheme.reshard(2)
+        (reshard,) = [s for s in tracer.spans() if s.name == "cluster.reshard"]
+        assert reshard.labels == {"shards_before": 3, "shards_after": 2}
+        legs = [s for s in tracer.spans() if s.name == "cluster.drain_leg"]
+        assert [leg.labels["shard"] for leg in legs] == [0, 1, 2]
+        assert [leg.span_id for leg in legs] == [
+            f"{reshard.span_id}.{i}" for i in range(3)
+        ]
+        assert all(leg.error is None for leg in legs)
+
+
+class TestLegSpanNesting:
+    def test_storage_batches_nest_under_their_own_shard_leg(self):
+        # Legs run one after another on the caller's thread, so every
+        # storage batch opens beneath the leg that issued it and leg k's
+        # ids precede leg k+1's.
+        tracer = Tracer("nest")
+        cluster("dp_ir", ClusterConfig(
+            executor="parallel", tracer=tracer, shards=2, replicas=1, n=64,
+            requests=8, seed=13, pad_size=8, batch=4,
+        ))
+        spans = tracer.spans()
+        by_id = {s.span_id: s for s in spans}
+        batches = [s for s in spans if s.name == "storage.read_many"]
+        assert batches
+        assert {by_id[s.parent_id].name for s in batches} == {
+            "cluster.shard_leg"
+        }
+        for leg in (s for s in spans if s.name == "cluster.shard_leg"):
+            assert leg.wall_ms is not None
+            children = [s for s in batches if s.parent_id == leg.span_id]
+            assert [s.span_id for s in children] == [
+                f"{leg.span_id}.{i}" for i in range(len(children))
+            ]
+            assert children
 
 
 class TestDeterminism:

@@ -14,7 +14,7 @@ from unittest import mock
 
 import pytest
 from dp_ram_view import record_plans, seen_pairs, watch
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.oram_kvs import ORAMKeyValueStore
@@ -25,6 +25,7 @@ from repro.core.dp_kvs import DPKVS
 from repro.core.dp_ram import DPRAM, ReadOnlyDPRAM
 from repro.crypto.encryption import decrypt_many, encrypt_many
 from repro.crypto.rng import SeededRandomSource
+from repro.hashing.tree_buckets import TreeBucketLayout
 from repro.storage.backends import NetworkBackendFactory, SlabBackend
 from repro.storage.blocks import check_block, encode_int, integer_database
 from repro.storage.errors import CapacityError, RetrievalError, StorageError
@@ -1287,18 +1288,35 @@ class TestDPKVSModel:
         )
 
     @given(seed=st.integers(0, 2**32))
+    @example(seed=6581)
     @settings(max_examples=20, deadline=None)
     def test_operation_cost_bounded_for_fixed_n(self, seed):
-        # 2·3·path_length is the worst case (every node of d ‖ o distinct);
-        # an operation whose two queries keep d_j = o_j moves a third
-        # less, and one that uploads two paths never moves under them.
+        # An operation downloads the distinct nodes of d_1 ‖ d_2 ‖ o_1 ‖ o_2
+        # and uploads those of o_1 ‖ o_2.  2·3·path_length is the worst
+        # case (every node distinct); at least one path goes each way.
+        # Both queries can land on one path: seed 6581's first put finds
+        # its first bucket stashed, draws the second bucket as d_1 = o_1,
+        # and the second query keeps d_2 = o_2, so it moves exactly
+        # 2·path_length.
         store = DPKVS(64, key_size=4, value_size=4,
                       rng=SeededRandomSource(seed))
+        layout = TreeBucketLayout(store.params.shape)
         worst_case = store.blocks_per_operation()
         path_length = store.params.shape.path_length
         for i in range(10):
             before = store.server.operations
+            seen = len(store.transcript_pairs)
             store.put(f"k{i}".encode(), b"v")
             store.flush()
             moved = store.server.operations - before
-            assert 2 * path_length < moved <= worst_case
+            pairs = store.transcript_pairs[seen:]
+            downloaded = {
+                node for pair in pairs for leaf in pair
+                for node in layout.path_nodes(leaf)
+            }
+            uploaded = {
+                node for _, leaf in pairs for node in layout.path_nodes(leaf)
+            }
+            assert len(pairs) == 2
+            assert moved == len(downloaded) + len(uploaded)
+            assert 2 * path_length <= moved <= worst_case

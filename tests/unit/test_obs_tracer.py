@@ -31,6 +31,32 @@ class TestSpanIds:
         assert parents == {"0": None, "0.0": "0", "0.0.0": "0.0",
                            "0.1": "0"}
 
+    def test_start_span_allocates_under_the_active_span_without_activating(self):
+        tracer = Tracer("t")
+        with tracer.span("round"):
+            event = tracer.start_span("batch")
+            with tracer.span("leg"):
+                pass
+        parents = {s.span_id: s.parent_id for s in tracer.spans()}
+        assert event.span_id == "0.0"
+        assert parents == {"0": None, "0.0": "0", "0.1": "0"}
+
+    def test_a_raising_span_leaves_the_stack_as_it_found_it(self):
+        tracer = Tracer("t")
+        with tracer.span("round"):
+            with pytest.raises(ValueError):
+                with tracer.span("leg"):
+                    with tracer.span("batch"):
+                        raise ValueError("boom")
+            with tracer.span("leg"):
+                pass
+        with tracer.span("next"):
+            pass
+        parents = {s.span_id: s.parent_id for s in tracer.spans()}
+        assert parents == {"0": None, "0.0": "0", "0.0.0": "0.0",
+                           "0.1": "0", "1": None}
+        assert tracer._stack == []
+
     def test_ids_never_come_from_clocks(self):
         tracer = Tracer("t")
         with tracer.span("a"):
