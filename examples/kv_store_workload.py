@@ -12,7 +12,7 @@ Run with::
 
 import repro
 from repro import SeededRandomSource
-from repro.simulation.harness import run_kv_trace
+from repro.simulation.harness import run_trace
 from repro.simulation.reporting import format_table
 from repro.workloads.kv_traces import ycsb_trace
 
@@ -35,7 +35,7 @@ for profile in ("A", "B", "C"):
         ("ORAM-KVS", repro.build("oram_kvs", n=CAPACITY,
                                  rng=rng.spawn(f"okvs-{profile}"))),
     ):
-        metrics = run_kv_trace(store, trace)
+        metrics = run_trace(store, trace)
         client = metrics.client_peak_blocks
         rows.append([
             f"YCSB-{profile}", name,

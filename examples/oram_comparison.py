@@ -12,7 +12,7 @@ Run with::
 """
 
 from repro import DPRAM, PathORAM, SeededRandomSource
-from repro.simulation.harness import run_ram_trace
+from repro.simulation.harness import run_trace
 from repro.simulation.reporting import format_table
 from repro.storage.blocks import integer_database
 from repro.workloads.generators import read_write_trace
@@ -30,8 +30,8 @@ for exponent in (8, 10, 12, 14):
     dpram = DPRAM(database, rng=rng.spawn(f"dpram-{n}"))
     oram = PathORAM(database, rng=rng.spawn(f"oram-{n}"))
 
-    dpram_metrics = run_ram_trace(dpram, trace, initial=database)
-    oram_metrics = run_ram_trace(oram, trace, initial=database)
+    dpram_metrics = run_trace(dpram, trace, initial=database)
+    oram_metrics = run_trace(oram, trace, initial=database)
     assert dpram_metrics.mismatches == 0
     assert oram_metrics.mismatches == 0
 

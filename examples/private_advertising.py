@@ -23,7 +23,7 @@ import math
 
 from repro import DPIR, LinearScanPIR, PlaintextRAM, SeededRandomSource
 from repro.analysis.attacks import max_success_probability, membership_attack
-from repro.simulation.harness import run_ir_trace, run_ram_trace
+from repro.simulation.harness import run_trace
 from repro.simulation.reporting import format_table
 from repro.storage.blocks import integer_database
 from repro.workloads.generators import zipf_trace
@@ -42,9 +42,9 @@ dpir = DPIR(catalog, epsilon=math.log(CAMPAIGNS), alpha=0.05,
 pir = LinearScanPIR(catalog)
 
 read_only = impressions  # all reads; reuse for the RAM-shaped baseline
-plain_metrics = run_ram_trace(plain, read_only, initial=catalog)
-dpir_metrics = run_ir_trace(dpir, impressions, expected=catalog)
-pir_metrics = run_ir_trace(pir, impressions, expected=catalog)
+plain_metrics = run_trace(plain, read_only, initial=catalog)
+dpir_metrics = run_trace(dpir, impressions, initial=catalog)
+pir_metrics = run_trace(pir, impressions, initial=catalog)
 
 attack = membership_attack(dpir.sample_query_set, 0, 1, trials=2000,
                            rng=rng.spawn("attack"), epsilon=dpir.epsilon)

@@ -74,7 +74,7 @@ def _config(config_type, args: argparse.Namespace, **sinks):
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.api import available_schemes, build, scheme_spec
     from repro.crypto.rng import default_rng
-    from repro.simulation.harness import run_trace, simulated_network_ms
+    from repro.simulation.harness import run_trace
     from repro.simulation.reporting import format_table, latency_rows
     from repro.workloads import catalogue
 
@@ -123,11 +123,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # database doubles as the correctness reference.
         from repro.storage.blocks import integer_database
 
-        database = integer_database(args.n)
-        if spec.kind == "ir":
-            metrics = run_trace(scheme, trace, expected=database)
-        else:
-            metrics = run_trace(scheme, trace, initial=database)
+        metrics = run_trace(scheme, trace, initial=integer_database(args.n))
 
     rows = [
         ["scheme", args.scheme],
@@ -143,9 +139,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
          else metrics.client_peak_blocks],
         ["elapsed seconds", f"{metrics.elapsed_seconds:.3f}"],
     ]
-    simulated = simulated_network_ms(scheme)
-    if simulated is not None:
-        rows.append(["simulated network ms", f"{simulated:.1f}"])
+    if metrics.network_ms is not None:
+        rows.append(["simulated network ms", f"{metrics.network_ms:.1f}"])
     for name in sorted(metrics.fault_counters):
         rows.append([f"faults: {name}", metrics.fault_counters[name]])
     summary = metrics.latency_summary

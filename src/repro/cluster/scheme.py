@@ -253,12 +253,16 @@ class _ClusterBase(Scheme, Generic[_G]):
         self._base = spec.name
         self._replica_count = replica_count
         self._epsilon_cap = epsilon_cap
-        self._backend_factory = backend_factory
-        self._base_kwargs = base_kwargs
         self._rng = rng if rng is not None else SystemRandomSource()
         self._executor = resolve_executor(executor)
         self.attach_tracer(tracer)
         self._network_model = _resolve_model(network)
+        self._base_kwargs: dict[str, Any] = {"backend": backend_factory, **base_kwargs}
+        if backend_factory == "network":
+            # Each replica runs over the link the cluster prices (its
+            # builder would pick WAN).  Only here: given a model, any
+            # other backend's builder would turn memory replicas networked.
+            self._base_kwargs.setdefault("network", self._network_model)
         self._fault_coin_mode = fault_coin_mode
         self._failure_rates = _rate_per_replica(
             failure_rate, replica_count, "failure rate"
@@ -305,7 +309,6 @@ class _ClusterBase(Scheme, Generic[_G]):
                     self._base,
                     **kwargs,
                     rng=self._rng.spawn(f"scheme/{label}"),
-                    backend=self._backend_factory,
                     **self._base_kwargs,
                 )
                 _inject_faults(

@@ -82,7 +82,6 @@ to recover from.  The held ciphertexts count as client storage
 
 from __future__ import annotations
 
-from array import array
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from repro.analysis.datasheet import PrivacyDatasheet
@@ -206,8 +205,6 @@ class BucketDPRAM(PrivateRAM):
         self._note_peak()
 
         self._queries = 0
-        self._downloads = array("q")  # the (d_j, o_j) history
-        self._overwrites = array("q")
 
     # -- accounting ----------------------------------------------------------
 
@@ -282,20 +279,6 @@ class BucketDPRAM(PrivateRAM):
             server_blocks=self._link.server.capacity,
             expected_blocks_per_query=(3.0 - (1.0 - p) ** 2) * widest,
         )
-
-    @property
-    def transcript_pairs(self) -> list[tuple[int, int]]:
-        """Bucket-granular ``(d_j, o_j)`` pairs — the adversary view.
-
-        The history is two ``array("q")`` columns that grow by 16 B a
-        query and are never trimmed: client state counted neither in
-        :attr:`client_blocks` nor in the datasheet's ``client_blocks``.
-        :class:`~repro.core.dp_ram.DPRAM` keeps none — its pairs are read
-        off the server's transcript — but a bucket pair cannot be: when
-        a batch's buckets share tree nodes, the node-level transcript no
-        longer says which bucket a node was fetched for.
-        """
-        return list(zip(self._downloads, self._overwrites))
 
     def bucket_nodes(self, bucket: int) -> tuple[int, ...]:
         """Node ids of ``bucket``."""
@@ -497,8 +480,6 @@ class BucketDPRAM(PrivateRAM):
             upload_nodes.extend(overwrite_nodes)
             upload_blocks.extend(blocks)
             self._note_peak()
-            self._downloads.append(plan.download_bucket)
-            self._overwrites.append(plan.overwrite_bucket)
             self._queries += 1
 
         nonces = b"".join(plan.nonces for plan in stage.plans)

@@ -203,11 +203,6 @@ class DPKVS(PrivateKVS):
         """Completed KVS operations."""
         return self._operations
 
-    @property
-    def transcript_pairs(self) -> list[tuple[int, int]]:
-        """Bucket-granular ``(d_j, o_j)`` pairs from the underlying DP-RAM."""
-        return self._ram.transcript_pairs
-
     def blocks_per_operation(self) -> int:
         """Node blocks moved per operation, at most: ``2 · 3 · (depth+1)``.
 

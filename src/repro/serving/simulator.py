@@ -50,8 +50,7 @@ from repro.serving.load import ArrivalPlan
 from repro.serving.report import ServingReport, TenantReport
 from repro.serving.requests import Request
 from repro.serving.schedulers import RequestScheduler
-from repro.simulation.metrics import LatencySummary
-from repro.storage.backends import NetworkBackend
+from repro.simulation.metrics import CostMeter, LatencySummary
 from repro.storage.faults import scheme_fault_counters
 from repro.storage.network import LAN, NetworkModel
 from repro.workloads.kv_traces import KVOperation, KVOpKind
@@ -72,72 +71,6 @@ class ClientSession:
         self.tenant = tenant
         self.operations = list(operations)
         self.plan = plan
-
-
-class _CostMeter:
-    """Convert a dispatch's server-operation delta into simulated time.
-
-    The delta is read off :meth:`~repro.api.protocols.Scheme.server_operations`,
-    never counted here: a single-node scheme sums its servers' counters,
-    a cluster its shard groups' (each group counts an operation once, at
-    the entry point that caused it — see :mod:`repro.cluster.group`).
-    When every server already runs over a :class:`NetworkBackend`, the
-    backends' own accumulated milliseconds are authoritative: one
-    roundtrip per *request* — a held upload and the downloads it rides
-    with (``StorageServer.exchange``), or a lone round — plus the
-    transfer of its bytes.  Otherwise each *block* moved is priced at
-    one roundtrip plus one block transfer under ``model``.  The two do
-    not agree on a batched scheme: a K-block round is ``rtt + transfer(K
-    blocks)`` on the backend and ``K · (rtt + transfer(block))`` here.
-
-    Overlap: schemes whose :meth:`~repro.api.protocols.Scheme.wall_operations`
-    diverges from their serial operation count (the cluster schemes
-    under a parallel executor) occupy the worker for the *overlapped*
-    wall-clock of each dispatch; the serial figure is still metered so
-    the report can show both.
-    """
-
-    def __init__(self, scheme: Scheme, model: NetworkModel) -> None:
-        self._scheme = scheme
-        self._per_op = model.rtt_ms + model.transfer_ms(scheme.block_size)
-        backends = [server.backend for server in scheme.servers()]
-        network = [b for b in backends if isinstance(b, NetworkBackend)]
-        self._network = network if backends and len(network) == len(backends) else None
-        self._last_ms = sum(backend.simulated_ms for backend in network)
-        self._last_ops = scheme.server_operations()
-        self._last_wall = scheme.wall_operations()
-        #: Running totals of what :meth:`charge` returned.
-        self.operations, self.wall_ms, self.serial_ms = 0, 0.0, 0.0
-
-    def charge(self) -> tuple[int, float, float]:
-        """``(operations, service_ms, serial_ms)`` since the last charge.
-
-        ``service_ms`` is the wall-clock the dispatch occupies the
-        worker for (overlap-accounted); ``serial_ms`` is the cost with
-        every leg run back-to-back.  They agree except for schemes that
-        fan independent legs out concurrently.
-        """
-        operations = self._scheme.server_operations()
-        ops_delta = operations - self._last_ops
-        self._last_ops = operations
-        wall = self._scheme.wall_operations()
-        wall_delta = wall - self._last_wall
-        self._last_wall = wall
-        if self._network is not None:
-            now_ms = sum(backend.simulated_ms for backend in self._network)
-            serial_ms = now_ms - self._last_ms
-            self._last_ms = now_ms
-            # The backends accumulate serially; scale by the scheme's
-            # overlap ratio so racing legs overlap here too.
-            scale = (wall_delta / ops_delta) if ops_delta > 0 else 1.0
-            service_ms = serial_ms * scale
-        else:
-            serial_ms = ops_delta * self._per_op
-            service_ms = wall_delta * self._per_op
-        self.operations += ops_delta
-        self.wall_ms += service_ms
-        self.serial_ms += serial_ms
-        return ops_delta, service_ms, serial_ms
 
 
 def _execute_batch(scheme: Scheme, batch: list[Request]) -> None:
@@ -265,7 +198,7 @@ class ServingSimulator:
                 arrive(session_index, arrival)
 
         scheme = self._scheme
-        meter = _CostMeter(scheme, self._model)
+        meter = CostMeter(scheme, self._model)
         charge = meter.charge
         scheduler = self._scheduler
         pending = scheduler.pending

@@ -48,18 +48,18 @@ from repro.workloads.kv_traces import KVOperation, KVTrace, ycsb_trace
 from repro.workloads.trace import OpKind
 
 
-def _blocks_per_op(trace, *schemes, **reference) -> list[float]:
+def _blocks_per_op(trace, *schemes, initial=None) -> list[float]:
     """Blocks per operation of each scheme over the same trace.
 
     For the tables without a mismatch column (E1, E2, E11, E11b, E12,
     E14): a cost means something only if the scheme answered the trace
     correctly, so a mismatch against the harness's reference model stops
-    the experiment.  ``reference`` is the runner's reference-model keyword
-    (``expected=`` / ``initial=`` the database; none for a KVS).
+    the experiment.  ``initial`` is the database the schemes start from,
+    the reference model's seed (none for a KVS).
     """
     blocks = []
     for scheme in schemes:
-        metrics = run_trace(scheme, trace, **reference)
+        metrics = run_trace(scheme, trace, initial)
         assert metrics.mismatches == 0, type(scheme).__name__
         blocks.append(metrics.blocks_per_operation)
     return blocks
@@ -78,7 +78,7 @@ def experiment_e01_errorless_ir(
     for n in sizes:
         database = integer_database(n)
         trace = uniform_trace(n, queries, rng.spawn(f"e1-{n}"))
-        (measured,) = _blocks_per_op(trace, LinearScanPIR(database), expected=database)
+        (measured,) = _blocks_per_op(trace, LinearScanPIR(database), initial=database)
         bound = bounds.dp_ir_errorless_lower_bound(n)
         table.add_row(n, bound, measured, measured >= bound)
     table.add_note(
@@ -113,7 +113,7 @@ def experiment_e02_dpir_lower_bound(
         scheme = DPIR(database, epsilon=epsilon, alpha=alpha,
                       rng=rng.spawn(f"e2-{epsilon:.3f}"))
         trace = uniform_trace(n, queries, rng.spawn(f"e2-trace-{epsilon:.3f}"))
-        (measured,) = _blocks_per_op(trace, scheme, expected=database)
+        (measured,) = _blocks_per_op(trace, scheme, initial=database)
         floor = bounds.dp_ir_error_lower_bound(n, scheme.epsilon, alpha)
         table.add_row(
             n, round(epsilon, 3), round(scheme.epsilon, 3), scheme.pad_size,
@@ -149,7 +149,7 @@ def experiment_e03_dpir_construction(
             scheme = DPIR(database, epsilon=epsilon, alpha=alpha,
                           rng=rng.spawn(f"e3-{n}-{alpha}"))
             trace = zipf_trace(n, queries, rng.spawn(f"e3-trace-{n}-{alpha}"))
-            metrics = run_trace(scheme, trace, expected=database)
+            metrics = run_trace(scheme, trace, initial=database)
             table.add_row(
                 n, alpha, scheme.pad_size, round(scheme.epsilon, 3),
                 round(scheme.epsilon / math.log(n), 3),
@@ -506,7 +506,7 @@ def experiment_e12_multi_server(
         )
         corrupted = set(range(corrupted_count))
         trace = uniform_trace(n, queries, rng.spawn(f"e12-t-{corrupted_count}"))
-        (total,) = _blocks_per_op(trace, scheme, expected=database)
+        (total,) = _blocks_per_op(trace, scheme, initial=database)
         view_rng = rng.spawn(f"e12-view-{corrupted_count}")
         visible = 0
         samples = 200
@@ -644,7 +644,7 @@ def experiment_e14_response_times(
         read_trace,
         DPIR(database, epsilon=math.log(n), alpha=0.05, rng=rng.spawn("e14-i")),
         LinearScanPIR(database),
-        expected=database,
+        initial=database,
     )
     # The third primitive runs the same trace with record i as a key.
     kv_trace = KVTrace(

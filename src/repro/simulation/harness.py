@@ -1,245 +1,148 @@
-"""Drive schemes over workload traces with correctness checking.
+"""Drive a scheme over a workload trace with correctness checking.
 
-The harness dispatches on the :mod:`repro.api` protocols:
+:func:`run_trace` is the one trace driver — ``repro run``, the
+experiments and ``repro.cluster`` all call it.  It dispatches on the
+:mod:`repro.api` protocols:
 
-* :class:`~repro.api.protocols.PrivateIR` — ``query`` (DP-IR, strawman,
-  linear PIR, batch/multi-server/sharded DP-IR).
-* :class:`~repro.api.protocols.PrivateRAM` — ``read``/``write`` (DP-RAM,
-  Path ORAM, plaintext RAM).
-* :class:`~repro.api.protocols.PrivateKVS` — ``get``/``put``/``delete``
-  (DP-KVS, ORAM-KVS, plaintext KVS).
+* :class:`~repro.api.protocols.PrivateIR` — ``query`` / ``query_many``
+  (DP-IR, strawman, linear PIR, batch/multi-server/sharded DP-IR).
+* :class:`~repro.api.protocols.PrivateRAM` — ``read`` / ``read_many`` /
+  ``write`` (DP-RAM, Path ORAM, plaintext RAM).
+* :class:`~repro.api.protocols.PrivateKVS` — ``get`` / ``get_many`` /
+  ``put`` (DP-KVS, ORAM-KVS, plaintext KVS).
 
 Operation counters, multi-server aggregation and client-storage figures
 all come from the shared :class:`~repro.api.protocols.Scheme` surface —
 no attribute probing.  Every run keeps a client-side reference model (a
 plain dict) and counts mismatches, so the experiments measure
 privacy/bandwidth of schemes that are *demonstrably correct* on the same
-trace.
+trace.  Latency is what :class:`~repro.simulation.metrics.CostMeter`
+charges for each round.
 """
 
 from __future__ import annotations
 
 import time
+from itertools import groupby
+from typing import Iterator, NamedTuple, Sequence
 
 from repro.api.protocols import PrivateIR, PrivateKVS, PrivateRAM, Scheme
-from repro.simulation.metrics import RunMetrics
-from repro.storage.backends import NetworkBackend
+from repro.simulation.metrics import CostMeter, RunMetrics
 from repro.storage.faults import scheme_fault_counters
+from repro.storage.network import NetworkModel
 from repro.workloads.kv_traces import KVOpKind, KVTrace
 from repro.workloads.trace import OpKind, Trace
 
 
-def simulated_network_ms(scheme: Scheme) -> float | None:
-    """Total simulated link time across the scheme's servers.
+class _Protocol(NamedTuple):
+    """How the driver speaks one protocol."""
 
-    ``None`` when no server runs over a latency-accounting
-    :class:`~repro.storage.backends.NetworkBackend` — the distinction
-    lets callers tell "zero milliseconds" from "not simulated at all".
-    """
-    total = 0.0
-    found = False
-    for server in scheme.servers():
-        backend = server.backend
-        if isinstance(backend, NetworkBackend):
-            total += backend.simulated_ms
-            found = True
-    return total if found else None
+    read: object  # the trace's read kind
+    one: str  # single-read entry point
+    many: str  # batched-read entry point
+    write: str | None  # write entry point (None: reads only)
+    operand: str  # the operation field reads and writes address
+    none_is_error: bool  # a None answer is an error event (IR's α)
+    checks_absent: bool  # an operand the model lacks must read None
 
 
-class _LatencyProbe:
-    """Record per-operation simulated latency deltas into a metrics bundle.
-
-    A no-op for purely in-memory schemes; over network backends each
-    ``sample()`` appends the link time spent since the previous sample,
-    giving the per-query response-time stream the tail statistics need.
-    """
-
-    def __init__(self, scheme: Scheme, metrics: RunMetrics) -> None:
-        self._scheme = scheme
-        self._metrics = metrics
-        self._last = simulated_network_ms(scheme)
-
-    def sample(self) -> None:
-        if self._last is None:
-            return
-        now = simulated_network_ms(self._scheme)
-        self._metrics.latencies_ms.append(now - self._last)
-        self._last = now
+_IR = _Protocol(OpKind.READ, "query", "query_many", None, "index", True, False)
+_RAM = _Protocol(OpKind.READ, "read", "read_many", "write", "index", False, False)
+_KVS = _Protocol(KVOpKind.GET, "get", "get_many", "put", "key", False, True)
 
 
-def _price_overlap(
-    scheme: Scheme, metrics: RunMetrics, wall_before: float
-) -> None:
-    """Fill the metrics' serial vs wall-clock figures for the run.
-
-    Both are priced under the LAN reference link (one roundtrip plus
-    one block transfer per operation) so they are comparable across
-    schemes; they differ exactly when the scheme overlapped independent
-    legs (:meth:`~repro.api.protocols.Scheme.wall_operations`).
-    """
-    from repro.storage.network import LAN
-
-    per_op = LAN.rtt_ms + LAN.transfer_ms(scheme.block_size)
-    metrics.serial_ms = metrics.blocks_total * per_op
-    metrics.wall_clock_ms = (
-        scheme.wall_operations() - wall_before
-    ) * per_op
-
-
-def _server_counters(scheme) -> tuple[int, int]:
-    """(reads, writes) across every server the scheme exposes.
-
-    A scheme with no provisioned servers counts zero operations — it is
-    not an error (the old duck-typed probe silently *skipped* an empty
-    ``pool``, which this replaces).
-    """
-    if not isinstance(scheme, Scheme):
-        raise TypeError(
-            f"{type(scheme).__name__} does not implement the "
-            "repro.api.Scheme protocol"
-        )
-    return scheme.server_counters()
-
-
-def run_trace(scheme: Scheme, trace, **kwargs) -> RunMetrics:
-    """Run ``trace`` against ``scheme``, dispatching on its protocol.
-
-    ``Trace`` workloads go to :func:`run_ir_trace` or
-    :func:`run_ram_trace` depending on the scheme; :class:`KVTrace`
-    workloads go to :func:`run_kv_trace`.  Keyword arguments pass
-    through to the protocol-specific runner.
-    """
+def _protocol(scheme: Scheme, trace: Trace | KVTrace) -> _Protocol:
     if isinstance(trace, KVTrace):
         if not isinstance(scheme, PrivateKVS):
-            raise TypeError(
-                f"{type(scheme).__name__} cannot run a KV trace"
-            )
-        return run_kv_trace(scheme, trace, **kwargs)
+            raise TypeError(f"{type(scheme).__name__} cannot run a KV trace")
+        return _KVS
     if isinstance(scheme, PrivateIR):
-        return run_ir_trace(scheme, trace, **kwargs)
+        return _IR
     if isinstance(scheme, PrivateRAM):
-        return run_ram_trace(scheme, trace, **kwargs)
-    raise TypeError(
-        f"{type(scheme).__name__} implements no runnable protocol"
-    )
+        return _RAM
+    raise TypeError(f"{type(scheme).__name__} implements no runnable protocol")
 
 
-def run_ir_trace(
-    scheme: PrivateIR, trace: Trace, expected: list[bytes] | None = None
+def _rounds(trace, read: object, batch: int) -> Iterator[list]:
+    """Consecutive reads in rounds of up to ``batch``; each write alone."""
+    for reads, group in groupby(trace, lambda operation: operation.kind is read):
+        run, size = list(group), batch if reads else 1
+        for start in range(0, len(run), size):
+            yield run[start:start + size]
+
+
+def run_trace(
+    scheme: Scheme,
+    trace: Trace | KVTrace,
+    initial: Sequence[bytes] | None = None,
+    *,
+    batch: int = 1,
+    network: NetworkModel | None = None,
 ) -> RunMetrics:
-    """Run a read-only trace against an IR scheme.
+    """Run ``trace`` against ``scheme``, dispatching on its protocol.
 
     Args:
-        scheme: a :class:`~repro.api.protocols.PrivateIR`.
-        trace: the workload (must be read-only).
-        expected: plaintext database for correctness checking; mismatches
-            are counted only for non-errored queries.
+        scheme: a :class:`~repro.api.protocols.PrivateIR`,
+            :class:`~repro.api.protocols.PrivateRAM` or (for a
+            :class:`KVTrace`) :class:`~repro.api.protocols.PrivateKVS`.
+        trace: the workload; an IR scheme's must be read-only.
+        initial: the database the scheme starts from, seeding the
+            reference model.  A read is checked when the model holds its
+            index — without ``initial``, only indices the trace wrote.
+            A KV get is always checked (an absent key must read ``None``).
+        batch: consecutive reads go out in rounds of up to ``batch``; a
+            round of one through the single-op entry point (``query`` /
+            ``read`` / ``get``), a longer one through ``*_many``.  Every
+            write goes alone.
+        network: link model pricing each round's operations when the
+            servers are not network-backed; with neither, no latency is
+            recorded.
+
+    Raises:
+        TypeError: if the scheme implements no protocol that runs
+            ``trace``.
+        ValueError: on a write in an IR trace.
     """
-    reads_before, writes_before = _server_counters(scheme)
-    wall_before = scheme.wall_operations()
+    protocol = _protocol(scheme, trace)
+    if batch < 1:
+        raise ValueError(f"batch must be positive, got {batch}")
+    one = getattr(scheme, protocol.one)
+    many = getattr(scheme, protocol.many)
+    write = getattr(scheme, protocol.write) if protocol.write else None
+    operand = protocol.operand
+    reference = {i: bytes(block) for i, block in enumerate(initial or ())}
     metrics = RunMetrics(scheme=type(scheme).__name__, trace=trace.name)
-    probe = _LatencyProbe(scheme, metrics)
+    reads_before, writes_before = scheme.server_counters()
+    meter = CostMeter(scheme, network)
+    latencies = metrics.latencies_ms if meter.priced else None
     started = time.perf_counter()
-    for operation in trace:
-        if operation.kind is not OpKind.READ:
-            raise ValueError("IR schemes only support reads")
-        answer = scheme.query(operation.index)
-        probe.sample()
-        metrics.operations += 1
-        if answer is None:
-            metrics.errors += 1
-        elif expected is not None and answer != expected[operation.index]:
-            metrics.mismatches += 1
-    scheme.flush()  # the last upload, so the counters below are complete
-    metrics.elapsed_seconds = time.perf_counter() - started
-    reads_after, writes_after = _server_counters(scheme)
-    metrics.blocks_downloaded = reads_after - reads_before
-    metrics.blocks_uploaded = writes_after - writes_before
-    metrics.client_peak_blocks = scheme.client_peak_blocks
-    metrics.fault_counters = scheme_fault_counters(scheme)
-    _price_overlap(scheme, metrics, wall_before)
-    return metrics
-
-
-def run_ram_trace(
-    scheme: PrivateRAM, trace: Trace, initial: list[bytes] | None = None
-) -> RunMetrics:
-    """Run a read/write trace against a RAM scheme.
-
-    Args:
-        scheme: a :class:`~repro.api.protocols.PrivateRAM`.
-        trace: the workload.
-        initial: initial database contents for the reference model; when
-            omitted, reads are only checked against writes the trace
-            itself performed.
-    """
-    reads_before, writes_before = _server_counters(scheme)
-    wall_before = scheme.wall_operations()
-    metrics = RunMetrics(scheme=type(scheme).__name__, trace=trace.name)
-    reference: dict[int, bytes] = (
-        {i: bytes(b) for i, b in enumerate(initial)} if initial else {}
-    )
-    probe = _LatencyProbe(scheme, metrics)
-    started = time.perf_counter()
-    for operation in trace:
-        if operation.kind is OpKind.READ:
-            answer = scheme.read(operation.index)
-            metrics.operations += 1
-            if operation.index in reference and answer != reference[operation.index]:
-                metrics.mismatches += 1
+    for round_ops in _rounds(trace, protocol.read, batch):
+        first = round_ops[0]
+        if first.kind is not protocol.read:
+            if write is None:
+                raise ValueError("IR schemes only support reads")
+            write(getattr(first, operand), first.value)
+            reference[getattr(first, operand)] = first.value
         else:
-            scheme.write(operation.index, operation.value)
-            reference[operation.index] = operation.value
-            metrics.operations += 1
-        probe.sample()
+            operands = [getattr(operation, operand) for operation in round_ops]
+            answers = many(operands) if len(operands) > 1 else [one(operands[0])]
+            for target, answer in zip(operands, answers):
+                if answer is None and protocol.none_is_error:
+                    metrics.errors += 1
+                elif protocol.checks_absent or target in reference:
+                    if answer != reference.get(target):
+                        metrics.mismatches += 1
+        metrics.operations += len(round_ops)
+        if latencies is not None:
+            round_ms = meter.charge()[1]
+            latencies.extend([round_ms] * len(round_ops))
     scheme.flush()  # the last upload, so the counters below are complete
+    meter.charge()
     metrics.elapsed_seconds = time.perf_counter() - started
-    reads_after, writes_after = _server_counters(scheme)
+    reads_after, writes_after = scheme.server_counters()
     metrics.blocks_downloaded = reads_after - reads_before
     metrics.blocks_uploaded = writes_after - writes_before
     metrics.client_peak_blocks = scheme.client_peak_blocks
     metrics.fault_counters = scheme_fault_counters(scheme)
-    _price_overlap(scheme, metrics, wall_before)
-    return metrics
-
-
-def run_kv_trace(
-    scheme: PrivateKVS, trace: KVTrace, check: bool = True
-) -> RunMetrics:
-    """Run a key-value trace against a KVS scheme.
-
-    Args:
-        scheme: a :class:`~repro.api.protocols.PrivateKVS`.
-        trace: the workload.
-        check: maintain a reference dict and count mismatches, including
-            missing-key lookups that must return ``None``.
-
-    The protocol guarantees exact values — schemes strip their own
-    storage padding — so the reference comparison is plain equality.
-    """
-    reads_before, writes_before = _server_counters(scheme)
-    wall_before = scheme.wall_operations()
-    metrics = RunMetrics(scheme=type(scheme).__name__, trace=trace.name)
-    reference: dict[bytes, bytes] = {}
-    probe = _LatencyProbe(scheme, metrics)
-    started = time.perf_counter()
-    for operation in trace:
-        if operation.kind is KVOpKind.GET:
-            answer = scheme.get(operation.key)
-            metrics.operations += 1
-            if check and answer != reference.get(operation.key):
-                metrics.mismatches += 1
-        else:
-            scheme.put(operation.key, operation.value)
-            reference[operation.key] = operation.value
-            metrics.operations += 1
-        probe.sample()
-    scheme.flush()  # the last upload, so the counters below are complete
-    metrics.elapsed_seconds = time.perf_counter() - started
-    reads_after, writes_after = _server_counters(scheme)
-    metrics.blocks_downloaded = reads_after - reads_before
-    metrics.blocks_uploaded = writes_after - writes_before
-    metrics.client_peak_blocks = scheme.client_peak_blocks
-    metrics.fault_counters = scheme_fault_counters(scheme)
-    _price_overlap(scheme, metrics, wall_before)
+    metrics.network_ms = meter.link_ms
     return metrics

@@ -2,17 +2,22 @@
 
 Path ORAM's evaluation style reports response-time *distributions*, not
 just operation counts; :func:`percentile` and :class:`LatencySummary`
-bring the same discipline here.  The single-client harness records a
-per-operation simulated latency stream when the scheme runs over a
-:class:`~repro.storage.backends.NetworkBackend`, and the serving layer
-builds its p50/p95/p99 report from the same helpers.
+bring the same discipline here.  :class:`CostMeter` is the one rule
+pricing a round's server work as simulated time: the trace driver and
+the serving simulator build every latency stream from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
+
+from repro.storage.backends import NetworkBackend
+from repro.storage.network import NetworkModel
+
+if TYPE_CHECKING:
+    from repro.api.protocols import Scheme
 
 
 def percentile(values: Sequence[float], fraction: float) -> float:
@@ -142,16 +147,15 @@ class RunMetrics:
         client_peak_blocks: peak client storage in blocks, when the scheme
             reports it.
         elapsed_seconds: wall-clock time of the run.
-        latencies_ms: per-operation simulated response times, recorded
-            when the scheme runs over a latency-accounting backend.
+        latencies_ms: per-operation simulated response times — each
+            operation's round as :class:`CostMeter` priced it; recorded
+            when the scheme runs over latency-accounting backends or the
+            run was given a network model.
         fault_counters: injected/observed fault totals aggregated from
             the scheme's fault wrappers; empty for fault-free runs.
-        serial_ms: simulated time for the run's server operations priced
-            one after another under the LAN reference link.
-        wall_clock_ms: the same operations under the scheme's overlap
-            accounting (:meth:`repro.api.protocols.Scheme.wall_operations`)
-            — below :attr:`serial_ms` exactly when the scheme fanned
-            independent legs out concurrently, equal otherwise.
+        network_ms: the link time the scheme's network backends have
+            accumulated by the end of the run; ``None`` when the scheme
+            does not run over :class:`NetworkBackend` servers.
     """
 
     scheme: str
@@ -165,15 +169,7 @@ class RunMetrics:
     elapsed_seconds: float = 0.0
     latencies_ms: list[float] = field(default_factory=list)
     fault_counters: dict[str, int] = field(default_factory=dict)
-    serial_ms: float = 0.0
-    wall_clock_ms: float = 0.0
-
-    @property
-    def overlap_speedup(self) -> float:
-        """Serial over wall-clock time (1.0 when nothing overlapped)."""
-        if self.wall_clock_ms <= 0.0:
-            return 1.0
-        return self.serial_ms / self.wall_clock_ms
+    network_ms: float | None = None
 
     @property
     def blocks_total(self) -> int:
@@ -206,3 +202,82 @@ class RunMetrics:
         if baseline_blocks_per_op <= 0:
             raise ValueError("baseline must be positive")
         return self.blocks_per_operation / baseline_blocks_per_op
+
+
+class CostMeter:
+    """Convert a scheme's server-operation delta into simulated time.
+
+    Its three callers: :func:`repro.simulation.harness.run_trace`,
+    ``repro.cluster`` (through ``run_trace``) and
+    :class:`repro.serving.simulator.ServingSimulator`.
+
+    The delta is read off :meth:`~repro.api.protocols.Scheme.server_operations`,
+    never counted here: a single-node scheme sums its servers' counters,
+    a cluster its shard groups' (each group counts an operation once, at
+    the entry point that caused it — see :mod:`repro.cluster.group`).
+    When every server already runs over a :class:`NetworkBackend`, the
+    backends' own accumulated milliseconds are authoritative: one
+    roundtrip per *request* — a held upload and the downloads it rides
+    with (``StorageServer.exchange``), or a lone round — plus the
+    transfer of its bytes.  Otherwise each *block* moved is priced at
+    one roundtrip plus one block transfer under ``model``, and with no
+    ``model`` nothing is priced (:attr:`priced` is false).  The two do
+    not agree on a batched scheme: a K-block round is ``rtt + transfer(K
+    blocks)`` on the backend and ``K · (rtt + transfer(block))`` here.
+
+    Overlap: schemes whose :meth:`~repro.api.protocols.Scheme.wall_operations`
+    diverges from their serial operation count (the cluster schemes
+    under a parallel executor) are charged the *overlapped* wall-clock
+    of each round; the serial figure is still metered so a report can
+    show both.
+    """
+
+    def __init__(self, scheme: Scheme, model: NetworkModel | None) -> None:
+        self._scheme = scheme
+        self._per_op = (
+            0.0 if model is None
+            else model.rtt_ms + model.transfer_ms(scheme.block_size)
+        )
+        backends = [server.backend for server in scheme.servers()]
+        linked = bool(backends) and all(isinstance(b, NetworkBackend) for b in backends)
+        self._network = backends if linked else None
+        #: Whether a charge means anything: the servers run over network
+        #: backends, or a ``model`` prices their operations.
+        self.priced = linked or model is not None
+        #: The network backends' accumulated link time as of the last
+        #: charge; ``None`` when the servers are not all network-backed.
+        self.link_ms = sum(b.simulated_ms for b in backends) if linked else None
+        self._last_ops = scheme.server_operations()
+        self._last_wall = scheme.wall_operations()
+        #: Running totals of what :meth:`charge` returned.
+        self.operations, self.wall_ms, self.serial_ms = 0, 0.0, 0.0
+
+    def charge(self) -> tuple[int, float, float]:
+        """``(operations, service_ms, serial_ms)`` since the last charge.
+
+        ``service_ms`` is the wall-clock the round took (overlap-
+        accounted); ``serial_ms`` is the cost with every leg run
+        back-to-back.  They agree except for schemes that fan
+        independent legs out concurrently.
+        """
+        operations = self._scheme.server_operations()
+        ops_delta = operations - self._last_ops
+        self._last_ops = operations
+        wall = self._scheme.wall_operations()
+        wall_delta = wall - self._last_wall
+        self._last_wall = wall
+        if self._network is not None:
+            now_ms = sum(backend.simulated_ms for backend in self._network)
+            serial_ms = now_ms - self.link_ms
+            self.link_ms = now_ms
+            # The backends accumulate serially; scale by the scheme's
+            # overlap ratio so racing legs overlap here too.
+            scale = (wall_delta / ops_delta) if ops_delta > 0 else 1.0
+            service_ms = serial_ms * scale
+        else:
+            serial_ms = ops_delta * self._per_op
+            service_ms = wall_delta * self._per_op
+        self.operations += ops_delta
+        self.wall_ms += service_ms
+        self.serial_ms += serial_ms
+        return ops_delta, service_ms, serial_ms

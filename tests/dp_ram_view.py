@@ -7,6 +7,12 @@ server, and :func:`seen_pairs` projects it through
 :meth:`~repro.storage.transcript.Transcript.dp_ram_pairs`, which also
 checks each query's shape.  :func:`record_plans` is the client's side of
 the same pairs, for the tests that hold one against the other.
+
+A :class:`~repro.core.bucket_ram.BucketDPRAM` (and the DP-KVS on top of
+it) keeps no history either, and its bucket pairs cannot be read off the
+node-level transcript: when a batch's buckets share tree nodes, the
+transcript no longer says which bucket a node was fetched for.
+:func:`record_bucket_pairs` records them where the client commits them.
 """
 
 from repro.storage.transcript import AccessEvent, AccessKind, Transcript
@@ -75,3 +81,24 @@ def record_plans(ram) -> list[tuple[int, int]]:
 
     ram._plan = recording
     return planned
+
+
+def record_bucket_pairs(ram) -> list[tuple[int, int]]:
+    """The bucket ``(d_j, o_j)`` of every query ``ram`` commits from now on.
+
+    ``ram`` is a :class:`~repro.core.bucket_ram.BucketDPRAM` (a DP-KVS's
+    is ``store._ram``).  Its ``finish_query`` is wrapped on the instance,
+    which ``batch`` reaches through ``self``; a stage's pairs are appended
+    once the call returns, so a refused or faulted batch leaves none.
+    """
+    pairs = []
+    finish = ram.finish_query
+
+    def recording(stage, *args, **kwargs):
+        finish(stage, *args, **kwargs)
+        pairs.extend(
+            (plan.download_bucket, plan.overwrite_bucket) for plan in stage.plans
+        )
+
+    ram.finish_query = recording
+    return pairs

@@ -334,9 +334,76 @@ class TestServingIntegration:
         trace = catalogue.index_trace(
             "uniform", 32, 16, rng.spawn("t"), write_fraction=0.0,
         )
-        metrics = run_trace(ir, trace, expected=integer_database(32))
+        metrics = run_trace(ir, trace, initial=integer_database(32))
         assert metrics.mismatches == 0
         assert metrics.fault_counters.get("failovers", 0) > 0
+
+
+class TestClusterRunsOverTheLinkItReports:
+    """``backend="network"`` replicas run over the cluster's own model."""
+
+    def _link_ms(self, scheme):
+        return sum(server.backend.simulated_ms for server in scheme.servers())
+
+    @pytest.mark.parametrize("network", [repro.LAN, repro.WAN],
+                             ids=["lan", "wan"])
+    def test_replicas_use_the_cluster_model(self, rng, network):
+        from repro.storage.backends import NetworkBackend
+
+        ir = ClusterIR(integer_database(32), shard_count=2, replica_count=2,
+                       pad_size=4, backend_factory="network", network=network,
+                       rng=rng.spawn("c"))
+        backends = [server.backend for server in ir.servers()]
+        assert backends
+        assert all(isinstance(backend, NetworkBackend) for backend in backends)
+        assert {backend.model for backend in backends} == {ir.network_model}
+        assert ir.network_model == network
+
+    def test_memory_cluster_has_no_network_backend(self, rng):
+        from repro.storage.backends import NetworkBackend
+
+        for backend in (None, "memory"):
+            ir = ClusterIR(integer_database(32), shard_count=2,
+                           replica_count=2, pad_size=4,
+                           backend_factory=backend, network="wan",
+                           rng=rng.spawn(f"c-{backend}"))
+            assert not any(
+                isinstance(server.backend, NetworkBackend)
+                for server in ir.servers()
+            )
+
+    def test_request_latency_is_the_backends_link_time(self, rng):
+        from repro.simulation.harness import run_trace
+        from repro.workloads import catalogue
+
+        ir = ClusterIR(integer_database(32), shard_count=2, replica_count=1,
+                       pad_size=4, backend_factory="network", network="lan",
+                       rng=rng.spawn("c"))
+        deltas = []
+        query = ir.query
+
+        def timed(index):
+            before = self._link_ms(ir)
+            answer = query(index)
+            deltas.append(self._link_ms(ir) - before)
+            return answer
+
+        ir.query = timed
+        trace = catalogue.index_trace(
+            "uniform", 32, 16, rng.spawn("t"), write_fraction=0.0,
+        )
+        metrics = run_trace(ir, trace, integer_database(32),
+                            network=ir.network_model)
+        assert metrics.latencies_ms == deltas
+        assert 0.0 < max(deltas) < 1.0  # LAN, not the WAN default
+
+    def test_report_prices_the_network_backends(self):
+        report = repro.cluster("dp_ir", ClusterConfig(
+            shards=2, replicas=1, n=128, requests=32, seed=7,
+            backend="network",
+        ))
+        assert report.network == "lan"
+        assert report.latency.p50_ms < 1.0
 
 
 class TestClusterCLI:

@@ -74,10 +74,7 @@ def _trace(name: str, backend: str) -> list:
         trace = catalogue.kv_trace("ycsb-a", 64, TRACE_OPS, rng.spawn("trace"),
                                    value_size=16)
         metrics = run_trace(scheme, trace)
-    elif kind == "ir":
-        trace = catalogue.index_trace("zipf", 64, TRACE_OPS, rng.spawn("trace"))
-        metrics = run_trace(scheme, trace, expected=integer_database(64))
-    elif not scheme.writable:
+    elif kind == "ir" or not scheme.writable:
         trace = catalogue.index_trace("zipf", 64, TRACE_OPS, rng.spawn("trace"))
         metrics = run_trace(scheme, trace, initial=integer_database(64))
     else:

@@ -13,7 +13,7 @@ from repro.core.dp_ir import DPIR
 from repro.core.dp_kvs import DPKVS
 from repro.core.dp_ram import DPRAM, ReadOnlyDPRAM
 from repro.core.multi_server import MultiServerDPIR
-from repro.simulation.harness import run_ir_trace, run_kv_trace, run_ram_trace
+from repro.simulation.harness import run_trace
 from repro.storage.blocks import integer_database
 from repro.workloads.generators import (
     hotspot_trace,
@@ -45,7 +45,7 @@ class TestRamSchemesAcrossWorkloads:
         scheme = DPRAM(database, rng=rng.spawn("scheme"))
         log = watch(scheme)
         trace = make_trace(rng.spawn("trace"))
-        metrics = run_ram_trace(scheme, trace, initial=database)
+        metrics = run_trace(scheme, trace, initial=database)
         assert metrics.mismatches == 0
         # Whatever the workload: three blocks a query, less one where
         # d_j = o_j went over the wire as a single slot.
@@ -56,10 +56,10 @@ class TestRamSchemesAcrossWorkloads:
 
     def test_path_oram_matches_dpram_answers(self, rng, database):
         trace = read_write_trace(N, 200, rng.spawn("t"), write_fraction=0.3)
-        dpram_metrics = run_ram_trace(
+        dpram_metrics = run_trace(
             DPRAM(database, rng=rng.spawn("a")), trace, initial=database
         )
-        oram_metrics = run_ram_trace(
+        oram_metrics = run_trace(
             PathORAM(database, rng=rng.spawn("b")), trace, initial=database
         )
         assert dpram_metrics.mismatches == 0
@@ -71,7 +71,7 @@ class TestRamSchemesAcrossWorkloads:
     def test_read_only_dpram_on_read_workloads(self, rng, database):
         scheme = ReadOnlyDPRAM(database, rng=rng.spawn("ro"))
         trace = zipf_trace(N, 300, rng.spawn("t"))
-        metrics = run_ram_trace(scheme, trace, initial=database)
+        metrics = run_trace(scheme, trace, initial=database)
         assert metrics.mismatches == 0
         assert metrics.blocks_uploaded == 0
 
@@ -82,8 +82,8 @@ class TestIrSchemes:
         dpir = DPIR(database, epsilon=math.log(N), alpha=0.05,
                     rng=rng.spawn("dpir"))
         pir = LinearScanPIR(database)
-        dpir_metrics = run_ir_trace(dpir, trace, expected=database)
-        pir_metrics = run_ir_trace(pir, trace, expected=database)
+        dpir_metrics = run_trace(dpir, trace, initial=database)
+        pir_metrics = run_trace(pir, trace, initial=database)
         assert dpir_metrics.mismatches == 0
         assert pir_metrics.mismatches == 0
         assert pir_metrics.blocks_per_operation == N
@@ -93,7 +93,7 @@ class TestIrSchemes:
         scheme = MultiServerDPIR(database, server_count=3, pad_size=9,
                                  alpha=0.1, rng=rng.spawn("ms"))
         trace = uniform_trace(N, 120, rng.spawn("t"))
-        metrics = run_ir_trace(scheme, trace, expected=database)
+        metrics = run_trace(scheme, trace, initial=database)
         assert metrics.mismatches == 0
         assert metrics.blocks_per_operation == 9.0
 
@@ -103,14 +103,14 @@ class TestKvsSchemes:
     def test_dpkvs_on_ycsb(self, rng, profile):
         scheme = DPKVS(256, rng=rng.spawn(f"kvs-{profile}"))
         trace = ycsb_trace(40, 120, rng.spawn(f"t-{profile}"), profile=profile)
-        metrics = run_kv_trace(scheme, trace)
+        metrics = run_trace(scheme, trace)
         assert metrics.mismatches == 0
 
     def test_dpkvs_negative_lookups(self, rng):
         scheme = DPKVS(256, rng=rng.spawn("kvs"))
         trace = insert_then_lookup_trace(30, 80, rng.spawn("t"),
                                          missing_fraction=0.4)
-        metrics = run_kv_trace(scheme, trace)
+        metrics = run_trace(scheme, trace)
         assert metrics.mismatches == 0
 
     def test_all_kvs_schemes_agree(self, rng):
@@ -121,7 +121,7 @@ class TestKvsSchemes:
             ("dpkvs", DPKVS(256, rng=rng.spawn("d"))),
             ("oramkvs", ORAMKeyValueStore(256, rng=rng.spawn("o"))),
         ):
-            metrics = run_kv_trace(scheme, trace)
+            metrics = run_trace(scheme, trace)
             results[name] = metrics
             assert metrics.mismatches == 0, name
         assert results["plain"].blocks_per_operation < \

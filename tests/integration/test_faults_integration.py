@@ -8,7 +8,7 @@ encryption, fault wrappers) behaves as designed end to end.
 import random
 
 import pytest
-from dp_ram_view import seen_pairs, watch
+from dp_ram_view import record_bucket_pairs, seen_pairs, watch
 
 import repro
 from repro.api.protocols import PrivateKVS
@@ -123,8 +123,7 @@ def _calls(scheme):
 def _bucket_client(ram):
     return (
         set(ram._stashed), dict(ram._overlay), dict(ram._pins),
-        ram._link.held, ram.transcript_pairs, ram.query_count,
-        ram.client_peak_blocks,
+        ram._link.held, ram.query_count, ram.client_peak_blocks,
     )
 
 
@@ -163,6 +162,13 @@ _CLIENT_STATE = {
 # A DP-RAM client keeps no (d_j, o_j) history: the server's views of the
 # scheme and of its twin are compared instead, less the requests that raised.
 _SERVER_VIEW = {"dp_ram", "read_only_dp_ram"}
+
+# Nor does a bucket DP-RAM, whose pairs the node-level view cannot tell
+# apart: the pairs each one commits are recorded and compared.
+_BUCKET_RAM = {
+    "bucket_dp_ram": lambda ram: ram,
+    "dp_kvs": lambda store: store._ram,
+}
 
 _COINS = {
     "path_oram": lambda oram: [oram._rng],
@@ -219,9 +225,15 @@ class TestFaultedRoundsLoseNothing:
         twin_read, twin_write = _calls(twin) if twin else (None, None)
         views = (watch(scheme), watch(twin)) if name in _SERVER_VIEW else ()
         faulted = []  # the log positions of each request that raised
+        pairs = (
+            [record_bucket_pairs(_BUCKET_RAM[name](each)) for each in (scheme, twin)]
+            if name in _BUCKET_RAM else []
+        )
 
         def assert_same_client():
             assert _CLIENT_STATE[name](scheme) == _CLIENT_STATE[name](twin)
+            if pairs:
+                assert pairs[0] == pairs[1]
             if views:
                 assert seen_pairs(views[0], scheme, faulted) == (
                     seen_pairs(views[1], twin)

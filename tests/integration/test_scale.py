@@ -11,7 +11,7 @@ import time
 import tracemalloc
 
 import pytest
-from dp_ram_view import seen_pairs, watch
+from dp_ram_view import record_bucket_pairs, seen_pairs, watch
 
 from repro.core.dp_ir import DPIR
 from repro.core.dp_kvs import DPKVS
@@ -119,13 +119,14 @@ class TestDPKVSScale:
         # more than the declared 2·3·path_length.
         store = DPKVS(1 << 12, rng=rng.spawn("kvs"))
         nodes = store._ram.bucket_nodes
+        log = record_bucket_pairs(store._ram)
 
         def probe(key):
             store.flush()  # the previous operation's upload is not ours
             before = store.server.operations
             store.get(key)
             store.flush()
-            pairs = store.transcript_pairs[-2:]
+            pairs = log[-2:]
             overwritten = {n for _, o in pairs for n in nodes(o)}
             downloaded = {n for d, _ in pairs for n in nodes(d)}
             moved = store.server.operations - before

@@ -13,7 +13,7 @@ from typing import Mapping
 from unittest import mock
 
 import pytest
-from dp_ram_view import record_plans, seen_pairs, watch
+from dp_ram_view import record_bucket_pairs, record_plans, seen_pairs, watch
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -249,8 +249,16 @@ def _refusing_kvs_step(store, plan, number):
         return type(refusal).__name__
 
 
+def _recording(scheme):
+    """``scheme``, its bucket RAM recording as ``pairs`` the bucket
+    ``(d_j, o_j)`` it commits — the client keeps no such history."""
+    ram = getattr(scheme, "_ram", scheme)
+    ram.pairs = record_bucket_pairs(ram)
+    return scheme
+
+
 def _pairs(scheme):
-    return (scheme.transcript_pairs,)
+    return (getattr(scheme, "_ram", scheme).pairs,)
 
 
 def _seen_pairs(ram):
@@ -284,29 +292,29 @@ _HELD_UPLOAD_SCHEMES = {
         ),
     ),
     "bucket_dp_ram": (
-        lambda p, **kwargs: BucketDPRAM(
+        lambda p, **kwargs: _recording(BucketDPRAM(
             [bytes([node]) * 6 for node in range(7)],
             _REPERTOIRES["shared-ancestor"][1], p, **kwargs
-        ),
+        )),
         _bucket_ram_step,
         [0.05, 0.5, 1.0],
         _pairs,
     ),
     "dp_kvs": (
-        lambda phi, **kwargs: DPKVS(64, phi=phi, **kwargs),
+        lambda phi, **kwargs: _recording(DPKVS(64, phi=phi, **kwargs)),
         _dp_kvs_step,
         [1, 6, 64],
         _pairs,
     ),
     "dp_kvs_refusals": (
-        lambda capacity, **kwargs: DPKVS(
+        lambda capacity, **kwargs: _recording(DPKVS(
             capacity, key_size=8, value_size=12, node_capacity=1,
             leaves_per_tree=2, phi=1, enforce_super_root_capacity=True,
             **kwargs
-        ),
+        )),
         _refusing_kvs_step,
         [20, 24, 28],
-        lambda store: (store.transcript_pairs, store.client_peak_blocks),
+        lambda store: (*_pairs(store), store.client_peak_blocks),
     ),
     "path_oram": (
         lambda z, **kwargs: PathORAM(
@@ -863,6 +871,7 @@ class SequentialBucketDPRAM(BucketDPRAM):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._pending = set()
+        self.pairs = []  # the (d_j, o_j) history the shipped class kept
 
     def begin_query(self, bucket: int) -> "_SequentialHandle":
         """Run the download phase for ``bucket``.
@@ -1012,8 +1021,7 @@ class SequentialBucketDPRAM(BucketDPRAM):
                 self._evict_if_unpinned(node)
 
         self._note_peak()
-        self._downloads.append(pending.download_bucket)
-        self._overwrites.append(overwrite_bucket)
+        self.pairs.append((pending.download_bucket, overwrite_bucket))
         self._queries += 1
 
 
@@ -1058,7 +1066,7 @@ def _ram_state(ram):
     """Everything the fusion must leave where the oracle puts it; what
     the server saw on the way is compared through φ, by ``_server_view``."""
     return (
-        ram.transcript_pairs,
+        ram.pairs,
         _server_image(ram),
         ram._overlay,
         ram._stashed,
@@ -1106,6 +1114,7 @@ class TestBucketRAMRoundFusionIdentity:
             build(blocks, buckets, p, rng=SeededRandomSource(seed))
             for build in (BucketDPRAM, _SequentialBatches)
         ]
+        _recording(fused)
         plan = random.Random(seed)
         saved_downloads = saved_uploads = 0
         for step in range(300):
@@ -1151,7 +1160,7 @@ class TestBucketRAMRoundFusionIdentity:
 
     @pytest.mark.parametrize("capacity", [64, 256, 4096])
     def test_dp_kvs_matches_the_sequential_oracle(self, capacity, phi):
-        fused = DPKVS(capacity, rng=SeededRandomSource(capacity))
+        fused = _recording(DPKVS(capacity, rng=SeededRandomSource(capacity)))
         with mock.patch("repro.core.dp_kvs.BucketDPRAM", _SequentialBatches):
             oracle = DPKVS(capacity, rng=SeededRandomSource(capacity))
         assert isinstance(oracle._ram, _SequentialBatches)
@@ -1301,15 +1310,16 @@ class TestDPKVSModel:
         store = DPKVS(64, key_size=4, value_size=4,
                       rng=SeededRandomSource(seed))
         layout = TreeBucketLayout(store.params.shape)
+        log = record_bucket_pairs(store._ram)
         worst_case = store.blocks_per_operation()
         path_length = store.params.shape.path_length
         for i in range(10):
             before = store.server.operations
-            seen = len(store.transcript_pairs)
+            seen = len(log)
             store.put(f"k{i}".encode(), b"v")
             store.flush()
             moved = store.server.operations - before
-            pairs = store.transcript_pairs[seen:]
+            pairs = log[seen:]
             downloaded = {
                 node for pair in pairs for leaf in pair
                 for node in layout.path_nodes(leaf)

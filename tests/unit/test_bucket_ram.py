@@ -1,6 +1,7 @@
 """Tests for repro.core.bucket_ram (Appendix E)."""
 
 import pytest
+from dp_ram_view import record_bucket_pairs
 
 from repro.core import bucket_ram
 from repro.core.bucket_ram import BucketDPRAM
@@ -91,6 +92,7 @@ class TestQueryLifecycle:
 
     def test_update_to_foreign_node_rejected(self, rng):
         ram = _disjoint_ram(rng)
+        log = record_bucket_pairs(ram)
         pending = ram.begin_query([0])
         with pytest.raises(StorageError):
             ram.finish_query(pending, {5: b"not-in-bucket"})
@@ -98,14 +100,15 @@ class TestQueryLifecycle:
         # the upload round and closes the batch.
         ram.finish_query(pending, {0: b"in-bckt!"})
         assert ram.query(0)[0] == b"in-bckt!"
-        assert len(ram.transcript_pairs) == 2
+        assert len(log) == 2
 
     def test_query_with_foreign_node_still_closes_the_batch(self, rng):
         ram = _disjoint_ram(rng)
+        log = record_bucket_pairs(ram)
         with pytest.raises(StorageError):
             ram.query(0, {5: b"not-in-bucket"})
         # The download round had run: it was finished as a read.
-        assert len(ram.transcript_pairs) == 1
+        assert len(log) == 1
         assert ram.query(0) == {0: _blocks(8)[0], 1: _blocks(8)[1]}
 
     def test_bucket_out_of_range(self, rng):
@@ -177,6 +180,7 @@ class TestOverlapConsistency:
 class TestTwoBucketBatch:
     def test_two_buckets_one_batch(self, rng):
         ram = _disjoint_ram(rng)
+        log = record_bucket_pairs(ram)
         pending = ram.begin_query([0, 1])
         first, second = pending.contents
         assert first[0] == _blocks(8)[0]
@@ -184,7 +188,7 @@ class TestTwoBucketBatch:
         ram.finish_query(pending, {0: b"newA0000", 2: b"newB0000"})
         assert ram.query(0)[0] == b"newA0000"
         assert ram.query(1)[2] == b"newB0000"
-        assert len(ram.transcript_pairs) == 4
+        assert len(log) == 4
 
     def test_batch_with_shared_node(self, rng):
         ram = _overlapping_ram(rng)
@@ -213,9 +217,12 @@ class TestTwoBucketBatch:
 
 
 def _client_state(ram):
+    # The scheme keeps no pair history: query_count counts the pairs it
+    # committed, and which buckets they named shows in the server's
+    # contents and the coin stream (see _observable).
     return (
         set(ram._stashed), dict(ram._overlay), dict(ram._pins),
-        ram.transcript_pairs, ram.query_count, ram.client_peak_blocks,
+        ram.query_count, ram.client_peak_blocks,
     )
 
 
@@ -434,6 +441,7 @@ class TestSealingAttribution:
             return real(key, plaintexts, *args, **kwargs)
 
         ram = _overlapping_ram(rng)
+        log = record_bucket_pairs(ram)
         real = bucket_ram.encrypt_many
         monkeypatch.setattr(bucket_ram, "encrypt_many", spy)
         pending = ram.begin_query([0, 1])
@@ -443,7 +451,7 @@ class TestSealingAttribution:
         # buckets share node 6, and only its last copy would survive.
         distinct = {
             node
-            for _, overwrite in ram.transcript_pairs
+            for _, overwrite in log
             for node in ram.bucket_nodes(overwrite)
         }
         assert sealed == [len(distinct)] == [len(ram._link.held[1])]
@@ -455,27 +463,30 @@ class TestSealingAttribution:
 class TestTranscriptShape:
     def test_pairs_per_query(self, rng):
         ram = _disjoint_ram(rng)
+        log = record_bucket_pairs(ram)
         ram.query(0)
         ram.query(3)
-        assert len(ram.transcript_pairs) == 2
+        assert len(log) == 2
 
     def test_unstashed_query_targets_itself(self, rng):
         ram = BucketDPRAM(_blocks(4), [(0, 1), (2, 3)],
                           stash_probability=1e-12, rng=rng.spawn("cold"))
+        log = record_bucket_pairs(ram)
         ram.query(1)
-        assert ram.transcript_pairs[-1] == (1, 1)
+        assert log == [(1, 1)]
 
     def test_bandwidth_per_query(self, rng):
         # Each query: download the nodes of d_j and o_j, each once, and
         # upload o_j — three buckets' worth when d_j != o_j, two when
         # they are one bucket.
         ram = _disjoint_ram(rng)
+        log = record_bucket_pairs(ram)
         shapes = set()
         for step in range(60):
             reads_before = ram.server.reads
             writes_before = ram.server.writes
             ram.query(step % 4)
-            download, overwrite = ram.transcript_pairs[-1]
+            download, overwrite = log[-1]
             assert ram.server.reads - reads_before == (
                 2 if download == overwrite else 4
             )

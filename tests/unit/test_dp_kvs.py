@@ -1,6 +1,7 @@
 """Tests for repro.core.dp_kvs (Section 7)."""
 
 import pytest
+from dp_ram_view import record_bucket_pairs
 
 import repro
 from repro.core.dp_kvs import DPKVS
@@ -93,11 +94,11 @@ class TestBasicOperations:
         stored = {f"k{i}".encode(): f"v{i}".encode() for i in range(8)}
         for key, value in stored.items():
             store.put(key, value)
-        pairs = len(store.transcript_pairs)
+        log = record_bucket_pairs(store._ram)
         operations = store.operation_count
         with pytest.raises(CapacityError):
             store.put(b"extra", b"v")
-        assert len(store.transcript_pairs) == pairs + 2
+        assert len(log) == 2
         assert store.size == 8
         assert store.operation_count == operations
         assert store.get(b"extra") is None
@@ -108,13 +109,13 @@ class TestBasicOperations:
         store = DPKVS(64, key_size=8, value_size=8, node_capacity=1,
                       leaves_per_tree=2, phi=1,
                       enforce_super_root_capacity=True, rng=rng.spawn("sre"))
+        log = record_bucket_pairs(store._ram)
         stored = []
         with pytest.raises(MappingOverflowError):
             for i in range(64):
                 store.put(f"key{i}".encode(), b"v")
                 stored.append(f"key{i}".encode())
-        pairs = len(store.transcript_pairs)
-        assert pairs == 2 * (len(stored) + 1)
+        assert len(log) == 2 * (len(stored) + 1)
         assert store.size == len(stored)
         assert store.super_root_size == 1
         for key in stored:
@@ -169,6 +170,7 @@ class TestTransientFaults:
         # caller; it used to leave its batch open, and every later
         # operation was refused for it.
         store = DPKVS(64, rng=SeededRandomSource(1))
+        log = record_bucket_pairs(store._ram)
         stored = {b"k%d" % i: b"v%d" % i for i in range(8)}
         for stored_key, value in stored.items():
             store.put(stored_key, value)
@@ -177,16 +179,16 @@ class TestTransientFaults:
                 server, 1.0, SeededRandomSource(15)
             ),
         )
-        pairs = len(store.transcript_pairs)
+        pairs = len(log)
         with pytest.raises(CapacityError, match="count prefix"):
             getattr(store, operation)(key)
-        assert len(store.transcript_pairs) == pairs + 2
+        assert len(log) == pairs + 2
         assert store._ram._link.held[0] == pairs  # its upload, held
         garbling._rate = 0.0
         # The read wrote back what it decoded; other buckets are clean.
         moved = {
             node
-            for pair in store.transcript_pairs[pairs:]
+            for pair in log[pairs:]
             for bucket in pair
             for node in store._ram.bucket_nodes(bucket)
         }
@@ -230,11 +232,12 @@ class TestKeyValueNormalization:
         assert store.get(b"k") == b"v\x00\x00"
 
 
-def _cost_of_last_operation(store) -> int:
-    """Blocks the last operation's two ``(d_j, o_j)`` pairs account for:
-    every node of ``d_1 ‖ d_2 ‖ o_1 ‖ o_2`` downloaded once and every
-    node of ``o_1 ‖ o_2`` uploaded once — a function of the pairs alone."""
-    pairs = store.transcript_pairs[-2:]
+def _cost_of_last_operation(store, log) -> int:
+    """Blocks the last operation's two ``(d_j, o_j)`` pairs (the last two
+    of ``log``) account for: every node of ``d_1 ‖ d_2 ‖ o_1 ‖ o_2``
+    downloaded once and every node of ``o_1 ‖ o_2`` uploaded once — a
+    function of the pairs alone."""
+    pairs = log[-2:]
     nodes = store._ram.bucket_nodes
     overwritten = {n for _, o in pairs for n in nodes(o)}
     downloaded = {n for d, _ in pairs for n in nodes(d)}
@@ -245,6 +248,7 @@ class TestBandwidthShape:
     def test_cost_is_set_by_the_coins_not_the_operation(self, store):
         # Reads and writes, hits and misses: what moves is the distinct
         # nodes of the operation's (d_j, o_j) pairs, whatever was asked.
+        log = record_bucket_pairs(store._ram)
         store.put(b"seed", b"x")
         store.flush()
         operations = [
@@ -260,7 +264,7 @@ class TestBandwidthShape:
             operations[step % len(operations)]()
             store.flush()  # the operation's own upload, not the last one's
             moved = store.server.operations - before
-            assert moved == _cost_of_last_operation(store)
+            assert moved == _cost_of_last_operation(store, log)
 
     def test_cost_is_at_most_the_declared_worst_case(self, store):
         # blocks_per_operation() = 2·3·path_length counts every node of
@@ -287,9 +291,10 @@ class TestBandwidthShape:
         store.delete(b"a")
         assert store.operation_count == 3
 
-    def test_transcript_pairs_two_per_operation(self, store):
+    def test_two_bucket_pairs_per_operation(self, store):
+        log = record_bucket_pairs(store._ram)
         store.get(b"q")
-        assert len(store.transcript_pairs) == 2
+        assert len(log) == 2
 
 
 class TestServerStorage:
@@ -379,16 +384,20 @@ class TestChoiceCacheDeterminism:
         seed = rng.spawn("choice-cache").bytes(8)
         cached = DPKVS(64, key_size=8, value_size=8, rng=_seeded(seed))
         uncached = DPKVS(64, key_size=8, value_size=8, rng=_seeded(seed))
+        cached_log = record_bucket_pairs(cached._ram)
+        uncached_log = record_bucket_pairs(uncached._ram)
         a = self._drive(cached, clear_cache=False)
         b = self._drive(uncached, clear_cache=True)
         assert a == b
-        assert cached.transcript_pairs == uncached.transcript_pairs
+        assert cached_log == uncached_log
         assert cached._rng.bytes(8) == uncached._rng.bytes(8)
 
     def test_get_many_prewarm_matches_sequential_gets(self, rng):
         seed = rng.spawn("prewarm").bytes(8)
         batched = DPKVS(64, key_size=8, value_size=8, rng=_seeded(seed))
         sequential = DPKVS(64, key_size=8, value_size=8, rng=_seeded(seed))
+        batched_log = record_bucket_pairs(batched._ram)
+        sequential_log = record_bucket_pairs(sequential._ram)
         for store in (batched, sequential):
             for i in range(10):
                 store.put(f"k{i}".encode(), f"v{i}".encode())
@@ -396,7 +405,7 @@ class TestChoiceCacheDeterminism:
         assert batched.get_many(keys) == [
             sequential.get(key) for key in keys
         ]
-        assert batched.transcript_pairs == sequential.transcript_pairs
+        assert batched_log == sequential_log
 
     def test_cache_stays_bounded(self, rng):
         store = DPKVS(

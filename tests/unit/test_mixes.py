@@ -167,7 +167,7 @@ class TestWorkingSetShift:
 class TestMixesThroughSchemes:
     def test_dpram_on_composite_workload(self, rng):
         from repro.core.dp_ram import DPRAM
-        from repro.simulation.harness import run_ram_trace
+        from repro.simulation.harness import run_trace
         from repro.storage.blocks import integer_database
 
         n = 128
@@ -179,7 +179,7 @@ class TestMixesThroughSchemes:
         ])
         scheme = DPRAM(database, rng=rng.spawn("ram"))
         log = watch(scheme)
-        metrics = run_ram_trace(scheme, composite, initial=database)
+        metrics = run_trace(scheme, composite, initial=database)
         assert metrics.mismatches == 0
         # Three blocks less the queries whose d_j = o_j went as one slot.
         pairs = seen_pairs(log, scheme)

@@ -139,14 +139,14 @@ class TestAccounting:
         assert link.roundtrips == downloaded + oram.levels
 
     def test_harness_integration(self, rng):
-        from repro.simulation.harness import run_ram_trace
+        from repro.simulation.harness import run_trace
         from repro.workloads.generators import read_write_trace
 
         n = 128
         database = integer_database(n)
         oram = _oram(rng, n=n)
         trace = read_write_trace(n, 60, rng.spawn("t"), write_fraction=0.3)
-        metrics = run_ram_trace(oram, trace, initial=database)
+        metrics = run_trace(oram, trace, initial=database)
         assert metrics.mismatches == 0
         # At most: a level access leaves out the nodes its path shares
         # with the write-back it holds.

@@ -87,15 +87,15 @@ class TestKvTraceRoundtrip:
 class TestReplayThroughHarness:
     def test_saved_trace_reproduces_metrics(self, rng, tmp_path):
         from repro.baselines.plaintext import PlaintextRAM
-        from repro.simulation.harness import run_ram_trace
+        from repro.simulation.harness import run_trace
         from repro.storage.blocks import integer_database
 
         database = integer_database(16)
         trace = read_write_trace(16, 60, rng, write_fraction=0.4)
         path = tmp_path / "replayed.jsonl"
         save_trace(trace, path)
-        first = run_ram_trace(PlaintextRAM(database), trace, initial=database)
-        second = run_ram_trace(PlaintextRAM(database), load_trace(path),
-                               initial=database)
+        first = run_trace(PlaintextRAM(database), trace, initial=database)
+        second = run_trace(PlaintextRAM(database), load_trace(path),
+                           initial=database)
         assert first.blocks_total == second.blocks_total
         assert first.mismatches == second.mismatches == 0

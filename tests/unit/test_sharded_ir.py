@@ -110,12 +110,12 @@ class TestHotShardLoad:
         assert loads[0] > max(loads[1:])
 
     def test_harness_integration(self, rng):
-        from repro.simulation.harness import run_ir_trace
+        from repro.simulation.harness import run_trace
         from repro.workloads.generators import uniform_trace
 
         db = integer_database(64)
         scheme = _scheme(rng, pad=8, alpha=0.1)
         trace = uniform_trace(64, 100, rng.spawn("t"))
-        metrics = run_ir_trace(scheme, trace, expected=db)
+        metrics = run_trace(scheme, trace, initial=db)
         assert metrics.mismatches == 0
         assert metrics.blocks_per_operation == 8.0
