@@ -257,7 +257,8 @@ class _ClusterBase(Scheme, Generic[_G]):
         self._executor = resolve_executor(executor)
         self.attach_tracer(tracer)
         self._network_model = _resolve_model(network)
-        self._base_kwargs: dict[str, Any] = {"backend": backend_factory, **base_kwargs}
+        self._backend_factory = backend_factory
+        self._base_kwargs = dict(base_kwargs)
         if backend_factory == "network":
             # Each replica runs over the link the cluster prices (its
             # builder would pick WAN).  Only here: given a model, any
@@ -309,6 +310,7 @@ class _ClusterBase(Scheme, Generic[_G]):
                     self._base,
                     **kwargs,
                     rng=self._rng.spawn(f"scheme/{label}"),
+                    backend=self._backend_factory,
                     **self._base_kwargs,
                 )
                 _inject_faults(
@@ -484,7 +486,8 @@ class _ClusterBase(Scheme, Generic[_G]):
         )
 
     def serial_ms(self) -> float:
-        """Cumulative simulated time with every leg run back-to-back."""
+        """Cumulative simulated time with every leg run back-to-back,
+        per block under :attr:`network_model` on every backend."""
         return self.serial_operations() * self._per_op_ms()
 
     def wall_clock_ms(self) -> float:

@@ -146,9 +146,6 @@ def cluster(
         )
 
     try:
-        # A round's requests complete together at the round's
-        # (overlap-accounted) cost: the link time over network backends,
-        # the model's price per server operation otherwise.
         metrics = run_trace(
             instance, trace, initial, batch=config.batch, network=model
         )
@@ -160,9 +157,7 @@ def cluster(
         collect_scheme_metrics(instance, config.metrics_registry)
     loads = instance.shard_loads()
     budget = instance.ledger.report()
-    assignment = (
-        instance.router.assignment() if spec.kind == "ir" else None
-    )
+    assignment = instance.router.assignment() if spec.kind == "ir" else None
     shard_reports = []
     for shard, group in enumerate(instance.groups):
         shard_reports.append(ShardReport(
@@ -180,9 +175,7 @@ def cluster(
     return ClusterReport(
         scheme=type(instance).__name__,
         base=base,
-        placement=(
-            instance.router.policy if spec.kind == "ir" else "hash"
-        ),
+        placement=instance.router.policy if spec.kind == "ir" else "hash",
         shards=config.shards,
         replicas=config.replicas,
         n=config.n,

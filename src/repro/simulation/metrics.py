@@ -209,7 +209,10 @@ class CostMeter:
 
     Its three callers: :func:`repro.simulation.harness.run_trace`,
     ``repro.cluster`` (through ``run_trace``) and
-    :class:`repro.serving.simulator.ServingSimulator`.
+    :class:`repro.serving.simulator.ServingSimulator`.  A cluster's
+    cumulative ``serial_ms()`` / ``wall_clock_ms()`` and its
+    ``MigrationReport`` are priced apart from it: per block under the
+    cluster's model, even when its servers are network-backed.
 
     The delta is read off :meth:`~repro.api.protocols.Scheme.server_operations`,
     never counted here: a single-node scheme sums its servers' counters,

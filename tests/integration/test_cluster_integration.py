@@ -372,6 +372,13 @@ class TestClusterRunsOverTheLinkItReports:
                 for server in ir.servers()
             )
 
+    def test_a_backend_among_the_base_kwargs_is_refused(self, rng):
+        # It would replace the cluster's own backend without the link
+        # model forwarded with it: WAN replicas under a LAN report.
+        with pytest.raises(TypeError, match="backend"):
+            ClusterIR(integer_database(32), shard_count=2, replica_count=1,
+                      pad_size=4, backend="network", rng=rng.spawn("c"))
+
     def test_request_latency_is_the_backends_link_time(self, rng):
         from repro.simulation.harness import run_trace
         from repro.workloads import catalogue

@@ -17,18 +17,25 @@ def _blocks(count, size=8):
     return [bytes([i]) * size for i in range(count)]
 
 
+def _recorded(ram):
+    """``ram``, keeping the bucket ``(d_j, o_j)`` of every query it commits
+    in ``ram.pairs`` (the scheme itself keeps no pair history)."""
+    ram.pairs = record_bucket_pairs(ram)
+    return ram
+
+
 def _disjoint_ram(rng, p=0.3):
     """Four disjoint buckets of two nodes each."""
     buckets = [(0, 1), (2, 3), (4, 5), (6, 7)]
-    return BucketDPRAM(_blocks(8), buckets, stash_probability=p,
-                       rng=rng.spawn("bram"))
+    return _recorded(BucketDPRAM(_blocks(8), buckets, stash_probability=p,
+                                 rng=rng.spawn("bram")))
 
 
 def _overlapping_ram(rng, p=0.3):
     """Three buckets sharing node 6 (a common ancestor)."""
     buckets = [(0, 1, 6), (2, 3, 6), (4, 5, 6)]
-    return BucketDPRAM(_blocks(7), buckets, stash_probability=p,
-                       rng=rng.spawn("bram-overlap"))
+    return _recorded(BucketDPRAM(_blocks(7), buckets, stash_probability=p,
+                                 rng=rng.spawn("bram-overlap")))
 
 
 class TestConstruction:
@@ -92,7 +99,6 @@ class TestQueryLifecycle:
 
     def test_update_to_foreign_node_rejected(self, rng):
         ram = _disjoint_ram(rng)
-        log = record_bucket_pairs(ram)
         pending = ram.begin_query([0])
         with pytest.raises(StorageError):
             ram.finish_query(pending, {5: b"not-in-bucket"})
@@ -100,15 +106,14 @@ class TestQueryLifecycle:
         # the upload round and closes the batch.
         ram.finish_query(pending, {0: b"in-bckt!"})
         assert ram.query(0)[0] == b"in-bckt!"
-        assert len(log) == 2
+        assert len(ram.pairs) == 2
 
     def test_query_with_foreign_node_still_closes_the_batch(self, rng):
         ram = _disjoint_ram(rng)
-        log = record_bucket_pairs(ram)
         with pytest.raises(StorageError):
             ram.query(0, {5: b"not-in-bucket"})
         # The download round had run: it was finished as a read.
-        assert len(log) == 1
+        assert len(ram.pairs) == 1
         assert ram.query(0) == {0: _blocks(8)[0], 1: _blocks(8)[1]}
 
     def test_bucket_out_of_range(self, rng):
@@ -128,8 +133,8 @@ class TestQueryLifecycle:
         # p = 1: every bucket is stashed, so a stage committed over a
         # moved stash would unpin what is no longer pinned.
         ram, twin = (
-            BucketDPRAM(_blocks(8), [(0, 1), (2, 3), (4, 5), (6, 7)], 1.0,
-                        rng=SeededRandomSource(4))
+            _recorded(BucketDPRAM(_blocks(8), [(0, 1), (2, 3), (4, 5), (6, 7)],
+                                  1.0, rng=SeededRandomSource(4)))
             for _ in range(2)
         )
         stale = ram.begin_query([0])
@@ -180,7 +185,6 @@ class TestOverlapConsistency:
 class TestTwoBucketBatch:
     def test_two_buckets_one_batch(self, rng):
         ram = _disjoint_ram(rng)
-        log = record_bucket_pairs(ram)
         pending = ram.begin_query([0, 1])
         first, second = pending.contents
         assert first[0] == _blocks(8)[0]
@@ -188,7 +192,7 @@ class TestTwoBucketBatch:
         ram.finish_query(pending, {0: b"newA0000", 2: b"newB0000"})
         assert ram.query(0)[0] == b"newA0000"
         assert ram.query(1)[2] == b"newB0000"
-        assert len(log) == 4
+        assert len(ram.pairs) == 4
 
     def test_batch_with_shared_node(self, rng):
         ram = _overlapping_ram(rng)
@@ -217,12 +221,9 @@ class TestTwoBucketBatch:
 
 
 def _client_state(ram):
-    # The scheme keeps no pair history: query_count counts the pairs it
-    # committed, and which buckets they named shows in the server's
-    # contents and the coin stream (see _observable).
     return (
         set(ram._stashed), dict(ram._overlay), dict(ram._pins),
-        ram.query_count, ram.client_peak_blocks,
+        list(ram.pairs), ram.query_count, ram.client_peak_blocks,
     )
 
 
@@ -287,7 +288,8 @@ class TestWrongSizeWrites:
     def _pair(buckets):
         rngs = SeededRandomSource(11), SeededRandomSource(11)
         rams = [
-            BucketDPRAM(_blocks(8), buckets, stash_probability=0.4, rng=rng)
+            _recorded(BucketDPRAM(_blocks(8), buckets, stash_probability=0.4,
+                                  rng=rng))
             for rng in rngs
         ]
         for ram in rams:
@@ -400,8 +402,8 @@ class TestNonIntegerBucket:
 
     @staticmethod
     def _build(p):
-        ram = BucketDPRAM(_blocks(8), [(i,) for i in range(8)], p,
-                          rng=SeededRandomSource(3))
+        ram = _recorded(BucketDPRAM(_blocks(8), [(i,) for i in range(8)], p,
+                                    rng=SeededRandomSource(3)))
         ram.query(1, {1: b"x" * 8})
         return ram
 
@@ -441,7 +443,6 @@ class TestSealingAttribution:
             return real(key, plaintexts, *args, **kwargs)
 
         ram = _overlapping_ram(rng)
-        log = record_bucket_pairs(ram)
         real = bucket_ram.encrypt_many
         monkeypatch.setattr(bucket_ram, "encrypt_many", spy)
         pending = ram.begin_query([0, 1])
@@ -451,7 +452,7 @@ class TestSealingAttribution:
         # buckets share node 6, and only its last copy would survive.
         distinct = {
             node
-            for _, overwrite in log
+            for _, overwrite in ram.pairs
             for node in ram.bucket_nodes(overwrite)
         }
         assert sealed == [len(distinct)] == [len(ram._link.held[1])]
@@ -463,30 +464,28 @@ class TestSealingAttribution:
 class TestTranscriptShape:
     def test_pairs_per_query(self, rng):
         ram = _disjoint_ram(rng)
-        log = record_bucket_pairs(ram)
         ram.query(0)
         ram.query(3)
-        assert len(log) == 2
+        assert len(ram.pairs) == 2
 
     def test_unstashed_query_targets_itself(self, rng):
-        ram = BucketDPRAM(_blocks(4), [(0, 1), (2, 3)],
-                          stash_probability=1e-12, rng=rng.spawn("cold"))
-        log = record_bucket_pairs(ram)
+        ram = _recorded(BucketDPRAM(_blocks(4), [(0, 1), (2, 3)],
+                                    stash_probability=1e-12,
+                                    rng=rng.spawn("cold")))
         ram.query(1)
-        assert log == [(1, 1)]
+        assert ram.pairs == [(1, 1)]
 
     def test_bandwidth_per_query(self, rng):
         # Each query: download the nodes of d_j and o_j, each once, and
         # upload o_j — three buckets' worth when d_j != o_j, two when
         # they are one bucket.
         ram = _disjoint_ram(rng)
-        log = record_bucket_pairs(ram)
         shapes = set()
         for step in range(60):
             reads_before = ram.server.reads
             writes_before = ram.server.writes
             ram.query(step % 4)
-            download, overwrite = log[-1]
+            download, overwrite = ram.pairs[-1]
             assert ram.server.reads - reads_before == (
                 2 if download == overwrite else 4
             )
