@@ -139,8 +139,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
          else metrics.client_peak_blocks],
         ["elapsed seconds", f"{metrics.elapsed_seconds:.3f}"],
     ]
-    if metrics.network_ms is not None:
-        rows.append(["simulated network ms", f"{metrics.network_ms:.1f}"])
+    if metrics.serial_ms is not None:
+        rows.append(["simulated network ms", f"{metrics.serial_ms:.1f}"])
     for name in sorted(metrics.fault_counters):
         rows.append([f"faults: {name}", metrics.fault_counters[name]])
     summary = metrics.latency_summary

@@ -527,7 +527,6 @@ def _build_cluster_ir(
         rng=_resolve_rng(rng, seed),
         backend_factory=resolve_backend(backend, network),
         executor=executor,
-        network=network,
     )
 
 
@@ -576,7 +575,6 @@ def build_cluster_dp_kvs(
         failure_rate=failure_rate,
         corruption_rate=corruption_rate,
         executor=executor,
-        network=network,
         rng=_resolve_rng(rng, seed),
         backend_factory=resolve_backend(backend, network),
     )

@@ -122,9 +122,10 @@ class Scheme(abc.ABC):
         another, so the default equals :meth:`server_operations`.
         Deployments that fan independent legs out concurrently (the
         cluster schemes under a parallel executor) override this with
-        their per-stage max-over-legs accounting — the quantity the
-        ``wall_clock_ms`` report fields price, while
-        :meth:`server_operations` keeps pricing ``serial_ms``.
+        their per-stage max-over-legs accounting.  Both are counts:
+        :class:`~repro.simulation.metrics.CostMeter` prices a delta of
+        :meth:`server_operations` as the serial time and a delta of this
+        as the overlapped wall-clock.
         """
         return float(self.server_operations())
 

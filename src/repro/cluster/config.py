@@ -52,7 +52,8 @@ class ClusterConfig:
         block_size: record bytes for IR databases.
         value_size: KVS value budget.
         seed: deterministic randomness; ``None`` uses system entropy.
-        network: link model pricing server operations into simulated ms.
+        network: link model pricing server operations into simulated
+            ms; a ``network`` backend's replicas run over it.
         backend: per-replica slot-storage backend name (``memory`` /
             ``slab`` / ``network``); ``None`` keeps the in-memory
             default.

@@ -49,9 +49,11 @@ class ShardReport:
 class ClusterReport:
     """The outcome of one :func:`repro.cluster.service.cluster` run.
 
-    Simulated milliseconds come from the run's network model (one
-    roundtrip plus serialization per slot access — the same pricing the
-    serving simulator uses), so reports are deterministic.
+    Simulated milliseconds are what
+    :class:`~repro.simulation.metrics.CostMeter` charged over the run —
+    the replicas' link time over network backends, else one roundtrip
+    plus serialization per slot access under the run's network model
+    (the serving simulator's rule too) — so reports are deterministic.
     """
 
     scheme: str

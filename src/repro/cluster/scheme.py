@@ -68,7 +68,6 @@ from repro.storage.faults import (
 )
 from repro.storage.backends import BackendFactory
 from repro.storage.blocks import uniform_block_size
-from repro.storage.network import LAN, NetworkModel
 from repro.storage.server import StorageServer
 
 
@@ -76,36 +75,28 @@ from repro.storage.server import StorageServer
 class MigrationReport:
     """What one :meth:`ClusterIR.reshard` / ``rebalance`` call did.
 
+    Counts only; :class:`~repro.simulation.metrics.CostMeter` prices.
+
     Attributes:
         shards_before: shard-group count before the migration.
         shards_after: shard-group count after.
         moved_records: records whose owning shard changed.
         migration_operations: server operations spent reading the data
-            out of the old layout and writing it into the new one (the
-            measurable cost of going online; an IR cluster's new layout
-            is sealed at build time and writes nothing through it).
-        serial_ms: the drain and the re-insertion priced one shard after
-            another under the cluster's network model.
-        wall_clock_ms: the same work under the cluster's executor —
-            per-shard legs are independent and overlap, so a concurrent
-            executor pays the slowest shard of each stage, not the sum.
+            out of the old layout and writing it into the new one, one
+            shard after another (the measurable cost of going online; an
+            IR cluster's new layout is sealed at build time and writes
+            nothing through it).
+        wall_operations: the same work in overlapped op-units under the
+            cluster's executor — per-shard legs are independent, so a
+            concurrent executor pays the slowest shard of each stage, not
+            the sum.
     """
 
     shards_before: int
     shards_after: int
     moved_records: int
     migration_operations: int
-    serial_ms: float = 0.0
-    wall_clock_ms: float = 0.0
-
-
-def _resolve_model(network: NetworkModel | str | None) -> NetworkModel:
-    """The link model pricing a cluster's ms figures (LAN by default)."""
-    if network is None:
-        return LAN
-    from repro.api.builders import resolve_network
-
-    return resolve_network(network)
+    wall_operations: float = 0.0
 
 
 def _rate_per_replica(
@@ -233,7 +224,6 @@ class _ClusterBase(Scheme, Generic[_G]):
         rng: RandomSource | None,
         backend_factory: BackendFactory | str | None,
         executor: Executor | str | None,
-        network: NetworkModel | str | None,
         tracer: Tracer | None,
         fault_coin_mode: str,
         base_kwargs: dict[str, Any],
@@ -256,14 +246,8 @@ class _ClusterBase(Scheme, Generic[_G]):
         self._rng = rng if rng is not None else SystemRandomSource()
         self._executor = resolve_executor(executor)
         self.attach_tracer(tracer)
-        self._network_model = _resolve_model(network)
         self._backend_factory = backend_factory
         self._base_kwargs = dict(base_kwargs)
-        if backend_factory == "network":
-            # Each replica runs over the link the cluster prices (its
-            # builder would pick WAN).  Only here: given a model, any
-            # other backend's builder would turn memory replicas networked.
-            self._base_kwargs.setdefault("network", self._network_model)
         self._fault_coin_mode = fault_coin_mode
         self._failure_rates = _rate_per_replica(
             failure_rate, replica_count, "failure rate"
@@ -277,7 +261,7 @@ class _ClusterBase(Scheme, Generic[_G]):
         self._reshard_count = 0
         # Cumulative op-unit accounting across generations (reshard
         # rebuilds the groups and their server counters, these survive).
-        self._serial_ops = 0
+        self._server_ops = 0
         self._wall_ops = 0.0
 
     # -- layout ------------------------------------------------------------
@@ -376,9 +360,14 @@ class _ClusterBase(Scheme, Generic[_G]):
         return tuple(server for group in self._groups for server in group.servers())
 
     def server_operations(self) -> int:
-        """The live generation's server operations, as its groups counted
-        them at their entry points (no server is walked)."""
-        return sum([group.operations() for group in self._groups])
+        """Every server operation the cluster has made, as its groups
+        counted them at their entry points (no server is walked).
+
+        Cumulative across reshard migrations, drain and re-insertion
+        included, so a delta over any span — a reshard too — is what the
+        servers did in it.
+        """
+        return self._server_ops
 
     def fault_counters(self) -> dict[str, int]:
         """Cluster-level failover totals, merged across shard groups."""
@@ -459,40 +448,12 @@ class _ClusterBase(Scheme, Generic[_G]):
         """
         self._tracer = tracer if tracer is not None else NULL_TRACER
 
-    @property
-    def network_model(self) -> NetworkModel:
-        """The link model pricing this cluster's millisecond figures."""
-        return self._network_model
-
-    def serial_operations(self) -> int:
-        """Op-units through the cluster entry points, priced serially.
-
-        Unlike :meth:`~repro.api.protocols.Scheme.server_operations`
-        (the live generation's server counters), this survives reshard
-        migrations — it is the cumulative serial cost of everything the
-        cluster did, drain scans included.
-        """
-        return self._serial_ops
-
     def wall_operations(self) -> float:
         """Overlap-accounted op-units: each cross-shard stage costs what
         its executor says (max over concurrent legs under a parallel
-        executor, the plain sum under the serial one)."""
+        executor, the plain sum under the serial one).  Cumulative, like
+        :meth:`server_operations`."""
         return self._wall_ops
-
-    def _per_op_ms(self) -> float:
-        return self._network_model.rtt_ms + self._network_model.transfer_ms(
-            self.block_size
-        )
-
-    def serial_ms(self) -> float:
-        """Cumulative simulated time with every leg run back-to-back,
-        per block under :attr:`network_model` on every backend."""
-        return self.serial_operations() * self._per_op_ms()
-
-    def wall_clock_ms(self) -> float:
-        """Cumulative simulated time under the configured executor."""
-        return self.wall_operations() * self._per_op_ms()
 
     def _open_stage(
         self, groups: Sequence[_G]
@@ -502,7 +463,7 @@ class _ClusterBase(Scheme, Generic[_G]):
         The counters are the ones each group keeps at its entry points
         (see :mod:`repro.cluster.group`), where an operation is counted
         once; no server is walked here.  Calling the result closes the
-        stage: each group's delta is one leg, priced as their sum
+        stage: each group's delta is one leg, counted as their sum
         (serial) and as the executor's overlap of them; returns those
         ``(serial, overlapped)`` op-units.
         """
@@ -518,7 +479,7 @@ class _ClusterBase(Scheme, Generic[_G]):
                 group.wall_operations() - before
                 for group, before in zip(groups, wall_before)
             ])
-            self._serial_ops += serial
+            self._server_ops += serial
             self._wall_ops += wall
             return serial, wall
 
@@ -591,7 +552,7 @@ class _ClusterBase(Scheme, Generic[_G]):
 
         ``route(entry)`` names the owner shard and the item to hand it;
         each shard's items go through ``leg(group, items)``.  The legs
-        touch disjoint groups: a concurrent executor prices the round at
+        touch disjoint groups: a concurrent executor counts the round as
         the slowest leg plus dispatch overhead, not the sum.  Answers,
         draw sequences and charges are executor-invariant, and an
         exhausted leg does not poison its siblings — every shard is
@@ -677,7 +638,7 @@ class _ClusterBase(Scheme, Generic[_G]):
 
         ``drain_legs[shard]`` reads one group out through the failover
         path (migration works over faulty replicas); a concurrent executor
-        prices the legs as overlapping, so migration pays the slowest
+        counts the legs as overlapping, so migration pays the slowest
         shard.  ``reinstall(drained)`` rebuilds the groups, writes the
         records into them where the base scheme needs that, and returns
         how many records changed shard; those writes are accounted as one
@@ -716,19 +677,15 @@ class _ClusterBase(Scheme, Generic[_G]):
         refill_wall = self._executor.stage_cost(
             [group.wall_operations() for group in self._groups]
         )
-        self._serial_ops += refill_ops
+        self._server_ops += refill_ops
         self._wall_ops += refill_wall
-        migration_ops += refill_ops
-        wall_units += refill_wall
         self._reshard_count += 1
-        per_op = self._per_op_ms()
         return MigrationReport(
             shards_before=shards_before,
             shards_after=shards_after,
             moved_records=moved,
-            migration_operations=migration_ops,
-            serial_ms=migration_ops * per_op,
-            wall_clock_ms=wall_units * per_op,
+            migration_operations=migration_ops + refill_ops,
+            wall_operations=wall_units + refill_wall,
         )
 
 
@@ -765,13 +722,13 @@ class ClusterIR(_ClusterBase[ShardGroup], PrivateIR):
             failover retries add are always recorded (the ledger never
             reads below what operators saw) and close the shard.
         rng: randomness source.
-        backend_factory: slot-storage backend for every replica server.
-        executor: cross-shard fan-out pricing (``"serial"``,
+        backend_factory: slot-storage backend for every replica server,
+            handed to each replica's builder as its ``backend``.
+        executor: cross-shard fan-out accounting (``"serial"``,
             ``"parallel"`` or an
             :class:`~repro.parallel.executor.Executor`).  Changes
-            wall-clock accounting only — answers, draw sequences and
+            :meth:`wall_operations` only — answers, draw sequences and
             privacy budgets are executor-invariant.
-        network: link model pricing the ``*_ms`` figures (LAN default).
         tracer: optional :class:`~repro.obs.tracer.Tracer`; entry
             points and shard legs emit spans (answers, draws and
             budgets stay bit-identical to an untraced run).  The
@@ -780,7 +737,12 @@ class ClusterIR(_ClusterBase[ShardGroup], PrivateIR):
         fault_coin_mode: ``"per_slot"`` (slot-exact fault coins) or
             ``"per_round"`` (one coin per batched round — chaos at
             batched speed).
-        **base_kwargs: forwarded verbatim to the base scheme's builder.
+        **base_kwargs: forwarded verbatim to the base scheme's builder
+            (a ``network=`` reaches the replicas' backends like any other
+            builder keyword).
+
+    The cluster counts server operations and prices none of them;
+    :class:`~repro.simulation.metrics.CostMeter` does.
     """
 
     def __init__(
@@ -802,7 +764,6 @@ class ClusterIR(_ClusterBase[ShardGroup], PrivateIR):
         rng: RandomSource | None = None,
         backend_factory: BackendFactory | str | None = None,
         executor: Executor | str | None = None,
-        network: NetworkModel | str | None = None,
         tracer: Tracer | None = None,
         fault_coin_mode: str = "per_slot",
         **base_kwargs: Any,
@@ -817,7 +778,7 @@ class ClusterIR(_ClusterBase[ShardGroup], PrivateIR):
         self._block_size = uniform_block_size(data)
         super().__init__(
             n, base, replica_count, failure_rate, corruption_rate,
-            epsilon_cap, rng, backend_factory, executor, network, tracer,
+            epsilon_cap, rng, backend_factory, executor, tracer,
             fault_coin_mode, base_kwargs,
         )
         self._alpha = alpha
@@ -1115,9 +1076,9 @@ class ClusterKVS(_ClusterBase[KVShardGroup], PrivateKVS):
         epsilon_cap: optional per-operator lifetime budget, an admission
             check exactly as for :class:`ClusterIR` (a write is certain
             to expose one draw per live replica).
-        rng, backend_factory, executor, network, tracer, fault_coin_mode:
-            as for :class:`ClusterIR`.
-        **base_kwargs: forwarded verbatim to the base scheme's builder.
+        rng, backend_factory, executor, tracer, fault_coin_mode,
+        **base_kwargs: as for :class:`ClusterIR`, which also says how the
+            cluster's operations are priced.
     """
 
     def __init__(
@@ -1135,7 +1096,6 @@ class ClusterKVS(_ClusterBase[KVShardGroup], PrivateKVS):
         rng: RandomSource | None = None,
         backend_factory: BackendFactory | str | None = None,
         executor: Executor | str | None = None,
-        network: NetworkModel | str | None = None,
         tracer: Tracer | None = None,
         fault_coin_mode: str = "per_slot",
         **base_kwargs: Any,
@@ -1152,7 +1112,7 @@ class ClusterKVS(_ClusterBase[KVShardGroup], PrivateKVS):
             )
         super().__init__(
             n, base, replica_count, failure_rate, corruption_rate,
-            epsilon_cap, rng, backend_factory, executor, network, tracer,
+            epsilon_cap, rng, backend_factory, executor, tracer,
             fault_coin_mode, base_kwargs,
         )
         self._value_size = value_size

@@ -3,9 +3,10 @@
 The one-call entry point behind ``repro.cluster`` and the
 ``python -m repro cluster`` CLI subcommand: build a sharded + replicated
 cluster around any registered IR or KVS base scheme, drive a workload
-trace through it, and report ops/request, tail latency (priced by the
-network model), per-shard load balance, failover totals and the
-cluster-wide privacy budget::
+trace through it, and report ops/request, tail latency and simulated
+time (priced by :class:`~repro.simulation.metrics.CostMeter`),
+per-shard load balance, failover totals and the cluster-wide privacy
+budget::
 
     import repro
     from repro.cluster import ClusterConfig
@@ -62,13 +63,7 @@ def cluster(
     """
     if config is None:
         config = ClusterConfig()
-    from repro.api.builders import resolve_network
-
-    base_kwargs = dict(config.base_kwargs)
-    if config.backend is not None:
-        # ClusterIR/ClusterKVS pass the factory (or its name) through to
-        # every replica's base builder, which resolves strings itself.
-        base_kwargs.setdefault("backend_factory", config.backend)
+    from repro.api.builders import resolve_backend, resolve_network
 
     base = resolve_scheme_name(scheme)
     spec = scheme_spec(base)
@@ -81,6 +76,14 @@ def cluster(
         else SystemRandomSource()
     )
     model = resolve_network(config.network)
+    base_kwargs = dict(config.base_kwargs)
+    if config.backend is not None:
+        # Resolved once, with the link the report names: every replica
+        # builder gets the same factory (a "network" one runs over
+        # ``model``, not the builders' WAN default).
+        base_kwargs.setdefault(
+            "backend_factory", resolve_backend(config.backend, model)
+        )
 
     # The IR cluster serves integer_database(n): the reference model's
     # seed.  A KVS starts empty.
@@ -101,7 +104,6 @@ def cluster(
             corruption_rate=config.corruption_rate,
             rng=root.spawn("cluster"),
             executor=config.executor,
-            network=model,
             tracer=config.tracer,
             fault_coin_mode=config.fault_coin_mode,
             **base_kwargs,
@@ -121,7 +123,6 @@ def cluster(
             corruption_rate=config.corruption_rate,
             rng=root.spawn("cluster"),
             executor=config.executor,
-            network=model,
             tracer=config.tracer,
             fault_coin_mode=config.fault_coin_mode,
             **base_kwargs,
@@ -188,8 +189,8 @@ def cluster(
         ),
         executor=instance.executor.name,
         batch=config.batch,
-        serial_ms=instance.serial_ms(),
-        wall_clock_ms=instance.wall_clock_ms(),
+        serial_ms=metrics.serial_ms,
+        wall_clock_ms=metrics.wall_clock_ms,
         latency=LatencySummary.from_values(metrics.latencies_ms),
         server_operations=sum(loads),
         per_server_storage_blocks=instance.per_server_storage_blocks(),

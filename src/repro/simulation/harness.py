@@ -144,5 +144,6 @@ def run_trace(
     metrics.blocks_uploaded = writes_after - writes_before
     metrics.client_peak_blocks = scheme.client_peak_blocks
     metrics.fault_counters = scheme_fault_counters(scheme)
-    metrics.network_ms = meter.link_ms
+    if meter.priced:
+        metrics.serial_ms, metrics.wall_clock_ms = meter.serial_ms, meter.wall_ms
     return metrics

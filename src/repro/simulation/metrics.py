@@ -153,9 +153,12 @@ class RunMetrics:
             run was given a network model.
         fault_counters: injected/observed fault totals aggregated from
             the scheme's fault wrappers; empty for fault-free runs.
-        network_ms: the link time the scheme's network backends have
-            accumulated by the end of the run; ``None`` when the scheme
-            does not run over :class:`NetworkBackend` servers.
+        serial_ms: the run's simulated time with every leg run
+            back-to-back — :class:`CostMeter`'s total; ``None`` when the
+            run was not priced.
+        wall_clock_ms: the same run overlap-accounted (equals
+            :attr:`serial_ms` unless the scheme fans legs out
+            concurrently); ``None`` when the run was not priced.
     """
 
     scheme: str
@@ -169,7 +172,8 @@ class RunMetrics:
     elapsed_seconds: float = 0.0
     latencies_ms: list[float] = field(default_factory=list)
     fault_counters: dict[str, int] = field(default_factory=dict)
-    network_ms: float | None = None
+    serial_ms: float | None = None
+    wall_clock_ms: float | None = None
 
     @property
     def blocks_total(self) -> int:
@@ -207,17 +211,19 @@ class RunMetrics:
 class CostMeter:
     """Convert a scheme's server-operation delta into simulated time.
 
-    Its three callers: :func:`repro.simulation.harness.run_trace`,
-    ``repro.cluster`` (through ``run_trace``) and
-    :class:`repro.serving.simulator.ServingSimulator`.  A cluster's
-    cumulative ``serial_ms()`` / ``wall_clock_ms()`` and its
-    ``MigrationReport`` are priced apart from it: per block under the
-    cluster's model, even when its servers are network-backed.
+    The one place server operations become milliseconds.  Its callers:
+    :func:`repro.simulation.harness.run_trace` (and through it
+    ``repro run`` and ``repro.cluster``) and
+    :class:`repro.serving.simulator.ServingSimulator`.  No scheme prices
+    itself — a cluster counts operations and overlapped op-units, and
+    :class:`NetworkBackend` keeps its own link time, which this reads.
 
     The delta is read off :meth:`~repro.api.protocols.Scheme.server_operations`,
     never counted here: a single-node scheme sums its servers' counters,
-    a cluster its shard groups' (each group counts an operation once, at
-    the entry point that caused it — see :mod:`repro.cluster.group`).
+    a cluster returns the cumulative count its shard groups recorded
+    (each group counts an operation once, at the entry point that caused
+    it — see :mod:`repro.cluster.group`), so a charge that spans a
+    reshard is what the servers did.
     When every server already runs over a :class:`NetworkBackend`, the
     backends' own accumulated milliseconds are authoritative: one
     roundtrip per *request* — a held upload and the downloads it rides
@@ -247,9 +253,8 @@ class CostMeter:
         #: Whether a charge means anything: the servers run over network
         #: backends, or a ``model`` prices their operations.
         self.priced = linked or model is not None
-        #: The network backends' accumulated link time as of the last
-        #: charge; ``None`` when the servers are not all network-backed.
-        self.link_ms = sum(b.simulated_ms for b in backends) if linked else None
+        # The backends' accumulated link time as of the last charge.
+        self._link_ms = sum(b.simulated_ms for b in backends) if linked else 0.0
         self._last_ops = scheme.server_operations()
         self._last_wall = scheme.wall_operations()
         #: Running totals of what :meth:`charge` returned.
@@ -271,8 +276,8 @@ class CostMeter:
         self._last_wall = wall
         if self._network is not None:
             now_ms = sum(backend.simulated_ms for backend in self._network)
-            serial_ms = now_ms - self.link_ms
-            self.link_ms = now_ms
+            serial_ms = now_ms - self._link_ms
+            self._link_ms = now_ms
             # The backends accumulate serially; scale by the scheme's
             # overlap ratio so racing legs overlap here too.
             scale = (wall_delta / ops_delta) if ops_delta > 0 else 1.0

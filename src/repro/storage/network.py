@@ -16,6 +16,11 @@ operation's request — Path ORAM moves Θ(log n) blocks in 1 roundtrip
 Θ(log n) *roundtrips*, one a level — which is what dominates on real
 WAN links (experiment E13).
 
+A :class:`~repro.storage.backends.NetworkBackend` accrues its own link
+time per request; :class:`~repro.simulation.metrics.CostMeter`, the one
+place server operations become milliseconds, reads it.  No scheme
+prices itself.
+
 Multi-leg stages: a sharded deployment sends sub-requests to several
 shard groups at once.  :meth:`NetworkModel.serial_stage_ms` prices the
 legs one after another (sum) and :meth:`NetworkModel.overlapped_stage_ms`

@@ -339,42 +339,111 @@ class TestServingIntegration:
         assert metrics.fault_counters.get("failovers", 0) > 0
 
 
-class TestClusterRunsOverTheLinkItReports:
-    """``backend="network"`` replicas run over the cluster's own model."""
+def _backends(scheme):
+    return [server.backend for server in scheme.servers()]
 
-    def _link_ms(self, scheme):
-        return sum(server.backend.simulated_ms for server in scheme.servers())
+
+def _link_ms(scheme):
+    return sum(
+        getattr(backend, "simulated_ms", 0.0) for backend in _backends(scheme)
+    )
+
+
+class TestClusterRunsOverTheLinkItReports:
+    """A cluster's replicas get their link the way every registered
+    scheme does, and only :class:`CostMeter` turns their operations into
+    milliseconds."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """Each ``repro.cluster`` run's instance and the link time its
+        backends accrued inside ``run_trace``."""
+        import repro.cluster.service as service
+
+        runs = []
+        run_trace = service.run_trace
+
+        def recording(scheme, *args, **kwargs):
+            before = _link_ms(scheme)
+            metrics = run_trace(scheme, *args, **kwargs)
+            runs.append((scheme, _link_ms(scheme) - before))
+            return metrics
+
+        monkeypatch.setattr(service, "run_trace", recording)
+        return runs
 
     @pytest.mark.parametrize("network", [repro.LAN, repro.WAN],
                              ids=["lan", "wan"])
-    def test_replicas_use_the_cluster_model(self, rng, network):
+    @pytest.mark.parametrize(
+        "name", ["cluster_dp_ir", "cluster_batch_dp_ir", "cluster_dp_kvs"]
+    )
+    def test_registry_builds_run_every_replica_over_the_given_link(
+        self, name, network
+    ):
         from repro.storage.backends import NetworkBackend
 
+        scheme = repro.build(name, n=64, seed=1, backend="network",
+                             network=network)
+        backends = _backends(scheme)
+        assert backends
+        assert all(isinstance(backend, NetworkBackend) for backend in backends)
+        assert {backend.model for backend in backends} == {network}
+
+    @pytest.mark.parametrize(
+        "name", ["cluster_dp_ir", "cluster_batch_dp_ir", "cluster_dp_kvs"]
+    )
+    def test_registry_network_default_is_the_single_node_default(self, name):
+        single = repro.build("dp_ir", n=64, seed=1, backend="network")
+        (model,) = {backend.model for backend in _backends(single)}
+        assert model == repro.WAN
+        scheme = repro.build(name, n=64, seed=1, backend="network")
+        assert {backend.model for backend in _backends(scheme)} == {model}
+
+    @pytest.mark.parametrize("network", [repro.LAN, repro.WAN],
+                             ids=["lan", "wan"])
+    def test_a_network_keyword_reaches_the_replica_builders(self, rng,
+                                                            network):
         ir = ClusterIR(integer_database(32), shard_count=2, replica_count=2,
                        pad_size=4, backend_factory="network", network=network,
                        rng=rng.spawn("c"))
-        backends = [server.backend for server in ir.servers()]
-        assert backends
-        assert all(isinstance(backend, NetworkBackend) for backend in backends)
-        assert {backend.model for backend in backends} == {ir.network_model}
-        assert ir.network_model == network
+        assert {backend.model for backend in _backends(ir)} == {network}
 
     def test_memory_cluster_has_no_network_backend(self, rng):
         from repro.storage.backends import NetworkBackend
 
-        for backend in (None, "memory"):
-            ir = ClusterIR(integer_database(32), shard_count=2,
-                           replica_count=2, pad_size=4,
-                           backend_factory=backend, network="wan",
-                           rng=rng.spawn(f"c-{backend}"))
-            assert not any(
-                isinstance(server.backend, NetworkBackend)
-                for server in ir.servers()
-            )
+        ir = ClusterIR(integer_database(32), shard_count=2,
+                       replica_count=2, pad_size=4,
+                       backend_factory="memory", network="wan",
+                       rng=rng.spawn("c-memory"))
+        assert not any(
+            isinstance(backend, NetworkBackend) for backend in _backends(ir)
+        )
+
+    def test_a_network_with_no_backend_builds_network_replicas(self, rng):
+        # ``network`` is an ordinary base-builder keyword: with no backend
+        # each replica's builder turns it into a link of that model.
+        ir = ClusterIR(integer_database(32), shard_count=2,
+                       replica_count=2, pad_size=4,
+                       backend_factory=None, network="wan",
+                       rng=rng.spawn("c-None"))
+        assert {backend.model for backend in _backends(ir)} == {repro.WAN}
+
+    def test_default_config_builds_memory_replicas(self, runs):
+        from repro.storage.backends import NetworkBackend
+
+        report = repro.cluster("dp_ir", ClusterConfig(
+            shards=2, replicas=2, n=64, requests=8, seed=7,
+        ))
+        assert report.network == "lan"
+        (scheme, accrued), = runs
+        assert accrued == 0.0
+        assert not any(
+            isinstance(backend, NetworkBackend)
+            for backend in _backends(scheme)
+        )
 
     def test_a_backend_among_the_base_kwargs_is_refused(self, rng):
-        # It would replace the cluster's own backend without the link
-        # model forwarded with it: WAN replicas under a LAN report.
+        # It would silently replace the cluster's own backend.
         with pytest.raises(TypeError, match="backend"):
             ClusterIR(integer_database(32), shard_count=2, replica_count=1,
                       pad_size=4, backend="network", rng=rng.spawn("c"))
@@ -390,27 +459,34 @@ class TestClusterRunsOverTheLinkItReports:
         query = ir.query
 
         def timed(index):
-            before = self._link_ms(ir)
+            before = _link_ms(ir)
             answer = query(index)
-            deltas.append(self._link_ms(ir) - before)
+            deltas.append(_link_ms(ir) - before)
             return answer
 
         ir.query = timed
         trace = catalogue.index_trace(
             "uniform", 32, 16, rng.spawn("t"), write_fraction=0.0,
         )
-        metrics = run_trace(ir, trace, integer_database(32),
-                            network=ir.network_model)
+        metrics = run_trace(ir, trace, integer_database(32))
         assert metrics.latencies_ms == deltas
         assert 0.0 < max(deltas) < 1.0  # LAN, not the WAN default
 
-    def test_report_prices_the_network_backends(self):
-        report = repro.cluster("dp_ir", ClusterConfig(
+    @pytest.mark.parametrize("scheme", ["dp_ir", "dp_kvs"])
+    def test_report_ms_are_the_link_time_of_the_run(self, runs, scheme):
+        report = repro.cluster(scheme, ClusterConfig(
             shards=2, replicas=1, n=128, requests=32, seed=7,
             backend="network",
         ))
+        (instance, accrued), = runs
+        assert {backend.model for backend in _backends(instance)} == {
+            repro.LAN
+        }
         assert report.network == "lan"
         assert report.latency.p50_ms < 1.0
+        assert accrued > 0.0
+        assert report.serial_ms == pytest.approx(accrued, rel=1e-12)
+        assert report.wall_clock_ms == report.serial_ms  # serial executor
 
 
 class TestClusterCLI:

@@ -1,7 +1,7 @@
 """Pins that a cluster counts each server operation exactly once.
 
 The servers' own read / write counters are the ground truth.  A
-cluster's ``serial_operations()`` and a serving run's
+cluster's ``server_operations()`` and a serving run's
 ``ServingReport.server_operations`` must equal the change in
 Σ(reads + writes) over ``servers()`` across any history: direct entry
 point calls, failover retries, integrity fall-backs, KVS write fan-out,
@@ -59,14 +59,13 @@ class _Counted:
     def __init__(self, scheme):
         self.scheme = scheme
         self.start_servers = _server_ops(scheme)
-        self.start_serial = scheme.serial_operations()
+        self.start_operations = scheme.server_operations()
         self.start_wall = scheme.wall_operations()
 
     def check(self, executor: str) -> int:
         scheme = self.scheme
         served = _server_ops(scheme) - self.start_servers
-        assert scheme.serial_operations() - self.start_serial == served
-        assert scheme.server_operations() - self.start_servers == served
+        assert scheme.server_operations() - self.start_operations == served
         wall = scheme.wall_operations() - self.start_wall
         if executor == "serial":
             assert wall == served
@@ -100,13 +99,13 @@ def _reshard_and_check(scheme, executor, next_round):
     counted from their first operation."""
     drained_servers = scheme.servers()
     before = _ops_of(drained_servers)
-    serial_before = scheme.serial_operations()
+    operations_before = scheme.server_operations()
     wall_before = scheme.wall_operations()
     report = scheme.reshard(3)
     drained = _ops_of(drained_servers) - before
     refilled = _server_ops(scheme)
     migrated = drained + refilled
-    assert scheme.serial_operations() - serial_before == migrated
+    assert scheme.server_operations() - operations_before == migrated
     wall = scheme.wall_operations() - wall_before
     if executor == "serial":
         assert wall == migrated
@@ -173,3 +172,32 @@ def test_kvs_cluster_counts_every_server_operation_once(
     _reshard_and_check(
         scheme, executor, lambda: scheme.get_many(keys[4:16])
     )
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_a_meter_spanning_a_reshard_charges_what_the_servers_did(executor):
+    """A charge across a migration prices the drain and the re-insertion:
+    positive, and equal to the ``server_operations()`` delta."""
+    from repro.simulation.metrics import CostMeter
+    from repro.storage.network import LAN
+
+    scheme = ClusterIR(
+        integer_database(64, 16), shard_count=2, replica_count=2,
+        pad_size=8, executor=executor, rng=SeededRandomSource(3),
+    )
+    meter = CostMeter(scheme, LAN)
+    operations_before = scheme.server_operations()
+    wall_before = scheme.wall_operations()
+    drained_servers = scheme.servers()
+    drained_before = _ops_of(drained_servers)
+    for index in range(10):
+        scheme.query(index)
+    scheme.reshard(4)
+    operations, service_ms, serial_ms = meter.charge()
+    served = _ops_of(drained_servers) - drained_before + _server_ops(scheme)
+    assert operations == scheme.server_operations() - operations_before
+    assert operations == served > 0
+    per_op = LAN.rtt_ms + LAN.transfer_ms(scheme.block_size)
+    assert serial_ms == operations * per_op
+    assert service_ms == (scheme.wall_operations() - wall_before) * per_op
+    assert 0.0 < service_ms <= serial_ms

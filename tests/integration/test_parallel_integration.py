@@ -173,7 +173,7 @@ class TestWallClockAccountingEndToEnd:
         )
         report = instance.reshard(2)
         assert report.migration_operations > 0
-        assert 0.0 < report.wall_clock_ms < report.serial_ms
+        assert 0.0 < report.wall_operations < report.migration_operations
         serial_instance = ClusterIR(
             integer_database(128),
             shard_count=4,
@@ -183,8 +183,8 @@ class TestWallClockAccountingEndToEnd:
             executor="serial",
         )
         serial_report = serial_instance.reshard(2)
-        assert serial_report.wall_clock_ms == pytest.approx(
-            serial_report.serial_ms
+        assert serial_report.wall_operations == (
+            serial_report.migration_operations
         )
         assert serial_report.migration_operations == \
             report.migration_operations

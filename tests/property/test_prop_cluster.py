@@ -168,7 +168,7 @@ class _History:
         self.note([self._view(t) for t in self._transcripts])
         self.note(cluster.ledger.report())
         self.note(sorted(cluster.fault_counters().items()))
-        self.note(cluster.serial_operations())
+        self.note(cluster.server_operations())
         self.note(cluster.wall_operations())
         self.note(cluster.shard_query_counts())
         self.note(json.dumps(
@@ -261,13 +261,13 @@ def _kvs_history_fingerprint(executor, view=Transcript.signature):
 # KVS pins below draw no pad set and did not.
 _IR_PINS = {
     ("dp_ir", "serial"):
-        "d323f60406afd71a5badc51b38774633b76231e07959f9f8a594a3f7d596995b",
+        "676eccd6f5831d88b7db70cb0e97ec0f7adf620a3c1f7c646539fa9cc89fc7b5",
     ("dp_ir", "parallel"):
-        "b32d8fb42e9a43135728730cba0ca8f711b0f66d5eba0140b3fdef673326f311",
+        "4575ca8d4ae59bc04cad6717cbca2559e794a87b66236d21c44997698bfe1584",
     ("batch_dp_ir", "serial"):
-        "b7ea7ecddb476f4f78afbe62dac4794829e8636312d29c22ee681eaf72130d3f",
+        "19447afa3cd41a084b897e7b5fd138bb7a77f634e629b77cf739ab84d20e41c1",
     ("batch_dp_ir", "parallel"):
-        "6efc036e50e6d580ced90a82e5a0ace82d05c5e9114f56a48af432ec3e8e16c3",
+        "d358538d57bcbf52abae5fec9968b7cc751a91e1d1d73a5d9bd757271ae1b8b8",
 }
 
 # Re-pinned twice.  First when DP-KVS went from six storage rounds per
@@ -306,11 +306,18 @@ _IR_PINS = {
 # and 15.50 -> 62.01 overlapped), ``serial_operations`` 3396 -> 3610 and
 # ``wall_operations`` 3396 -> 3610 serial, 1945 -> 2038 overlapped.  With
 # the re-insertion terms forced to 0 the history hashes to the old pins.
+# All IR and KVS pins moved once more when the cluster stopped pricing
+# itself: the reshard report's ``serial_ms`` / ``wall_clock_ms`` gave way
+# to ``wall_operations`` (op-units), and the history notes
+# ``server_operations()``, now the same cumulative count.  With the old
+# report rebuilt from the new one under LAN (``serial_ms`` =
+# ``migration_operations`` × per-op, ``wall_clock_ms`` =
+# ``wall_operations`` × per-op) every history hashes to the old pins.
 _KVS_PINS = {
     "serial":
-        "163f93fed7c27f57f0713c8588b37acb2ee3a130eb65cf4a19624604a9c5672c",
+        "75ce820c98a655d4010be2d299f58fba4568e1550c6ccdf2222bc2011bf71316",
     "parallel":
-        "e3e46d1836650be90278636c898791b1c9a0dcca807a1c7e57e548e8a916a0c0",
+        "8494a6c933ca4ecd23bacc90d309dd709a2417ee82c15d43f8a8ba75625876d7",
 }
 
 # The same KVS history with every transcript reduced to its
@@ -323,9 +330,9 @@ _KVS_PINS = {
 # ``_KVS_PINS`` for the counted re-insertion, in the same three items.
 _KVS_UNORDERED_PINS = {
     "serial":
-        "f878405a10edf1705604cea29e33652038ab119042aa9b47db9ce65f4a38dd6b",
+        "2a9cd9b3c2e558391c52a246057def9b0577cf22670dbeffb9639fd1d0c154b6",
     "parallel":
-        "28e8f946f59050a56e9c9d5737b268cc6fc8df85389f1cf8fc8920bd4ef3ef43",
+        "ffff6f024d0333e4527eaf4f14bf718b5937d72f6920163dfdc6b037a7fb97df",
 }
 
 

@@ -246,7 +246,8 @@ class TestLatency:
         metrics = run_trace(PlaintextRAM(small_db),
                             reads_from_indices([0, 1, 2], 32))
         assert metrics.latencies_ms == []
-        assert metrics.network_ms is None
+        assert metrics.serial_ms is None
+        assert metrics.wall_clock_ms is None
 
     def test_a_model_prices_each_round_once_per_operation(self, small_db):
         per_op = LAN.rtt_ms + LAN.transfer_ms(len(small_db[0]))
@@ -254,4 +255,6 @@ class TestLatency:
                             reads_from_indices([0, 1, 2, 3], 32),
                             batch=3, network=LAN)
         assert metrics.latencies_ms == [3 * per_op] * 3 + [per_op]
-        assert metrics.network_ms is None
+        assert metrics.serial_ms == metrics.wall_clock_ms == pytest.approx(
+            4 * per_op
+        )
