@@ -96,7 +96,6 @@ from repro.serving import (
 from repro.serving import scheduler_listings as schedulers
 from repro.storage import (
     InMemoryBackend,
-    SlabBackend,
     NetworkBackend,
     ServerPool,
     StorageBackend,
@@ -156,7 +155,6 @@ __all__ = [
     "ServingConfig",
     "ServingReport",
     "ShardedDPIR",
-    "SlabBackend",
     "StorageBackend",
     "StorageServer",
     "StrawmanIR",

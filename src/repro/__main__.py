@@ -451,9 +451,9 @@ _FLAGS: dict[str, dict] = {
     "--value-size": dict(type=int, help="KVS value size in bytes"),
     "--write-fraction": dict(type=float, default=0.5,
                              help="write fraction for the readwrite workload"),
-    "--backend": dict(choices=("memory", "slab", "network"),
+    "--backend": dict(choices=("memory", "network"),
                       help="slot-storage backend (None: the scheme's own, "
-                      "memory); slab packs blocks into one contiguous buffer"),
+                      "memory)"),
     "--network": dict(choices=("lan", "wan", "mobile"),
                       help="link model pricing simulated time"),
     "--list": dict(action="store_true",

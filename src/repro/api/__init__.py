@@ -57,7 +57,6 @@ from repro.api.registry import (
 from repro.storage.backends import (
     BackendFactory,
     InMemoryBackend,
-    SlabBackend,
     NetworkBackend,
     NetworkBackendFactory,
     StorageBackend,
@@ -66,7 +65,6 @@ from repro.storage.backends import (
 __all__ = [
     "BackendFactory",
     "InMemoryBackend",
-    "SlabBackend",
     "NetworkBackend",
     "NetworkBackendFactory",
     "PrivateIR",

@@ -41,11 +41,7 @@ from repro.core.multi_server import MultiServerDPIR
 from repro.core.sharded_ir import ShardedDPIR
 from repro.core.strawman import StrawmanIR
 from repro.crypto.rng import RandomSource, SeededRandomSource, SystemRandomSource
-from repro.storage.backends import (
-    BackendFactory,
-    NetworkBackendFactory,
-    SlabBackend,
-)
+from repro.storage.backends import BackendFactory, NetworkBackendFactory
 from repro.storage.blocks import DEFAULT_BLOCK_SIZE, integer_database
 from repro.storage.network import LAN, MOBILE, WAN, NetworkModel
 
@@ -73,17 +69,13 @@ def resolve_backend(
     """Turn the ``backend``/``network`` kwargs into a backend factory.
 
     An explicit ``backend="memory"`` always keeps the in-memory default
-    (even when a ``network`` is also given); ``backend="slab"`` stores
-    every server's slots in one contiguous
-    :class:`~repro.storage.backends.SlabBackend`; ``backend="network"``
-    — or a ``network`` argument with ``backend`` unset — builds a
-    :class:`~repro.storage.backends.NetworkBackendFactory` so simulated
-    link time is accounted across all of a scheme's servers.
+    (even when a ``network`` is also given); ``backend="network"`` — or
+    a ``network`` argument with ``backend`` unset — builds a
+    :class:`~repro.storage.backends.NetworkBackendFactory`, so every
+    server's backend accounts its own simulated link time.
     """
     if backend == "memory":
         return None
-    if backend == "slab":
-        return SlabBackend
     if backend is None:
         if network is None:
             return None
@@ -92,8 +84,8 @@ def resolve_backend(
         return NetworkBackendFactory(resolve_network(network or WAN))
     if isinstance(backend, str):
         raise ValueError(
-            f"unknown backend {backend!r}; expected 'memory', 'slab', "
-            "'network' or a backend factory"
+            f"unknown backend {backend!r}; expected 'memory', 'network' "
+            "or a backend factory"
         )
     return backend
 

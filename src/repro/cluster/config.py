@@ -55,8 +55,7 @@ class ClusterConfig:
         network: link model pricing server operations into simulated
             ms; a ``network`` backend's replicas run over it.
         backend: per-replica slot-storage backend name (``memory`` /
-            ``slab`` / ``network``); ``None`` keeps the in-memory
-            default.
+            ``network``); ``None`` keeps the in-memory default.
         executor: cross-shard fan-out pricing (``serial`` /
             ``parallel``).
         batch: requests dispatched per round through the batched entry

@@ -19,9 +19,12 @@ client loop.  This package adds the missing serving regime as a
                     p50/p95/p99 latency from the network cost model
 
 Simulated time comes from the same
-:class:`~repro.storage.network.NetworkModel` accounting the single-client
-experiments use (each slot access is one roundtrip plus serialization),
-so serving numbers are directly comparable to ``python -m repro run``.
+:class:`~repro.simulation.metrics.CostMeter` the single-client
+experiments use (on network backends, each request is one roundtrip
+plus the transfer of its bytes; otherwise each block moved is one
+roundtrip plus one block's transfer under the
+:class:`~repro.storage.network.NetworkModel`), so serving numbers are
+directly comparable to ``python -m repro run``.
 Everything is seeded through :class:`~repro.crypto.rng.RandomSource`:
 the same seed replays the same arrivals, batches and report.
 

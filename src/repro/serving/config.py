@@ -60,9 +60,9 @@ class ServingConfig:
         seed: deterministic randomness; ``None`` uses system entropy.
         network: link model name or
             :class:`~repro.storage.network.NetworkModel`.
-        backend: slot-storage backend name (``memory`` / ``slab`` /
-            ``network``) forwarded to the scheme builder; ``None`` keeps
-            the scheme's default.
+        backend: slot-storage backend name (``memory`` / ``network``)
+            forwarded to the scheme builder; ``None`` keeps the scheme's
+            default.
         value_size: KVS value budget when building by name.
         write_fraction: write share of the ``readwrite`` workload.
         executor: cross-shard fan-out pricing (``serial`` /

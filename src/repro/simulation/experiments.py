@@ -65,6 +65,17 @@ def _blocks_per_op(trace, *schemes, initial=None) -> list[float]:
     return blocks
 
 
+def _roundtrips_per_op(scheme, operations: int) -> float:
+    """Requests per operation on the scheme's links, less the run's end.
+
+    Read off the backends of ``scheme.servers()``; the flush that ends
+    the run sends one request a server, which no operation asked for.
+    """
+    servers = scheme.servers()
+    requests = sum(server.backend.roundtrips for server in servers)
+    return (requests - len(servers)) / operations
+
+
 def experiment_e01_errorless_ir(
     sizes: tuple[int, ...] = (256, 512, 1024), queries: int = 20, seed: int = 1
 ) -> ExperimentTable:
@@ -551,18 +562,17 @@ def experiment_e13_roundtrips(
     rng = SeededRandomSource(seed)
     for n in sizes:
         database = integer_database(n)
-        recursive_link = NetworkBackendFactory(LAN)
         recursive = RecursivePathORAM(
             database, positions_per_block=8, client_map_limit=32,
-            rng=rng.spawn(f"e13-r-{n}"), backend_factory=recursive_link,
+            rng=rng.spawn(f"e13-r-{n}"),
+            backend_factory=NetworkBackendFactory(LAN),
         )
         # One view a level: the requests its server saw download.
         views = [Transcript() for _ in recursive.servers()]
         for server, view in zip(recursive.servers(), views):
             server.attach_transcript(view)
-        link = NetworkBackendFactory(LAN)
         dpram = DPRAM(database, rng=rng.spawn(f"e13-d-{n}"),
-                      backend_factory=link)
+                      backend_factory=NetworkBackendFactory(LAN))
         trace = read_write_trace(n, queries, rng.spawn(f"e13-t-{n}"),
                                  write_fraction=0.3)
         recursive_metrics = run_trace(recursive, trace, initial=database)
@@ -577,10 +587,10 @@ def experiment_e13_roundtrips(
             # uploads, which no next request carried, are the one more a
             # server that run_trace flushed.
             n, recursive.levels,
-            (recursive_link.roundtrips - recursive.levels) / len(trace),
+            _roundtrips_per_op(recursive, len(trace)),
             downloaded / len(trace),
             recursive.client_position_entries,
-            (link.roundtrips - 1) / len(trace),
+            _roundtrips_per_op(dpram, len(trace)),
             round(recursive_metrics.blocks_per_operation, 1),
             dpram_metrics.blocks_per_operation,
             recursive_metrics.mismatches + dpram_metrics.mismatches,
@@ -626,17 +636,15 @@ def experiment_e14_response_times(
 
     # The ORAMs and the third primitive run over simulated links that
     # count the roundtrips they were asked for.
-    oram_link, recursive_link, link = (
-        NetworkBackendFactory(LAN) for _ in range(3)
-    )
+    link = NetworkBackendFactory(LAN)
+    oram = PathORAM(database, rng=rng.spawn("e14-o"), backend_factory=link)
     recursive = RecursivePathORAM(database, rng=rng.spawn("e14-r"),
-                                  backend_factory=recursive_link)
-    plain, dpram, oram, recursive_blocks = _blocks_per_op(
+                                  backend_factory=link)
+    plain, dpram, oram_blocks, recursive_blocks = _blocks_per_op(
         trace,
         PlaintextRAM(database),
         DPRAM(database, rng=rng.spawn("e14-d")),
-        PathORAM(database, rng=rng.spawn("e14-o"),
-                 backend_factory=oram_link),
+        oram,
         recursive,
         initial=database,
     )
@@ -656,24 +664,22 @@ def experiment_e14_response_times(
         ],
         name=trace.name,
     )
-    (dpkvs,) = _blocks_per_op(
-        kv_trace,
-        DPKVS(n, value_size=len(database[0]), rng=rng.spawn("e14-k"),
-              backend_factory=link),
-    )
+    kvs = DPKVS(n, value_size=len(database[0]), rng=rng.spawn("e14-k"),
+                backend_factory=link)
+    (dpkvs,) = _blocks_per_op(kv_trace, kvs)
 
     entries = [
         ("plaintext", 1, plain),
         ("DP-IR (alpha=0.05)", 1, dpir),
         ("DP-RAM", 1, dpram),
-        ("DP-KVS", link.roundtrips // len(kv_trace), dpkvs),
-        # Less the flush that ends the run: one request a server.  An
-        # ORAM access whose whole path is held sends none, so the ORAMs'
-        # counts are means, a little under one a level.
-        ("Path ORAM", (oram_link.roundtrips - 1) / len(trace), oram),
+        # Less the flush that ends the run.  An ORAM access whose whole
+        # path is held sends none, so the ORAMs' counts are means, a
+        # little under one a level.
+        ("DP-KVS", _roundtrips_per_op(kvs, len(kv_trace)), dpkvs),
+        ("Path ORAM", _roundtrips_per_op(oram, len(trace)), oram_blocks),
         (
             "recursive ORAM",
-            (recursive_link.roundtrips - recursive.levels) / len(trace),
+            _roundtrips_per_op(recursive, len(trace)),
             recursive_blocks,
         ),
         ("linear PIR", 1, pir),

@@ -228,9 +228,11 @@ class CostMeter:
     backends' own accumulated milliseconds are authoritative: one
     roundtrip per *request* — a held upload and the downloads it rides
     with (``StorageServer.exchange``), or a lone round — plus the
-    transfer of its bytes.  Otherwise each *block* moved is priced at
-    one roundtrip plus one block transfer under ``model``, and with no
-    ``model`` nothing is priced (:attr:`priced` is false).  The two do
+    transfer of its bytes.  Each charge reads the backends the scheme
+    has then, and the last delta of those a reshard retired, so its
+    link time spans a reshard too.  Otherwise each *block* moved is
+    priced at one roundtrip plus one block transfer under ``model``, and
+    with no ``model`` nothing is priced (:attr:`priced` is false).  The two do
     not agree on a batched scheme: a K-block round is ``rtt + transfer(K
     blocks)`` on the backend and ``K · (rtt + transfer(block))`` here.
 
@@ -249,11 +251,11 @@ class CostMeter:
         )
         backends = [server.backend for server in scheme.servers()]
         linked = bool(backends) and all(isinstance(b, NetworkBackend) for b in backends)
+        # The backends of the last charge and their link time then.
         self._network = backends if linked else None
         #: Whether a charge means anything: the servers run over network
         #: backends, or a ``model`` prices their operations.
         self.priced = linked or model is not None
-        # The backends' accumulated link time as of the last charge.
         self._link_ms = sum(b.simulated_ms for b in backends) if linked else 0.0
         self._last_ops = scheme.server_operations()
         self._last_wall = scheme.wall_operations()
@@ -275,9 +277,20 @@ class CostMeter:
         wall_delta = wall - self._last_wall
         self._last_wall = wall
         if self._network is not None:
-            now_ms = sum(backend.simulated_ms for backend in self._network)
-            serial_ms = now_ms - self._link_ms
-            self._link_ms = now_ms
+            # The last charge's backends, retired ones included, plus
+            # all the link time of any a reshard has added since.
+            known = {id(backend) for backend in self._network}
+            backends = [server.backend for server in self._scheme.servers()]
+            added_ms = sum(
+                backend.simulated_ms for backend in backends
+                if id(backend) not in known
+            )
+            serial_ms = (
+                sum(backend.simulated_ms for backend in self._network)
+                - self._link_ms + added_ms
+            )
+            self._network = backends
+            self._link_ms = sum(backend.simulated_ms for backend in backends)
             # The backends accumulate serially; scale by the scheme's
             # overlap ratio so racing legs overlap here too.
             scale = (wall_delta / ops_delta) if ops_delta > 0 else 1.0

@@ -28,7 +28,6 @@ This package implements that model directly:
 from repro.storage.backends import (
     BackendFactory,
     InMemoryBackend,
-    SlabBackend,
     NetworkBackend,
     NetworkBackendFactory,
     StorageBackend,
@@ -61,7 +60,6 @@ __all__ = [
     "ClientStash",
     "DEFAULT_BLOCK_SIZE",
     "InMemoryBackend",
-    "SlabBackend",
     "MappingOverflowError",
     "NetworkBackend",
     "NetworkBackendFactory",

@@ -7,13 +7,10 @@ Separating the two is what lets every scheme swap where its blocks live
 (in-memory array, latency-injecting simulated link, and later shards,
 caches or real object stores) without touching any privacy logic.
 
-Three backends ship today:
+Two backends ship today:
 
 * :class:`InMemoryBackend` — a plain Python list; the default, and the
   behaviour of the original seed implementation.
-* :class:`SlabBackend` — fixed-size blocks packed into one contiguous
-  ``bytearray`` with ``memoryview`` slicing, so a batched read is K
-  slice copies instead of K list lookups (``--backend slab``).
 * :class:`NetworkBackend` — wraps any inner backend and charges every
   slot access against a :class:`~repro.storage.network.NetworkModel`,
   accumulating the simulated wall-clock cost so experiments can report
@@ -22,7 +19,9 @@ Three backends ship today:
 
 Backends are created per server; schemes accept a *backend factory*
 (``capacity -> StorageBackend``) so multi-server constructions can build
-one backend per replica/shard/level.
+one backend per replica/shard/level.  A backend's link time and
+roundtrips are read off the backend itself — walk ``scheme.servers()``
+— never off the factory that made it.
 """
 
 from __future__ import annotations
@@ -179,157 +178,6 @@ class InMemoryBackend(StorageBackend):
         self._missing = 0
 
 
-class SlabBackend(StorageBackend):
-    """Fixed-size blocks in one contiguous ``bytearray``.
-
-    Every scheme in this repository moves fixed-size (encrypted) blocks,
-    so slot ``i`` lives at byte offset ``i · block_size`` of a single
-    slab and a batched read is K ``memoryview`` slice copies instead of
-    K list lookups on K scattered ``bytes`` objects.  The block size is
-    fixed by the first write (or :meth:`load`); pass it up front to
-    pre-allocate.
-
-    Two auxiliary structures keep the full :class:`StorageBackend`
-    contract: a per-slot presence bitmap (``None`` for never-written
-    slots — slab bytes alone cannot distinguish "absent" from "zeros"),
-    and a spill dict for blocks whose size differs from the slab's,
-    so variable-size workloads degrade to the list-backend behaviour
-    instead of failing.
-
-    The class itself is a valid :data:`BackendFactory`
-    (``SlabBackend`` ≡ ``lambda capacity: SlabBackend(capacity)``).
-    """
-
-    __slots__ = (
-        "_capacity",
-        "_block_size",
-        "_slab",
-        "_view",
-        "_flags",
-        "_missing",
-        "_overflow",
-    )
-
-    _ABSENT, _SLAB, _SPILLED = 0, 1, 2
-
-    def __init__(self, capacity: int, block_size: int | None = None) -> None:
-        if capacity < 0:
-            raise StorageError(
-                f"capacity must be non-negative, got {capacity}"
-            )
-        if block_size is not None and block_size < 0:
-            raise StorageError(
-                f"block size must be non-negative, got {block_size}"
-            )
-        self._capacity = capacity
-        self._block_size: int | None = None
-        self._slab: bytearray | None = None
-        self._view: memoryview | None = None
-        self._flags = bytearray(capacity)
-        self._missing = capacity
-        self._overflow: dict[int, bytes] = {}
-        if block_size is not None:
-            self._allocate(block_size)
-
-    @property
-    def capacity(self) -> int:
-        """Number of slots."""
-        return self._capacity
-
-    @property
-    def block_size(self) -> int | None:
-        """Slab cell size in bytes; ``None`` until the first write fixes it."""
-        return self._block_size
-
-    @property
-    def spilled_slots(self) -> int:
-        """Slots currently on the variable-size fallback path."""
-        return len(self._overflow)
-
-    @property
-    def missing_slots(self) -> int:
-        """Exact count of never-written slots."""
-        return self._missing
-
-    def _allocate(self, block_size: int) -> None:
-        self._block_size = block_size
-        self._slab = bytearray(block_size * self._capacity)
-        self._view = memoryview(self._slab)
-
-    def read_slot(self, index: int) -> bytes | None:
-        """Return the block at ``index``, or ``None`` if never written."""
-        flag = self._flags[index]
-        if flag == self._ABSENT:
-            return None
-        if flag == self._SPILLED:
-            return self._overflow[index]
-        size = self._block_size
-        start = index * size
-        return bytes(self._view[start : start + size])
-
-    def write_slot(self, index: int, block: bytes) -> None:
-        """Store ``block`` into slot ``index`` (slab or spill path)."""
-        block = bytes(block)
-        if self._block_size is None:
-            self._allocate(len(block))
-        flag = self._flags[index]
-        size = self._block_size
-        if len(block) == size:
-            start = index * size
-            self._view[start : start + size] = block
-            if flag == self._SPILLED:
-                del self._overflow[index]
-            elif flag == self._ABSENT:
-                self._missing -= 1
-            self._flags[index] = self._SLAB
-        else:
-            self._overflow[index] = block
-            if flag == self._ABSENT:
-                self._missing -= 1
-            self._flags[index] = self._SPILLED
-
-    def read_slots(self, indices: Sequence[int]) -> list[bytes | None]:
-        """K contiguous slice copies when no slot is absent or spilled."""
-        if self._missing == 0 and not self._overflow:
-            size = self._block_size
-            view = self._view
-            return [
-                bytes(view[index * size : index * size + size])
-                for index in indices
-            ]
-        return [self.read_slot(index) for index in indices]
-
-    def load(self, blocks: Sequence[bytes]) -> None:
-        """Install the initial database as one contiguous copy."""
-        if len(blocks) != self._capacity:
-            raise StorageError(
-                f"expected {self._capacity} blocks, got {len(blocks)}"
-            )
-        self._overflow = {}
-        self._missing = 0
-        self._flags = bytearray(bytes([self._SLAB]) * self._capacity)
-        if self._capacity == 0:
-            return
-        size = (
-            self._block_size
-            if self._block_size is not None
-            else len(blocks[0])
-        )
-        if self._block_size is None:
-            self._allocate(size)
-        if all(len(block) == size for block in blocks):
-            self._slab[:] = b"".join(blocks)
-            return
-        view = self._view
-        for index, block in enumerate(blocks):
-            block = bytes(block)
-            if len(block) == size:
-                view[index * size : index * size + size] = block
-            else:
-                self._overflow[index] = block
-                self._flags[index] = self._SPILLED
-
-
 class NetworkBackend(StorageBackend):
     """A backend behind a simulated client-server link.
 
@@ -444,39 +292,21 @@ class NetworkBackend(StorageBackend):
 
 
 class NetworkBackendFactory:
-    """A :data:`BackendFactory` that remembers every backend it creates.
+    """A :data:`BackendFactory` whose backends share one simulated link.
 
-    Multi-server schemes build one backend per server; this factory sums
-    their simulated costs so a run can report a single response-time
-    figure.
+    It keeps nothing but the model: a scheme's link time is read off
+    the backends of its servers, so a reshard's drained generation is
+    freed with its servers.
     """
 
     def __init__(self, model: NetworkModel) -> None:
         self._model = model
-        self._backends: list[NetworkBackend] = []
 
     def __call__(self, capacity: int) -> NetworkBackend:
-        """Create (and track) a backend for a ``capacity``-slot server."""
-        backend = NetworkBackend(capacity, self._model)
-        self._backends.append(backend)
-        return backend
+        """Create a backend for a ``capacity``-slot server."""
+        return NetworkBackend(capacity, self._model)
 
     @property
     def model(self) -> NetworkModel:
         """The simulated link shared by every created backend."""
         return self._model
-
-    @property
-    def backends(self) -> tuple[NetworkBackend, ...]:
-        """Every backend created so far."""
-        return tuple(self._backends)
-
-    @property
-    def simulated_ms(self) -> float:
-        """Total simulated link time across all created backends."""
-        return sum(backend.simulated_ms for backend in self._backends)
-
-    @property
-    def roundtrips(self) -> int:
-        """Total roundtrips across all created backends."""
-        return sum(backend.roundtrips for backend in self._backends)

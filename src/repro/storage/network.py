@@ -21,18 +21,15 @@ time per request; :class:`~repro.simulation.metrics.CostMeter`, the one
 place server operations become milliseconds, reads it.  No scheme
 prices itself.
 
-Multi-leg stages: a sharded deployment sends sub-requests to several
-shard groups at once.  :meth:`NetworkModel.serial_stage_ms` prices the
-legs one after another (sum) and :meth:`NetworkModel.overlapped_stage_ms`
-prices them racing (max over concurrent legs plus a dispatch overhead)
-— the ``wall_clock_ms`` versus ``serial_ms`` split the cluster and
-serving reports surface.
+A sharded deployment sends sub-requests to several shard groups at
+once; :meth:`repro.parallel.executor.Executor.stage_cost` is the one
+rule for how those legs overlap (in operations), and the meter scales
+the backends' link time by it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -81,40 +78,6 @@ class NetworkModel:
         return roundtrips * self.rtt_ms + self.transfer_ms(
             round(blocks * block_bytes)
         )
-
-    @staticmethod
-    def _check_legs(leg_ms: Sequence[float]) -> list[float]:
-        legs = [float(leg) for leg in leg_ms]
-        for leg in legs:
-            if leg < 0:
-                raise ValueError(f"leg time must be non-negative, got {leg}")
-        return legs
-
-    def serial_stage_ms(self, leg_ms: Sequence[float]) -> float:
-        """Time for a multi-leg stage executed one leg after another."""
-        return sum(self._check_legs(leg_ms))
-
-    def overlapped_stage_ms(
-        self, leg_ms: Sequence[float], dispatch_overhead_ms: float = 0.0
-    ) -> float:
-        """Wall-clock of a stage whose legs race concurrently.
-
-        The stage finishes when its *slowest* leg does, plus a fixed
-        dispatch overhead for coordinating the fan-out — not the sum
-        the serial accounting would charge.  A stage of zero or one
-        legs has nothing to coordinate and costs exactly its legs,
-        matching :meth:`repro.parallel.executor.Executor.stage_cost`
-        so the two accounting surfaces can never disagree.
-        """
-        if dispatch_overhead_ms < 0:
-            raise ValueError(
-                f"dispatch overhead must be non-negative, "
-                f"got {dispatch_overhead_ms}"
-            )
-        legs = self._check_legs(leg_ms)
-        if len(legs) <= 1:
-            return sum(legs)
-        return max(legs) + dispatch_overhead_ms
 
 
 LAN = NetworkModel(rtt_ms=0.5, bandwidth_mbps=10_000.0)

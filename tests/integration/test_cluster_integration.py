@@ -6,6 +6,7 @@ serving simulator driving a cluster through the batch scheduler, fault
 counts surfacing in reports, and the cluster CLI.
 """
 
+import gc
 import json
 
 import pytest
@@ -487,6 +488,26 @@ class TestClusterRunsOverTheLinkItReports:
         assert accrued > 0.0
         assert report.serial_ms == pytest.approx(accrued, rel=1e-12)
         assert report.wall_clock_ms == report.serial_ms  # serial executor
+
+    @pytest.mark.parametrize("name", ["cluster_dp_ir", "cluster_dp_kvs"])
+    def test_a_reshard_frees_the_drained_generation(self, name):
+        # One factory serves every generation; it keeps no backend, so
+        # once its servers are gone nothing but this list holds a
+        # drained backend (a slotted backend takes no weak reference).
+        scheme = repro.build(name, n=256, seed=1, backend="network",
+                             network="lan")
+        drained = []
+        for shards in (4, 2, 8, 2):
+            drained += _backends(scheme)
+            scheme.reshard(shards)
+        gc.collect()
+        assert len(drained) == 32
+        assert len(_backends(scheme)) == 4
+        holders = [
+            type(holder).__name__
+            for holder in gc.get_referrers(*drained) if holder is not drained
+        ]
+        assert holders == []
 
 
 class TestClusterCLI:

@@ -201,3 +201,66 @@ def test_a_meter_spanning_a_reshard_charges_what_the_servers_did(executor):
     assert serial_ms == operations * per_op
     assert service_ms == (scheme.wall_operations() - wall_before) * per_op
     assert 0.0 < service_ms <= serial_ms
+
+
+def _link_ms(backends) -> float:
+    return sum(backend.simulated_ms for backend in backends)
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_a_network_meter_spanning_a_reshard_charges_both_generations(
+    executor,
+):
+    """Over network backends a charge is link time: the drained
+    generation's since the last charge, and all of the new one's."""
+    from repro.simulation.metrics import CostMeter
+
+    scheme = repro.build("cluster_dp_ir", n=N, seed=1, backend="network",
+                         network="lan", executor=executor)
+    meter = CostMeter(scheme, None)
+    for index in range(20):
+        scheme.query(index)
+    meter.charge()
+    drained = [server.backend for server in scheme.servers()]
+    drained_ms = _link_ms(drained)
+    for index in range(20, 30):
+        scheme.query(index)
+    scheme.reshard(4)
+    for index in range(20):
+        scheme.query(index)
+    _, _, serial_ms = meter.charge()
+    live = [server.backend for server in scheme.servers()]
+    assert not set(map(id, live)) & set(map(id, drained))
+    assert _link_ms(live) > 0
+    assert serial_ms == pytest.approx(
+        _link_ms(drained) - drained_ms + _link_ms(live)
+    )
+    # The next charge is the new generation's alone.
+    live_ms = _link_ms(live)
+    for index in range(20):
+        scheme.query(index)
+    operations, service_ms, serial_ms = meter.charge()
+    assert operations == 100
+    assert serial_ms == pytest.approx(_link_ms(live) - live_ms)
+    assert 0.0 < service_ms <= serial_ms
+    assert meter.serial_ms == pytest.approx(_link_ms(drained + live))
+
+
+def test_a_memory_meter_walks_no_servers_per_charge():
+    """Without network backends the meter prices operations and never
+    looks at a server after construction."""
+    from repro.simulation.metrics import CostMeter
+    from repro.storage.network import LAN
+
+    scheme = repro.build("cluster_dp_ir", n=N, seed=1)
+    meter = CostMeter(scheme, LAN)
+    walks = []
+    servers = scheme.servers
+    scheme.servers = lambda: walks.append(1) or servers()
+    for index in range(5):
+        scheme.query(index)
+        meter.charge()
+    scheme.reshard(4)
+    meter.charge()
+    assert meter.operations > 0
+    assert walks == []

@@ -25,7 +25,6 @@ from repro.crypto.encryption import (
 from repro.core.dp_ram import DPRAM
 from repro.crypto.prf import PRF
 from repro.crypto.rng import SeededRandomSource
-from repro.storage.backends import SlabBackend
 from repro.storage.blocks import integer_database
 
 
@@ -511,11 +510,11 @@ class _ReferenceCipherDPRAM(DPRAM):
         return encrypt_reference, decrypt_reference, encrypt_all
 
 
-class TestDPRAMOnBulkCryptoAndSlab:
+class TestDPRAMOnBulkCrypto:
     def test_identical_to_the_per_block_reference_to_the_stored_byte(self):
-        # Bulk encryption over the slab backend against the reference
-        # cipher over the list backend, one seeded 200-op history with
-        # 25 % writes: nothing a client or the server can observe moves.
+        # Bulk encryption against the reference cipher, both over the
+        # list backend, one seeded 200-op history with 25 % writes:
+        # nothing a client or the server can observe moves.
         n, seed = 256, 0x2B5
         blocks = integer_database(n)
         workload = SeededRandomSource(seed + 1)
@@ -524,15 +523,8 @@ class TestDPRAMOnBulkCryptoAndSlab:
             for _ in range(200)
         ]
         witnesses = []
-        for scheme_type, backend_factory in (
-            (_ReferenceCipherDPRAM, None),
-            (DPRAM, SlabBackend),
-        ):
-            scheme = scheme_type(
-                blocks,
-                rng=SeededRandomSource(seed),
-                backend_factory=backend_factory,
-            )
+        for scheme_type in (_ReferenceCipherDPRAM, DPRAM):
+            scheme = scheme_type(blocks, rng=SeededRandomSource(seed))
             log = watch(scheme)
             answers = [
                 scheme.write(index, bytes(scheme.block_size))
@@ -547,9 +539,9 @@ class TestDPRAMOnBulkCryptoAndSlab:
                 "epsilon": scheme.params.epsilon_bound,
                 "storage": [scheme.server.peek(slot) for slot in range(n)],
             })
-        per_block, bulk_slab = witnesses
+        per_block, bulk = witnesses
         for name, value in per_block.items():
-            assert bulk_slab[name] == value, name
+            assert bulk[name] == value, name
 
 
 class TestPrfProperties:

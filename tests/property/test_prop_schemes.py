@@ -26,7 +26,7 @@ from repro.core.dp_ram import DPRAM, ReadOnlyDPRAM
 from repro.crypto.encryption import decrypt_many, encrypt_many
 from repro.crypto.rng import SeededRandomSource
 from repro.hashing.tree_buckets import TreeBucketLayout
-from repro.storage.backends import NetworkBackendFactory, SlabBackend
+from repro.storage.backends import NetworkBackendFactory
 from repro.storage.blocks import check_block, encode_int, integer_database
 from repro.storage.errors import CapacityError, RetrievalError, StorageError
 from repro.storage.network import LAN
@@ -514,17 +514,13 @@ class TestHeldUploadIdentity:
             )
         )
 
-    @pytest.mark.parametrize("backend", ["slab", "network"])
     @pytest.mark.parametrize("name", sorted(_HELD_UPLOAD_PINS))
-    def test_pin_holds_on_every_backend(self, name, backend):
+    def test_pin_holds_on_every_backend(self, name):
         # Stored bytes, counters and the view are the backend's to keep,
-        # not to shape: the memory-backed pin holds over a slab and a link.
-        factory = SlabBackend if backend == "slab" else (
-            NetworkBackendFactory(LAN)
-        )
+        # not to shape: the memory-backed pin holds over a link.
         _, history = _seeded_history(
             name, _HELD_UPLOAD_SCHEMES[name][2][1], seed=24,
-            backend_factory=factory,
+            backend_factory=NetworkBackendFactory(LAN),
         )
         assert hashlib.sha256(repr(history).encode()).hexdigest() == (
             _PATH_MERGE_PINS.get((name, False), _HELD_UPLOAD_PINS[name])
@@ -549,13 +545,12 @@ class TestHeldUploadIdentity:
         # but that a Path ORAM access sends neither way the top nodes its
         # path shares with the held write-back (``merge_shared_prefix``).
         steps = 120
-        links = NetworkBackendFactory(LAN), NetworkBackendFactory(LAN)
         (eager, eager_history), (lazy, lazy_history) = (
             _seeded_history(
-                name, setting, seed, steps,
-                flush_every_call=every_call, backend_factory=link,
+                name, setting, seed, steps, flush_every_call=every_call,
+                backend_factory=NetworkBackendFactory(LAN),
             )
-            for every_call, link in zip((True, False), links)
+            for every_call in (True, False)
         )
         servers = len(lazy.servers())
         if name in _MERGES_PATHS:
@@ -574,21 +569,24 @@ class TestHeldUploadIdentity:
             lazy, steps
         )
         slot_bytes = [len(server.peek(0)) for server in lazy.servers()]
-        for link, history, flushes in zip(
-            links, (eager_history, lazy_history),
+        for scheme, history, flushes in zip(
+            (eager, lazy), (eager_history, lazy_history),
             (0, 0) if name in _UPLOADS_NOTHING else (steps, 1),
         ):
+            links = [server.backend for server in scheme.servers()]
+            roundtrips = sum(link.roundtrips for link in links)
+            link_ms = sum(link.simulated_ms for link in links)
             views = history[1 : 1 + servers]
             requests = sum(
                 len({event[3] for event in view if event[0] == "download"})
                 for view in views
             )
             assert requests <= accesses
-            assert link.roundtrips == requests + flushes * servers
+            assert roundtrips == requests + flushes * servers
             sent = sum(
                 len(view) * size for view, size in zip(views, slot_bytes)
             )
-            assert link.simulated_ms - link.roundtrips * LAN.rtt_ms == (
+            assert link_ms - roundtrips * LAN.rtt_ms == (
                 pytest.approx(LAN.transfer_ms(sent), rel=1e-9)
             )
         if name not in _MERGES_PATHS:
@@ -1201,15 +1199,16 @@ class TestBucketRAMRoundFusionIdentity:
         assert fused._rng.random() == oracle._rng.random()
 
     def test_one_roundtrip_per_operation(self):
-        factory = NetworkBackendFactory(LAN)
-        store = DPKVS(256, rng=SeededRandomSource(3), backend_factory=factory)
+        store = DPKVS(256, rng=SeededRandomSource(3),
+                      backend_factory=NetworkBackendFactory(LAN))
+        (server,) = store.servers()
         for step in range(50):
             store.put(b"key-%03d" % (step % 20), b"value-%03d" % step)
             store.get(b"key-%03d" % (step % 31))
             store.delete(b"key-%03d" % (step % 7))
-        assert factory.roundtrips == store.operation_count == 150
+        assert server.backend.roundtrips == store.operation_count == 150
         store.flush()  # the last upload, which no next request carried
-        assert factory.roundtrips == 151
+        assert server.backend.roundtrips == 151
 
 
 class TestBucketDPRAMModel:

@@ -1,12 +1,13 @@
 """Tests for repro.storage.backends and its threading through servers."""
 
+import gc
+
 import pytest
 
 from repro.storage.backends import (
     InMemoryBackend,
     NetworkBackend,
     NetworkBackendFactory,
-    SlabBackend,
 )
 from repro.storage.errors import StorageError
 from repro.storage.network import LAN, WAN
@@ -130,16 +131,19 @@ class TestNetworkBackend:
 
 
 class TestNetworkBackendFactory:
-    def test_aggregates_across_backends(self):
+    def test_keeps_only_its_model(self):
+        # Link time is read off the backends a scheme's servers hold;
+        # the factory holds none of them, so a dropped one is freed.
         factory = NetworkBackendFactory(WAN)
-        first, second = factory(2), factory(3)
-        first.write_slot(0, b"a")
-        second.write_slot(0, b"b")
-        assert factory.backends == (first, second)
-        assert factory.roundtrips == 2
-        assert factory.simulated_ms == pytest.approx(
-            first.simulated_ms + second.simulated_ms
-        )
+        made = [factory(2), factory(3)]
+        assert [backend.capacity for backend in made] == [2, 3]
+        assert {backend.model for backend in made} == {factory.model} == {WAN}
+        gc.collect()
+        holders = [
+            type(holder).__name__
+            for holder in gc.get_referrers(*made) if holder is not made
+        ]
+        assert holders == []
 
 
 class TestServerBackendThreading:
@@ -162,13 +166,13 @@ class TestServerBackendThreading:
             StorageServer(4, backend=InMemoryBackend(3))
 
     def test_pool_builds_one_backend_per_server(self):
-        factory = NetworkBackendFactory(LAN)
-        pool = ServerPool(3, 8, backend_factory=factory)
-        assert len(factory.backends) == 3
+        pool = ServerPool(3, 8, backend_factory=NetworkBackendFactory(LAN))
+        backends = [server.backend for server in pool]
+        assert len(set(map(id, backends))) == 3
         pool.load_replicas([b"x"] * 8)
         pool[0].read(0)
         pool[2].read(1)
-        assert factory.roundtrips == 2
+        assert [backend.roundtrips for backend in backends] == [1, 0, 1]
 
 
 class TestBatchedSlotRounds:
@@ -221,9 +225,6 @@ class TestBatchedSlotRounds:
         network = NetworkBackend(1, WAN)
         with pytest.raises(AttributeError):
             network.extra = 1
-        slab = SlabBackend(1)
-        with pytest.raises(AttributeError):
-            slab.extra = 1
 
 
 class TestBatchPricingGuardEdges:
@@ -335,93 +336,9 @@ class TestRoundBracket:
         assert backend.roundtrips == 1
         assert backend.simulated_ms == pytest.approx(WAN.rtt_ms)
 
-    @pytest.mark.parametrize("backend", [InMemoryBackend(4), SlabBackend(4)])
-    def test_it_means_nothing_where_the_slots_live(self, backend):
+    def test_it_means_nothing_where_the_slots_live(self):
+        backend = InMemoryBackend(4)
         backend.begin_round()
         backend.write_slot(0, b"kept")
         backend.end_round()
         assert backend.read_slot(0) == b"kept"
-
-
-class TestSlabBackend:
-    def test_round_trip(self):
-        backend = SlabBackend(4)
-        assert backend.capacity == 4
-        assert backend.read_slot(2) is None
-        backend.write_slot(2, b"abcdefgh")
-        assert backend.read_slot(2) == b"abcdefgh"
-        assert backend.block_size == 8
-
-    def test_unwritten_slots_stay_none(self):
-        # The presence bitmap distinguishes "never written" from zeros.
-        backend = SlabBackend(3)
-        backend.write_slot(1, b"\x00" * 16)
-        assert backend.read_slot(0) is None
-        assert backend.read_slot(1) == b"\x00" * 16
-        assert backend.read_slots([0, 1, 2]) == [None, b"\x00" * 16, None]
-
-    def test_load_replaces_everything(self):
-        backend = SlabBackend(3)
-        backend.write_slot(0, b"old-data")
-        backend.load([b"aa", b"bb", b"cc"])
-        assert [backend.read_slot(i) for i in range(3)] == [b"aa", b"bb", b"cc"]
-        assert backend.block_size == 8  # fixed by the pre-load write
-
-    def test_load_size_checked(self):
-        with pytest.raises(StorageError):
-            SlabBackend(3).load([b"a"])
-
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(StorageError):
-            SlabBackend(-1)
-
-    def test_preallocated_block_size(self):
-        backend = SlabBackend(2, block_size=32)
-        assert backend.block_size == 32
-        backend.write_slot(0, b"q" * 32)
-        assert backend.read_slot(0) == b"q" * 32
-
-    def test_variable_size_blocks_spill_and_return(self):
-        backend = SlabBackend(2)
-        backend.write_slot(0, b"x" * 8)      # fixes the slab size
-        backend.write_slot(1, b"toolongforslab")
-        assert backend.spilled_slots == 1
-        assert backend.read_slot(1) == b"toolongforslab"
-        backend.write_slot(1, b"y" * 8)      # back onto the slab
-        assert backend.spilled_slots == 0
-        assert backend.read_slot(1) == b"y" * 8
-
-    def test_mixed_size_load_falls_back_per_slot(self):
-        backend = SlabBackend(3)
-        backend.load([b"aa", b"bbbb", b"cc"])
-        assert [backend.read_slot(i) for i in range(3)] == [
-            b"aa", b"bbbb", b"cc",
-        ]
-        assert backend.spilled_slots == 1
-
-    def test_read_slots_in_order(self):
-        backend = SlabBackend(3)
-        backend.load([b"aa", b"bb", b"cc"])
-        assert backend.read_slots([2, 0, 2]) == [b"cc", b"aa", b"cc"]
-
-    def test_write_slots_batch(self):
-        backend = SlabBackend(4)
-        backend.write_slots([(0, b"a" * 4), (3, b"d" * 4)])
-        assert backend.read_slots([0, 1, 2, 3]) == [
-            b"a" * 4, None, None, b"d" * 4,
-        ]
-
-    def test_returns_bytes_not_views(self):
-        # Callers hold onto returned blocks; later writes must not
-        # mutate them through a shared buffer.
-        backend = SlabBackend(2)
-        backend.load([b"aa", b"bb"])
-        block = backend.read_slot(0)
-        backend.write_slot(0, b"zz")
-        assert block == b"aa"
-        assert isinstance(block, bytes)
-
-    def test_is_a_backend_factory(self):
-        server = StorageServer(4, backend=SlabBackend(4))
-        server.load([b"x" * 8] * 4)
-        assert server.read(1) == b"x" * 8

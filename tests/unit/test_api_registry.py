@@ -119,8 +119,9 @@ class TestResolvers:
         assert resolve_backend(None) is None
         assert resolve_backend("memory") is None
         assert isinstance(resolve_backend("network"), NetworkBackendFactory)
-        with pytest.raises(ValueError):
-            resolve_backend("punched-cards")
+        for retired in ("punched-cards", "slab"):
+            with pytest.raises(ValueError, match="'memory', 'network'"):
+                resolve_backend(retired)
 
     def test_explicit_memory_beats_network_argument(self):
         # backend="memory" is an explicit opt-out; a network argument

@@ -202,22 +202,22 @@ class TestTwoBucketBatch:
         assert ram.query(2)[6] == b"JOINT-v2"
 
     def test_batch_is_one_request(self, rng):
-        factory = NetworkBackendFactory(LAN)
         ram = BucketDPRAM(_blocks(7), [(0, 1, 6), (2, 3, 6), (4, 5, 6)],
                           stash_probability=0.5, rng=rng.spawn("rounds"),
-                          backend_factory=factory)
+                          backend_factory=NetworkBackendFactory(LAN))
+        link = ram.server.backend
         pending = ram.begin_query([0, 1])
-        assert factory.roundtrips == 1
+        assert link.roundtrips == 1
         ram.finish_query(pending, {6: b"JOINT-v2"})
-        assert factory.roundtrips == 1  # sealed and held, not sent
+        assert link.roundtrips == 1  # sealed and held, not sent
         assert ram.server.writes == 0
         ram.query(2)  # the held upload and this batch's downloads
-        assert factory.roundtrips == 2
+        assert link.roundtrips == 2
         assert ram.server.writes > 0
         ram.flush()  # the last upload, on its own
-        assert factory.roundtrips == 3
+        assert link.roundtrips == 3
         ram.flush()  # nothing is held any more
-        assert factory.roundtrips == 3
+        assert link.roundtrips == 3
 
 
 def _client_state(ram):

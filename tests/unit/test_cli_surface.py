@@ -99,7 +99,7 @@ OPTIONS = {
         ("--seed", None, None, "int", None),
         ("--value-size", None, None, "int", 32),
         ("--write-fraction", None, None, "float", 0.5),
-        ("--backend", ("memory", "slab", "network"), None, None, None),
+        ("--backend", ("memory", "network"), None, None, None),
         ("--network", ("lan", "wan", "mobile"), None, None, None),
         ("--list", None, "switch", None, None),
         ("--trace", None, None, None, None),
@@ -124,7 +124,7 @@ OPTIONS = {
         ("--n", None, None, "int", 1024),
         ("--seed", None, None, "int", None),
         ("--network", ("lan", "wan", "mobile"), None, None, "lan"),
-        ("--backend", ("memory", "slab", "network"), None, None, None),
+        ("--backend", ("memory", "network"), None, None, None),
         ("--value-size", None, None, "int", 32),
         ("--executor", ("serial", "parallel"), None, None, None),
         ("--monitor", None, "switch", None, None),
@@ -150,7 +150,7 @@ OPTIONS = {
         ("--value-size", None, None, "int", 32),
         ("--seed", None, None, "int", None),
         ("--network", ("lan", "wan", "mobile"), None, None, "lan"),
-        ("--backend", ("memory", "slab", "network"), None, None, None),
+        ("--backend", ("memory", "network"), None, None, None),
         ("--executor", ("serial", "parallel"), None, None, "serial"),
         ("--batch", None, None, "int", 1),
         ("--fault-coins", ("per_slot", "per_round"), None, None,
@@ -192,7 +192,7 @@ USAGE = {
         "usage: python -m repro run [-h] [--scheme SCHEME] "
         "[--workload WORKLOAD] [--n N] [--ops OPS] [--seed SEED] "
         "[--value-size VALUE_SIZE] [--write-fraction WRITE_FRACTION] "
-        "[--backend {memory,slab,network}] [--network {lan,wan,mobile}] "
+        "[--backend {memory,network}] [--network {lan,wan,mobile}] "
         "[--list] [--trace PATH] [--metrics [PATH]]"
     ),
     "serve": (
@@ -204,7 +204,7 @@ USAGE = {
         "[--tenant-credits TENANT_CREDITS] [--queue-cap QUEUE_CAP] "
         "[--load {open,closed}] [--rate RATE] [--think-ms THINK_MS] "
         "[--workload WORKLOAD] [--n N] [--seed SEED] "
-        "[--network {lan,wan,mobile}] [--backend {memory,slab,network}] "
+        "[--network {lan,wan,mobile}] [--backend {memory,network}] "
         "[--value-size VALUE_SIZE] "
         "[--executor {serial,parallel}] [--monitor] [--json] "
         "[--trace PATH] [--metrics [PATH]]"
@@ -218,7 +218,7 @@ USAGE = {
         "[--failure-rate FAILURE_RATE] "
         "[--corruption-rate CORRUPTION_RATE] [--value-size VALUE_SIZE] "
         "[--seed SEED] [--network {lan,wan,mobile}] "
-        "[--backend {memory,slab,network}] "
+        "[--backend {memory,network}] "
         "[--executor {serial,parallel}] [--batch BATCH] "
         "[--fault-coins {per_slot,per_round}] [--monitor] [--json] "
         "[--list] [--trace PATH] [--metrics [PATH]]"
@@ -270,13 +270,13 @@ def test_run_namespace_with_no_flags(subcommands):
 def test_run_namespace_with_every_flag(subcommands):
     argv = ["--scheme", "dp_kvs", "--workload", "ycsb-a", "--n", "64",
             "--ops", "10", "--seed", "3", "--value-size", "48",
-            "--write-fraction", "0.3", "--backend", "slab",
+            "--write-fraction", "0.3", "--backend", "network",
             "--network", "wan", "--list", "--trace", "t.json",
             "--metrics", "m.json"]
     assert _run_namespace(subcommands["run"], argv) == {
         "scheme": "dp_kvs", "workload": "ycsb-a", "n": 64, "ops": 10,
         "seed": 3, "value_size": 48, "write_fraction": 0.3,
-        "backend": "slab", "network": "wan", "list": True,
+        "backend": "network", "network": "wan", "list": True,
         "trace": "t.json", "metrics": "m.json",
     }
 
@@ -314,7 +314,7 @@ class TestServeConfig:
                 "--max-in-flight", "2", "--tenant-credits", "4",
                 "--queue-cap", "16", "--load", "closed", "--rate", "250",
                 "--think-ms", "7.5", "--workload", "ycsb-b", "--n", "64",
-                "--seed", "11", "--network", "wan", "--backend", "slab",
+                "--seed", "11", "--network", "wan", "--backend", "network",
                 "--value-size", "48", "--executor", "parallel",
                 "--monitor", "--json", "--trace", str(tmp_path / "t.json"),
                 "--metrics"]
@@ -325,7 +325,7 @@ class TestServeConfig:
             "max_batch": 8, "max_in_flight": 2, "tenant_credits": 4,
             "queue_cap": 16, "load": "closed", "rate_rps": 250.0,
             "think_ms": 7.5, "workload": "ycsb-b", "n": 64, "seed": 11,
-            "network": "wan", "backend": "slab", "value_size": 48,
+            "network": "wan", "backend": "network", "value_size": 48,
             "executor": "parallel", "tracer": "Tracer",
             "metrics_registry": "MetricsRegistry", "monitor": True,
         })

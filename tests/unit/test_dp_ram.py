@@ -10,7 +10,7 @@ from dp_ram_view import record_plans, seen_pairs, watch
 from repro.core.dp_ram import DPRAM, ReadOnlyDPRAM
 from repro.crypto.encryption import generate_key
 from repro.crypto.rng import SeededRandomSource
-from repro.storage.backends import SlabBackend
+from repro.storage.backends import InMemoryBackend
 from repro.storage.blocks import encode_int, integer_database
 from repro.storage.errors import BlockSizeError, RetrievalError
 from repro.storage.transcript import Transcript
@@ -424,7 +424,7 @@ class TestReadOnlyDPRAM:
         with pytest.raises(ValueError):
             ReadOnlyDPRAM(small_db, key=generate_key(rng), rng=rng)
         with pytest.raises(ValueError):
-            ReadOnlyDPRAM(small_db, 0.1, None, rng, SlabBackend)
+            ReadOnlyDPRAM(small_db, 0.1, None, rng, InMemoryBackend)
 
     def test_out_of_range(self, rng, small_db):
         ram = ReadOnlyDPRAM(small_db, rng=rng)

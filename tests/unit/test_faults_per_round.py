@@ -6,7 +6,7 @@ import inspect
 import pytest
 
 from repro.crypto.rng import SeededRandomSource
-from repro.storage.backends import InMemoryBackend, NetworkBackend, SlabBackend
+from repro.storage.backends import InMemoryBackend, NetworkBackend
 from repro.storage.blocks import integer_database
 from repro.storage.faults import (
     CorruptingServer,
@@ -260,7 +260,6 @@ _PIN_STACKS = {
 
 _PIN_BACKENDS = {
     "memory": lambda: InMemoryBackend(_PIN_N),
-    "slab": lambda: SlabBackend(_PIN_N),
     "network": lambda: NetworkBackend(_PIN_N, LAN),
 }
 
@@ -303,37 +302,25 @@ def _pin_digest(stack, coin_mode, backend_name):
 _PINS = {
     "corrupting/per_slot/memory":
         "ccb3b26d41c653b6a5dc14ba31e190d27050cc8560d7f0ed9e1b04e73534d81a",
-    "corrupting/per_slot/slab":
-        "ccb3b26d41c653b6a5dc14ba31e190d27050cc8560d7f0ed9e1b04e73534d81a",
     "corrupting/per_slot/network":
         "92c4d9a1ec6794f79c78b0b9d504f575f718e49e91224c6d6018db60854ca8c4",
     "corrupting/per_round/memory":
-        "bc6994584c2e4ec5aa63daed237c54ffe80156096e651d31f867770f24f95b34",
-    "corrupting/per_round/slab":
         "bc6994584c2e4ec5aa63daed237c54ffe80156096e651d31f867770f24f95b34",
     "corrupting/per_round/network":
         "038063702055aeeaabb8cdf858fd0f7bf053f1934dfa43e7b7eb89a6a83409ec",
     "flaky/per_slot/memory":
         "7223ace6ffbebf8a707ddb80ec1b06e9c2b8b9431373234de14fab2b7104977a",
-    "flaky/per_slot/slab":
-        "7223ace6ffbebf8a707ddb80ec1b06e9c2b8b9431373234de14fab2b7104977a",
     "flaky/per_slot/network":
         "9283597a491e9aeb88bdd06c88a0be74377f7e6ceafd059ab3e826ce57b457cb",
     "flaky/per_round/memory":
-        "d2f3c793f8d47169c566cda16d42c8bfc26cf77f064afa4d101b834ee3afa155",
-    "flaky/per_round/slab":
         "d2f3c793f8d47169c566cda16d42c8bfc26cf77f064afa4d101b834ee3afa155",
     "flaky/per_round/network":
         "24235fe46151e63d0f984a547015c0ce8f4fcd8a1af23b5d3bde85f4a8d7a001",
     "corrupting_flaky/per_slot/memory":
         "42a23b0e975773d439a9deed2ed9dc25c0d85fd7f3d54d94974c20c538ee3530",
-    "corrupting_flaky/per_slot/slab":
-        "42a23b0e975773d439a9deed2ed9dc25c0d85fd7f3d54d94974c20c538ee3530",
     "corrupting_flaky/per_slot/network":
         "62a2aa848a0202d455acae42441b0e413d8eab0b5bf90e61852827a1edc5a6e2",
     "corrupting_flaky/per_round/memory":
-        "761812a12dea2758efba0557a5077989ee3313837ccddd635544842418b17b18",
-    "corrupting_flaky/per_round/slab":
         "761812a12dea2758efba0557a5077989ee3313837ccddd635544842418b17b18",
     "corrupting_flaky/per_round/network":
         "d5a792ae4b8f3bb7f54ad13b5a56a611ec104282af4c4e8c041a31cdc5c4022b",

@@ -15,7 +15,6 @@ from repro.parallel import (
     resolve_executor,
 )
 from repro.storage.faults import ServerFault
-from repro.storage.network import LAN, NetworkModel
 from repro.storage.server import ServerPool
 
 
@@ -163,37 +162,6 @@ class TestResolveExecutor:
 
         custom = Custom()
         assert resolve_executor(custom) is custom
-
-
-class TestNetworkStageAccounting:
-    def test_serial_stage_is_the_sum(self):
-        assert LAN.serial_stage_ms([1.0, 2.0, 3.0]) == 6.0
-
-    def test_overlapped_stage_is_the_max_plus_overhead(self):
-        assert LAN.overlapped_stage_ms([1.0, 4.0, 3.0]) == 4.0
-        assert LAN.overlapped_stage_ms(
-            [1.0, 4.0], dispatch_overhead_ms=0.25
-        ) == 4.25
-
-    def test_empty_stage_is_free(self):
-        assert LAN.overlapped_stage_ms([]) == 0.0
-        assert LAN.serial_stage_ms([]) == 0.0
-
-    def test_single_leg_pays_no_dispatch_overhead(self):
-        # Matches Executor.stage_cost: one leg has nothing to coordinate.
-        assert LAN.overlapped_stage_ms(
-            [4.0], dispatch_overhead_ms=0.5
-        ) == 4.0
-
-    def test_invalid_legs_rejected(self):
-        with pytest.raises(ValueError):
-            LAN.overlapped_stage_ms([-1.0])
-        with pytest.raises(ValueError):
-            LAN.overlapped_stage_ms([1.0], dispatch_overhead_ms=-0.5)
-
-    def test_works_on_any_model(self):
-        model = NetworkModel(rtt_ms=10.0, bandwidth_mbps=100.0)
-        assert model.overlapped_stage_ms([7.0, 2.0]) == 7.0
 
 
 class _StubKVSReplica:
