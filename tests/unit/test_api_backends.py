@@ -64,6 +64,78 @@ class TestInMemoryBackend:
             InMemoryBackend(-1)
 
 
+_BACKENDS = {
+    "memory": InMemoryBackend,
+    "network": lambda capacity: NetworkBackend(capacity, LAN),
+}
+
+
+@pytest.fixture(params=sorted(_BACKENDS))
+def make_backend(request):
+    return _BACKENDS[request.param]
+
+
+class TestBackendContract:
+    """What every backend keeps, priced or not: a link stores exactly
+    what the list under it stores."""
+
+    def test_unwritten_slots_stay_none(self, make_backend):
+        # "Never written" is not a block of zeros.
+        backend = make_backend(3)
+        backend.write_slot(1, b"\x00" * 16)
+        assert backend.read_slot(0) is None
+        assert backend.read_slot(1) == b"\x00" * 16
+        assert backend.read_slots([0, 1, 2]) == [None, b"\x00" * 16, None]
+
+    def test_blocks_of_any_size_come_back(self, make_backend):
+        backend = make_backend(3)
+        backend.load([b"aa", b"bbbb", b""])
+        backend.write_slot(0, b"a longer block")
+        assert backend.read_slots([0, 1, 2]) == [
+            b"a longer block", b"bbbb", b"",
+        ]
+
+    def test_read_slots_in_order(self, make_backend):
+        backend = make_backend(3)
+        backend.load([b"aa", b"bb", b"cc"])
+        assert backend.read_slots([2, 0, 2]) == [b"cc", b"aa", b"cc"]
+
+    def test_write_slots_batch(self, make_backend):
+        backend = make_backend(4)
+        backend.write_slots([(0, b"a" * 4), (3, b"d" * 4), (0, b"e" * 4)])
+        assert backend.read_slots([0, 1, 2, 3]) == [
+            b"e" * 4, None, None, b"d" * 4,
+        ]
+
+    def test_returns_bytes_not_views(self, make_backend):
+        # Callers hold onto blocks, both ways: a block read stays what it
+        # was, and a buffer written and then changed does not reach the
+        # slot.
+        backend = make_backend(2)
+        backend.load([b"aa", b"bb"])
+        block = backend.read_slot(0)
+        written = bytearray(b"yy")
+        backend.write_slot(0, b"zz")
+        backend.write_slots([(1, written)])
+        written[:] = b"!!"
+        assert block == b"aa"
+        assert backend.read_slots([0, 1]) == [b"zz", b"yy"]
+        assert {type(b) for b in backend.read_slots([0, 1])} == {bytes}
+
+    def test_peek_reads_what_a_read_reads(self, make_backend):
+        backend = make_backend(2)
+        backend.write_slot(1, b"seen")
+        assert [backend.peek_slot(i) for i in range(2)] == (
+            backend.read_slots([0, 1])
+        )
+
+    def test_serves_a_storage_server(self, make_backend):
+        server = StorageServer(4, backend=make_backend(4))
+        server.load([b"x" * 8] * 4)
+        server.write(2, b"y" * 8)
+        assert [server.read(i) for i in (1, 2)] == [b"x" * 8, b"y" * 8]
+
+
 class TestNetworkBackend:
     def test_charges_rtt_and_transfer(self):
         backend = NetworkBackend(4, WAN)
@@ -336,8 +408,8 @@ class TestRoundBracket:
         assert backend.roundtrips == 1
         assert backend.simulated_ms == pytest.approx(WAN.rtt_ms)
 
-    def test_it_means_nothing_where_the_slots_live(self):
-        backend = InMemoryBackend(4)
+    def test_it_means_nothing_where_the_slots_live(self, make_backend):
+        backend = make_backend(4)
         backend.begin_round()
         backend.write_slot(0, b"kept")
         backend.end_round()

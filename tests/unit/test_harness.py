@@ -2,13 +2,17 @@
 
 import pytest
 
+import repro
 from repro.analysis.datasheet import PrivacyDatasheet
 from repro.baselines.linear_pir import LinearScanPIR
+from repro.api import scheme_spec
 from repro.baselines.plaintext import PlaintextKVS, PlaintextRAM
 from repro.core.dp_ir import DPIR
+from repro.crypto.rng import default_rng
 from repro.simulation.harness import run_trace
-from repro.storage.blocks import encode_int
+from repro.storage.blocks import encode_int, integer_database
 from repro.storage.network import LAN
+from repro.workloads import catalogue
 from repro.workloads.generators import read_write_trace, uniform_trace
 from repro.workloads.kv_traces import KVTrace, KVOperation
 from repro.workloads.trace import Operation, Trace, reads_from_indices
@@ -258,3 +262,36 @@ class TestLatency:
         assert metrics.serial_ms == metrics.wall_clock_ms == pytest.approx(
             4 * per_op
         )
+
+    @pytest.mark.parametrize("name", repro.available_schemes())
+    def test_a_network_run_is_priced_at_its_servers_link_time(self, name):
+        # Over network backends the meter reads the links, not a model:
+        # the run's serial total is the link time its servers accrued,
+        # the flush that ends the run included.
+        kind = scheme_spec(name).kind
+        rng = default_rng(5)
+        kwargs = dict(value_size=16) if kind == "kvs" else {}
+        scheme = repro.build(name, n=32, rng=rng.spawn("scheme"),
+                             backend="network", network="lan", **kwargs)
+        links = [server.backend for server in scheme.servers()]
+        before = sum(link.simulated_ms for link in links)
+        if kind == "kvs":
+            trace = catalogue.kv_trace("ycsb-a", 32, 24, rng.spawn("trace"),
+                                       value_size=16)
+            metrics = run_trace(scheme, trace)
+        else:
+            workload = "zipf" if kind == "ir" or not scheme.writable else (
+                "readwrite"
+            )
+            trace = catalogue.index_trace(workload, 32, 24,
+                                          rng.spawn("trace"))
+            metrics = run_trace(scheme, trace, initial=integer_database(32))
+        assert metrics.mismatches == 0
+        link_ms = sum(
+            server.backend.simulated_ms for server in scheme.servers()
+        )
+        assert link_ms > before
+        assert metrics.serial_ms == pytest.approx(link_ms - before)
+        assert len(metrics.latencies_ms) == 24
+        assert sum(metrics.latencies_ms) <= metrics.wall_clock_ms + 1e-9
+        assert metrics.wall_clock_ms <= metrics.serial_ms + 1e-9
