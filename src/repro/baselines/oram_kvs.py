@@ -10,15 +10,15 @@ With ``m = n`` buckets holding ``n`` keys, the maximum bucket load is
 many entries and every ORAM access moves up to ``2·Z·(L+1)`` such blocks
 — a ``Θ(log n)`` block overhead with ``Θ(log n / log log n)``-entry
 blocks, versus DP-KVS's ``Θ(log log n)`` node blocks of constant
-capacity.  A ``get`` is one access; a ``put`` that stores, or a
-``delete`` that removes, is two in one call, its bucket's read and then
-its write, and the second leaves out the nodes its path shares with the
-first's held write-back like any other (``2·Z·(2 − 2^−L)`` blocks on
-average).
+capacity.  Every operation — ``get``, ``put`` or ``delete``, whatever
+it finds — is one access, a
+:meth:`~repro.baselines.path_oram.PathORAM.read_modify_write` of its
+bucket, so the server cannot tell the three apart.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 from repro.analysis.datasheet import PrivacyDatasheet
@@ -164,27 +164,16 @@ class ORAMKeyValueStore(PrivateKVS):
         return self._operations
 
     def blocks_per_operation(self) -> int:
-        """Bucket blocks one ORAM access moves at most; an operation is
-        one access or two (see the module docstring)."""
+        """Bucket blocks one operation — one ORAM access — moves at most."""
         return self._oram.blocks_per_access()
 
     def datasheet(self) -> PrivacyDatasheet:
-        """Path ORAM's sheet, per operation: which bucket an operation
-        touches is perfectly hidden, errorless.  A get is one access; a
-        put that stores, or a delete that removes, is two, the second sent
-        once the first is back — so the expected figure, two accesses'
-        worth, is an upper estimate.  How many accesses an operation makes
-        is not hidden."""
+        """Path ORAM's sheet, per operation: every operation is one access,
+        so which bucket it touches and whether it writes are perfectly
+        hidden, errorless."""
         oram = self._oram.datasheet()
-        return PrivacyDatasheet(
-            scheme=type(self).__name__, n=self._capacity,
-            epsilon=oram.epsilon, epsilon_kind=oram.epsilon_kind,
-            delta=oram.delta, error_probability=oram.error_probability,
-            blocks_per_query=2 * oram.blocks_per_query,
-            roundtrips=2 * oram.roundtrips,
-            client_blocks=oram.client_blocks,
-            server_blocks=oram.server_blocks,
-            expected_blocks_per_query=2 * oram.expected_blocks_per_query,
+        return dataclasses.replace(
+            oram, scheme=type(self).__name__, n=self._capacity
         )
 
     # -- the KVS interface ------------------------------------------------------
@@ -201,10 +190,7 @@ class ORAMKeyValueStore(PrivateKVS):
     def get(self, user_key: bytes) -> bytes | None:
         """Retrieve the exact value for ``user_key``; ``None`` if absent (⊥)."""
         key = self._codec.normalize_key(user_key)
-        bucket = self._bucket_for(key)
-        entries = self._codec.unpack(self._oram.read(bucket))
-        self._operations += 1
-        for entry in entries:
+        for entry in self._access(key, None):
             if entry.key == key:
                 return self._values.decode(entry.value)
         return None
@@ -214,39 +200,53 @@ class ORAMKeyValueStore(PrivateKVS):
 
         Raises:
             CapacityError: if the target bucket is full (counted in
-                :attr:`overflow_count` before raising).
+                :attr:`overflow_count`), once the access has completed as
+                a read.
         """
         key = self._codec.normalize_key(user_key)
         value = self._values.encode(user_value)
-        bucket = self._bucket_for(key)
-        entries = self._codec.unpack(self._oram.read(bucket))
-        self._operations += 1
-        for position, entry in enumerate(entries):
-            if entry.key == key:
-                entries[position] = NodeEntry(key, value)
-                self._oram.write(bucket, self._codec.pack(entries))
-                return
-        if len(entries) >= self._codec.capacity:
-            self._overflows += 1
-            raise CapacityError(
-                f"bucket {bucket} full at capacity {self._codec.capacity}"
-            )
-        entries.append(NodeEntry(key, value))
-        self._size += 1
-        self._oram.write(bucket, self._codec.pack(entries))
+
+        def store(entries: list[NodeEntry]) -> list[NodeEntry]:
+            kept = [entry for entry in entries if entry.key != key]
+            if len(kept) == len(entries) >= self._codec.capacity:
+                raise CapacityError(
+                    f"bucket full at capacity {self._codec.capacity}"
+                )
+            return kept + [NodeEntry(key, value)]
+
+        before = self._access(key, store)
+        self._size += all(entry.key != key for entry in before)
 
     def delete(self, user_key: bytes) -> bool:
         """Remove ``user_key``; returns whether it existed."""
         key = self._codec.normalize_key(user_key)
-        bucket = self._bucket_for(key)
-        entries = self._codec.unpack(self._oram.read(bucket))
+        before = self._access(
+            key, lambda entries: [entry for entry in entries if entry.key != key]
+        )
+        found = any(entry.key == key for entry in before)
+        self._size -= found
+        return found
+
+    def _access(self, key: bytes, change) -> list[NodeEntry]:
+        """One ORAM access to ``key``'s bucket: its entries before
+        ``change`` rewrote them (``None`` leaves them as they are).
+
+        A ``CapacityError`` from ``change`` is raised once the access has
+        completed as a read.
+        """
+        codec = self._codec
+
+        def transform(block: bytes) -> bytes:
+            return block if change is None else codec.pack(change(codec.unpack(block)))
+
+        try:
+            before = self._oram.read_modify_write(self._bucket_for(key), transform)
+        except CapacityError:
+            self._operations += 1
+            self._overflows += 1
+            raise
         self._operations += 1
-        remaining = [entry for entry in entries if entry.key != key]
-        if len(remaining) == len(entries):
-            return False
-        self._size -= 1
-        self._oram.write(bucket, self._codec.pack(remaining))
-        return True
+        return codec.unpack(before)
 
     def _bucket_for(self, key: bytes) -> int:
         return self._prf.integer(key, self._buckets)

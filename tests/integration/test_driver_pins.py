@@ -126,7 +126,9 @@ CLUSTER_PINS: dict[str, str] = {
 }
 
 #: ``scheme/backend`` → [operations, blocks down, blocks up, errors,
-#: mismatches, client peak, latency count, latency digest].
+#: mismatches, client peak, latency count, latency digest].  The
+#: ``oram_kvs`` rows moved when each ORAM-KVS operation became one Path
+#: ORAM access (blocks 1656 → 936 each way, stash peak 8 → 9).
 TRACE_PINS: dict[str, list] = {
     "batch_dp_ir/memory": [48, 960, 0, 2, 0, None, 0, '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945'],
     "batch_dp_ir/network": [48, 960, 0, 2, 0, None, 48, '9eeb901c2531fbe41fc490cfc3229a17bcf0a412228cd67d7edb34c085e0b00f'],
@@ -148,8 +150,8 @@ TRACE_PINS: dict[str, list] = {
     "linear_pir/network": [48, 3072, 0, 0, 0, None, 48, 'b770694aae84463f87cce480345ce0b2ac75e64e2d2881f5e4d044d6cb721a56'],
     "multi_server_dp_ir/memory": [48, 960, 0, 1, 0, None, 0, '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945'],
     "multi_server_dp_ir/network": [48, 960, 0, 1, 0, None, 48, 'b91224936fde1e496b5b99fb712b3c74a617fea858438fe01d80a66d5cbc55a2'],
-    "oram_kvs/memory": [48, 1656, 1656, 0, 0, 8, 0, '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945'],
-    "oram_kvs/network": [48, 1656, 1656, 0, 0, 8, 48, '66b98c3adba1e01a3cee2da113ef40db3e5e221c3cbfd4fc974b9843424548fd'],
+    "oram_kvs/memory": [48, 936, 936, 0, 0, 9, 0, '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945'],
+    "oram_kvs/network": [48, 936, 936, 0, 0, 9, 48, '08b4ca413e4b6d6f6d78b49cc4319e144609c11754ae23ef4873b62314bc2c34'],
     "path_oram/memory": [48, 972, 972, 0, 0, 8, 0, '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945'],
     "path_oram/network": [48, 972, 972, 0, 0, 8, 48, '38fb999f167aea3e9916009989e3237befd4d36fc1e4cedcafdd6d840865bad4'],
     "plaintext_kvs/memory": [48, 12, 36, 0, 0, None, 0, '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945'],

@@ -376,16 +376,16 @@ _HELD_UPLOAD_PINS = {
 
 # The Path ORAM family's histories once an access stopped sending the nodes
 # its path shares with the held write-back; ``(name, flush_every_call)``.
-# An ORAM-KVS put is two accesses in one call, so it merges either way.
+# The ORAM-KVS rows moved when each of its operations became one access.
 _PATH_MERGE_PINS = {
     ("path_oram", False):
         "98a4751d0ab44f7112eb487ab93c221463453d9c0f286283c76d24b887b0b01d",
     ("recursive_path_oram", False):
         "ca810b89d6fd093dcf90b699a4511d98d7f3fa867e79abc670e19fb284b048f6",
     ("oram_kvs", False):
-        "b1669786da82beadc4438cbc4365d682f111dfbaf9f0a1d6231b9b62170ab187",
+        "7a6a85d32376e52311b050b7591d2cccb89d485bdee63d51d6fe711ed60a0037",
     ("oram_kvs", True):
-        "a21c398df274585c3de234ebb574ca342c2ffb9a20768fe572f356c4d8624b9d",
+        "b8b6f7b6d266fc2bfbfbe7b69a16aa1ccff7220830c4ece102ae72edb275eba2",
 }
 _MERGES_PATHS = {name for name, _ in _PATH_MERGE_PINS}
 # Schemes with no upload to hold: a flush sends nothing.
@@ -427,8 +427,8 @@ def merge_shared_prefix(signature):
     return tuple(merged)
 
 
-# Where a step is not one access: an ORAM-KVS put reads its bucket, then
-# writes it; a recursive access is one a level.
+# Where a step is not one scheme-level access: an ORAM-KVS operation is
+# one access of its inner Path ORAM; a recursive access is one a level.
 _ACCESSES = {
     "oram_kvs": lambda store, steps: store.oram.query_count,
     "recursive_path_oram": lambda ram, steps: steps * ram.levels,
@@ -809,7 +809,8 @@ class TestPathORAMPlacementIdentity:
     def test_composed_schemes_keep_their_server_image(self):
         # SHA-256 of the final server image, computed at the commit before
         # the one-pass eviction: both schemes compose ``PathORAM`` and
-        # must not see the rewrite.
+        # must not see the rewrite.  The ORAM-KVS image moved when each of
+        # its operations became one access.
         recursive = RecursivePathORAM(
             integer_database(200),
             positions_per_block=4,
@@ -843,7 +844,7 @@ class TestPathORAMPlacementIdentity:
                 store.delete(key)
         store.flush()
         assert hashlib.sha256(b"".join(_server_image(store))).hexdigest() == (
-            "30165f7bb0aa2de6dad8a12638e9570d96db5ddc3b77bf00975912b9714cd708"
+            "11ca061bc0f80b23ad91214a8642ffcdb8bbec18bc4413fc1d63a17b4f9262a7"
         )
 
 

@@ -9,6 +9,7 @@ import repro
 from repro.analysis.datasheet import PrivacyDatasheet, datasheet_for
 from repro.api.protocols import PrivateIR, PrivateKVS
 from repro.baselines.linear_pir import LinearScanPIR
+from repro.baselines.oram_kvs import ORAMKeyValueStore
 from repro.baselines.path_oram import PathORAM
 from repro.baselines.recursive_oram import RecursivePathORAM
 from repro.core.batch_ir import BatchDPIR
@@ -295,7 +296,7 @@ class TestDeclaredBlocksAreMeasured:
         moved = _moved_per_operation(scheme, self.OPERATIONS)
         assert max(moved) <= sheet.blocks_per_query
         if sheet.expected_blocks_per_query is None or isinstance(
-            scheme, (PathORAM, RecursivePathORAM)
+            scheme, (PathORAM, RecursivePathORAM, ORAMKeyValueStore)
         ):
             # Flushed after every access, a Path ORAM holds nothing when
             # the next begins, and each moves the worst case.

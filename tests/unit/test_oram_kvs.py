@@ -4,6 +4,7 @@ import pytest
 
 from repro.baselines.oram_kvs import ORAMKeyValueStore, default_bucket_capacity
 from repro.storage.errors import CapacityError
+from repro.storage.transcript import AccessKind, Transcript
 
 
 @pytest.fixture
@@ -69,17 +70,44 @@ class TestORAMKVS:
         store.flush()  # the access's own write-back, sent on its own
         assert store.server.operations - before == store.blocks_per_operation()
 
-    def test_put_costs_two_accesses(self, store):
-        # The write's path shares its top nodes, the root at least, with
-        # the read's, whose write-back it holds: those go neither way.
-        before = store.server.operations
+    @pytest.mark.parametrize("case", [
+        "put new", "put existing", "put overflow", "get hit", "get miss",
+        "delete hit", "delete miss",
+    ])
+    def test_every_operation_is_one_access(self, rng, case):
+        # Whether an operation writes, finds its key or overflows, the
+        # server sees one Path ORAM access: one request of one length.
+        store = ORAMKeyValueStore(8, key_size=8, value_size=8,
+                                  bucket_capacity=1, rng=rng.spawn("one"))
         store.put(b"k", b"v")
+
+        def shares_k(key):
+            bucket = store._bucket_for(store._codec.normalize_key(key))
+            return bucket == store._bucket_for(store._codec.normalize_key(b"k"))
+
+        candidates = [b"x%d" % i for i in range(64)]
+        full = next(key for key in candidates if shares_k(key))
+        other = next(key for key in candidates if not shares_k(key))
+        operation, found = case.split()
+        key = {"new": other, "existing": b"k", "overflow": full,
+               "hit": b"k", "miss": other}[found]
         store.flush()
-        moved = store.server.operations - before
-        saved = 2 * store.blocks_per_operation() - moved
-        z = store.oram.bucket_size
-        assert saved % (2 * z) == 0
-        assert 2 * z <= saved <= store.blocks_per_operation()
+        log = Transcript()
+        store.server.attach_transcript(log)
+        accesses = store.oram.query_count
+        if operation == "put":
+            if case == "put overflow":
+                with pytest.raises(CapacityError):
+                    store.put(key, b"w")
+            else:
+                store.put(key, b"w")
+        else:
+            getattr(store, operation)(key)
+        assert store.oram.query_count - accesses == 1
+        assert {event.query for event in log} == {accesses}
+        assert [event.kind for event in log] == (
+            [AccessKind.DOWNLOAD] * (store.blocks_per_operation() // 2)
+        )
 
     def test_operation_counter(self, store):
         store.put(b"a", b"1")
