@@ -12,20 +12,44 @@ receives every ledger charge as an exact Fraction.  Run with::
 import json
 from fractions import Fraction
 
-from repro.cluster.config import ClusterConfig
-from repro.cluster.service import cluster
+import repro
+from repro.crypto.rng import SeededRandomSource
 from repro.obs import (
     BudgetTimeline,
     MetricsRegistry,
     Tracer,
     canonical_trace,
+    collect_scheme_metrics,
+    instrument_scheme,
     summary_to_text,
     trace_summary,
 )
+from repro.simulation.harness import run_trace
+from repro.storage.blocks import integer_database
+from repro.workloads import catalogue
 
 SHARDS = 4
 REQUESTS = 64
 SEED = 2026
+N = 512
+
+
+def traced_run(executor, tracer, registry=None, timeline=None):
+    """One seeded 4x1 cluster run over ``executor``, observed."""
+    root = SeededRandomSource(SEED)
+    scheme = repro.build(
+        "cluster_dp_ir", n=N, shard_count=SHARDS, replica_count=1,
+        pad_size=16, executor=executor, rng=root.spawn("cluster"),
+    )
+    instrument_scheme(scheme, tracer=tracer, registry=registry)
+    if timeline is not None:
+        scheme.ledger.attach_timeline(timeline)
+    trace = catalogue.index_trace("uniform", N, REQUESTS, root.spawn("trace"))
+    metrics = run_trace(scheme, trace, integer_database(N), batch=8,
+                        network=repro.LAN)
+    if registry is not None:
+        collect_scheme_metrics(scheme, registry)
+    return metrics
 
 
 def main() -> None:
@@ -35,13 +59,9 @@ def main() -> None:
     tracer = Tracer("trace_cluster")
     registry = MetricsRegistry()
     timeline = BudgetTimeline(cap=Fraction(200))
-    report = cluster("dp_ir", ClusterConfig(
-        shards=SHARDS, replicas=1, n=512, requests=REQUESTS,
-        pad_size=16, seed=SEED, executor="parallel", batch=8,
-        tracer=tracer, metrics_registry=registry, timeline=timeline,
-    ))
-    print(f"completed {report.completed}/{report.requests} requests, "
-          f"overlap speedup {report.overlap_speedup:.2f}x\n")
+    metrics = traced_run("parallel", tracer, registry, timeline)
+    print(f"completed {metrics.operations}/{REQUESTS} requests, overlap "
+          f"speedup {metrics.serial_ms / metrics.wall_clock_ms:.2f}x\n")
 
     trace = tracer.export()
     roots = sum(1 for span in trace["spans"] if span["parent"] is None)
@@ -73,11 +93,7 @@ def main() -> None:
     # The determinism contract: the canonical trace (wall-clock fields
     # stripped) is bit-identical across same-seed runs and executors.
     replay = Tracer("trace_cluster")
-    cluster("dp_ir", ClusterConfig(
-        shards=SHARDS, replicas=1, n=512, requests=REQUESTS,
-        pad_size=16, seed=SEED, executor="serial", batch=8,
-        tracer=replay,
-    ))
+    traced_run("serial", replay)
     identical = (
         json.dumps(canonical_trace(trace), sort_keys=True)
         == json.dumps(canonical_trace(replay.export()), sort_keys=True)

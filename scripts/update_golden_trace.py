@@ -34,9 +34,9 @@ DEFAULT_OUT = REPO / "benchmarks" / "baselines" / "trace_cluster_golden.json"
 #: The golden run, frozen.  Changing any of these values invalidates
 #: the committed golden — regenerate it in the same commit.
 GOLDEN_CONFIG = {
-    "scheme": "dp_ir",
-    "shards": 4,
-    "replicas": 1,
+    "scheme": "cluster_dp_ir",
+    "shard_count": 4,
+    "replica_count": 1,
     "n": 512,
     "requests": 64,
     "batch": 8,
@@ -47,14 +47,32 @@ GOLDEN_CONFIG = {
 
 
 def golden_trace() -> dict:
-    """Run the frozen config and return its canonical trace."""
-    from repro.cluster import ClusterConfig, cluster
-    from repro.obs import Tracer
-    from repro.obs.tracer import canonical_trace
+    """Run the frozen config and return its canonical trace.
 
-    tracer = Tracer("cluster")
+    The coins are ``repro run``'s: ``cluster`` builds the scheme and
+    ``trace`` draws the workload; the rest of the config is the
+    builder's keywords.
+    """
+    import repro
+    from repro.crypto.rng import SeededRandomSource
+    from repro.obs import Tracer, instrument_scheme
+    from repro.obs.tracer import canonical_trace
+    from repro.simulation.harness import run_trace
+    from repro.storage.blocks import integer_database
+    from repro.workloads import catalogue
+
     settings = dict(GOLDEN_CONFIG)
-    cluster(settings.pop("scheme"), ClusterConfig(tracer=tracer, **settings))
+    root = SeededRandomSource(settings.pop("seed"))
+    trace = catalogue.index_trace(
+        settings.pop("workload"), settings["n"], settings.pop("requests"),
+        root.spawn("trace"),
+    )
+    batch = settings.pop("batch")
+    scheme = repro.build(settings.pop("scheme"), rng=root.spawn("cluster"),
+                         **settings)
+    tracer = Tracer("cluster")
+    instrument_scheme(scheme, tracer=tracer)
+    run_trace(scheme, trace, integer_database(settings["n"]), batch=batch)
     return canonical_trace(tracer.export())
 
 

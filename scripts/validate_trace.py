@@ -29,7 +29,7 @@ With ``--metrics metrics.json`` the metrics JSON export written by
 Exit 0 when the file(s) conform, 1 with one line per violation
 otherwise::
 
-    python -m repro cluster --requests 32 --trace trace.json \
+    python -m repro run --scheme cluster_dp_ir --ops 32 --trace trace.json \
         --metrics metrics.json
     python scripts/validate_trace.py trace.json --metrics metrics.json
 """

@@ -55,16 +55,7 @@ from repro.core import (
     ShardedDPIR,
     StrawmanIR,
 )
-# repro.cluster stays the (callable) subpackage: ``repro.cluster(...)``
-# runs a deployment, ``repro.cluster.ClusterIR`` still resolves.
-import repro.cluster as cluster  # noqa: F401
-from repro.cluster import (
-    ClusterConfig,
-    ClusterIR,
-    ClusterKVS,
-    ClusterLedger,
-    ClusterReport,
-)
+from repro.cluster import ClusterIR, ClusterKVS, ClusterLedger
 from repro.crypto import PRF, SeededRandomSource, SystemRandomSource
 from repro.obs import (
     BudgetTimeline,
@@ -111,11 +102,9 @@ __all__ = [
     "BucketDPRAM",
     "BudgetExceededError",
     "BudgetTimeline",
-    "ClusterConfig",
     "ClusterIR",
     "ClusterKVS",
     "ClusterLedger",
-    "ClusterReport",
     "ContinuousBatchScheduler",
     "DPIR",
     "DPIRParams",

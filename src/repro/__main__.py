@@ -2,12 +2,11 @@
 
 Commands:
 
-* ``run`` — build any registered scheme, drive any named workload
-  against it, and print the measured metrics.
+* ``run`` — build any registered scheme, a ``cluster_*`` one as N shard
+  groups x R replicas included, drive a named workload against it, and
+  print its run record.
 * ``serve`` — run N concurrent client sessions against a scheme through
   the request scheduler and print throughput + latency percentiles.
-* ``cluster`` — deploy a scheme as N shard groups x R replicas with
-  failover and print load balance, tails and the cluster-wide budget.
 * ``experiments`` — run the E1..E14 claim tables (all or a subset).
 * ``audit`` — run a cluster workload with an ε-budget timeline attached
   and report cumulative spend against a cap (first crossing flagged).
@@ -56,27 +55,87 @@ def _emit_observability(args: argparse.Namespace, tracer, registry) -> None:
             print(registry.to_prometheus(), end="")
 
 
-def _config(config_type, args: argparse.Namespace, **sinks):
-    """Build a ServingConfig / ClusterConfig from the parsed flags.
+def _closed_loop(args: argparse.Namespace, tracer=None, registry=None,
+                 timeline=None):
+    """Build ``args.scheme`` from the run flags and drive its workload.
 
-    Every flag's dest is the field it sets (see :data:`_FLAGS`), so the
-    fields are read off the namespace by name; ``sinks`` are the tracer,
-    registry or timeline the command made.
+    One root draws every coin: ``cluster`` builds the scheme, ``trace``
+    the workload and ``monitor`` the leakage monitors.  A builder flag
+    (:data:`_BUILDER_FLAGS`) reaches the builder only when given, and a
+    builder that does not take it is a usage error naming the flag.
+    Returns the run's :class:`~repro.simulation.metrics.RunMetrics`.
     """
-    fields = {
-        field.name: getattr(args, field.name)
-        for field in dataclasses.fields(config_type)
-        if hasattr(args, field.name)
-    }
-    return config_type(**fields, **sinks)
+    import inspect
+
+    from repro.api import build, scheme_spec
+    from repro.crypto.rng import default_rng
+    from repro.obs import (
+        collect_scheme_metrics, default_monitors, instrument_scheme,
+        watch_scheme,
+    )
+    from repro.simulation.harness import run_trace
+    from repro.storage.blocks import integer_database
+    from repro.workloads import catalogue
+
+    spec = scheme_spec(args.scheme)
+    takes = inspect.signature(spec.builder).parameters
+    given = vars(args)
+    root = default_rng(args.seed)
+    build_kwargs = {"n": args.n, "rng": root.spawn("cluster"),
+                    "backend": given.get("backend")}
+    for flag in _BUILDER_FLAGS:
+        keyword = _FLAGS[flag]["dest"]
+        if keyword in given:
+            if keyword not in takes:
+                raise ValueError(f"{flag} does not apply to {spec.name}")
+            build_kwargs[keyword] = given[keyword]
+    if given.get("network") is not None:
+        build_kwargs["network"] = args.network
+    if spec.kind == "kvs" and "value_size" in given:
+        build_kwargs["value_size"] = args.value_size
+    scheme = build(spec.name, **build_kwargs)
+    catalogue.check_workload(args.workload, spec.kind, args.scheme,
+                             getattr(scheme, "writable", True))
+    initial = None
+    if spec.kind == "kvs":
+        trace = catalogue.kv_trace(args.workload, args.n, args.ops,
+                                   root.spawn("trace"),
+                                   value_size=scheme.value_size)
+    else:
+        trace = catalogue.index_trace(
+            args.workload, args.n, args.ops, root.spawn("trace"),
+            write_fraction=given.get("write_fraction", 0.5),
+        )
+        # The builders load integer_database(n) by default, so the same
+        # database doubles as the correctness reference.
+        initial = integer_database(args.n)
+    if tracer is not None or registry is not None:
+        instrument_scheme(scheme, tracer=tracer, registry=registry)
+    if timeline is not None:
+        scheme.ledger.attach_timeline(timeline)
+    watch = None
+    if given.get("monitor"):
+        watch = watch_scheme(
+            scheme, default_monitors(scheme, rng=root.spawn("monitor"))
+        )
+    try:
+        metrics = run_trace(scheme, trace, initial, batch=args.batch)
+    finally:
+        if watch is not None:
+            watch.unwatch()
+    metrics.scheme = spec.name
+    if watch is not None:
+        metrics.leakage = watch.reports()
+    if registry is not None:
+        collect_scheme_metrics(scheme, registry)
+    return metrics
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.api import available_schemes, build, scheme_spec
-    from repro.crypto.rng import default_rng
-    from repro.simulation.harness import run_trace
-    from repro.simulation.reporting import format_table, latency_rows
-    from repro.workloads import catalogue
+    import json
+
+    from repro.api import available_schemes, scheme_spec
+    from repro.simulation.reporting import format_table
 
     if args.list:
         rows = [
@@ -86,98 +145,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(format_table(["scheme", "kind", "summary"], rows,
                            title="Registered schemes"))
         return 0
-    spec = scheme_spec(args.scheme)
-    rng = default_rng(args.seed)
-    build_kwargs: dict = {
-        "n": args.n,
-        "rng": rng.spawn("scheme"),
-        "backend": args.backend,
-    }
-    if args.network is not None:
-        build_kwargs["network"] = args.network
-    if spec.kind == "kvs":
-        build_kwargs["value_size"] = args.value_size
-    scheme = build(args.scheme, **build_kwargs)
-    catalogue.check_workload(args.workload, spec.kind, args.scheme,
-                             getattr(scheme, "writable", True))
-    if spec.kind == "kvs":
-        trace = catalogue.kv_trace(
-            args.workload, args.n, args.ops, rng.spawn("trace"),
-            value_size=args.value_size,
-        )
-    else:
-        trace = catalogue.index_trace(
-            args.workload, args.n, args.ops, rng.spawn("trace"),
-            write_fraction=args.write_fraction,
-        )
     tracer, registry = _observability(args)
-    if tracer is not None or registry is not None:
-        from repro.obs import instrument_scheme
-
-        instrument_scheme(scheme, tracer=tracer, registry=registry)
-
-    if spec.kind == "kvs":
-        metrics = run_trace(scheme, trace)
+    metrics = _closed_loop(args, tracer, registry)
+    if args.json:
+        print(json.dumps(metrics.to_dict(), indent=2))
     else:
-        # The builders load integer_database(n) by default, so the same
-        # database doubles as the correctness reference.
-        from repro.storage.blocks import integer_database
-
-        metrics = run_trace(scheme, trace, initial=integer_database(args.n))
-
-    rows = [
-        ["scheme", args.scheme],
-        ["workload", trace.name],
-        ["operations", metrics.operations],
-        ["blocks downloaded", metrics.blocks_downloaded],
-        ["blocks uploaded", metrics.blocks_uploaded],
-        ["blocks / operation", f"{metrics.blocks_per_operation:.2f}"],
-        ["errors (alpha events)", metrics.errors],
-        ["mismatches", metrics.mismatches],
-        ["client peak blocks",
-         "stateless" if metrics.client_peak_blocks is None
-         else metrics.client_peak_blocks],
-        ["elapsed seconds", f"{metrics.elapsed_seconds:.3f}"],
-    ]
-    if metrics.serial_ms is not None:
-        rows.append(["simulated network ms", f"{metrics.serial_ms:.1f}"])
-    for name in sorted(metrics.fault_counters):
-        rows.append([f"faults: {name}", metrics.fault_counters[name]])
-    summary = metrics.latency_summary
-    if summary is not None:
-        rows.extend(latency_rows(summary))
-    print(format_table(["metric", "value"], rows,
-                       title=f"Run: {args.scheme} over {args.workload}"))
-    if registry is not None:
-        from repro.obs import collect_scheme_metrics
-
-        collect_scheme_metrics(scheme, registry)
+        print(metrics.to_text())
     _emit_observability(args, tracer, registry)
     if metrics.mismatches:
         print("correctness mismatches detected!", file=sys.stderr)
         return 1
-    return 0
-
-
-def _serve_or_cluster(args: argparse.Namespace, entry, config_type):
-    """Run ``entry`` (serve / cluster) on the flags; print the report."""
-    import json
-
-    from repro.api import scheme_spec
-
-    # Validate the scheme spelling up front: an unknown name exits 2
-    # with the registry catalogue, never a KeyError from a deeper lookup.
-    scheme_spec(args.scheme)
-    tracer, registry = _observability(args)
-    report = entry(args.scheme, _config(
-        config_type, args, tracer=tracer, metrics_registry=registry
-    ))
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(report.to_text())
-    _emit_observability(args, tracer, registry)
-    return report
+    return _leakage_status(metrics)
 
 
 def _leakage_status(report) -> int:
@@ -190,34 +168,29 @@ def _leakage_status(report) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import json
+
+    from repro.api import scheme_spec
     from repro.serving import ServingConfig, serve
 
-    return _leakage_status(_serve_or_cluster(args, serve, ServingConfig))
-
-
-def _cmd_cluster(args: argparse.Namespace) -> int:
-    from repro.api import schemes
-    from repro.cluster import ClusterConfig, cluster, cluster_bases
-    from repro.simulation.reporting import format_table
-
-    if args.list:
-        accepted = set(cluster_bases())
-        rows = [
-            [listing.name, listing.kind,
-             ", ".join(listing.aliases) or "-", listing.summary]
-            for listing in schemes()
-            if listing.name in accepted
-        ]
-        print(format_table(
-            ["scheme", "kind", "aliases", "summary"], rows,
-            title="Cluster-capable base schemes (IR and KVS with a finite "
-            "epsilon)",
-        ))
-        return 0
-    report = _serve_or_cluster(args, cluster, ClusterConfig)
-    if report.mismatches:
-        print("correctness mismatches detected!", file=sys.stderr)
-        return 1
+    # Validate the scheme spelling up front: an unknown name exits 2
+    # with the registry catalogue, never a KeyError from a deeper lookup.
+    scheme_spec(args.scheme)
+    tracer, registry = _observability(args)
+    # Every flag's dest is the ServingConfig field it sets (see _FLAGS).
+    fields = {
+        field.name: getattr(args, field.name)
+        for field in dataclasses.fields(ServingConfig)
+        if hasattr(args, field.name)
+    }
+    report = serve(args.scheme, ServingConfig(
+        **fields, tracer=tracer, metrics_registry=registry
+    ))
+    if args.json:
+        print(json.dumps(report.to_dict(), indent=2))
+    else:
+        print(report.to_text())
+    _emit_observability(args, tracer, registry)
     return _leakage_status(report)
 
 
@@ -251,11 +224,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     import json
     from fractions import Fraction
 
-    from repro.api import scheme_spec
-    from repro.cluster import ClusterConfig, cluster
     from repro.obs import BudgetTimeline
-
-    scheme_spec(args.scheme)
 
     # The cap lives on the *timeline*, not the cluster ledger: the run
     # completes and the audit flags the first crossing instead of dying
@@ -264,8 +233,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     # its float image.
     cap = Fraction(str(args.cap)) if args.cap is not None else None
     timeline = BudgetTimeline(cap=cap)
-    report = cluster(args.scheme, _config(ClusterConfig, args,
-                                          timeline=timeline))
+    metrics = _closed_loop(args, timeline=timeline)
 
     slo_report = None
     if args.slo:
@@ -292,14 +260,14 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         if slo_report is not None:
             payload["slo"] = slo_report.to_dict()
         print(json.dumps(payload, indent=2))
-    elif args.plot_timeline:
+    elif args.timeline:
         print(timeline.to_text())
         if slo_report is not None:
             print(slo_report.to_text())
     else:
         per_operator = timeline.per_operator()
-        print(f"audit: {report.requests} requests over "
-              f"{args.shards} shards ({len(timeline.events)} charges)")
+        print(f"audit: {metrics.operations} requests over "
+              f"{args.shard_count} shards ({len(timeline.events)} charges)")
         print(f"  total epsilon spent: {float(timeline.total_spent):.4f}")
         for operator in sorted(per_operator):
             print(f"  {operator}: "
@@ -435,14 +403,15 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-# Every run / serve / cluster / audit flag, declared once.  A flag's dest
-# is the ServingConfig / ClusterConfig field it sets, so _config builds
-# the config by name.  Its default is the one its row states, else that
-# field's default on the command's config; --help prints it.
+# Every run / serve / audit flag, declared once.  A serve flag's dest is
+# the ServingConfig field it sets; a builder flag's is the builder keyword
+# it sets, and it is absent (SUPPRESS) unless given or a command gives it
+# a default.  A row's default is the one it states, else the ServingConfig
+# field's; --help prints it.
 _FLAGS: dict[str, dict] = {
     "--scheme": dict(default="dp_ir", help="registry name or alias such as "
-                     "batch-dpir; cluster / audit take an IR or KVS base "
-                     "(run / cluster --list names them)"),
+                     "batch-dpir or cluster_dp_kvs (run --list names them); "
+                     "audit takes a cluster_* scheme"),
     "--workload": dict(help="trace shape: uniform, sequential, zipf, hotspot, "
                        "readwrite (RAM); ycsb-a/b/c, insert-lookup (KVS)"),
     "--n": dict(type=int, help="database size / key capacity"),
@@ -484,35 +453,47 @@ _FLAGS: dict[str, dict] = {
     "--rate": dict(dest="rate_rps", type=float, metavar="RATE",
                    help="open-loop arrivals/s per client"),
     "--think-ms": dict(type=float, help="closed-loop mean think time in ms"),
-    "--executor": dict(choices=("serial", "parallel"),
+    "--executor": dict(dest="executor", choices=("serial", "parallel"),
+                       default=argparse.SUPPRESS,
                        help="cross-shard fan-out policy for cluster schemes "
-                       "(None: serial)"),
+                       "(unset: serial)"),
     "--monitor": dict(action="store_true", help="attach online leakage "
                       "monitors (cluster adds shard routing); exit 1 if "
                       "adversary success exceeds the eps-implied ceiling"),
     "--json": dict(action="store_true", help="emit the report as JSON"),
-    "--shards": dict(type=int, help="shard groups D"),
-    "--replicas": dict(type=int, help="replicas per group R"),
-    "--placement": dict(choices=("range", "hash"),
+    "--shards": dict(dest="shard_count", type=int, metavar="SHARDS",
+                     default=argparse.SUPPRESS, help="shard groups D"),
+    "--replicas": dict(dest="replica_count", type=int, metavar="REPLICAS",
+                       default=argparse.SUPPRESS, help="replicas per group R"),
+    "--placement": dict(dest="placement", choices=("range", "hash"),
+                        default=argparse.SUPPRESS,
                         help="shard placement policy (IR clusters)"),
-    "--epsilon": dict(type=float,
-                      help="cluster-wide privacy target (None: ln n)"),
-    "--pad-size": dict(type=int, help="explicit global pad size K"),
-    "--alpha": dict(type=float, help="per-query error probability"),
+    "--epsilon": dict(dest="epsilon", type=float, default=argparse.SUPPRESS,
+                      help="privacy target (unset: ln n)"),
+    "--pad-size": dict(dest="pad_size", type=int, default=argparse.SUPPRESS,
+                       help="explicit global pad size K"),
+    "--alpha": dict(dest="alpha", type=float, default=argparse.SUPPRESS,
+                    help="per-query error probability"),
     "--no-auth": dict(dest="authenticated", action="store_false",
+                      default=argparse.SUPPRESS,
                       help="store plaintext instead of authenticated ciphertexts"),
-    "--failure-rate": dict(type=float, help="flaky-node rate per replica"),
-    "--corruption-rate": dict(type=float, help="bit-flip rate per replica"),
-    "--batch": dict(type=int, help="requests dispatched per round; a round "
-                    "spanning shards is what a parallel executor overlaps"),
+    "--failure-rate": dict(dest="failure_rate", type=float,
+                           default=argparse.SUPPRESS,
+                           help="flaky-node rate per replica"),
+    "--corruption-rate": dict(dest="corruption_rate", type=float,
+                              default=argparse.SUPPRESS,
+                              help="bit-flip rate per replica"),
     "--fault-coins": dict(dest="fault_coin_mode",
                           choices=("per_slot", "per_round"),
+                          default=argparse.SUPPRESS,
                           help="fault-coin granularity for injected faults"),
+    "--batch": dict(type=int, default=1, help="requests dispatched per round; "
+                    "a round spanning shards is what a parallel executor "
+                    "overlaps"),
     "--cap": dict(metavar="EPS", help="budget cap to audit cumulative spend "
                   "against (flags the first crossing); decimals and "
                   "rationals like 7/3 stay exact"),
-    # Not "timeline": ClusterConfig.timeline is the BudgetTimeline sink.
-    "--timeline": dict(dest="plot_timeline", action="store_true",
+    "--timeline": dict(action="store_true",
                        help="plot the cumulative spend timeline"),
     "--slo": dict(action="store_true", help="evaluate the two-window eps "
                   "burn-rate SLO (per tenant and operator); exit 1 on a breach"),
@@ -529,21 +510,31 @@ _FLAGS: dict[str, dict] = {
                             help="slow-window burn threshold"),
 }
 
+#: The flags that set a builder keyword (their dest), the executor's
+#: included.
+_BUILDER_FLAGS = (
+    "--shards", "--replicas", "--placement", "--epsilon", "--pad-size",
+    "--alpha", "--no-auth", "--failure-rate", "--corruption-rate",
+    "--fault-coins", "--executor",
+)
 
-def _add_command(commands, name, handler, summary, config_type, flags,
+
+def _add_command(commands, name, handler, summary, flags,
                  overrides=None) -> None:
     """Add command ``name`` with ``flags``, rows of :data:`_FLAGS`.
 
-    ``config_type`` supplies the defaults the rows leave out, and
+    ``ServingConfig`` supplies the defaults the rows leave out, and
     ``overrides`` maps a flag to the keywords that differ on this command.
     """
+    from repro.serving import ServingConfig
+
     parser = commands.add_parser(
         name, help=summary,
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     fields = {
         field.name: field.default
-        for field in dataclasses.fields(config_type)
+        for field in dataclasses.fields(ServingConfig)
     }
     for flag in flags.split():
         spec = {**_FLAGS[flag], **(overrides or {}).get(flag, {})}
@@ -555,9 +546,7 @@ def _add_command(commands, name, handler, summary, config_type, flags,
 
 
 def main(argv: list[str] | None = None) -> int:
-    from repro.cluster import ClusterConfig
     from repro.obs import DEFAULT_STRAGGLER_THRESHOLD
-    from repro.serving import ServingConfig
     from repro.storage.errors import ReproError
 
     parser = argparse.ArgumentParser(
@@ -571,14 +560,17 @@ def main(argv: list[str] | None = None) -> int:
     # defaults, but builds no network unless asked.
     _add_command(
         commands, "run", _cmd_run,
-        "build a registered scheme and drive a named workload", ServingConfig,
+        "build a registered scheme and drive a named workload",
         "--scheme --workload --n --ops --seed --value-size --write-fraction "
-        "--backend --network --list --trace --metrics",
+        "--backend --network --shards --replicas --placement --epsilon "
+        "--pad-size --alpha --no-auth --failure-rate --corruption-rate "
+        "--fault-coins --executor --batch --monitor --json --list --trace "
+        "--metrics",
         {"--scheme": dict(default="dp_ram"), "--network": dict(default=None)},
     )
     _add_command(
         commands, "serve", _cmd_serve,
-        "serve N concurrent client sessions through a scheduler", ServingConfig,
+        "serve N concurrent client sessions through a scheduler",
         "--scheme --clients --requests --scheduler --window-ms --max-batch "
         "--max-in-flight --tenant-credits --queue-cap --load --rate --think-ms "
         "--workload --n --seed --network --backend --value-size --executor "
@@ -586,25 +578,15 @@ def main(argv: list[str] | None = None) -> int:
         {"--requests": dict(dest="requests_per_client")},
     )
     _add_command(
-        commands, "cluster", _cmd_cluster,
-        "deploy a scheme as N shard groups x R replicas with failover",
-        ClusterConfig,
-        "--scheme --shards --replicas --n --requests --workload --placement "
-        "--epsilon --pad-size --alpha --no-auth --failure-rate "
-        "--corruption-rate --value-size --seed --network --backend --executor "
-        "--batch --fault-coins --monitor --json --list --trace --metrics",
-        {"--executor": dict(default="serial")},
-    )
-    _add_command(
         commands, "audit", _cmd_audit,
         "run a cluster workload with an eps-budget timeline attached",
-        ClusterConfig,
         "--scheme --shards --replicas --n --requests --workload --epsilon "
         "--pad-size --seed --executor --batch --cap --timeline --slo "
         "--slo-budget --slo-horizon --slo-fast-window --slo-slow-window "
         "--slo-fast-burn --slo-slow-burn --json",
-        {"--replicas": dict(default=1), "--requests": dict(default=64),
-         "--executor": dict(default="serial")},
+        {"--scheme": dict(default="cluster_dp_ir"),
+         "--shards": dict(default=4), "--replicas": dict(default=1),
+         "--requests": dict(dest="ops", default=64)},
     )
 
     diff_parser = commands.add_parser(

@@ -26,7 +26,10 @@ class PrivacyDatasheet:
         n: database / key capacity.
         epsilon: privacy budget (exact or analytic upper bound; 0 means
             perfectly oblivious).
-        epsilon_kind: "exact", "upper bound" or "perfect".
+        epsilon_kind: "exact", "upper bound" or "perfect"; a cluster's
+            adds ", per operator" (e.g. "exact, per operator"): its ε
+            bounds what one shard operator sees, while the shard a
+            query goes to is visible to a network observer.
         delta: the δ of the guarantee (0 unless stated).
         error_probability: α, the data-independent failure rate.
         blocks_per_query: block transfers per logical operation — the

@@ -21,6 +21,7 @@ Scheme-specific knobs (``epsilon``, ``alpha``, ``phi``, ``value_size``,
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import TYPE_CHECKING, Any, Sequence
 
 if TYPE_CHECKING:
@@ -500,8 +501,9 @@ def _build_cluster_ir(
     backend: BackendFactory | str | None = None,
     network: NetworkModel | str | None = None,
     executor: Any = None,
+    fault_coin_mode: str = "per_slot",
 ) -> "ClusterIR":
-    """Shared implementation of the registered ClusterIR builders."""
+    """Build a :class:`~repro.cluster.scheme.ClusterIR` over ``base``."""
     from repro.cluster.scheme import ClusterIR
 
     return ClusterIR(
@@ -519,22 +521,18 @@ def _build_cluster_ir(
         rng=_resolve_rng(rng, seed),
         backend_factory=resolve_backend(backend, network),
         executor=executor,
+        fault_coin_mode=fault_coin_mode,
     )
 
 
-@register_scheme("cluster_dp_ir", kind="ir",
-                 summary="N shard groups x R replicas of DP-IR with failover")
-def build_cluster_dp_ir(**kwargs: Any) -> "ClusterIR":
-    """Build a :class:`~repro.cluster.scheme.ClusterIR` over ``dp_ir`` bases."""
-    return _build_cluster_ir("dp_ir", **kwargs)
-
-
-@register_scheme("cluster_batch_dp_ir", kind="ir",
-                 summary="sharded+replicated BatchDPIR (batching compounds "
-                         "with sharding)")
-def build_cluster_batch_dp_ir(**kwargs: Any) -> "ClusterIR":
-    """Build a :class:`~repro.cluster.scheme.ClusterIR` over ``batch_dp_ir``."""
-    return _build_cluster_ir("batch_dp_ir", **kwargs)
+# Partials, so each builder's signature names every keyword it takes.
+register_scheme("cluster_dp_ir", kind="ir",
+                summary="N shard groups x R replicas of DP-IR with failover")(
+    partial(_build_cluster_ir, "dp_ir"))
+register_scheme("cluster_batch_dp_ir", kind="ir",
+                summary="sharded+replicated BatchDPIR (batching compounds "
+                        "with sharding)")(
+    partial(_build_cluster_ir, "batch_dp_ir"))
 
 
 @register_scheme("cluster_dp_kvs", kind="kvs",
@@ -553,6 +551,7 @@ def build_cluster_dp_kvs(
     backend: BackendFactory | str | None = None,
     network: NetworkModel | str | None = None,
     executor: Any = None,
+    fault_coin_mode: str = "per_slot",
 ) -> "ClusterKVS":
     """Build a :class:`~repro.cluster.scheme.ClusterKVS` over ``dp_kvs``."""
     from repro.cluster.scheme import ClusterKVS
@@ -567,6 +566,7 @@ def build_cluster_dp_kvs(
         failure_rate=failure_rate,
         corruption_rate=corruption_rate,
         executor=executor,
+        fault_coin_mode=fault_coin_mode,
         rng=_resolve_rng(rng, seed),
         backend_factory=resolve_backend(backend, network),
     )

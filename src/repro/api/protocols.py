@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import abc
 import operator
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.storage.errors import BlockSizeError, RetrievalError
 from repro.storage.held import HeldRequest, scheme_parts
@@ -167,6 +167,12 @@ class Scheme(abc.ABC):
     @property
     def client_peak_blocks(self) -> int | None:
         """Peak client storage in blocks; ``None`` for stateless clients."""
+        return None
+
+    def deployment(self) -> dict[str, Any] | None:
+        """The deployment section of a run record
+        (:meth:`~repro.simulation.metrics.RunMetrics.to_dict`): ``None``
+        for a single node; a cluster's shard layout, load and budget."""
         return None
 
 

@@ -37,19 +37,16 @@ An ``epsilon_cap`` is an *admission* check — an operation a touched
 shard cannot afford is refused before anything runs — while every
 draw that was served (failover retries included) is always recorded.
 
-Entry points: :func:`~repro.cluster.service.cluster` (re-exported as
-``repro.cluster``) and the ``python -m repro cluster`` CLI subcommand.
-The scaling table (``K/D`` ops, ``n/D`` storage, the single-server ε)
-and the failover curve are seeded tier-1 assertions
+A cluster run is a registry build driven by the one trace driver, like
+any other scheme's: ``repro.build("cluster_dp_ir", shard_count=4, …)``
+and :func:`~repro.simulation.harness.run_trace`, or ``python -m repro
+run --scheme cluster_dp_ir --shards 4``; the run record's cluster
+section is :meth:`ClusterIR.deployment`.  The scaling table (``K/D``
+ops, ``n/D`` storage, the single-server ε) and the failover curve are seeded tier-1 assertions
 (``tests/integration/test_cluster_integration.py``); ``serve_cluster``
 in ``BENCHMARK.json`` measures the cost.
 """
 
-import sys
-from types import ModuleType
-from typing import Any
-
-from repro.cluster.config import ClusterConfig
 from repro.cluster.group import (
     DEFAULT_MAX_ATTEMPTS,
     GroupExhaustedError,
@@ -57,7 +54,6 @@ from repro.cluster.group import (
     ShardGroup,
 )
 from repro.cluster.ledger import ClusterBudgetReport, ClusterLedger
-from repro.cluster.report import ClusterReport, ShardReport, jain_index
 from repro.cluster.router import (
     HashRouter,
     RangeRouter,
@@ -68,17 +64,14 @@ from repro.cluster.scheme import (
     ClusterIR,
     ClusterKVS,
     MigrationReport,
-    cluster_bases,
+    jain_index,
 )
-from repro.cluster.service import cluster
 
 __all__ = [
     "ClusterBudgetReport",
-    "ClusterConfig",
     "ClusterIR",
     "ClusterKVS",
     "ClusterLedger",
-    "ClusterReport",
     "DEFAULT_MAX_ATTEMPTS",
     "GroupExhaustedError",
     "HashRouter",
@@ -86,22 +79,8 @@ __all__ = [
     "MigrationReport",
     "RangeRouter",
     "ShardGroup",
-    "ShardReport",
     "ShardRouter",
-    "cluster",
-    "cluster_bases",
     "jain_index",
     "make_router",
 ]
 
-
-class _CallableClusterModule(ModuleType):
-    """Make ``repro.cluster(...)`` run a deployment while keeping this a
-    real subpackage (``repro.cluster.ClusterIR``, ``import
-    repro.cluster.router`` and friends all keep working)."""
-
-    def __call__(self, *args: Any) -> ClusterReport:
-        return cluster(*args)
-
-
-sys.modules[__name__].__class__ = _CallableClusterModule

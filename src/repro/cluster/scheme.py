@@ -40,7 +40,7 @@ from repro.analysis.ledger import BudgetExceededError
 from repro.api.protocols import (
     PrivateIR, PrivateKVS, Scheme, check_index, check_indices, check_value,
 )
-from repro.api.registry import available_schemes, scheme_spec
+from repro.api.registry import scheme_spec
 from repro.cluster.group import (
     DEFAULT_MAX_ATTEMPTS,
     KVShardGroup,
@@ -48,7 +48,6 @@ from repro.cluster.group import (
     check_max_attempts,
 )
 from repro.cluster.ledger import ClusterLedger
-from repro.cluster.report import jain_index
 from repro.cluster.router import (
     RangeRouter,
     ShardRouter,
@@ -128,24 +127,22 @@ def _check_chargeable(base: str, epsilon: float) -> None:
         )
 
 
-def cluster_bases() -> tuple[str, ...]:
-    """Registry names a cluster build accepts as its base scheme.
+def jain_index(values: Sequence[float]) -> float:
+    """Jain's fairness index over per-shard loads.
 
-    The IR and KVS schemes whose replicas pass the ε check every cluster
-    build makes on its first shard group; each is built once, small, to
-    read its datasheet.
+    1.0 means perfectly even load; ``1/D`` means one of ``D`` shards
+    absorbed everything — the quantitative form of the load-hiding gap
+    the sharded construction gives up versus replication.  An all-zero
+    load vector is trivially even (1.0).
     """
-    accepted = []
-    for name in available_schemes():
-        if scheme_spec(name).kind == "ram":
-            continue
-        replica = _build_base(name, n=16, seed=0)
-        try:
-            _check_chargeable(name, replica.datasheet().epsilon)
-        except ValueError:
-            continue
-        accepted.append(name)
-    return tuple(accepted)
+    if not values:
+        return 1.0
+    if any(value < 0 for value in values):
+        raise ValueError("loads must be non-negative")
+    sum_of_squares = sum(value * value for value in values)
+    if sum_of_squares == 0.0:
+        return 1.0
+    return sum(values) ** 2 / (len(values) * sum_of_squares)
 
 
 def _build_base(base: str, **kwargs: Any) -> Any:
@@ -399,12 +396,55 @@ class _ClusterBase(Scheme, Generic[_G]):
         """Total stored blocks across the cluster — ``R·n`` for IR."""
         return sum(server.capacity for server in self.servers())
 
+    @property
+    def placement(self) -> str:
+        """How an operand finds its shard group: keys hash to one."""
+        return "hash"
+
+    def deployment(self) -> dict[str, Any]:
+        """The cluster section of a run record: layout, stored blocks,
+        load balance, the ledger's budget and one row a shard group."""
+        budget = self._ledger.report()
+        loads = self.shard_loads()
+        queries = self.shard_query_counts()
+        return {
+            "base": self._base,
+            "placement": self.placement,
+            "shards": self.shard_count,
+            "replicas": self._replica_count,
+            "n": self._n,
+            "executor": self._executor.name,
+            "per_server_storage_blocks": self.per_server_storage_blocks(),
+            "total_storage_blocks": self.total_storage_blocks(),
+            "load_jain_index": self.load_balance_index(),
+            "budget": {
+                "queries": budget.queries,
+                "per_query_epsilon": budget.per_query_epsilon,
+                "worst_shard_epsilon": budget.worst_shard_epsilon,
+                "colluding_epsilon": budget.colluding_epsilon,
+                "epochs": budget.epochs,
+            },
+            "per_shard": [
+                {
+                    "shard": shard,
+                    "records": group.replicas[0].n,
+                    "queries": queries[shard],
+                    "server_operations": loads[shard],
+                    "failovers": group.failovers,
+                    "epsilon_spent": budget.per_shard[shard].basic_epsilon,
+                }
+                for shard, group in enumerate(self._groups)
+            ],
+        }
+
     def _datasheet(self, copies: int) -> PrivacyDatasheet:
         """The cluster's sheet from its replicas': a fault-free operation
         is one base operation on ``copies`` replicas of one shard, run
         concurrently.  ε, δ and α are the worst shard's (the ledger
         charges each draw its shard's ε), and the client and the servers
-        hold every replica's share."""
+        hold every replica's share.  The ε is per operator: it bounds
+        what one shard operator sees, while the shard a query goes to is
+        visible to a network observer (see :mod:`repro.cluster.ledger`)."""
         sheets = [
             replica.datasheet()
             for group in self._groups for replica in group.replicas
@@ -415,7 +455,8 @@ class _ClusterBase(Scheme, Generic[_G]):
         expected = widest.expected_blocks_per_query
         return PrivacyDatasheet(
             scheme=type(self).__name__, n=self._n,
-            epsilon=worst.epsilon, epsilon_kind=worst.epsilon_kind,
+            epsilon=worst.epsilon,
+            epsilon_kind=f"{worst.epsilon_kind}, per operator",
             delta=max(sheet.delta for sheet in sheets),
             error_probability=max(sheet.error_probability for sheet in sheets),
             blocks_per_query=copies * widest.blocks_per_query,
@@ -865,6 +906,11 @@ class ClusterIR(_ClusterBase[ShardGroup], PrivateIR):
     def block_size(self) -> int:
         """Bytes per *logical* record (before any storage encryption)."""
         return self._block_size
+
+    @property
+    def placement(self) -> str:
+        """The router's placement policy (``range`` or ``hash``)."""
+        return self._router.policy
 
     @property
     def router(self) -> ShardRouter:

@@ -1,8 +1,8 @@
 """Wiring helpers: attach tracer + registry to a built scheme.
 
 ``instrument_scheme`` is the one call the service layers (``serve()``,
-``cluster()``, ``repro run``) make after construction: it hands the
-tracer to schemes that accept one (``attach_tracer``) and attaches a
+``repro run``) make after construction: it hands the tracer to schemes
+that accept one (``attach_tracer``) and attaches a
 :class:`StorageObserver` to every storage server so batched
 ``read_many``/``write_many`` rounds emit batch-size events.
 

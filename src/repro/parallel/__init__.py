@@ -28,9 +28,8 @@ matter to privacy — the interleaving of client requests — is the
 serving scheduler's (:mod:`repro.serving`).
 
 Entry points: ``executor=`` on :class:`~repro.cluster.scheme.ClusterIR`
-/ :class:`~repro.cluster.scheme.ClusterKVS` and on
-:func:`repro.cluster` / :func:`repro.serve`, and the ``--executor`` CLI
-flag; ``serve_cluster`` in ``BENCHMARK.json`` measures the path.
+/ :class:`~repro.cluster.scheme.ClusterKVS`, their registry builders and
+:func:`repro.serve`, and the ``--executor`` CLI flag; ``serve_cluster`` in ``BENCHMARK.json`` measures the path.
 """
 
 from repro.parallel.executor import (

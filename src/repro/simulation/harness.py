@@ -1,8 +1,8 @@
 """Drive a scheme over a workload trace with correctness checking.
 
-:func:`run_trace` is the one trace driver — ``repro run``, the
-experiments and ``repro.cluster`` all call it.  It dispatches on the
-:mod:`repro.api` protocols:
+:func:`run_trace` is the one trace driver — ``repro run`` (cluster
+schemes included), ``repro audit`` and the experiments all call it.  It
+dispatches on the :mod:`repro.api` protocols:
 
 * :class:`~repro.api.protocols.PrivateIR` — ``query`` / ``query_many``
   (DP-IR, strawman, linear PIR, batch/multi-server/sharded DP-IR).
@@ -144,6 +144,8 @@ def run_trace(
     metrics.blocks_uploaded = writes_after - writes_before
     metrics.client_peak_blocks = scheme.client_peak_blocks
     metrics.fault_counters = scheme_fault_counters(scheme)
+    metrics.server_operations = meter.operations
+    metrics.deployment = scheme.deployment()
     if meter.priced:
         metrics.serial_ms, metrics.wall_clock_ms = meter.serial_ms, meter.wall_ms
     return metrics

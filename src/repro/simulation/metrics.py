@@ -18,6 +18,7 @@ from repro.storage.network import NetworkModel
 
 if TYPE_CHECKING:
     from repro.api.protocols import Scheme
+    from repro.obs.monitor import LeakageReport
 
 
 def percentile(values: Sequence[float], fraction: float) -> float:
@@ -133,7 +134,10 @@ class LatencySummary:
 
 @dataclass
 class RunMetrics:
-    """What a run measured.
+    """What a run measured: the one record of a closed-loop run.
+
+    :meth:`to_dict` is its JSON view and :meth:`to_text` is rendered from
+    that view, so the text never shows a figure the JSON lacks.
 
     Attributes:
         scheme: label of the scheme under test.
@@ -159,6 +163,14 @@ class RunMetrics:
         wall_clock_ms: the same run overlap-accounted (equals
             :attr:`serial_ms` unless the scheme fans legs out
             concurrently); ``None`` when the run was not priced.
+        server_operations: server operations the run made, as
+            :class:`CostMeter` counted them.
+        leakage: online leakage-monitor verdicts, when the run was
+            watched.
+        deployment: the scheme's
+            :meth:`~repro.api.protocols.Scheme.deployment` section after
+            the run (a cluster's layout, load and budget); ``None`` for
+            a single node.
     """
 
     scheme: str
@@ -174,6 +186,9 @@ class RunMetrics:
     fault_counters: dict[str, int] = field(default_factory=dict)
     serial_ms: float | None = None
     wall_clock_ms: float | None = None
+    server_operations: int = 0
+    leakage: list[LeakageReport] = field(default_factory=list)
+    deployment: dict | None = None
 
     @property
     def blocks_total(self) -> int:
@@ -207,13 +222,125 @@ class RunMetrics:
             raise ValueError("baseline must be positive")
         return self.blocks_per_operation / baseline_blocks_per_op
 
+    @property
+    def leakage_tripped(self) -> bool:
+        """True when any online monitor exceeded its ε-implied ceiling."""
+        return any(report.tripped for report in self.leakage)
+
+    def to_dict(self) -> dict:
+        """The JSON view (``repro run --json``), each figure once."""
+        summary = self.latency_summary
+        data = {
+            "scheme": self.scheme,
+            "trace": self.trace,
+            "operations": self.operations,
+            "errors": self.errors,
+            "mismatches": self.mismatches,
+            "blocks_downloaded": self.blocks_downloaded,
+            "blocks_uploaded": self.blocks_uploaded,
+            "blocks_per_operation": self.blocks_per_operation,
+            "server_operations": self.server_operations,
+            "client_peak_blocks": self.client_peak_blocks,
+            "elapsed_seconds": self.elapsed_seconds,
+            "serial_ms": self.serial_ms,
+            "wall_clock_ms": self.wall_clock_ms,
+            "latency_ms": None if summary is None else summary.to_dict(),
+            "fault_counters": dict(self.fault_counters),
+            "leakage": [report.to_dict() for report in self.leakage],
+        }
+        if self.deployment is not None:
+            data["deployment"] = self.deployment
+        return data
+
+    def to_rows(self, data: dict | None = None) -> list[list]:
+        """``[metric, value]`` rows, rendered from :meth:`to_dict`."""
+        from repro.simulation.reporting import _render, latency_rows_from
+
+        data = self.to_dict() if data is None else data
+        peak = data["client_peak_blocks"]
+        rows = [
+            ["scheme", data["scheme"]],
+            ["workload", data["trace"]],
+            ["operations", data["operations"]],
+            ["errors (alpha events)", data["errors"]],
+            ["mismatches", data["mismatches"]],
+            ["blocks downloaded", data["blocks_downloaded"]],
+            ["blocks uploaded", data["blocks_uploaded"]],
+            ["blocks / operation", f"{data['blocks_per_operation']:.2f}"],
+            ["server operations", data["server_operations"]],
+            ["client peak blocks", "stateless" if peak is None else peak],
+            ["elapsed seconds", f"{data['elapsed_seconds']:.3f}"],
+        ]
+        if data["serial_ms"] is not None:
+            rows.append(["serial ms", f"{data['serial_ms']:.2f}"])
+            rows.append(["wall-clock ms", f"{data['wall_clock_ms']:.2f}"])
+        if data["latency_ms"] is not None:
+            rows.extend(latency_rows_from(data["latency_ms"]))
+        faults = data["fault_counters"]
+        rows.extend([f"faults: {name}", faults[name]] for name in sorted(faults))
+        for entry in data["leakage"]:
+            verdict = " ".join(
+                f"{key}={_render(value)}" for key, value in entry.items()
+                if key != "attack"
+            )
+            rows.append([f"leakage: {entry['attack']}", verdict])
+        deployment = data.get("deployment")
+        if deployment is not None:
+            budget = deployment["budget"]
+            rows.extend([
+                ["base scheme", deployment["base"]],
+                ["placement", deployment["placement"]],
+                ["shard groups", deployment["shards"]],
+                ["replicas / group", deployment["replicas"]],
+                ["records (n)", deployment["n"]],
+                ["executor", deployment["executor"]],
+                ["per-server storage blocks",
+                 deployment["per_server_storage_blocks"]],
+                ["total storage blocks", deployment["total_storage_blocks"]],
+                ["shard load balance (Jain)",
+                 f"{deployment['load_jain_index']:.3f}"],
+                ["budget epochs", budget["epochs"]],
+                ["budget draws", budget["queries"]],
+                ["per-query epsilon", f"{budget['per_query_epsilon']:.4f}"],
+                ["worst-shard epsilon spent",
+                 f"{budget['worst_shard_epsilon']:.2f}"],
+                ["colluding epsilon bound",
+                 f"{budget['colluding_epsilon']:.2f}"],
+            ])
+        return rows
+
+    def to_text(self, data: dict | None = None) -> str:
+        """The summary table, and a cluster's per-shard table."""
+        from repro.simulation.reporting import format_table
+
+        data = self.to_dict() if data is None else data
+        text = format_table(
+            ["metric", "value"], self.to_rows(data),
+            title=f"Run: {data['scheme']} over {data['trace']}",
+        )
+        deployment = data.get("deployment")
+        if deployment is None:
+            return text
+        shards = format_table(
+            ["shard", "records", "queries", "server ops", "failovers",
+             "eps spent"],
+            [
+                [row["shard"], row["records"], row["queries"],
+                 row["server_operations"], row["failovers"],
+                 f"{row['epsilon_spent']:.2f}"]
+                for row in deployment["per_shard"]
+            ],
+            title="Per-shard load",
+        )
+        return text + "\n\n" + shards
+
 
 class CostMeter:
     """Convert a scheme's server-operation delta into simulated time.
 
     The one place server operations become milliseconds.  Its callers:
     :func:`repro.simulation.harness.run_trace` (and through it
-    ``repro run`` and ``repro.cluster``) and
+    ``repro run`` and ``repro audit``) and
     :class:`repro.serving.simulator.ServingSimulator`.  No scheme prices
     itself — a cluster counts operations and overlapped op-units, and
     :class:`NetworkBackend` keeps its own link time, which this reads.

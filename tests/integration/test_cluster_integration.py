@@ -1,20 +1,23 @@
 """Integration: the cluster layer end to end.
 
 Retrieval correctness across reshard/rebalance and replica failure, the
-scaling table and the failover curve through ``repro.cluster()``, the
+scaling table and the failover curve through seeded closed-loop runs, the
 serving simulator driving a cluster through the batch scheduler, fault
-counts surfacing in reports, and the cluster CLI.
+counts surfacing in reports, and ``repro run`` over cluster schemes.
 """
 
 import gc
 import json
+import math
 
 import pytest
 
 import repro
+from cluster_run import cluster_run
 from repro.__main__ import main
 from repro.analysis.dp_ir_exact import dpir_epsilon
-from repro.cluster import ClusterConfig, ClusterIR, ClusterKVS
+from repro.api import scheme_spec
+from repro.cluster import ClusterIR, ClusterKVS
 from repro.serving import ServingConfig
 from repro.storage.blocks import integer_database
 
@@ -152,8 +155,8 @@ class TestRebalance:
 
 
 class TestScalingAndFailoverThroughTheRunEntry:
-    """Seeded ``repro.cluster()`` runs; counters and simulated figures
-    only, so every row reproduces exactly."""
+    """Seeded closed-loop runs; counters and simulated figures only, so
+    every row reproduces exactly."""
 
     N, PAD, ALPHA = 1024, 64, 0.05
 
@@ -162,10 +165,10 @@ class TestScalingAndFailoverThroughTheRunEntry:
         # D divides both n and K at every point, so the per-shard exact
         # budget *equals* the single-server one instead of bounding it.
         return {
-            shards: repro.cluster("dp_ir", ClusterConfig(
-                shards=shards, replicas=1, n=self.N, pad_size=self.PAD,
-                alpha=self.ALPHA, requests=64, seed=0x5EED,
-            ))
+            shards: cluster_run(
+                shard_count=shards, replica_count=1, n=self.N,
+                pad_size=self.PAD, alpha=self.ALPHA, requests=64, seed=0x5EED,
+            )
             for shards in (1, 2, 4, 8)
         }
 
@@ -173,32 +176,35 @@ class TestScalingAndFailoverThroughTheRunEntry:
     def test_pad_and_storage_split_at_the_single_server_budget(
         self, scaling, shards
     ):
-        report = scaling[shards]
-        assert report.ops_per_request == self.PAD / shards
-        assert report.per_server_storage_blocks == self.N // shards
-        assert report.budget.per_query_epsilon == pytest.approx(
+        metrics = scaling[shards]
+        deployment = metrics.deployment
+        assert metrics.server_operations / metrics.operations == (
+            self.PAD / shards
+        )
+        assert deployment["per_server_storage_blocks"] == self.N // shards
+        assert deployment["budget"]["per_query_epsilon"] == pytest.approx(
             dpir_epsilon(self.N, self.PAD, self.ALPHA), abs=1e-9
         )
-        assert report.completed == report.requests == 64
-        assert report.mismatches == 0
+        assert metrics.operations == 64
+        assert metrics.mismatches == 0
         if shards > 1:
             # Half the pad per request is never slower on the wire.
-            assert report.latency.p95_ms <= scaling[shards // 2].latency.p95_ms
+            half = scaling[shards // 2].latency_summary
+            assert metrics.latency_summary.p95_ms <= half.p95_ms
 
     def test_flaky_replicas_cost_retries_never_answers(self):
         ops = []
         for rate in (0.0, 0.05, 0.10):
-            report = repro.cluster("dp_ir", ClusterConfig(
-                shards=4, replicas=2, n=256, pad_size=32, alpha=0.01,
-                requests=64, seed=0xFA11, failure_rate=rate,
-            ))
-            assert report.completed == report.requests == 64
-            assert report.mismatches == 0
-            assert (report.faults.get("failovers", 0) > 0) == (rate > 0)
-            assert (
-                report.faults.get("failed_operations", 0) > 0
-            ) == (rate > 0)
-            ops.append(report.ops_per_request)
+            metrics = cluster_run(
+                shard_count=4, replica_count=2, n=256, pad_size=32,
+                alpha=0.01, requests=64, seed=0xFA11, failure_rate=rate,
+            )
+            faults = metrics.fault_counters
+            assert metrics.operations == 64
+            assert metrics.mismatches == 0
+            assert (faults.get("failovers", 0) > 0) == (rate > 0)
+            assert (faults.get("failed_operations", 0) > 0) == (rate > 0)
+            ops.append(metrics.server_operations / metrics.operations)
         # The retries are the whole cost: K/D at rate 0, more with
         # every step of the flake rate.
         assert ops[0] == 32 / 4 < ops[1] < ops[2]
@@ -357,12 +363,12 @@ class TestClusterRunsOverTheLinkItReports:
 
     @pytest.fixture
     def runs(self, monkeypatch):
-        """Each ``repro.cluster`` run's instance and the link time its
-        backends accrued inside ``run_trace``."""
-        import repro.cluster.service as service
+        """Each ``repro run``'s scheme and the link time its backends
+        accrued inside ``run_trace``."""
+        import repro.simulation.harness as harness
 
         runs = []
-        run_trace = service.run_trace
+        run_trace = harness.run_trace
 
         def recording(scheme, *args, **kwargs):
             before = _link_ms(scheme)
@@ -370,7 +376,7 @@ class TestClusterRunsOverTheLinkItReports:
             runs.append((scheme, _link_ms(scheme) - before))
             return metrics
 
-        monkeypatch.setattr(service, "run_trace", recording)
+        monkeypatch.setattr(harness, "run_trace", recording)
         return runs
 
     @pytest.mark.parametrize("network", [repro.LAN, repro.WAN],
@@ -429,13 +435,13 @@ class TestClusterRunsOverTheLinkItReports:
                        rng=rng.spawn("c-None"))
         assert {backend.model for backend in _backends(ir)} == {repro.WAN}
 
-    def test_default_config_builds_memory_replicas(self, runs):
+    def test_default_run_builds_memory_replicas(self, runs, capsys):
         from repro.storage.backends import NetworkBackend
 
-        report = repro.cluster("dp_ir", ClusterConfig(
-            shards=2, replicas=2, n=64, requests=8, seed=7,
-        ))
-        assert report.network == "lan"
+        assert main(["run", "--scheme", "cluster_dp_ir", "--shards", "2",
+                     "--replicas", "2", "--n", "64", "--ops", "8",
+                     "--seed", "7"]) == 0
+        capsys.readouterr()
         (scheme, accrued), = runs
         assert accrued == 0.0
         assert not any(
@@ -473,21 +479,22 @@ class TestClusterRunsOverTheLinkItReports:
         assert metrics.latencies_ms == deltas
         assert 0.0 < max(deltas) < 1.0  # LAN, not the WAN default
 
-    @pytest.mark.parametrize("scheme", ["dp_ir", "dp_kvs"])
-    def test_report_ms_are_the_link_time_of_the_run(self, runs, scheme):
-        report = repro.cluster(scheme, ClusterConfig(
-            shards=2, replicas=1, n=128, requests=32, seed=7,
-            backend="network",
-        ))
+    @pytest.mark.parametrize("scheme", ["cluster_dp_ir", "cluster_dp_kvs"])
+    def test_record_ms_are_the_link_time_of_the_run(self, runs, scheme,
+                                                     capsys):
+        assert main(["run", "--scheme", scheme, "--shards", "2",
+                     "--replicas", "1", "--n", "128", "--ops", "32",
+                     "--seed", "7", "--backend", "network", "--network",
+                     "lan", "--json"]) == 0
+        record = json.loads(capsys.readouterr().out)
         (instance, accrued), = runs
         assert {backend.model for backend in _backends(instance)} == {
             repro.LAN
         }
-        assert report.network == "lan"
-        assert report.latency.p50_ms < 1.0
+        assert record["latency_ms"]["p50"] < 1.0
         assert accrued > 0.0
-        assert report.serial_ms == pytest.approx(accrued, rel=1e-12)
-        assert report.wall_clock_ms == report.serial_ms  # serial executor
+        assert record["serial_ms"] == pytest.approx(accrued, rel=1e-12)
+        assert record["wall_clock_ms"] == record["serial_ms"]  # serial
 
     @pytest.mark.parametrize("name", ["cluster_dp_ir", "cluster_dp_kvs"])
     def test_a_reshard_frees_the_drained_generation(self, name):
@@ -510,77 +517,67 @@ class TestClusterRunsOverTheLinkItReports:
         assert holders == []
 
 
-class TestClusterCLI:
+class TestClusterRunCommand:
     def test_smoke(self, capsys):
-        assert main(["cluster", "--shards", "4", "--replicas", "2",
-                     "--n", "128", "--requests", "32", "--seed", "7"]) == 0
+        assert main(["run", "--scheme", "cluster_dp_ir", "--shards", "4",
+                     "--replicas", "2", "--n", "128", "--ops", "32",
+                     "--seed", "7", "--network", "lan"]) == 0
         output = capsys.readouterr().out
         assert "shard groups" in output
         assert "Per-shard load" in output
         assert "latency p99.9 ms" in output
 
     def test_json_output(self, capsys):
-        assert main(["cluster", "--shards", "4", "--replicas", "2",
-                     "--n", "128", "--requests", "32", "--seed", "7",
-                     "--json"]) == 0
+        assert main(["run", "--scheme", "cluster_dp_ir", "--shards", "4",
+                     "--replicas", "2", "--n", "128", "--ops", "32",
+                     "--seed", "7", "--network", "lan", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["shards"] == 4
-        assert payload["replicas"] == 2
-        assert payload["completed"] == 32
+        assert payload["deployment"]["shards"] == 4
+        assert payload["deployment"]["replicas"] == 2
+        assert payload["operations"] == 32
         assert payload["mismatches"] == 0
         assert "p999" in payload["latency_ms"]
-        assert payload["budget"]["per_query_epsilon"] > 0
+        assert payload["deployment"]["budget"]["per_query_epsilon"] > 0
 
-    def test_kvs_base(self, capsys):
-        assert main(["cluster", "--scheme", "dp_kvs", "--shards", "2",
-                     "--replicas", "2", "--n", "64", "--requests", "24",
+    def test_kvs_cluster(self, capsys):
+        assert main(["run", "--scheme", "cluster_dp_kvs", "--shards", "2",
+                     "--replicas", "2", "--n", "64", "--ops", "24",
                      "--workload", "ycsb-b", "--seed", "7"]) == 0
         output = capsys.readouterr().out
-        assert "ClusterKVS" in output
+        assert "cluster_dp_kvs" in output
+        assert "ycsb-B" in output
 
     def test_flaky_run_completes(self, capsys):
-        assert main(["cluster", "--shards", "2", "--replicas", "2",
-                     "--n", "64", "--requests", "24", "--seed", "7",
-                     "--failure-rate", "0.1", "--json"]) == 0
+        assert main(["run", "--scheme", "cluster_dp_ir", "--shards", "2",
+                     "--replicas", "2", "--n", "64", "--ops", "24",
+                     "--seed", "7", "--failure-rate", "0.1", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["completed"] == 24
+        assert payload["operations"] == 24
         assert payload["mismatches"] == 0
-        assert payload["faults"].get("failed_operations", 0) > 0
-
-    def test_list_shows_aliases(self, capsys):
-        assert main(["cluster", "--list"]) == 0
-        output = capsys.readouterr().out
-        assert "cluster_dp_ir" in output
-        assert "cluster_dpir" in output
-        assert "dp_ram" not in output    # RAM bases are not clusterable
+        assert payload["fault_counters"].get("failed_operations", 0) > 0
 
     @pytest.mark.parametrize("name", repro.available_schemes("ir")
                              + repro.available_schemes("kvs"))
-    def test_listed_exactly_when_a_cluster_builds(self, name, capsys):
-        assert main(["cluster", "--list"]) == 0
-        listed = {
-            line.split()[0] for line in capsys.readouterr().out.splitlines()
-            if line.strip()
-        }
+    def test_a_cluster_builds_exactly_over_chargeable_bases(self, name):
+        # A base whose sheet declares no finite ε is refused: no ledger
+        # could charge its operations.
+        chargeable = math.isfinite(
+            repro.build(name, n=16, seed=0).datasheet().epsilon
+        )
+        kind = scheme_spec(name).kind
         try:
-            repro.cluster(name, ClusterConfig(shards=1, replicas=1, n=64,
-                                              requests=4))
+            if kind == "ir":
+                ClusterIR(integer_database(64), base=name, shard_count=1,
+                          replica_count=1)
+            else:
+                ClusterKVS(64, base=name, shard_count=1, replica_count=1)
         except ValueError:
             builds = False
         else:
             builds = True
-        assert (name in listed) == builds
-
-    def test_ram_base_rejected(self, capsys):
-        assert main(["cluster", "--scheme", "dp_ram", "--n", "64",
-                     "--requests", "8", "--seed", "1"]) == 2
-        assert "IR or KVS" in capsys.readouterr().err
-
-    def test_unknown_scheme_reports_catalogue(self, capsys):
-        assert main(["cluster", "--scheme", "warp_drive"]) == 2
-        assert "registered schemes" in capsys.readouterr().err
+        assert builds == chargeable
 
     def test_hyphenated_alias(self, capsys):
-        assert main(["cluster", "--scheme", "batch-dpir", "--shards", "2",
-                     "--n", "64", "--requests", "16", "--seed", "7"]) == 0
-        assert "batch_dp_ir" in capsys.readouterr().out
+        assert main(["run", "--scheme", "cluster-dpir", "--shards", "2",
+                     "--n", "64", "--ops", "16", "--seed", "7"]) == 0
+        assert "cluster_dp_ir" in capsys.readouterr().out

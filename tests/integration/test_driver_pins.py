@@ -1,13 +1,15 @@
-"""Pinned trace runs: ``repro.cluster`` reports and ``run_trace`` results.
+"""Pinned trace runs: cluster run records and ``run_trace`` results.
 
 Two tables hold the trace driver to its behaviour bit for bit:
 
-* ``CLUSTER_PINS`` — the SHA-256 of ``cluster(...).to_dict()`` (JSON with
-  sorted keys) for memory-backed clusters over IR and KVS bases: read
-  batches of 1, 4 and 8, the serial and parallel executors, flaky
-  replicas under per-round fault coins, corrupting replicas under
-  per-slot coins, and the leakage monitor.  Which reads share a round,
-  which answers are checked and what each round costs all move a digest.
+* ``CLUSTER_PINS`` — the SHA-256 of a seeded cluster run's record
+  (``RunMetrics.to_dict()`` less its wall time, JSON with sorted keys)
+  for memory-backed ``cluster_dp_ir`` and ``cluster_dp_kvs`` priced
+  under LAN: read batches of 1, 4 and 8, the serial and parallel
+  executors, flaky replicas under per-round fault coins, corrupting
+  replicas under per-slot coins, and the leakage monitor.  Which reads
+  share a round, which answers are checked and what each round costs all
+  move a digest.
 * ``TRACE_PINS`` — for every registered scheme at ``n = 64``, seed 7,
   over the in-memory and the ``network`` backend: the run's operation
   and block counts, errors, mismatches and client peak, plus the
@@ -24,26 +26,29 @@ import json
 import pytest
 
 import repro
+from cluster_run import cluster_run, record
 from repro.api import scheme_spec
-from repro.cluster import ClusterConfig
 from repro.crypto.rng import default_rng
 from repro.simulation.harness import run_trace
 from repro.storage.blocks import integer_database
 from repro.workloads import catalogue
 
-CLUSTER_COMMON = dict(shards=2, replicas=2, n=128, requests=48, seed=7)
+CLUSTER_COMMON = dict(shard_count=2, replica_count=2, n=128, requests=48,
+                      seed=7)
 
 CLUSTERS = {
-    "ir/batch1/serial": ("dp_ir", dict(batch=1)),
-    "ir/batch4/parallel": ("dp_ir", dict(batch=4, executor="parallel")),
-    "ir/batch8/flaky-per-round": ("dp_ir", dict(
+    "ir/batch1/serial": ("cluster_dp_ir", dict(batch=1)),
+    "ir/batch4/parallel": ("cluster_dp_ir", dict(
+        batch=4, executor="parallel")),
+    "ir/batch8/flaky-per-round": ("cluster_dp_ir", dict(
         batch=8, failure_rate=(0.0, 0.3), fault_coin_mode="per_round")),
-    "ir/batch4/corrupt-per-slot": ("dp_ir", dict(
+    "ir/batch4/corrupt-per-slot": ("cluster_dp_ir", dict(
         batch=4, corruption_rate=0.05, fault_coin_mode="per_slot")),
-    "ir/batch4/monitor": ("dp_ir", dict(batch=4, monitor=True)),
-    "kvs/batch1/serial": ("dp_kvs", dict(batch=1)),
-    "kvs/batch4/parallel": ("dp_kvs", dict(batch=4, executor="parallel")),
-    "kvs/batch8/flaky-per-round": ("dp_kvs", dict(
+    "ir/batch4/monitor": ("cluster_dp_ir", dict(batch=4, monitor=True)),
+    "kvs/batch1/serial": ("cluster_dp_kvs", dict(batch=1)),
+    "kvs/batch4/parallel": ("cluster_dp_kvs", dict(
+        batch=4, executor="parallel")),
+    "kvs/batch8/flaky-per-round": ("cluster_dp_kvs", dict(
         batch=8, failure_rate=(0.0, 0.3), fault_coin_mode="per_round")),
 }
 
@@ -59,8 +64,7 @@ def _digest(payload) -> str:
 
 def _cluster(case: str) -> str:
     scheme, settings = CLUSTERS[case]
-    report = repro.cluster(scheme, ClusterConfig(**CLUSTER_COMMON, **settings))
-    return _digest(report.to_dict())
+    return _digest(record(cluster_run(scheme, **CLUSTER_COMMON, **settings)))
 
 
 def _trace(name: str, backend: str) -> list:
@@ -93,35 +97,37 @@ TRACES = [
     for name in repro.available_schemes() for backend in BACKENDS
 ]
 
-#: config → SHA-256 of the cluster report's JSON.  Four moved when the
-#: report's ``serial_ms`` / ``wall_clock_ms`` became ``CostMeter``'s
-#: running sums instead of one product (float summation order, about
-#: 1e-15 relative); with those and ``overlap_speedup`` set back to the
-#: old products they hash to the old pins.
+#: config → SHA-256 of the run record's JSON.  They moved when the
+#: cluster report became the run record: mapped back onto the old
+#: report's keys (requests and completed from ``operations``, the run's
+#: ``network`` and ``batch``, ``overlap_speedup`` and ``ops_per_request``
+#: from the record's figures, ``percentiles`` from ``latency_ms``,
+#: ``deployment``'s fields at the top level), each record hashes to the
+#: old pin.
 CLUSTER_PINS: dict[str, str] = {
     "ir/batch1/serial": (
-        "61371ee47f6fcf101037658600b622b1849dcf2fa377f11ad8d52c9c81ca813d"
+        "4f6f162d246229a22eac31e4242cadf93b173ebb2a1ed32218aad639f1623e6e"
     ),
     "ir/batch4/parallel": (
-        "87ffe07d8756d6d1a6f65d6c7ae4fcb031960d08fad31fce1de8d5bca879b947"
+        "bd2e333fb68fa7231a94bcafca347a565bd5ec84dbd6f8ce0ba7fa7469daa9fa"
     ),
     "ir/batch8/flaky-per-round": (
-        "131f54844fa911f45c1acdb5a792789aba299a463f802d13b4922066631055ab"
+        "98596fb251892f8bd07734614b79da94d5e9dbc60fde30aa401ea4fbba813633"
     ),
     "ir/batch4/corrupt-per-slot": (
-        "391e3363b72a27995a80a11c23841a831e2531895c388be67a0c7a12f0ae6cd2"
+        "716fc4e803475f1460dc5de42a49db87c271409634cac4127b7adeaaf6cb23b3"
     ),
     "ir/batch4/monitor": (
-        "ffa0b76cd8a639c9bc02bb21b27c1ba18f42620d2c6d168e41f811bd2855b6d8"
+        "351456578cee48b9af4a356bca7c92d1702bed2eeb65985c9beb393234247523"
     ),
     "kvs/batch1/serial": (
-        "624bc16aaf9337f4e51cdc5c02b340259cf0725c05d8dfa30eb5528a1708c2d5"
+        "0b345a938520ffc6a40050a6aff9d97c5fe90fa9c6db024ee2904fa9db084b70"
     ),
     "kvs/batch4/parallel": (
-        "84debd52d17d53ecec82e95fcbc25db80c13297f5ae38fbcd2f54d2707137fe0"
+        "71aa3513054bf747ac464786e29a82e819b8f31dd055b7e3326080bc1321834b"
     ),
     "kvs/batch8/flaky-per-round": (
-        "2d766e93c3d3c5e76088d7f87fb35fb15544817ee65fbce1eb3494eec4c182cd"
+        "2129d9bee90c8f34e1a452ab92ebbe9f0b836fdc711b65e2c293b927c5be2110"
     ),
 }
 

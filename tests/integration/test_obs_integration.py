@@ -18,10 +18,10 @@ from fractions import Fraction
 
 import pytest
 
+from cluster_run import cluster_run, record
 from repro.__main__ import main
-from repro.cluster import ClusterConfig, ClusterIR
+from repro.cluster import ClusterIR
 from repro.cluster.group import GroupExhaustedError
-from repro.cluster.service import cluster
 from repro.crypto.rng import SeededRandomSource
 from repro.obs import (
     NULL_TRACER,
@@ -48,7 +48,7 @@ class _RecordingExecutor(SerialExecutor):
         return super().fan_out(tasks)
 
 
-RUN = dict(shards=4, replicas=1, n=256, requests=48, seed=13,
+RUN = dict(shard_count=4, replica_count=1, n=256, requests=48, seed=13,
            pad_size=16, batch=8)
 
 
@@ -71,13 +71,13 @@ class TestExecutorInvariance:
         reports = {}
         for executor in ("serial", "parallel"):
             tracer = Tracer(executor)
-            reports[executor] = cluster("dp_ir", ClusterConfig(
+            reports[executor] = cluster_run(
                 executor=executor, tracer=tracer, **faults, **RUN,
-            ))
+            )
             trees[executor] = _tree(tracer.export())
         assert trees["serial"] == trees["parallel"]
         # And the runs themselves stay executor-invariant.
-        completed = {r.completed for r in reports.values()}
+        completed = {r.operations for r in reports.values()}
         assert len(completed) == 1
 
     def test_fault_spans_record_the_error_type(self):
@@ -86,9 +86,9 @@ class TestExecutorInvariance:
         # unwound through.
         tracer = Tracer("faulty")
         with pytest.raises(Exception):
-            cluster("dp_ir", ClusterConfig(
+            cluster_run(
                 executor="serial", tracer=tracer, failure_rate=1.0, **RUN,
-            ))
+            )
         errors = {s["error"] for s in tracer.export()["spans"]
                   if s["error"]}
         assert "GroupExhaustedError" in errors
@@ -171,10 +171,10 @@ class TestLegSpanNesting:
         # storage batch opens beneath the leg that issued it and leg k's
         # ids precede leg k+1's.
         tracer = Tracer("nest")
-        cluster("dp_ir", ClusterConfig(
-            executor="parallel", tracer=tracer, shards=2, replicas=1, n=64,
-            requests=8, seed=13, pad_size=8, batch=4,
-        ))
+        cluster_run(
+            executor="parallel", tracer=tracer, shard_count=2,
+            replica_count=1, n=64, requests=8, seed=13, pad_size=8, batch=4,
+        )
         spans = tracer.spans()
         by_id = {s.span_id: s for s in spans}
         batches = [s for s in spans if s.name == "storage.read_many"]
@@ -196,9 +196,7 @@ class TestDeterminism:
         exports = []
         for _ in range(2):
             tracer = Tracer("run")
-            cluster("dp_ir", ClusterConfig(
-                executor="parallel", tracer=tracer, **RUN,
-            ))
+            cluster_run(executor="parallel", tracer=tracer, **RUN)
             exports.append(canonical_trace(tracer.export()))
         assert json.dumps(exports[0]) == json.dumps(exports[1])
 
@@ -215,14 +213,14 @@ class TestDeterminism:
 
 class TestTracingIsAnObserver:
     def test_traced_run_is_bit_identical_to_untraced(self):
-        plain = cluster("dp_ir", ClusterConfig(**RUN))
+        plain = cluster_run(**RUN)
         tracer = Tracer("observed")
         timeline = BudgetTimeline()
         registry = MetricsRegistry()
-        traced = cluster("dp_ir", ClusterConfig(
-            tracer=tracer, metrics_registry=registry, timeline=timeline, **RUN,
-        ))
-        assert traced.to_dict() == plain.to_dict()
+        traced = cluster_run(
+            tracer=tracer, registry=registry, timeline=timeline, **RUN,
+        )
+        assert record(traced) == record(plain)
         assert len(tracer) > 0
         # The timeline replays the ledger exactly: summed spend events
         # equal the worst-shard/colluding accounting's total.
@@ -230,7 +228,7 @@ class TestTracingIsAnObserver:
             (event.epsilon for event in timeline.events), Fraction(0)
         )
         assert float(total) == pytest.approx(
-            traced.budget.colluding_epsilon
+            traced.deployment["budget"]["colluding_epsilon"]
         )
 
     def test_serving_answers_unchanged_under_tracing(self):
@@ -247,26 +245,24 @@ class TestTracingIsAnObserver:
 class TestTimelineAndMetrics:
     def test_timeline_flags_first_crossing(self):
         generous = BudgetTimeline(cap=10**6)
-        cluster("dp_ir", ClusterConfig(timeline=generous, **RUN))
+        cluster_run(timeline=generous, **RUN)
         assert generous.first_crossing is None
         assert generous.total_spent > 0
         tight = BudgetTimeline(cap=Fraction(1, 1000))
-        cluster("dp_ir", ClusterConfig(timeline=tight, **RUN))
+        cluster_run(timeline=tight, **RUN)
         crossing = tight.first_crossing
         assert crossing is not None and crossing.operator.startswith("shard-")
 
     def test_registry_absorbs_cluster_counters(self):
         registry = MetricsRegistry()
-        report = cluster("dp_ir", ClusterConfig(
-            metrics_registry=registry, failure_rate=0.15, **RUN,
-        ))
+        metrics = cluster_run(registry=registry, failure_rate=0.15, **RUN)
         values = {
             (s["name"], tuple(sorted(s["labels"].items()))): s["value"]
             for s in registry.collect()
         }
-        assert values[("repro_queries", ())] == report.requests
+        assert values[("repro_queries", ())] == metrics.operations
         assert values[("repro_epsilon_spent", (("scope", "colluding"),))] \
-            == pytest.approx(report.budget.colluding_epsilon)
+            == pytest.approx(metrics.deployment["budget"]["colluding_epsilon"])
         fault_kinds = {labels for name, labels in values
                        if name == "repro_faults"}
         assert (("kind", "failed_operations"),) in fault_kinds
@@ -277,9 +273,7 @@ class TestTimelineAndMetrics:
 class TestTraceSummary:
     def test_reconstructs_per_round_critical_paths(self):
         tracer = Tracer("summary")
-        cluster("dp_ir", ClusterConfig(
-            executor="parallel", tracer=tracer, **RUN,
-        ))
+        cluster_run(executor="parallel", tracer=tracer, **RUN)
         summary = trace_summary(tracer.export())
         assert summary["spans"] == len(tracer)
         rounds = [r for r in summary["rounds"]
@@ -296,8 +290,8 @@ class TestObservabilityCli:
     def test_cluster_trace_and_metrics_flags(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.json"
         code = main([
-            "cluster", "--shards", "2", "--replicas", "1", "--n", "128",
-            "--requests", "16", "--seed", "3",
+            "run", "--scheme", "cluster_dp_ir", "--shards", "2",
+            "--replicas", "1", "--n", "128", "--ops", "16", "--seed", "3",
             "--trace", str(trace_path), "--metrics",
         ])
         assert code == 0

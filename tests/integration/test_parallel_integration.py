@@ -9,15 +9,13 @@ sibling legs, with ``fault_counters()`` totals matching the serial path
 
 import pytest
 
-from repro.cluster import ClusterConfig, cluster as cluster_pkg
+from cluster_run import cluster_run
 from repro.cluster.group import GroupExhaustedError
 from repro.cluster.scheme import ClusterIR
 from repro.crypto.rng import SeededRandomSource
 from repro.serving import ServingConfig, serve
 from repro.storage.blocks import integer_database
 from repro.storage.faults import FlakyServer, wrap_scheme_servers
-
-cluster = cluster_pkg  # the callable subpackage
 
 
 class TestFaultInjectionUnderParallelExecutor:
@@ -96,44 +94,46 @@ class TestWallClockAccountingEndToEnd:
     def test_cluster_run_overlaps_at_four_shards(self):
         speedups = []
         for shards in (4, 8):
-            reports = {
-                executor: cluster("dp_ir", ClusterConfig(
-                    shards=shards, replicas=1, n=256, pad_size=32,
+            runs = {
+                executor: cluster_run(
+                    shard_count=shards, replica_count=1, n=256, pad_size=32,
                     requests=32, seed=11, executor=executor, batch=8,
-                ))
+                )
                 for executor in ("serial", "parallel")
             }
-            serial, parallel = reports["serial"], reports["parallel"]
+            serial, parallel = runs["serial"], runs["parallel"]
             assert parallel.wall_clock_ms < serial.wall_clock_ms
             assert parallel.serial_ms == pytest.approx(serial.serial_ms)
-            assert parallel.overlap_speedup > 1.0
-            assert serial.overlap_speedup == pytest.approx(1.0)
-            # Executor-invariant witnesses.
-            assert parallel.ops_per_request == serial.ops_per_request
-            assert (
-                parallel.per_server_storage_blocks
-                == serial.per_server_storage_blocks
+            speedup = parallel.serial_ms / parallel.wall_clock_ms
+            assert speedup > 1.0
+            assert serial.serial_ms / serial.wall_clock_ms == (
+                pytest.approx(1.0)
             )
-            assert parallel.budget == serial.budget
+            # Executor-invariant witnesses.
+            assert parallel.server_operations == serial.server_operations
+            for key in ("per_server_storage_blocks", "budget"):
+                assert parallel.deployment[key] == serial.deployment[key]
             assert (parallel.errors, parallel.mismatches) == (
                 serial.errors, 0
             )
-            assert parallel.latency.p95_ms < serial.latency.p95_ms
-            speedups.append(parallel.overlap_speedup)
+            assert (
+                parallel.latency_summary.p95_ms < serial.latency_summary.p95_ms
+            )
+            speedups.append(speedup)
         # More legs per round, more to overlap.
         assert speedups[0] < speedups[1]
 
-    def test_cluster_report_surfaces_executor_fields(self):
-        report = cluster("dp_ir", ClusterConfig(
-            shards=2, replicas=1, n=64, pad_size=8, requests=8, seed=3,
-            executor="parallel", batch=4,
-        ))
-        assert report.executor == "parallel"
-        assert report.batch == 4
-        payload = report.to_dict()
-        assert payload["executor"] == "parallel"
+    def test_cluster_record_surfaces_executor_fields(self):
+        metrics = cluster_run(
+            shard_count=2, replica_count=1, n=64, pad_size=8, requests=8,
+            seed=3, executor="parallel", batch=4,
+        )
+        payload = metrics.to_dict()
+        assert payload["deployment"]["executor"] == "parallel"
         assert payload["wall_clock_ms"] <= payload["serial_ms"]
-        assert "overlap speedup" in report.to_text()
+        text = metrics.to_text()
+        assert "executor" in text and "parallel" in text
+        assert "wall-clock ms" in text
 
     def test_serving_report_shows_overlap_for_cluster_schemes(self):
         reports = {

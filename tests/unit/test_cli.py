@@ -60,7 +60,7 @@ class TestRunCommand:
                      "--ops", "20", "--n", "64", "--seed", "7",
                      "--backend", "network", "--network", "lan"]) == 0
         output = capsys.readouterr().out
-        assert "simulated network ms" in output
+        assert "serial ms" in output
         # Network-backed single-client runs report latency tails too.
         assert "latency p50 ms" in output
         assert "latency p99 ms" in output
@@ -115,6 +115,33 @@ class TestRunCommand:
                      "--workload", "readwrite", "--ops", "5",
                      "--seed", "1"]) == 2
         assert "read-only" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scheme, flags", [
+        ("cluster_dp_kvs", ["--epsilon", "2"]),
+        ("cluster_dp_kvs", ["--pad-size", "8"]),
+        ("cluster_dp_kvs", ["--alpha", "0.1"]),
+        ("cluster_dp_kvs", ["--no-auth"]),
+        ("cluster_dp_kvs", ["--placement", "hash"]),
+        ("dp_ram", ["--shards", "2"]),
+        ("dp_ram", ["--executor", "parallel"]),
+    ])
+    def test_a_flag_the_builder_does_not_take_is_a_usage_error(
+        self, capsys, scheme, flags
+    ):
+        # Never handed on to be ignored: the flag is named, exit 2.
+        assert main(["run", "--scheme", scheme, *flags, "--ops", "4",
+                     "--n", "64", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {flags[0]} does not apply to {scheme}\n"
+        )
+        assert captured.out == ""
+
+    def test_the_cluster_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["cluster"])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'cluster'" in capsys.readouterr().err
 
 
 class TestServeCommand:
@@ -189,30 +216,26 @@ class TestServeCommand:
         assert "no fan-out" in capsys.readouterr().err
 
 
-class TestClusterCommand:
+class TestClusterRun:
     def test_smoke(self, capsys):
-        assert main(["cluster", "--shards", "2", "--replicas", "1",
-                     "--n", "64", "--requests", "16", "--seed", "7"]) == 0
+        assert main(["run", "--scheme", "cluster_dp_ir", "--shards", "2",
+                     "--replicas", "1", "--n", "64", "--ops", "16",
+                     "--seed", "7"]) == 0
         output = capsys.readouterr().out
         assert "shard groups" in output
         assert "per-query epsilon" in output
 
-    def test_unknown_scheme_exits_nonzero_with_catalogue(self, capsys):
-        assert main(["cluster", "--scheme", "warp_drive"]) == 2
-        err = capsys.readouterr().err
-        assert "error:" in err
-        assert "registered schemes" in err
-
     def test_nan_epsilon_is_a_usage_error_naming_epsilon(self, capsys):
-        assert main(["cluster", "--epsilon", "nan", "--requests", "8"]) == 2
+        assert main(["run", "--scheme", "cluster_dp_ir", "--epsilon", "nan",
+                     "--ops", "8"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "epsilon" in err
 
     def test_exhausted_replicas_exit_1_not_the_usage_code(self, capsys):
         # Valid flags; every replica of a shard fails a put.
-        assert main(["cluster", "--scheme", "dp_kvs", "--shards", "2",
-                     "--replicas", "3", "--n", "128", "--requests", "64",
+        assert main(["run", "--scheme", "cluster_dp_kvs", "--shards", "2",
+                     "--replicas", "3", "--n", "128", "--ops", "64",
                      "--seed", "7", "--failure-rate", "0.05"]) == 1
         err = capsys.readouterr().err
         assert err == "error: shard 0: no live replicas left for put\n"
@@ -220,36 +243,24 @@ class TestClusterCommand:
     def test_a_garbled_node_exits_1_not_the_usage_code(self, capsys):
         # Valid flags; a corrupted replica's node decodes to a count its
         # node cannot hold, a CapacityError: the run failed.
-        assert main(["cluster", "--scheme", "dp_kvs", "--shards", "2",
-                     "--replicas", "3", "--n", "256", "--requests", "400",
+        assert main(["run", "--scheme", "cluster_dp_kvs", "--shards", "2",
+                     "--replicas", "3", "--n", "256", "--ops", "400",
                      "--seed", "7", "--corruption-rate", "0.05"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: count prefix")
         assert "exceeds node capacity" in err
 
-    def test_ram_scheme_rejected_cleanly(self, capsys):
-        assert main(["cluster", "--scheme", "dp_ram", "--n", "64",
-                     "--requests", "8", "--seed", "1"]) == 2
-        assert "IR or KVS" in capsys.readouterr().err
-
-    def test_list_shows_cluster_capable_bases(self, capsys):
-        assert main(["cluster", "--list"]) == 0
-        output = capsys.readouterr().out
-        assert "dp_ir" in output
-        assert "dp_ram" not in output.split()
-
     def test_parallel_executor_json_reports_overlap(self, capsys):
         import json
 
-        assert main(["cluster", "--shards", "4", "--replicas", "1",
-                     "--n", "128", "--requests", "32", "--seed", "7",
-                     "--pad-size", "16", "--executor", "parallel",
-                     "--batch", "8", "--json"]) == 0
+        assert main(["run", "--scheme", "cluster_dp_ir", "--shards", "4",
+                     "--replicas", "1", "--n", "128", "--ops", "32",
+                     "--seed", "7", "--pad-size", "16", "--executor",
+                     "parallel", "--batch", "8", "--network", "lan",
+                     "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["executor"] == "parallel"
-        assert payload["batch"] == 8
+        assert payload["deployment"]["executor"] == "parallel"
         assert payload["wall_clock_ms"] < payload["serial_ms"]
-        assert payload["overlap_speedup"] > 1.0
         assert payload["mismatches"] == 0
 
     def test_serial_and_parallel_runs_agree_on_everything_but_time(
@@ -259,14 +270,16 @@ class TestClusterCommand:
 
         payloads = {}
         for executor in ("serial", "parallel"):
-            assert main(["cluster", "--shards", "4", "--replicas", "1",
-                         "--n", "128", "--requests", "32", "--seed", "7",
-                         "--pad-size", "16", "--executor", executor,
-                         "--batch", "8", "--json"]) == 0
+            assert main(["run", "--scheme", "cluster_dp_ir", "--shards", "4",
+                         "--replicas", "1", "--n", "128", "--ops", "32",
+                         "--seed", "7", "--pad-size", "16", "--executor",
+                         executor, "--batch", "8", "--network", "lan",
+                         "--json"]) == 0
             payloads[executor] = json.loads(capsys.readouterr().out)
         serial, parallel = payloads["serial"], payloads["parallel"]
-        assert serial["ops_per_request"] == parallel["ops_per_request"]
-        assert serial["budget"] == parallel["budget"]
+        assert serial["server_operations"] == parallel["server_operations"]
+        assert (serial["deployment"]["budget"]
+                == parallel["deployment"]["budget"])
         assert serial["serial_ms"] == pytest.approx(parallel["serial_ms"])
         assert parallel["wall_clock_ms"] < serial["wall_clock_ms"]
 
@@ -498,11 +511,11 @@ class TestMonitorFlag:
     def test_cluster_monitor_reports_both_attacks(self, capsys):
         import json
 
-        assert main(["cluster", "--shards", "2", "--replicas", "1",
-                     "--n", "256", "--requests", "32", "--seed", "7",
-                     "--monitor", "--json"]) == 0
+        assert main(["run", "--scheme", "cluster_dp_ir", "--shards", "2",
+                     "--replicas", "1", "--n", "256", "--ops", "32",
+                     "--seed", "7", "--monitor", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["leakage_tripped"] is False
+        assert not any(entry["tripped"] for entry in payload["leakage"])
         attacks = {entry["attack"] for entry in payload["leakage"]}
         assert attacks == {"membership", "routing"}
 

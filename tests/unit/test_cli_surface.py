@@ -1,11 +1,11 @@
-"""Pins the ``run`` / ``serve`` / ``cluster`` / ``audit`` command-line surface.
+"""Pins the ``run`` / ``serve`` / ``audit`` command-line surface.
 
-Records, for each of the four commands, every option string with its
+Records, for each of the three commands, every option string with its
 choices, kind, type and default, and the usage line (which carries the
-metavars).  For ``serve`` / ``cluster`` / ``audit`` it also records the
-:class:`ServingConfig` / :class:`ClusterConfig` the command hands to its
-entry point, once with no flags and once with every flag given; ``run``
-builds no config, so its parsed namespace is recorded instead.
+metavars).  For ``serve`` it also records the :class:`ServingConfig` the
+command hands to ``serve()``, and for ``run`` / ``audit`` the scheme and
+keywords they hand to ``repro.api.build``, once with no flags and once
+with every flag given; ``run``'s parsed namespace is recorded too.
 """
 
 import argparse
@@ -13,7 +13,7 @@ import dataclasses
 
 import pytest
 
-import repro.cluster
+import repro.api
 import repro.serving
 from repro.__main__ import main
 from repro.obs import BudgetTimeline, MetricsRegistry, Tracer
@@ -76,17 +76,30 @@ def _plain(config):
 
 
 def _config(monkeypatch, argv):
-    """The (scheme, config) the command passes to serve() / cluster()."""
+    """The (scheme, config) the command passes to serve()."""
 
     def capture(scheme, config):
         raise _Stop(scheme, config)
 
     monkeypatch.setattr(repro.serving, "serve", capture)
-    monkeypatch.setattr(repro.cluster, "cluster", capture)
     with pytest.raises(_Stop) as stop:
         main(argv)
     scheme, config = stop.value.args
     return scheme, _plain(config)
+
+
+def _build_call(monkeypatch, argv):
+    """The (scheme, keywords) the command passes to repro.api.build, its
+    rng named by type."""
+
+    def capture(name, **kwargs):
+        raise _Stop(name, kwargs)
+
+    monkeypatch.setattr(repro.api, "build", capture)
+    with pytest.raises(_Stop) as stop:
+        main(argv)
+    name, kwargs = stop.value.args
+    return name, {**kwargs, "rng": type(kwargs["rng"]).__name__}
 
 
 OPTIONS = {
@@ -101,6 +114,21 @@ OPTIONS = {
         ("--write-fraction", None, None, "float", 0.5),
         ("--backend", ("memory", "network"), None, None, None),
         ("--network", ("lan", "wan", "mobile"), None, None, None),
+        ("--shards", None, None, "int", argparse.SUPPRESS),
+        ("--replicas", None, None, "int", argparse.SUPPRESS),
+        ("--placement", ("range", "hash"), None, None, argparse.SUPPRESS),
+        ("--epsilon", None, None, "float", argparse.SUPPRESS),
+        ("--pad-size", None, None, "int", argparse.SUPPRESS),
+        ("--alpha", None, None, "float", argparse.SUPPRESS),
+        ("--no-auth", None, "switch", None, None),
+        ("--failure-rate", None, None, "float", argparse.SUPPRESS),
+        ("--corruption-rate", None, None, "float", argparse.SUPPRESS),
+        ("--fault-coins", ("per_slot", "per_round"), None, None,
+         argparse.SUPPRESS),
+        ("--executor", ("serial", "parallel"), None, None, argparse.SUPPRESS),
+        ("--batch", None, None, "int", 1),
+        ("--monitor", None, "switch", None, None),
+        ("--json", None, "switch", None, None),
         ("--list", None, "switch", None, None),
         ("--trace", None, None, None, None),
         ("--metrics", None, "?", None, False),
@@ -126,53 +154,24 @@ OPTIONS = {
         ("--network", ("lan", "wan", "mobile"), None, None, "lan"),
         ("--backend", ("memory", "network"), None, None, None),
         ("--value-size", None, None, "int", 32),
-        ("--executor", ("serial", "parallel"), None, None, None),
+        ("--executor", ("serial", "parallel"), None, None, argparse.SUPPRESS),
         ("--monitor", None, "switch", None, None),
         ("--json", None, "switch", None, None),
-        ("--trace", None, None, None, None),
-        ("--metrics", None, "?", None, False),
-    ],
-    "cluster": [
-        ("-h --help", None, "switch", None, None),
-        ("--scheme", None, None, None, "dp_ir"),
-        ("--shards", None, None, "int", 4),
-        ("--replicas", None, None, "int", 2),
-        ("--n", None, None, "int", 1024),
-        ("--requests", None, None, "int", 256),
-        ("--workload", None, None, None, "uniform"),
-        ("--placement", ("range", "hash"), None, None, "range"),
-        ("--epsilon", None, None, "float", None),
-        ("--pad-size", None, None, "int", None),
-        ("--alpha", None, None, "float", 0.05),
-        ("--no-auth", None, "switch", None, None),
-        ("--failure-rate", None, None, "float", 0.0),
-        ("--corruption-rate", None, None, "float", 0.0),
-        ("--value-size", None, None, "int", 32),
-        ("--seed", None, None, "int", None),
-        ("--network", ("lan", "wan", "mobile"), None, None, "lan"),
-        ("--backend", ("memory", "network"), None, None, None),
-        ("--executor", ("serial", "parallel"), None, None, "serial"),
-        ("--batch", None, None, "int", 1),
-        ("--fault-coins", ("per_slot", "per_round"), None, None,
-         "per_slot"),
-        ("--monitor", None, "switch", None, None),
-        ("--json", None, "switch", None, None),
-        ("--list", None, "switch", None, None),
         ("--trace", None, None, None, None),
         ("--metrics", None, "?", None, False),
     ],
     "audit": [
         ("-h --help", None, "switch", None, None),
-        ("--scheme", None, None, None, "dp_ir"),
+        ("--scheme", None, None, None, "cluster_dp_ir"),
         ("--shards", None, None, "int", 4),
         ("--replicas", None, None, "int", 1),
         ("--n", None, None, "int", 1024),
         ("--requests", None, None, "int", 64),
         ("--workload", None, None, None, "uniform"),
-        ("--epsilon", None, None, "float", None),
-        ("--pad-size", None, None, "int", None),
+        ("--epsilon", None, None, "float", argparse.SUPPRESS),
+        ("--pad-size", None, None, "int", argparse.SUPPRESS),
         ("--seed", None, None, "int", None),
-        ("--executor", ("serial", "parallel"), None, None, "serial"),
+        ("--executor", ("serial", "parallel"), None, None, argparse.SUPPRESS),
         ("--batch", None, None, "int", 1),
         ("--cap", None, None, None, None),
         ("--timeline", None, "switch", None, None),
@@ -193,7 +192,14 @@ USAGE = {
         "[--workload WORKLOAD] [--n N] [--ops OPS] [--seed SEED] "
         "[--value-size VALUE_SIZE] [--write-fraction WRITE_FRACTION] "
         "[--backend {memory,network}] [--network {lan,wan,mobile}] "
-        "[--list] [--trace PATH] [--metrics [PATH]]"
+        "[--shards SHARDS] [--replicas REPLICAS] "
+        "[--placement {range,hash}] [--epsilon EPSILON] "
+        "[--pad-size PAD_SIZE] [--alpha ALPHA] [--no-auth] "
+        "[--failure-rate FAILURE_RATE] "
+        "[--corruption-rate CORRUPTION_RATE] "
+        "[--fault-coins {per_slot,per_round}] "
+        "[--executor {serial,parallel}] [--batch BATCH] [--monitor] "
+        "[--json] [--list] [--trace PATH] [--metrics [PATH]]"
     ),
     "serve": (
         "usage: python -m repro serve [-h] [--scheme SCHEME] "
@@ -208,20 +214,6 @@ USAGE = {
         "[--value-size VALUE_SIZE] "
         "[--executor {serial,parallel}] [--monitor] [--json] "
         "[--trace PATH] [--metrics [PATH]]"
-    ),
-    "cluster": (
-        "usage: python -m repro cluster [-h] [--scheme SCHEME] "
-        "[--shards SHARDS] [--replicas REPLICAS] [--n N] "
-        "[--requests REQUESTS] [--workload WORKLOAD] "
-        "[--placement {range,hash}] [--epsilon EPSILON] "
-        "[--pad-size PAD_SIZE] [--alpha ALPHA] [--no-auth] "
-        "[--failure-rate FAILURE_RATE] "
-        "[--corruption-rate CORRUPTION_RATE] [--value-size VALUE_SIZE] "
-        "[--seed SEED] [--network {lan,wan,mobile}] "
-        "[--backend {memory,network}] "
-        "[--executor {serial,parallel}] [--batch BATCH] "
-        "[--fault-coins {per_slot,per_round}] [--monitor] [--json] "
-        "[--list] [--trace PATH] [--metrics [PATH]]"
     ),
     "audit": (
         "usage: python -m repro audit [-h] [--scheme SCHEME] "
@@ -252,8 +244,22 @@ def test_usage_line_is_pinned(subcommands, monkeypatch, command):
 RUN_DEFAULTS = {
     "scheme": "dp_ram", "workload": "uniform", "n": 1024, "ops": 200,
     "seed": None, "value_size": 32, "write_fraction": 0.5,
-    "backend": None, "network": None, "list": False, "trace": None,
-    "metrics": False,
+    "backend": None, "network": None, "batch": 1, "monitor": False,
+    "json": False, "list": False, "trace": None, "metrics": False,
+}
+
+#: Every builder flag, given: the keywords ``cluster_dp_ir`` takes.
+BUILDER_FLAGS = [
+    "--shards", "2", "--replicas", "3", "--placement", "hash",
+    "--epsilon", "4.5", "--pad-size", "12", "--alpha", "0.1", "--no-auth",
+    "--failure-rate", "0.1", "--corruption-rate", "0.05",
+    "--fault-coins", "per_round", "--executor", "parallel",
+]
+BUILDER_KEYWORDS = {
+    "shard_count": 2, "replica_count": 3, "placement": "hash",
+    "epsilon": 4.5, "pad_size": 12, "alpha": 0.1, "authenticated": False,
+    "failure_rate": 0.1, "corruption_rate": 0.05,
+    "fault_coin_mode": "per_round", "executor": "parallel",
 }
 
 
@@ -268,17 +274,42 @@ def test_run_namespace_with_no_flags(subcommands):
 
 
 def test_run_namespace_with_every_flag(subcommands):
-    argv = ["--scheme", "dp_kvs", "--workload", "ycsb-a", "--n", "64",
+    argv = ["--scheme", "cluster_dp_ir", "--workload", "zipf", "--n", "64",
             "--ops", "10", "--seed", "3", "--value-size", "48",
             "--write-fraction", "0.3", "--backend", "network",
-            "--network", "wan", "--list", "--trace", "t.json",
+            "--network", "wan", *BUILDER_FLAGS, "--batch", "4",
+            "--monitor", "--json", "--list", "--trace", "t.json",
             "--metrics", "m.json"]
     assert _run_namespace(subcommands["run"], argv) == {
-        "scheme": "dp_kvs", "workload": "ycsb-a", "n": 64, "ops": 10,
+        "scheme": "cluster_dp_ir", "workload": "zipf", "n": 64, "ops": 10,
         "seed": 3, "value_size": 48, "write_fraction": 0.3,
-        "backend": "network", "network": "wan", "list": True,
+        "backend": "network", "network": "wan", **BUILDER_KEYWORDS,
+        "batch": 4, "monitor": True, "json": True, "list": True,
         "trace": "t.json", "metrics": "m.json",
     }
+
+
+class TestRunBuild:
+    def test_no_flags(self, monkeypatch):
+        assert _build_call(monkeypatch, ["run"]) == ("dp_ram", {
+            "n": 1024, "rng": "SystemRandomSource", "backend": None,
+        })
+
+    def test_every_flag(self, monkeypatch):
+        argv = ["run", "--scheme", "cluster_dp_ir", "--n", "64",
+                "--seed", "3", "--backend", "network", "--network", "wan",
+                *BUILDER_FLAGS]
+        assert _build_call(monkeypatch, argv) == ("cluster_dp_ir", {
+            "n": 64, "rng": "SeededRandomSource", "backend": "network",
+            "network": "wan", **BUILDER_KEYWORDS,
+        })
+
+    def test_a_kvs_build_gets_the_value_size(self, monkeypatch):
+        argv = ["run", "--scheme", "cluster-dpkvs", "--value-size", "48"]
+        assert _build_call(monkeypatch, argv) == ("cluster_dp_kvs", {
+            "n": 1024, "rng": "SystemRandomSource", "backend": None,
+            "value_size": 48,
+        })
 
 
 SERVING_DEFAULTS = {
@@ -290,19 +321,6 @@ SERVING_DEFAULTS = {
     "write_fraction": 0.25, "executor": None, "tracer": None,
     "metrics_registry": None, "monitor": False, "build_kwargs": {},
 }
-
-CLUSTER_DEFAULTS = {
-    "shards": 4, "replicas": 2, "n": 1024, "requests": 256,
-    "workload": "uniform", "placement": "range", "epsilon": None,
-    "pad_size": None, "alpha": 0.05, "authenticated": True,
-    "failure_rate": 0.0, "corruption_rate": 0.0, "block_size": 64,
-    "value_size": 32, "seed": None, "network": "lan", "backend": None,
-    "executor": "serial", "batch": 1, "percentiles": (0.5, 0.95, 0.99, 0.999),
-    "tracer": None, "metrics_registry": None, "timeline": None,
-    "fault_coin_mode": "per_slot", "monitor": False, "base_kwargs": {},
-}
-
-
 class TestServeConfig:
     def test_no_flags(self, monkeypatch):
         assert _config(monkeypatch, ["serve"]) == ("dp_ir", SERVING_DEFAULTS)
@@ -331,46 +349,15 @@ class TestServeConfig:
         })
 
 
-class TestClusterConfig:
+class TestAuditBuild:
     def test_no_flags(self, monkeypatch):
-        assert _config(monkeypatch, ["cluster"]) == (
-            "dp_ir", CLUSTER_DEFAULTS
-        )
-
-    def test_every_flag(self, monkeypatch, tmp_path):
-        argv = ["cluster", "--scheme", "dp_kvs", "--shards", "2",
-                "--replicas", "3", "--n", "128", "--requests", "16",
-                "--workload", "ycsb-a", "--placement", "hash",
-                "--epsilon", "4.5", "--pad-size", "12", "--alpha", "0.1",
-                "--no-auth", "--failure-rate", "0.1",
-                "--corruption-rate", "0.05", "--value-size", "48",
-                "--seed", "5", "--network", "mobile",
-                "--backend", "network", "--executor", "parallel",
-                "--batch", "4", "--fault-coins", "per_round", "--monitor",
-                "--json", "--trace", str(tmp_path / "t.json"),
-                "--metrics", str(tmp_path / "m.json")]
-        assert _config(monkeypatch, argv) == ("dp_kvs", {
-            **CLUSTER_DEFAULTS,
-            "shards": 2, "replicas": 3, "n": 128, "requests": 16,
-            "workload": "ycsb-a", "placement": "hash", "epsilon": 4.5,
-            "pad_size": 12, "alpha": 0.1, "authenticated": False,
-            "failure_rate": 0.1, "corruption_rate": 0.05,
-            "value_size": 48, "seed": 5, "network": "mobile",
-            "backend": "network", "executor": "parallel", "batch": 4,
-            "fault_coin_mode": "per_round", "monitor": True,
-            "tracer": "Tracer", "metrics_registry": "MetricsRegistry",
-        })
-
-
-class TestAuditConfig:
-    def test_no_flags(self, monkeypatch):
-        assert _config(monkeypatch, ["audit"]) == ("dp_ir", {
-            **CLUSTER_DEFAULTS, "replicas": 1, "requests": 64,
-            "timeline": ("BudgetTimeline", "None"),
+        assert _build_call(monkeypatch, ["audit"]) == ("cluster_dp_ir", {
+            "n": 1024, "rng": "SystemRandomSource", "backend": None,
+            "shard_count": 4, "replica_count": 1,
         })
 
     def test_every_flag(self, monkeypatch):
-        argv = ["audit", "--scheme", "dp_kvs", "--shards", "2",
+        argv = ["audit", "--scheme", "cluster_batch_dp_ir", "--shards", "2",
                 "--replicas", "2", "--n", "128", "--requests", "16",
                 "--workload", "zipf", "--epsilon", "4.5",
                 "--pad-size", "12", "--seed", "5",
@@ -379,10 +366,8 @@ class TestAuditConfig:
                 "--slo-horizon", "100", "--slo-fast-window", "5",
                 "--slo-slow-window", "20", "--slo-fast-burn", "10",
                 "--slo-slow-burn", "3", "--json"]
-        assert _config(monkeypatch, argv) == ("dp_kvs", {
-            **CLUSTER_DEFAULTS,
-            "shards": 2, "replicas": 2, "n": 128, "requests": 16,
-            "workload": "zipf", "epsilon": 4.5, "pad_size": 12, "seed": 5,
-            "executor": "parallel", "batch": 4,
-            "timeline": ("BudgetTimeline", "7/3"),
+        assert _build_call(monkeypatch, argv) == ("cluster_batch_dp_ir", {
+            "n": 128, "rng": "SeededRandomSource", "backend": None,
+            "shard_count": 2, "replica_count": 2, "epsilon": 4.5,
+            "pad_size": 12, "executor": "parallel",
         })

@@ -10,13 +10,12 @@ import pytest
 from repro.analysis.ledger import BudgetExceededError
 from repro.cluster.group import GroupExhaustedError, ShardGroup
 from repro.cluster.ledger import ClusterLedger
-from repro.cluster.report import jain_index
 from repro.cluster.router import (
     HashRouter,
     RangeRouter,
     make_router,
 )
-from repro.cluster.scheme import ClusterIR, ClusterKVS
+from repro.cluster.scheme import ClusterIR, ClusterKVS, jain_index
 from repro.core.dp_ir import DPIR
 from repro.core.dp_kvs import DPKVS
 from repro.crypto.rng import SeededRandomSource

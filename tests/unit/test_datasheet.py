@@ -50,6 +50,14 @@ class TestDatasheetBuilders:
         assert sheet.scheme == "BatchDPIR"
         assert sheet.epsilon_kind == "exact"
 
+    @pytest.mark.parametrize("name", repro.available_schemes())
+    def test_only_a_cluster_states_its_epsilon_per_operator(self, name):
+        # A network observer sees which shard a query goes to, so a
+        # cluster's ε holds per shard operator, not for the deployment.
+        kind = repro.build(name, n=N, seed=7).datasheet().epsilon_kind
+        assert kind.endswith(", per operator") == name.startswith("cluster_")
+        assert kind.split(", ")[0] in ("exact", "upper bound", "perfect")
+
     def test_strawman_shows_broken_delta(self, rng, db):
         sheet = datasheet_for(StrawmanIR(db, rng=rng))
         assert sheet.delta == pytest.approx(1 - 1 / N)

@@ -1,15 +1,12 @@
 """Tests for the redesigned config/scheduler API surface.
 
-Covers the frozen :class:`ServingConfig` / :class:`ClusterConfig`
-dataclasses, the named scheduler settings, and that ``serve()`` /
-``cluster()`` take the config and no keywords.
+Covers the frozen :class:`ServingConfig` dataclass, the named scheduler
+settings, and that ``serve()`` takes the config and no keywords.
 """
 
 import pytest
 
 import repro
-from repro.cluster.config import ClusterConfig
-from repro.cluster.service import cluster
 from repro.serving import (
     ContinuousBatchScheduler,
     RequestScheduler,
@@ -56,17 +53,6 @@ class TestServingConfig:
             ServingConfig(**bad)
 
 
-class TestClusterConfig:
-    def test_frozen_with_validated_counts(self):
-        config = ClusterConfig()
-        with pytest.raises(AttributeError):
-            config.shards = 2
-        with pytest.raises(ValueError):
-            ClusterConfig(requests=0)
-        with pytest.raises(ValueError):
-            ClusterConfig(batch=0)
-
-
 class TestKeywordsAreRejected:
     """The config is the only calling convention: the keyword shim (and
     its DeprecationWarning) is gone, so a keyword is a plain TypeError."""
@@ -75,10 +61,7 @@ class TestKeywordsAreRejected:
         (serve, {"clients": 2}),
         (serve, {"config": ServingConfig()}),
         (serve, {"bogus_knob": 1}),
-        (cluster, {"shards": 2}),
-        (cluster, {"config": ClusterConfig()}),
-    ], ids=["serve-field", "serve-config", "serve-unknown",
-            "cluster-field", "cluster-config"])
+    ], ids=["serve-field", "serve-config", "serve-unknown"])
     def test_entry_points_take_no_keywords(self, entry_point, keywords):
         with pytest.raises(TypeError):
             entry_point("dp_ir", **keywords)

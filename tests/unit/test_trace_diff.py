@@ -133,12 +133,11 @@ class TestDiffRealRuns:
     """The determinism contract, end to end on real cluster runs."""
 
     def _trace(self, seed):
-        from repro.cluster import ClusterConfig, cluster
+        from cluster_run import cluster_run
 
         tracer = Tracer("cluster")
-        cluster("dp_ir", ClusterConfig(
-            shards=2, replicas=1, n=128, requests=32, seed=seed, tracer=tracer,
-        ))
+        cluster_run(shard_count=2, replica_count=1, n=128, requests=32,
+                    seed=seed, tracer=tracer)
         return canonical_trace(tracer.export())
 
     def test_same_seed_reruns_diff_clean(self):
