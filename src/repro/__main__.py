@@ -62,7 +62,8 @@ def _closed_loop(args: argparse.Namespace, tracer=None, registry=None,
     One root draws every coin: ``cluster`` builds the scheme, ``trace``
     the workload and ``monitor`` the leakage monitors.  A builder flag
     (:data:`_BUILDER_FLAGS`) reaches the builder only when given, and a
-    builder that does not take it is a usage error naming the flag.
+    builder that does not take it is a usage error naming the flag, as
+    ``--write-fraction`` is anywhere but a RAM scheme's ``readwrite``.
     Returns the run's :class:`~repro.simulation.metrics.RunMetrics`.
     """
     import inspect
@@ -91,8 +92,12 @@ def _closed_loop(args: argparse.Namespace, tracer=None, registry=None,
             build_kwargs[keyword] = given[keyword]
     if given.get("network") is not None:
         build_kwargs["network"] = args.network
-    if spec.kind == "kvs" and "value_size" in given:
-        build_kwargs["value_size"] = args.value_size
+    if "write_fraction" in given and (
+        spec.kind == "kvs" or args.workload != "readwrite"
+    ):
+        raise ValueError(
+            "--write-fraction applies only to a RAM scheme's readwrite workload"
+        )
     scheme = build(spec.name, **build_kwargs)
     catalogue.check_workload(args.workload, spec.kind, args.scheme,
                              getattr(scheme, "writable", True))
@@ -104,7 +109,7 @@ def _closed_loop(args: argparse.Namespace, tracer=None, registry=None,
     else:
         trace = catalogue.index_trace(
             args.workload, args.n, args.ops, root.spawn("trace"),
-            write_fraction=given.get("write_fraction", 0.5),
+            write_fraction=given.get("write_fraction", _WRITE_FRACTION),
         )
         # The builders load integer_database(n) by default, so the same
         # database doubles as the correctness reference.
@@ -403,6 +408,10 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The ``readwrite`` workload's write share when ``--write-fraction`` is
+#: not given; given, the flag applies to that workload alone.
+_WRITE_FRACTION = 0.5
+
 # Every run / serve / audit flag, declared once.  A serve flag's dest is
 # the ServingConfig field it sets; a builder flag's is the builder keyword
 # it sets, and it is absent (SUPPRESS) unless given or a command gives it
@@ -417,9 +426,11 @@ _FLAGS: dict[str, dict] = {
     "--n": dict(type=int, help="database size / key capacity"),
     "--ops": dict(type=int, default=200, help="operations to run"),
     "--seed": dict(type=int, help="deterministic randomness seed"),
-    "--value-size": dict(type=int, help="KVS value size in bytes"),
-    "--write-fraction": dict(type=float, default=0.5,
-                             help="write fraction for the readwrite workload"),
+    "--value-size": dict(dest="value_size", type=int,
+                         help="KVS value size in bytes"),
+    "--write-fraction": dict(type=float, default=argparse.SUPPRESS,
+                             help="write fraction for the readwrite workload "
+                             f"(unset: {_WRITE_FRACTION})"),
     "--backend": dict(choices=("memory", "network"),
                       help="slot-storage backend (None: the scheme's own, "
                       "memory)"),
@@ -515,7 +526,7 @@ _FLAGS: dict[str, dict] = {
 _BUILDER_FLAGS = (
     "--shards", "--replicas", "--placement", "--epsilon", "--pad-size",
     "--alpha", "--no-auth", "--failure-rate", "--corruption-rate",
-    "--fault-coins", "--executor",
+    "--fault-coins", "--executor", "--value-size",
 )
 
 
@@ -566,7 +577,8 @@ def main(argv: list[str] | None = None) -> int:
         "--pad-size --alpha --no-auth --failure-rate --corruption-rate "
         "--fault-coins --executor --batch --monitor --json --list --trace "
         "--metrics",
-        {"--scheme": dict(default="dp_ram"), "--network": dict(default=None)},
+        {"--scheme": dict(default="dp_ram"), "--network": dict(default=None),
+         "--value-size": dict(default=argparse.SUPPRESS)},
     )
     _add_command(
         commands, "serve", _cmd_serve,

@@ -33,7 +33,9 @@ an all-ones index marking dummies.  Carrying the leaf tag inside the
 block makes blocks self-describing: eviction never consults the position
 map, so the map can be externalized — which is exactly what
 :class:`~repro.baselines.recursive_oram.RecursivePathORAM` does by
-plugging a recursive resolver into ``position_resolver``.
+plugging a recursive resolver into ``position_resolver``.  A stash entry
+keeps its block's slot sealed, ``(tag, slot)``: an unchanged block goes back
+as the bytes it came in, and an access encodes one header, its block's.
 
 Eviction rule.  Write-back fills the accessed path from the leaf up;
 each node takes the first ``Z`` stash blocks, in stash (insertion)
@@ -45,7 +47,8 @@ its own rank plus whatever the levels below could not hold.  That is
 choice-for-choice the greedy scan — rescan the stash per node, walk
 leaf-to-root per block — at ``O(Z·(L+1) + |stash|)`` instead of
 ``O(L²·|stash|)`` per access; the scan survives as the oracle in
-``tests/property/test_prop_schemes.py``.
+``tests/property/test_prop_schemes.py``.  The path moves in whole nodes,
+runs of ``Z`` slot ids; the read skips a node of dummies in one compare.
 
 (Encryption is orthogonal to the bandwidth accounting these experiments
 need and is omitted for speed; a real deployment would wrap slots with
@@ -55,6 +58,7 @@ need and is omitted for speed; a real deployment would wrap slots with
 from __future__ import annotations
 
 import struct
+from itertools import chain
 from typing import Callable, Sequence
 
 from repro.analysis.datasheet import PrivacyDatasheet
@@ -114,6 +118,11 @@ class PathORAM(PrivateRAM):
         self._height = max(1, (self._n - 1).bit_length())  # L
         self._leaves = 1 << self._height
         self._nodes = 2 * self._leaves - 1
+        # Per level, root first: its first heap id and a leaf's shift.
+        self._path_levels = [
+            ((1 << level) - 1, self._height - level)
+            for level in range(self._height + 1)
+        ]
         slot_count = self._nodes * self._z
         self._link = HeldRequest(
             StorageServer(
@@ -130,7 +139,7 @@ class PathORAM(PrivateRAM):
             initial_positions if position_resolver is None else None
         )
         self._resolver = position_resolver
-        # stash: index -> (current leaf, payload)
+        # stash: index -> (current leaf, sealed slot: header || payload)
         self._stash: dict[int, tuple[int, bytes]] = {}
         self._stash_peak = 0
         self._queries = 0
@@ -296,9 +305,11 @@ class PathORAM(PrivateRAM):
         # path, less its top nodes that the held write-back's path shares
         # (the root at least) while they are still unsent — those the
         # client has, so they are neither uploaded nor downloaded.
-        z = self._z
-        height = self._height
-        path = self._path_nodes(leaf)
+        z, height = self._z, self._height
+        node_slots = [  # each path node's Z slot ids, root first
+            range(first := (base + (leaf >> shift)) * z, first + z)
+            for base, shift in self._path_levels
+        ]
         link = self._link
         shared = min(
             link.blocks,
@@ -306,40 +317,38 @@ class PathORAM(PrivateRAM):
         )
         query = self._queries
         fetched = link.send(
-            query,
-            [
-                slot for node in path[shared // z :]
-                for slot in range(node * z, node * z + z)
-            ],
-            shared,
+            query, list(chain.from_iterable(node_slots[shared // z :])), shared
         )
 
-        # Read the path into a copy of the stash (blocks carry their own
-        # tag), root first; the copy becomes the stash when the access
-        # commits.  The write-back lists its nodes leaf-up, so the shared
-        # ones are its tail, and each of its empty slots is the one dummy.
+        # Read the path into a copy of the stash, root first (the held
+        # write-back lists its nodes leaf-up, so the shared ones are its
+        # tail), skipping a node of dummies in one compare; the copy
+        # becomes the stash when the access commits.
         stash = dict(self._stash)
         dummy = self._dummy_slot
+        dummies = [dummy] * z
         if shared:
             items = link.held[1]
-            top = len(items)
-            for end in range(top, top - shared, -z):
+            for end in range(len(items), len(items) - shared, -z):
                 for _, raw in items[end - z : end]:
                     if raw is not dummy:
                         stored_index, tag = _HEADER.unpack_from(raw)
-                        stash[stored_index] = (tag, raw[_HEADER.size :])
-        for raw in fetched:
-            if raw != dummy:
-                stored_index, tag = _HEADER.unpack_from(raw)
-                if stored_index != _DUMMY:
-                    stash[stored_index] = (tag, raw[_HEADER.size :])
+                        stash[stored_index] = (tag, raw)
+        for start in range(0, len(fetched), z):
+            node = fetched[start : start + z]
+            if node != dummies:
+                for raw in node:
+                    if raw != dummy:
+                        stored_index, tag = _HEADER.unpack_from(raw)
+                        if stored_index != _DUMMY:
+                            stash[stored_index] = (tag, raw)
         peak = max(self._stash_peak, len(stash))
 
         if index not in stash:
             raise RetrievalError(
                 f"block {index} missing from path and stash (corrupt state)"
             )
-        result = stash[index][1]
+        result = stash[index][1][_HEADER.size :]
         # The path now lives only in the stash, so the write-back below
         # must be built; a transform that raises or returns a wrong-sized
         # value finishes the access as a plain read and is reported after.
@@ -350,36 +359,36 @@ class PathORAM(PrivateRAM):
             except Exception as error:
                 failure = error
                 new_value = None
-        stash[index] = (new_leaf, result if new_value is None else new_value)
+        # The accessed block is the one slot sealed anew, under its new leaf.
+        value = result if new_value is None else new_value
+        stash[index] = (new_leaf, _HEADER.pack(index, new_leaf) + value)
 
         # Build the path's write-back, to be held for the next request.
         # Eviction is client-side (it consumes stash state, never server
-        # answers): rank every stash entry once by the deepest level its
-        # tagged path shares with this one, then fill the path leaf-up,
-        # each level taking the first Z of its own entries plus those the
-        # levels below could not hold — in stash order, kept by sorting
-        # ranks.
+        # answers): rank every stash entry once by its rise, how far above
+        # the leaf its tagged path leaves this one, then fill the path
+        # leaf-up, each level taking the first Z of its own entries plus
+        # those the levels below could not hold — in stash order, kept by
+        # sorting ranks (a level with neither is skipped).  ``blocks`` is
+        # the write-back's slots, leaf-up: a placed entry's sealed slot
+        # goes back as it is, the rest stay dummies.
         entries = list(stash.items())
-        by_depth: list[list[int]] = [[] for _ in range(height + 1)]
+        by_rise: list[list[int]] = [[] for _ in range(height + 1)]
         for rank, (_, (tag, _)) in enumerate(entries):
-            by_depth[height - (tag ^ leaf).bit_length()].append(rank)
-        uploads: list[tuple[int, bytes]] = []
+            by_rise[(tag ^ leaf).bit_length()].append(rank)
+        blocks = [dummy] * (z * (height + 1))
         carry: list[int] = []
-        for level in range(height, -1, -1):
-            eligible = by_depth[level]
+        for rise, eligible in enumerate(by_rise):
             if carry:
                 eligible = sorted(carry + eligible)
+            elif not eligible:
+                continue
             carry = eligible[z:]
-            placed = eligible[:z]
-            first = path[level] * z
-            for slot, rank in enumerate(placed, first):
-                stored_index, (tag, payload) = entries[rank]
+            for slot, rank in enumerate(eligible[:z], rise * z):
+                stored_index, (_, raw) = entries[rank]
                 del stash[stored_index]
-                uploads.append(
-                    (slot, _HEADER.pack(stored_index, tag) + payload)
-                )
-            for slot in range(first + len(placed), first + z):
-                uploads.append((slot, dummy))
+                blocks[slot] = raw
+        uploads = list(zip(chain.from_iterable(reversed(node_slots)), blocks))
 
         def commit() -> None:
             self._stash = stash
@@ -391,14 +400,6 @@ class PathORAM(PrivateRAM):
             link.hold(query, uploads)
 
         return commit, result, failure
-
-    def _path_nodes(self, leaf: int) -> list[int]:
-        """Heap node ids (0-based) from the root down to ``leaf``."""
-        height = self._height
-        return [
-            (1 << level) - 1 + (leaf >> (height - level))
-            for level in range(height + 1)
-        ]
 
     def _offline_load(
         self, blocks: Sequence[bytes], positions: list[int]
@@ -412,15 +413,14 @@ class PathORAM(PrivateRAM):
         spilled: dict[int, tuple[int, bytes]] = {}
         for index, block in enumerate(blocks):
             leaf = positions[index]
+            raw = _HEADER.pack(index, leaf) + bytes(block)
             node = self._leaves - 1 + leaf
             while fill[node] == z and node:
                 node = (node - 1) // 2
             if fill[node] == z:  # the whole path is full
-                spilled[index] = (leaf, bytes(block))
+                spilled[index] = (leaf, raw)
             else:
-                slots[node * z + fill[node]] = (
-                    _HEADER.pack(index, leaf) + bytes(block)
-                )
+                slots[node * z + fill[node]] = raw
                 fill[node] += 1
         self._link.server.load(slots)
         self._stash.update(spilled)

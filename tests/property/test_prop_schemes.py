@@ -8,6 +8,7 @@ DP-RAM, Path ORAM, BucketDPRAM and DP-KVS, comparing against plain dicts.
 import dataclasses
 import hashlib
 import random
+import struct
 import types
 from typing import Mapping
 from unittest import mock
@@ -653,6 +654,7 @@ class TestPathORAMModel:
 _DUMMY = (1 << 64) - 1
 _INDEX_BYTES = 8
 _LEAF_BYTES = 4
+_HEADER = struct.Struct(">QI")
 
 
 class GreedyScanPathORAM(PathORAM):
@@ -662,7 +664,34 @@ class GreedyScanPathORAM(PathORAM):
     stash once per path node (``_evict_into``), walking leaf-to-root per
     entry (``_node_on_path``), and every slot goes through the
     byte-slicing codec.  ``PathORAM`` must reproduce its every choice.
+    Its stash holds ``(tag, payload)``, as ``PathORAM``'s did before that
+    kept each block's sealed slot, so it loads with its own copy of that
+    ``_offline_load``.
     """
+
+    def _offline_load(self, blocks, positions):
+        """Place the initial database directly (setup is public; these
+        writes do not count toward query costs)."""
+        self._initial_positions = list(positions)
+        z = self._z
+        slots = [self._dummy_slot] * (self._nodes * z)
+        fill = [0] * self._nodes  # occupied slots per node
+        spilled: dict[int, tuple[int, bytes]] = {}
+        for index, block in enumerate(blocks):
+            leaf = positions[index]
+            node = self._leaves - 1 + leaf
+            while fill[node] == z and node:
+                node = (node - 1) // 2
+            if fill[node] == z:  # the whole path is full
+                spilled[index] = (leaf, bytes(block))
+            else:
+                slots[node * z + fill[node]] = (
+                    _HEADER.pack(index, leaf) + bytes(block)
+                )
+                fill[node] += 1
+        self._link.server.load(slots)
+        self._stash.update(spilled)
+        self._stash_peak = len(self._stash)
 
     def _access(self, index, new_value, transform=None):
         if not 0 <= index < self._n:
@@ -766,6 +795,21 @@ class GreedyScanPathORAM(PathORAM):
         return index, tag, slot[_INDEX_BYTES + _LEAF_BYTES :]
 
 
+def _stash_entries(oram) -> list[tuple[int, int, bytes]]:
+    """An ORAM's stash as ``(index, tag, payload)``, in stash order.
+
+    ``PathORAM`` keeps each block's sealed slot, whose own header must
+    name the entry's index and tag; the oracle keeps the bare payload.
+    """
+    entries = []
+    for index, (tag, block) in oram._stash.items():
+        if not isinstance(oram, GreedyScanPathORAM):
+            assert _HEADER.unpack_from(block) == (index, tag)
+            block = block[_HEADER.size :]
+        entries.append((index, tag, block))
+    return entries
+
+
 def _server_image(scheme) -> list[bytes]:
     return [
         server.peek(slot)
@@ -801,7 +845,7 @@ class TestPathORAMPlacementIdentity:
                 greedy.write(index, encode_int(10**6 + step))
             else:
                 assert oram.read(index) == greedy.read(index)
-            assert list(oram._stash.items()) == list(greedy._stash.items())
+            assert _stash_entries(oram) == _stash_entries(greedy)
         oram.flush()  # the oracle writes back inside the access
         assert _server_image(oram) == _server_image(greedy)
         assert oram.stash_peak == greedy.stash_peak

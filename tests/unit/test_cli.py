@@ -124,6 +124,8 @@ class TestRunCommand:
         ("cluster_dp_kvs", ["--placement", "hash"]),
         ("dp_ram", ["--shards", "2"]),
         ("dp_ram", ["--executor", "parallel"]),
+        ("dp_ram", ["--value-size", "8"]),
+        ("path_oram", ["--value-size", "8"]),
     ])
     def test_a_flag_the_builder_does_not_take_is_a_usage_error(
         self, capsys, scheme, flags
@@ -136,6 +138,39 @@ class TestRunCommand:
             f"error: {flags[0]} does not apply to {scheme}\n"
         )
         assert captured.out == ""
+
+    @pytest.mark.parametrize("scheme, workload", [
+        ("dp_ram", "uniform"),
+        ("dp_ram", "zipf"),
+        ("dp_kvs", "ycsb-a"),
+        ("dp_kvs", "readwrite"),  # a KVS runs it as insert-lookup
+    ])
+    def test_a_write_fraction_the_trace_ignores_is_a_usage_error(
+        self, capsys, scheme, workload
+    ):
+        assert main(["run", "--scheme", scheme, "--workload", workload,
+                     "--write-fraction", "0.9", "--ops", "4", "--n", "64",
+                     "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: --write-fraction applies only to a RAM scheme's "
+            "readwrite workload\n"
+        )
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flags, trace", [
+        ([], "readwrite(n=64,w=0.5)"),  # unset: half the operations write
+        (["--write-fraction", "0.9"], "readwrite(n=64,w=0.9)"),
+    ])
+    def test_the_write_fraction_shapes_the_readwrite_trace(
+        self, capsys, flags, trace
+    ):
+        import json
+
+        assert main(["run", "--scheme", "dp_ram", "--workload", "readwrite",
+                     "--ops", "8", "--n", "64", "--seed", "1", "--json",
+                     *flags]) == 0
+        assert json.loads(capsys.readouterr().out)["trace"] == trace
 
     def test_the_cluster_command_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exit_:

@@ -110,8 +110,8 @@ OPTIONS = {
         ("--n", None, None, "int", 1024),
         ("--ops", None, None, "int", 200),
         ("--seed", None, None, "int", None),
-        ("--value-size", None, None, "int", 32),
-        ("--write-fraction", None, None, "float", 0.5),
+        ("--value-size", None, None, "int", argparse.SUPPRESS),
+        ("--write-fraction", None, None, "float", argparse.SUPPRESS),
         ("--backend", ("memory", "network"), None, None, None),
         ("--network", ("lan", "wan", "mobile"), None, None, None),
         ("--shards", None, None, "int", argparse.SUPPRESS),
@@ -243,9 +243,9 @@ def test_usage_line_is_pinned(subcommands, monkeypatch, command):
 
 RUN_DEFAULTS = {
     "scheme": "dp_ram", "workload": "uniform", "n": 1024, "ops": 200,
-    "seed": None, "value_size": 32, "write_fraction": 0.5,
-    "backend": None, "network": None, "batch": 1, "monitor": False,
-    "json": False, "list": False, "trace": None, "metrics": False,
+    "seed": None, "backend": None, "network": None, "batch": 1,
+    "monitor": False, "json": False, "list": False, "trace": None,
+    "metrics": False,
 }
 
 #: Every builder flag, given: the keywords ``cluster_dp_ir`` takes.

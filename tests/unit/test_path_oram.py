@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.baselines import path_oram
 from repro.baselines.path_oram import PathORAM
 from repro.storage.blocks import encode_int, integer_database
 from repro.storage.errors import BlockSizeError, RetrievalError
@@ -202,6 +203,52 @@ class TestFaultedRequests:
         assert [oram.read(index) for index in range(n)] == [
             model[index] for index in range(n)
         ]
+
+
+class _CountingHeader:
+    """The slot header codec, with its ``pack`` calls counted."""
+
+    def __init__(self, header):
+        self._header = header
+        self.size = header.size
+        self.unpack_from = header.unpack_from
+        self.packs = 0
+
+    def pack(self, *fields):
+        self.packs += 1
+        return self._header.pack(*fields)
+
+
+class TestSealedSlots:
+    def test_an_access_seals_only_the_block_it_accessed(
+        self, rng, monkeypatch
+    ):
+        # The stash keeps every block's slot as it came in, so the
+        # write-back re-encodes only the accessed block, under its new
+        # leaf: one header an access, whatever its kind, and also when
+        # its path shares nodes with the held write-back (every access
+        # but the first, which finds nothing held).
+        oram = _oram(rng, n=64)
+        header = _CountingHeader(path_oram._HEADER)
+        monkeypatch.setattr(path_oram, "_HEADER", header)
+        source = rng.spawn("ops")
+        merged = 0
+        for step in range(400):
+            index = source.randbelow(64)
+            merged += oram._link.blocks > 0
+            before = header.packs
+            kind = step % 4
+            if kind == 0:
+                oram.read(index)
+            elif kind == 1:
+                oram.write(index, encode_int(step))
+            elif kind == 2:
+                oram.read_modify_write(index, lambda old: old[::-1])
+            else:  # fails after the access commits, as a plain read
+                with pytest.raises(ZeroDivisionError):
+                    oram.read_modify_write(index, lambda old: 1 // 0)
+            assert header.packs == before + 1
+        assert oram.query_count == 400 and merged == 399
 
 
 class TestBandwidth:
