@@ -12,8 +12,6 @@ Commands:
   and report cumulative spend against a cap (first crossing flagged).
 * ``bounds`` — evaluate the paper's lower bounds for given parameters,
   answering the title question for your workload.
-* ``lint`` — run the privacy & determinism linter (``repro.lint``)
-  over the source tree and fail on unbaselined findings.
 * ``demo`` — a one-minute tour of the three constructions.
 """
 
@@ -180,7 +178,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     # Validate the scheme spelling up front: an unknown name exits 2
     # with the registry catalogue, never a KeyError from a deeper lookup.
-    scheme_spec(args.scheme)
+    spec = scheme_spec(args.scheme)
+    if "value_size" in vars(args) and spec.kind != "kvs":
+        raise ValueError(f"--value-size does not apply to {spec.name}")
     tracer, registry = _observability(args)
     # Every flag's dest is the ServingConfig field it sets (see _FLAGS).
     fields = {
@@ -427,6 +427,7 @@ _FLAGS: dict[str, dict] = {
     "--ops": dict(type=int, default=200, help="operations to run"),
     "--seed": dict(type=int, help="deterministic randomness seed"),
     "--value-size": dict(dest="value_size", type=int,
+                         default=argparse.SUPPRESS,
                          help="KVS value size in bytes"),
     "--write-fraction": dict(type=float, default=argparse.SUPPRESS,
                              help="write fraction for the readwrite workload "
@@ -577,8 +578,7 @@ def main(argv: list[str] | None = None) -> int:
         "--pad-size --alpha --no-auth --failure-rate --corruption-rate "
         "--fault-coins --executor --batch --monitor --json --list --trace "
         "--metrics",
-        {"--scheme": dict(default="dp_ram"), "--network": dict(default=None),
-         "--value-size": dict(default=argparse.SUPPRESS)},
+        {"--scheme": dict(default="dp_ram"), "--network": dict(default=None)},
     )
     _add_command(
         commands, "serve", _cmd_serve,
@@ -662,15 +662,6 @@ def main(argv: list[str] | None = None) -> int:
     bounds_parser.add_argument("--client", type=int, default=64,
                                help="client storage in blocks")
     bounds_parser.set_defaults(handler=_cmd_bounds)
-
-    lint_parser = commands.add_parser(
-        "lint",
-        help="run the privacy & determinism linter over the source tree",
-    )
-    from repro.lint.cli import add_lint_arguments, run_lint
-
-    add_lint_arguments(lint_parser)
-    lint_parser.set_defaults(handler=run_lint)
 
     demo_parser = commands.add_parser("demo", help="one-minute tour")
     demo_parser.set_defaults(handler=_cmd_demo)

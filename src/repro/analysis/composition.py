@@ -9,7 +9,8 @@ included for users who run long query sequences and want the
 These are float-native reporting figures.  Where a composed total feeds
 an *accounting guarantee* (a cap, a cluster's lifetime budget across
 reshard epochs) it comes from the ledgers' exact draw tables
-(:mod:`repro.analysis.ledger`), per the ``float-budget`` lint rule.
+(:mod:`repro.analysis.ledger`), per the ``float-budget`` rule in
+``tests/source_rules.py``.
 """
 
 from __future__ import annotations

@@ -24,7 +24,8 @@ the k-fold sum, so "the ledger spent k·ε" is true by construction, not an
 approximation that drifts with k; floats appear only at the reporting
 boundary.  Equal numbers hash equal across ``float`` / ``int`` /
 ``Fraction``, so ``1.5`` and ``Fraction(3, 2)`` are one table row.  The
-``float-budget`` lint rule (:mod:`repro.lint`) enforces this discipline.
+``float-budget`` rule in ``tests/source_rules.py`` enforces this
+discipline.
 
 :class:`_SpendCore` is that table plus the cap / charge / record /
 timeline logic, once, under :class:`PrivacyLedger` (one operator) and

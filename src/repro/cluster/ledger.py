@@ -28,7 +28,7 @@ for the current epoch (the one :meth:`ClusterLedger.shard_ledger` reads)
 plus the operator's carried :class:`fractions.Fraction` totals.  A charge
 is one dict update; ``Fraction``s are made only in the report, under a
 cap, when an epoch is carried and for timeline events, and floats only
-in the report, per the ``float-budget`` lint rule.
+in the report, per the ``float-budget`` rule in ``tests/source_rules.py``.
 
 The cross-shard *routing* channel (which shard a query went to) is not
 a DP-protected quantity; see the :mod:`repro.cluster` package docstring

@@ -10,7 +10,7 @@ identical to the serving reports.
 
 Label discipline mirrors the tracer: values are stringified scalars —
 sizes, shard/server ids, fault kinds — never secret-derived data (the
-``trace-hygiene`` lint rule polices call sites).
+``trace-hygiene`` rule in ``tests/source_rules.py`` polices call sites).
 """
 
 from __future__ import annotations

@@ -39,8 +39,8 @@ __all__ = [
 ]
 
 #: Label values must be scalars — never pad sets, keys or plaintext
-#: blocks (the ``trace-hygiene`` lint rule polices call sites; this
-#: guards the API itself).
+#: blocks (the ``trace-hygiene`` rule in ``tests/source_rules.py``
+#: polices call sites; this guards the API itself).
 _SCALAR = (bool, int, float, str, type(None))
 
 #: Fields stripped by :func:`canonical_trace`: real elapsed time is the

@@ -153,7 +153,7 @@ OPTIONS = {
         ("--seed", None, None, "int", None),
         ("--network", ("lan", "wan", "mobile"), None, None, "lan"),
         ("--backend", ("memory", "network"), None, None, None),
-        ("--value-size", None, None, "int", 32),
+        ("--value-size", None, None, "int", argparse.SUPPRESS),
         ("--executor", ("serial", "parallel"), None, None, argparse.SUPPRESS),
         ("--monitor", None, "switch", None, None),
         ("--json", None, "switch", None, None),
@@ -347,6 +347,17 @@ class TestServeConfig:
             "executor": "parallel", "tracer": "Tracer",
             "metrics_registry": "MetricsRegistry", "monitor": True,
         })
+
+    @pytest.mark.parametrize("scheme", ["dp_ram", "path_oram", "cluster-dpir"])
+    def test_a_value_size_off_a_kvs_is_a_usage_error(self, capsys, scheme):
+        # As under run: named and exit 2, never handed on to be ignored.
+        name = repro.api.scheme_spec(scheme).name
+        assert main(["serve", "--scheme", scheme, "--value-size", "8",
+                     "--clients", "2", "--requests", "4", "--n", "64",
+                     "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --value-size does not apply to {name}\n"
+        assert captured.out == ""
 
 
 class TestAuditBuild:
