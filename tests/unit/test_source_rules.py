@@ -12,7 +12,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
-from source_rules import BUDGET_MODULES, RULES, module_name, rules_hit
+from source_rules import BUDGET_MODULES, RULES, in_package, module_name, rules_hit
 
 import repro
 
@@ -42,6 +42,30 @@ def test_every_scoped_module_is_parsed(source_tree):
     modules = {module for _, module, _ in source_tree}
     assert len(modules) > 50
     assert {"repro.crypto.rng", *BUDGET_MODULES} <= modules
+
+
+@pytest.mark.parametrize("path, module", [
+    ("src/repro/core/dp_ir.py", "repro.core.dp_ir"),
+    ((SRC / "core" / "dp_ir.py").as_posix(), "repro.core.dp_ir"),
+    ("src/repro/cluster/__init__.py", "repro.cluster"),
+    ("checkout/repro/src/repro/crypto/rng.py", "repro.crypto.rng"),
+    ("examples/fixture.py", "fixture"),
+])
+def test_module_name(path, module):
+    # Every rule's scope is a test on this name.
+    assert module_name(path) == module
+
+
+@pytest.mark.parametrize("module, inside", [
+    ("repro.core", True),
+    ("repro.core.dp_ir", True),
+    ("repro.cluster.router", True),
+    ("repro.corex", False),
+    ("repro", False),
+    ("repro.obs.core", False),
+])
+def test_in_package_matches_whole_components(module, inside):
+    assert in_package(module, "repro.core", "repro.cluster") is inside
 
 
 @pytest.mark.parametrize("rule", sorted(RULES))
